@@ -209,7 +209,9 @@ FlatCodelet flattenCodelet(const CodeletIR& ir) {
 // iteration cycle charges are priced at compile time from the same cost
 // tables the generic walk consults — and every priced constant is an integral
 // double, so `n * perIteration` equals n repeated additions exactly and the
-// bulk charge is bit-identical to the generic walk's.
+// bulk charge is bit-identical to the generic walk's. ParFor row bodies may
+// also hold nested counted loops and comparison-guarded Ifs; those rows are
+// charged block by block as they run (see LoopOp::run).
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -238,6 +240,13 @@ ipu::Op costOpFor(UnOp op) {
   return ipu::Op::Logic;
 }
 
+/// Lane sums of a straight-line stretch of ops, priced at compile time.
+struct LaneSums {
+  double fp = 0, mem = 0, ctrl = 0;
+  /// Cost of a lane block holding exactly these charges.
+  double total() const { return (fp > mem ? fp : mem) + ctrl; }
+};
+
 struct LoopOp {
   enum class K : std::uint8_t {
     FConst, FMov, FLoad, FStore,
@@ -246,11 +255,20 @@ struct LoopOp {
     IConst, IMov, ILoad,
     IAdd, ISub, IMul, IMin, IMax,
     INeg, IAbs, IFromFloat,
-    // Parallel-row kernels only: a nested counted unit-step loop.
-    // LBegin: dst = induction reg, a = begin reg, b = end reg, arg = loop
-    // ordinal (trip-count slot), iimm = pc of the matching LEnd.
+    // Parallel-row kernels only. Comparisons set int register dst to 1 or 0
+    // (the walk's bool); Gt/Ge are emitted as Lt/Le with swapped operands.
+    ILt, ILe, IEq, INe, FLt, FLe, FEq, FNe,
+    // Parallel-row kernels only: control ops. Each adds `run` to the row's
+    // open lane block when it executes; a jump resumes at the op after pc
+    // iimm, so it always lands at the start of a run.
+    // LBegin: dst = induction reg, a = begin reg, b = end reg, iimm = pc of
+    //   the matching LEnd. Closes the block and charges a branch.
     // LEnd: a = induction reg, iimm = pc of the matching LBegin.
-    LBegin, LEnd,
+    // JmpZ (an If): a = bool reg. Closes the block, charges a branch, and
+    //   jumps to iimm (the then-branch's closing Jmp) when the bool is 0.
+    // Jmp (closes an If branch): jumps to iimm; the last branch's Jmp points
+    //   at itself and only adds its run.
+    LBegin, LEnd, JmpZ, Jmp,
   };
   K k{};
   std::int16_t dst = -1, a = -1, b = -1;
@@ -261,6 +279,9 @@ struct LoopOp {
   // (analyzeBlockable dataflow): the blocked VM may use a contiguous,
   // pre-bounds-checked span access for it.
   bool ew = false;
+  // Control ops: lane charges of the straight-line ops since the previous
+  // control op in program order.
+  LaneSums run;
 };
 
 /// Recognised whole-loop span kernels (all Float32, unit step): the shapes
@@ -294,17 +315,14 @@ struct CsrRow {
   std::int16_t yArg = -1, dArg = -1, xArg = -1, aArg = -1, hArg = -1;
   std::int16_t cArg = -1, rpArg = -1, spArg = -1;
   std::int32_t ownedVar = -1;  // outer var holding the owned-row count
+  // Runs of the row's two LBegin and two LEnd ops, for the closed-form row
+  // cost of the native path (the VM path charges as it runs).
+  LaneSums entry[2], body[2];
 };
 
 struct LoopKernel {
   static constexpr std::size_t kMaxRegs = 64;
   static constexpr std::size_t kMaxArgs = 16;
-  static constexpr std::size_t kMaxNested = 8;
-
-  /// One straight-line charge block (lanes totalled as max(fp,mem)+ctrl).
-  struct Seg {
-    double fp = 0, mem = 0, ctrl = 0;
-  };
 
   std::vector<LoopOp> ops;
   // Once-per-entry register seeds.
@@ -323,15 +341,17 @@ struct LoopKernel {
   double iterFp = 0, iterMem = 0, iterCtrl = 0;
   NamedLoop named;
   // Parallel (ParFor) row kernels: the whole row body is one register
-  // program with nested counted loops encoded as LBegin/LEnd jumps. The
-  // generic walk flushes its lane block at every nested loop-entry branch, so
-  // a row costs Σ_k max(fp_k, mem_k) + ctrl_k over L+1 blocks — block k
-  // holding segs[k] plus trips[k-1] iterations of nested[k-1] — plus one
-  // branch per nested loop. Every priced constant is an integral double, so
-  // the polynomial equals the walk's per-op accumulation exactly.
+  // program, nested counted loops and Ifs encoded as jumps. The generic walk
+  // closes its lane block at every loop-entry and If branch, so a row's cost
+  // depends on which bodies ran: a block after a taken If body also holds
+  // that body's lanes, and the last body's lanes merge into the trailing
+  // block. The VM therefore charges per executed block — each control op adds
+  // its run to the open block, LBegin/JmpZ close it plus one branch, and the
+  // row ends by closing the open block plus `tail`. Every priced constant is
+  // an integral double, so these sums equal the walk's per-op accumulation
+  // exactly, whatever the grouping.
   bool isPar = false;
-  std::vector<Seg> segs;    // L+1 straight-line blocks
-  std::vector<Seg> nested;  // per-iteration lanes of each nested loop
+  LaneSums tail;  // ops after the last control op
   double branchCost = 0;
   CsrRow csr;
   // Block-vectorizable kernels (serial loops and flat ParFor rows): no
@@ -360,7 +380,6 @@ void analyzeBlockable(LoopKernel& k) {
   k.blockable = false;
   constexpr std::size_t R = LoopKernel::kMaxRegs;
   std::array<bool, R> fWritten{}, iWritten{};
-  std::array<bool, R> fCarried{}, iCarried{};
   std::array<bool, R> fReadEarly{}, iReadEarly{};
   auto readF = [&](std::int16_t r) {
     if (r >= 0 && !fWritten[static_cast<std::size_t>(r)])
@@ -444,8 +463,10 @@ void analyzeBlockable(LoopKernel& k) {
         readF(op.a); writeI(op.dst);
         if (op.dst > 0) isIv[static_cast<std::size_t>(op.dst)] = false;
         break;
-      case K::LBegin: case K::LEnd:
-        return;  // nested loops: parallel kernels only, never blockable
+      case K::ILt: case K::ILe: case K::IEq: case K::INe:
+      case K::FLt: case K::FLe: case K::FEq: case K::FNe:
+      case K::LBegin: case K::LEnd: case K::JmpZ: case K::Jmp:
+        return;  // comparisons and control flow are never blockable
     }
   }
   if (ivWritten) return;
@@ -472,9 +493,13 @@ void analyzeBlockable(LoopKernel& k) {
 }
 
 /// Compiles one For statement's body into a LoopKernel, or nothing if the
-/// body leaves the supported subset (nested control flow, bools, comparisons,
-/// integer division, extended-precision types, …). Bailing is never an error:
-/// the generic walk runs the loop instead.
+/// body leaves the supported subset. Serial For bodies must be straight-line
+/// Float32 / Int32 arithmetic. A ParFor row body may add one level of nested
+/// counted unit-step For loops and Ifs (optional else, any nesting) whose
+/// condition is one Int32 or Float32 comparison. Everything else — While,
+/// nested ParFor, logic ops, Select, integer division, extended-precision
+/// types, … — bails. Bailing is never an error: the generic walk runs the
+/// loop instead, and why() names the construct that stopped compilation.
 class LoopCompiler {
  public:
   LoopCompiler(const FlatCodelet& flat, const ipu::CostModel& cost)
@@ -482,21 +507,8 @@ class LoopCompiler {
 
   std::optional<LoopKernel> compile(std::int32_t forId) {
     const FlatStmt& fs = flat_.stmts[static_cast<std::size_t>(forId)];
-    if (fs.var < 0 || fs.body < 0) return std::nullopt;
-    k_ = LoopKernel{};
-    iter_ = ipu::LaneCycles{};
-    homes_.clear();
-    constInts_.clear();
-    loopVar_ = fs.var;
-    // Int register 0 is the induction variable.
-    k_.numIntRegs = 1;
-    try {
-      for (std::int32_t sid : flat_.lists[static_cast<std::size_t>(fs.body)]) {
-        compileStmt(flat_.stmts[static_cast<std::size_t>(sid)]);
-      }
-    } catch (const Bail&) {
-      return std::nullopt;
-    }
+    if (!start(fs, /*par=*/false)) return std::nullopt;
+    if (!compileBody(fs)) return std::nullopt;
     k_.iterFp = iter_.fp();
     k_.iterMem = iter_.mem();
     k_.iterCtrl = iter_.ctrl();
@@ -505,78 +517,111 @@ class LoopCompiler {
     return std::move(k_);
   }
 
-  /// Compiles a whole ParFor row body — straight-line code plus single-level
-  /// counted unit-step For loops — into one parallel kernel. Bailing is never
-  /// an error: the generic worker-pool walk runs the loop instead.
+  /// Compiles a whole ParFor row body into one parallel kernel.
   std::optional<LoopKernel> compilePar(std::int32_t parForId) {
     const FlatStmt& fs = flat_.stmts[static_cast<std::size_t>(parForId)];
-    if (fs.var < 0 || fs.body < 0) return std::nullopt;
-    k_ = LoopKernel{};
-    iter_ = ipu::LaneCycles{};
-    homes_.clear();
-    constInts_.clear();
-    retired_.clear();
-    nestedVars_.clear();
-    segLanes_.assign(1, ipu::LaneCycles{});
-    nestedLanes_.clear();
-    loopVar_ = fs.var;
-    parMode_ = true;
-    inNested_ = false;
-    k_.isPar = true;
-    k_.numIntRegs = 1;  // int register 0 is the row index
-    bool ok = true;
-    try {
-      for (std::int32_t sid : flat_.lists[static_cast<std::size_t>(fs.body)]) {
-        compileStmt(flat_.stmts[static_cast<std::size_t>(sid)]);
-      }
-    } catch (const Bail&) {
-      ok = false;
-    }
-    parMode_ = false;
-    inNested_ = false;
-    if (!ok) return std::nullopt;
-    // Nested induction variables do not survive the kernel: nothing outside
-    // the row body may read them.
+    if (!start(fs, /*par=*/true)) return std::nullopt;
+    if (!compileBody(fs)) return std::nullopt;
+    // Nested induction variables do not survive the kernel, and a var first
+    // assigned inside a nested loop or an If branch (or holding a bool, which
+    // is never written back) has no defined value on every path: nothing
+    // outside the row body may read them.
     const std::unordered_set<int> outside = varsReadOutside(parForId);
     for (int v : nestedVars_) {
-      if (outside.count(v) != 0) return std::nullopt;
+      if (outside.count(v) != 0) {
+        why_ = "nested loop variable read after the row";
+        return std::nullopt;
+      }
     }
-    for (const ipu::LaneCycles& l : segLanes_) {
-      k_.segs.push_back({l.fp(), l.mem(), l.ctrl()});
+    for (const auto& [v, h] : homes_) {
+      if ((h.scope >= 0 || h.isBool) && outside.count(v) != 0) {
+        why_ = "conditionally defined variable read after the row";
+        return std::nullopt;
+      }
     }
-    for (const ipu::LaneCycles& l : nestedLanes_) {
-      k_.nested.push_back({l.fp(), l.mem(), l.ctrl()});
-    }
+    k_.tail = {run_.fp(), run_.mem(), run_.ctrl()};
     k_.branchCost = cost_.workerCycles(ipu::Op::Branch, DType::Int32);
-    if (k_.nested.size() == 2) matchCsrRow(parForId);
+    matchCsrRow(parForId);
     analyzeBlockable(k_);
     return std::move(k_);
   }
 
+  /// The construct that stopped the last failed compile().
+  const char* why() const { return why_; }
+
  private:
-  struct Bail {};
+  struct Bail {
+    const char* why;
+  };
   struct Val {
     std::int16_t reg;
     bool isFloat;
+    bool isBool = false;  // a comparison result (int register, 0 or 1)
   };
   struct Home {
     std::int16_t reg;
     bool isFloat;
+    bool isBool = false;
     bool assigned = false;
-    // Nested-loop ordinal whose body created this home via an Assign, or -1.
-    // A var first defined inside a loop that may run zero iterations has no
-    // defined value outside that loop, so reads elsewhere must bail.
-    std::int16_t definedLoop = -1;
+    // Conditional scope (nested loop body or If branch) whose Assign created
+    // this home, or -1. A var first defined where execution may not reach
+    // (a zero-trip loop, an untaken branch) has no defined value outside that
+    // scope, so reads elsewhere must bail.
+    int scope = -1;
   };
 
-  [[noreturn]] static void bail() { throw Bail{}; }
+  [[noreturn]] static void bail(const char* why) { throw Bail{why}; }
+
+  bool start(const FlatStmt& fs, bool par) {
+    if (fs.var < 0 || fs.body < 0) {
+      why_ = "loop without a body";
+      return false;
+    }
+    k_ = LoopKernel{};
+    iter_ = ipu::LaneCycles{};
+    run_ = ipu::LaneCycles{};
+    homes_.clear();
+    constInts_.clear();
+    retired_.clear();
+    nestedVars_.clear();
+    scopes_.clear();
+    loopVar_ = fs.var;
+    parMode_ = par;
+    inNested_ = false;
+    k_.isPar = par;
+    k_.numIntRegs = 1;  // int register 0 is the induction variable / row
+    return true;
+  }
+
+  bool compileBody(const FlatStmt& fs) {
+    bool ok = true;
+    try {
+      compileList(fs.body);
+    } catch (const Bail& b) {
+      why_ = b.why;
+      ok = false;
+    }
+    parMode_ = false;
+    inNested_ = false;
+    return ok;
+  }
+
+  void compileList(std::int32_t listId) {
+    for (std::int32_t sid : flat_.lists[static_cast<std::size_t>(listId)]) {
+      compileStmt(flat_.stmts[static_cast<std::size_t>(sid)]);
+    }
+  }
 
   std::int16_t newFloat() {
-    if (k_.numFloatRegs >= static_cast<int>(LoopKernel::kMaxRegs)) bail();
+    if (k_.numFloatRegs >= static_cast<int>(LoopKernel::kMaxRegs)) {
+      bail("register limit");
+    }
     return static_cast<std::int16_t>(k_.numFloatRegs++);
   }
   std::int16_t newInt() {
-    if (k_.numIntRegs >= static_cast<int>(LoopKernel::kMaxRegs)) bail();
+    if (k_.numIntRegs >= static_cast<int>(LoopKernel::kMaxRegs)) {
+      bail("register limit");
+    }
     return static_cast<std::int16_t>(k_.numIntRegs++);
   }
 
@@ -592,23 +637,41 @@ class LoopCompiler {
   }
 
   void chargeIter(ipu::Op op, DType t) {
-    if (parMode_) {
-      (inNested_ ? nestedLanes_[curNested_] : segLanes_.back())
-          .add(cost_, op, t);
-    } else {
-      iter_.add(cost_, op, t);
-    }
+    (parMode_ ? run_ : iter_).add(cost_, op, t);
+  }
+
+  /// Emits a control op that takes over the current run's lane charges
+  /// (LoopOp::run) and starts a new run. Returns its pc.
+  std::int32_t emitControl(LoopOp::K kk) {
+    LoopOp op;
+    op.k = kk;
+    op.run = {run_.fp(), run_.mem(), run_.ctrl()};
+    run_ = ipu::LaneCycles{};
+    k_.ops.push_back(op);
+    return static_cast<std::int32_t>(k_.ops.size()) - 1;
   }
 
   std::int16_t guardArg(std::int32_t arg, bool isFloat) {
-    if (arg < 0 || arg >= static_cast<std::int32_t>(LoopKernel::kMaxArgs)) bail();
+    if (arg < 0 || arg >= static_cast<std::int32_t>(LoopKernel::kMaxArgs)) {
+      bail("argument index beyond the kernel limit");
+    }
     auto& list = isFloat ? k_.floatArgs : k_.intArgs;
     const auto a16 = static_cast<std::int16_t>(arg);
     if (std::find(list.begin(), list.end(), a16) == list.end()) list.push_back(a16);
     return a16;
   }
 
+  static const char* typeBail(DType t) {
+    switch (t) {
+      case DType::DoubleWord: return "double-word value";
+      case DType::Float64: return "float64 value";
+      case DType::Bool: return "bool value";
+      default: return "unsupported type";
+    }
+  }
+
   std::int16_t toInt(Val v) {
+    if (v.isBool) bail("bool used as a number");
     if (!v.isFloat) return v.reg;
     const std::int16_t dst = newInt();
     emit(LoopOp::K::IFromFloat, dst, v.reg);  // matches Scalar::castTo(Int32)
@@ -616,14 +679,43 @@ class LoopCompiler {
   }
 
   std::int16_t toFloat(Val v) {
+    if (v.isBool) bail("bool used as a number");
     if (v.isFloat) return v.reg;
     const std::int16_t dst = newFloat();
     emit(LoopOp::K::FFromInt, dst, v.reg);  // matches Scalar::castTo(Float32)
     return dst;
   }
 
+  /// Lowers a comparison to a compare op writing 0/1 into an int register,
+  /// priced like the walk's evalBinaryScalar charge: IntArith when both
+  /// operands are Int32, else a Float32 Compare (ints promote uncharged).
+  Val compileCompare(const FlatExpr& e) {
+    if (!parMode_) bail("comparison");
+    const Val a = compileExpr(e.a);
+    const Val b = compileExpr(e.b);
+    const bool isFloat = a.isFloat || b.isFloat;
+    const std::int16_t ra = isFloat ? toFloat(a) : toInt(a);
+    const std::int16_t rb = isFloat ? toFloat(b) : toInt(b);
+    const DType t = isFloat ? DType::Float32 : DType::Int32;
+    chargeIter(costOpFor(e.bop, t), t);
+    using K = LoopOp::K;
+    K kk;
+    bool swap = false;
+    switch (e.bop) {
+      case BinOp::Lt: kk = isFloat ? K::FLt : K::ILt; break;
+      case BinOp::Le: kk = isFloat ? K::FLe : K::ILe; break;
+      case BinOp::Gt: kk = isFloat ? K::FLt : K::ILt; swap = true; break;
+      case BinOp::Ge: kk = isFloat ? K::FLe : K::ILe; swap = true; break;
+      case BinOp::Eq: kk = isFloat ? K::FEq : K::IEq; break;
+      default: kk = isFloat ? K::FNe : K::INe; break;
+    }
+    const std::int16_t dst = newInt();
+    emit(kk, dst, swap ? rb : ra, swap ? ra : rb);
+    return {dst, false, true};
+  }
+
   Val compileExpr(std::int32_t id) {
-    if (id < 0) bail();
+    if (id < 0) bail("missing expression");
     const FlatExpr& e = flat_.exprs[static_cast<std::size_t>(id)];
     switch (e.kind) {
       case Expr::Kind::Const: {
@@ -645,25 +737,27 @@ class LoopCompiler {
           k_.ops.push_back(op);
           return {dst, false};
         }
-        bail();
+        bail(typeBail(e.constant.type()));
       }
       case Expr::Kind::Var: {
         if (parMode_) {
           if (inNested_ && e.var == nestedVar_) return {nestedIvReg_, false};
-          if (retired_.count(e.var) != 0) bail();
+          if (retired_.count(e.var) != 0) {
+            bail("nested loop variable read after its loop");
+          }
         }
         if (e.var == loopVar_) return {0, false};
         auto it = homes_.find(e.var);
         if (it != homes_.end()) {
-          // A home first defined inside a nested loop only holds a value
-          // while that loop's body runs (the loop may zero-trip).
+          // A home first defined inside a nested loop or an If branch only
+          // holds a value while that scope runs.
           const Home& h = it->second;
-          if (h.definedLoop >= 0 &&
-              (!inNested_ ||
-               static_cast<std::size_t>(h.definedLoop) != curNested_)) {
-            bail();
+          if (h.scope >= 0 &&
+              std::find(scopes_.begin(), scopes_.end(), h.scope) ==
+                  scopes_.end()) {
+            bail("variable read outside the scope that defines it");
           }
-          return {h.reg, h.isFloat};
+          return {h.reg, h.isFloat, h.isBool};
         }
         // First touch is a read: the var is loop-carried or loop-invariant;
         // seed its home register from the interpreter's var slot on entry.
@@ -673,11 +767,11 @@ class LoopCompiler {
         } else if (e.type == DType::Int32) {
           isFloat = false;
         } else {
-          bail();
+          bail(typeBail(e.type));
         }
         const std::int16_t reg = isFloat ? newFloat() : newInt();
         (isFloat ? k_.seedFloat : k_.seedInt).emplace_back(e.var, reg);
-        homes_.emplace(e.var, Home{reg, isFloat, false});
+        homes_.emplace(e.var, Home{reg, isFloat});
         return {reg, isFloat};
       }
       case Expr::Kind::ArgLoad: {
@@ -696,11 +790,12 @@ class LoopCompiler {
           emit(LoopOp::K::ILoad, dst, idx, -1, arg);
           return {dst, false};
         }
-        bail();
+        bail(e.type == DType::DoubleWord ? "double-word load"
+                                         : typeBail(e.type));
       }
       case Expr::Kind::ArgSize: {
         if (e.arg < 0 || e.arg >= static_cast<std::int32_t>(LoopKernel::kMaxArgs))
-          bail();
+          bail("argument index beyond the kernel limit");
         const std::int16_t dst = newInt();
         k_.sizeSeeds.emplace_back(dst, static_cast<std::int16_t>(e.arg));
         chargeIter(ipu::Op::IntArith, DType::Int32);
@@ -715,13 +810,19 @@ class LoopCompiler {
           case BinOp::Add: case BinOp::Sub: case BinOp::Mul: case BinOp::Div:
           case BinOp::Min: case BinOp::Max:
             break;
-          default:
-            bail();  // comparisons/logic produce bools; Mod needs checks
+          case BinOp::Lt: case BinOp::Le: case BinOp::Gt: case BinOp::Ge:
+          case BinOp::Eq: case BinOp::Ne:
+            return compileCompare(e);
+          case BinOp::And: case BinOp::Or:
+            bail("logic op");
+          case BinOp::Mod:
+            bail("integer modulo");  // zero check in generic walk
         }
         const Val a = compileExpr(e.a);
         const Val b = compileExpr(e.b);
+        if (a.isBool || b.isBool) bail("bool used as a number");
         if (!a.isFloat && !b.isFloat) {
-          if (e.bop == BinOp::Div) bail();  // zero check in generic walk
+          if (e.bop == BinOp::Div) bail("integer division");  // zero check
           chargeIter(ipu::Op::IntArith, DType::Int32);
           const std::int16_t dst = newInt();
           LoopOp::K kk;
@@ -753,8 +854,9 @@ class LoopCompiler {
         return {dst, true};
       }
       case Expr::Kind::Unary: {
-        if (e.uop == UnOp::Not) bail();
+        if (e.uop == UnOp::Not) bail("logic op");
         const Val a = compileExpr(e.a);
+        if (a.isBool) bail("bool used as a number");
         const DType at = a.isFloat ? DType::Float32 : DType::Int32;
         chargeIter(costOpFor(e.uop), at);
         if (e.uop == UnOp::Sqrt) {
@@ -776,10 +878,10 @@ class LoopCompiler {
         // double-word / float64 targets bail (they would also be charged).
         if (e.type == DType::Float32) return {toFloat(a), true};
         if (e.type == DType::Int32) return {toInt(a), false};
-        bail();
+        bail(typeBail(e.type));
       }
       case Expr::Kind::Select:
-        bail();  // data-dependent evaluation order
+        bail("Select");  // data-dependent evaluation order
     }
     GRAPHENE_UNREACHABLE("bad expr kind");
   }
@@ -787,34 +889,41 @@ class LoopCompiler {
   void compileStmt(const FlatStmt& s) {
     switch (s.kind) {
       case Stmt::Kind::Assign: {
-        if (s.var == loopVar_) bail();  // rewriting the induction variable
+        if (s.var == loopVar_) bail("assignment to the loop variable");
         if (parMode_ && (retired_.count(s.var) != 0 ||
                          (inNested_ && s.var == nestedVar_))) {
-          bail();
+          bail("assignment to a nested loop variable");
         }
         const Val v = compileExpr(s.value);
         auto it = homes_.find(s.var);
         if (it == homes_.end()) {
           const std::int16_t reg = v.isFloat ? newFloat() : newInt();
-          Home h{reg, v.isFloat, false};
-          if (parMode_ && inNested_) {
-            h.definedLoop = static_cast<std::int16_t>(curNested_);
-          }
+          Home h{reg, v.isFloat, v.isBool};
+          if (!scopes_.empty()) h.scope = scopes_.back();
           it = homes_.emplace(s.var, h).first;
         }
         Home& h = it->second;
-        if (h.isFloat != v.isFloat) bail();  // var changes type across loop
+        if (h.isFloat != v.isFloat || h.isBool != v.isBool) {
+          bail("variable changes type");
+        }
         emit(v.isFloat ? LoopOp::K::FMov : LoopOp::K::IMov, h.reg, v.reg);
         if (!h.assigned) {
           h.assigned = true;
-          (h.isFloat ? k_.writeFloat : k_.writeInt).emplace_back(s.var, h.reg);
+          // Bool homes are never written back; compilePar checks nothing
+          // after the row reads them.
+          if (!h.isBool) {
+            (h.isFloat ? k_.writeFloat : k_.writeInt)
+                .emplace_back(s.var, h.reg);
+          }
         }
         // Literal ints trace as var assignments (Value(int) declares a var),
         // so nested-loop step resolution needs the var → constant map. An
-        // assignment inside a nested loop is conditional (the loop may run
-        // zero iterations), so it only ever invalidates.
+        // assignment to a var defined in an enclosing scope is conditional
+        // (the loop may not run, the branch may be skipped), so it only ever
+        // invalidates; a var defined in this scope is unreadable outside it.
         const FlatExpr& ve = flat_.exprs[static_cast<std::size_t>(s.value)];
-        if (!inNested_ && ve.kind == Expr::Kind::Const &&
+        const int here = scopes_.empty() ? -1 : scopes_.back();
+        if (h.scope == here && ve.kind == Expr::Kind::Const &&
             ve.constant.type() == DType::Int32) {
           constInts_[s.var] = ve.constant.asInt();
         } else {
@@ -834,28 +943,64 @@ class LoopCompiler {
       }
       case Stmt::Kind::For: {
         // A parallel row body may contain one level of serial counted loops;
-        // everywhere else nested control flow stays on the generic walk.
-        if (!parMode_ || inNested_) bail();
+        // everywhere else nested loops stay on the generic walk.
+        if (!parMode_) bail("nested For");
+        if (inNested_) bail("For nested two deep");
         compileNestedFor(s);
         return;
       }
-      case Stmt::Kind::If:
+      case Stmt::Kind::If: {
+        if (!parMode_) bail("If");
+        compileIf(s);
+        return;
+      }
       case Stmt::Kind::While:
+        bail("While");
       case Stmt::Kind::ParFor:
-        bail();  // nested control flow stays on the generic walk
+        bail("nested ParFor");
     }
     GRAPHENE_UNREACHABLE("bad stmt kind");
   }
 
+  /// Compiles a statement list as a conditional scope: vars it first
+  /// assigns are unreadable once it closes (see Home::scope).
+  void compileScope(std::int32_t listId) {
+    scopes_.push_back(nextScope_++);
+    compileList(listId);
+    scopes_.pop_back();
+  }
+
+  /// Lowers an If inside a ParFor row to JmpZ + branches + closing Jmps. The
+  /// condition's charges (the walk's eval(cond)) close with the JmpZ, like
+  /// the walk's pre-branch flush; each branch's lanes ride on its closing
+  /// Jmp into the block that follows, as in the walk.
+  void compileIf(const FlatStmt& s) {
+    const Val c = compileExpr(s.cond);
+    if (!c.isBool) bail("If condition that is not a comparison");
+    const std::int32_t jz = emitControl(LoopOp::K::JmpZ);
+    k_.ops[static_cast<std::size_t>(jz)].a = c.reg;
+    compileScope(s.body);
+    const std::int32_t thenEnd = emitControl(LoopOp::K::Jmp);
+    k_.ops[static_cast<std::size_t>(jz)].iimm = thenEnd;
+    k_.ops[static_cast<std::size_t>(thenEnd)].iimm = thenEnd;
+    if (s.elseBody >= 0 &&
+        !flat_.lists[static_cast<std::size_t>(s.elseBody)].empty()) {
+      compileScope(s.elseBody);
+      const std::int32_t elseEnd = emitControl(LoopOp::K::Jmp);
+      k_.ops[static_cast<std::size_t>(elseEnd)].iimm = elseEnd;
+      k_.ops[static_cast<std::size_t>(thenEnd)].iimm = elseEnd;
+    }
+  }
+
   /// Lowers a serial unit-step For inside a ParFor row. The header's bound
-  /// evaluation and setup charges land in the current segment — exactly where
-  /// the generic walk accumulates them before its loop-entry branch flush —
-  /// then the body's per-iteration charges open a fresh lane block.
+  /// evaluation and setup charges close with the LBegin — exactly where the
+  /// generic walk accumulates them before its loop-entry branch flush — and
+  /// the body's charges ride on the LEnd into the next block.
   void compileNestedFor(const FlatStmt& s) {
-    if (s.var < 0 || s.body < 0) bail();
+    if (s.var < 0 || s.body < 0) bail("loop without a body");
     if (s.var == loopVar_ || homes_.count(s.var) != 0 ||
         retired_.count(s.var) != 0) {
-      bail();
+      bail("reused loop variable");
     }
     if (s.step >= 0) {
       // The step may be a literal Const or a read of a var holding a known
@@ -866,41 +1011,34 @@ class LoopCompiler {
         stepVal = st.constant.asInt();
       } else if (st.kind == Expr::Kind::Var) {
         auto cit = constInts_.find(st.var);
-        if (cit == constInts_.end()) bail();
+        if (cit == constInts_.end()) bail("nested loop step not a constant");
         stepVal = cit->second;
       } else {
-        bail();
+        bail("nested loop step not a constant");
       }
-      if (stepVal != 1) bail();
+      if (stepVal != 1) bail("nested loop step not 1");
     }
-    if (nestedLanes_.size() >= LoopKernel::kMaxNested) bail();
     const std::int16_t beginReg = toInt(compileExpr(s.begin));
     const std::int16_t endReg = toInt(compileExpr(s.end));
     chargeIter(ipu::Op::IntArith, DType::Int32);  // loop setup, pre-branch
-    const auto loopIdx = static_cast<std::int16_t>(nestedLanes_.size());
-    nestedLanes_.emplace_back();
     const std::int16_t iv = newInt();
-    const auto beginPc = static_cast<std::int32_t>(k_.ops.size());
-    emit(LoopOp::K::LBegin, iv, beginReg, endReg, loopIdx);
+    const std::int32_t beginPc = emitControl(LoopOp::K::LBegin);
+    LoopOp& begin = k_.ops[static_cast<std::size_t>(beginPc)];
+    begin.dst = iv;
+    begin.a = beginReg;
+    begin.b = endReg;
     inNested_ = true;
-    curNested_ = static_cast<std::size_t>(loopIdx);
     nestedVar_ = s.var;
     nestedIvReg_ = iv;
-    for (std::int32_t sid : flat_.lists[static_cast<std::size_t>(s.body)]) {
-      compileStmt(flat_.stmts[static_cast<std::size_t>(sid)]);
-    }
+    compileScope(s.body);
     inNested_ = false;
     nestedVar_ = -1;
-    LoopOp endOp;
-    endOp.k = LoopOp::K::LEnd;
-    endOp.a = iv;
-    endOp.iimm = beginPc;
-    k_.ops.push_back(endOp);
-    k_.ops[static_cast<std::size_t>(beginPc)].iimm =
-        static_cast<std::int32_t>(k_.ops.size()) - 1;
+    const std::int32_t endPc = emitControl(LoopOp::K::LEnd);
+    k_.ops[static_cast<std::size_t>(endPc)].a = iv;
+    k_.ops[static_cast<std::size_t>(endPc)].iimm = beginPc;
+    k_.ops[static_cast<std::size_t>(beginPc)].iimm = endPc;
     retired_.insert(s.var);
     nestedVars_.push_back(s.var);
-    segLanes_.emplace_back();
   }
 
   // ---- named-pattern recognition ----------------------------------------
@@ -1222,7 +1360,7 @@ class LoopCompiler {
       return st.kind == Expr::Kind::Const &&
              st.constant.type() == DType::Int32 && st.constant.asInt() == 1;
     };
-    std::int16_t spAgain = -1, rpAgain = -1;
+    std::int16_t spAgain = -1;
     if (!unitStep(*fors[0]) || !unitStep(*fors[1])) return;
     if (!isIdxLoad(resolve(fors[0]->begin, env), loopVar_, DType::Int32, env,
                    m.rpArg) ||
@@ -1311,6 +1449,19 @@ class LoopCompiler {
         !matchBody(*fors[1], /*halo=*/true)) {
       return;
     }
+    // The matched shape lowers to exactly LBegin, LEnd, LBegin, LEnd.
+    std::vector<const LoopOp*> ctl;
+    for (const LoopOp& op : k_.ops) {
+      if (op.k == LoopOp::K::LBegin || op.k == LoopOp::K::LEnd ||
+          op.k == LoopOp::K::JmpZ || op.k == LoopOp::K::Jmp) {
+        ctl.push_back(&op);
+      }
+    }
+    if (ctl.size() != 4) return;
+    m.entry[0] = ctl[0]->run;
+    m.body[0] = ctl[1]->run;
+    m.entry[1] = ctl[2]->run;
+    m.body[1] = ctl[3]->run;
     m.valid = true;
     k_.csr = m;
   }
@@ -1321,14 +1472,15 @@ class LoopCompiler {
   ipu::LaneCycles iter_;
   std::unordered_map<int, Home> homes_;
   int loopVar_ = -1;
+  const char* why_ = "";
   // Parallel (ParFor) mode state.
   bool parMode_ = false;
   bool inNested_ = false;
-  std::size_t curNested_ = 0;
   int nestedVar_ = -1;
   std::int16_t nestedIvReg_ = -1;
-  std::vector<ipu::LaneCycles> segLanes_;
-  std::vector<ipu::LaneCycles> nestedLanes_;
+  ipu::LaneCycles run_;     // charges since the last control op
+  std::vector<int> scopes_;  // open conditional scopes, innermost last
+  int nextScope_ = 0;
   std::unordered_set<int> retired_;
   // Vars currently holding a known integer constant (program order).
   std::unordered_map<int, std::int32_t> constInts_;
@@ -1345,6 +1497,9 @@ class CompiledCodelet {
  public:
   FlatCodelet flat;
   std::vector<LoopKernel> kernels;
+  // Loops left on the generic walk: (stmt id, construct that stopped the
+  // compiler), reported by GRAPHENE_DUMP_COMPILE.
+  std::vector<std::pair<std::int32_t, const char*>> walkLoops;
   ipu::CostModel cost;
   std::size_t numWorkers = 6;
 
@@ -1364,7 +1519,7 @@ class CompiledCodelet {
   };
   struct StaticCost {
     bool valid = false;
-    std::vector<LoopKernel::Seg> segs;  // loops.size()+1 blocks
+    std::vector<LaneSums> segs;  // loops.size()+1 blocks
     std::vector<StaticLoop> loops;
     double branchCost = 0;
     // Union of the loop kernels' runtime dtype guards: if these hold, every
@@ -1684,7 +1839,6 @@ class FlatExec {
       ir[static_cast<std::size_t>(reg)] =
           vars_[static_cast<std::size_t>(v)].asInt();
     }
-    std::array<std::int32_t, LoopKernel::kMaxNested> trips{};
     // Block-vectorized front: full blocks of kBlock independent elements run
     // lane-wise (same scalar ops, same per-element order — bit-identical),
     // then the scalar VM finishes the tail. At least one element always goes
@@ -1699,7 +1853,7 @@ class FlatExec {
     for (std::int32_t iv = scalarBegin; iv < end; iv += step) {
       ir[0] = iv;
       last = iv;
-      runRowOps(k, fsp, isp, fr, ir, trips);
+      runRowOps(k, fsp, isp, fr, ir);
     }
     vars_[static_cast<std::size_t>(s.var)] = Scalar(last);
     for (const auto& [v, reg] : k.writeFloat) {
@@ -2012,29 +2166,41 @@ class FlatExec {
             }
             break;
           }
-          case K::LBegin:
-          case K::LEnd:
-            break;  // analyzeBlockable never admits loop ops
+          case K::ILt: case K::ILe: case K::IEq: case K::INe:
+          case K::FLt: case K::FLe: case K::FEq: case K::FNe:
+          case K::LBegin: case K::LEnd: case K::JmpZ: case K::Jmp:
+            break;  // analyzeBlockable never admits these
         }
       }
     }
   }
 
-  /// Executes one pass over a kernel's ops: a linear walk with LBegin/LEnd
-  /// implementing nested counted loops (parallel row kernels; serial kernels
-  /// contain no loop ops and degenerate to a straight run). Records each
-  /// nested loop's trip count into `trips` for the cost polynomial.
-  static void runRowOps(
+  /// Executes one pass over a kernel's ops: a linear walk whose control ops
+  /// (parallel row kernels only) implement nested counted loops and Ifs;
+  /// serial kernels contain none and degenerate to a straight run. Returns
+  /// the pass's cycle cost, charged block by block like the generic walk
+  /// (see LoopKernel::isPar) — meaningful for parallel rows only.
+  static double runRowOps(
       const LoopKernel& k,
       const std::array<std::span<float>, LoopKernel::kMaxArgs>& fsp,
       const std::array<std::span<const std::int32_t>, LoopKernel::kMaxArgs>&
           isp,
       std::array<float, LoopKernel::kMaxRegs>& fr,
-      std::array<std::int32_t, LoopKernel::kMaxRegs>& ir,
-      std::array<std::int32_t, LoopKernel::kMaxNested>& trips) {
+      std::array<std::int32_t, LoopKernel::kMaxRegs>& ir) {
     // Only one loop is ever active (single-level nesting), so one live trip
     // counter suffices.
     std::int32_t trip = 0;
+    LaneSums open;     // the walk's current lane block
+    double cost = 0;   // closed blocks and branches
+    auto add = [&open](const LaneSums& r) {
+      open.fp += r.fp;
+      open.mem += r.mem;
+      open.ctrl += r.ctrl;
+    };
+    auto close = [&] {
+      cost += open.total() + k.branchCost;
+      open = LaneSums{};
+    };
     const std::size_t nops = k.ops.size();
     for (std::size_t pc = 0; pc < nops; ++pc) {
       const LoopOp& op = k.ops[pc];
@@ -2106,20 +2272,29 @@ class FlatExec {
         case LoopOp::K::IFromFloat:
           ir[op.dst] = static_cast<std::int32_t>(fr[op.a]);
           break;
+        case LoopOp::K::ILt: ir[op.dst] = ir[op.a] < ir[op.b]; break;
+        case LoopOp::K::ILe: ir[op.dst] = ir[op.a] <= ir[op.b]; break;
+        case LoopOp::K::IEq: ir[op.dst] = ir[op.a] == ir[op.b]; break;
+        case LoopOp::K::INe: ir[op.dst] = !(ir[op.a] == ir[op.b]); break;
+        case LoopOp::K::FLt: ir[op.dst] = fr[op.a] < fr[op.b]; break;
+        case LoopOp::K::FLe: ir[op.dst] = fr[op.a] <= fr[op.b]; break;
+        case LoopOp::K::FEq: ir[op.dst] = fr[op.a] == fr[op.b]; break;
+        case LoopOp::K::FNe: ir[op.dst] = !(fr[op.a] == fr[op.b]); break;
         case LoopOp::K::LBegin: {
+          add(op.run);
+          close();
           const std::int32_t b = ir[op.a], e = ir[op.b];
-          const std::int32_t n = e > b ? e - b : 0;
-          trips[static_cast<std::size_t>(op.arg)] = n;
-          if (n == 0) {
+          if (e <= b) {
             // Jump to the LEnd; ++pc then steps past it.
             pc = static_cast<std::size_t>(op.iimm);
             break;
           }
-          trip = n;
+          trip = e - b;
           ir[op.dst] = b;
           break;
         }
         case LoopOp::K::LEnd:
+          add(op.run);
           if (--trip > 0) {
             ++ir[op.a];
             // Jump to the LBegin; ++pc re-enters the body without re-running
@@ -2127,16 +2302,28 @@ class FlatExec {
             pc = static_cast<std::size_t>(op.iimm);
           }
           break;
+        case LoopOp::K::JmpZ:
+          add(op.run);
+          close();
+          if (ir[op.a] == 0) pc = static_cast<std::size_t>(op.iimm);
+          break;
+        case LoopOp::K::Jmp:
+          add(op.run);
+          pc = static_cast<std::size_t>(op.iimm);
+          break;
       }
     }
+    add(k.tail);
+    return cost + open.total();
   }
 
   /// Runs a compiled ParFor kernel: rows are dealt round-robin to a worker
   /// pool exactly like the generic walk, but each row executes as one
-  /// register program and its cycle cost comes from the kernel's
-  /// segment/loop polynomial instead of per-op lane accumulation. The caller
-  /// has evaluated the bounds and flushed. Returns false when a runtime
-  /// guard fails (the generic pool walk then runs; both are exact).
+  /// register program charged per executed lane block (runRowOps) instead of
+  /// per op; native CSR rows and blocked flat rows use closed forms of the
+  /// same sums. The caller has evaluated the bounds and flushed. Returns
+  /// false when a runtime guard fails (the generic pool walk then runs; both
+  /// are exact).
   bool runParLoop(const LoopKernel& k, const FlatStmt& s, std::int32_t begin,
                   std::int32_t end, std::int32_t step) {
     for (std::int16_t a : k.floatArgs) {
@@ -2171,7 +2358,6 @@ class FlatExec {
       }
       std::array<float, LoopKernel::kMaxRegs> fr{};
       std::array<std::int32_t, LoopKernel::kMaxRegs> ir{};
-      std::array<std::int32_t, LoopKernel::kMaxNested> trips{};
       for (const auto& [reg, arg] : k.sizeSeeds) {
         ir[static_cast<std::size_t>(reg)] = static_cast<std::int32_t>(
             ctx_.argSize(static_cast<std::size_t>(arg)));
@@ -2209,14 +2395,13 @@ class FlatExec {
         spp = isp[static_cast<std::size_t>(csr.spArg)].data();
         owned = vars_[static_cast<std::size_t>(csr.ownedVar)].asInt();
       }
-      const std::size_t numLoops = k.nested.size();
       std::size_t w = 0;
       std::int32_t scalarBegin = begin;
-      // Block-vectorized front for flat row bodies (no nested loops, no
+      // Block-vectorized front for flat row bodies (no control flow, no
       // worker-index reads): full blocks of kBlock rows run lane-wise with
       // the scalar ops in the scalar order — bit-identical. Rows are charged
-      // to workers in closed form: with no nested loops the row cost is a
-      // trip-free integral constant, so count × cost equals the per-row sum
+      // to workers in closed form: a flat row is one lane block, a trip-free
+      // integral constant, so count × cost equals the per-row sum
       // exactly, and the round-robin rotation gives worker wi
       // ⌈(n - wi) / numWorkers⌉ rows. At least one row always runs through
       // the scalar VM so home-register writebacks observe the final row.
@@ -2225,9 +2410,7 @@ class FlatExec {
           blockedRangeOk(k, fsp, isp, end)) {
         const std::int32_t endB =
             runBlockedFront(k, fsp, isp, fr, ir, begin, end);
-        const double rowCost =
-            (k.segs[0].fp > k.segs[0].mem ? k.segs[0].fp : k.segs[0].mem) +
-            k.segs[0].ctrl;
+        const double rowCost = k.tail.total();
         const std::int64_t nb = endB - begin;
         const auto W = static_cast<std::int64_t>(cc_.numWorkers);
         for (std::int64_t wi = 0; wi < W; ++wi) {
@@ -2248,6 +2431,7 @@ class FlatExec {
           ir[static_cast<std::size_t>(k.workerReg)] =
               static_cast<std::int32_t>(w);
         }
+        double rowCost;
         if (native && iv + 1 < end) {
           const auto r = static_cast<std::size_t>(iv);
           float acc = dp[r] * xp[r];
@@ -2259,23 +2443,10 @@ class FlatExec {
             acc = acc + ap[kk] * hp[cp[kk] - owned];
           }
           yp[r] = acc;
-          trips[0] = e1 > b1 ? e1 - b1 : 0;
-          trips[1] = e2 > e1 ? e2 - e1 : 0;
+          rowCost = csrRowCost(k, e1 > b1 ? e1 - b1 : 0, e2 > e1 ? e2 - e1 : 0);
         } else {
-          runRowOps(k, fsp, isp, fr, ir, trips);
+          rowCost = runRowOps(k, fsp, isp, fr, ir);
         }
-        double rowCost = 0;
-        for (std::size_t b = 0; b <= numLoops; ++b) {
-          double fp = k.segs[b].fp, mem = k.segs[b].mem, ctrl = k.segs[b].ctrl;
-          if (b > 0) {
-            const double n = trips[b - 1];
-            fp += n * k.nested[b - 1].fp;
-            mem += n * k.nested[b - 1].mem;
-            ctrl += n * k.nested[b - 1].ctrl;
-          }
-          rowCost += (fp > mem ? fp : mem) + ctrl;
-        }
-        rowCost += static_cast<double>(numLoops) * k.branchCost;
         pool.addCycles(w, rowCost);
         w = (w + 1) % cc_.numWorkers;
       }
@@ -2291,6 +2462,21 @@ class FlatExec {
     }
     total_ += pool.sync();
     return true;
+  }
+
+  /// Closed form of runRowOps' charge for a CSR row with trip counts t0, t1:
+  /// three lane blocks — entry, t0 owned-run bodies plus the second entry,
+  /// t1 halo-run bodies plus the tail — and two loop-entry branches.
+  static double csrRowCost(const LoopKernel& k, std::int32_t t0,
+                           std::int32_t t1) {
+    auto block = [](const LaneSums& head, double n, const LaneSums& per) {
+      return LaneSums{head.fp + n * per.fp, head.mem + n * per.mem,
+                      head.ctrl + n * per.ctrl}
+          .total();
+    };
+    const CsrRow& c = k.csr;
+    return c.entry[0].total() + block(c.entry[1], t0, c.body[0]) +
+           block(k.tail, t1, c.body[1]) + 2 * k.branchCost;
   }
 
   bool namedBoundsOk(
@@ -2557,20 +2743,22 @@ CompiledCodeletPtr compileCodelet(const CodeletIR& ir,
   LoopCompiler lc(cc->flat, cc->cost);
   for (std::size_t sid = 0; sid < cc->flat.stmts.size(); ++sid) {
     FlatStmt& s = cc->flat.stmts[sid];
-    if (s.kind == Stmt::Kind::For) {
-      if (auto kernel = lc.compile(static_cast<std::int32_t>(sid))) {
-        s.fastLoop = static_cast<std::int32_t>(cc->kernels.size());
-        cc->kernels.push_back(std::move(*kernel));
-      }
-    } else if (s.kind == Stmt::Kind::ParFor) {
-      if (auto kernel = lc.compilePar(static_cast<std::int32_t>(sid))) {
-        s.fastLoop = static_cast<std::int32_t>(cc->kernels.size());
-        cc->kernels.push_back(std::move(*kernel));
-      }
+    if (s.kind != Stmt::Kind::For && s.kind != Stmt::Kind::ParFor) continue;
+    const auto id = static_cast<std::int32_t>(sid);
+    auto kernel = s.kind == Stmt::Kind::For ? lc.compile(id) : lc.compilePar(id);
+    if (kernel) {
+      s.fastLoop = static_cast<std::int32_t>(cc->kernels.size());
+      cc->kernels.push_back(std::move(*kernel));
+    } else {
+      cc->walkLoops.emplace_back(id, lc.why());
     }
   }
   buildStaticCost(*cc);
   return cc;
+}
+
+std::size_t compiledKernelCount(const CompiledCodelet& codelet) {
+  return codelet.kernels.size();
 }
 
 graph::VertexCost runCompiled(const CompiledCodelet& codelet,
@@ -2621,8 +2809,9 @@ graph::Codelet makeCodelet(std::string name, CodeletIR ir,
                            std::size_t numWorkers) {
   CompiledCodeletPtr cc = compileCodelet(ir, cost, numWorkers);
   // Compile-time diagnostics: which loops got a VM kernel, which of those are
-  // block-vectorizable or matched a named bulk kernel. Costs nothing when the
-  // env var is unset; invaluable when a hot loop silently drops to the walk.
+  // block-vectorizable or matched a named bulk kernel, and what kept each
+  // remaining loop on the walk. Costs nothing when the env var is unset;
+  // invaluable when a hot loop silently drops to the walk.
   if (std::getenv("GRAPHENE_DUMP_COMPILE") != nullptr) {
     std::size_t loops = 0, fast = 0;
     for (const FlatStmt& s : cc->flat.stmts) {
@@ -2638,6 +2827,12 @@ graph::Codelet makeCodelet(std::string name, CodeletIR ir,
                    "  kernel: par=%d ops=%zu csr=%d blockable=%d named=%d\n",
                    k.isPar ? 1 : 0, k.ops.size(), k.csr.valid ? 1 : 0,
                    k.blockable ? 1 : 0, static_cast<int>(k.named.p));
+    }
+    for (const auto& [sid, why] : cc->walkLoops) {
+      const bool par = cc->flat.stmts[static_cast<std::size_t>(sid)].kind ==
+                       Stmt::Kind::ParFor;
+      std::fprintf(stderr, "  walk: %s stmt=%d stopped by: %s\n",
+                   par ? "ParFor" : "For", sid, why);
     }
   }
   return graph::Codelet{std::move(name),

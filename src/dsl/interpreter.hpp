@@ -34,6 +34,11 @@ CompiledCodeletPtr compileCodelet(const CodeletIR& ir,
                                   const ipu::CostModel& cost,
                                   std::size_t numWorkers);
 
+/// Number of loops in `codelet` lowered to a register-VM kernel; the rest
+/// run the generic statement walk. Read-only, for tests that pin which loops
+/// compile.
+std::size_t compiledKernelCount(const CompiledCodelet& codelet);
+
 /// Executes a compiled codelet against `ctx`; returns the modelled cost.
 graph::VertexCost runCompiled(const CompiledCodelet& codelet,
                               graph::VertexContext& ctx);

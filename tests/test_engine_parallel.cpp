@@ -44,16 +44,17 @@ struct SolveObservables {
   ipu::Profile profile;
 };
 
-/// Builds a fresh graph for `solverJson` on A x = b and executes it with the
-/// given host thread count (fresh context per run: host callbacks close over
-/// per-solver state, so engines must not share a program).
-SolveObservables runSolve(const matrix::GeneratedMatrix& g, std::size_t tiles,
-                          const std::string& solverJson,
-                          std::size_t hostThreads, ipu::FaultPlan* plan,
-                          bool fusion = true) {
-  Context ctx(ipu::IpuTarget::testTarget(tiles));
-  auto layout =
-      partition::Partitioner(ipu::Topology::singleIpu(tiles)).layout(g);
+/// Builds a fresh graph for `solverJson` on A x = b over `topo` and executes
+/// it with the given host thread count (fresh context per run: host callbacks
+/// close over per-solver state, so engines must not share a program).
+SolveObservables runSolveOn(const matrix::GeneratedMatrix& g,
+                            const ipu::Topology& topo,
+                            const std::string& solverJson,
+                            std::size_t hostThreads, ipu::FaultPlan* plan,
+                            bool fusion = true) {
+  Context ctx(
+      ipu::IpuTarget::testTarget(topo.tilesPerIpu(), topo.numIpus()));
+  auto layout = partition::Partitioner(topo).layout(g);
   DistMatrix A(g.matrix, std::move(layout));
   Tensor x = A.makeVector(DType::Float32, "x");
   Tensor b = A.makeVector(DType::Float32, "b");
@@ -77,6 +78,14 @@ SolveObservables runSolve(const matrix::GeneratedMatrix& g, std::size_t tiles,
   out.x = A.readVector(engine, x);
   out.profile = engine.profile();
   return out;
+}
+
+SolveObservables runSolve(const matrix::GeneratedMatrix& g, std::size_t tiles,
+                          const std::string& solverJson,
+                          std::size_t hostThreads, ipu::FaultPlan* plan,
+                          bool fusion = true) {
+  return runSolveOn(g, ipu::Topology::singleIpu(tiles), solverJson,
+                    hostThreads, plan, fusion);
 }
 
 /// Field-by-field exact comparison (doubles compared with ==: the runs must
@@ -149,20 +158,48 @@ TEST(ParallelEngine, BitIdenticalWithFaultPlanAttached) {
 
 TEST(ParallelEngine, FastPathMatchesGenericWalk) {
   auto g = matrix::poisson2d5(16, 16);
+  // CG+Jacobi runs straight-line and CSR rows; the ILU(0)/DILU rows run
+  // If-guarded nested loops (substitution and DILU factorisation), and MPIR
+  // drives ILU(0)-BiCGStab under double-word refinement across IPU links.
+  struct Case {
+    const char* name;
+    const char* json;
+    ipu::Topology topo;
+  };
+  const Case cases[] = {
+      {"cg-jacobi", kCgJson, ipu::Topology::singleIpu(4)},
+      {"bicgstab-ilu0",
+       R"({"type": "bicgstab", "maxIterations": 40, "tolerance": 1e-6,
+           "preconditioner": {"type": "ilu"}})",
+       ipu::Topology::singleIpu(4)},
+      {"bicgstab-dilu",
+       R"({"type": "bicgstab", "maxIterations": 40, "tolerance": 1e-6,
+           "preconditioner": {"type": "dilu"}})",
+       ipu::Topology::singleIpu(4)},
+      {"mpir-doubleword-ilu0-bicgstab-pod",
+       R"({"type": "mpir", "extendedType": "doubleword",
+           "maxRefinements": 3, "tolerance": 1e-10,
+           "inner": {"type": "bicgstab", "maxIterations": 6, "tolerance": 0,
+                     "preconditioner": {"type": "ilu"}}})",
+       ipu::Topology::pod(2, 4)},
+  };
   // Force both modes explicitly so the A/B holds even when the whole suite
   // runs under GRAPHENE_NO_FASTPATH=1 (the CI oracle job).
   const bool envFastPaths = dsl::codeletFastPathsEnabled();
-  dsl::setCodeletFastPaths(true);
-  SolveObservables fast = runSolve(g, 4, kCgJson, 1, nullptr);
-  dsl::setCodeletFastPaths(false);
-  SolveObservables generic = runSolve(g, 4, kCgJson, 1, nullptr);
-  dsl::setCodeletFastPaths(envFastPaths);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    dsl::setCodeletFastPaths(true);
+    SolveObservables fast = runSolveOn(g, c.topo, c.json, 1, nullptr);
+    dsl::setCodeletFastPaths(false);
+    SolveObservables generic = runSolveOn(g, c.topo, c.json, 1, nullptr);
+    dsl::setCodeletFastPaths(envFastPaths);
 
-  ASSERT_EQ(fast.x.size(), generic.x.size());
-  for (std::size_t i = 0; i < fast.x.size(); ++i) {
-    EXPECT_EQ(fast.x[i], generic.x[i]) << "element " << i;
+    ASSERT_EQ(fast.x.size(), generic.x.size());
+    for (std::size_t i = 0; i < fast.x.size(); ++i) {
+      EXPECT_EQ(fast.x[i], generic.x[i]) << "element " << i;
+    }
+    expectProfilesIdentical(fast.profile, generic.profile);
   }
-  expectProfilesIdentical(fast.profile, generic.profile);
 }
 
 TEST(ParallelEngine, MixedPrecisionBitIdenticalToSerial) {

@@ -2,6 +2,13 @@
 // accounting behaviour.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <functional>
+#include <span>
+#include <vector>
+
+#include "dsl/codedsl.hpp"
 #include "dsl/interpreter.hpp"
 #include "dsl/tensor.hpp"
 #include "graph/engine.hpp"
@@ -187,4 +194,268 @@ TEST(CycleAccounting, MixedDwFpOpsPricedBelowFullDw) {
     return e.profile().totalComputeCycles();
   };
   EXPECT_LT(run(true), run(false));
+}
+
+// ---------------------------------------------------------------------------
+// ParFor rows with comparison-guarded Ifs: the register VM must match the
+// generic walk bit for bit — outputs and VertexCost — on every branch pattern
+// (the walk closes a lane block at each If, so taken bodies merge into the
+// block that follows them).
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// VertexContext over host vectors: one typed column per codelet argument.
+class HostContext final : public graph::VertexContext {
+ public:
+  void addFloat(std::vector<float> v) {
+    args_.push_back({DType::Float32, std::move(v), {}});
+  }
+  void addInt(std::vector<std::int32_t> v) {
+    args_.push_back({DType::Int32, {}, std::move(v)});
+  }
+  const std::vector<float>& floats(std::size_t a) const { return args_[a].f; }
+
+  std::size_t numArgs() const override { return args_.size(); }
+  std::size_t argSize(std::size_t a) const override {
+    return args_[a].type == DType::Float32 ? args_[a].f.size()
+                                           : args_[a].i.size();
+  }
+  DType argType(std::size_t a) const override { return args_[a].type; }
+  Scalar load(std::size_t a, std::size_t k) const override {
+    return args_[a].type == DType::Float32 ? Scalar(args_[a].f.at(k))
+                                           : Scalar(args_[a].i.at(k));
+  }
+  void store(std::size_t a, std::size_t k, const Scalar& v) override {
+    if (args_[a].type == DType::Float32) {
+      args_[a].f.at(k) = v.castTo(DType::Float32).asFloat();
+    } else {
+      args_[a].i.at(k) = v.castTo(DType::Int32).asInt();
+    }
+  }
+  std::span<float> floatSpan(std::size_t a) override { return args_[a].f; }
+  std::span<const std::int32_t> intSpan(std::size_t a) const override {
+    return args_[a].i;
+  }
+
+ private:
+  struct Arg {
+    DType type;
+    std::vector<float> f;
+    std::vector<std::int32_t> i;
+  };
+  std::vector<Arg> args_;
+};
+
+/// One CSR row per ParFor iteration, guarded like the ILU substitution:
+///   acc = x[i]; for k in row i: if (col[k] < i) acc -= val[k] * x[col[k]]
+///   [else acc += val[k]];  out[i] = acc
+/// Args: 0 out, 1 val, 2 col (traced as Int32), 3 rowPtr, 4 x.
+CodeletIR traceGuardedRows(bool withElse) {
+  CodeletBuilder builder;
+  builder.setNumArgs(5);
+  Value out = Value::argument(0, DType::Float32);
+  Value val = Value::argument(1, DType::Float32);
+  Value col = Value::argument(2, DType::Int32);
+  Value rp = Value::argument(3, DType::Int32);
+  Value x = Value::argument(4, DType::Float32);
+  ParallelFor(0, out.size(), [&](Value i) {
+    Value acc = x[i];
+    For(rp[i], rp[i + 1], 1, [&](Value k) {
+      Value c = col[k];
+      std::function<void()> otherwise;
+      if (withElse) otherwise = [&] { acc = acc + Value(val[k]); };
+      If(c < i, [&] { acc = acc - Value(val[k]) * Value(x[c]); },
+         otherwise);
+    });
+    out[i] = acc;
+  });
+  return builder.finish();
+}
+
+/// Per-row column lists → a HostContext for traceGuardedRows. `intCols`
+/// false binds the column argument as Float32 (a dtype the kernel's runtime
+/// guard must refuse).
+HostContext rowsContext(const std::vector<std::vector<std::int32_t>>& rows,
+                        bool intCols = true) {
+  std::vector<std::int32_t> rp{0}, col;
+  std::vector<float> val, x;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    for (std::int32_t c : rows[i]) {
+      col.push_back(c);
+      val.push_back(0.25f + 0.125f * static_cast<float>(col.size()));
+    }
+    rp.push_back(static_cast<std::int32_t>(col.size()));
+    x.push_back(1.0f + 0.5f * static_cast<float>(i));
+  }
+  HostContext ctx;
+  ctx.addFloat(std::vector<float>(rows.size(), 0.0f));
+  ctx.addFloat(val);
+  if (intCols) {
+    ctx.addInt(col);
+  } else {
+    ctx.addFloat(std::vector<float>(col.begin(), col.end()));
+  }
+  ctx.addInt(rp);
+  ctx.addFloat(x);
+  return ctx;
+}
+
+struct RowsRun {
+  std::vector<float> out;
+  graph::VertexCost cost;
+};
+
+RowsRun runRows(const CompiledCodelet& cc, HostContext ctx, bool fastPaths) {
+  const bool env = codeletFastPathsEnabled();
+  setCodeletFastPaths(fastPaths);
+  RowsRun r;
+  r.cost = runCompiled(cc, ctx);
+  setCodeletFastPaths(env);
+  r.out = ctx.floats(0);
+  return r;
+}
+
+/// Runs `ir` on `ctx` with the fast paths on and off; both must agree on
+/// every output bit and on the VertexCost. Returns the fast-path run.
+RowsRun expectFastMatchesWalk(const CodeletIR& ir, const HostContext& ctx) {
+  CompiledCodeletPtr cc = compileCodelet(ir, ipu::CostModel{}, 6);
+  // Only the ParFor row compiles: its nested For holds an If, which serial
+  // kernels leave on the walk.
+  EXPECT_EQ(compiledKernelCount(*cc), 1u);
+  RowsRun fast = runRows(*cc, ctx, true);
+  RowsRun walk = runRows(*cc, ctx, false);
+  EXPECT_EQ(fast.out.size(), walk.out.size());
+  for (std::size_t i = 0; i < fast.out.size() && i < walk.out.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(fast.out[i]),
+              std::bit_cast<std::uint32_t>(walk.out[i]))
+        << "row " << i;
+  }
+  EXPECT_EQ(fast.cost.workerCycles, walk.cost.workerCycles);
+  EXPECT_EQ(fast.cost.wholeTile, walk.cost.wholeTile);
+  EXPECT_GT(fast.cost.workerCycles, 0.0);
+  return fast;
+}
+
+}  // namespace
+
+TEST(GuardedRows, ZeroTripNestedLoop) {
+  // Every other row is empty; the nested loop's entry branch still charges.
+  expectFastMatchesWalk(traceGuardedRows(false),
+                        rowsContext({{}, {0}, {}, {1, 2}, {}, {}, {4}}));
+  expectFastMatchesWalk(traceGuardedRows(false),
+                        rowsContext({{}, {}, {}, {}}));
+}
+
+TEST(GuardedRows, NoIterationTaken) {
+  expectFastMatchesWalk(traceGuardedRows(false),
+                        rowsContext({{0, 1}, {1, 2}, {2, 3}, {3}, {4, 5}}));
+}
+
+TEST(GuardedRows, EveryIterationTaken) {
+  expectFastMatchesWalk(
+      traceGuardedRows(false),
+      rowsContext({{}, {0}, {0, 1}, {0, 1, 2}, {1, 3}, {0, 2, 4}, {5}}));
+}
+
+TEST(GuardedRows, OnlyLastIterationTakenMergesIntoTrailingStore) {
+  // Row i: two untaken entries, then one taken — the taken body's lanes join
+  // the row's trailing store block instead of the next iteration's.
+  const RowsRun last = expectFastMatchesWalk(
+      traceGuardedRows(false),
+      rowsContext({{0}, {1, 2, 0}, {2, 3, 1}, {3, 4, 0}, {4, 5, 2},
+                   {5, 5, 4}}));
+  // Same taken count, but the taken entry comes first: its lanes merge into
+  // the next iteration's block, which the walk prices differently.
+  const RowsRun first = expectFastMatchesWalk(
+      traceGuardedRows(false),
+      rowsContext({{0}, {0, 1, 2}, {1, 2, 3}, {0, 3, 4}, {2, 4, 5},
+                   {4, 5, 5}}));
+  EXPECT_NE(last.cost.workerCycles, first.cost.workerCycles);
+}
+
+TEST(GuardedRows, IfWithElseBranch) {
+  expectFastMatchesWalk(
+      traceGuardedRows(true),
+      rowsContext({{}, {0, 1}, {2, 0, 3}, {3}, {0, 1, 2, 3, 4}, {5, 4}}));
+}
+
+TEST(GuardedRows, NestedIfsFloatComparisonAndLoopUnderIf) {
+  // An If wrapping the nested loop, an If inside an If, a Float32 comparison
+  // (Gt, lowered as a swapped Lt) and an else that skips the loop entirely.
+  CodeletBuilder builder;
+  builder.setNumArgs(5);
+  Value out = Value::argument(0, DType::Float32);
+  Value val = Value::argument(1, DType::Float32);
+  Value col = Value::argument(2, DType::Int32);
+  Value rp = Value::argument(3, DType::Int32);
+  Value x = Value::argument(4, DType::Float32);
+  ParallelFor(0, out.size(), [&](Value i) {
+    Value acc = x[i];
+    If(
+        i > 1,
+        [&] {
+          For(rp[i], rp[i + 1], 1, [&](Value k) {
+            Value c = col[k];
+            If(c < i, [&] {
+              Value v = val[k];
+              If(v > 1.0f, [&] { acc = acc - v * Value(x[c]); },
+                 [&] { acc = acc + v; });
+            });
+          });
+        },
+        [&] { acc = acc * 2.0f; });
+    out[i] = acc;
+  });
+  expectFastMatchesWalk(
+      builder.finish(),
+      rowsContext({{0}, {0, 1}, {0, 1, 2}, {}, {2, 4, 1, 0}, {5, 3, 0, 1}}));
+}
+
+TEST(GuardedRows, MistypedIntArgumentFallsBackToWalk) {
+  // The column argument was traced as Int32 but arrives as Float32: the
+  // kernel's runtime dtype guard must hand the loop to the walk (which
+  // promotes the comparison to Float32 and charges it as such).
+  expectFastMatchesWalk(traceGuardedRows(false),
+                        rowsContext({{0}, {0, 1}, {2, 0}, {1, 3}}, false));
+}
+
+TEST(GuardedRows, IluZeroSubstitutionCompilesToRowKernels) {
+  // The ILU(0) forward/backward substitution of IluSolver::apply: both
+  // level-set ParFor rows must lower to register-VM kernels.
+  CodeletBuilder builder;
+  builder.setNumArgs(11);
+  std::vector<Value> args;
+  const DType types[] = {DType::Float32, DType::Float32, DType::Float32,
+                         DType::Float32, DType::Int32,   DType::Int32,
+                         DType::Int32,   DType::Int32,   DType::Int32,
+                         DType::Int32,   DType::Int32};
+  for (int k = 0; k < 11; ++k) args.push_back(Value::argument(k, types[k]));
+  Value zv = args[0], rv = args[1], yv = args[2], fv = args[3], fc = args[4],
+        rp = args[5], di = args[6], fo = args[7], fp = args[8], bo = args[9],
+        bp = args[10];
+  For(0, fp.size() - 1, 1, [&](Value l) {
+    ParallelFor(fp[l], fp[l + 1], [&](Value idx) {
+      Value i = fo[idx];
+      Value acc = rv[i];
+      For(rp[i], rp[i + 1], 1, [&](Value k) {
+        Value c = fc[k];
+        If(c < i, [&] { acc = acc - Value(fv[k]) * Value(yv[c]); });
+      });
+      yv[i] = acc;
+    });
+  });
+  For(0, bp.size() - 1, 1, [&](Value l) {
+    ParallelFor(bp[l], bp[l + 1], [&](Value idx) {
+      Value i = bo[idx];
+      Value acc = yv[i];
+      For(rp[i], rp[i + 1], 1, [&](Value k) {
+        Value c = fc[k];
+        If(c > i, [&] { acc = acc - Value(fv[k]) * Value(zv[c]); });
+      });
+      zv[i] = acc / Value(fv[di[i]]);
+    });
+  });
+  CompiledCodeletPtr cc = compileCodelet(builder.finish(), ipu::CostModel{}, 6);
+  EXPECT_EQ(compiledKernelCount(*cc), 2u);
 }
