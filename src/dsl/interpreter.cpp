@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <optional>
@@ -25,6 +24,7 @@
 #endif
 
 #include "ipu/worker_pool.hpp"
+#include "support/env.hpp"
 #include "support/error.hpp"
 
 namespace graphene::dsl {
@@ -287,13 +287,13 @@ struct LoopOp {
 /// Recognised whole-loop span kernels (all Float32, unit step): the shapes
 /// the solvers' elementwise maps and reductions trace.
 struct NamedLoop {
-  enum class P : std::uint8_t { None, Copy, Scale, AddVec, Axpy, DotPartial };
+  enum class P : std::uint8_t { None, Copy, AddVec, Axpy, DotPartial };
   P p = P::None;
   std::int16_t dstArg = -1, aArg = -1, bArg = -1;
   bool sIsConst = false;
   float sConst = 0;
   std::int32_t sVar = -1;
-  bool sFirst = false;    // scale factor is the left multiplicand
+  bool sFirst = false;    // axpy: scale factor is the left multiplicand
   bool loadFirst = true;  // axpy: the plain load is the left addend
   bool isSub = false;     // top-level op is Sub
   std::int32_t accVar = -1;
@@ -354,15 +354,13 @@ struct LoopKernel {
   LaneSums tail;  // ops after the last control op
   double branchCost = 0;
   CsrRow csr;
-  // Block-vectorizable kernels (serial loops and flat ParFor rows): no
-  // register is loop-carried (read before its first write while also
-  // written), so elements are independent
-  // and can run in lanes of kBlock with each op applied lane-wise — the same
-  // scalar operations in the same per-element order, hence bit-identical.
-  // Aliasing between stored and loaded spans is re-checked at run time
-  // (blockedAliasOk); args flagged elementwiseOnly are only ever indexed by
+  // Block-vectorizable serial loops: no register is loop-carried (read
+  // before its first write while also written), so elements are independent
+  // and can run in lanes with each op applied lane-wise — the same scalar
+  // operations in the same per-element order, hence bit-identical. Aliasing
+  // between stored and loaded spans is re-checked at run time
+  // (blockedRangeOk); args flagged elementwiseOnly are only ever indexed by
   // the induction variable.
-  static constexpr std::int32_t kBlock = 16;
   struct ArgUse {
     std::int16_t arg = -1;
     bool elementwiseOnly = true;   // every access at the element's own index
@@ -542,7 +540,6 @@ class LoopCompiler {
     k_.tail = {run_.fp(), run_.mem(), run_.ctrl()};
     k_.branchCost = cost_.workerCycles(ipu::Op::Branch, DType::Int32);
     matchCsrRow(parForId);
-    analyzeBlockable(k_);
     return std::move(k_);
   }
 
@@ -1165,18 +1162,6 @@ class LoopCompiler {
       const FlatExpr& v = resolve(last.value, env);
       if (isLoad(v, env, nm.aArg)) {
         nm.p = NamedLoop::P::Copy;
-      } else if (v.kind == Expr::Kind::Binary && v.bop == BinOp::Mul) {
-        const FlatExpr& l = resolve(v.a, env);
-        const FlatExpr& r = resolve(v.b, env);
-        if (isScalar(l, assigned, nm) && isLoad(r, env, nm.aArg)) {
-          nm.p = NamedLoop::P::Scale;
-          nm.sFirst = true;
-        } else if (isLoad(l, env, nm.aArg) && isScalar(r, assigned, nm)) {
-          nm.p = NamedLoop::P::Scale;
-          nm.sFirst = false;
-        } else {
-          return;
-        }
       } else if (v.kind == Expr::Kind::Binary &&
                  (v.bop == BinOp::Add || v.bop == BinOp::Sub)) {
         nm.isSub = v.bop == BinOp::Sub;
@@ -1502,56 +1487,21 @@ class CompiledCodelet {
   std::vector<std::pair<std::int32_t, const char*>> walkLoops;
   ipu::CostModel cost;
   std::size_t numWorkers = 6;
-
-  // Whole-codelet cycle polynomial: when the root is a sequence of counted
-  // unit-step For loops with compiled kernels and Const/ArgSize bounds, the
-  // per-vertex cost is a closed form in the trip counts, evaluated once per
-  // execution instead of accumulated per op (the walk then runs with lane
-  // charging suppressed). GRAPHENE_VERIFY_CYCLES=1 runs the charged walk too
-  // and asserts exact equality.
-  struct Bound {
-    bool isArgSize = false;
-    std::int32_t value = 0;  // constant, or the arg index for ArgSize
-  };
-  struct StaticLoop {
-    Bound begin, end;
-    double iterFp = 0, iterMem = 0, iterCtrl = 0;
-  };
-  struct StaticCost {
-    bool valid = false;
-    std::vector<LaneSums> segs;  // loops.size()+1 blocks
-    std::vector<StaticLoop> loops;
-    double branchCost = 0;
-    // Union of the loop kernels' runtime dtype guards: if these hold, every
-    // loop takes its bulk path and the polynomial is exact.
-    std::vector<std::int16_t> floatArgs, intArgs;
-  };
-  StaticCost staticCost;
 };
 
 namespace {
 
-std::atomic<bool> g_fastPaths{[] {
-  const char* e = std::getenv("GRAPHENE_NO_FASTPATH");
-  return !(e != nullptr && e[0] != '\0' && e[0] != '0');
-}()};
-
-std::atomic<bool> g_verifyCycles{[] {
-  const char* e = std::getenv("GRAPHENE_VERIFY_CYCLES");
-  return e != nullptr && e[0] != '\0' && e[0] != '0';
-}()};
+std::atomic<bool> g_fastPaths{!support::envFlag("GRAPHENE_NO_FASTPATH")};
 
 /// One execution of a compiled codelet over a vertex. Cycle accounting is
 /// identical to the original tree-walking interpreter: ops accumulate into a
 /// LaneCycles block (fp/mem overlap); control flow flushes the block.
 class FlatExec {
  public:
-  FlatExec(const CompiledCodelet& cc, graph::VertexContext& ctx,
-           bool charging = true)
+  FlatExec(const CompiledCodelet& cc, graph::VertexContext& ctx)
       : cc_(cc), ctx_(ctx),
         vars_(static_cast<std::size_t>(cc.flat.numVars)),
-        fastPaths_(g_fastPaths.load(std::memory_order_relaxed)),
-        charging_(charging) {}
+        fastPaths_(g_fastPaths.load(std::memory_order_relaxed)) {}
 
   double run() {
     runList(cc_.flat.root);
@@ -1565,15 +1515,11 @@ class FlatExec {
     lanes_ = ipu::LaneCycles{};
   }
 
-  void charge(ipu::Op op, DType t) {
-    if (charging_) lanes_.add(cc_.cost, op, t);
-  }
+  void charge(ipu::Op op, DType t) { lanes_.add(cc_.cost, op, t); }
 
   void chargeBranch() {
     flush();
-    if (charging_) {
-      total_ += cc_.cost.workerCycles(ipu::Op::Branch, DType::Int32);
-    }
+    total_ += cc_.cost.workerCycles(ipu::Op::Branch, DType::Int32);
   }
 
   const FlatExpr& expr(std::int32_t id) const {
@@ -1621,7 +1567,7 @@ class FlatExec {
             default: cycles = 0; break;              // fall through below
           }
           if (cycles > 0) {
-            if (charging_) lanes_.add(ipu::Lane::Fp, cycles);
+            lanes_.add(ipu::Lane::Fp, cycles);
             return evalBinaryScalar(e.bop, a, b);
           }
         }
@@ -1768,11 +1714,9 @@ class FlatExec {
     total_ += pool.sync();
   }
 
-  /// Runs a compiled loop kernel for [begin, end) step `step`. Returns false
-  /// when a runtime guard fails (the generic walk then runs the loop; both
-  /// paths are exact, the kernel is only faster).
-  bool runFastLoop(const LoopKernel& k, const FlatStmt& s, std::int32_t begin,
-                   std::int32_t end, std::int32_t step) {
+  /// A kernel's runtime guards: the trace-time dtypes of its arguments and
+  /// seeded vars must hold at run time, or the generic walk runs the loop.
+  bool guardsHold(const LoopKernel& k) const {
     for (std::int16_t a : k.floatArgs) {
       if (ctx_.argType(static_cast<std::size_t>(a)) != DType::Float32)
         return false;
@@ -1789,17 +1733,24 @@ class FlatExec {
       if (vars_[static_cast<std::size_t>(v)].type() != DType::Int32)
         return false;
     }
+    return true;
+  }
+
+  /// Runs a compiled loop kernel for [begin, end) step `step`. Returns false
+  /// when a runtime guard fails (the generic walk then runs the loop; both
+  /// paths are exact, the kernel is only faster).
+  bool runFastLoop(const LoopKernel& k, const FlatStmt& s, std::int32_t begin,
+                   std::int32_t end, std::int32_t step) {
+    if (!guardsHold(k)) return false;
     if (begin >= end) return true;  // zero iterations: setup charges only
 
     // Bulk cycle charge: every priced constant is an integral double, so
     // n × perIteration is exactly the sum the generic walk accumulates.
     const double n = static_cast<double>(
         (static_cast<std::int64_t>(end) - begin + step - 1) / step);
-    if (charging_) {
-      lanes_.add(ipu::Lane::Fp, n * k.iterFp);
-      lanes_.add(ipu::Lane::Mem, n * k.iterMem);
-      lanes_.add(ipu::Lane::Ctrl, n * k.iterCtrl);
-    }
+    lanes_.add(ipu::Lane::Fp, n * k.iterFp);
+    lanes_.add(ipu::Lane::Mem, n * k.iterMem);
+    lanes_.add(ipu::Lane::Ctrl, n * k.iterCtrl);
 
     std::array<std::span<float>, LoopKernel::kMaxArgs> fsp;
     std::array<std::span<const std::int32_t>, LoopKernel::kMaxArgs> isp;
@@ -1839,8 +1790,8 @@ class FlatExec {
       ir[static_cast<std::size_t>(reg)] =
           vars_[static_cast<std::size_t>(v)].asInt();
     }
-    // Block-vectorized front: full blocks of kBlock independent elements run
-    // lane-wise (same scalar ops, same per-element order — bit-identical),
+    // Block-vectorized front: blocks of 16, 8, 4 and 2 independent elements
+    // run lane-wise (same scalar ops, same per-element order — bit-identical),
     // then the scalar VM finishes the tail. At least one element always goes
     // through the scalar VM so the home-register writebacks below observe
     // exactly the final element's state.
@@ -2320,29 +2271,13 @@ class FlatExec {
   /// Runs a compiled ParFor kernel: rows are dealt round-robin to a worker
   /// pool exactly like the generic walk, but each row executes as one
   /// register program charged per executed lane block (runRowOps) instead of
-  /// per op; native CSR rows and blocked flat rows use closed forms of the
-  /// same sums. The caller has evaluated the bounds and flushed. Returns
+  /// per op; native CSR rows use a closed form of the same sums. The caller
+  /// has evaluated the bounds and flushed. Returns
   /// false when a runtime guard fails (the generic pool walk then runs; both
   /// are exact).
   bool runParLoop(const LoopKernel& k, const FlatStmt& s, std::int32_t begin,
                   std::int32_t end, std::int32_t step) {
-    for (std::int16_t a : k.floatArgs) {
-      if (ctx_.argType(static_cast<std::size_t>(a)) != DType::Float32)
-        return false;
-    }
-    for (std::int16_t a : k.intArgs) {
-      if (ctx_.argType(static_cast<std::size_t>(a)) != DType::Int32)
-        return false;
-    }
-    for (const auto& [v, reg] : k.seedFloat) {
-      if (vars_[static_cast<std::size_t>(v)].type() != DType::Float32)
-        return false;
-    }
-    for (const auto& [v, reg] : k.seedInt) {
-      if (vars_[static_cast<std::size_t>(v)].type() != DType::Int32)
-        return false;
-    }
-
+    if (!guardsHold(k)) return false;
     ipu::WorkerPool pool(cc_.numWorkers);
     pool.chargeSpawn();
     if (begin < end) {
@@ -2396,35 +2331,8 @@ class FlatExec {
         owned = vars_[static_cast<std::size_t>(csr.ownedVar)].asInt();
       }
       std::size_t w = 0;
-      std::int32_t scalarBegin = begin;
-      // Block-vectorized front for flat row bodies (no control flow, no
-      // worker-index reads): full blocks of kBlock rows run lane-wise with
-      // the scalar ops in the scalar order — bit-identical. Rows are charged
-      // to workers in closed form: a flat row is one lane block, a trip-free
-      // integral constant, so count × cost equals the per-row sum
-      // exactly, and the round-robin rotation gives worker wi
-      // ⌈(n - wi) / numWorkers⌉ rows. At least one row always runs through
-      // the scalar VM so home-register writebacks observe the final row.
-      if (k.blockable && !native && step == 1 && begin >= 0 &&
-          k.workerReg < 0 && end - begin > 2 &&
-          blockedRangeOk(k, fsp, isp, end)) {
-        const std::int32_t endB =
-            runBlockedFront(k, fsp, isp, fr, ir, begin, end);
-        const double rowCost = k.tail.total();
-        const std::int64_t nb = endB - begin;
-        const auto W = static_cast<std::int64_t>(cc_.numWorkers);
-        for (std::int64_t wi = 0; wi < W; ++wi) {
-          const std::int64_t c = nb / W + (wi < nb % W ? 1 : 0);
-          if (c > 0) {
-            pool.addCycles(static_cast<std::size_t>(wi),
-                           static_cast<double>(c) * rowCost);
-          }
-        }
-        w = static_cast<std::size_t>(nb % W);
-        scalarBegin = endB;
-      }
       std::int32_t last = begin;
-      for (std::int32_t iv = scalarBegin; iv < end; iv += step) {
+      for (std::int32_t iv = begin; iv < end; iv += step) {
         ir[0] = iv;
         last = iv;
         if (k.workerReg >= 0) {
@@ -2522,23 +2430,6 @@ class FlatExec {
         }
         return;
       }
-      case NamedLoop::P::Scale: {
-        float* dp = span(nm.dstArg).data() + begin;
-        const float* ap = span(nm.aArg).data() + begin;
-        if (spansDisjoint(dp, ap, n)) {
-          float* GRAPHENE_RESTRICT dr = dp;
-          if (nm.sFirst) {
-            for (std::size_t i = 0; i < n; ++i) dr[i] = sv * ap[i];
-          } else {
-            for (std::size_t i = 0; i < n; ++i) dr[i] = ap[i] * sv;
-          }
-        } else if (nm.sFirst) {
-          for (std::size_t i = 0; i < n; ++i) dp[i] = sv * ap[i];
-        } else {
-          for (std::size_t i = 0; i < n; ++i) dp[i] = ap[i] * sv;
-        }
-        return;
-      }
       case NamedLoop::P::AddVec: {
         float* dp = span(nm.dstArg).data() + begin;
         const float* ap = span(nm.aArg).data() + begin;
@@ -2606,107 +2497,7 @@ class FlatExec {
   double total_ = 0;
   std::size_t worker_ = 0;
   bool fastPaths_ = true;
-  bool charging_ = true;
 };
-
-/// Builds the whole-codelet cycle polynomial, leaving staticCost.valid false
-/// when the codelet leaves the supported shape (anything but counted
-/// unit-step root For loops with kernels and Const/ArgSize bounds).
-bool staticBound(const FlatCodelet& flat, std::int32_t id,
-                 CompiledCodelet::Bound& out) {
-  if (id < 0) return false;
-  const FlatExpr& e = flat.exprs[static_cast<std::size_t>(id)];
-  if (e.kind == Expr::Kind::Const && e.constant.type() == DType::Int32) {
-    out.isArgSize = false;
-    out.value = e.constant.asInt();
-    return true;
-  }
-  if (e.kind == Expr::Kind::ArgSize && e.arg >= 0) {
-    out.isArgSize = true;
-    out.value = e.arg;
-    return true;
-  }
-  return false;
-}
-
-void buildStaticCost(CompiledCodelet& cc) {
-  CompiledCodelet::StaticCost& sc = cc.staticCost;
-  const FlatCodelet& flat = cc.flat;
-  if (flat.root < 0) return;
-  const auto& root = flat.lists[static_cast<std::size_t>(flat.root)];
-  if (root.empty()) return;
-  ipu::LaneCycles seg;
-  std::vector<ipu::LaneCycles> segs;
-  auto addGuard = [](std::vector<std::int16_t>& list, std::int16_t a) {
-    if (std::find(list.begin(), list.end(), a) == list.end())
-      list.push_back(a);
-  };
-  for (std::int32_t sid : root) {
-    const FlatStmt& s = flat.stmts[static_cast<std::size_t>(sid)];
-    if (s.kind != Stmt::Kind::For || s.fastLoop < 0) return;
-    const LoopKernel& k = cc.kernels[static_cast<std::size_t>(s.fastLoop)];
-    if (k.isPar) return;
-    // Seeded kernels read interpreter vars whose runtime types cannot be
-    // guarded here (and an unset var has no defined value at the root).
-    if (!k.seedFloat.empty() || !k.seedInt.empty()) return;
-    CompiledCodelet::StaticLoop sl;
-    if (!staticBound(flat, s.begin, sl.begin)) return;
-    if (!staticBound(flat, s.end, sl.end)) return;
-    if (s.step >= 0) {
-      const FlatExpr& st = flat.exprs[static_cast<std::size_t>(s.step)];
-      if (st.kind != Expr::Kind::Const ||
-          st.constant.type() != DType::Int32 || st.constant.asInt() != 1) {
-        return;
-      }
-    }
-    // Header charges land in the block before the loop-entry branch flush:
-    // each ArgSize bound charges one integer op when evaluated, plus the
-    // loop's own setup op.
-    if (sl.begin.isArgSize) seg.add(cc.cost, ipu::Op::IntArith, DType::Int32);
-    if (sl.end.isArgSize) seg.add(cc.cost, ipu::Op::IntArith, DType::Int32);
-    seg.add(cc.cost, ipu::Op::IntArith, DType::Int32);
-    segs.push_back(seg);
-    seg = ipu::LaneCycles{};
-    sl.iterFp = k.iterFp;
-    sl.iterMem = k.iterMem;
-    sl.iterCtrl = k.iterCtrl;
-    sc.loops.push_back(std::move(sl));
-    for (std::int16_t a : k.floatArgs) addGuard(sc.floatArgs, a);
-    for (std::int16_t a : k.intArgs) addGuard(sc.intArgs, a);
-  }
-  segs.push_back(seg);  // trailing block, flushed at the end of run()
-  for (const ipu::LaneCycles& l : segs) {
-    sc.segs.push_back({l.fp(), l.mem(), l.ctrl()});
-  }
-  sc.branchCost = cc.cost.workerCycles(ipu::Op::Branch, DType::Int32);
-  sc.valid = true;
-}
-
-/// Evaluates the polynomial against a vertex's actual arg sizes.
-double staticCostEval(const CompiledCodelet::StaticCost& sc,
-                      graph::VertexContext& ctx) {
-  auto bound = [&](const CompiledCodelet::Bound& b) {
-    return b.isArgSize ? static_cast<std::int32_t>(
-                             ctx.argSize(static_cast<std::size_t>(b.value)))
-                       : b.value;
-  };
-  double total = 0;
-  const std::size_t numLoops = sc.loops.size();
-  for (std::size_t k = 0; k <= numLoops; ++k) {
-    double fp = sc.segs[k].fp, mem = sc.segs[k].mem, ctrl = sc.segs[k].ctrl;
-    if (k > 0) {
-      const CompiledCodelet::StaticLoop& l = sc.loops[k - 1];
-      const std::int32_t b = bound(l.begin), e = bound(l.end);
-      const double n = e > b ? static_cast<double>(e - b) : 0.0;
-      fp += n * l.iterFp;
-      mem += n * l.iterMem;
-      ctrl += n * l.iterCtrl;
-    }
-    total += (fp > mem ? fp : mem) + ctrl;
-  }
-  total += static_cast<double>(numLoops) * sc.branchCost;
-  return total;
-}
 
 }  // namespace
 
@@ -2720,14 +2511,6 @@ void setCodeletFastPaths(bool enabled) {
 
 bool codeletFastPathsEnabled() {
   return g_fastPaths.load(std::memory_order_relaxed);
-}
-
-void setCodeletCycleVerification(bool enabled) {
-  g_verifyCycles.store(enabled, std::memory_order_relaxed);
-}
-
-bool codeletCycleVerificationEnabled() {
-  return g_verifyCycles.load(std::memory_order_relaxed);
 }
 
 CompiledCodeletPtr compileCodelet(const CodeletIR& ir,
@@ -2753,7 +2536,6 @@ CompiledCodeletPtr compileCodelet(const CodeletIR& ir,
       cc->walkLoops.emplace_back(id, lc.why());
     }
   }
-  buildStaticCost(*cc);
   return cc;
 }
 
@@ -2768,37 +2550,6 @@ graph::VertexCost runCompiled(const CompiledCodelet& codelet,
                  ", codelet expects ", codelet.flat.numArgs);
   graph::VertexCost result;
   result.wholeTile = codelet.flat.usesWorkers;
-  const CompiledCodelet::StaticCost& sc = codelet.staticCost;
-  if (sc.valid && g_fastPaths.load(std::memory_order_relaxed)) {
-    bool guarded = true;
-    for (std::int16_t a : sc.floatArgs) {
-      if (ctx.argType(static_cast<std::size_t>(a)) != DType::Float32) {
-        guarded = false;
-        break;
-      }
-    }
-    if (guarded) {
-      for (std::int16_t a : sc.intArgs) {
-        if (ctx.argType(static_cast<std::size_t>(a)) != DType::Int32) {
-          guarded = false;
-          break;
-        }
-      }
-    }
-    if (guarded) {
-      const double cost = staticCostEval(sc, ctx);
-      const bool verify = g_verifyCycles.load(std::memory_order_relaxed);
-      FlatExec exec(codelet, ctx, /*charging=*/verify);
-      const double walked = exec.run();
-      if (verify) {
-        GRAPHENE_CHECK(walked == cost,
-                       "static cycle polynomial mismatch: per-op walk ",
-                       walked, ", polynomial ", cost);
-      }
-      result.workerCycles = cost;
-      return result;
-    }
-  }
   FlatExec exec(codelet, ctx);
   result.workerCycles = exec.run();
   return result;
@@ -2812,7 +2563,7 @@ graph::Codelet makeCodelet(std::string name, CodeletIR ir,
   // block-vectorizable or matched a named bulk kernel, and what kept each
   // remaining loop on the walk. Costs nothing when the env var is unset;
   // invaluable when a hot loop silently drops to the walk.
-  if (std::getenv("GRAPHENE_DUMP_COMPILE") != nullptr) {
+  if (support::envFlag("GRAPHENE_DUMP_COMPILE")) {
     std::size_t loops = 0, fast = 0;
     for (const FlatStmt& s : cc->flat.stmts) {
       if (s.kind == Stmt::Kind::For || s.kind == Stmt::Kind::ParFor) {
@@ -2820,13 +2571,19 @@ graph::Codelet makeCodelet(std::string name, CodeletIR ir,
         if (s.fastLoop >= 0) ++fast;
       }
     }
-    std::fprintf(stderr, "[compile] %s: loops=%zu fast=%zu static=%d\n",
-                 name.c_str(), loops, fast, cc->staticCost.valid ? 1 : 0);
+    std::fprintf(stderr, "[compile] %s: loops=%zu fast=%zu\n", name.c_str(),
+                 loops, fast);
+    // Indexed by NamedLoop::P.
+    static constexpr const char* kNamed[] = {"none", "copy", "addvec", "axpy",
+                                             "dot"};
+    static_assert(std::size(kNamed) ==
+                  static_cast<std::size_t>(NamedLoop::P::DotPartial) + 1);
     for (const LoopKernel& k : cc->kernels) {
       std::fprintf(stderr,
-                   "  kernel: par=%d ops=%zu csr=%d blockable=%d named=%d\n",
+                   "  kernel: par=%d ops=%zu csr=%d blockable=%d named=%s\n",
                    k.isPar ? 1 : 0, k.ops.size(), k.csr.valid ? 1 : 0,
-                   k.blockable ? 1 : 0, static_cast<int>(k.named.p));
+                   k.blockable ? 1 : 0,
+                   kNamed[static_cast<std::size_t>(k.named.p)]);
     }
     for (const auto& [sid, why] : cc->walkLoops) {
       const bool par = cc->flat.stmts[static_cast<std::size_t>(sid)].kind ==
@@ -2839,14 +2596,6 @@ graph::Codelet makeCodelet(std::string name, CodeletIR ir,
                         [cc = std::move(cc)](graph::VertexContext& vc) {
                           return runCompiled(*cc, vc);
                         }};
-}
-
-graph::VertexCost interpretCodelet(const CodeletIR& ir,
-                                   const ipu::CostModel& cost,
-                                   std::size_t numWorkers,
-                                   graph::VertexContext& ctx) {
-  CompiledCodeletPtr cc = compileCodelet(ir, cost, numWorkers);
-  return runCompiled(*cc, ctx);
 }
 
 }  // namespace graphene::dsl

@@ -7,9 +7,10 @@
 //
 // Codelets are compiled once (flatten the shared_ptr statement tree into the
 // FlatCodelet bytecode of codedsl_ir.hpp, and lower eligible counted loops to
-// span-based bulk kernels) and the compiled form is executed on every vertex
-// run. The bulk kernels are exact: same results bit-for-bit, same cycle
-// charges, with a generic fallback for anything they cannot prove safe.
+// register-VM kernels, some of which also match a named span kernel or run
+// block-vectorized) and the compiled form is executed on every vertex run.
+// The kernels are exact: same results bit-for-bit, same cycle charges, with
+// the generic statement walk for anything they cannot prove safe.
 #pragma once
 
 #include <memory>
@@ -49,28 +50,13 @@ graph::VertexCost runCompiled(const CompiledCodelet& codelet,
 graph::Codelet makeCodelet(std::string name, CodeletIR ir,
                            const ipu::CostModel& cost, std::size_t numWorkers);
 
-/// Executes `ir` against `ctx` (compiles on the fly); returns the modelled
-/// vertex cost. Retained for tests and one-shot callers — hot paths should
-/// compile once with compileCodelet and reuse the result.
-graph::VertexCost interpretCodelet(const CodeletIR& ir,
-                                   const ipu::CostModel& cost,
-                                   std::size_t numWorkers,
-                                   graph::VertexContext& ctx);
-
-/// Globally enables/disables the compiled loop fast paths (bulk span
+/// Globally enables/disables the compiled loop fast paths (register-VM
 /// kernels). With fast paths off every loop runs the generic statement walk.
 /// Results and cycle charges are identical either way — the switch exists so
 /// tests can assert exactly that, and to debug miscompiles. Also settable via
 /// the environment: GRAPHENE_NO_FASTPATH=1 disables them at startup.
 void setCodeletFastPaths(bool enabled);
 bool codeletFastPathsEnabled();
-
-/// Enables the cycle-polynomial cross-check: codelets with a static cost
-/// additionally run the fully charged per-op walk and assert that the
-/// polynomial matches it exactly. Slow — for tests and debugging only. Also
-/// settable via the environment: GRAPHENE_VERIFY_CYCLES=1.
-void setCodeletCycleVerification(bool enabled);
-bool codeletCycleVerificationEnabled();
 
 /// Evaluates a binary operation on dynamically typed scalars with numeric
 /// promotion. Exposed for unit tests.

@@ -10,6 +10,7 @@
 #include "ipu/exchange.hpp"
 #include "ipu/health.hpp"
 #include "ipu/worker_pool.hpp"
+#include "support/env.hpp"
 #include "support/thread_pool.hpp"
 #include "support/tile_profile.hpp"
 #include "support/trace.hpp"
@@ -118,9 +119,7 @@ class Engine::PlanVertexContext final : public VertexContext {
 
 Engine::Engine(Graph& graph, std::size_t numHostThreads)
     : graph_(graph), numHostThreads_(resolveHostThreads(numHostThreads)) {
-  if (const char* e = std::getenv("GRAPHENE_NO_FUSION")) {
-    if (e[0] != '\0' && e[0] != '0') fusionEnabled_ = false;
-  }
+  if (support::envFlag("GRAPHENE_NO_FUSION")) fusionEnabled_ = false;
   if (numHostThreads_ > 1) {
     hostPool_ = std::make_unique<support::ThreadPool>(numHostThreads_);
   }

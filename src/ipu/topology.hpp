@@ -1,9 +1,8 @@
 // Validated, user-facing description of the machine shape: how many IPUs,
 // how many tiles each, and how the chips are linked.
 //
-// `Topology` replaces ad-hoc poking of raw `IpuTarget` fields (and the old
-// `partitionAuto(m, tiles)` convention of "tiles" meaning "one big IPU").
-// It is a small value type with named builders:
+// `Topology` replaces ad-hoc poking of raw `IpuTarget` fields. It is a small
+// value type with named builders:
 //
 //   auto solo = Topology::singleIpu(64);                 // one chip
 //   auto pod  = Topology::pod(4, 16);                    // 4 IPUs x 16 tiles

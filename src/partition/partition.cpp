@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <mutex>
 #include <queue>
 
-#include "partition/partitioner.hpp"
 #include "support/error.hpp"
 
 namespace graphene::partition {
@@ -131,35 +128,6 @@ std::vector<std::size_t> partitionBfs(const matrix::CsrMatrix& a,
     }
   }
   return rowToTile;
-}
-
-namespace {
-
-void warnPartitionAutoDeprecated() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    std::fprintf(stderr,
-                 "graphene: warning: partitionAuto() is deprecated; construct "
-                 "a partition::Partitioner over an ipu::Topology instead "
-                 "(this warning is printed once)\n");
-  });
-}
-
-}  // namespace
-
-std::vector<std::size_t> partitionAuto(const matrix::GeneratedMatrix& g,
-                                       std::size_t tiles) {
-  warnPartitionAutoDeprecated();
-  return Partitioner(ipu::Topology::singleIpu(tiles)).map(g);
-}
-
-std::vector<std::size_t> partitionAuto(
-    const matrix::GeneratedMatrix& g, std::size_t tiles,
-    const std::vector<std::size_t>& blacklist) {
-  warnPartitionAutoDeprecated();
-  Partitioner p(ipu::Topology::singleIpu(tiles));
-  p.setBlacklist(blacklist);
-  return p.map(g);
 }
 
 std::vector<std::size_t> partitionSizes(

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "matrix/csr.hpp"
-#include "matrix/generators.hpp"
 
 namespace graphene::partition {
 
@@ -33,20 +32,6 @@ std::vector<std::size_t> partitionGrid(std::size_t nx, std::size_t ny,
 /// ~rows/tiles cells following the adjacency of A.
 std::vector<std::size_t> partitionBfs(const matrix::CsrMatrix& a,
                                       std::size_t tiles);
-
-/// DEPRECATED: picks grid partitioning when geometry is available, BFS
-/// otherwise, treating `tiles` as one big IPU. Use
-/// `partition::Partitioner(Topology::singleIpu(tiles))` instead — this shim
-/// forwards there and prints a one-time deprecation warning.
-std::vector<std::size_t> partitionAuto(const matrix::GeneratedMatrix& g,
-                                       std::size_t tiles);
-
-/// DEPRECATED: like partitionAuto, but never places rows on a blacklisted
-/// tile. Use `Partitioner(...).setBlacklist(...)` instead; same one-time
-/// warning as the overload above.
-std::vector<std::size_t> partitionAuto(const matrix::GeneratedMatrix& g,
-                                       std::size_t tiles,
-                                       const std::vector<std::size_t>& blacklist);
 
 /// Number of rows per tile (validation / balance statistics).
 std::vector<std::size_t> partitionSizes(const std::vector<std::size_t>& rowToTile,

@@ -1,9 +1,8 @@
 // Pod-aware row→tile partitioning behind one object.
 //
-// `Partitioner` is the redesigned entry point that replaces the old
-// `partitionAuto` free-function overloads: it carries the machine topology,
-// the tile blacklist and the strategy in one value, and produces either a
-// raw row→tile map or the full §IV halo layout.
+// `Partitioner` carries the machine topology, the tile blacklist and the
+// strategy in one value, and produces either a raw row→tile map or the full
+// §IV halo layout.
 //
 // On a pod the assignment is hierarchical, mirroring the machine's two-level
 // interconnect: rows are first split across IPUs minimizing the cut surface

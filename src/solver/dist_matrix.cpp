@@ -1,8 +1,8 @@
 #include "solver/dist_matrix.hpp"
 
-#include <cstdlib>
 #include <unordered_map>
 
+#include "support/env.hpp"
 #include "support/error.hpp"
 
 namespace graphene::solver {
@@ -20,7 +20,7 @@ DistMatrix::DistMatrix(const matrix::CsrMatrix& a,
     : layout_(std::move(layout)) {
   // A/B escape hatch mirroring GRAPHENE_NO_FASTPATH: profile a run without
   // the §IV halo reordering without touching call sites.
-  if (std::getenv("GRAPHENE_NO_HALO_REORDER") != nullptr) perCellHalo_ = true;
+  if (support::envFlag("GRAPHENE_NO_HALO_REORDER")) perCellHalo_ = true;
   Context& ctx = Context::current();
   const std::size_t nTiles = ctx.target().totalTiles();
   GRAPHENE_CHECK(layout_.numTiles == nTiles,

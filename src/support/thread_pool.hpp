@@ -72,7 +72,7 @@ class ThreadPool {
     ++generation_;
     lock.unlock();
     wake_.notify_all();
-    drainJob();
+    drainJob(&fn, n);
     lock.lock();
     done_.wait(lock, [this] {
       return pending_.load(std::memory_order_acquire) == 0;
@@ -90,14 +90,18 @@ class ThreadPool {
   void workerLoop() {
     std::uint64_t seen = 0;
     while (true) {
+      const std::function<void(std::size_t)>* fn = nullptr;
+      std::size_t limit = 0;
       {
         std::unique_lock<std::mutex> lock(mutex_);
         wake_.wait(lock, [&] { return stop_ || generation_ != seen; });
         if (stop_) return;
         seen = generation_;
+        fn = fn_;
+        limit = limit_;
         ++active_;
       }
-      drainJob();
+      drainJob(fn, limit);
       {
         std::lock_guard<std::mutex> lock(mutex_);
         if (--active_ == 0) idle_.notify_one();
@@ -106,10 +110,10 @@ class ThreadPool {
   }
 
   /// Claims indices until the job is exhausted. Runs on workers and on the
-  /// thread that called parallelFor.
-  void drainJob() {
-    const std::function<void(std::size_t)>* fn = fn_;
-    const std::size_t limit = limit_;
+  /// thread that called parallelFor. A worker that wakes after the job has
+  /// finished may see fn == nullptr, but then every index is claimed.
+  void drainJob(const std::function<void(std::size_t)>* fn,
+                std::size_t limit) {
     while (true) {
       const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
       if (i >= limit) return;

@@ -320,8 +320,8 @@ RowsRun runRows(const CompiledCodelet& cc, HostContext ctx, bool fastPaths) {
 /// every output bit and on the VertexCost. Returns the fast-path run.
 RowsRun expectFastMatchesWalk(const CodeletIR& ir, const HostContext& ctx) {
   CompiledCodeletPtr cc = compileCodelet(ir, ipu::CostModel{}, 6);
-  // Only the ParFor row compiles: its nested For holds an If, which serial
-  // kernels leave on the walk.
+  // Only the ParFor row compiles: a nested For holding an If stays on the
+  // walk as a serial kernel.
   EXPECT_EQ(compiledKernelCount(*cc), 1u);
   RowsRun fast = runRows(*cc, ctx, true);
   RowsRun walk = runRows(*cc, ctx, false);
@@ -418,6 +418,30 @@ TEST(GuardedRows, MistypedIntArgumentFallsBackToWalk) {
   // promotes the comparison to Float32 and charges it as such).
   expectFastMatchesWalk(traceGuardedRows(false),
                         rowsContext({{0}, {0, 1}, {2, 0}, {1, 3}}, false));
+}
+
+TEST(FlatRows, ElementwiseRowMatchesWalk) {
+  // A ParFor row with no nested loop or If: one lane block per row. 37 rows
+  // is a multiple of neither the 6 workers nor the serial VM's 16-element
+  // blocks.
+  CodeletBuilder builder;
+  builder.setNumArgs(2);
+  Value out = Value::argument(0, DType::Float32);
+  Value x = Value::argument(1, DType::Float32);
+  ParallelFor(0, out.size(),
+              [&](Value i) { out[i] = Value(x[i]) * 2.0f + 1.0f; });
+  constexpr std::size_t kRows = 37;
+  std::vector<float> xs(kRows);
+  for (std::size_t i = 0; i < kRows; ++i) {
+    xs[i] = 0.1f * static_cast<float>(i) - 1.7f;
+  }
+  HostContext ctx;
+  ctx.addFloat(std::vector<float>(kRows, 0.0f));
+  ctx.addFloat(xs);
+  const RowsRun fast = expectFastMatchesWalk(builder.finish(), ctx);
+  for (std::size_t i = 0; i < kRows; ++i) {
+    EXPECT_EQ(fast.out[i], xs[i] * 2.0f + 1.0f) << "row " << i;
+  }
 }
 
 TEST(GuardedRows, IluZeroSubstitutionCompilesToRowKernels) {

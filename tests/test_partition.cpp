@@ -265,20 +265,6 @@ TEST(HaloLayout, SingleTileHasNoHalo) {
 // Pod-aware partitioning (multi-IPU)
 // ---------------------------------------------------------------------------
 
-TEST(PodPartition, SingleIpuMatchesDeprecatedPartitionAuto) {
-  // The old free function is now a shim over Partitioner; the single-chip
-  // path must stay bit-compatible so existing layouts (and plan-cache
-  // fingerprints) survive the port.
-  for (std::size_t tiles : {4u, 7u}) {
-    auto grid = matrix::poisson2d5(8, 8);
-    auto circ = matrix::g3CircuitLike(1500);
-    EXPECT_EQ(Partitioner(ipu::Topology::singleIpu(tiles)).map(grid),
-              partitionAuto(grid, tiles));
-    EXPECT_EQ(Partitioner(ipu::Topology::singleIpu(tiles)).map(circ),
-              partitionAuto(circ, tiles));
-  }
-}
-
 TEST(PodPartition, MapIsIpuMajorAndComplete) {
   auto g = matrix::poisson3d7(12, 12, 12);
   const ipu::Topology topo = ipu::Topology::pod(4, 8);

@@ -5,10 +5,13 @@
 // missing step; repeated solves on one session are independent; unknown or
 // ill-typed config keys are rejected naming the offending key and listing
 // the valid ones (both makeSolver and makeSolverFromString); the
-// preconditioner() chain walk.
+// preconditioner() chain walk; GRAPHENE_NO_HALO_REORDER=0 leaves the halo
+// reordering on.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <string>
 
 #include "graphene.hpp"
 
@@ -76,6 +79,38 @@ TEST(SolveSession, RepeatedSolvesAreIndependent) {
   EXPECT_EQ(first.x, second.x);
   EXPECT_EQ(first.history.size(), second.history.size());
   EXPECT_EQ(session.trace().iterationCount(), second.history.size());
+}
+
+TEST(SolveSession, HaloReorderEnvZeroMeansOff) {
+  // Boolean GRAPHENE_* switches treat "0" like unset: the §IV blockwise halo
+  // exchange stays, so the solve emits exactly the exchange instructions of
+  // a solve with the variable unset. The per-cell baseline shows the count
+  // tells the two exchange plans apart.
+  const char* ambientRaw = std::getenv("GRAPHENE_NO_HALO_REORDER");
+  const bool hadAmbient = ambientRaw != nullptr;
+  const std::string ambient = hadAmbient ? ambientRaw : "";
+  auto exchangeInstructions = [](SessionOptions options) {
+    SolveSession session(options);
+    session.load(matrix::poisson2d5(12, 12)).configure(R"({
+      "type": "cg", "tolerance": 1e-6, "maxIterations": 200
+    })");
+    std::vector<double> rhs(session.matrix().rows(), 1.0);
+    session.solve(rhs);
+    return session.profile().exchangeInstructions;
+  };
+  ::unsetenv("GRAPHENE_NO_HALO_REORDER");
+  const std::size_t unset = exchangeInstructions({.tiles = 8});
+  const std::size_t perCell =
+      exchangeInstructions({.tiles = 8, .perCellHalo = true});
+  ::setenv("GRAPHENE_NO_HALO_REORDER", "0", 1);
+  const std::size_t zero = exchangeInstructions({.tiles = 8});
+  if (hadAmbient) {
+    ::setenv("GRAPHENE_NO_HALO_REORDER", ambient.c_str(), 1);
+  } else {
+    ::unsetenv("GRAPHENE_NO_HALO_REORDER");
+  }
+  EXPECT_LT(unset, perCell);
+  EXPECT_EQ(zero, unset);
 }
 
 TEST(SolveSession, OrderingErrorsNameTheMissingStep) {
