@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "graph/compiler.hpp"
-#include "ipu/exchange.hpp"
 #include "ipu/health.hpp"
 #include "ipu/worker_pool.hpp"
 #include "support/env.hpp"
@@ -260,7 +259,10 @@ void Engine::storeElement(TensorId id, std::size_t flatIndex,
 
 void Engine::run(const ProgramPtr& program) {
   if (!program) return;
-  runNode(fusionEnabled_ ? fusedFor(program) : program);
+  // Fusion removes the host barriers between supersteps; one host thread has
+  // none to remove and would only pay for building the fused tree.
+  const bool fuse = fusionEnabled_ && hostPool_ != nullptr;
+  runNode(fuse ? fusedFor(program) : program);
 }
 
 const ProgramPtr& Engine::fusedFor(const ProgramPtr& program) {
@@ -391,60 +393,79 @@ double Engine::runTileTask(const ComputeSet& cs, const ExecPlan& plan,
   return pool.elapsed();
 }
 
-void Engine::runExecute(ComputeSetId csId) {
-  syncStorage();  // materialise any tensors created since the last program
-  const ComputeSet& cs = graph_.computeSet(csId);
+void Engine::prepareRuns(std::span<const ComputeSetId> sets) {
+  // Build every plan first: planFor may grow plans_, moving the others.
+  for (ComputeSetId cs : sets) planFor(cs);
+  if (runs_.size() < sets.size()) runs_.resize(sets.size());
+  for (std::size_t m = 0; m < sets.size(); ++m) {
+    SuperstepRun& run = runs_[m];
+    run.cs = &graph_.computeSet(sets[m]);
+    run.plan = &plans_[sets[m]];
+    run.superstep = profile_.computeSupersteps + m;
+    run.cycles.assign(run.plan->tasks.size(), 0.0);
+    run.busy.assign(run.plan->tasks.size(), 0.0);
+  }
+}
+
+void Engine::runTiles(const FusedPlan* fused) {
+  // Tensors are only created between programs, so one refresh per dispatch
+  // covers every superstep it commits.
+  if (tileProfile_ != nullptr && graph_.numTensors() != sramTensorsCaptured_) {
+    captureSramSnapshot();
+  }
   const ipu::IpuTarget& target = graph_.target();
-  const ExecPlan& plan = planFor(csId);
-
-  // Permanent faults: activation events and persistent SRAM damage are
-  // applied serially before the tiles run; the per-task dead-tile query
-  // below is a pure function of the plan, so it is safe from the pool.
   const bool hardFaults = faultPlan_ != nullptr && faultPlan_->hasHardFaults();
-  if (hardFaults) {
-    EngineFaultSurface surface(*this);
-    faultPlan_->onComputeSuperstepStart(profile_.computeSupersteps, surface);
-  }
-
-  // Simulate every tile of the superstep, one TileTask per tile with data.
-  // Tasks write to disjoint storage regions and to their own tileCycles_
-  // slot, so running them on the host pool is race-free and — because each
-  // task's arithmetic is self-contained — bit-identical to the serial loop.
-  // A dead tile executes nothing: it charges its watchdog-scale cycle count
-  // and leaves its storage exactly as the previous superstep left it.
   TensorStorage* storage = storage_.data();
-  const std::size_t nTasks = plan.tasks.size();
-  const std::size_t superstepIndex = profile_.computeSupersteps;
-  const bool tileProfiling = tileProfile_ != nullptr;
-  if (tileProfiling) {
-    if (graph_.numTensors() != sramTensorsCaptured_) captureSramSnapshot();
-    tileBusy_.assign(nTasks, 0.0);
-  }
-  auto taskCycles = [&](std::size_t ti) -> double {
-    const std::size_t tile = plan.tasks[ti].tile;
-    if (!tileExcluded_.empty() && tileExcluded_[tile]) return 0.0;
+  // One tile task. An excluded tile runs nothing and costs nothing. A dead
+  // tile runs nothing either: it charges its watchdog-scale cycle count and
+  // leaves its storage exactly as the previous superstep left it (the
+  // dead-tile queries are pure functions of the plan, safe from the pool).
+  auto runTask = [&](SuperstepRun& run, std::size_t ti) {
+    const std::size_t tile = run.plan->tasks[ti].tile;
+    if (!tileExcluded_.empty() && tileExcluded_[tile]) return;
     if (hardFaults) {
-      if (faultPlan_->tileDead(tile, superstepIndex)) {
-        return faultPlan_->deadTileCycles(tile);
+      if (faultPlan_->tileDead(tile, run.superstep)) {
+        run.cycles[ti] = faultPlan_->deadTileCycles(tile);
+        return;
       }
       const std::size_t ipu = target.ipuOfTile(tile);
-      if (faultPlan_->ipuDead(ipu, superstepIndex)) {
-        return faultPlan_->deadIpuCycles(ipu);
+      if (faultPlan_->ipuDead(ipu, run.superstep)) {
+        run.cycles[ti] = faultPlan_->deadIpuCycles(ipu);
+        return;
       }
     }
-    return runTileTask(cs, plan, storage, ti,
-                       tileProfiling ? &tileBusy_[ti] : nullptr);
+    run.cycles[ti] =
+        runTileTask(*run.cs, *run.plan, storage, ti, &run.busy[ti]);
   };
-  tileCycles_.assign(nTasks, 0.0);
-  if (hostPool_ != nullptr && nTasks > 1) {
-    hostPool_->parallelFor(nTasks, [&](std::size_t ti) {
-      tileCycles_[ti] = taskCycles(ti);
-    });
-  } else {
-    for (std::size_t ti = 0; ti < nTasks; ++ti) {
-      tileCycles_[ti] = taskCycles(ti);
+  // Host task i is tile task i of a plain superstep, or tile i's whole
+  // worklist of a fused run. Tasks write disjoint storage regions and their
+  // own scratch slots, so running them on the host pool is race-free and —
+  // because each task's arithmetic is self-contained — bit-identical to the
+  // serial loop.
+  auto hostTask = [&](std::size_t i) {
+    if (fused == nullptr) {
+      runTask(runs_[0], i);
+      return;
     }
+    for (const FusedPlan::Part& part : fused->tiles[i].parts) {
+      runTask(runs_[part.member], part.task);
+    }
+  };
+  const std::size_t n =
+      fused != nullptr ? fused->tiles.size() : runs_[0].plan->tasks.size();
+  if (hostPool_ != nullptr) {
+    hostPool_->parallelFor(n, hostTask);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) hostTask(i);
   }
+}
+
+void Engine::commitCompute(const SuperstepRun& run) {
+  const ComputeSet& cs = *run.cs;
+  const std::vector<TileTask>& tasks = run.plan->tasks;
+  const std::vector<double>& tileCycles = run.cycles;
+  const ipu::IpuTarget& target = graph_.target();
+  const std::size_t nTasks = tasks.size();
   // Tile-cycle distribution of this superstep: the max is the BSP critical
   // path; min/mean and the straggler tile id feed the straggler stats and
   // the trace. One serial pass in task order, so the result is bit-identical
@@ -454,7 +475,7 @@ void Engine::runExecute(ComputeSetId csId) {
   double sumTileCycles = 0;
   std::size_t stragglerTask = 0;
   for (std::size_t ti = 0; ti < nTasks; ++ti) {
-    const double c = tileCycles_[ti];
+    const double c = tileCycles[ti];
     sumTileCycles += c;
     if (ti == 0 || c < minTileCycles) minTileCycles = c;
     if (c > maxTileCycles) {
@@ -465,7 +486,7 @@ void Engine::runExecute(ComputeSetId csId) {
   const double meanTileCycles =
       nTasks > 0 ? sumTileCycles / static_cast<double>(nTasks) : 0.0;
   const std::size_t stragglerTile =
-      nTasks > 0 ? plan.tasks[stragglerTask].tile : SIZE_MAX;
+      nTasks > 0 ? tasks[stragglerTask].tile : SIZE_MAX;
   profile_.verticesExecuted += cs.vertices.size();
 
   // Watchdog: report every tile's cycle count from this serial pass, so
@@ -473,8 +494,8 @@ void Engine::runExecute(ComputeSetId csId) {
   // count. The abort (if armed) fires after the superstep is committed.
   if (health_ != nullptr) {
     for (std::size_t ti = 0; ti < nTasks; ++ti) {
-      health_->observeCompute(superstepIndex, plan.tasks[ti].tile,
-                              tileCycles_[ti], profile_);
+      health_->observeCompute(profile_.computeSupersteps, tasks[ti].tile,
+                              tileCycles[ti], profile_);
     }
   }
 
@@ -501,14 +522,14 @@ void Engine::runExecute(ComputeSetId csId) {
   // injected stall, mirroring profile_.computeCycles above — is charged to
   // the straggler tile, so per-category tile sums reproduce computeCycles
   // exactly; every other tile books the gap as barrier idle.
-  if (tileProfiling) {
+  if (tileProfile_ != nullptr) {
     support::TileCategoryProfile& cat = tileProfile_->category(cs.category);
     cat.supersteps += 1;
     for (std::size_t ti = 0; ti < nTasks; ++ti) {
-      const std::size_t tile = plan.tasks[ti].tile;
-      cat.busyCycles[tile] += tileCycles_[ti];
-      cat.workerBusyCycles[tile] += tileBusy_[ti];
-      cat.barrierIdleCycles[tile] += maxTileCycles - tileCycles_[ti];
+      const std::size_t tile = tasks[ti].tile;
+      cat.busyCycles[tile] += tileCycles[ti];
+      cat.workerBusyCycles[tile] += run.busy[ti];
+      cat.barrierIdleCycles[tile] += maxTileCycles - tileCycles[ti];
     }
     if (nTasks > 0) cat.criticalCycles[stragglerTile] += maxTileCycles;
     tileProfile_->computeSupersteps += 1;
@@ -574,38 +595,37 @@ void Engine::runExecute(ComputeSetId csId) {
   checkCancelled();
 }
 
+void Engine::runExecute(ComputeSetId csId) {
+  syncStorage();  // materialise any tensors created since the last program
+  // Permanent faults: activation events and persistent SRAM damage are
+  // applied serially before the tiles run.
+  if (faultPlan_ != nullptr && faultPlan_->hasHardFaults()) {
+    EngineFaultSurface surface(*this);
+    faultPlan_->onComputeSuperstepStart(profile_.computeSupersteps, surface);
+  }
+  prepareRuns({&csId, 1});
+  runTiles(nullptr);
+  commitCompute(runs_[0]);
+}
+
 void Engine::runExecuteFused(const ProgramPtr& program) {
   const std::vector<ComputeSetId>& sets = program->fusedSets;
-  // The fused fast path reorders tile work relative to the per-superstep
-  // hooks (fault injection, watchdog observation, trace emission, tile
-  // attribution, cancellation polling, exclusion), all of which must fire
-  // between supersteps with storage in exactly the unfused state. Any of
-  // them attached → run the members as plain supersteps; the fused node is
-  // then semantically just a Sequence of Executes.
-  const bool fastPath = faultPlan_ == nullptr && health_ == nullptr &&
-                        trace_ == nullptr && tileProfile_ == nullptr &&
-                        !cancel_ && tileExcluded_.empty();
-  if (!fastPath) {
+  // A fault plan and a health monitor act on storage between supersteps
+  // (injected upsets, the watchdog abort that hands storage to the remap
+  // migration), so with either attached the members run as plain
+  // supersteps; the fused node is then just a Sequence of Executes.
+  if (faultPlan_ != nullptr || health_ != nullptr) {
     for (ComputeSetId cs : sets) runExecute(cs);
     return;
   }
 
   syncStorage();
+  prepareRuns(sets);
   const std::size_t nMembers = sets.size();
-  // Build all member plans first (planFor may grow plans_), then take
-  // stable pointers for the worklist run.
-  for (ComputeSetId cs : sets) planFor(cs);
-  std::vector<const ComputeSet*> css(nMembers);
-  std::vector<const ExecPlan*> memberPlans(nMembers);
-  for (std::size_t m = 0; m < nMembers; ++m) {
-    css[m] = &graph_.computeSet(sets[m]);
-    memberPlans[m] = &plans_[sets[m]];
-  }
-
   FusedPlan& fp = fusedPlans_[program.get()];
   bool stale = fp.node == nullptr;
   for (std::size_t m = 0; !stale && m < nMembers; ++m) {
-    stale = fp.builtVertices[m] != memberPlans[m]->builtVertices;
+    stale = fp.builtVertices[m] != runs_[m].plan->builtVertices;
   }
   if (stale) {
     fp.node = program;
@@ -613,7 +633,7 @@ void Engine::runExecuteFused(const ProgramPtr& program) {
     fp.builtVertices.assign(nMembers, 0);
     std::map<std::size_t, FusedPlan::TileWork> byTile;
     for (std::size_t m = 0; m < nMembers; ++m) {
-      const ExecPlan& plan = *memberPlans[m];
+      const ExecPlan& plan = *runs_[m].plan;
       for (std::size_t ti = 0; ti < plan.tasks.size(); ++ti) {
         byTile[plan.tasks[ti].tile].parts.push_back(
             FusedPlan::Part{static_cast<std::uint32_t>(m),
@@ -631,59 +651,12 @@ void Engine::runExecuteFused(const ProgramPtr& program) {
   // the same tile (already run, in order) may have written. So results are
   // bit-identical to per-superstep dispatch; only the host-side barriers
   // between members disappear.
-  TensorStorage* storage = storage_.data();
-  if (fusedCycles_.size() < nMembers) fusedCycles_.resize(nMembers);
-  for (std::size_t m = 0; m < nMembers; ++m) {
-    fusedCycles_[m].assign(memberPlans[m]->tasks.size(), 0.0);
-  }
-  auto runTile = [&](std::size_t i) {
-    for (const FusedPlan::Part& part : fp.tiles[i].parts) {
-      fusedCycles_[part.member][part.task] = runTileTask(
-          *css[part.member], *memberPlans[part.member], storage, part.task);
-    }
-  };
-  if (hostPool_ != nullptr && fp.tiles.size() > 1) {
-    hostPool_->parallelFor(fp.tiles.size(), runTile);
-  } else {
-    for (std::size_t i = 0; i < fp.tiles.size(); ++i) runTile(i);
-  }
-
-  // Commit each member as its own superstep, in program order — the same
-  // serial reduction and profile updates as runExecute's no-attachment path,
-  // so every Profile total and superstep stat is exactly unchanged.
-  const ipu::IpuTarget& target = graph_.target();
-  for (std::size_t m = 0; m < nMembers; ++m) {
-    const std::vector<double>& cycles = fusedCycles_[m];
-    const std::size_t nTasks = cycles.size();
-    double maxTileCycles = 0;
-    double minTileCycles = 0;
-    double sumTileCycles = 0;
-    std::size_t stragglerTask = 0;
-    for (std::size_t ti = 0; ti < nTasks; ++ti) {
-      const double c = cycles[ti];
-      sumTileCycles += c;
-      if (ti == 0 || c < minTileCycles) minTileCycles = c;
-      if (c > maxTileCycles) {
-        maxTileCycles = c;
-        stragglerTask = ti;
-      }
-    }
-    const double meanTileCycles =
-        nTasks > 0 ? sumTileCycles / static_cast<double>(nTasks) : 0.0;
-    const std::size_t stragglerTile =
-        nTasks > 0 ? memberPlans[m]->tasks[stragglerTask].tile : SIZE_MAX;
-    profile_.verticesExecuted += css[m]->vertices.size();
-    profile_.computeCycles[css[m]->category] += maxTileCycles;
-    profile_.superstepStats[css[m]->category].record(
-        profile_.computeSupersteps, minTileCycles, meanTileCycles,
-        maxTileCycles, stragglerTile);
-    profile_.syncCycles += target.syncCyclesOnChip;
-    profile_.computeSupersteps += 1;
-    for (const auto& [name, value] : css[m]->perExecMetrics) {
-      profile_.metrics.addCounter(name, value);
-    }
-    simClock_ += maxTileCycles + target.syncCyclesOnChip;
-  }
+  runTiles(&fp);
+  // Commit each member as its own superstep, in program order, through the
+  // same commit as runExecute: the Profile, trace, tile profile and cancel
+  // check all see the unfused sequence of supersteps. A cancel stops at the
+  // same superstep; only tensor contents may run ahead of it.
+  for (std::size_t m = 0; m < nMembers; ++m) commitCompute(runs_[m]);
 }
 
 void Engine::checkCancelled() {
@@ -698,89 +671,90 @@ void Engine::checkCancelled() {
 }
 
 void Engine::runCopy(const ProgramPtr& node) {
-  const Program& program = *node;
-  // Event-driven fast path: with no fault plan (per-transfer fates, dead
-  // senders) and no tile profile (per-transfer traffic matrix) attached,
-  // nothing observes individual segments — and both the delivered windows
-  // and the priced cost of this Copy step are static. Resolve them once,
-  // then every later execution replays the data movement and charges the
-  // cached cost directly; a zero-byte exchange (empty halos) skips segment
-  // simulation entirely. Committed totals are bit-identical to the full
-  // walk below.
-  if (faultPlan_ == nullptr && tileProfile_ == nullptr) {
-    CopyPlan& cp = copyPlans_[node.get()];
-    if (cp.node == nullptr) {
-      cp.node = node;
-      std::vector<ipu::Transfer> transfers;
-      transfers.reserve(program.copies.size());
-      for (const CopySegment& seg : program.copies) {
-        GRAPHENE_CHECK(seg.src != kInvalidTensor && seg.dst != kInvalidTensor,
-                       "copy segment with invalid tensors");
-        TensorStorage& src = storageFor(seg.src);
-        TensorStorage& dst = storageFor(seg.dst);
-        const std::size_t srcFlat =
-            src.tileOffset(seg.srcTile) + seg.srcBegin;
-        ipu::Transfer t;
-        t.srcTile = seg.srcTile;
-        t.bytes = seg.count * ipu::sizeOf(src.dtype());
-        for (const CopySegment::Destination& d : seg.dsts) {
-          const std::size_t dstFlat = dst.tileOffset(d.tile) + d.begin;
-          if (seg.src == seg.dst && seg.srcTile == d.tile &&
-              srcFlat == dstFlat) {
-            continue;  // no-op self copy
-          }
-          cp.moves.push_back(
-              CopyPlan::Move{seg.src, seg.dst, srcFlat, dstFlat, seg.count});
-          t.dstTiles.push_back(d.tile);
-        }
-        if (!t.dstTiles.empty()) transfers.push_back(std::move(t));
-      }
-      const ipu::ExchangeStats stats =
-          ipu::priceExchange(graph_.target(), transfers, nullptr);
-      cp.cycles = stats.cycles;
-      cp.intraCycles = stats.intraCycles;
-      cp.interCycles = stats.interCycles;
-      cp.instructions = stats.instructions;
-      cp.totalBytes = stats.totalBytes;
-      cp.interIpuBytes = stats.interIpuBytes;
-      cp.interIpuMessages = stats.interIpuMessages;
-    }
-    for (const CopyPlan::Move& mv : cp.moves) {
-      storage_[mv.dst].copyFrom(storage_[mv.src], mv.srcFlat, mv.dstFlat,
-                                mv.count);
-    }
-    profile_.exchangeCycles += cp.cycles;
-    profile_.exchangeIntraCycles += cp.intraCycles;
-    profile_.exchangeInterCycles += cp.interCycles;
-    profile_.exchangeSupersteps += 1;
-    profile_.exchangeInstructions += cp.instructions;
-    profile_.exchangedBytes += cp.totalBytes;
-    profile_.interIpuBytes += cp.interIpuBytes;
-    profile_.interIpuMessages += cp.interIpuMessages;
-    for (const auto& [name, value] : program.copyMetrics) {
-      profile_.metrics.addCounter(name, value);
-    }
-    if (trace_ != nullptr) {
-      support::TraceEvent ev;
-      ev.kind = support::TraceKind::ExchangeSuperstep;
-      ev.name = "exchange";
-      ev.startCycle = simClock_;
-      ev.durationCycles = cp.cycles;
-      ev.superstep = profile_.exchangeSupersteps - 1;
-      ev.bytes = cp.totalBytes;
-      trace_->record(std::move(ev));
-    }
-    simClock_ += cp.cycles;
-    if (trace_ != nullptr) traceNewFaultEvents();
-    checkCancelled();
-    return;
+  const ipu::ExchangeStats stats =
+      faultPlan_ == nullptr ? replayCopy(node) : walkCopy(*node);
+  profile_.exchangeCycles += stats.cycles;
+  profile_.exchangeIntraCycles += stats.intraCycles;
+  profile_.exchangeInterCycles += stats.interCycles;
+  profile_.exchangeSupersteps += 1;
+  profile_.exchangeInstructions += stats.instructions;
+  profile_.exchangedBytes += stats.totalBytes;
+  profile_.interIpuBytes += stats.interIpuBytes;
+  profile_.interIpuMessages += stats.interIpuMessages;
+  if (tileProfile_ != nullptr) {
+    tileProfile_->exchangeCycles += stats.cycles;
+    tileProfile_->exchangeInterCycles += stats.interCycles;
+    tileProfile_->exchangeSupersteps += 1;
+  }
+  for (const auto& [name, value] : node->copyMetrics) {
+    profile_.metrics.addCounter(name, value);
   }
 
-  const std::vector<CopySegment>& segments = program.copies;
-  const bool hardFaults = faultPlan_ != nullptr && faultPlan_->hasHardFaults();
+  if (trace_ != nullptr) {
+    support::TraceEvent ev;
+    ev.kind = support::TraceKind::ExchangeSuperstep;
+    ev.name = "exchange";
+    ev.startCycle = simClock_;
+    ev.durationCycles = stats.cycles;
+    ev.superstep = profile_.exchangeSupersteps - 1;
+    ev.bytes = stats.totalBytes;
+    trace_->record(std::move(ev));
+  }
+  simClock_ += stats.cycles;
+  if (trace_ != nullptr) traceNewFaultEvents();
+  checkCancelled();
+}
+
+ipu::ExchangeStats Engine::replayCopy(const ProgramPtr& node) {
+  // The delivered windows and the priced cost of a Copy step are static:
+  // resolve them once, then every later execution replays the data movement
+  // and charges the cached cost; a zero-byte exchange (empty halos) skips
+  // segment simulation entirely. Committed totals are bit-identical to the
+  // walk.
+  CopyPlan& cp = copyPlans_[node.get()];
+  if (cp.node == nullptr) {
+    cp.node = node;
+    cp.transfers.reserve(node->copies.size());
+    for (const CopySegment& seg : node->copies) {
+      GRAPHENE_CHECK(seg.src != kInvalidTensor && seg.dst != kInvalidTensor,
+                     "copy segment with invalid tensors");
+      TensorStorage& src = storageFor(seg.src);
+      TensorStorage& dst = storageFor(seg.dst);
+      const std::size_t srcFlat = src.tileOffset(seg.srcTile) + seg.srcBegin;
+      ipu::Transfer t;
+      t.srcTile = seg.srcTile;
+      t.bytes = seg.count * ipu::sizeOf(src.dtype());
+      for (const CopySegment::Destination& d : seg.dsts) {
+        const std::size_t dstFlat = dst.tileOffset(d.tile) + d.begin;
+        if (seg.src == seg.dst && seg.srcTile == d.tile &&
+            srcFlat == dstFlat) {
+          continue;  // no-op self copy
+        }
+        cp.moves.push_back(
+            CopyPlan::Move{seg.src, seg.dst, srcFlat, dstFlat, seg.count});
+        t.dstTiles.push_back(d.tile);
+      }
+      if (!t.dstTiles.empty()) cp.transfers.push_back(std::move(t));
+    }
+    cp.stats = ipu::priceExchange(graph_.target(), cp.transfers);
+  }
+  for (const CopyPlan::Move& mv : cp.moves) {
+    storage_[mv.dst].copyFrom(storage_[mv.src], mv.srcFlat, mv.dstFlat,
+                              mv.count);
+  }
+  // The tile profile's traffic matrix records each transfer: re-price the
+  // resolved transfers into it (the stats come out the cached ones).
+  if (tileProfile_ != nullptr) {
+    ipu::priceExchange(graph_.target(), cp.transfers, &tileProfile_->traffic);
+  }
+  return cp.stats;
+}
+
+ipu::ExchangeStats Engine::walkCopy(const Program& program) {
+  const bool hardFaults = faultPlan_->hasHardFaults();
   std::vector<ipu::Transfer> transfers;
-  transfers.reserve(segments.size());
-  for (const CopySegment& seg : segments) {
+  transfers.reserve(program.copies.size());
+  for (const CopySegment& seg : program.copies) {
     GRAPHENE_CHECK(seg.src != kInvalidTensor && seg.dst != kInvalidTensor,
                    "copy segment with invalid tensors");
     // A dead tile never sends: its outgoing transfers neither deliver nor
@@ -811,7 +785,7 @@ void Engine::runCopy(const ProgramPtr& node) {
       if (seg.src == seg.dst && seg.srcTile == d.tile && srcFlat == dstFlat) {
         continue;  // no-op self copy
       }
-      if (faultPlan_ != nullptr && !fateDecided) {
+      if (!fateDecided) {
         EngineFaultSurface surface(*this);
         fate = faultPlan_->onTransfer(profile_.exchangeSupersteps,
                                       transfers.size(), seg.dst, surface);
@@ -852,36 +826,7 @@ void Engine::runCopy(const ProgramPtr& node) {
     stats.intraCycles *= stretch;
     stats.interCycles *= stretch;
   }
-  profile_.exchangeCycles += stats.cycles;
-  profile_.exchangeIntraCycles += stats.intraCycles;
-  profile_.exchangeInterCycles += stats.interCycles;
-  profile_.exchangeSupersteps += 1;
-  profile_.exchangeInstructions += stats.instructions;
-  profile_.exchangedBytes += stats.totalBytes;
-  profile_.interIpuBytes += stats.interIpuBytes;
-  profile_.interIpuMessages += stats.interIpuMessages;
-  if (tileProfile_ != nullptr) {
-    tileProfile_->exchangeCycles += stats.cycles;
-    tileProfile_->exchangeInterCycles += stats.interCycles;
-    tileProfile_->exchangeSupersteps += 1;
-  }
-  for (const auto& [name, value] : program.copyMetrics) {
-    profile_.metrics.addCounter(name, value);
-  }
-
-  if (trace_ != nullptr) {
-    support::TraceEvent ev;
-    ev.kind = support::TraceKind::ExchangeSuperstep;
-    ev.name = "exchange";
-    ev.startCycle = simClock_;
-    ev.durationCycles = stats.cycles;
-    ev.superstep = profile_.exchangeSupersteps - 1;
-    ev.bytes = stats.totalBytes;
-    trace_->record(std::move(ev));
-  }
-  simClock_ += stats.cycles;
-  if (trace_ != nullptr) traceNewFaultEvents();
-  checkCancelled();
+  return stats;
 }
 
 }  // namespace graphene::graph

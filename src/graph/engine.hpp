@@ -16,6 +16,7 @@
 #include "graph/graph.hpp"
 #include "graph/program.hpp"
 #include "graph/storage.hpp"
+#include "ipu/exchange.hpp"
 #include "ipu/fault.hpp"
 #include "ipu/profile.hpp"
 
@@ -49,16 +50,18 @@ class Engine {
   /// Host threads used for tile-parallel compute supersteps (>= 1).
   std::size_t numHostThreads() const { return numHostThreads_; }
 
-  /// Executes a program tree to completion. Unless disabled via
-  /// setSuperstepFusion, the tree is first run through the superstep-fusion
-  /// pass (cached per root, revalidated when the tree grows); semantics and
-  /// profiles are identical either way.
+  /// Executes a program tree to completion. When the engine has a host pool
+  /// (numHostThreads() > 1) and fusion is enabled, the tree is first run
+  /// through the superstep-fusion pass (cached per root, revalidated when
+  /// the tree grows). Fusion only saves host barriers, which a single thread
+  /// does not pay; semantics, profiles and traces are identical either way.
   void run(const ProgramPtr& program);
 
   /// Enables/disables the superstep-fusion pass applied by run() (default
-  /// on; GRAPHENE_NO_FUSION=1 disables it at construction). Results,
-  /// profiles, traces and fault logs are bit-identical either way — the
-  /// switch exists so tests can assert exactly that.
+  /// on; GRAPHENE_NO_FUSION=1 disables it at construction; it never applies
+  /// at one host thread). Results, profiles, traces, tile profiles and fault
+  /// logs are bit-identical either way — the switch exists so tests can
+  /// assert exactly that.
   void setSuperstepFusion(bool enabled) { fusionEnabled_ = enabled; }
   bool superstepFusion() const { return fusionEnabled_; }
 
@@ -131,10 +134,12 @@ class Engine {
   /// short reason token ("deadline", "cancelled", ...) to stop. On a
   /// non-null return run() throws graphene::CancelledError carrying that
   /// reason — after the superstep has been committed to profile, trace and
-  /// simulated clock, so a deadline overshoot is bounded by one superstep.
-  /// The robustness envelope of the solver service plugs per-job deadlines
-  /// and client cancellation in here. With no check attached the hook is a
-  /// single branch.
+  /// simulated clock, so a deadline overshoot is bounded by one superstep and
+  /// the error, profile and trace are the same with or without fusion.
+  /// Tensor contents after a cancel are unspecified: a fused run may already
+  /// have simulated later members' tile work. The robustness envelope of the
+  /// solver service plugs per-job deadlines and client cancellation in here.
+  /// With no check attached the hook is a single branch.
   using CancelCheck = std::function<const char*(const Engine&)>;
   void setCancelCheck(CancelCheck check) { cancel_ = std::move(check); }
 
@@ -204,6 +209,20 @@ class Engine {
     std::size_t builtVertices = 0;
   };
 
+  /// One compute set being run as a superstep: its plan, the superstep index
+  /// it commits as, and per task the runTileTask outputs (tile cycles and
+  /// worker-busy slots). Each task writes only its own slots, so the host
+  /// pool can fill them.
+  struct SuperstepRun {
+    const ComputeSet* cs = nullptr;
+    const ExecPlan* plan = nullptr;
+    std::size_t superstep = 0;
+    std::vector<double> cycles;
+    std::vector<double> busy;
+  };
+
+  struct FusedPlan;
+
   /// Recursive program-tree walk (run() minus the fusion-pass front door).
   void runNode(const ProgramPtr& program);
   /// Returns the cached fused form of `program`, rebuilding when the source
@@ -211,14 +230,25 @@ class Engine {
   /// cache keys can never be reused by a recycled allocation.
   const ProgramPtr& fusedFor(const ProgramPtr& program);
   void runExecute(ComputeSetId cs);
-  /// Runs an ExecuteFused step. With no dynamic attachments (fault plan,
-  /// health monitor, trace sink, tile profile, cancel check, excluded
-  /// tiles), each tile's work for all member compute sets runs back-to-back
-  /// — one host dispatch for the whole run — and the members are then
-  /// committed serially in program order, reproducing runExecute's profile
-  /// updates exactly. Any attachment falls back to per-member runExecute, so
-  /// hooks fire in exactly the unfused order.
+  /// Runs an ExecuteFused step: each tile's work for all member compute sets
+  /// runs back-to-back as one host task, then every member is committed as
+  /// its own superstep in program order through commitCompute — so trace
+  /// sinks, tile profiles, cancel checks and excluded tiles see exactly the
+  /// unfused run. Only a fault plan or health monitor, which must act on
+  /// storage between supersteps, makes the members run as plain supersteps.
   void runExecuteFused(const ProgramPtr& program);
+  /// Points runs_[0, sets.size()) at `sets`, to be committed as the next
+  /// supersteps in order, with zeroed per-task scratch.
+  void prepareRuns(std::span<const ComputeSetId> sets);
+  /// Simulates the tile tasks of the prepared runs: runs_[0]'s tasks one per
+  /// host task, or with `fused` each tile's whole worklist as one host task.
+  /// Skips excluded tiles, charges dead tiles and refreshes the tile
+  /// profile's SRAM snapshot first.
+  void runTiles(const FusedPlan* fused);
+  /// Commits one compute superstep from its per-task cycles: serial
+  /// reduction, watchdog, fault hooks, Profile, tile profile, metrics, trace,
+  /// simulated clock and the watchdog abort, then the cancel poll.
+  void commitCompute(const SuperstepRun& run);
   /// Throws CancelledError when the attached cancel check requests a stop.
   /// Called after a superstep is fully committed.
   void checkCancelled();
@@ -229,7 +259,11 @@ class Engine {
                      TensorStorage* storage, std::size_t task,
                      double* workerBusyOut = nullptr);
   const ExecPlan& planFor(ComputeSetId cs);
+  /// Runs a Copy step — its cached plan, or under a fault plan a walk of its
+  /// segments — and commits it as one exchange superstep.
   void runCopy(const ProgramPtr& program);
+  ipu::ExchangeStats replayCopy(const ProgramPtr& node);
+  ipu::ExchangeStats walkCopy(const Program& program);
   void syncStorage();
   /// Refreshes the tile profile's SRAM snapshot from the graph's memory
   /// ledger and tensor table (re-run whenever the tensor count grew).
@@ -252,8 +286,7 @@ class Engine {
   std::size_t numHostThreads_ = 1;
   std::unique_ptr<support::ThreadPool> hostPool_;  // null when single-threaded
   std::vector<ExecPlan> plans_;                    // indexed by ComputeSetId
-  std::vector<double> tileCycles_;                 // per-task scratch
-  std::vector<double> tileBusy_;     // per-task worker-busy scratch (profiling)
+  std::vector<SuperstepRun> runs_;                 // per dispatched member
   std::vector<char> tileExcluded_;                 // empty = none excluded
 
   /// Per-tile worklist for one ExecuteFused step: for every tile with work,
@@ -273,12 +306,12 @@ class Engine {
     std::vector<std::size_t> builtVertices;  // per member
   };
 
-  /// Resolved form of a Copy step: every delivered (src, dst) window plus
-  /// the priced exchange stats. Both are static — segments are immutable and
-  /// tile offsets are fixed at tensor creation — so with no fault plan or
-  /// tile profile attached (whose hooks observe individual segments) an
-  /// exchange superstep replays from here without re-walking the segments;
-  /// a zero-byte exchange reduces to charging the (zero) priced cost.
+  /// Resolved form of a Copy step: every delivered (src, dst) window, the
+  /// fabric transfers they make and the priced exchange stats. All three are
+  /// static — segments are immutable and tile offsets are fixed at tensor
+  /// creation — so without a fault plan (which decides each transfer's fate)
+  /// an exchange superstep replays from here without re-walking the
+  /// segments; a zero-byte exchange reduces to charging the (zero) cost.
   struct CopyPlan {
     struct Move {
       TensorId src = kInvalidTensor;
@@ -289,13 +322,8 @@ class Engine {
     };
     ProgramPtr node;  // pins the Copy node so the cache key stays unique
     std::vector<Move> moves;
-    double cycles = 0;
-    double intraCycles = 0;
-    double interCycles = 0;
-    std::size_t instructions = 0;
-    std::size_t totalBytes = 0;
-    std::size_t interIpuBytes = 0;
-    std::size_t interIpuMessages = 0;
+    std::vector<ipu::Transfer> transfers;
+    ipu::ExchangeStats stats;
   };
 
   struct FusedProgram {
@@ -308,7 +336,6 @@ class Engine {
   std::unordered_map<const Program*, FusedProgram> fusedPrograms_;
   std::unordered_map<const Program*, FusedPlan> fusedPlans_;
   std::unordered_map<const Program*, CopyPlan> copyPlans_;
-  std::vector<std::vector<double>> fusedCycles_;  // per-member task scratch
 };
 
 }  // namespace graphene::graph

@@ -222,14 +222,15 @@ TEST(ParallelEngine, MixedPrecisionBitIdenticalToSerial) {
 // ---------------------------------------------------------------------------
 // Superstep fusion A/B: fusing adjacent compute supersteps into one host
 // dispatch must be invisible — same solution bits, same Profile totals — on
-// full solver programs, serial and host-parallel, with and without the
-// fallback triggers (fault plan) attached.
+// full solver programs, with and without the fallback triggers (fault plan)
+// attached. The engine fuses only with a host pool, so every fused side runs
+// on at least two host threads.
 // ---------------------------------------------------------------------------
 
 TEST(SuperstepFusion, SolveBitIdenticalFusedVsUnfused) {
   auto g = matrix::poisson2d5(24, 24);
-  SolveObservables unfused = runSolve(g, 8, kCgJson, 1, nullptr, false);
-  SolveObservables fused = runSolve(g, 8, kCgJson, 1, nullptr, true);
+  SolveObservables unfused = runSolve(g, 8, kCgJson, 2, nullptr, false);
+  SolveObservables fused = runSolve(g, 8, kCgJson, 2, nullptr, true);
 
   ASSERT_EQ(unfused.x.size(), fused.x.size());
   for (std::size_t i = 0; i < unfused.x.size(); ++i) {

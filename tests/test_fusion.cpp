@@ -2,21 +2,29 @@
 //
 // graph::fuseSupersteps merges runs of adjacent Execute steps into one
 // ExecuteFused step so the engine can simulate each tile's work for the whole
-// run with a single host dispatch. These tests pin down the legality rules —
-// copies, host calls and ABFT compute sets end a fusable run; fault plans,
-// trace sinks, tile profiles and excluded tiles make the engine fall back to
-// per-superstep execution — and assert the only property that matters: fused
-// and unfused runs are bit-identical in results and exactly equal in every
-// Profile total. The event-driven exchange path (cached copy plans) gets the
+// run with a single host dispatch. The engine applies it only when it has a
+// host pool (two or more host threads), so the fused side of every A/B here
+// runs on two. These tests pin down the legality rules — copies, host calls
+// and ABFT compute sets end a fusable run; only a fault plan (or health
+// monitor) makes the engine fall back to per-superstep execution — and
+// assert the only property that matters: fused and unfused runs are
+// bit-identical in results and exactly equal in every Profile total, trace
+// event, tile profile and cancellation point. Trace sinks, tile profiles,
+// cancel checks and excluded tiles must not stop fusion from engaging; a
+// cancel-check probe that sees whether a later member already ran tells the
+// two apart. The event-driven exchange path (cached copy plans) gets the
 // same treatment against the full per-segment walk.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
 #include <vector>
 
 #include "graph/compiler.hpp"
 #include "graph/engine.hpp"
 #include "graph/graph.hpp"
 #include "ipu/fault.hpp"
+#include "support/tile_profile.hpp"
 #include "support/trace.hpp"
 
 using namespace graphene;
@@ -58,12 +66,14 @@ struct TestRig {
   }
 
   /// Adds a compute set (one vertex per tile) computing x = 2x + k over the
-  /// tile's slice of `data`.
-  ComputeSetId addStep(float k, const std::string& category = "step") {
+  /// tile's slice of `data`. Its codelet sets `ran`, when given.
+  ComputeSetId addStep(float k, const std::string& category = "step",
+                       std::atomic<bool>* ran = nullptr) {
     CodeletId c = g.addCodelet(Codelet{
-        "affine", [k](VertexContext& ctx) {
+        "affine", [k, ran](VertexContext& ctx) {
           auto s = ctx.floatSpan(0);
           for (float& x : s) x = 2.0f * x + k;
+          if (ran != nullptr) ran->store(true);
           return VertexCost{static_cast<double>(s.size()) * 3.0, false};
         }});
     ComputeSetId cs = g.addComputeSet(category);
@@ -95,6 +105,68 @@ struct TestRig {
   }
 };
 
+struct Observers {
+  bool trace = false;
+  bool tileProfile = false;
+  bool excludeTile1 = false;
+};
+
+/// Everything the attached observers saw of one run of `a; b`, plus whether
+/// b's tile work had already run when a was committed — true only when the
+/// engine fused the pair.
+struct Observed {
+  std::vector<float> data;
+  ipu::Profile profile;
+  std::vector<support::TraceEvent> events;
+  std::string tileProfileJson;
+  double simCycles = 0;
+  bool bRanAtFirstCommit = false;
+};
+
+Observed runObserved(std::size_t hostThreads, bool fusion, Observers obs) {
+  TestRig rig;
+  std::atomic<bool> bRan{false};
+  auto seq = Program::sequence();
+  seq->children.push_back(Program::execute(rig.addStep(1.0f)));
+  seq->children.push_back(
+      Program::execute(rig.addStep(2.0f, "step", &bRan)));
+
+  support::TraceSink sink;
+  support::TileProfile tp;
+  Engine e(rig.g, hostThreads);
+  e.setSuperstepFusion(fusion);  // explicit: hold under GRAPHENE_NO_FUSION=1
+  if (obs.trace) e.setTraceSink(&sink);
+  if (obs.tileProfile) e.setTileProfile(&tp);
+  if (obs.excludeTile1) e.setExcludedTiles({1});
+  Observed out;
+  bool polled = false;
+  // The probe: polled after every committed superstep, it never stops.
+  e.setCancelCheck([&](const Engine&) -> const char* {
+    if (!polled) out.bRanAtFirstCommit = bRan.load();
+    polled = true;
+    return nullptr;
+  });
+  out.data = rig.runOn(e, seq);
+  out.profile = e.profile();
+  out.events = sink.events();
+  if (obs.tileProfile) {
+    out.tileProfileJson = support::tileProfileToJson(tp).dump(2);
+  }
+  out.simCycles = e.simCycles();
+  return out;
+}
+
+void expectSameObservations(const Observed& a, const Observed& b) {
+  EXPECT_EQ(a.data, b.data);
+  expectProfilesIdentical(a.profile, b.profile);
+  ASSERT_EQ(a.events.size(), b.events.size());
+  for (std::size_t i = 0; i < a.events.size(); ++i) {
+    EXPECT_TRUE(a.events[i] == b.events[i]) << "traces diverge at event " << i;
+  }
+  EXPECT_EQ(a.tileProfileJson, b.tileProfileJson);
+  EXPECT_EQ(a.simCycles, b.simCycles);
+}
+
 }  // namespace
 
 TEST(Fusion, FusesAdjacentExecuteRunsOnly) {
@@ -120,7 +192,7 @@ TEST(Fusion, FusesAdjacentExecuteRunsOnly) {
   // total (each member commits its own superstep).
   Engine unfused(rig.g, 1);
   unfused.setSuperstepFusion(false);
-  Engine fusedEngine(rig.g, 1);
+  Engine fusedEngine(rig.g, 2);
   // Force fusion on so the A/B holds even when the whole suite runs under
   // GRAPHENE_NO_FUSION=1 (the CI oracle job).
   fusedEngine.setSuperstepFusion(true);
@@ -215,7 +287,7 @@ TEST(Fusion, FaultPlanFallsBackAndStaysIdentical) {
   Engine unfused(rigA.g, 1);
   unfused.setSuperstepFusion(false);
   unfused.setFaultPlan(&planA);
-  Engine fused(rigB.g, 1);
+  Engine fused(rigB.g, 2);
   fused.setSuperstepFusion(true);  // hold the A/B under GRAPHENE_NO_FUSION=1
   fused.setFaultPlan(&planB);
   const std::vector<float> want = rigA.runOn(unfused, seqA);
@@ -225,61 +297,101 @@ TEST(Fusion, FaultPlanFallsBackAndStaysIdentical) {
   EXPECT_FALSE(fused.profile().faultEvents.empty());
 }
 
-TEST(Fusion, TraceSinkFallsBackAndStaysIdentical) {
-  TestRig rigA;
-  auto seqA = Program::sequence();
-  seqA->children.push_back(Program::execute(rigA.addStep(1.0f)));
-  seqA->children.push_back(Program::execute(rigA.addStep(2.0f)));
-  TestRig rigB;
-  auto seqB = Program::sequence();
-  seqB->children.push_back(Program::execute(rigB.addStep(1.0f)));
-  seqB->children.push_back(Program::execute(rigB.addStep(2.0f)));
-
-  support::TraceSink sinkA, sinkB;
-  Engine unfused(rigA.g, 1);
-  unfused.setSuperstepFusion(false);
-  unfused.setTraceSink(&sinkA);
-  Engine fused(rigB.g, 1);
-  fused.setSuperstepFusion(true);  // hold the A/B under GRAPHENE_NO_FUSION=1
-  fused.setTraceSink(&sinkB);
-  const std::vector<float> want = rigA.runOn(unfused, seqA);
-  const std::vector<float> got = rigB.runOn(fused, seqB);
-  EXPECT_EQ(want, got);
-  expectProfilesIdentical(unfused.profile(), fused.profile());
-  // A trace-enabled run must still see one event per superstep, at the same
-  // timestamps — fusion is required to fall back, not to skip emission.
-  ASSERT_EQ(sinkA.events().size(), sinkB.events().size());
-  for (std::size_t i = 0; i < sinkA.events().size(); ++i) {
-    EXPECT_EQ(sinkA.events()[i].startCycle, sinkB.events()[i].startCycle);
-    EXPECT_EQ(sinkA.events()[i].durationCycles,
-              sinkB.events()[i].durationCycles);
-  }
+TEST(Fusion, TraceSinkFusesAndStaysIdentical) {
+  const Observed fused = runObserved(2, true, {.trace = true});
+  const Observed unfused = runObserved(1, false, {.trace = true});
+  EXPECT_TRUE(fused.bRanAtFirstCommit);
+  EXPECT_FALSE(unfused.bRanAtFirstCommit);
+  expectSameObservations(unfused, fused);
+  // A compute and a sync event per superstep, at the unfused timestamps.
+  EXPECT_EQ(fused.events.size(), 4u);
 }
 
-TEST(Fusion, ExcludedTilesFallBackAndStayIdentical) {
-  TestRig rigA;
-  auto seqA = Program::sequence();
-  seqA->children.push_back(Program::execute(rigA.addStep(1.0f)));
-  seqA->children.push_back(Program::execute(rigA.addStep(2.0f)));
-  TestRig rigB;
-  auto seqB = Program::sequence();
-  seqB->children.push_back(Program::execute(rigB.addStep(1.0f)));
-  seqB->children.push_back(Program::execute(rigB.addStep(2.0f)));
-
-  Engine unfused(rigA.g, 1);
-  unfused.setSuperstepFusion(false);
-  unfused.setExcludedTiles({1});
-  Engine fused(rigB.g, 1);
-  fused.setSuperstepFusion(true);  // hold the A/B under GRAPHENE_NO_FUSION=1
-  fused.setExcludedTiles({1});
-  const std::vector<float> want = rigA.runOn(unfused, seqA);
-  const std::vector<float> got = rigB.runOn(fused, seqB);
-  EXPECT_EQ(want, got);
-  expectProfilesIdentical(unfused.profile(), fused.profile());
+TEST(Fusion, ExcludedTilesFuseAndStayIdentical) {
+  const Observed fused = runObserved(2, true, {.excludeTile1 = true});
+  const Observed unfused = runObserved(1, false, {.excludeTile1 = true});
+  EXPECT_TRUE(fused.bRanAtFirstCommit);
+  EXPECT_FALSE(unfused.bRanAtFirstCommit);
+  expectSameObservations(unfused, fused);
   // The excluded tile really executed nothing: its slice still holds the
   // uploaded values.
-  EXPECT_EQ(got[4], 5.0f);
-  EXPECT_EQ(got[7], 8.0f);
+  EXPECT_EQ(fused.data[4], 5.0f);
+  EXPECT_EQ(fused.data[7], 8.0f);
+}
+
+TEST(Fusion, EngagesUnderEveryObserverAndStaysIdentical) {
+  // Trace sink, tile profile, cancel check and an excluded tile at once:
+  // with a host pool the pair still fuses, and without one (or with fusion
+  // switched off) it does not. Every observation is the same either way.
+  const Observers all{.trace = true, .tileProfile = true, .excludeTile1 = true};
+  const Observed fused = runObserved(2, true, all);
+  const Observed switchedOff = runObserved(2, false, all);
+  const Observed oneThread = runObserved(1, true, all);
+  EXPECT_TRUE(fused.bRanAtFirstCommit);
+  EXPECT_FALSE(switchedOff.bRanAtFirstCommit);
+  EXPECT_FALSE(oneThread.bRanAtFirstCommit);
+  expectSameObservations(switchedOff, fused);
+  expectSameObservations(switchedOff, oneThread);
+  EXPECT_FALSE(fused.tileProfileJson.empty());
+}
+
+TEST(Fusion, CancelMidFusedRunStopsAtTheUnfusedSuperstep) {
+  // The check fires at the second of three commits. The fused engine has
+  // simulated all three members' tile work by then, yet it must throw the
+  // same error (superstep, cycle) and leave the same Profile and trace as
+  // the unfused run; only tensor contents may have run ahead.
+  struct Stopped {
+    std::string message;
+    ipu::Profile profile;
+    std::vector<support::TraceEvent> events;
+    double simCycles = 0;
+    bool cRan = false;
+  };
+  auto run = [](std::size_t hostThreads, bool fusion) {
+    TestRig rig;
+    std::atomic<bool> cRan{false};
+    auto seq = Program::sequence();
+    seq->children.push_back(Program::execute(rig.addStep(1.0f)));
+    seq->children.push_back(Program::execute(rig.addStep(2.0f)));
+    seq->children.push_back(
+        Program::execute(rig.addStep(3.0f, "step", &cRan)));
+    support::TraceSink sink;
+    Engine e(rig.g, hostThreads);
+    e.setSuperstepFusion(fusion);
+    e.setTraceSink(&sink);
+    int polls = 0;
+    e.setCancelCheck([&polls](const Engine&) -> const char* {
+      return ++polls == 2 ? "deadline" : nullptr;
+    });
+    Stopped out;
+    try {
+      rig.runOn(e, seq);
+      ADD_FAILURE() << "the cancel check did not stop the run";
+    } catch (const CancelledError& ce) {
+      out.message = ce.what();
+      EXPECT_EQ(ce.reason(), "deadline");
+    }
+    out.profile = e.profile();
+    out.events = sink.events();
+    out.simCycles = e.simCycles();
+    out.cRan = cRan.load();
+    return out;
+  };
+  const Stopped unfused = run(1, false);
+  const Stopped fused = run(2, true);
+  EXPECT_FALSE(unfused.cRan);
+  EXPECT_TRUE(fused.cRan);  // the fused run really ran ahead on the tiles
+  EXPECT_NE(unfused.message.find("after superstep 2 at cycle"),
+            std::string::npos)
+      << unfused.message;
+  EXPECT_EQ(unfused.message, fused.message);
+  expectProfilesIdentical(unfused.profile, fused.profile);
+  EXPECT_EQ(fused.profile.computeSupersteps, 2u);
+  ASSERT_EQ(unfused.events.size(), fused.events.size());
+  for (std::size_t i = 0; i < fused.events.size(); ++i) {
+    EXPECT_TRUE(unfused.events[i] == fused.events[i]) << "event " << i;
+  }
+  EXPECT_EQ(unfused.simCycles, fused.simCycles);
 }
 
 TEST(Fusion, FusedPlanRebuildsWhenComputeSetGrows) {
@@ -301,7 +413,7 @@ TEST(Fusion, FusedPlanRebuildsWhenComputeSetGrows) {
 
   Engine unfused(rigA.g, 1);
   unfused.setSuperstepFusion(false);
-  Engine fused(rigB.g, 1);
+  Engine fused(rigB.g, 2);
   fused.setSuperstepFusion(true);  // hold the A/B under GRAPHENE_NO_FUSION=1
   rigA.runOn(unfused, seqA);
   rigB.runOn(fused, seqB);
@@ -329,9 +441,9 @@ TEST(Fusion, FusedPlanRebuildsWhenComputeSetGrows) {
 }
 
 TEST(Exchange, CachedCopyPlanMatchesSegmentWalk) {
-  // The engine resolves a Copy step once and replays it when no fault plan
-  // or tile profile is attached. An *empty* fault plan forces the full
-  // per-segment walk without changing any outcome — a perfect oracle.
+  // The engine resolves a Copy step once and replays it unless a fault plan
+  // is attached. An *empty* fault plan forces the full per-segment walk
+  // without changing any outcome — a perfect oracle.
   TestRig rigA;
   auto seqA = Program::sequence();
   seqA->children.push_back(
@@ -364,6 +476,30 @@ TEST(Exchange, CachedCopyPlanMatchesSegmentWalk) {
   rigB.runOn(cached, seqB);
   EXPECT_EQ(cached.profile().exchangedBytes, 2 * bytesOnce);
   EXPECT_EQ(cached.profile().exchangeCycles, 2 * cyclesOnce);
+
+  // A tile profile does not make the engine walk: the cached plan records
+  // its resolved transfers into the traffic matrix, which — like the
+  // exchange totals — must match the walk's, on the first run and on a
+  // replay alike.
+  support::TileProfile walkedTp, cachedTp;
+  Engine walkedProfiled(rigA.g, 1);
+  walkedProfiled.setFaultPlan(&empty);
+  walkedProfiled.setTileProfile(&walkedTp);
+  Engine cachedProfiled(rigB.g, 1);
+  cachedProfiled.setTileProfile(&cachedTp);
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE(pass);
+    EXPECT_EQ(rigA.runOn(walkedProfiled, seqA),
+              rigB.runOn(cachedProfiled, seqB));
+    EXPECT_GT(cachedTp.traffic.totalBytes(), 0u);
+    EXPECT_EQ(cachedTp.traffic.totalBytes(),
+              static_cast<std::uint64_t>(
+                  cachedProfiled.profile().exchangedBytes));
+    EXPECT_EQ(walkedTp.exchangeCycles, cachedTp.exchangeCycles);
+    EXPECT_EQ(walkedTp.exchangeSupersteps, cachedTp.exchangeSupersteps);
+    EXPECT_EQ(support::tileProfileToJson(walkedTp).dump(2),
+              support::tileProfileToJson(cachedTp).dump(2));
+  }
 }
 
 TEST(Exchange, ZeroByteExchangeIsSkippedButStillCommitted) {

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
 
 #include "graph/engine.hpp"
 #include "matrix/generators.hpp"
@@ -57,10 +58,13 @@ struct ProfiledSetup {
   }
 
   /// Runs the program on a fresh engine; attaches `profile` when non-null.
+  /// `fusion` overrides the engine's superstep-fusion default when given.
   std::unique_ptr<graph::Engine> run(TileProfile* profile,
-                                     std::size_t hostThreads = 1) {
+                                     std::size_t hostThreads = 1,
+                                     std::optional<bool> fusion = {}) {
     solver->clearHistory();
     auto engine = std::make_unique<graph::Engine>(ctx->graph(), hostThreads);
+    if (fusion) engine->setSuperstepFusion(*fusion);
     if (profile != nullptr) engine->setTileProfile(profile);
     A->upload(*engine);
     A->writeVector(*engine, *b, rhs);
@@ -152,19 +156,30 @@ TEST(TileProfileTraffic, MatrixSumsEqualExchangedBytes) {
   EXPECT_GT(tp.traffic.sendInstructions(), 0u);
 }
 
-// All recording happens in the engine's serial reduction pass, so the
+// All recording happens in the engine's serial commit passes, so the
 // serialised report is byte-identical whether 1 or 8 host threads simulate
-// the tiles.
+// the tiles, and whether or not the 8-thread engine fuses supersteps.
 TEST(TileProfileDeterminism, ReportBitIdenticalAcrossHostThreads) {
+  struct Input {
+    const char* name;
+    std::optional<bool> serialFusion, parallelFusion;
+  };
+  const Input inputs[] = {
+      {"default fusion setting", {}, {}},
+      {"8 threads fused vs 1 thread unfused", false, true},
+  };
   ProfiledSetup setup;
-  TileProfile serial, parallel;
-  setup.run(&serial, 1);
-  setup.run(&parallel, 8);
+  for (const Input& in : inputs) {
+    SCOPED_TRACE(in.name);
+    TileProfile serial, parallel;
+    setup.run(&serial, 1, in.serialFusion);
+    setup.run(&parallel, 8, in.parallelFusion);
 
-  const std::string a = support::tileProfileToJson(serial).dump(2);
-  const std::string b = support::tileProfileToJson(parallel).dump(2);
-  EXPECT_EQ(a, b);
-  ASSERT_GT(serial.totalComputeCycles(), 0.0);
+    const std::string a = support::tileProfileToJson(serial).dump(2);
+    const std::string b = support::tileProfileToJson(parallel).dump(2);
+    EXPECT_EQ(a, b);
+    ASSERT_GT(serial.totalComputeCycles(), 0.0);
+  }
 }
 
 // Pay-for-what-you-use: with no TileProfile attached the engine runs the

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <thread>
 
 #include "graph/engine.hpp"
@@ -55,12 +56,15 @@ struct TracedSetup {
     rhs.assign(g.matrix.rows(), 1.0);
   }
 
-  /// Runs the program on a fresh engine with `sink` attached.
+  /// Runs the program on a fresh engine with `sink` attached; `fusion`
+  /// overrides the engine's superstep-fusion default when given.
   std::unique_ptr<graph::Engine> run(TraceSink& sink,
                                      std::size_t hostThreads = 1,
-                                     ipu::FaultPlan* plan = nullptr) {
+                                     ipu::FaultPlan* plan = nullptr,
+                                     std::optional<bool> fusion = {}) {
     solver->clearHistory();
     auto engine = std::make_unique<graph::Engine>(ctx->graph(), hostThreads);
+    if (fusion) engine->setSuperstepFusion(*fusion);
     engine->setTraceSink(&sink);
     if (plan != nullptr) {
       plan->reset();
@@ -78,25 +82,38 @@ struct TracedSetup {
 // Tile stats (min/mean/max/straggler) are computed in one serial pass in
 // task order, so the timeline — timestamps, durations, straggler picks,
 // iteration samples — must be byte-identical whether 1 or 8 host threads
-// simulate the tiles.
+// simulate the tiles, and whether or not the 8-thread engine fuses
+// supersteps (fused members commit, and trace, in the unfused order).
 TEST(TraceDeterminism, BitIdenticalAcrossHostThreads) {
+  struct Input {
+    const char* name;
+    std::optional<bool> serialFusion, parallelFusion;
+  };
+  const Input inputs[] = {
+      {"default fusion setting", {}, {}},
+      {"8 threads fused vs 1 thread unfused", false, true},
+  };
   TracedSetup setup;
-  TraceSink serial, parallel;
-  setup.run(serial, 1);
-  setup.run(parallel, 8);
+  for (const Input& in : inputs) {
+    SCOPED_TRACE(in.name);
+    TraceSink serial, parallel;
+    setup.run(serial, 1, nullptr, in.serialFusion);
+    setup.run(parallel, 8, nullptr, in.parallelFusion);
 
-  ASSERT_GT(serial.recorded(), 0u);
-  ASSERT_EQ(serial.recorded(), parallel.recorded());
-  auto a = serial.events();
-  auto b = parallel.events();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_TRUE(a[i] == b[i]) << "timelines diverge at event " << i << " ("
-                              << support::toString(a[i].kind) << " '"
-                              << a[i].name << "')";
+    ASSERT_GT(serial.recorded(), 0u);
+    ASSERT_EQ(serial.recorded(), parallel.recorded());
+    auto a = serial.events();
+    auto b = parallel.events();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_TRUE(a[i] == b[i]) << "timelines diverge at event " << i << " ("
+                                << support::toString(a[i].kind) << " '"
+                                << a[i].name << "')";
+    }
+    EXPECT_EQ(serial.computeSummary().size(),
+              parallel.computeSummary().size());
+    EXPECT_DOUBLE_EQ(serial.totalCycles(), parallel.totalCycles());
   }
-  EXPECT_EQ(serial.computeSummary().size(), parallel.computeSummary().size());
-  EXPECT_DOUBLE_EQ(serial.totalCycles(), parallel.totalCycles());
 }
 
 // The sink's running aggregates sum the same per-superstep doubles in the
