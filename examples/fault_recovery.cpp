@@ -188,8 +188,12 @@ int main(int argc, char** argv) {
   if (!tracePath.empty()) {
     std::ofstream out(tracePath);
     out << support::traceToChromeJson(session.trace()).dump(2) << "\n";
+    std::size_t recoveries = 0;
+    for (const auto& ev : session.trace().events()) {
+      recoveries += ev.kind == support::TraceKind::Recovery ? 1 : 0;
+    }
     std::printf("\ntrace timeline written to %s (%zu recovery events)\n",
-                tracePath.c_str(), session.trace().recoveryCount());
+                tracePath.c_str(), recoveries);
   }
   return 0;
 }

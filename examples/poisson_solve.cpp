@@ -4,7 +4,7 @@
 //
 // Demonstrates: SolveSession driving a JSON-configured MPIR + PBiCGStab +
 // ILU(0) hierarchy, the refinement history, and the per-category cycle
-// summary derived from the execution trace.
+// summary of the solve's profile.
 //
 // Usage: ./example_poisson_solve [grid=24] [tiles=32] [--profile out.json]
 //   --profile enables tile-level profiling and writes the report as JSON
@@ -77,9 +77,8 @@ int main(int argc, char** argv) {
                 rec.residual);
   }
 
-  std::printf("\n%s", support::traceSummaryTable(session.trace())
-                          .render()
-                          .c_str());
+  std::printf("\n%s",
+              ipu::profileSummaryTable(session.profile()).render().c_str());
   std::printf("simulated solve time: %.3f ms\n",
               1e3 * result.simulatedSeconds);
 

@@ -60,11 +60,10 @@ int main(int argc, char** argv) {
   std::printf("time on IPU  = %.3f ms (simulated)\n",
               1e3 * result.simulatedSeconds);
 
-  // The same trace that feeds the Chrome export renders as a per-category
-  // cycle summary (the paper's Table IV granularity).
-  std::printf("\n%s", support::traceSummaryTable(session.trace())
-                          .render()
-                          .c_str());
+  // The solve's cycle profile, per compute category (the paper's Table IV
+  // granularity); the trace holds the same supersteps as a timeline.
+  std::printf("\n%s",
+              ipu::profileSummaryTable(session.profile()).render().c_str());
 
   if (metricsText) {
     std::printf("\n%s", support::metricsToPrometheusText(

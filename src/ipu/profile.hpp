@@ -4,7 +4,9 @@
 //
 // Compute cycles are attributed to the *category* of the compute set that
 // spent them (e.g. "spmv", "reduce", "ilu_solve", "extended_precision"),
-// which is exactly the granularity of the paper's Table IV breakdown.
+// which is exactly the granularity of the paper's Table IV breakdown. The
+// Profile is the run's one ledger of totals: a support::TraceSink only
+// keeps the bounded timeline of the same run.
 #pragma once
 
 #include <cstddef>
@@ -13,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "support/table.hpp"
 #include "support/trace.hpp"
 
 namespace graphene::ipu {
@@ -171,5 +174,12 @@ struct Profile {
     return *this;
   }
 };
+
+/// Per-category cycle breakdown of a run — the paper's Table IV: category,
+/// supersteps, cycles, share of total, mean-tile cycles, BSP imbalance
+/// (critical path / mean) and the worst straggler tile, then one row each
+/// for exchange and sync. Rendered from the Profile alone, so it covers the
+/// whole run whether or not a trace ring was attached or wrapped.
+TextTable profileSummaryTable(const Profile& profile);
 
 }  // namespace graphene::ipu

@@ -10,42 +10,14 @@ namespace graphene::solver {
 
 namespace {
 
-/// One trace event as a flat JSON object — only the fields its kind
-/// actually uses, so the artifact stays readable.
+/// One lifecycle event as a flat JSON object.
 json::Object traceEventToJson(const support::TraceEvent& ev) {
-  using support::TraceKind;
   json::Object o;
   o["type"] = "trace";
   o["kind"] = std::string(support::toString(ev.kind));
   o["name"] = ev.name;
   o["startCycle"] = ev.startCycle;
-  o["superstep"] = ev.superstep;
   if (ev.jobId != SIZE_MAX) o["jobId"] = ev.jobId;
-  switch (ev.kind) {
-    case TraceKind::ComputeSuperstep:
-      o["durationCycles"] = ev.durationCycles;
-      o["tileMin"] = ev.tileMin;
-      o["tileMean"] = ev.tileMean;
-      o["tileMax"] = ev.tileMax;
-      if (ev.stragglerTile != SIZE_MAX) o["stragglerTile"] = ev.stragglerTile;
-      o["activeTiles"] = ev.activeTiles;
-      break;
-    case TraceKind::ExchangeSuperstep:
-      o["durationCycles"] = ev.durationCycles;
-      o["bytes"] = ev.bytes;
-      break;
-    case TraceKind::Sync:
-      o["durationCycles"] = ev.durationCycles;
-      break;
-    case TraceKind::Iteration:
-      o["iteration"] = ev.iteration;
-      if (ev.residual >= 0) o["residual"] = ev.residual;
-      break;
-    case TraceKind::Fault:
-    case TraceKind::Recovery:
-    case TraceKind::Job:
-      break;
-  }
   if (!ev.detail.empty()) o["detail"] = ev.detail;
   return o;
 }
@@ -78,16 +50,14 @@ void FlightRecorder::record(std::size_t jobId,
   }
 }
 
-void FlightRecorder::recordAttempt(
-    std::size_t jobId, const std::vector<support::TraceEvent>& traceEvents,
-    std::vector<ipu::FaultEvent> faultLog, json::Value healthReport) {
-  for (const support::TraceEvent& ev : traceEvents) record(jobId, ev);
+void FlightRecorder::recordAttempt(std::size_t jobId,
+                                   std::vector<ipu::FaultEvent> faultLog,
+                                   json::Value healthReport) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = jobs_.find(jobId);
   if (it == jobs_.end() || it->second.sealed) return;
   // The final attempt's fault log / health report replace earlier ones:
-  // that is the attempt whose verdict the job carries, and every attempt's
-  // timeline events are already in the ring above.
+  // that is the attempt whose verdict the job carries.
   it->second.record.faultLog = std::move(faultLog);
   it->second.record.healthReport = std::move(healthReport);
 }

@@ -1,19 +1,21 @@
 // FlightRecorder — the per-job "black box" of the serving layer.
 //
 // When a solve job dies in production the postmortem questions are always
-// the same: what did the job's timeline look like, which faults fired,
-// what did the watchdog see, and which exact configuration was it running?
-// Scrolling a service-wide trace ring for that is hopeless once thousands
-// of jobs have flowed through it — the ring has long wrapped. The flight
-// recorder instead keeps a small bounded buffer *per job* while it runs
-// (its lifecycle events, its solver/fault/recovery trace events, the fault
-// log and health report of each attempt) and retains the sealed record for
-// the last N terminal jobs.
+// the same: what happened to the job, which faults fired and which
+// recoveries ran, what did the watchdog see, and which exact configuration
+// was it running? Scrolling a service-wide trace ring for that is hopeless
+// once thousands of jobs have flowed through it — the ring has long
+// wrapped. The flight recorder instead keeps a small bounded buffer *per
+// job* while it runs (its own lifecycle events — job:accepted, job:start,
+// job:retry, ..., job:done — plus the fault log and health report of its
+// final attempt) and retains the sealed record for the last N terminal
+// jobs. Pipeline events (supersteps, iterations) stay in the pipeline's
+// trace ring: the record holds only what is the job's own.
 //
 // On a failed job the service dumps the record automatically as a JSONL
 // artifact (one self-describing object per line — the aviation black box,
 // not the whole fleet's radar): a `job` header line with verdict, attempts
-// and fingerprints, one `trace` line per buffered event, one `fault` line
+// and fingerprints, one `trace` line per lifecycle event, one `fault` line
 // per fault-log entry, and a `health` line with the watchdog report.
 // `GET /flight/<id>` serves the same JSONL for any retained job, failed or
 // not.
@@ -53,14 +55,14 @@ struct FlightRecord {
   std::uint64_t topologyFingerprint = 0;
   std::string solverConfig;  // canonical compact dump
 
-  /// Buffered timeline: service lifecycle events plus the solver-level
-  /// iteration/fault/recovery events of every attempt, oldest first.
-  /// Bounded — `droppedEvents` counts what the ring overwrote.
+  /// The job's lifecycle events, oldest first. Bounded — `droppedEvents`
+  /// counts what the ring overwrote.
   std::vector<support::TraceEvent> events;
   std::size_t droppedEvents = 0;
 
   /// Structured fault log of the final attempt (faults injected and
-  /// recovery actions taken, execution order).
+  /// recovery actions taken, execution order; the session carries earlier
+  /// remap attempts' entries into it).
   std::vector<ipu::FaultEvent> faultLog;
   /// Watchdog health report of the final attempt ({} when none ran).
   json::Value healthReport;
@@ -80,13 +82,10 @@ class FlightRecorder {
   /// are ignored — emission sites stay unconditional.
   void record(std::size_t jobId, const support::TraceEvent& event);
 
-  /// Folds one solve attempt's artifacts in: solver/fault/recovery trace
-  /// events go through the ring; the fault log and health report replace
-  /// the previous attempt's (the final attempt is the one a postmortem
-  /// wants, and every attempt's *events* are already in the ring).
-  void recordAttempt(std::size_t jobId,
-                     const std::vector<support::TraceEvent>& traceEvents,
-                     std::vector<ipu::FaultEvent> faultLog,
+  /// Folds one solve attempt's artifacts in: its fault log and health
+  /// report replace the previous attempt's (the final attempt is the one a
+  /// postmortem wants; each retry is already a job:retry event).
+  void recordAttempt(std::size_t jobId, std::vector<ipu::FaultEvent> faultLog,
                      json::Value healthReport);
 
   /// Seals the record with its terminal header fields and moves it to the
@@ -101,7 +100,6 @@ class FlightRecorder {
   std::vector<std::size_t> sealedJobs() const;
 
   std::size_t retainJobs() const { return retainJobs_; }
-  std::size_t eventCapacity() const { return eventCapacity_; }
 
  private:
   struct Buffer {

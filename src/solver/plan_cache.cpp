@@ -142,19 +142,6 @@ void PlanCache::release(const SolveSession* session, bool invalidate) {
   // entries are never evicted — so this is the never-inserted case).
 }
 
-std::size_t PlanCache::invalidate(const Key& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t dropped = 0;
-  for (std::size_t i = entries_.size(); i-- > 0;) {
-    if (!entries_[i].busy && entries_[i].key == key) {
-      entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
-      dropped += 1;
-    }
-  }
-  stats_.invalidations += dropped;
-  return dropped;
-}
-
 std::size_t PlanCache::invalidateTopology(std::uint64_t topologyFp) {
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t dropped = 0;

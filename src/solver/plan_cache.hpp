@@ -117,10 +117,6 @@ class PlanCache {
   /// Sessions never seen by insert() (cache full / capacity 0) are ignored.
   void release(const SolveSession* session, bool invalidate);
 
-  /// Drops every idle entry under `key` (leased ones are dropped at
-  /// release). Returns how many entries were invalidated.
-  std::size_t invalidate(const Key& key);
-
   /// Drops every idle entry whose pipeline was built for the machine shape
   /// with fingerprint `topologyFp` — the chip-dead path: once a chip is
   /// gone, every plan compiled for the pre-shrink pod is stale regardless

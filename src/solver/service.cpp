@@ -388,21 +388,13 @@ void SolverService::recordJob(const JobEvent& event, std::size_t jobId,
                               const std::string& detail) {
   if (event.counter != nullptr) metrics_.addCounter(event.counter, 1);
   if (event.trace == nullptr) return;
-  double seq;
+  support::TraceEvent ev;
   {
     std::lock_guard<std::mutex> lock(traceMu_);
-    seq = static_cast<double>(++traceSeq_);
-    support::recordJobEvent(&trace_, event.trace, jobId, seq, detail);
+    ev = support::recordJobEvent(&trace_, event.trace, jobId,
+                                 static_cast<double>(++traceSeq_), detail);
   }
-  if (jobId != SIZE_MAX) {
-    support::TraceEvent ev;
-    ev.kind = support::TraceKind::Job;
-    ev.name = event.trace;
-    ev.jobId = jobId;
-    ev.startCycle = seq;
-    ev.detail = detail;
-    flight_.record(jobId, ev);
-  }
+  if (jobId != SIZE_MAX) flight_.record(jobId, ev);
   if (log_) {
     json::Object fields;
     if (!detail.empty()) fields["detail"] = detail;
@@ -1011,7 +1003,6 @@ JobResult SolverService::runJob(Job& job,
           session->options().topology->numAliveTiles();
     }
 
-    session->traceSink().setJobId(job.id);
     const double cyclesBefore = cyclesSoFar;
     const auto acceptedAt = job.acceptedAt;
     JobState* st = state.get();
@@ -1076,7 +1067,6 @@ JobResult SolverService::runJob(Job& job,
       retryable = true;
     }
     session->setCancelCheck(nullptr);
-    session->traceSink().setJobId(SIZE_MAX);
     session->unbind();
     // Chips this solve's watchdog escalation retired (copied out — the
     // session is pooled or destroyed below). Non-empty on any exit path
@@ -1084,18 +1074,11 @@ JobResult SolverService::runJob(Job& job,
     const std::vector<std::size_t> deadIpus = session->deadIpus();
     invalidate = invalidate || !deadIpus.empty();
 
-    // Black box: fold this attempt's artifacts into the job's flight
-    // record — its solver-level timeline (the events stamped with this
-    // job's id; pooled sinks carry other jobs' history too), the fault log
-    // and the watchdog report. Best-effort: forensics must never turn a
-    // verdict into a crash.
+    // Black box: fold this attempt's fault log and watchdog report into the
+    // job's flight record. Best-effort: forensics must never turn a verdict
+    // into a crash.
     try {
-      std::vector<support::TraceEvent> attemptEvents;
-      for (const support::TraceEvent& ev : session->trace().events()) {
-        if (ev.jobId == job.id) attemptEvents.push_back(ev);
-      }
-      flight_.recordAttempt(job.id, attemptEvents,
-                            session->profile().faultEvents,
+      flight_.recordAttempt(job.id, session->profile().faultEvents,
                             session->healthReport());
     } catch (...) {
     }

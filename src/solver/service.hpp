@@ -387,9 +387,9 @@ class SolverService {
   std::size_t estimateSramCharge(const matrix::GeneratedMatrix& m,
                                  std::uint64_t structureHash);
   /// The one emission point for lifecycle events: bumps the event's
-  /// counter, stamps its trace line (service timeline + the job's flight
-  /// ring) and appends the structured-log line — all under the same name
-  /// from the job_events table.
+  /// counter, builds its trace event once for the service timeline and the
+  /// job's flight ring, and appends the structured-log line — all under the
+  /// same name from the job_events table.
   void recordJob(const JobEvent& event, std::size_t jobId,
                  const std::string& detail = "");
   void observeTerminal(const JobResult& result);

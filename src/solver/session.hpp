@@ -190,9 +190,6 @@ class SolveSession {
 
   /// The merged execution timeline of the last solve.
   const support::TraceSink& trace() const { return trace_; }
-  /// Mutable sink access for owners that stamp job ids onto the timeline
-  /// (see TraceSink::setJobId / SolverService).
-  support::TraceSink& traceSink() { return trace_; }
   /// Convenience: the last solve's trace in Chrome trace_event JSON
   /// (load into chrome://tracing or Perfetto).
   json::Value traceChromeJson() const { return support::traceToChromeJson(trace_); }

@@ -2,14 +2,18 @@
 //
 // TraceSink answers "what happened inside one solve" with a cycle-stamped
 // ring buffer; a long-running service also needs the *operational* story as
-// an append-only machine-readable log: jobs accepted and finished, faults
-// injected, recoveries taken, chips retired. LogSink writes one JSON object
-// per line (JSONL — `jq`-able, tail -f-able), with the same stable event
-// names and job ids the TraceSink timeline and the service.* counters use,
-// so the three views of one incident always join on the same keys:
+// an append-only machine-readable log. LogSink writes one JSON object per
+// line (JSONL — `jq`-able, tail -f-able). SolverService logs its own start
+// and shutdown, every job lifecycle event (accepted, start, retry, done,
+// ...) under the same stable names and job ids the service timeline and the
+// service.* counters use, and a failed flight-record dump:
 //
-//   {"seq":17,"event":"job:retry","jobId":4,"detail":"nan-detected"}
-//   {"seq":18,"event":"fault:bitflip","jobId":4,"target":"resid","bit":30}
+//   {"event":"service:start","seq":0,"tiles":16,"topologyFingerprint":...}
+//   {"detail":"nan-detected","event":"job:retry","jobId":4,"seq":15}
+//   {"detail":"nan-detected","event":"job:done","jobId":4,"seq":18}
+//
+// Injected faults and recovery actions are not logged; a job's fault log
+// is in its flight record (see solver/flight_recorder.hpp).
 //
 // Lines are written under a mutex (one writer call = one complete line —
 // concurrent workers never interleave mid-line) and flushed per event: a

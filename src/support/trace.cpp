@@ -4,10 +4,10 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <set>
 #include <sstream>
 
 #include "support/error.hpp"
-#include "support/table.hpp"
 
 namespace graphene::support {
 
@@ -284,52 +284,17 @@ TraceSink::TraceSink(std::size_t capacity)
 
 void TraceSink::record(TraceEvent event) {
   if (jobId_ != SIZE_MAX && event.jobId == SIZE_MAX) event.jobId = jobId_;
-  if (event.jobId != SIZE_MAX) jobsSeen_.insert(event.jobId);
-  switch (event.kind) {
-    case TraceKind::ComputeSuperstep: {
-      CategorySummary& s = computeSummary_[event.name];
-      s.supersteps += 1;
-      s.cycles += event.durationCycles;
-      s.tileMeanCycles += event.tileMean;
-      s.tileMinCycles += event.tileMin;
-      if (event.durationCycles > s.worstCycles) {
-        s.worstCycles = event.durationCycles;
-        s.worstStragglerTile = event.stragglerTile;
-      }
-      break;
-    }
-    case TraceKind::ExchangeSuperstep:
-      exchangeCycles_ += event.durationCycles;
-      exchangeSupersteps_ += 1;
-      exchangedBytes_ += event.bytes;
-      break;
-    case TraceKind::Sync:
-      syncCycles_ += event.durationCycles;
-      break;
-    case TraceKind::Iteration:
-      iterationCount_ += 1;
-      break;
-    case TraceKind::Fault:
-      faultCount_ += 1;
-      break;
-    case TraceKind::Recovery:
-      recoveryCount_ += 1;
-      break;
-    case TraceKind::Job:
-      jobEventCount_ += 1;
-      break;
-  }
   if (ring_.size() < capacity_) {
     ring_.push_back(std::move(event));
   } else {
     if (recorded_ == capacity_) {
       // Warn exactly once per filled ring: from here on the timeline is
-      // truncated (the aggregates above stay exact). stderr, not an error —
-      // a wrapped ring is a working configuration, just a lossy one.
+      // truncated. stderr, not an error — a wrapped ring is a working
+      // configuration, just a lossy one, and the Profile's totals are
+      // unaffected.
       std::fprintf(stderr,
                    "graphene: trace ring capacity %zu reached; oldest "
-                   "timeline events are being dropped (summary aggregates "
-                   "remain exact)\n",
+                   "timeline events are being dropped\n",
                    capacity_);
     }
     ring_[recorded_ % capacity_] = std::move(event);
@@ -350,19 +315,8 @@ std::vector<TraceEvent> TraceSink::events() const {
 void TraceSink::clear() {
   ring_.clear();
   recorded_ = 0;
-  computeSummary_.clear();
-  exchangeCycles_ = syncCycles_ = 0;
-  exchangeSupersteps_ = exchangedBytes_ = 0;
-  faultCount_ = recoveryCount_ = iterationCount_ = jobEventCount_ = 0;
-  jobsSeen_.clear();
   // jobId_ survives clear() deliberately: it is the sink's configuration
   // (who is currently being traced), not recorded state.
-}
-
-double TraceSink::totalComputeCycles() const {
-  double s = 0;
-  for (const auto& [k, v] : computeSummary_) s += v.cycles;
-  return s;
 }
 
 void recordIteration(TraceSink* sink, const std::string& solver,
@@ -379,17 +333,17 @@ void recordIteration(TraceSink* sink, const std::string& solver,
   sink->record(std::move(ev));
 }
 
-void recordJobEvent(TraceSink* sink, const std::string& name,
-                    std::size_t jobId, double sequence,
-                    const std::string& detail) {
-  if (sink == nullptr) return;
+TraceEvent recordJobEvent(TraceSink* sink, const std::string& name,
+                          std::size_t jobId, double sequence,
+                          const std::string& detail) {
   TraceEvent ev;
   ev.kind = TraceKind::Job;
   ev.name = name;
   ev.jobId = jobId;
   ev.startCycle = sequence;
   ev.detail = detail;
-  sink->record(std::move(ev));
+  if (sink != nullptr) sink->record(ev);
+  return ev;
 }
 
 namespace {
@@ -543,50 +497,12 @@ json::Value traceToChromeJson(const TraceSink& sink) {
   return json::Value(std::move(root));
 }
 
-TextTable traceSummaryTable(const TraceSink& sink) {
-  TextTable t({"Category", "Supersteps", "Cycles", "% of total",
-               "Mean tile", "Imbalance", "Worst straggler"});
-  const double total = sink.totalCycles();
-  auto pct = [&](double v) {
-    return formatSig(total > 0 ? 100.0 * v / total : 0.0, 3) + "%";
-  };
-  for (const auto& [category, s] : sink.computeSummary()) {
-    const double mean =
-        s.supersteps > 0 ? s.tileMeanCycles / static_cast<double>(s.supersteps)
-                         : 0.0;
-    const double imbalance =
-        s.tileMeanCycles > 0 ? s.cycles / s.tileMeanCycles : 1.0;
-    t.addRow({category, std::to_string(s.supersteps), formatSig(s.cycles, 6),
-              pct(s.cycles), formatSig(mean, 4),
-              formatSig(imbalance, 3) + "x",
-              s.worstStragglerTile == SIZE_MAX
-                  ? "-"
-                  : "tile " + std::to_string(s.worstStragglerTile)});
-  }
-  t.addRow({"exchange", std::to_string(sink.exchangeSupersteps()),
-            formatSig(sink.exchangeCycles(), 6), pct(sink.exchangeCycles()),
-            "-", "-", "-"});
-  t.addRow({"sync", "-", formatSig(sink.syncCycles(), 6),
-            pct(sink.syncCycles()), "-", "-", "-"});
-  if (!sink.jobsSeen().empty()) {
-    // The sink merged events from service-dispatched jobs: say how many, so
-    // a reader knows the per-category rows aggregate across solves.
-    t.addRow({"(jobs)", std::to_string(sink.jobEventCount()) + " events",
-              "-", "-", "-", "-",
-              std::to_string(sink.jobsSeen().size()) + " distinct jobs"});
-  }
-  if (sink.dropped() > 0) {
-    // A wrapped ring must not read as a complete timeline.
-    t.addRow({"(dropped)", std::to_string(sink.dropped()) + " events", "-",
-              "-", "-", "-", "ring wrapped"});
-  }
-  return t;
-}
-
 std::map<std::string, double> traceComputeCycles(const TraceSink& sink) {
   std::map<std::string, double> out;
-  for (const auto& [category, s] : sink.computeSummary()) {
-    out[category] = s.cycles;
+  for (const TraceEvent& ev : sink.events()) {
+    if (ev.kind == TraceKind::ComputeSuperstep) {
+      out[ev.name] += ev.durationCycles;
+    }
   }
   return out;
 }

@@ -16,30 +16,26 @@
 //
 // Pay-for-what-you-use: nothing in this header runs unless a sink is
 // attached to the engine — every emission site is a single null-pointer
-// test. The sink itself is a fixed-capacity ring buffer (old events are
-// overwritten, a drop counter keeps the bookkeeping honest) plus exact
-// running aggregates that survive ring wrap, so summary tables are always
-// computed over the *full* run even when the timeline is truncated.
+// test. The sink is only a timeline: a fixed-capacity ring buffer (old
+// events are overwritten, a drop counter keeps the bookkeeping honest).
+// The run's totals live once, in ipu::Profile, which the engine keeps with
+// or without a sink; ipu::profileSummaryTable() renders them as the
+// paper's Table IV breakdown.
 //
-// Two exporters serialise a trace (trace.cpp):
-//   traceToChromeJson()  Chrome trace_event JSON — load the file in
-//                        chrome://tracing or Perfetto; one row per compute
-//                        category, one per solver, plus exchange/sync/fault
-//                        rows and a residual counter track.
-//   traceSummaryTable()  per-category cycle breakdown (the paper's Table IV
-//                        directly from a trace, no ad-hoc Profile math).
+// traceToChromeJson() (trace.cpp) exports the timeline as Chrome
+// trace_event JSON — load the file in chrome://tracing or Perfetto; one row
+// per compute category, one per solver, plus exchange/sync/fault rows and a
+// residual counter track.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "support/json.hpp"
-#include "support/table.hpp"
 
 namespace graphene::support {
 
@@ -65,9 +61,9 @@ struct TraceEvent {
   std::size_t superstep = 0;  // compute- or exchange-superstep index
 
   /// Stable id of the solve job this event belongs to; SIZE_MAX when the
-  /// trace covers a single anonymous solve. Pooled service workers stamp it
-  /// (TraceSink::setJobId) so interleaved concurrent solves merge into an
-  /// unambiguous timeline — exporters group rows by job.
+  /// trace covers a single anonymous solve. Job lifecycle events carry it
+  /// (recordJobEvent), and TraceSink::setJobId stamps it onto the events of
+  /// a sink shared by several solves, so exporters can group rows by job.
   std::size_t jobId = SIZE_MAX;
 
   // ComputeSuperstep: per-tile cycle distribution across the active tiles.
@@ -224,21 +220,10 @@ class MetricsRegistry {
 std::string metricsToPrometheusText(const MetricsRegistry& metrics,
                                     const std::string& prefix = "graphene");
 
-/// Ring-buffered event sink with exact running aggregates.
+/// Ring-buffered event timeline. It keeps no totals: those are the engine's
+/// ipu::Profile's, so a wrapped ring loses timeline detail, never a total.
 class TraceSink {
  public:
-  /// Per-compute-category aggregate, updated on every record() — exact for
-  /// the whole run even after the ring has wrapped.
-  struct CategorySummary {
-    std::size_t supersteps = 0;
-    double cycles = 0;      // summed superstep durations (critical path)
-    double tileMeanCycles = 0;  // summed per-superstep mean over tiles
-    double tileMinCycles = 0;   // summed per-superstep min over tiles
-    /// Worst single superstep of this category and its straggler tile.
-    double worstCycles = 0;
-    std::size_t worstStragglerTile = SIZE_MAX;
-  };
-
   static constexpr std::size_t kDefaultCapacity = 1 << 16;
 
   explicit TraceSink(std::size_t capacity = kDefaultCapacity);
@@ -246,61 +231,27 @@ class TraceSink {
   void record(TraceEvent event);
 
   /// Stamps every subsequently recorded event that carries no job id of its
-  /// own with `id` (SIZE_MAX turns stamping off). A service worker sets this
-  /// when it leases a pooled pipeline for a job, so engine- and solver-level
-  /// events land in the merged timeline attributed to the right job even
-  /// when several jobs interleave through the same sink over time.
+  /// own with `id` (SIZE_MAX turns stamping off), so engine- and
+  /// solver-level events of several solves through one sink stay
+  /// attributable to their job.
   void setJobId(std::size_t id) { jobId_ = id; }
-  std::size_t jobId() const { return jobId_; }
 
   /// Events still in the ring, oldest first.
   std::vector<TraceEvent> events() const;
 
-  std::size_t capacity() const { return capacity_; }
   std::size_t recorded() const { return recorded_; }
   std::size_t dropped() const {
     return recorded_ > capacity_ ? recorded_ - capacity_ : 0;
   }
 
-  /// Restores the sink to empty (aggregates included).
+  /// Restores the sink to empty.
   void clear();
-
-  // -- exact aggregates ------------------------------------------------------
-  const std::map<std::string, CategorySummary>& computeSummary() const {
-    return computeSummary_;
-  }
-  double exchangeCycles() const { return exchangeCycles_; }
-  double syncCycles() const { return syncCycles_; }
-  std::size_t exchangeSupersteps() const { return exchangeSupersteps_; }
-  std::size_t exchangedBytes() const { return exchangedBytes_; }
-  std::size_t faultCount() const { return faultCount_; }
-  std::size_t recoveryCount() const { return recoveryCount_; }
-  std::size_t iterationCount() const { return iterationCount_; }
-  std::size_t jobEventCount() const { return jobEventCount_; }
-  /// Distinct job ids seen across the whole run (exact, survives ring
-  /// wrap). Empty for a single anonymous solve.
-  const std::set<std::size_t>& jobsSeen() const { return jobsSeen_; }
-  double totalComputeCycles() const;
-  double totalCycles() const {
-    return totalComputeCycles() + exchangeCycles_ + syncCycles_;
-  }
 
  private:
   std::size_t capacity_;
   std::size_t recorded_ = 0;
   std::size_t jobId_ = SIZE_MAX;
   std::vector<TraceEvent> ring_;
-
-  std::map<std::string, CategorySummary> computeSummary_;
-  double exchangeCycles_ = 0;
-  double syncCycles_ = 0;
-  std::size_t exchangeSupersteps_ = 0;
-  std::size_t exchangedBytes_ = 0;
-  std::size_t faultCount_ = 0;
-  std::size_t recoveryCount_ = 0;
-  std::size_t iterationCount_ = 0;
-  std::size_t jobEventCount_ = 0;
-  std::set<std::size_t> jobsSeen_;
 };
 
 /// Records a solver iteration/refinement sample. No-op on a null sink, so
@@ -312,29 +263,22 @@ void recordIteration(TraceSink* sink, const std::string& solver,
 /// Records a solve-job lifecycle event ("job:accepted", "job:start",
 /// "job:retry", "job:done", ...) attributed to `jobId`. `sequence` orders
 /// events on the service's merged timeline (service events have no shared
-/// simulated clock — concurrent engines each run their own). No-op on a
-/// null sink.
-void recordJobEvent(TraceSink* sink, const std::string& name,
-                    std::size_t jobId, double sequence,
-                    const std::string& detail = "");
+/// simulated clock — concurrent engines each run their own). Returns the
+/// event, so a caller can hand the same event to another consumer; a null
+/// sink records nothing.
+TraceEvent recordJobEvent(TraceSink* sink, const std::string& name,
+                          std::size_t jobId, double sequence,
+                          const std::string& detail = "");
 
 /// Serialises the sink's timeline as Chrome trace_event JSON (the
 /// "traceEvents" array format understood by chrome://tracing and Perfetto).
 /// Cycles map to microseconds 1:1 — the UI's time axis reads as cycles.
 json::Value traceToChromeJson(const TraceSink& sink);
 
-/// Per-category cycle breakdown from the sink's exact aggregates: category,
-/// supersteps, cycles, share of total, mean-tile cycles, BSP imbalance
-/// (critical path / mean) and the worst straggler tile. Exchange and sync
-/// get their own rows; when the ring has wrapped, a final "(dropped)" row
-/// reports how many timeline events were overwritten (the aggregate rows
-/// above it remain exact). This reproduces the paper's Table IV directly
-/// from a trace.
-TextTable traceSummaryTable(const TraceSink& sink);
-
-/// Compute cycles per category from the exact aggregates — matches
-/// Profile::computeCycles of the traced engine bit-for-bit (same values
-/// summed in the same order).
+/// Compute cycles per category, summed over the ComputeSuperstep events
+/// still in the ring. On a ring that has not wrapped this equals the traced
+/// engine's Profile::computeCycles bit-for-bit (same values summed in the
+/// same order); on a wrapped ring it covers the surviving window only.
 std::map<std::string, double> traceComputeCycles(const TraceSink& sink);
 
 }  // namespace graphene::support

@@ -8,8 +8,9 @@
 // oldest-first wrap with an honest droppedEvents count, retention
 // eviction, seal-returns-record even at retention 0) and its JSONL
 // black-box artifact; the service's live endpoints (/metrics with # HELP
-// and _bucket series, /healthz, /jobs, /flight/<id>, 404s); the automatic
-// flight dump on failed and typed-error verdicts; concurrent scrapes
+// and _bucket series, /healthz, /jobs, /flight/<id>, 404s); a job's flight
+// record holding its own lifecycle events and no pipeline events; the
+// automatic flight dump on failed and typed-error verdicts; concurrent scrapes
 // racing a fault-injected job burst (the TSan target of this suite); and
 // host-thread invariance of the latency histograms (the simulated-cycle
 // ladders must be bit-identical at any host thread count — only the
@@ -19,6 +20,8 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -340,6 +343,34 @@ TEST(ServiceTelemetry, EndpointsServeLiveData) {
   EXPECT_THROW(support::httpGet(service.httpPort(), "/metrics", 0.5), Error);
 }
 
+// A converged job's record is its own lifecycle and nothing else: the
+// pipeline's supersteps stay in the pipeline's trace ring, so the record's
+// ring never overflows and keeps the job's first event.
+TEST(ServiceTelemetry, ConvergedJobFlightRecordHoldsOnlyItsLifecycle) {
+  SolverService service({.workers = 1});
+  const auto g = matrix::poisson2d5(40, 40);
+  const std::size_t id = service.submit(g, json::parse(R"({
+    "type": "cg", "tolerance": 1e-6, "maxIterations": 2000,
+    "preconditioner": {"type": "jacobi"}})"), ones(g.matrix.rows()));
+  ASSERT_EQ(service.wait(id).solve.status, SolveStatus::Converged);
+
+  const std::optional<FlightRecord> rec = service.flightRecorder().record(id);
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_EQ(rec->droppedEvents, 0u);
+  std::set<std::string> names;
+  std::size_t pipelineEvents = 0;  // compute, sync, exchange, iteration, ...
+  for (const support::TraceEvent& ev : rec->events) {
+    names.insert(ev.name);
+    pipelineEvents += ev.kind == support::TraceKind::Job ? 0 : 1;
+  }
+  EXPECT_EQ(pipelineEvents, 0u);
+  EXPECT_TRUE(names.count("job:accepted"));
+  EXPECT_TRUE(names.count("job:start"));
+  EXPECT_TRUE(names.count("job:done"));
+  EXPECT_EQ(rec->events.front().name, "job:accepted");
+  EXPECT_EQ(rec->events.back().name, "job:done");
+}
+
 TEST(ServiceTelemetry, FailedAndTypedJobsDumpFlightArtifacts) {
   const std::string dir = ::testing::TempDir();
   const std::string logPath = dir + "/telemetry-events.jsonl";
@@ -371,12 +402,13 @@ TEST(ServiceTelemetry, FailedAndTypedJobsDumpFlightArtifacts) {
   // Fingerprints are 64-bit and serialised as decimal strings (JSON
   // numbers are doubles — they would silently round).
   EXPECT_NE(failedHead.at("structureFingerprint").asString(), "0");
-  // The injected faults of a poison job far outnumber the 256-event ring:
-  // early lifecycle events were overwritten (the header keeps the loss
-  // honest), but job:done — recorded immediately before sealing — and the
-  // final attempt's fault log always survive.
-  EXPECT_GT(failedHead.at("droppedEvents").asNumber(), 0.0);
-  EXPECT_NE(failedJsonl.find("job:done"), std::string::npos);
+  // The record holds the job's whole lifecycle, first event to last, and
+  // the final attempt's fault log: the injected faults live in the fault
+  // log, not in the event ring.
+  EXPECT_NE(failedJsonl.find("\"name\":\"job:accepted\""),
+            std::string::npos);
+  EXPECT_NE(failedJsonl.find("\"name\":\"job:retry\""), std::string::npos);
+  EXPECT_NE(failedJsonl.find("\"name\":\"job:done\""), std::string::npos);
   EXPECT_NE(failedJsonl.find("\"type\":\"fault\""), std::string::npos);
 
   // A build failure (typed error) dumps too.
