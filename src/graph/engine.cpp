@@ -44,6 +44,13 @@ class EngineFaultSurface final : public ipu::FaultSurface {
     return engine_.storageFor(static_cast<TensorId>(tensor)).totalElements();
   }
 
+  bool holdsIndices(std::size_t tensor) override {
+    // Int32 scalars (iteration counters, guard flags) stay targetable.
+    const TensorInfo& info =
+        engine_.graph().tensor(static_cast<TensorId>(tensor));
+    return info.dtype == ipu::DType::Int32 && !info.replicated;
+  }
+
   void flipBit(std::size_t tensor, std::size_t element,
                unsigned bit) override {
     engine_.storageFor(static_cast<TensorId>(tensor)).flipBit(element, bit);

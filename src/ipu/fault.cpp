@@ -7,6 +7,10 @@
 
 namespace graphene::ipu {
 
+using json::KeyKind;
+using json::KeySpec;
+using json::validateKeys;
+
 namespace {
 
 /// The one list of valid fault kinds, shared by every validation message
@@ -53,52 +57,6 @@ const char* kindName(FaultPlan::Rule::Kind kind) {
     case Kind::IpuLinkDegraded: return "ipu-link-degraded";
   }
   GRAPHENE_UNREACHABLE("bad fault kind");
-}
-
-/// What a fault-rule key must hold (same strict-validation style as the
-/// solver configs: unknown or ill-typed keys are errors that name the key
-/// and list the valid set).
-enum class KeyKind { Number, String, Array };
-
-const char* toString(KeyKind kind) {
-  switch (kind) {
-    case KeyKind::Number: return "number";
-    case KeyKind::String: return "string";
-    case KeyKind::Array: return "array";
-  }
-  return "?";
-}
-
-struct KeySpec {
-  const char* key;
-  KeyKind kind;
-};
-
-void validateKeys(const json::Value& config, const std::string& where,
-                  std::initializer_list<KeySpec> allowed) {
-  for (const auto& [key, value] : config.asObject()) {
-    const KeySpec* spec = nullptr;
-    for (const KeySpec& s : allowed) {
-      if (key == s.key) {
-        spec = &s;
-        break;
-      }
-    }
-    if (spec == nullptr) {
-      std::string valid;
-      for (const KeySpec& s : allowed) {
-        if (!valid.empty()) valid += ", ";
-        valid += s.key;
-      }
-      GRAPHENE_CHECK(false, "unknown key '", key, "' in ", where,
-                     " (valid keys: ", valid, ")");
-    }
-    const bool ok = spec->kind == KeyKind::Number   ? value.isNumber()
-                    : spec->kind == KeyKind::String ? value.isString()
-                                                    : value.isArray();
-    GRAPHENE_CHECK(ok, "key '", key, "' in ", where, " must be a ",
-                   toString(spec->kind));
-  }
 }
 
 void validateRule(const json::Value& f, FaultPlan::Rule::Kind kind) {
@@ -295,6 +253,7 @@ const std::vector<std::size_t>& FaultPlan::matchingTensors(
   if (state.matchedAt != n) {
     state.matches.clear();
     for (std::size_t t = 0; t < n; ++t) {
+      if (surface.holdsIndices(t)) continue;
       if (rule.tensor.empty() ||
           surface.tensorName(t).find(rule.tensor) != std::string::npos) {
         state.matches.push_back(t);

@@ -42,6 +42,11 @@
 //        "superstep": 12}
 //     ]
 //   }
+// SRAM rules (bitflip, stuck-zero, sram-region-dead) match every tensor whose
+// name contains "tensor" (all tensors when it is absent) except the Int32
+// index arrays — see FaultSurface::holdsIndices. A rule that matches nothing
+// is inert.
+//
 // Exchange rules match on the *destination* tensor of a transfer and trigger
 // per transfer; their "superstep" is the exchange-superstep index. Dropped
 // and corrupted transfers are still priced normally — the fabric spent the
@@ -93,6 +98,12 @@ class FaultSurface {
   virtual std::string tensorName(std::size_t tensor) = 0;
   virtual std::size_t tensorElements(std::size_t tensor) = 0;
 
+  /// True for an integer index array: column indices, row and split
+  /// pointers, level-set orders and pointers. Bit-level rules never select
+  /// one — the simulator has no model of the tile memory exception a wild
+  /// index raises, so the host would read out of bounds instead.
+  virtual bool holdsIndices(std::size_t tensor) = 0;
+
   /// Flips one bit of an element's raw storage (an SEU). Bit indices wrap
   /// modulo the element width.
   virtual void flipBit(std::size_t tensor, std::size_t element,
@@ -116,6 +127,7 @@ class FaultPlan {
                       IpuDead, IpuLinkDead, IpuLinkDegraded };
     Kind kind = Kind::BitFlip;
     std::string tensor;            // substring of the target tensor's name
+                                   // (SRAM rules skip Int32 index arrays)
     std::int64_t superstep = -1;   // exact superstep trigger; -1 = any
                                    // (hard faults: trigger; -1 = from start)
     double probability = 1.0;      // per matching opportunity
@@ -215,7 +227,8 @@ class FaultPlan {
   struct RuleState {
     std::size_t injected = 0;
     std::size_t skipped = 0;
-    // Tensor-name match cache; rebuilt when the tensor count changes.
+    // SRAM-rule target cache (name match, index arrays skipped); rebuilt
+    // when the tensor count changes.
     std::vector<std::size_t> matches;
     std::size_t matchedAt = SIZE_MAX;
     // Hard faults: activation already logged, and the (tensor, start)

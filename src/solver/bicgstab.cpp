@@ -1,15 +1,15 @@
 // Preconditioned BiCGStab (§V-C), following the paper's Fig. 4 DSL listing.
 //
-// The loop is hardened against numerical faults: a host guard checks the
-// residual and the rho recurrence scalar every iteration. A collapsed rho
-// (|rho| ≤ breakdownTolerance·‖b‖²) or a NaN/diverged residual triggers an
-// automatic restart from the last checkpoint; once the restart budget is
-// exhausted the solve ends with a typed SolveStatus (Breakdown / Diverged /
-// NanDetected) instead of a garbage history.
+// The loop runs inside the Krylov recovery guard (solver/krylov_guard.hpp),
+// which also checks the rho recurrence scalar every iteration: a collapsed
+// rho (|rho| ≤ breakdownTolerance·‖b‖²) triggers a restart from the last
+// checkpoint like a NaN/diverged residual does, and once the restart budget
+// is exhausted the solve ends with a typed SolveStatus (Breakdown /
+// Diverged / NanDetected) instead of a garbage history.
 #include <cmath>
 
+#include "solver/krylov_guard.hpp"
 #include "solver/solvers.hpp"
-#include "support/trace.hpp"
 
 namespace graphene::solver {
 
@@ -48,81 +48,36 @@ void BiCgStabSolver::apply(DistMatrix& a, Tensor& x, Tensor& b) {
   Tensor iter = Tensor::scalar(DType::Int32, "bicg_iter");
   iter = Expression(0);
 
-  // Self-healing state: host-controlled abort flag, restart request flag,
-  // and the checkpointed iterate restarts re-seed from.
-  Tensor ok = Tensor::scalar(DType::Int32, "bicg_ok");
-  ok = Expression(1);
-  Tensor restart = Tensor::scalar(DType::Int32, "bicg_restart");
-  restart = Expression(0);
-  const bool recovery = robust_.maxRestarts > 0 && robust_.checkpointEvery > 0;
-  std::optional<Tensor> xCkpt;
-  if (recovery) {
-    xCkpt.emplace(a.makeVector(DType::Float32, "bicg_ckpt"));
-    *xCkpt = Expression(x);  // x0 = 0 is always a valid restart point
-  }
-  stateId_ = recovery ? xCkpt->id() : x.id();
-  // ABFT dot-reduction check: a second, independently emitted reduction of
-  // the same operand (bit-identical fault-free).
-  std::optional<Tensor> resDup;
-  if (robust_.abft) {
-    resDup.emplace(Tensor::scalar(DType::Float32, "bicg_rrdup"));
-  }
-
-  const float tol2 = static_cast<float>(tolerance_ * tolerance_);
-  auto histPtr = history_;
-  auto resPtr = result_;
-  const RobustnessOptions opts = robust_;
-  const double tolerance = tolerance_;
-  graph::TensorId resId = resNormSq.id(), bId = bNormSq.id();
-  graph::TensorId rhoId = rA0rA.id(), okId = ok.id(),
-                  restartId = restart.id(), iterId = iter.id();
-  graph::TensorId abftId =
-      robust_.abft ? a.abftFlagId() : graph::kInvalidTensor;
-  graph::TensorId dupId = robust_.abft ? resDup->id() : graph::kInvalidTensor;
-
-  // Runs at execution time, before the loop: (re)arm the structured result.
-  // The history is deliberately NOT cleared here — as an MPIR inner solver
-  // this callback runs every refinement, and the history's cumulative
-  // iteration count is what the refinement records are keyed on.
-  dsl::HostCall([resPtr](graph::Engine&) {
-    *resPtr = SolveResult{};
-    resPtr->status = SolveStatus::Running;
-  });
-
-  Expression keepGoing =
-      tolerance_ > 0.0
-          ? Expression(iter) < static_cast<int>(maxIterations_) &&
-                Expression(resNormSq) > Expression(tol2) * Expression(bNormSq)
-          : Expression(iter) < static_cast<int>(maxIterations_);
+  KrylovGuard guard(a, {x, b, bNormSq, resNormSq, iter},
+                    {"bicgstab", "bicg", "bicgstab.restarts"}, robust_,
+                    tolerance_, history_, result_,
+                    {.breakdownRho = rA0rA.id()});
+  stateId_ = guard.stateTensor();
 
   // Breakdown guards (the paper's implementation has "early exits due to
   // convergence or singularity"): once the float32 residual hits its floor,
   // the rho / omega denominators collapse to zero — Select keeps the update
   // coefficients finite and the iteration merely stagnates instead of
-  // producing NaNs. The host guard below additionally *reports* a collapsed
-  // rho as SolveStatus::Breakdown (after exhausting the restart budget).
+  // producing NaNs. The host guard additionally *reports* a collapsed rho
+  // as SolveStatus::Breakdown (after exhausting the restart budget).
   Tensor denom = Tensor::scalar(DType::Float32, "bicg_denom");
   Tensor tt = Tensor::scalar(DType::Float32, "bicg_tt");
 
-  dsl::While(keepGoing && Expression(ok) > Expression(0), [&] {
-    if (recovery) {
-      // Re-seed the Krylov recurrence from the checkpointed iterate: the
-      // shadow residual is re-anchored to the fresh true residual and all
-      // recurrence scalars return to their iteration-0 values.
-      dsl::If(Expression(restart) > Expression(0), [&] {
-        x = Expression(*xCkpt);
-        a.spmv(sA, x);
-        rA = Expression(b) - Expression(sA);
-        rA0 = Expression(rA);
-        pA = Expression(0.0f);
-        AyA = Expression(0.0f);
-        alpha = Expression(1.0f);
-        omega = Expression(1.0f);
-        rA0rAold = Dot(rA, rA);
-        resNormSq = Expression(rA0rAold);
-        restart = Expression(0);
-      });
-    }
+  dsl::While(guard.arm(maxIterations_), [&] {
+    // Re-seed the Krylov recurrence from the checkpointed iterate: the
+    // shadow residual is re-anchored to the fresh true residual and all
+    // recurrence scalars return to their iteration-0 values.
+    guard.restartIf([&] {
+      a.spmv(sA, x);
+      rA = Expression(b) - Expression(sA);
+      rA0 = Expression(rA);
+      pA = Expression(0.0f);
+      AyA = Expression(0.0f);
+      alpha = Expression(1.0f);
+      omega = Expression(1.0f);
+      rA0rAold = Dot(rA, rA);
+      resNormSq = Expression(rA0rAold);
+    });
     rA0rA = Dot(rA0, rA);
     beta = dsl::Select(
         Abs(Expression(rA0rAold)) * Abs(Expression(omega)) > Expression(0.0f),
@@ -149,111 +104,11 @@ void BiCgStabSolver::apply(DistMatrix& a, Tensor& x, Tensor& b) {
     rA0rAold = Expression(rA0rA);
     iter = Expression(iter) + 1;
     resNormSq = Dot(rA, rA);
-    if (robust_.abft) *resDup = Dot(rA, rA);
-    if (recovery) {
-      dsl::If(Expression(iter) %
-                      static_cast<int>(robust_.checkpointEvery) ==
-                  Expression(0),
-              [&] { *xCkpt = Expression(x); });
-    }
-    dsl::HostCall([histPtr, resPtr, opts, recovery, tolerance, resId, bId,
-                   rhoId, okId, restartId, iterId, abftId,
-                   dupId](graph::Engine& e) {
-      const double rr = e.readScalar(resId).toHostDouble();
-      const double bb = e.readScalar(bId).toHostDouble();
-      const double rho = e.readScalar(rhoId).toHostDouble();
-      const auto it =
-          static_cast<std::size_t>(e.readScalar(iterId).toHostDouble());
-      const double rel = std::sqrt(std::abs(rr) / std::max(bb, 1e-300));
-      const bool converged = tolerance > 0.0 && rel <= tolerance;
-      const bool broken =
-          !converged && std::abs(rho) <= opts.breakdownTolerance *
-                                             std::max(bb, 1e-300);
-      const bool bad = !std::isfinite(rr) || rel > opts.divergenceFactor;
-      // ABFT verdict: sticky checksum flag plus the duplicated reduction.
-      bool abftBad = false;
-      if (!bad && !broken && abftId != graph::kInvalidTensor) {
-        const double flag = e.readScalar(abftId).toHostDouble();
-        const double dup = e.readScalar(dupId).toHostDouble();
-        abftBad = !(flag <= opts.abftTolerance) || dup != rr;
-      }
-      if (!bad && !broken && !abftBad) {
-        histPtr->push_back({histPtr->size() + 1, rel});
-        resPtr->iterations = it;
-        resPtr->finalResidual = rel;
-        support::recordIteration(e.traceSink(), "bicgstab", histPtr->size(),
-                                 rel, e.simCycles(),
-                                 e.profile().computeSupersteps);
-        return;
-      }
-      if (abftBad) {
-        e.profile().metrics.addCounter("resilience.abft.mismatches", 1);
-        e.profile().faultEvents.push_back(
-            {"abft-mismatch", e.profile().computeSupersteps, "bicgstab", it,
-             -1, 0.0, "checksum defect above tolerance"});
-        e.writeScalar(abftId, graph::Scalar(0.0f));  // re-arm the flag
-      }
-      if (recovery && resPtr->restarts < opts.maxRestarts) {
-        ++resPtr->restarts;
-        e.profile().metrics.addCounter("bicgstab.restarts", 1);
-        e.writeScalar(restartId, graph::Scalar(std::int32_t(1)));
-        // Repair the condition scalar so the While loop survives the NaN
-        // (NaN comparisons are false and would end the loop prematurely).
-        e.writeScalar(resId, graph::Scalar(static_cast<float>(bb)));
-        e.profile().faultEvents.push_back(
-            {"recovery:restart", e.profile().computeSupersteps, "bicgstab",
-             it, -1, 0.0,
-             broken ? "rho breakdown; re-seeding from checkpoint"
-             : abftBad ? "abft mismatch; re-seeding from checkpoint"
-                       : (!std::isfinite(rr)
-                              ? "nan residual; re-seeding from checkpoint"
-                              : "diverged; re-seeding from checkpoint")});
-      } else {
-        resPtr->status = broken      ? SolveStatus::Breakdown
-                         : abftBad   ? SolveStatus::CorruptionDetected
-                         : std::isfinite(rr) ? SolveStatus::Diverged
-                                             : SolveStatus::NanDetected;
-        resPtr->iterations = it;
-        e.writeScalar(okId, graph::Scalar(std::int32_t(0)));
-      }
-    });
+    guard.duplicateResidual(rA);
+    guard.endIteration();
     if (monitorEvery_ > 0) emitTrueResidualMonitor(a, x, b);
   });
-
-  // Post-loop verification (ABFT only): re-measure the true residual so a
-  // silently corrupted "converged" x cannot slip through.
-  graph::TensorId verId = graph::kInvalidTensor;
-  std::optional<Tensor> verNormSq;
-  if (robust_.abft && tolerance_ > 0.0) {
-    a.spmv(tA, x);
-    Tensor vr = a.makeVector(DType::Float32, "bicg_verify");
-    vr = Expression(b) - Expression(tA);
-    verNormSq.emplace(Dot(vr, vr));
-    verId = verNormSq->id();
-  }
-
-  dsl::HostCall([resPtr, resId, bId, iterId, verId,
-                 tolerance](graph::Engine& e) {
-    if (resPtr->status != SolveStatus::Running) return;
-    const double rr = e.readScalar(resId).toHostDouble();
-    const double bb = e.readScalar(bId).toHostDouble();
-    const double rel = std::sqrt(std::abs(rr) / std::max(bb, 1e-300));
-    resPtr->iterations =
-        static_cast<std::size_t>(e.readScalar(iterId).toHostDouble());
-    if (std::isfinite(rel)) resPtr->finalResidual = rel;
-    resPtr->status = tolerance > 0.0 && rel <= tolerance
-                         ? SolveStatus::Converged
-                         : SolveStatus::MaxIterations;
-    if (resPtr->status == SolveStatus::Converged &&
-        verId != graph::kInvalidTensor) {
-      const double vv = e.readScalar(verId).toHostDouble();
-      const double vrel = std::sqrt(std::abs(vv) / std::max(bb, 1e-300));
-      if (!(vrel <= 50.0 * tolerance)) {
-        resPtr->status = SolveStatus::CorruptionDetected;
-        resPtr->finalResidual = vrel;
-      }
-    }
-  });
+  guard.finish(tA);
 }
 
 void BiCgStabSolver::emitTrueResidualMonitor(DistMatrix& a, Tensor& x,

@@ -1,12 +1,11 @@
 // Preconditioned Conjugate Gradient (for the SPD systems of Table II) and
 // the Richardson iteration.
 //
-// CG is hardened against numerical faults: residuals are checked on the host
-// every iteration, NaN/Inf or divergence triggers an automatic restart from
-// the last checkpointed iterate (bounded by RobustnessOptions::maxRestarts),
-// and the structured outcome is reported through Solver::result().
-#include <cmath>
-
+// CG runs inside the Krylov recovery guard (solver/krylov_guard.hpp):
+// host residual checks every iteration, checkpoint restarts, ABFT and
+// post-loop verification, with the outcome reported through
+// Solver::result().
+#include "solver/krylov_guard.hpp"
 #include "solver/solvers.hpp"
 #include "support/trace.hpp"
 
@@ -62,68 +61,20 @@ void CgSolver::apply(DistMatrix& a, Tensor& x, Tensor& b) {
   Tensor iter = Tensor::scalar(DType::Int32, "cg_iter");
   iter = Expression(0);
 
-  // Self-healing state: host-controlled abort flag, restart request flag,
-  // and the checkpointed iterate restarts re-seed from.
-  Tensor ok = Tensor::scalar(DType::Int32, "cg_ok");
-  ok = Expression(1);
-  Tensor restart = Tensor::scalar(DType::Int32, "cg_restart");
-  restart = Expression(0);
-  const bool recovery = robust_.maxRestarts > 0 && robust_.checkpointEvery > 0;
-  std::optional<Tensor> xCkpt;
-  if (recovery) {
-    xCkpt.emplace(a.makeVector(DType::Float32, "cg_ckpt"));
-    *xCkpt = Expression(x);  // x0 = 0 is always a valid restart point
-  }
-  stateId_ = recovery ? xCkpt->id() : x.id();
-  // ABFT dot-reduction check: a second, independently emitted reduction of
-  // the same operand. Fault-free they are bit-identical; corruption landing
-  // between or inside the reductions makes them disagree.
-  std::optional<Tensor> resDup;
-  if (robust_.abft) resDup.emplace(Tensor::scalar(DType::Float32, "cg_rrdup"));
+  KrylovGuard guard(a, {x, b, bNormSq, resNormSq, iter},
+                    {"cg", "cg", "cg.restarts"}, robust_, tolerance_,
+                    history_, result_);
+  stateId_ = guard.stateTensor();
 
-  const float tol2 = static_cast<float>(tolerance_ * tolerance_);
-  auto histPtr = history_;
-  auto resPtr = result_;
-  const RobustnessOptions opts = robust_;
-  const double tolerance = tolerance_;
-  graph::TensorId resId = resNormSq.id(), bId = bNormSq.id();
-  graph::TensorId okId = ok.id(), restartId = restart.id(),
-                  iterId = iter.id();
-  graph::TensorId abftId =
-      robust_.abft ? a.abftFlagId() : graph::kInvalidTensor;
-  graph::TensorId dupId = robust_.abft ? resDup->id() : graph::kInvalidTensor;
-
-  // Runs at execution time, before the loop: (re)arm the structured result.
-  // The history is deliberately NOT cleared here — as an MPIR inner solver
-  // this callback runs every refinement, and the history's cumulative
-  // iteration count is what the refinement records are keyed on.
-  dsl::HostCall([resPtr](graph::Engine&) {
-    *resPtr = SolveResult{};
-    resPtr->status = SolveStatus::Running;
-  });
-
-  Expression keepGoing =
-      tolerance_ > 0.0
-          ? Expression(iter) < static_cast<int>(maxIterations_) &&
-                Expression(resNormSq) > Expression(tol2) * Expression(bNormSq)
-          : Expression(iter) < static_cast<int>(maxIterations_);
-
-  dsl::While(keepGoing && Expression(ok) > Expression(0), [&] {
-    if (recovery) {
-      // A host guard requested a restart: re-seed from the checkpoint. The
-      // residual is recomputed from scratch, so a corrupted r/p/z state is
-      // fully flushed.
-      dsl::If(Expression(restart) > Expression(0), [&] {
-        x = Expression(*xCkpt);
-        a.spmv(Ap, x);
-        r = Expression(b) - Expression(Ap);
-        precond_->apply(a, z, r);
-        p = Expression(z);
-        rz = Dot(r, z);
-        resNormSq = Dot(r, r);
-        restart = Expression(0);
-      });
-    }
+  dsl::While(guard.arm(maxIterations_), [&] {
+    guard.restartIf([&] {
+      a.spmv(Ap, x);
+      r = Expression(b) - Expression(Ap);
+      precond_->apply(a, z, r);
+      p = Expression(z);
+      rz = Dot(r, z);
+      resNormSq = Dot(r, r);
+    });
     a.spmv(Ap, p);
     denom = Dot(p, Ap);
     alpha = dsl::Select(Abs(Expression(denom)) > Expression(0.0f),
@@ -138,110 +89,10 @@ void CgSolver::apply(DistMatrix& a, Tensor& x, Tensor& b) {
     rz = Expression(rzNew);
     iter = Expression(iter) + 1;
     resNormSq = Dot(r, r);
-    if (robust_.abft) *resDup = Dot(r, r);
-    if (recovery) {
-      dsl::If(Expression(iter) %
-                      static_cast<int>(robust_.checkpointEvery) ==
-                  Expression(0),
-              [&] { *xCkpt = Expression(x); });
-    }
-    dsl::HostCall([histPtr, resPtr, opts, recovery, resId, bId, okId,
-                   restartId, iterId, abftId, dupId](graph::Engine& e) {
-      const double rr = e.readScalar(resId).toHostDouble();
-      const double bb = e.readScalar(bId).toHostDouble();
-      const auto it =
-          static_cast<std::size_t>(e.readScalar(iterId).toHostDouble());
-      const double rel = std::sqrt(std::abs(rr) / std::max(bb, 1e-300));
-      const bool bad = !std::isfinite(rr) ||
-                       rel > opts.divergenceFactor;
-      // ABFT verdict: the sticky checksum flag (SpMV defects) and the
-      // duplicated dot reduction (which is bit-identical fault-free).
-      bool abftBad = false;
-      if (!bad && abftId != graph::kInvalidTensor) {
-        const double flag = e.readScalar(abftId).toHostDouble();
-        const double dup = e.readScalar(dupId).toHostDouble();
-        abftBad = !(flag <= opts.abftTolerance) || dup != rr;
-      }
-      if (!bad && !abftBad) {
-        histPtr->push_back({histPtr->size() + 1, rel});
-        resPtr->iterations = it;
-        resPtr->finalResidual = rel;
-        support::recordIteration(e.traceSink(), "cg", histPtr->size(), rel,
-                                 e.simCycles(),
-                                 e.profile().computeSupersteps);
-        return;
-      }
-      if (abftBad) {
-        e.profile().metrics.addCounter("resilience.abft.mismatches", 1);
-        e.profile().faultEvents.push_back(
-            {"abft-mismatch", e.profile().computeSupersteps, "cg", it, -1,
-             0.0, "checksum defect above tolerance"});
-        e.writeScalar(abftId, graph::Scalar(0.0f));  // re-arm the flag
-      }
-      // A NaN/Inf, runaway, or checksum-flagged residual never reaches the
-      // history; it either triggers a restart or becomes the typed outcome.
-      if (recovery && resPtr->restarts < opts.maxRestarts) {
-        ++resPtr->restarts;
-        e.profile().metrics.addCounter("cg.restarts", 1);
-        e.writeScalar(restartId, graph::Scalar(std::int32_t(1)));
-        // Repair the condition scalar so the While loop survives the NaN
-        // (NaN comparisons are false and would end the loop prematurely).
-        e.writeScalar(resId, graph::Scalar(static_cast<float>(bb)));
-        e.profile().faultEvents.push_back(
-            {"recovery:restart", e.profile().computeSupersteps, "cg", it, -1,
-             0.0,
-             bad ? (!std::isfinite(rr)
-                        ? "nan residual; re-seeding from checkpoint"
-                        : "diverged; re-seeding from checkpoint")
-                 : "abft mismatch; re-seeding from checkpoint"});
-      } else {
-        resPtr->status = bad ? (std::isfinite(rr) ? SolveStatus::Diverged
-                                                  : SolveStatus::NanDetected)
-                             : SolveStatus::CorruptionDetected;
-        resPtr->iterations = it;
-        e.writeScalar(okId, graph::Scalar(std::int32_t(0)));
-      }
-    });
+    guard.duplicateResidual(r);
+    guard.endIteration();
   });
-
-  // Post-loop verification (ABFT only): re-measure the true residual
-  // ‖b − A·x‖ from scratch. Corruption that slipped a *small* value into
-  // the recurrence's residual norm would otherwise end the loop with a
-  // silently wrong "converged" x.
-  graph::TensorId verId = graph::kInvalidTensor;
-  std::optional<Tensor> verNormSq;
-  if (robust_.abft && tolerance_ > 0.0) {
-    a.spmv(Ap, x);
-    Tensor vr = a.makeVector(DType::Float32, "cg_verify");
-    vr = Expression(b) - Expression(Ap);
-    verNormSq.emplace(Dot(vr, vr));
-    verId = verNormSq->id();
-  }
-
-  dsl::HostCall([resPtr, resId, bId, iterId, verId,
-                 tolerance](graph::Engine& e) {
-    if (resPtr->status != SolveStatus::Running) return;
-    const double rr = e.readScalar(resId).toHostDouble();
-    const double bb = e.readScalar(bId).toHostDouble();
-    const double rel = std::sqrt(std::abs(rr) / std::max(bb, 1e-300));
-    resPtr->iterations =
-        static_cast<std::size_t>(e.readScalar(iterId).toHostDouble());
-    if (std::isfinite(rel)) resPtr->finalResidual = rel;
-    resPtr->status = tolerance > 0.0 && rel <= tolerance
-                         ? SolveStatus::Converged
-                         : SolveStatus::MaxIterations;
-    if (resPtr->status == SolveStatus::Converged &&
-        verId != graph::kInvalidTensor) {
-      const double vv = e.readScalar(verId).toHostDouble();
-      const double vrel = std::sqrt(std::abs(vv) / std::max(bb, 1e-300));
-      // Slack over the recurrence tolerance: the float32 recurrence
-      // residual legitimately drifts from the true one near convergence.
-      if (!(vrel <= 50.0 * tolerance)) {
-        resPtr->status = SolveStatus::CorruptionDetected;
-        resPtr->finalResidual = vrel;
-      }
-    }
-  });
+  guard.finish(Ap);
 }
 
 }  // namespace graphene::solver

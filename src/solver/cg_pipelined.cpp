@@ -27,15 +27,14 @@
 // reproduce PCG's iterates in exact arithmetic (float32 rounding makes the
 // trajectories drift by at most an iteration or so near the tolerance).
 //
-// The robustness envelope mirrors CgSolver: host residual guard with
-// NaN/divergence detection, checkpoint/restart (a restart raises the `fresh`
-// flag, which re-enters the first-iteration recurrence with beta = 0), an
-// independently emitted duplicate of (r,r) under ABFT, and post-loop true
-// residual verification.
-#include <cmath>
-
+// The loop runs inside the same Krylov recovery guard as CgSolver
+// (solver/krylov_guard.hpp): host residual checks with NaN/divergence
+// detection, checkpoint/restart (a restart raises the `fresh` flag, which
+// re-enters the first-iteration recurrence with beta = 0), an independently
+// emitted duplicate of (r,r) under ABFT, post-loop true residual
+// verification, and a stagnation window of its own.
+#include "solver/krylov_guard.hpp"
 #include "solver/solvers.hpp"
-#include "support/trace.hpp"
 
 namespace graphene::solver {
 
@@ -84,30 +83,6 @@ void PipelinedCgSolver::apply(DistMatrix& a, Tensor& x, Tensor& b) {
   Tensor fresh = Tensor::scalar(DType::Int32, "pcg_fresh");
   fresh = Expression(1);
 
-  // Self-healing state, as in CgSolver.
-  Tensor ok = Tensor::scalar(DType::Int32, "pcg_ok");
-  ok = Expression(1);
-  Tensor restart = Tensor::scalar(DType::Int32, "pcg_restart");
-  restart = Expression(0);
-  const bool recovery = robust_.maxRestarts > 0 && robust_.checkpointEvery > 0;
-  std::optional<Tensor> xCkpt;
-  if (recovery) {
-    xCkpt.emplace(a.makeVector(DType::Float32, "pcg_ckpt"));
-    *xCkpt = Expression(x);
-  }
-  stateId_ = recovery ? xCkpt->id() : x.id();
-  // ABFT: the duplicate of (r,r) stays a SEPARATE reduction tree (its own
-  // partial compute set and gather) rather than a fourth joint output —
-  // riding the joint reduction's exchange would make corruption of that
-  // exchange hit original and duplicate identically, hiding it.
-  std::optional<Tensor> resDup;
-  if (robust_.abft) {
-    resDup.emplace(Tensor::scalar(DType::Float32, "pcg_rrdup"));
-  }
-
-  const float tol2 = static_cast<float>(tolerance_ * tolerance_);
-  auto histPtr = history_;
-  auto resPtr = result_;
   // Stagnation guard: silent finite corruption (below the divergence
   // threshold, missed by ABFT timing) leaves the direction recurrences
   // incoherent — the residual then oscillates around a plateau forever.
@@ -116,48 +91,24 @@ void PipelinedCgSolver::apply(DistMatrix& a, Tensor& x, Tensor& b) {
   // the window (while still above tolerance) means the Krylov process is
   // stuck, and a checkpoint restart (fresh directions) is the only cure.
   constexpr std::size_t kStagnationWindow = 32;
-  struct GuardState {
-    double bestRel = 1.0;
-    std::size_t bestIt = 0;
-  };
-  auto guardState = std::make_shared<GuardState>();
-  const RobustnessOptions opts = robust_;
-  const double tolerance = tolerance_;
-  graph::TensorId resId = resNormSq.id(), bId = bNormSq.id();
-  graph::TensorId okId = ok.id(), restartId = restart.id(),
-                  iterId = iter.id();
-  graph::TensorId abftId =
-      robust_.abft ? a.abftFlagId() : graph::kInvalidTensor;
-  graph::TensorId dupId = robust_.abft ? resDup->id() : graph::kInvalidTensor;
+  KrylovGuard guard(a, {x, b, bNormSq, resNormSq, iter},
+                    {"pipelined-cg", "pcg", "cg.restarts"}, robust_,
+                    tolerance_, history_, result_,
+                    {.stagnationWindow = kStagnationWindow});
+  stateId_ = guard.stateTensor();
 
-  dsl::HostCall([resPtr, guardState](graph::Engine&) {
-    *resPtr = SolveResult{};
-    resPtr->status = SolveStatus::Running;
-    *guardState = GuardState{};
-  });
-
-  Expression keepGoing =
-      tolerance_ > 0.0
-          ? Expression(iter) < static_cast<int>(maxIterations_) &&
-                Expression(resNormSq) > Expression(tol2) * Expression(bNormSq)
-          : Expression(iter) < static_cast<int>(maxIterations_);
-
-  dsl::While(keepGoing && Expression(ok) > Expression(0), [&] {
-    if (recovery) {
-      // Host-requested restart: re-seed from the checkpoint, rebuild every
-      // pipeline iterate from scratch, and re-enter the fresh path so the
-      // direction vectors are re-seeded (beta = 0).
-      dsl::If(Expression(restart) > Expression(0), [&] {
-        x = Expression(*xCkpt);
-        a.spmv(n, x);
-        r = Expression(b) - Expression(n);
-        precond_->apply(a, u, r);
-        a.spmv(w, u);
-        resNormSq = Dot(r, r);
-        fresh = Expression(1);
-        restart = Expression(0);
-      });
-    }
+  dsl::While(guard.arm(maxIterations_), [&] {
+    // Host-requested restart: rebuild every pipeline iterate from the
+    // checkpoint, and re-enter the fresh path so the direction vectors are
+    // re-seeded (beta = 0).
+    guard.restartIf([&] {
+      a.spmv(n, x);
+      r = Expression(b) - Expression(n);
+      precond_->apply(a, u, r);
+      a.spmv(w, u);
+      resNormSq = Dot(r, r);
+      fresh = Expression(1);
+    });
 
     if (replaceEvery_ > 0) {
       // Residual replacement (Cools, Yetkin, Agullo, Giraud & Vanroose,
@@ -197,7 +148,11 @@ void PipelinedCgSolver::apply(DistMatrix& a, Tensor& x, Tensor& b) {
     Tensor& gamma = red[0];
     Tensor& delta = red[1];
     resNormSq = Expression(red[2]);
-    if (robust_.abft) *resDup = Dot(r, r);
+    // The ABFT duplicate of (r,r) stays a SEPARATE reduction tree (its own
+    // partial compute set and gather) rather than a fourth joint output —
+    // riding the joint reduction's exchange would make corruption of that
+    // exchange hit original and duplicate identically, hiding it.
+    guard.duplicateResidual(r);
 
     // Scalar recurrences, breakdown-guarded like CgSolver: a vanishing
     // denominator yields alpha/beta = 0 (stall) instead of NaN, and the
@@ -231,116 +186,9 @@ void PipelinedCgSolver::apply(DistMatrix& a, Tensor& x, Tensor& b) {
     alphaOld = Expression(alpha);
     fresh = Expression(0);
     iter = Expression(iter) + 1;
-    if (recovery) {
-      dsl::If(Expression(iter) %
-                      static_cast<int>(robust_.checkpointEvery) ==
-                  Expression(0),
-              [&] { *xCkpt = Expression(x); });
-    }
-
-    // Host guard: identical contract to CgSolver's (NaN/divergence =>
-    // restart or typed outcome; ABFT flag + duplicate reduction verdict).
-    dsl::HostCall([histPtr, resPtr, opts, recovery, tolerance, guardState,
-                   resId, bId, okId, restartId, iterId, abftId,
-                   dupId](graph::Engine& e) {
-      const double rr = e.readScalar(resId).toHostDouble();
-      const double bb = e.readScalar(bId).toHostDouble();
-      const auto it =
-          static_cast<std::size_t>(e.readScalar(iterId).toHostDouble());
-      const double rel = std::sqrt(std::abs(rr) / std::max(bb, 1e-300));
-      const bool bad = !std::isfinite(rr) || rel > opts.divergenceFactor;
-      bool abftBad = false;
-      if (!bad && abftId != graph::kInvalidTensor) {
-        const double flag = e.readScalar(abftId).toHostDouble();
-        const double dup = e.readScalar(dupId).toHostDouble();
-        abftBad = !(flag <= opts.abftTolerance) || dup != rr;
-      }
-      bool stagnated = false;
-      if (!bad && !abftBad) {
-        if (rel < 0.5 * guardState->bestRel) {
-          guardState->bestRel = rel;
-          guardState->bestIt = it;
-        }
-        stagnated = recovery && tolerance > 0.0 &&
-                    it > guardState->bestIt + kStagnationWindow &&
-                    resPtr->restarts < opts.maxRestarts;
-      }
-      if (!bad && !abftBad && !stagnated) {
-        histPtr->push_back({histPtr->size() + 1, rel});
-        resPtr->iterations = it;
-        resPtr->finalResidual = rel;
-        support::recordIteration(e.traceSink(), "pipelined-cg",
-                                 histPtr->size(), rel, e.simCycles(),
-                                 e.profile().computeSupersteps);
-        return;
-      }
-      if (abftBad) {
-        e.profile().metrics.addCounter("resilience.abft.mismatches", 1);
-        e.profile().faultEvents.push_back(
-            {"abft-mismatch", e.profile().computeSupersteps, "pipelined-cg",
-             it, -1, 0.0, "checksum defect above tolerance"});
-        e.writeScalar(abftId, graph::Scalar(0.0f));
-      }
-      if (recovery && resPtr->restarts < opts.maxRestarts) {
-        ++resPtr->restarts;
-        e.profile().metrics.addCounter("cg.restarts", 1);
-        e.writeScalar(restartId, graph::Scalar(std::int32_t(1)));
-        // Repair the condition scalar so the While loop survives the NaN.
-        e.writeScalar(resId, graph::Scalar(static_cast<float>(bb)));
-        // Re-arm the stagnation window from the restart point.
-        guardState->bestIt = it;
-        e.profile().faultEvents.push_back(
-            {"recovery:restart", e.profile().computeSupersteps,
-             "pipelined-cg", it, -1, 0.0,
-             bad ? (!std::isfinite(rr)
-                        ? "nan residual; re-seeding from checkpoint"
-                        : "diverged; re-seeding from checkpoint")
-                 : (stagnated
-                        ? "stagnated residual; re-seeding from checkpoint"
-                        : "abft mismatch; re-seeding from checkpoint")});
-      } else {
-        resPtr->status = bad ? (std::isfinite(rr) ? SolveStatus::Diverged
-                                                  : SolveStatus::NanDetected)
-                             : SolveStatus::CorruptionDetected;
-        resPtr->iterations = it;
-        e.writeScalar(okId, graph::Scalar(std::int32_t(0)));
-      }
-    });
+    guard.endIteration();
   });
-
-  // Post-loop verification (ABFT only): re-measure the true residual.
-  graph::TensorId verId = graph::kInvalidTensor;
-  std::optional<Tensor> verNormSq;
-  if (robust_.abft && tolerance_ > 0.0) {
-    a.spmv(n, x);
-    Tensor vr = a.makeVector(DType::Float32, "pcg_verify");
-    vr = Expression(b) - Expression(n);
-    verNormSq.emplace(Dot(vr, vr));
-    verId = verNormSq->id();
-  }
-
-  dsl::HostCall([resPtr, resId, bId, iterId, verId,
-                 tolerance](graph::Engine& e) {
-    if (resPtr->status != SolveStatus::Running) return;
-    const double rr = e.readScalar(resId).toHostDouble();
-    const double bb = e.readScalar(bId).toHostDouble();
-    const double rel = std::sqrt(std::abs(rr) / std::max(bb, 1e-300));
-    resPtr->iterations =
-        static_cast<std::size_t>(e.readScalar(iterId).toHostDouble());
-    if (std::isfinite(rel)) resPtr->finalResidual = rel;
-    resPtr->status = tolerance > 0.0 && rel <= tolerance
-                         ? SolveStatus::Converged
-                         : SolveStatus::MaxIterations;
-    if (resPtr->status == SolveStatus::Converged &&
-        verId != graph::kInvalidTensor) {
-      const double vv = e.readScalar(verId).toHostDouble();
-      const double vrel = std::sqrt(std::abs(vv) / std::max(bb, 1e-300));
-      if (!(vrel <= 50.0 * tolerance)) {
-        resPtr->status = SolveStatus::CorruptionDetected;
-        resPtr->finalResidual = vrel;
-      }
-    }
-  });
+  guard.finish(n);
 }
 
 }  // namespace graphene::solver

@@ -10,6 +10,9 @@
 
 namespace graphene::solver {
 
+using json::KeyKind;
+using json::validateKeys;
+
 namespace {
 
 DType parseExtendedType(const std::string& s) {
@@ -20,54 +23,6 @@ DType parseExtendedType(const std::string& s) {
   return DType::Float32;
 }
 
-/// What a solver config key must hold.
-enum class KeyKind { Number, String, Object, Bool };
-
-const char* toString(KeyKind kind) {
-  switch (kind) {
-    case KeyKind::Number: return "number";
-    case KeyKind::String: return "string";
-    case KeyKind::Object: return "object";
-    case KeyKind::Bool: return "boolean";
-  }
-  return "?";
-}
-
-struct KeySpec {
-  const char* key;
-  KeyKind kind;
-};
-
-/// Rejects unknown keys and wrong JSON types, naming the offending key and
-/// listing the keys `where` accepts.
-void validateKeys(const json::Value& config, const std::string& where,
-                  std::initializer_list<KeySpec> allowed) {
-  for (const auto& [key, value] : config.asObject()) {
-    const KeySpec* spec = nullptr;
-    for (const KeySpec& s : allowed) {
-      if (key == s.key) {
-        spec = &s;
-        break;
-      }
-    }
-    if (spec == nullptr) {
-      std::string valid;
-      for (const KeySpec& s : allowed) {
-        if (!valid.empty()) valid += ", ";
-        valid += s.key;
-      }
-      GRAPHENE_CHECK(false, "unknown key '", key, "' in ", where,
-                     " config (valid keys: ", valid, ")");
-    }
-    const bool ok = spec->kind == KeyKind::Number   ? value.isNumber()
-                    : spec->kind == KeyKind::String ? value.isString()
-                    : spec->kind == KeyKind::Bool   ? value.isBool()
-                                                    : value.isObject();
-    GRAPHENE_CHECK(ok, "key '", key, "' in ", where, " config must be a ",
-                   toString(spec->kind));
-  }
-}
-
 }  // namespace
 
 RobustnessOptions parseRobustness(const json::Value& config) {
@@ -75,7 +30,7 @@ RobustnessOptions parseRobustness(const json::Value& config) {
   if (!config.isObject() || !config.contains("robustness")) return opts;
   const json::Value& r = config.at("robustness");
   GRAPHENE_CHECK(r.isObject(), "'robustness' must be a JSON object");
-  validateKeys(r, "'robustness'",
+  validateKeys(r, "'robustness' config",
                {{"maxRestarts", KeyKind::Number},
                 {"divergenceFactor", KeyKind::Number},
                 {"breakdownTolerance", KeyKind::Number},
@@ -116,7 +71,7 @@ std::unique_ptr<Solver> makeSolver(const json::Value& config) {
   GRAPHENE_CHECK(config.at("type").isString(),
                  "key 'type' in solver config must be a string");
   const std::string type = config.at("type").asString();
-  const std::string where = "'" + type + "' solver";
+  const std::string where = "'" + type + "' solver config";
 
   if (type == "identity" || type == "none") {
     validateKeys(config, where, {{"type", KeyKind::String}});
@@ -199,8 +154,7 @@ std::unique_ptr<Solver> makeSolver(const json::Value& config) {
         mode = graph::Graph::ReduceMode::TwoLevel;
       } else {
         GRAPHENE_CHECK(red == "auto", "key 'reduction' in ", where,
-                       " config must be auto, flat or two-level (got '", red,
-                       "')");
+                       " must be auto, flat or two-level (got '", red, "')");
       }
       if (config.getOr("pipelined", false)) {
         const auto replaceEvery = static_cast<std::size_t>(
@@ -211,7 +165,7 @@ std::unique_ptr<Solver> makeSolver(const json::Value& config) {
       }
       GRAPHENE_CHECK(!config.contains("residualReplaceEvery"),
                      "key 'residualReplaceEvery' in ", where,
-                     " config requires \"pipelined\": true");
+                     " requires \"pipelined\": true");
       return std::make_unique<CgSolver>(maxIterations, tolerance,
                                         std::move(precond),
                                         parseRobustness(config), mode);

@@ -2,6 +2,7 @@
 #include <cmath>
 
 #include "levelset/levelset.hpp"
+#include "solver/krylov_guard.hpp"
 #include "solver/solvers.hpp"
 #include "support/trace.hpp"
 
@@ -101,13 +102,8 @@ void GaussSeidelSolver::apply(DistMatrix& a, Tensor& z, Tensor& r) {
   const float tol2 = static_cast<float>(tolerance_ * tolerance_);
   auto histPtr = history_;
   auto resPtr = result_;
-  const double tolerance = tolerance_;
   graph::TensorId resId = resNormSq.id(), bId = bNormSq.id();
-  graph::TensorId iterId = iter.id();
-  dsl::HostCall([resPtr](graph::Engine&) {
-    *resPtr = SolveResult{};
-    resPtr->status = SolveStatus::Running;
-  });
+  emitResultArm(result_);
   dsl::While(
       Expression(iter) < static_cast<int>(maxIterations_) &&
           Expression(resNormSq) > Expression(tol2) * Expression(bNormSq),
@@ -134,17 +130,7 @@ void GaussSeidelSolver::apply(DistMatrix& a, Tensor& z, Tensor& r) {
                                    e.profile().computeSupersteps);
         });
       });
-  dsl::HostCall([resPtr, resId, bId, iterId, tolerance](graph::Engine& e) {
-    if (resPtr->status != SolveStatus::Running) return;
-    const double rr = e.readScalar(resId).toHostDouble();
-    const double bb = e.readScalar(bId).toHostDouble();
-    const double rel = std::sqrt(std::abs(rr) / std::max(bb, 1e-300));
-    resPtr->iterations =
-        static_cast<std::size_t>(e.readScalar(iterId).toHostDouble());
-    if (std::isfinite(rel)) resPtr->finalResidual = rel;
-    resPtr->status = rel <= tolerance ? SolveStatus::Converged
-                                      : SolveStatus::MaxIterations;
-  });
+  emitFinalVerdict(result_, resId, bId, iter.id(), tolerance_);
 }
 
 }  // namespace graphene::solver

@@ -9,6 +9,7 @@
 // thrashing.
 #include <cmath>
 
+#include "solver/krylov_guard.hpp"
 #include "solver/solvers.hpp"
 #include "support/trace.hpp"
 
@@ -117,12 +118,10 @@ void MpirSolver::apply(DistMatrix& a, Tensor& x, Tensor& b) {
           (guard->lastGoodResidual >= 0.0 &&
            rel > guard->lastGoodResidual * opts.residualGrowthFactor);
       if (abftBad) {
-        e.profile().metrics.addCounter("resilience.abft.mismatches", 1);
-        e.profile().faultEvents.push_back(
-            {"abft-mismatch", e.profile().computeSupersteps, "mpir",
-             static_cast<std::size_t>(e.readScalar(mId).toHostDouble()), -1,
-             0.0, "checksum defect above tolerance"});
-        e.writeScalar(abftId, graph::Scalar(0.0f));  // re-arm the flag
+        recordAbftMismatch(
+            e, "mpir",
+            static_cast<std::size_t>(e.readScalar(mId).toHostDouble()),
+            abftId);
       }
       if (!corrupted) {
         trueHist->push_back({innerRaw->history().size(), rel});

@@ -11,55 +11,10 @@
 
 namespace graphene::solver {
 
+using json::KeyKind;
+using json::validateKeys;
+
 namespace {
-
-/// What a service config key must hold (mirrors the solver-config
-/// validation in config.cpp: unknown keys and wrong types are errors that
-/// name the key and list the valid ones).
-enum class KeyKind { Number, Object, Bool, String };
-
-const char* toString(KeyKind kind) {
-  switch (kind) {
-    case KeyKind::Number: return "number";
-    case KeyKind::Object: return "object";
-    case KeyKind::Bool: return "boolean";
-    case KeyKind::String: return "string";
-  }
-  return "?";
-}
-
-struct KeySpec {
-  const char* key;
-  KeyKind kind;
-};
-
-void validateKeys(const json::Value& config, const std::string& where,
-                  std::initializer_list<KeySpec> allowed) {
-  for (const auto& [key, value] : config.asObject()) {
-    const KeySpec* spec = nullptr;
-    for (const KeySpec& s : allowed) {
-      if (key == s.key) {
-        spec = &s;
-        break;
-      }
-    }
-    if (spec == nullptr) {
-      std::string valid;
-      for (const KeySpec& s : allowed) {
-        if (!valid.empty()) valid += ", ";
-        valid += s.key;
-      }
-      GRAPHENE_CHECK(false, "unknown key '", key, "' in ", where,
-                     " config (valid keys: ", valid, ")");
-    }
-    const bool ok = spec->kind == KeyKind::Number   ? value.isNumber()
-                    : spec->kind == KeyKind::Bool   ? value.isBool()
-                    : spec->kind == KeyKind::String ? value.isString()
-                                                    : value.isObject();
-    GRAPHENE_CHECK(ok, "key '", key, "' in ", where, " config must be a ",
-                   toString(spec->kind));
-  }
-}
 
 /// Worst-case wall milliseconds the retry ladder can spend sleeping.
 double worstCaseBackoffMs(const RetryPolicy& r) {
@@ -171,6 +126,15 @@ void degradeConfigInPlace(json::Value& v, const DegradationPolicy& d) {
   if (d.cgToBicgstab && type != o.end() && type->second.isString() &&
       type->second.asString() == "cg") {
     o["type"] = "bicgstab";
+    // Keep only the keys a BiCGStab config accepts: CG's own ("pipelined",
+    // "reduction", "residualReplaceEvery") would fail the degraded build.
+    std::erase_if(o, [](const auto& entry) {
+      for (const char* key : {"type", "maxIterations", "tolerance",
+                              "preconditioner", "robustness"}) {
+        if (entry.first == key) return false;
+      }
+      return true;
+    });
   }
   auto tol = o.find("tolerance");
   if (d.toleranceRelaxFactor > 1.0 && tol != o.end() &&
@@ -195,7 +159,7 @@ constexpr support::HistogramLadder kRetryLadder{1.0, 2.0, 6};
 
 ServiceOptions serviceOptionsFromJson(const json::Value& config) {
   GRAPHENE_CHECK(config.isObject(), "service config must be a JSON object");
-  validateKeys(config, "service",
+  validateKeys(config, "service config",
                {{"workers", KeyKind::Number},
                 {"tiles", KeyKind::Number},
                 {"topology", KeyKind::Object},
@@ -221,7 +185,7 @@ ServiceOptions serviceOptionsFromJson(const json::Value& config) {
       config.getOr("tiles", static_cast<std::int64_t>(o.tiles)));
   if (config.contains("topology")) {
     const json::Value& t = config.at("topology");
-    validateKeys(t, "service.topology",
+    validateKeys(t, "service.topology config",
                  {{"ipus", KeyKind::Number},
                   {"tilesPerIpu", KeyKind::Number},
                   {"linkBytesPerSecond", KeyKind::Number},
@@ -264,7 +228,7 @@ ServiceOptions serviceOptionsFromJson(const json::Value& config) {
   o.logPath = config.getOr("logPath", o.logPath);
   if (config.contains("retry")) {
     const json::Value& r = config.at("retry");
-    validateKeys(r, "service.retry",
+    validateKeys(r, "service.retry config",
                  {{"maxRetries", KeyKind::Number},
                   {"backoffBaseMs", KeyKind::Number},
                   {"backoffFactor", KeyKind::Number},
@@ -279,7 +243,7 @@ ServiceOptions serviceOptionsFromJson(const json::Value& config) {
   }
   if (config.contains("admission")) {
     const json::Value& a = config.at("admission");
-    validateKeys(a, "service.admission",
+    validateKeys(a, "service.admission config",
                  {{"maxQueueDepth", KeyKind::Number},
                   {"sramPoolBytes", KeyKind::Number},
                   {"headroom", KeyKind::Number}});
@@ -291,7 +255,7 @@ ServiceOptions serviceOptionsFromJson(const json::Value& config) {
   }
   if (config.contains("breaker")) {
     const json::Value& b = config.at("breaker");
-    validateKeys(b, "service.breaker",
+    validateKeys(b, "service.breaker config",
                  {{"failuresToOpen", KeyKind::Number},
                   {"openForJobs", KeyKind::Number}});
     o.breaker.failuresToOpen = static_cast<std::size_t>(b.getOr(
@@ -301,7 +265,7 @@ ServiceOptions serviceOptionsFromJson(const json::Value& config) {
   }
   if (config.contains("degradation")) {
     const json::Value& d = config.at("degradation");
-    validateKeys(d, "service.degradation",
+    validateKeys(d, "service.degradation config",
                  {{"enabled", KeyKind::Bool},
                   {"toleranceRelaxFactor", KeyKind::Number},
                   {"cgToBicgstab", KeyKind::Bool},

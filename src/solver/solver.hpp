@@ -69,9 +69,9 @@ inline const char* toString(SolveStatus status) {
 /// after engine.run().
 struct SolveResult {
   SolveStatus status = SolveStatus::NotRun;
-  std::size_t iterations = 0;   // iterations (CG/BiCGStab) or refinements
+  std::size_t iterations = 0;   // Krylov iterations, or refinements (MPIR)
   double finalResidual = -1.0;  // last recorded relative residual
-  std::size_t restarts = 0;     // automatic restarts taken (CG/BiCGStab)
+  std::size_t restarts = 0;     // automatic restarts taken (Krylov guard)
   std::size_t rollbacks = 0;    // checkpoint rollbacks taken (MPIR)
 };
 
@@ -80,15 +80,18 @@ struct SolveResult {
 /// maxRestarts/maxRollbacks to 0 removes the recovery program steps
 /// entirely (the guards that detect and report bad states remain).
 struct RobustnessOptions {
-  /// CG/BiCGStab: automatic restarts (re-seed from the last checkpointed
-  /// iterate) before giving up on a NaN/diverged/broken-down state.
+  /// CG, pipelined CG and BiCGStab (the Krylov guard,
+  /// solver/krylov_guard.hpp): automatic restarts (re-seed from the last
+  /// checkpointed iterate) before giving up on a NaN/diverged/broken-down/
+  /// stagnated/checksum-flagged state.
   std::size_t maxRestarts = 2;
   /// Relative residual above which the iteration counts as diverged.
   double divergenceFactor = 1e8;
   /// BiCGStab: |rho| <= breakdownTolerance * ‖b‖² flags a breakdown.
   double breakdownTolerance = 1e-30;
-  /// CG/BiCGStab: checkpoint the iterate every N iterations (0 disables,
-  /// which also disables restarts — nothing valid to restart from).
+  /// CG, pipelined CG and BiCGStab: checkpoint the iterate every N
+  /// iterations (0 disables, which also disables restarts — nothing valid
+  /// to restart from).
   std::size_t checkpointEvery = 8;
   /// MPIR: rollback retry budget. Each consecutive rollback costs double
   /// the previous one (backoff), so a persistently corrupted refinement
@@ -186,7 +189,8 @@ class Solver {
 ///       "preconditioner": {"type": "ilu"}
 ///     }
 ///   }
-/// Types: bicgstab, gauss-seidel, jacobi, ilu, dilu, mpir, identity.
+/// Types: cg (add "pipelined": true for pipelined CG), bicgstab, mpir, ir,
+/// gauss-seidel, richardson, jacobi, ilu, dilu, identity.
 std::unique_ptr<Solver> makeSolver(const json::Value& config);
 
 /// Convenience: parses the JSON text, then builds the solver.

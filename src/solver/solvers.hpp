@@ -133,9 +133,10 @@ class CgSolver final : public Solver {
 /// latency-hiding window. Per iteration that is one reduction
 /// gather/broadcast instead of three — on a pod, O(1) link round-trips per
 /// iteration instead of three, which is where strong scaling of small
-/// systems goes to die. Carries the same robustness envelope as CgSolver
-/// (host residual guard, checkpoint/restart, ABFT duplicate reduction,
-/// post-loop verification).
+/// systems goes to die. Runs under the same recovery guard as CgSolver and
+/// BiCgStabSolver (solver/krylov_guard.hpp: host residual guard,
+/// checkpoint/restart, ABFT duplicate reduction, post-loop verification),
+/// plus a 32-iteration stagnation window of its own.
 class PipelinedCgSolver final : public Solver {
  public:
   PipelinedCgSolver(

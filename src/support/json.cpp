@@ -376,4 +376,54 @@ std::string Value::dump(int indent) const {
 
 Value parse(std::string_view text) { return Parser(text).parseDocument(); }
 
+namespace {
+
+const char* toString(KeyKind kind) {
+  switch (kind) {
+    case KeyKind::Number: return "number";
+    case KeyKind::String: return "string";
+    case KeyKind::Bool: return "boolean";
+    case KeyKind::Object: return "object";
+    case KeyKind::Array: return "array";
+  }
+  return "?";
+}
+
+bool holds(const Value& value, KeyKind kind) {
+  switch (kind) {
+    case KeyKind::Number: return value.isNumber();
+    case KeyKind::String: return value.isString();
+    case KeyKind::Bool: return value.isBool();
+    case KeyKind::Object: return value.isObject();
+    case KeyKind::Array: return value.isArray();
+  }
+  return false;
+}
+
+}  // namespace
+
+void validateKeys(const Value& object, const std::string& where,
+                  std::initializer_list<KeySpec> allowed) {
+  for (const auto& [key, value] : object.asObject()) {
+    const KeySpec* spec = nullptr;
+    for (const KeySpec& s : allowed) {
+      if (key == s.key) {
+        spec = &s;
+        break;
+      }
+    }
+    if (spec == nullptr) {
+      std::string valid;
+      for (const KeySpec& s : allowed) {
+        if (!valid.empty()) valid += ", ";
+        valid += s.key;
+      }
+      GRAPHENE_CHECK(false, "unknown key '", key, "' in ", where,
+                     " (valid keys: ", valid, ")");
+    }
+    GRAPHENE_CHECK(holds(value, spec->kind), "key '", key, "' in ", where,
+                   " must be a ", toString(spec->kind));
+  }
+}
+
 }  // namespace graphene::json

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
@@ -78,5 +79,20 @@ class Value {
 /// Parses a complete JSON document. Throws graphene::ParseError on malformed
 /// input (including trailing garbage).
 Value parse(std::string_view text);
+
+/// What a strictly validated object key must hold.
+enum class KeyKind { Number, String, Bool, Object, Array };
+
+struct KeySpec {
+  const char* key;
+  KeyKind kind;
+};
+
+/// Strict validation of a configuration object: an unknown key or a key of
+/// the wrong JSON type throws graphene::Error naming the key and `where`
+/// (e.g. "'cg' solver config"); an unknown key also lists the valid ones.
+/// A typo therefore fails loudly instead of silently keeping a default.
+void validateKeys(const Value& object, const std::string& where,
+                  std::initializer_list<KeySpec> allowed);
 
 }  // namespace graphene::json

@@ -1,11 +1,13 @@
 // Deterministic fault injection and solver self-healing.
 //
 // Covers: seeded fault plans are byte-for-byte reproducible; an engine with
-// no (or an empty) plan is bit-identical to one without the framework; SRAM
-// bit flips trigger CG's restart path; a stuck-at-zero rho surfaces as
-// SolveStatus::Breakdown; a corrupted MPIR residual exchange rolls back to
-// the last good iterate and re-converges — with the whole fault/repair
-// timeline in the profile's fault log.
+// no (or an empty) plan is bit-identical to one without the framework;
+// bit-level rules skip Int32 index arrays; SRAM bit flips trigger the
+// restart path of CG, pipelined CG and BiCGStab, and a spent restart budget
+// ends typed; a stuck-at-zero rho surfaces as SolveStatus::Breakdown; a
+// corrupted MPIR residual exchange rolls back to the last good iterate and
+// re-converges — with the whole fault/repair timeline in the profile's
+// fault log.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +16,7 @@
 #include "ipu/fault.hpp"
 #include "matrix/generators.hpp"
 #include "partition/partitioner.hpp"
+#include "solver/session.hpp"
 #include "solver/solvers.hpp"
 #include "support/rng.hpp"
 
@@ -416,27 +419,100 @@ TEST(FaultInjection, DroppedTransferIsStillPriced) {
   EXPECT_NE(cleanY, dropY);  // the halo payload never arrived
 }
 
-// An SRAM bit flip in CG's residual vector mid-solve blows the recurrence
-// up; the host guard catches it, restarts from the checkpoint, and the solve
-// still converges — with both the fault and the recovery in the log.
-TEST(SolverRecovery, CgRestartsAfterResidualBitFlip) {
-  auto g = matrix::poisson2d5(8, 8);
-  ipu::FaultPlan plan = ipu::FaultPlan::fromJsonText(R"({
-    "seed": 5,
-    "faults": [
-      {"type": "bitflip", "tensor": "cg_resid", "bit": 30,
-       "skip": 100, "count": 1}
-    ]
-  })");
-  FaultedSolve faulted = runFaultedSolve(g, 4, kCgJson, &plan);
+// An SRAM bit flip in the residual vector mid-solve blows the recurrence
+// up. CG, pipelined CG and BiCGStab share one recovery guard: with the
+// default budget it restarts from the checkpoint and the solve still
+// converges, with both the fault and the recovery in the log; with no
+// restart budget the solve ends in a typed verdict and a clean history.
+struct KrylovCase {
+  const char* name;
+  const char* config;          // solver JSON, closing brace omitted
+  const char* residual;        // the flipped tensor
+  const char* source;          // fault-log source of the restart
+  const char* restartCounter;  // metrics counter of the restart
+};
+
+class KrylovRecovery : public ::testing::TestWithParam<KrylovCase> {
+ protected:
+  FaultedSolve solve(const std::string& robustness) {
+    const KrylovCase& c = GetParam();
+    ipu::FaultPlan plan = ipu::FaultPlan::fromJsonText(
+        std::string(R"({"seed": 5, "faults": [{"type": "bitflip",
+            "tensor": ")") +
+        c.residual + R"(", "bit": 30, "skip": 100, "count": 1}]})");
+    return runFaultedSolve(matrix::poisson2d5(8, 8), 4,
+                           std::string(c.config) + robustness + "}", &plan);
+  }
+};
+
+TEST_P(KrylovRecovery, RestartsAfterResidualBitFlip) {
+  const KrylovCase& c = GetParam();
+  FaultedSolve faulted = solve("");
 
   EXPECT_TRUE(logContains(faulted.profile, "bitflip"));
-  EXPECT_TRUE(logContains(faulted.profile, "recovery:restart"));
-  EXPECT_GE(faulted.result.restarts, 1u);
+  std::vector<ipu::FaultEvent> restarts;
+  for (const ipu::FaultEvent& ev : faulted.profile.faultEvents) {
+    if (ev.kind == "recovery:restart") restarts.push_back(ev);
+  }
+  ASSERT_EQ(restarts.size(), 1u);
+  EXPECT_EQ(restarts[0].target, c.source);
+  EXPECT_EQ(restarts[0].detail, "nan residual; re-seeding from checkpoint");
+  EXPECT_EQ(faulted.result.restarts, 1u);
+  EXPECT_EQ(faulted.profile.metrics.counter(c.restartCounter), 1.0);
   EXPECT_EQ(faulted.result.status, SolveStatus::Converged);
   EXPECT_LT(faulted.trueRelResidual, 1e-4);
   for (const IterationRecord& rec : faulted.history) {
     EXPECT_TRUE(std::isfinite(rec.residual));
+  }
+}
+
+TEST_P(KrylovRecovery, SpentBudgetEndsTyped) {
+  FaultedSolve faulted = solve(R"(, "robustness": {"maxRestarts": 0})");
+
+  EXPECT_TRUE(logContains(faulted.profile, "bitflip"));
+  EXPECT_FALSE(logContains(faulted.profile, "recovery:restart"));
+  EXPECT_TRUE(faulted.result.status == SolveStatus::Diverged ||
+              faulted.result.status == SolveStatus::NanDetected)
+      << toString(faulted.result.status);
+  EXPECT_GT(faulted.result.iterations, 0u);
+  for (const IterationRecord& rec : faulted.history) {
+    EXPECT_TRUE(std::isfinite(rec.residual)) << "NaN leaked into history";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Solvers, KrylovRecovery,
+    ::testing::Values(
+        KrylovCase{"cg",
+                   R"({"type": "cg", "maxIterations": 500,
+                       "tolerance": 1e-6)",
+                   "cg_resid", "cg", "cg.restarts"},
+        KrylovCase{"pipelined_cg",
+                   R"({"type": "cg", "pipelined": true,
+                       "maxIterations": 500, "tolerance": 1e-6)",
+                   "pcg_r", "pipelined-cg", "cg.restarts"},
+        KrylovCase{"bicgstab",
+                   R"({"type": "bicgstab", "maxIterations": 500,
+                       "tolerance": 1e-6)",
+                   "bicg_resid", "bicgstab", "bicgstab.restarts"}),
+    [](const ::testing::TestParamInfo<KrylovCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// Bit-level rules never select an Int32 index array: the simulator has no
+// model of the memory exception a wild column index would raise, so a flip
+// there used to crash the host. Such a rule matches nothing and is inert.
+TEST(FaultInjection, IndexArraysAreNotBitTargets) {
+  const auto g = matrix::poisson2d5(8, 8);
+  for (const char* rule : {R"("type": "bitflip", "bit": 20)",
+                           R"("type": "stuck-zero")"}) {
+    SolveSession session({.tiles = 4});
+    session.load(g).configure(kCgJson).withFaultPlan(json::parse(
+        std::string(R"({"seed": 7, "faults": [{)") + rule +
+        R"(, "tensor": "A_col", "superstep": 30}]})"));
+    auto result = session.solve(std::vector<double>(g.matrix.rows(), 1.0));
+    EXPECT_TRUE(session.profile().faultEvents.empty()) << rule;
+    EXPECT_EQ(result.solve.status, SolveStatus::Converged) << rule;
   }
 }
 

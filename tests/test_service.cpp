@@ -256,6 +256,37 @@ TEST(SolverService, RetriesThenDegradesOnPersistentFaults) {
   EXPECT_GE(service.metrics().counter("service.jobs.degraded"), 1.0);
 }
 
+TEST(SolverService, DegradedRetryOfCgOnlyConfigStillBuilds) {
+  const auto g = matrix::poisson2d5(8, 8);
+  const std::size_t n = g.matrix.rows();
+
+  SolverService service({.workers = 1,
+                         .tiles = 4,
+                         .retry = {.maxRetries = 2, .backoffBaseMs = 0.0,
+                                   .backoffMaxMs = 0.0, .jitter = 0.0}});
+  // "reduction" is a CG-only key: the degraded swap to BiCGStab must drop
+  // it, so the final attempt runs and ends in a solver verdict instead of
+  // failing its build.
+  JobResult r = service.solve(g,
+                              json::parse(R"({"type": "cg",
+                                  "reduction": "flat", "tolerance": 1e-6,
+                                  "maxIterations": 200})"),
+                              ones(n), {.faultPlan = poisonPlan()});
+  EXPECT_EQ(r.attempts, 3u);
+  EXPECT_TRUE(r.degraded);
+  EXPECT_FALSE(r.typedError) << r.message;
+  EXPECT_TRUE(r.solve.status == SolveStatus::Diverged ||
+              r.solve.status == SolveStatus::NanDetected ||
+              r.solve.status == SolveStatus::Breakdown)
+      << toString(r.solve.status) << " " << r.message;
+  const std::optional<FlightRecord> rec =
+      service.flightRecorder().record(r.jobId);
+  ASSERT_TRUE(rec.has_value());
+  for (const support::TraceEvent& ev : rec->events) {
+    EXPECT_NE(ev.name, "job:build-failed") << ev.detail;
+  }
+}
+
 TEST(SolverService, BuildFailureEndsTypedAndServiceStaysLive) {
   // A matrix the pipeline cannot build (zero diagonal — modified CRS
   // requires a nonzero one) must end in a typed verdict, not an exception

@@ -16,6 +16,12 @@ Two report kinds are understood (detected from the "bench" field):
             better). Simulated cycles are deterministic, so a tighter
             threshold than the simspeed default is appropriate (CI uses
             1.25).
+  resilience (BENCH_RESILIENCE.json) bench_resilience's recovery ledger:
+            verdicts, iterations, cycles and fault counts under injected
+            faults. Deterministic, so there is no threshold: the fresh
+            `results` must equal the committed ones exactly, and every row
+            that differs is printed. A recovery change re-baselines on
+            purpose.
 
 Usage:
     check_bench_regression.py [--baseline BENCH_SIMSPEED.json]
@@ -58,6 +64,42 @@ def load_rows(path):
     return rows
 
 
+def check_exact(baseline_path, fresh_paths):
+    """Exact gate for deterministic ledgers; returns the exit code."""
+    with open(baseline_path) as f:
+        want = json.load(f)["results"]
+
+    def key(row):
+        return (row["solver"], row["scenario"])
+
+    failed = False
+    for path in fresh_paths:
+        with open(path) as f:
+            got = json.load(f).get("results", [])
+        if got == want:
+            print(f"ok        {path}: all {len(want)} rows equal the baseline")
+            continue
+        failed = True
+        want_rows = {key(r): r for r in want}
+        got_rows = {key(r): r for r in got}
+        for k in sorted(set(want_rows) | set(got_rows)):
+            if want_rows.get(k) == got_rows.get(k):
+                continue
+            print(f"DIFFERS   {path}: {k[0]}/{k[1]}")
+            print(f"  baseline: {json.dumps(want_rows.get(k), sort_keys=True)}")
+            print(f"  fresh:    {json.dumps(got_rows.get(k), sort_keys=True)}")
+        if want_rows == got_rows:
+            print(f"DIFFERS   {path}: same rows in a different order")
+
+    if failed:
+        print(f"\nresilience gate FAILED: results differ from "
+              f"{baseline_path}. If the change is intentional, regenerate "
+              f"the baseline JSON and commit it.")
+        return 1
+    print("\nresilience gate passed")
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("fresh", nargs="+", help="fresh bench JSON files")
@@ -72,6 +114,9 @@ def main():
         help="max allowed regression factor vs baseline (default: 2.0)")
     args = ap.parse_args()
 
+    with open(args.baseline) as f:
+        if json.load(f).get("bench") == "resilience":
+            return check_exact(args.baseline, args.fresh)
     baseline = load_rows(args.baseline)
     if not baseline:
         print(f"error: no comparable rows in baseline {args.baseline}")
