@@ -239,6 +239,7 @@ ElementRef& ElementRef::operator=(const Value& value) {
   auto s = std::make_shared<Stmt>();
   s->kind = Stmt::Kind::StoreArg;
   s->arg = arg_;
+  s->type = type_;
   s->index = index_;
   s->value = value.expr();
   b.emit(s);

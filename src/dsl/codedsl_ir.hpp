@@ -72,6 +72,7 @@ struct Stmt {
   Kind kind = Kind::Assign;
   int var = -1;
   int arg = -1;
+  DType type = DType::Float32;  // StoreArg: the argument's trace-time dtype
   ExprPtr index, value, cond, begin, end, step;
   StmtList body, elseBody;
 };
@@ -116,13 +117,10 @@ struct FlatStmt {
   Stmt::Kind kind = Stmt::Kind::Assign;
   std::int32_t var = -1;
   std::int32_t arg = -1;
+  DType type = DType::Float32;  // StoreArg: the argument's trace-time dtype
   std::int32_t index = -1, value = -1, cond = -1;
   std::int32_t begin = -1, end = -1, step = -1;
   std::int32_t body = -1, elseBody = -1;
-  /// For/ParFor only: id of a compiled bulk loop kernel in the owning
-  /// CompiledCodelet (-1 = run the generic statement walk). Filled in by the
-  /// interpreter's compile step, not by flattening.
-  std::int32_t fastLoop = -1;
 };
 
 /// A flattened codelet: all expressions and statements of the tree pooled

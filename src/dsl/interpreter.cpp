@@ -172,6 +172,7 @@ class Flattener {
     fs.kind = s.kind;
     fs.var = s.var;
     fs.arg = s.arg;
+    fs.type = s.type;
     fs.index = expr(s.index);
     fs.value = expr(s.value);
     fs.cond = expr(s.cond);
@@ -203,15 +204,27 @@ FlatCodelet flattenCodelet(const CodeletIR& ir) {
 }
 
 // ---------------------------------------------------------------------------
-// Loop kernels: counted For loops whose bodies are straight-line Float32 /
-// Int32 arithmetic are lowered once into a tiny register program ("ops"),
-// optionally specialised further into one of the named span kernels. Per-
-// iteration cycle charges are priced at compile time from the same cost
-// tables the generic walk consults — and every priced constant is an integral
-// double, so `n * perIteration` equals n repeated additions exactly and the
-// bulk charge is bit-identical to the generic walk's. ParFor row bodies may
-// also hold nested counted loops and comparison-guarded Ifs; those rows are
-// charged block by block as they run (see LoopOp::run).
+// The register VM. Every codelet compiles to one Program: a flat vector of
+// ops over four register files — int32 (bools live there as 0/1), float32,
+// double-word pairs and float64 — with jumps for its control flow. A vertex
+// runs its whole codelet on the VM, or, when the program's argument dtypes
+// do not hold for it (decided once per vertex when the engine builds its
+// plan) or the codelet did not compile, whole on the generic statement walk.
+//
+// Cycle accounting reproduces the walk exactly. The walk accumulates each
+// op's charge into an open lane block (fp/mem dual issue) and closes the
+// block at control flow. The compiler prices every op at compile time and
+// attaches the lane sums of each straight-line run to the control op that
+// ends it (VmOp::run); executing a control op adds its run to the open block
+// and closes the block exactly where the walk does. Every priced constant is
+// an integral double (the compiler refuses a cost model where one is not),
+// so these regrouped sums equal the walk's per-op accumulation bit for bit.
+//
+// Serial counted loops whose bodies are straight-line Float32/Int32
+// arithmetic additionally lower to a LoopKernel with its own small register
+// file: it may match a named span kernel, run block-vectorized, or run a
+// tight per-element loop, and charges n × (per-iteration lanes) in bulk.
+// ParFor rows of the two-run CSR SpMV shape run as native scalar loops.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -245,40 +258,78 @@ struct LaneSums {
   double fp = 0, mem = 0, ctrl = 0;
   /// Cost of a lane block holding exactly these charges.
   double total() const { return (fp > mem ? fp : mem) + ctrl; }
+  void add(const LaneSums& r) {
+    fp += r.fp;
+    mem += r.mem;
+    ctrl += r.ctrl;
+  }
 };
 
-struct LoopOp {
+struct VmOp {
   enum class K : std::uint8_t {
+    // Straight-line ops. Serial loop kernels use the Float32/Int32 subset
+    // up to IFromFloat. Comparisons and truth tests set an int register to
+    // 1 or 0 (the walk's bool); Gt/Ge are emitted as Lt/Le with swapped
+    // operands.
     FConst, FMov, FLoad, FStore,
     FAdd, FSub, FMul, FDiv, FMin, FMax,
     FNeg, FAbs, FSqrt, FFromInt,
     IConst, IMov, ILoad,
     IAdd, ISub, IMul, IMin, IMax,
     INeg, IAbs, IFromFloat,
-    // Parallel-row kernels only. Comparisons set int register dst to 1 or 0
-    // (the walk's bool); Gt/Ge are emitted as Lt/Le with swapped operands.
+    IStore, ISize, IDiv, IMod, BLoad, BStore,
     ILt, ILe, IEq, INe, FLt, FLe, FEq, FNe,
-    // Parallel-row kernels only: control ops. Each adds `run` to the row's
-    // open lane block when it executes; a jump resumes at the op after pc
-    // iimm, so it always lands at the start of a run.
-    // LBegin: dst = induction reg, a = begin reg, b = end reg, iimm = pc of
-    //   the matching LEnd. Closes the block and charges a branch.
-    // LEnd: a = induction reg, iimm = pc of the matching LBegin.
-    // JmpZ (an If): a = bool reg. Closes the block, charges a branch, and
-    //   jumps to iimm (the then-branch's closing Jmp) when the bool is 0.
-    // Jmp (closes an If branch): jumps to iimm; the last branch's Jmp points
-    //   at itself and only adds its run.
-    LBegin, LEnd, JmpZ, Jmp,
+    FTruth, INot, LAnd, LOr,
+    // Double-word pairs, with the walk's Float2 (Joldes et al.) arithmetic.
+    DConst, DMov, DLoad, DStore,
+    DAdd, DSub, DMul, DDiv, DMin, DMax,
+    DNeg, DAbs, DSqrt, DLt, DLe, DEq, DNe,
+    DFromF, DFromI, DHi, DToInt, DTruth,
+    // Float64 (SoftDouble bit patterns); SConst's value is
+    // Program::f64Consts[iimm].
+    SConst, SMov, SLoad, SStore,
+    SAdd, SSub, SMul, SDiv, SMin, SMax,
+    SNeg, SAbs, SSqrt, SLt, SLe, SEq, SNe,
+    SFromI, SFromF, SFromD, SToInt, SToF, SToD, STruth,
+    // Control ops. Each first adds `run` to the open lane block. A jump
+    // resumes at the op after pc iimm, so it always lands at the start of a
+    // run.
+    // Jmp: jumps to iimm; the last branch of an If or Select points at
+    //   itself and only adds its run.
+    // JmpZ (If): a = condition. Closes the block plus a branch, then jumps
+    //   to iimm (the then-branch's Jmp) when the condition is 0.
+    // SelZ (Select): like JmpZ but leaves the block open; the Select's
+    //   branch charge is already in `run`.
+    // LBegin (For): a/b/c = begin/end/step regs, dst = induction reg,
+    //   iimm = pc of the LEnd. Checks the step, closes the block plus a
+    //   branch, and skips the loop when it runs zero times.
+    // LEnd: a = induction reg, b/c = end/step regs, iimm = pc of the LBegin.
+    // WBegin (While): dst = pass counter, reset here.
+    // WTest: a = condition, iimm = pc of the WEnd. Closes the block plus a
+    //   branch; leaves the loop when the condition is 0.
+    // WEnd: dst = pass counter (the walk's runaway guard), iimm = pc of the
+    //   WBegin.
+    // PBegin (ParFor): as LBegin, but closes the block without a branch and
+    //   runs every row through the worker-pool model, each row executing the
+    //   ops up to the matching PEnd (iimm) from a fresh block; arg = native
+    //   CSR row plan or -1.
+    // PEnd: ends a row: its cost is the closed blocks plus the open one.
+    // FastFor (For lowered to a LoopKernel): a/b/c as LBegin, iimm = kernel.
+    //   Closes the block plus a branch, then charges the kernel's trip count
+    //   times its per-iteration lanes into the new block.
+    // Halt: ends the program.
+    Jmp, JmpZ, SelZ, LBegin, LEnd, WBegin, WTest, WEnd, PBegin, PEnd,
+    FastFor, Halt,
   };
   K k{};
-  std::int16_t dst = -1, a = -1, b = -1;
-  std::int16_t arg = -1;
-  float fimm = 0;
-  std::int32_t iimm = 0;
   // Load/store index register proven equal to the induction value at this op
   // (analyzeBlockable dataflow): the blocked VM may use a contiguous,
   // pre-bounds-checked span access for it.
   bool ew = false;
+  std::int16_t dst = -1, a = -1, b = -1, c = -1;
+  std::int16_t arg = -1;
+  float fimm = 0, fimm2 = 0;  // FConst; DConst hi/lo
+  std::int32_t iimm = 0;
   // Control ops: lane charges of the straight-line ops since the previous
   // control op in program order.
   LaneSums run;
@@ -299,6 +350,8 @@ struct NamedLoop {
   std::int32_t accVar = -1;
   bool accFirst = true;   // dot: acc is the left addend
   bool dotSingle = false; // acc += a[i] instead of acc += a[i]*b[i]
+  // Home registers of sVar and accVar in the program (bindNamed).
+  std::int16_t sReg = -1, accReg = -1;
 };
 
 /// Recognised whole-row parallel kernel: the two-run CSR SpMV row shape
@@ -308,52 +361,40 @@ struct NamedLoop {
 ///   for k in [sp[r], rp[r+1]):  acc = acc + a[k] * h[c[k] - owned]
 ///   y[r] = acc
 /// Rows run as a native scalar loop (same float ops in the same order, so
-/// bit-identical); the last row still runs through the register VM so the
-/// kernel's var write-backs stay exact.
+/// bit-identical) priced by the closed form of the program's block charges;
+/// a row whose indices fall outside the bound slices runs on the program
+/// instead, which reports the walk's error.
 struct CsrRow {
-  bool valid = false;
   std::int16_t yArg = -1, dArg = -1, xArg = -1, aArg = -1, hArg = -1;
   std::int16_t cArg = -1, rpArg = -1, spArg = -1;
   std::int32_t ownedVar = -1;  // outer var holding the owned-row count
-  // Runs of the row's two LBegin and two LEnd ops, for the closed-form row
-  // cost of the native path (the VM path charges as it runs).
-  LaneSums entry[2], body[2];
+  std::int16_t ownedReg = -1;  // its home register
+  // Runs of the row's two LBegin and two LEnd ops and of its PEnd.
+  LaneSums entry[2], body[2], tail;
 };
 
+/// A serial For lowered to its own small register program: the loop body's
+/// ops with registers renumbered compactly (int register 0 is the induction
+/// variable).
 struct LoopKernel {
   static constexpr std::size_t kMaxRegs = 64;
   static constexpr std::size_t kMaxArgs = 16;
 
-  std::vector<LoopOp> ops;
-  // Once-per-entry register seeds.
-  std::vector<std::pair<std::int16_t, std::int16_t>> sizeSeeds;  // (reg, arg)
-  std::int16_t workerReg = -1;
-  std::vector<std::pair<std::int32_t, std::int16_t>> seedFloat;  // (var, reg)
-  std::vector<std::pair<std::int32_t, std::int16_t>> seedInt;
-  // Vars assigned in the body, written back after the last iteration.
-  std::vector<std::pair<std::int32_t, std::int16_t>> writeFloat;
-  std::vector<std::pair<std::int32_t, std::int16_t>> writeInt;
-  // Runtime dtype guards (trace-time types must hold at run time or the
-  // kernel is skipped for that execution).
+  std::vector<VmOp> ops;
+  // Once-per-entry register seeds: argument sizes, and the program
+  // registers the body reads before writing, as (kernel reg, arg) and
+  // (program reg, kernel reg).
+  std::vector<std::pair<std::int16_t, std::int16_t>> sizeSeeds;
+  std::vector<std::pair<std::int16_t, std::int16_t>> seedFloat, seedInt;
+  // Program registers of variables that outlive the loop and are assigned
+  // in the body, written back after the last iteration: (program reg,
+  // kernel reg).
+  std::vector<std::pair<std::int16_t, std::int16_t>> writeFloat, writeInt;
   std::vector<std::int16_t> floatArgs, intArgs;
   int numFloatRegs = 0, numIntRegs = 0;
-  // Per-iteration lane charges (priced at compile time).
-  double iterFp = 0, iterMem = 0, iterCtrl = 0;
+  // Per-iteration lane charges: the run of the loop's LEnd.
+  LaneSums iter;
   NamedLoop named;
-  // Parallel (ParFor) row kernels: the whole row body is one register
-  // program, nested counted loops and Ifs encoded as jumps. The generic walk
-  // closes its lane block at every loop-entry and If branch, so a row's cost
-  // depends on which bodies ran: a block after a taken If body also holds
-  // that body's lanes, and the last body's lanes merge into the trailing
-  // block. The VM therefore charges per executed block — each control op adds
-  // its run to the open block, LBegin/JmpZ close it plus one branch, and the
-  // row ends by closing the open block plus `tail`. Every priced constant is
-  // an integral double, so these sums equal the walk's per-op accumulation
-  // exactly, whatever the grouping.
-  bool isPar = false;
-  LaneSums tail;  // ops after the last control op
-  double branchCost = 0;
-  CsrRow csr;
   // Block-vectorizable serial loops: no register is loop-carried (read
   // before its first write while also written), so elements are independent
   // and can run in lanes with each op applied lane-wise — the same scalar
@@ -412,8 +453,8 @@ void analyzeBlockable(LoopKernel& k) {
       u.elementwiseOnly = false;
     }
   };
-  using K = LoopOp::K;
-  for (LoopOp& op : k.ops) {
+  using K = VmOp::K;
+  for (VmOp& op : k.ops) {
     switch (op.k) {
       case K::FConst: writeF(op.dst); break;
       case K::FMov: case K::FNeg: case K::FAbs: case K::FSqrt:
@@ -461,10 +502,8 @@ void analyzeBlockable(LoopKernel& k) {
         readF(op.a); writeI(op.dst);
         if (op.dst > 0) isIv[static_cast<std::size_t>(op.dst)] = false;
         break;
-      case K::ILt: case K::ILe: case K::IEq: case K::INe:
-      case K::FLt: case K::FLe: case K::FEq: case K::FNe:
-      case K::LBegin: case K::LEnd: case K::JmpZ: case K::Jmp:
-        return;  // comparisons and control flow are never blockable
+      default:
+        return;  // not in serial kernels
     }
   }
   if (ivWritten) return;
@@ -490,644 +529,20 @@ void analyzeBlockable(LoopKernel& k) {
   k.blockable = true;
 }
 
-/// Compiles one For statement's body into a LoopKernel, or nothing if the
-/// body leaves the supported subset. Serial For bodies must be straight-line
-/// Float32 / Int32 arithmetic. A ParFor row body may add one level of nested
-/// counted unit-step For loops and Ifs (optional else, any nesting) whose
-/// condition is one Int32 or Float32 comparison. Everything else — While,
-/// nested ParFor, logic ops, Select, integer division, extended-precision
-/// types, … — bails. Bailing is never an error: the generic walk runs the
-/// loop instead, and why() names the construct that stopped compilation.
-class LoopCompiler {
+/// Recognises the loop shapes that have a faster tier than the program's
+/// generic ops, by structure over the flat IR: the named span kernels of a
+/// serial For (matchNamed) and the native CSR row of a ParFor (matchCsrRow).
+class ShapeMatcher {
  public:
-  LoopCompiler(const FlatCodelet& flat, const ipu::CostModel& cost)
-      : flat_(flat), cost_(cost) {}
+  explicit ShapeMatcher(const FlatCodelet& flat) : flat_(flat) {}
 
-  std::optional<LoopKernel> compile(std::int32_t forId) {
+  /// Matches a serial For's body against the named span kernels (see
+  /// NamedLoop); fills `nm` with var ids for the program to bind.
+  bool matchNamed(std::int32_t forId, NamedLoop& nm) {
     const FlatStmt& fs = flat_.stmts[static_cast<std::size_t>(forId)];
-    if (!start(fs, /*par=*/false)) return std::nullopt;
-    if (!compileBody(fs)) return std::nullopt;
-    k_.iterFp = iter_.fp();
-    k_.iterMem = iter_.mem();
-    k_.iterCtrl = iter_.ctrl();
-    matchNamed(forId);
-    analyzeBlockable(k_);
-    return std::move(k_);
-  }
-
-  /// Compiles a whole ParFor row body into one parallel kernel.
-  std::optional<LoopKernel> compilePar(std::int32_t parForId) {
-    const FlatStmt& fs = flat_.stmts[static_cast<std::size_t>(parForId)];
-    if (!start(fs, /*par=*/true)) return std::nullopt;
-    if (!compileBody(fs)) return std::nullopt;
-    // Nested induction variables do not survive the kernel, and a var first
-    // assigned inside a nested loop or an If branch (or holding a bool, which
-    // is never written back) has no defined value on every path: nothing
-    // outside the row body may read them.
-    const std::unordered_set<int> outside = varsReadOutside(parForId);
-    for (int v : nestedVars_) {
-      if (outside.count(v) != 0) {
-        why_ = "nested loop variable read after the row";
-        return std::nullopt;
-      }
-    }
-    for (const auto& [v, h] : homes_) {
-      if ((h.scope >= 0 || h.isBool) && outside.count(v) != 0) {
-        why_ = "conditionally defined variable read after the row";
-        return std::nullopt;
-      }
-    }
-    k_.tail = {run_.fp(), run_.mem(), run_.ctrl()};
-    k_.branchCost = cost_.workerCycles(ipu::Op::Branch, DType::Int32);
-    matchCsrRow(parForId);
-    return std::move(k_);
-  }
-
-  /// The construct that stopped the last failed compile().
-  const char* why() const { return why_; }
-
- private:
-  struct Bail {
-    const char* why;
-  };
-  struct Val {
-    std::int16_t reg;
-    bool isFloat;
-    bool isBool = false;  // a comparison result (int register, 0 or 1)
-  };
-  struct Home {
-    std::int16_t reg;
-    bool isFloat;
-    bool isBool = false;
-    bool assigned = false;
-    // Conditional scope (nested loop body or If branch) whose Assign created
-    // this home, or -1. A var first defined where execution may not reach
-    // (a zero-trip loop, an untaken branch) has no defined value outside that
-    // scope, so reads elsewhere must bail.
-    int scope = -1;
-  };
-
-  [[noreturn]] static void bail(const char* why) { throw Bail{why}; }
-
-  bool start(const FlatStmt& fs, bool par) {
-    if (fs.var < 0 || fs.body < 0) {
-      why_ = "loop without a body";
-      return false;
-    }
-    k_ = LoopKernel{};
-    iter_ = ipu::LaneCycles{};
-    run_ = ipu::LaneCycles{};
-    homes_.clear();
-    constInts_.clear();
-    retired_.clear();
-    nestedVars_.clear();
-    scopes_.clear();
     loopVar_ = fs.var;
-    parMode_ = par;
-    inNested_ = false;
-    k_.isPar = par;
-    k_.numIntRegs = 1;  // int register 0 is the induction variable / row
-    return true;
-  }
-
-  bool compileBody(const FlatStmt& fs) {
-    bool ok = true;
-    try {
-      compileList(fs.body);
-    } catch (const Bail& b) {
-      why_ = b.why;
-      ok = false;
-    }
-    parMode_ = false;
-    inNested_ = false;
-    return ok;
-  }
-
-  void compileList(std::int32_t listId) {
-    for (std::int32_t sid : flat_.lists[static_cast<std::size_t>(listId)]) {
-      compileStmt(flat_.stmts[static_cast<std::size_t>(sid)]);
-    }
-  }
-
-  std::int16_t newFloat() {
-    if (k_.numFloatRegs >= static_cast<int>(LoopKernel::kMaxRegs)) {
-      bail("register limit");
-    }
-    return static_cast<std::int16_t>(k_.numFloatRegs++);
-  }
-  std::int16_t newInt() {
-    if (k_.numIntRegs >= static_cast<int>(LoopKernel::kMaxRegs)) {
-      bail("register limit");
-    }
-    return static_cast<std::int16_t>(k_.numIntRegs++);
-  }
-
-  void emit(LoopOp::K kk, std::int16_t dst, std::int16_t a = -1,
-            std::int16_t b = -1, std::int16_t arg = -1) {
-    LoopOp op;
-    op.k = kk;
-    op.dst = dst;
-    op.a = a;
-    op.b = b;
-    op.arg = arg;
-    k_.ops.push_back(op);
-  }
-
-  void chargeIter(ipu::Op op, DType t) {
-    (parMode_ ? run_ : iter_).add(cost_, op, t);
-  }
-
-  /// Emits a control op that takes over the current run's lane charges
-  /// (LoopOp::run) and starts a new run. Returns its pc.
-  std::int32_t emitControl(LoopOp::K kk) {
-    LoopOp op;
-    op.k = kk;
-    op.run = {run_.fp(), run_.mem(), run_.ctrl()};
-    run_ = ipu::LaneCycles{};
-    k_.ops.push_back(op);
-    return static_cast<std::int32_t>(k_.ops.size()) - 1;
-  }
-
-  std::int16_t guardArg(std::int32_t arg, bool isFloat) {
-    if (arg < 0 || arg >= static_cast<std::int32_t>(LoopKernel::kMaxArgs)) {
-      bail("argument index beyond the kernel limit");
-    }
-    auto& list = isFloat ? k_.floatArgs : k_.intArgs;
-    const auto a16 = static_cast<std::int16_t>(arg);
-    if (std::find(list.begin(), list.end(), a16) == list.end()) list.push_back(a16);
-    return a16;
-  }
-
-  static const char* typeBail(DType t) {
-    switch (t) {
-      case DType::DoubleWord: return "double-word value";
-      case DType::Float64: return "float64 value";
-      case DType::Bool: return "bool value";
-      default: return "unsupported type";
-    }
-  }
-
-  std::int16_t toInt(Val v) {
-    if (v.isBool) bail("bool used as a number");
-    if (!v.isFloat) return v.reg;
-    const std::int16_t dst = newInt();
-    emit(LoopOp::K::IFromFloat, dst, v.reg);  // matches Scalar::castTo(Int32)
-    return dst;
-  }
-
-  std::int16_t toFloat(Val v) {
-    if (v.isBool) bail("bool used as a number");
-    if (v.isFloat) return v.reg;
-    const std::int16_t dst = newFloat();
-    emit(LoopOp::K::FFromInt, dst, v.reg);  // matches Scalar::castTo(Float32)
-    return dst;
-  }
-
-  /// Lowers a comparison to a compare op writing 0/1 into an int register,
-  /// priced like the walk's evalBinaryScalar charge: IntArith when both
-  /// operands are Int32, else a Float32 Compare (ints promote uncharged).
-  Val compileCompare(const FlatExpr& e) {
-    if (!parMode_) bail("comparison");
-    const Val a = compileExpr(e.a);
-    const Val b = compileExpr(e.b);
-    const bool isFloat = a.isFloat || b.isFloat;
-    const std::int16_t ra = isFloat ? toFloat(a) : toInt(a);
-    const std::int16_t rb = isFloat ? toFloat(b) : toInt(b);
-    const DType t = isFloat ? DType::Float32 : DType::Int32;
-    chargeIter(costOpFor(e.bop, t), t);
-    using K = LoopOp::K;
-    K kk;
-    bool swap = false;
-    switch (e.bop) {
-      case BinOp::Lt: kk = isFloat ? K::FLt : K::ILt; break;
-      case BinOp::Le: kk = isFloat ? K::FLe : K::ILe; break;
-      case BinOp::Gt: kk = isFloat ? K::FLt : K::ILt; swap = true; break;
-      case BinOp::Ge: kk = isFloat ? K::FLe : K::ILe; swap = true; break;
-      case BinOp::Eq: kk = isFloat ? K::FEq : K::IEq; break;
-      default: kk = isFloat ? K::FNe : K::INe; break;
-    }
-    const std::int16_t dst = newInt();
-    emit(kk, dst, swap ? rb : ra, swap ? ra : rb);
-    return {dst, false, true};
-  }
-
-  Val compileExpr(std::int32_t id) {
-    if (id < 0) bail("missing expression");
-    const FlatExpr& e = flat_.exprs[static_cast<std::size_t>(id)];
-    switch (e.kind) {
-      case Expr::Kind::Const: {
-        if (e.constant.type() == DType::Float32) {
-          const std::int16_t dst = newFloat();
-          LoopOp op;
-          op.k = LoopOp::K::FConst;
-          op.dst = dst;
-          op.fimm = e.constant.asFloat();
-          k_.ops.push_back(op);
-          return {dst, true};
-        }
-        if (e.constant.type() == DType::Int32) {
-          const std::int16_t dst = newInt();
-          LoopOp op;
-          op.k = LoopOp::K::IConst;
-          op.dst = dst;
-          op.iimm = e.constant.asInt();
-          k_.ops.push_back(op);
-          return {dst, false};
-        }
-        bail(typeBail(e.constant.type()));
-      }
-      case Expr::Kind::Var: {
-        if (parMode_) {
-          if (inNested_ && e.var == nestedVar_) return {nestedIvReg_, false};
-          if (retired_.count(e.var) != 0) {
-            bail("nested loop variable read after its loop");
-          }
-        }
-        if (e.var == loopVar_) return {0, false};
-        auto it = homes_.find(e.var);
-        if (it != homes_.end()) {
-          // A home first defined inside a nested loop or an If branch only
-          // holds a value while that scope runs.
-          const Home& h = it->second;
-          if (h.scope >= 0 &&
-              std::find(scopes_.begin(), scopes_.end(), h.scope) ==
-                  scopes_.end()) {
-            bail("variable read outside the scope that defines it");
-          }
-          return {h.reg, h.isFloat, h.isBool};
-        }
-        // First touch is a read: the var is loop-carried or loop-invariant;
-        // seed its home register from the interpreter's var slot on entry.
-        bool isFloat;
-        if (e.type == DType::Float32) {
-          isFloat = true;
-        } else if (e.type == DType::Int32) {
-          isFloat = false;
-        } else {
-          bail(typeBail(e.type));
-        }
-        const std::int16_t reg = isFloat ? newFloat() : newInt();
-        (isFloat ? k_.seedFloat : k_.seedInt).emplace_back(e.var, reg);
-        homes_.emplace(e.var, Home{reg, isFloat});
-        return {reg, isFloat};
-      }
-      case Expr::Kind::ArgLoad: {
-        const std::int16_t idx = toInt(compileExpr(e.a));
-        if (e.type == DType::Float32) {
-          const std::int16_t arg = guardArg(e.arg, /*isFloat=*/true);
-          chargeIter(ipu::Op::Load, DType::Float32);
-          const std::int16_t dst = newFloat();
-          emit(LoopOp::K::FLoad, dst, idx, -1, arg);
-          return {dst, true};
-        }
-        if (e.type == DType::Int32) {
-          const std::int16_t arg = guardArg(e.arg, /*isFloat=*/false);
-          chargeIter(ipu::Op::Load, DType::Int32);
-          const std::int16_t dst = newInt();
-          emit(LoopOp::K::ILoad, dst, idx, -1, arg);
-          return {dst, false};
-        }
-        bail(e.type == DType::DoubleWord ? "double-word load"
-                                         : typeBail(e.type));
-      }
-      case Expr::Kind::ArgSize: {
-        if (e.arg < 0 || e.arg >= static_cast<std::int32_t>(LoopKernel::kMaxArgs))
-          bail("argument index beyond the kernel limit");
-        const std::int16_t dst = newInt();
-        k_.sizeSeeds.emplace_back(dst, static_cast<std::int16_t>(e.arg));
-        chargeIter(ipu::Op::IntArith, DType::Int32);
-        return {dst, false};
-      }
-      case Expr::Kind::WorkerId: {
-        if (k_.workerReg < 0) k_.workerReg = newInt();
-        return {k_.workerReg, false};
-      }
-      case Expr::Kind::Binary: {
-        switch (e.bop) {
-          case BinOp::Add: case BinOp::Sub: case BinOp::Mul: case BinOp::Div:
-          case BinOp::Min: case BinOp::Max:
-            break;
-          case BinOp::Lt: case BinOp::Le: case BinOp::Gt: case BinOp::Ge:
-          case BinOp::Eq: case BinOp::Ne:
-            return compileCompare(e);
-          case BinOp::And: case BinOp::Or:
-            bail("logic op");
-          case BinOp::Mod:
-            bail("integer modulo");  // zero check in generic walk
-        }
-        const Val a = compileExpr(e.a);
-        const Val b = compileExpr(e.b);
-        if (a.isBool || b.isBool) bail("bool used as a number");
-        if (!a.isFloat && !b.isFloat) {
-          if (e.bop == BinOp::Div) bail("integer division");  // zero check
-          chargeIter(ipu::Op::IntArith, DType::Int32);
-          const std::int16_t dst = newInt();
-          LoopOp::K kk;
-          switch (e.bop) {
-            case BinOp::Add: kk = LoopOp::K::IAdd; break;
-            case BinOp::Sub: kk = LoopOp::K::ISub; break;
-            case BinOp::Mul: kk = LoopOp::K::IMul; break;
-            case BinOp::Min: kk = LoopOp::K::IMin; break;
-            default: kk = LoopOp::K::IMax; break;
-          }
-          emit(kk, dst, a.reg, b.reg);
-          return {dst, false};
-        }
-        // Promotion to Float32 (casts inside evalBinaryScalar are uncharged).
-        const std::int16_t fa = toFloat(a);
-        const std::int16_t fb = toFloat(b);
-        chargeIter(costOpFor(e.bop, DType::Float32), DType::Float32);
-        const std::int16_t dst = newFloat();
-        LoopOp::K kk;
-        switch (e.bop) {
-          case BinOp::Add: kk = LoopOp::K::FAdd; break;
-          case BinOp::Sub: kk = LoopOp::K::FSub; break;
-          case BinOp::Mul: kk = LoopOp::K::FMul; break;
-          case BinOp::Div: kk = LoopOp::K::FDiv; break;
-          case BinOp::Min: kk = LoopOp::K::FMin; break;
-          default: kk = LoopOp::K::FMax; break;
-        }
-        emit(kk, dst, fa, fb);
-        return {dst, true};
-      }
-      case Expr::Kind::Unary: {
-        if (e.uop == UnOp::Not) bail("logic op");
-        const Val a = compileExpr(e.a);
-        if (a.isBool) bail("bool used as a number");
-        const DType at = a.isFloat ? DType::Float32 : DType::Int32;
-        chargeIter(costOpFor(e.uop), at);
-        if (e.uop == UnOp::Sqrt) {
-          const std::int16_t fa = toFloat(a);  // generic casts ints to f32
-          const std::int16_t dst = newFloat();
-          emit(LoopOp::K::FSqrt, dst, fa);
-          return {dst, true};
-        }
-        const std::int16_t dst = a.isFloat ? newFloat() : newInt();
-        emit(a.isFloat
-                 ? (e.uop == UnOp::Neg ? LoopOp::K::FNeg : LoopOp::K::FAbs)
-                 : (e.uop == UnOp::Neg ? LoopOp::K::INeg : LoopOp::K::IAbs),
-             dst, a.reg);
-        return {dst, a.isFloat};
-      }
-      case Expr::Kind::Cast: {
-        const Val a = compileExpr(e.a);
-        // Only same-width casts are uncharged and representable here;
-        // double-word / float64 targets bail (they would also be charged).
-        if (e.type == DType::Float32) return {toFloat(a), true};
-        if (e.type == DType::Int32) return {toInt(a), false};
-        bail(typeBail(e.type));
-      }
-      case Expr::Kind::Select:
-        bail("Select");  // data-dependent evaluation order
-    }
-    GRAPHENE_UNREACHABLE("bad expr kind");
-  }
-
-  void compileStmt(const FlatStmt& s) {
-    switch (s.kind) {
-      case Stmt::Kind::Assign: {
-        if (s.var == loopVar_) bail("assignment to the loop variable");
-        if (parMode_ && (retired_.count(s.var) != 0 ||
-                         (inNested_ && s.var == nestedVar_))) {
-          bail("assignment to a nested loop variable");
-        }
-        const Val v = compileExpr(s.value);
-        auto it = homes_.find(s.var);
-        if (it == homes_.end()) {
-          const std::int16_t reg = v.isFloat ? newFloat() : newInt();
-          Home h{reg, v.isFloat, v.isBool};
-          if (!scopes_.empty()) h.scope = scopes_.back();
-          it = homes_.emplace(s.var, h).first;
-        }
-        Home& h = it->second;
-        if (h.isFloat != v.isFloat || h.isBool != v.isBool) {
-          bail("variable changes type");
-        }
-        emit(v.isFloat ? LoopOp::K::FMov : LoopOp::K::IMov, h.reg, v.reg);
-        if (!h.assigned) {
-          h.assigned = true;
-          // Bool homes are never written back; compilePar checks nothing
-          // after the row reads them.
-          if (!h.isBool) {
-            (h.isFloat ? k_.writeFloat : k_.writeInt)
-                .emplace_back(s.var, h.reg);
-          }
-        }
-        // Literal ints trace as var assignments (Value(int) declares a var),
-        // so nested-loop step resolution needs the var → constant map. An
-        // assignment to a var defined in an enclosing scope is conditional
-        // (the loop may not run, the branch may be skipped), so it only ever
-        // invalidates; a var defined in this scope is unreadable outside it.
-        const FlatExpr& ve = flat_.exprs[static_cast<std::size_t>(s.value)];
-        const int here = scopes_.empty() ? -1 : scopes_.back();
-        if (h.scope == here && ve.kind == Expr::Kind::Const &&
-            ve.constant.type() == DType::Int32) {
-          constInts_[s.var] = ve.constant.asInt();
-        } else {
-          constInts_.erase(s.var);
-        }
-        return;
-      }
-      case Stmt::Kind::StoreArg: {
-        const std::int16_t idx = toInt(compileExpr(s.index));
-        const std::int16_t val = toFloat(compileExpr(s.value));
-        // Only Float32 destinations: integer spans are read-only views and
-        // extended types have no raw span at all.
-        const std::int16_t arg = guardArg(s.arg, /*isFloat=*/true);
-        chargeIter(ipu::Op::Store, DType::Float32);
-        emit(LoopOp::K::FStore, -1, idx, val, arg);
-        return;
-      }
-      case Stmt::Kind::For: {
-        // A parallel row body may contain one level of serial counted loops;
-        // everywhere else nested loops stay on the generic walk.
-        if (!parMode_) bail("nested For");
-        if (inNested_) bail("For nested two deep");
-        compileNestedFor(s);
-        return;
-      }
-      case Stmt::Kind::If: {
-        if (!parMode_) bail("If");
-        compileIf(s);
-        return;
-      }
-      case Stmt::Kind::While:
-        bail("While");
-      case Stmt::Kind::ParFor:
-        bail("nested ParFor");
-    }
-    GRAPHENE_UNREACHABLE("bad stmt kind");
-  }
-
-  /// Compiles a statement list as a conditional scope: vars it first
-  /// assigns are unreadable once it closes (see Home::scope).
-  void compileScope(std::int32_t listId) {
-    scopes_.push_back(nextScope_++);
-    compileList(listId);
-    scopes_.pop_back();
-  }
-
-  /// Lowers an If inside a ParFor row to JmpZ + branches + closing Jmps. The
-  /// condition's charges (the walk's eval(cond)) close with the JmpZ, like
-  /// the walk's pre-branch flush; each branch's lanes ride on its closing
-  /// Jmp into the block that follows, as in the walk.
-  void compileIf(const FlatStmt& s) {
-    const Val c = compileExpr(s.cond);
-    if (!c.isBool) bail("If condition that is not a comparison");
-    const std::int32_t jz = emitControl(LoopOp::K::JmpZ);
-    k_.ops[static_cast<std::size_t>(jz)].a = c.reg;
-    compileScope(s.body);
-    const std::int32_t thenEnd = emitControl(LoopOp::K::Jmp);
-    k_.ops[static_cast<std::size_t>(jz)].iimm = thenEnd;
-    k_.ops[static_cast<std::size_t>(thenEnd)].iimm = thenEnd;
-    if (s.elseBody >= 0 &&
-        !flat_.lists[static_cast<std::size_t>(s.elseBody)].empty()) {
-      compileScope(s.elseBody);
-      const std::int32_t elseEnd = emitControl(LoopOp::K::Jmp);
-      k_.ops[static_cast<std::size_t>(elseEnd)].iimm = elseEnd;
-      k_.ops[static_cast<std::size_t>(thenEnd)].iimm = elseEnd;
-    }
-  }
-
-  /// Lowers a serial unit-step For inside a ParFor row. The header's bound
-  /// evaluation and setup charges close with the LBegin — exactly where the
-  /// generic walk accumulates them before its loop-entry branch flush — and
-  /// the body's charges ride on the LEnd into the next block.
-  void compileNestedFor(const FlatStmt& s) {
-    if (s.var < 0 || s.body < 0) bail("loop without a body");
-    if (s.var == loopVar_ || homes_.count(s.var) != 0 ||
-        retired_.count(s.var) != 0) {
-      bail("reused loop variable");
-    }
-    if (s.step >= 0) {
-      // The step may be a literal Const or a read of a var holding a known
-      // integer constant (DSL int literals trace as var assignments).
-      const FlatExpr& st = flat_.exprs[static_cast<std::size_t>(s.step)];
-      std::int32_t stepVal = 0;
-      if (st.kind == Expr::Kind::Const && st.constant.type() == DType::Int32) {
-        stepVal = st.constant.asInt();
-      } else if (st.kind == Expr::Kind::Var) {
-        auto cit = constInts_.find(st.var);
-        if (cit == constInts_.end()) bail("nested loop step not a constant");
-        stepVal = cit->second;
-      } else {
-        bail("nested loop step not a constant");
-      }
-      if (stepVal != 1) bail("nested loop step not 1");
-    }
-    const std::int16_t beginReg = toInt(compileExpr(s.begin));
-    const std::int16_t endReg = toInt(compileExpr(s.end));
-    chargeIter(ipu::Op::IntArith, DType::Int32);  // loop setup, pre-branch
-    const std::int16_t iv = newInt();
-    const std::int32_t beginPc = emitControl(LoopOp::K::LBegin);
-    LoopOp& begin = k_.ops[static_cast<std::size_t>(beginPc)];
-    begin.dst = iv;
-    begin.a = beginReg;
-    begin.b = endReg;
-    inNested_ = true;
-    nestedVar_ = s.var;
-    nestedIvReg_ = iv;
-    compileScope(s.body);
-    inNested_ = false;
-    nestedVar_ = -1;
-    const std::int32_t endPc = emitControl(LoopOp::K::LEnd);
-    k_.ops[static_cast<std::size_t>(endPc)].a = iv;
-    k_.ops[static_cast<std::size_t>(endPc)].iimm = beginPc;
-    k_.ops[static_cast<std::size_t>(beginPc)].iimm = endPc;
-    retired_.insert(s.var);
-    nestedVars_.push_back(s.var);
-  }
-
-  // ---- named-pattern recognition ----------------------------------------
-
-  const FlatExpr& resolve(std::int32_t id,
-                          const std::unordered_map<int, std::int32_t>& env) {
-    const FlatExpr* e = &flat_.exprs[static_cast<std::size_t>(id)];
-    while (e->kind == Expr::Kind::Var) {
-      auto it = env.find(e->var);
-      if (it == env.end()) break;
-      e = &flat_.exprs[static_cast<std::size_t>(it->second)];
-    }
-    return *e;
-  }
-
-  bool isLoopIndex(std::int32_t id,
-                   const std::unordered_map<int, std::int32_t>& env) {
-    const FlatExpr& e = resolve(id, env);
-    return e.kind == Expr::Kind::Var && e.var == loopVar_;
-  }
-
-  /// Matches a resolved expression as `args[A][loopVar]` with A Float32.
-  bool isLoad(const FlatExpr& e,
-              const std::unordered_map<int, std::int32_t>& env,
-              std::int16_t& outArg) {
-    if (e.kind != Expr::Kind::ArgLoad || e.type != DType::Float32) return false;
-    if (!isLoopIndex(e.a, env)) return false;
-    outArg = static_cast<std::int16_t>(e.arg);
-    return true;
-  }
-
-  /// Matches a loop-invariant Float32 scalar: a literal, or a var the body
-  /// never assigns (e.g. a hoisted broadcast operand).
-  bool isScalar(const FlatExpr& e, const std::unordered_set<int>& assigned,
-                NamedLoop& nm) {
-    if (e.kind == Expr::Kind::Const && e.constant.type() == DType::Float32) {
-      nm.sIsConst = true;
-      nm.sConst = e.constant.asFloat();
-      return true;
-    }
-    if (e.kind == Expr::Kind::Var && e.type == DType::Float32 &&
-        e.var != loopVar_ && assigned.count(e.var) == 0) {
-      nm.sVar = e.var;
-      return true;
-    }
-    return false;
-  }
-
-  /// Collects every var id read by statements outside this For's body (the
-  /// For's own bound expressions count as outside).
-  void collectBodyStmts(std::int32_t listId,
-                        std::unordered_set<std::int32_t>& out) {
-    if (listId < 0) return;
-    for (std::int32_t sid : flat_.lists[static_cast<std::size_t>(listId)]) {
-      out.insert(sid);
-      const FlatStmt& s = flat_.stmts[static_cast<std::size_t>(sid)];
-      collectBodyStmts(s.body, out);
-      collectBodyStmts(s.elseBody, out);
-    }
-  }
-
-  std::unordered_set<int> varsReadOutside(std::int32_t forId) {
-    const FlatStmt& fs = flat_.stmts[static_cast<std::size_t>(forId)];
-    std::unordered_set<std::int32_t> bodyStmts;
-    collectBodyStmts(fs.body, bodyStmts);
-    std::unordered_set<int> reads;
-    std::function<void(std::int32_t)> walkExpr = [&](std::int32_t id) {
-      if (id < 0) return;
-      const FlatExpr& e = flat_.exprs[static_cast<std::size_t>(id)];
-      if (e.kind == Expr::Kind::Var) reads.insert(e.var);
-      walkExpr(e.a);
-      walkExpr(e.b);
-      walkExpr(e.c);
-    };
-    for (std::int32_t sid = 0;
-         sid < static_cast<std::int32_t>(flat_.stmts.size()); ++sid) {
-      if (bodyStmts.count(sid) != 0) continue;
-      const FlatStmt& s = flat_.stmts[static_cast<std::size_t>(sid)];
-      walkExpr(s.index);
-      walkExpr(s.value);
-      walkExpr(s.cond);
-      walkExpr(s.begin);
-      walkExpr(s.end);
-      walkExpr(s.step);
-    }
-    return reads;
-  }
-
-  void matchNamed(std::int32_t forId) {
-    const FlatStmt& fs = flat_.stmts[static_cast<std::size_t>(forId)];
     const auto& body = flat_.lists[static_cast<std::size_t>(fs.body)];
-    if (body.empty()) return;
+    if (body.empty()) return false;
     // Unit step only. DSL literals trace as var reads (Value(int) declares a
     // var), so the step is usually a Var here — that's fine: the runtime
     // dispatch re-checks step == 1 before using the named kernel and falls
@@ -1137,7 +552,7 @@ class LoopCompiler {
       const FlatExpr& st = flat_.exprs[static_cast<std::size_t>(fs.step)];
       if (st.kind == Expr::Kind::Const &&
           (st.constant.type() != DType::Int32 || st.constant.asInt() != 1)) {
-        return;
+        return false;
       }
     }
     // All statements but the last must be single-assignment temps.
@@ -1145,18 +560,18 @@ class LoopCompiler {
     std::unordered_set<int> assigned;
     for (std::size_t i = 0; i + 1 < body.size(); ++i) {
       const FlatStmt& s = flat_.stmts[static_cast<std::size_t>(body[i])];
-      if (s.kind != Stmt::Kind::Assign) return;
-      if (!env.emplace(s.var, s.value).second) return;  // shadowed def
+      if (s.kind != Stmt::Kind::Assign) return false;
+      if (!env.emplace(s.var, s.value).second) return false;  // shadowed def
       assigned.insert(s.var);
     }
     const FlatStmt& last = flat_.stmts[static_cast<std::size_t>(body.back())];
 
-    NamedLoop nm;
+    nm = NamedLoop{};
     if (last.kind == Stmt::Kind::StoreArg) {
       if (last.arg < 0 ||
           last.arg >= static_cast<std::int32_t>(LoopKernel::kMaxArgs) ||
           !isLoopIndex(last.index, env)) {
-        return;
+        return false;
       }
       nm.dstArg = static_cast<std::int16_t>(last.arg);
       const FlatExpr& v = resolve(last.value, env);
@@ -1190,16 +605,16 @@ class LoopCompiler {
         } else if (isLoad(l, env, nm.aArg) && isLoad(r, env, nm.bArg)) {
           nm.p = NamedLoop::P::AddVec;
         } else {
-          return;
+          return false;
         }
       } else {
-        return;
+        return false;
       }
     } else if (last.kind == Stmt::Kind::Assign) {
       // Reduction partial: acc = acc + X, acc assigned nowhere else.
-      if (assigned.count(last.var) != 0) return;
+      if (assigned.count(last.var) != 0) return false;
       const FlatExpr& v = resolve(last.value, env);
-      if (v.kind != Expr::Kind::Binary || v.bop != BinOp::Add) return;
+      if (v.kind != Expr::Kind::Binary || v.bop != BinOp::Add) return false;
       const FlatExpr& l = resolve(v.a, env);
       const FlatExpr& r = resolve(v.b, env);
       auto isAcc = [&](const FlatExpr& e) {
@@ -1214,7 +629,7 @@ class LoopCompiler {
         nm.accFirst = false;
         x = &l;
       } else {
-        return;
+        return false;
       }
       nm.accVar = last.var;
       if (isLoad(*x, env, nm.aArg)) {
@@ -1224,12 +639,12 @@ class LoopCompiler {
                  isLoad(resolve(x->b, env), env, nm.bArg)) {
         nm.dotSingle = false;
       } else {
-        return;
+        return false;
       }
       nm.p = NamedLoop::P::DotPartial;
       assigned.insert(last.var);  // counts as assigned for the outside scan
     } else {
-      return;
+      return false;
     }
 
     // The named kernels do not materialise the per-iteration temps, so no
@@ -1238,33 +653,24 @@ class LoopCompiler {
     std::unordered_set<int> outside = varsReadOutside(forId);
     for (int v : assigned) {
       if (v == nm.accVar) continue;
-      if (outside.count(v) != 0) return;
+      if (outside.count(v) != 0) return false;
     }
-    k_.named = nm;
-  }
-
-  /// Matches `e` (already resolved) as `args[A][idxVar]` of element type `t`.
-  bool isIdxLoad(const FlatExpr& e, int idxVar, DType t,
-                 const std::unordered_map<int, std::int32_t>& env,
-                 std::int16_t& outArg) {
-    if (e.kind != Expr::Kind::ArgLoad || e.type != t) return false;
-    if (e.arg < 0 || e.arg >= static_cast<std::int32_t>(LoopKernel::kMaxArgs))
-      return false;
-    const FlatExpr& ix = resolve(e.a, env);
-    if (ix.kind != Expr::Kind::Var || ix.var != idxVar) return false;
-    outArg = static_cast<std::int16_t>(e.arg);
     return true;
   }
 
-  /// Recognises the two-run CSR SpMV row body (see CsrRow). Matching is
+  /// Recognises the two-run CSR SpMV row body of a ParFor (see CsrRow) and
+  /// fills the argument and owned-count fields of `m`. Matching is
   /// structural over the flat IR with temps resolved through their defining
   /// assignments, so the literal-int vars the DSL traces are looked through.
-  /// Everything the match does not pin (dead temps, write-backs) stays exact
-  /// because the executor still runs the final row through the register VM.
-  void matchCsrRow(std::int32_t parForId) {
+  /// Dead temps the match does not pin are unobservable: the program
+  /// compiler only plans native rows whose body writes nothing that
+  /// outlives the row.
+  bool matchCsrRow(std::int32_t parForId, CsrRow& m) {
     const FlatStmt& fs = flat_.stmts[static_cast<std::size_t>(parForId)];
+    if (fs.var < 0 || fs.body < 0) return false;
+    loopVar_ = fs.var;
     const auto& body = flat_.lists[static_cast<std::size_t>(fs.body)];
-    if (body.size() < 4) return;
+    if (body.size() < 4) return false;
 
     // Shape scan: top level is single-assignment temps, two Fors, and a
     // trailing StoreArg.
@@ -1276,21 +682,21 @@ class LoopCompiler {
     for (std::size_t i = 0; i < body.size(); ++i) {
       const FlatStmt& s = flat_.stmts[static_cast<std::size_t>(body[i])];
       if (s.kind == Stmt::Kind::Assign) {
-        if (i + 1 == body.size()) return;
-        if (!env.emplace(s.var, s.value).second) return;
+        if (i + 1 == body.size()) return false;
+        if (!env.emplace(s.var, s.value).second) return false;
         assignPos.emplace(s.var, i);
       } else if (s.kind == Stmt::Kind::For) {
-        if (fors[1] != nullptr) return;
+        if (fors[1] != nullptr) return false;
         const std::size_t slot = fors[0] == nullptr ? 0 : 1;
         fors[slot] = &s;
         forPos[slot] = i;
       } else if (s.kind == Stmt::Kind::StoreArg && i + 1 == body.size()) {
         store = &s;
       } else {
-        return;
+        return false;
       }
     }
-    if (fors[1] == nullptr || store == nullptr) return;
+    if (fors[1] == nullptr || store == nullptr) return false;
 
     // Every var assigned anywhere in the row body (loop bodies included):
     // the owned-count operand must not be one, since the native rows read it
@@ -1303,18 +709,17 @@ class LoopCompiler {
       if (s.kind == Stmt::Kind::Assign) assignedAnywhere.insert(s.var);
     }
 
-    CsrRow m;
     // y[r] = acc — the store value must be a direct read of the accumulator.
     const FlatExpr& sv = flat_.exprs[static_cast<std::size_t>(store->value)];
-    if (sv.kind != Expr::Kind::Var || sv.type != DType::Float32) return;
+    if (sv.kind != Expr::Kind::Var || sv.type != DType::Float32) return false;
     const int accVar = sv.var;
     {
       const FlatExpr& ix = resolve(store->index, env);
-      if (ix.kind != Expr::Kind::Var || ix.var != loopVar_) return;
+      if (ix.kind != Expr::Kind::Var || ix.var != loopVar_) return false;
     }
     if (store->arg < 0 ||
         store->arg >= static_cast<std::int32_t>(LoopKernel::kMaxArgs)) {
-      return;
+      return false;
     }
     m.yArg = static_cast<std::int16_t>(store->arg);
 
@@ -1322,19 +727,21 @@ class LoopCompiler {
     // loop bodies would fold onto a seeded value, not this product).
     auto accIt = env.find(accVar);
     auto accPosIt = assignPos.find(accVar);
-    if (accIt == env.end() || accPosIt == assignPos.end()) return;
-    if (accPosIt->second > forPos[0]) return;
+    if (accIt == env.end() || accPosIt == assignPos.end()) return false;
+    if (accPosIt->second > forPos[0]) return false;
     const std::int32_t accInit = accIt->second;
     // Resolution must not look through the accumulator itself.
     env.erase(accVar);
     {
       const FlatExpr& init = flat_.exprs[static_cast<std::size_t>(accInit)];
-      if (init.kind != Expr::Kind::Binary || init.bop != BinOp::Mul) return;
+      if (init.kind != Expr::Kind::Binary || init.bop != BinOp::Mul) {
+        return false;
+      }
       if (!isIdxLoad(resolve(init.a, env), loopVar_, DType::Float32, env,
                      m.dArg) ||
           !isIdxLoad(resolve(init.b, env), loopVar_, DType::Float32, env,
                      m.xArg)) {
-        return;
+        return false;
       }
     }
 
@@ -1346,7 +753,7 @@ class LoopCompiler {
              st.constant.type() == DType::Int32 && st.constant.asInt() == 1;
     };
     std::int16_t spAgain = -1;
-    if (!unitStep(*fors[0]) || !unitStep(*fors[1])) return;
+    if (!unitStep(*fors[0]) || !unitStep(*fors[1])) return false;
     if (!isIdxLoad(resolve(fors[0]->begin, env), loopVar_, DType::Int32, env,
                    m.rpArg) ||
         !isIdxLoad(resolve(fors[0]->end, env), loopVar_, DType::Int32, env,
@@ -1354,21 +761,21 @@ class LoopCompiler {
         !isIdxLoad(resolve(fors[1]->begin, env), loopVar_, DType::Int32, env,
                    spAgain) ||
         spAgain != m.spArg) {
-      return;
+      return false;
     }
     {
       // rp[r + 1]
       const FlatExpr& e = resolve(fors[1]->end, env);
-      if (e.kind != Expr::Kind::ArgLoad || e.type != DType::Int32) return;
-      if (e.arg != m.rpArg) return;
+      if (e.kind != Expr::Kind::ArgLoad || e.type != DType::Int32) return false;
+      if (e.arg != m.rpArg) return false;
       const FlatExpr& ix = resolve(e.a, env);
-      if (ix.kind != Expr::Kind::Binary || ix.bop != BinOp::Add) return;
+      if (ix.kind != Expr::Kind::Binary || ix.bop != BinOp::Add) return false;
       const FlatExpr& l = resolve(ix.a, env);
       const FlatExpr& r = resolve(ix.b, env);
-      if (l.kind != Expr::Kind::Var || l.var != loopVar_) return;
+      if (l.kind != Expr::Kind::Var || l.var != loopVar_) return false;
       if (r.kind != Expr::Kind::Const || r.constant.type() != DType::Int32 ||
           r.constant.asInt() != 1) {
-        return;
+        return false;
       }
     }
 
@@ -1432,59 +839,966 @@ class LoopCompiler {
     };
     if (!matchBody(*fors[0], /*halo=*/false) ||
         !matchBody(*fors[1], /*halo=*/true)) {
+      return false;
+    }
+    return true;
+  }
+
+ private:
+  const FlatExpr& resolve(std::int32_t id,
+                          const std::unordered_map<int, std::int32_t>& env) {
+    const FlatExpr* e = &flat_.exprs[static_cast<std::size_t>(id)];
+    while (e->kind == Expr::Kind::Var) {
+      auto it = env.find(e->var);
+      if (it == env.end()) break;
+      e = &flat_.exprs[static_cast<std::size_t>(it->second)];
+    }
+    return *e;
+  }
+
+  bool isLoopIndex(std::int32_t id,
+                   const std::unordered_map<int, std::int32_t>& env) {
+    const FlatExpr& e = resolve(id, env);
+    return e.kind == Expr::Kind::Var && e.var == loopVar_;
+  }
+
+  /// Matches a resolved expression as `args[A][loopVar]` with A Float32.
+  bool isLoad(const FlatExpr& e,
+              const std::unordered_map<int, std::int32_t>& env,
+              std::int16_t& outArg) {
+    if (e.kind != Expr::Kind::ArgLoad || e.type != DType::Float32) return false;
+    if (!isLoopIndex(e.a, env)) return false;
+    outArg = static_cast<std::int16_t>(e.arg);
+    return true;
+  }
+
+  /// Matches a loop-invariant Float32 scalar: a literal, or a var the body
+  /// never assigns (e.g. a hoisted broadcast operand).
+  bool isScalar(const FlatExpr& e, const std::unordered_set<int>& assigned,
+                NamedLoop& nm) {
+    if (e.kind == Expr::Kind::Const && e.constant.type() == DType::Float32) {
+      nm.sIsConst = true;
+      nm.sConst = e.constant.asFloat();
+      return true;
+    }
+    if (e.kind == Expr::Kind::Var && e.type == DType::Float32 &&
+        e.var != loopVar_ && assigned.count(e.var) == 0) {
+      nm.sVar = e.var;
+      return true;
+    }
+    return false;
+  }
+  /// Collects every var id read by statements outside this For's body (the
+  /// For's own bound expressions count as outside).
+  void collectBodyStmts(std::int32_t listId,
+                        std::unordered_set<std::int32_t>& out) {
+    if (listId < 0) return;
+    for (std::int32_t sid : flat_.lists[static_cast<std::size_t>(listId)]) {
+      out.insert(sid);
+      const FlatStmt& s = flat_.stmts[static_cast<std::size_t>(sid)];
+      collectBodyStmts(s.body, out);
+      collectBodyStmts(s.elseBody, out);
+    }
+  }
+
+  std::unordered_set<int> varsReadOutside(std::int32_t forId) {
+    const FlatStmt& fs = flat_.stmts[static_cast<std::size_t>(forId)];
+    std::unordered_set<std::int32_t> bodyStmts;
+    collectBodyStmts(fs.body, bodyStmts);
+    std::unordered_set<int> reads;
+    std::function<void(std::int32_t)> walkExpr = [&](std::int32_t id) {
+      if (id < 0) return;
+      const FlatExpr& e = flat_.exprs[static_cast<std::size_t>(id)];
+      if (e.kind == Expr::Kind::Var) reads.insert(e.var);
+      walkExpr(e.a);
+      walkExpr(e.b);
+      walkExpr(e.c);
+    };
+    for (std::int32_t sid = 0;
+         sid < static_cast<std::int32_t>(flat_.stmts.size()); ++sid) {
+      if (bodyStmts.count(sid) != 0) continue;
+      const FlatStmt& s = flat_.stmts[static_cast<std::size_t>(sid)];
+      walkExpr(s.index);
+      walkExpr(s.value);
+      walkExpr(s.cond);
+      walkExpr(s.begin);
+      walkExpr(s.end);
+      walkExpr(s.step);
+    }
+    return reads;
+  }
+
+  /// Matches `e` (already resolved) as `args[A][idxVar]` of element type `t`.
+  bool isIdxLoad(const FlatExpr& e, int idxVar, DType t,
+                 const std::unordered_map<int, std::int32_t>& env,
+                 std::int16_t& outArg) {
+    if (e.kind != Expr::Kind::ArgLoad || e.type != t) return false;
+    if (e.arg < 0 || e.arg >= static_cast<std::int32_t>(LoopKernel::kMaxArgs))
+      return false;
+    const FlatExpr& ix = resolve(e.a, env);
+    if (ix.kind != Expr::Kind::Var || ix.var != idxVar) return false;
+    outArg = static_cast<std::int16_t>(e.arg);
+    return true;
+  }
+
+  const FlatCodelet& flat_;
+  int loopVar_ = -1;
+};
+
+/// Register kinds of the program VM, in the walk's promotion order. Bools
+/// are Int registers holding 0 or 1: every operation the walk performs on a
+/// Bool scalar (promotion, truthiness, stores, charges) gives exactly what it
+/// gives on the Int32 0 or 1.
+enum class RegKind : std::uint8_t { Int, Float, Dw, F64 };
+
+DType dtypeOf(RegKind k) {
+  switch (k) {
+    case RegKind::Int: return DType::Int32;
+    case RegKind::Float: return DType::Float32;
+    case RegKind::Dw: return DType::DoubleWord;
+    case RegKind::F64: return DType::Float64;
+  }
+  return DType::Int32;
+}
+
+/// A whole codelet lowered to the register VM.
+struct Program {
+  static constexpr std::size_t kMaxRegs = 512;  // per register kind
+
+  std::vector<VmOp> ops;  // ends with Halt
+  std::vector<LoopKernel> kernels;
+  std::vector<CsrRow> csrRows;
+  // Float homes read before any assignment: the walk's variables start as
+  // Float32 zero.
+  std::vector<std::int16_t> zeroFloat;
+  // The trace-time dtype of every argument the program loads or stores; a
+  // vertex whose arguments differ runs on the walk (codeletBinds).
+  std::vector<std::pair<std::int32_t, DType>> argTypes;
+  std::vector<std::uint64_t> f64Consts;  // SConst bit patterns
+  int numFloat = 0, numInt = 1, numDw = 0, numF64 = 0;  // int reg 0: worker
+  double branchCost = 0;
+};
+
+/// Lowers a whole flattened codelet to one Program, or reports the construct
+/// that keeps it on the walk. Variables live in home registers of a fixed
+/// kind; a variable whose value on some path the VM cannot give the walk's
+/// type or value bails: it changes kind, or it is read outside the scope
+/// (loop body, If branch) whose assignment defines it.
+class ProgramCompiler {
+ public:
+  ProgramCompiler(const FlatCodelet& flat, const ipu::CostModel& cost)
+      : flat_(flat), cost_(cost) {}
+
+  std::optional<Program> compile() {
+    try {
+      p_.branchCost = priced(ipu::Op::Branch, DType::Int32);
+      compileList(flat_.root);
+      emitControl(VmOp::K::Halt);
+    } catch (const Bail& b) {
+      why_ = b.why;
+      return std::nullopt;
+    }
+    return std::move(p_);
+  }
+
+  /// The construct that stopped the last failed compile().
+  const char* why() const { return why_; }
+
+ private:
+  struct Bail {
+    const char* why;
+  };
+  struct Val {
+    std::int16_t reg;
+    RegKind kind;
+    bool home = false;  // a variable's register, not a fresh temporary
+  };
+  struct Home {
+    std::int16_t reg;  // -1: defined only inside a lowered loop kernel
+    RegKind kind;
+    int scope;  // conditional scope whose assignment defined it, -1 = none
+  };
+
+  [[noreturn]] static void bail(const char* why) { throw Bail{why}; }
+
+  // ---- registers, ops and charges ----------------------------------------
+
+  std::int16_t newReg(RegKind k) {
+    int& n = k == RegKind::Int     ? p_.numInt
+             : k == RegKind::Float ? p_.numFloat
+             : k == RegKind::Dw    ? p_.numDw
+                                   : p_.numF64;
+    if (n >= static_cast<int>(Program::kMaxRegs)) bail("register limit");
+    return static_cast<std::int16_t>(n++);
+  }
+
+  std::int32_t emit(VmOp::K k, std::int16_t dst, std::int16_t a = -1,
+                    std::int16_t b = -1) {
+    VmOp op;
+    op.k = k;
+    op.dst = dst;
+    op.a = a;
+    op.b = b;
+    p_.ops.push_back(op);
+    return static_cast<std::int32_t>(p_.ops.size()) - 1;
+  }
+
+  Val emitVal(VmOp::K k, RegKind kind, std::int16_t a = -1,
+              std::int16_t b = -1) {
+    const std::int16_t dst = newReg(kind);
+    emit(k, dst, a, b);
+    return {dst, kind};
+  }
+
+  /// Emits a control op that takes over the current run's lane charges
+  /// (VmOp::run) and starts a new run. Returns its pc.
+  std::int32_t emitControl(VmOp::K k) {
+    VmOp op;
+    op.k = k;
+    op.run = run_;
+    run_ = LaneSums{};
+    p_.ops.push_back(op);
+    return static_cast<std::int32_t>(p_.ops.size()) - 1;
+  }
+
+  VmOp& at(std::int32_t pc) { return p_.ops[static_cast<std::size_t>(pc)]; }
+
+  /// A cost-model charge, refused unless integral (see the VM overview).
+  double priced(ipu::Op op, DType t) {
+    const double c = cost_.workerCycles(op, t);
+    if (std::floor(c) != c) bail("non-integral cycle cost");
+    return c;
+  }
+
+  void chargeLane(ipu::Lane lane, double cycles) {
+    switch (lane) {
+      case ipu::Lane::Fp: run_.fp += cycles; break;
+      case ipu::Lane::Mem: run_.mem += cycles; break;
+      case ipu::Lane::Ctrl: run_.ctrl += cycles; break;
+    }
+  }
+
+  void charge(ipu::Op op, DType t) {
+    chargeLane(ipu::CostModel::lane(op), priced(op, t));
+  }
+
+  /// Records the dtype the program assumes for argument `arg`.
+  void requireArg(std::int32_t arg, DType t) {
+    if (arg < 0 || static_cast<std::size_t>(arg) >= flat_.numArgs) {
+      bail("argument index beyond the codelet's arguments");
+    }
+    for (const auto& [a, at] : p_.argTypes) {
+      if (a != arg) continue;
+      if (at != t) bail("argument used with two dtypes");
       return;
     }
-    // The matched shape lowers to exactly LBegin, LEnd, LBegin, LEnd.
-    std::vector<const LoopOp*> ctl;
-    for (const LoopOp& op : k_.ops) {
-      if (op.k == LoopOp::K::LBegin || op.k == LoopOp::K::LEnd ||
-          op.k == LoopOp::K::JmpZ || op.k == LoopOp::K::Jmp) {
-        ctl.push_back(&op);
+    p_.argTypes.emplace_back(arg, t);
+  }
+
+  // ---- conversions ---------------------------------------------------------
+
+  /// The register kind holding an element of a (non-Float64) argument.
+  static RegKind kindOf(DType t) {
+    switch (t) {
+      case DType::Float32: return RegKind::Float;
+      case DType::DoubleWord: return RegKind::Dw;
+      case DType::Float64: return RegKind::F64;
+      default: return RegKind::Int;
+    }
+  }
+
+  static VmOp::K loadOf(DType t) {
+    switch (t) {
+      case DType::Bool: return VmOp::K::BLoad;
+      case DType::Int32: return VmOp::K::ILoad;
+      case DType::Float32: return VmOp::K::FLoad;
+      case DType::DoubleWord: return VmOp::K::DLoad;
+      case DType::Float64: return VmOp::K::SLoad;
+    }
+    return VmOp::K::ILoad;
+  }
+
+  static VmOp::K storeOf(DType t) {
+    switch (t) {
+      case DType::Bool: return VmOp::K::BStore;
+      case DType::Int32: return VmOp::K::IStore;
+      case DType::Float32: return VmOp::K::FStore;
+      case DType::DoubleWord: return VmOp::K::DStore;
+      case DType::Float64: return VmOp::K::SStore;
+    }
+    return VmOp::K::IStore;
+  }
+
+  static RegKind wider(RegKind a, RegKind b) {
+    return static_cast<std::uint8_t>(a) >= static_cast<std::uint8_t>(b) ? a
+                                                                          : b;
+  }
+
+  /// Scalar::castTo(kind k), uncharged: the op converting from each kind
+  /// (indexed [to][from]; None for the identity).
+  Val toKind(Val v, RegKind k) {
+    using K = VmOp::K;
+    static constexpr K kNone = K::Halt;
+    static constexpr K kConv[4][4] = {
+        {kNone, K::IFromFloat, K::DToInt, K::SToInt},
+        {K::FFromInt, kNone, K::DHi, K::SToF},
+        {K::DFromI, K::DFromF, kNone, K::SToD},
+        {K::SFromI, K::SFromF, K::SFromD, kNone}};
+    if (v.kind == k) return v;
+    return emitVal(kConv[static_cast<std::size_t>(k)]
+                        [static_cast<std::size_t>(v.kind)],
+                   k, v.reg);
+  }
+  Val toInt(Val v) { return toKind(v, RegKind::Int); }
+  Val toFloat(Val v) { return toKind(v, RegKind::Float); }
+
+  std::int16_t emitTruth(VmOp::K k, Val v) {
+    return emitVal(k, RegKind::Int, v.reg).reg;
+  }
+
+  /// An int register that is nonzero exactly when Scalar::truthy() holds.
+  std::int16_t truth(Val v) {
+    switch (v.kind) {
+      case RegKind::Int: return v.reg;
+      case RegKind::Float: return emitTruth(VmOp::K::FTruth, v);
+      case RegKind::Dw: return emitTruth(VmOp::K::DTruth, v);
+      case RegKind::F64: return emitTruth(VmOp::K::STruth, v);
+    }
+    return v.reg;
+  }
+
+  static VmOp::K movOf(RegKind k) {
+    static constexpr VmOp::K kMov[4] = {VmOp::K::IMov, VmOp::K::FMov,
+                                        VmOp::K::DMov, VmOp::K::SMov};
+    return kMov[static_cast<std::size_t>(k)];
+  }
+
+  /// A register holding `v` that nothing else writes while it is live: loop
+  /// bounds must not follow later assignments to the variables they read.
+  std::int16_t snapshot(Val v) {
+    if (!v.home) return v.reg;
+    return emitVal(movOf(v.kind), v.kind, v.reg).reg;
+  }
+
+  // ---- scopes --------------------------------------------------------------
+
+  bool scopeOpen(int scope) const {
+    return scope < 0 ||
+           std::find(scopes_.begin(), scopes_.end(), scope) != scopes_.end();
+  }
+
+  int innermostScope() const { return scopes_.empty() ? -1 : scopes_.back(); }
+
+  /// Compiles a statement list as a conditional scope: variables it first
+  /// assigns are unreadable once it closes.
+  void compileScope(std::int32_t listId) {
+    scopes_.push_back(nextScope_++);
+    compileList(listId);
+    scopes_.pop_back();
+  }
+
+  void compileList(std::int32_t listId) {
+    if (listId < 0) return;
+    for (std::int32_t sid : flat_.lists[static_cast<std::size_t>(listId)]) {
+      compileStmt(sid);
+    }
+  }
+
+  /// The home register a read of `var` sees, creating the walk's Float32
+  /// zero for a first touch.
+  Val readVar(std::int32_t var) {
+    if (auto it = loopRegs_.find(var); it != loopRegs_.end()) {
+      return {it->second, RegKind::Int, true};
+    }
+    if (retired_.count(var) != 0) bail("loop variable read after its loop");
+    auto it = homes_.find(var);
+    if (it != homes_.end()) {
+      if (!scopeOpen(it->second.scope)) {
+        bail("variable read outside the scope that defines it");
+      }
+      return {it->second.reg, it->second.kind, true};
+    }
+    const std::int16_t reg = newReg(RegKind::Float);
+    p_.zeroFloat.push_back(reg);
+    homes_.emplace(var, Home{reg, RegKind::Float, -1});
+    return {reg, RegKind::Float, true};
+  }
+
+  /// Marks an assignment of `v` to `var`: returns the home register to
+  /// write, or -1 when `v` (a fresh temporary) becomes the new home. A home
+  /// whose defining scope has closed is dead and may be redefined.
+  std::int16_t assignVar(std::int32_t var, Val v) {
+    if (loopRegs_.count(var) != 0 || retired_.count(var) != 0) {
+      bail("assignment to a loop variable");
+    }
+    auto it = homes_.find(var);
+    if (it != homes_.end() && !scopeOpen(it->second.scope)) {
+      if (it->second.kind == v.kind && it->second.reg >= 0) {
+        it->second.scope = innermostScope();
+      } else {
+        homes_.erase(it);
+        it = homes_.end();
       }
     }
-    if (ctl.size() != 4) return;
-    m.entry[0] = ctl[0]->run;
-    m.body[0] = ctl[1]->run;
-    m.entry[1] = ctl[2]->run;
-    m.body[1] = ctl[3]->run;
-    m.valid = true;
-    k_.csr = m;
+    if (it == homes_.end()) {
+      const std::int16_t reg = v.home ? newReg(v.kind) : v.reg;
+      homes_.emplace(var, Home{reg, v.kind, innermostScope()});
+      return v.home ? reg : -1;
+    }
+    const Home& h = it->second;
+    if (h.kind != v.kind) bail("variable changes type");
+    return h.reg;
+  }
+
+  /// True when a statement of `listId`, at any depth, assigns a variable
+  /// that is readable here: one that outlives the scope just compiled.
+  bool assignsLiveVar(std::int32_t listId) const {
+    for (std::int32_t sid : flat_.lists[static_cast<std::size_t>(listId)]) {
+      const FlatStmt& s = flat_.stmts[static_cast<std::size_t>(sid)];
+      if (s.kind == Stmt::Kind::Assign) {
+        auto it = homes_.find(s.var);
+        if (it != homes_.end() && scopeOpen(it->second.scope)) return true;
+      }
+      if ((s.body >= 0 && assignsLiveVar(s.body)) ||
+          (s.elseBody >= 0 && assignsLiveVar(s.elseBody))) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  // ---- expressions ---------------------------------------------------------
+
+  Val compileExpr(std::int32_t id) {
+    if (id < 0) bail("missing expression");
+    const FlatExpr& e = flat_.exprs[static_cast<std::size_t>(id)];
+    switch (e.kind) {
+      case Expr::Kind::Const: return compileConst(e.constant);
+      case Expr::Kind::Var: return readVar(e.var);
+      case Expr::Kind::ArgLoad: {
+        const Val idx = toInt(compileExpr(e.a));
+        requireArg(e.arg, e.type);
+        charge(ipu::Op::Load, e.type);
+        const Val v = emitVal(loadOf(e.type), kindOf(e.type), idx.reg);
+        at(static_cast<std::int32_t>(p_.ops.size()) - 1).arg =
+            static_cast<std::int16_t>(e.arg);
+        return v;
+      }
+      case Expr::Kind::ArgSize: {
+        if (e.arg < 0 || static_cast<std::size_t>(e.arg) >= flat_.numArgs) {
+          bail("argument index beyond the codelet's arguments");
+        }
+        charge(ipu::Op::IntArith, DType::Int32);
+        const Val v = emitVal(VmOp::K::ISize, RegKind::Int);
+        at(static_cast<std::int32_t>(p_.ops.size()) - 1).arg =
+            static_cast<std::int16_t>(e.arg);
+        return v;
+      }
+      case Expr::Kind::WorkerId:
+        return {0, RegKind::Int, true};
+      case Expr::Kind::Binary: return compileBinary(e);
+      case Expr::Kind::Unary: return compileUnary(e);
+      case Expr::Kind::Cast: return compileCast(e);
+      case Expr::Kind::Select: return compileSelect(e);
+    }
+    GRAPHENE_UNREACHABLE("bad expr kind");
+  }
+
+  Val compileConst(const Scalar& c) {
+    VmOp op;
+    switch (c.type()) {
+      case DType::Bool:
+      case DType::Int32:
+        op.k = VmOp::K::IConst;
+        op.dst = newReg(RegKind::Int);
+        op.iimm = c.castTo(DType::Int32).asInt();
+        p_.ops.push_back(op);
+        return {op.dst, RegKind::Int};
+      case DType::Float32:
+        op.k = VmOp::K::FConst;
+        op.dst = newReg(RegKind::Float);
+        op.fimm = c.asFloat();
+        p_.ops.push_back(op);
+        return {op.dst, RegKind::Float};
+      case DType::DoubleWord:
+        op.k = VmOp::K::DConst;
+        op.dst = newReg(RegKind::Dw);
+        op.fimm = c.asDoubleWord().hi;
+        op.fimm2 = c.asDoubleWord().lo;
+        p_.ops.push_back(op);
+        return {op.dst, RegKind::Dw};
+      case DType::Float64:
+        op.k = VmOp::K::SConst;
+        op.dst = newReg(RegKind::F64);
+        op.iimm = static_cast<std::int32_t>(p_.f64Consts.size());
+        p_.f64Consts.push_back(c.asSoftDouble().bits());
+        p_.ops.push_back(op);
+        return {op.dst, RegKind::F64};
+    }
+    GRAPHENE_UNREACHABLE("bad constant type");
+  }
+
+  /// evalBinaryScalar, priced like the walk's Binary case.
+  Val compileBinary(const FlatExpr& e) {
+    const Val a = compileExpr(e.a);
+    const Val b = compileExpr(e.b);
+    const RegKind k = wider(a.kind, b.kind);
+    const DType t = dtypeOf(k);
+    using K = VmOp::K;
+    if (e.bop == BinOp::And || e.bop == BinOp::Or) {
+      charge(costOpFor(e.bop, t), t);
+      const std::int16_t ta = truth(a);
+      const std::int16_t tb = truth(b);
+      return emitVal(e.bop == BinOp::And ? K::LAnd : K::LOr, RegKind::Int, ta,
+                     tb);
+    }
+    // Mixed double-word × single-word Add/Sub/Mul/Div use the cheaper DW∘FP
+    // algorithms of Joldes et al. and are priced separately (§III-D), but
+    // computed as DW∘DW on the promoted operand, exactly as the walk does.
+    double mixed = 0;
+    if (k == RegKind::Dw && a.kind != b.kind &&
+        (a.kind == RegKind::Float || b.kind == RegKind::Float)) {
+      switch (e.bop) {
+        case BinOp::Add:
+        case BinOp::Sub: mixed = 84.0; break;  // DWPlusFP, 10 flops
+        case BinOp::Mul: mixed = 42.0; break;  // DWTimesFP3, 6 flops
+        case BinOp::Div: mixed = 66.0; break;  // DWDivFP3, 10 flops
+        default: break;
+      }
+    }
+    if (e.bop == BinOp::Mod && k != RegKind::Int) {
+      bail("modulo on non-integer operands");  // the walk throws
+    }
+    if (mixed > 0) {
+      chargeLane(ipu::Lane::Fp, mixed);
+    } else {
+      charge(costOpFor(e.bop, t), t);
+    }
+    const Val ca = toKind(a, k);
+    const Val cb = toKind(b, k);
+    // Per kind: Add Sub Mul Div Min Max Lt Le Eq Ne.
+    static constexpr K kOps[4][10] = {
+        {K::IAdd, K::ISub, K::IMul, K::IDiv, K::IMin, K::IMax, K::ILt, K::ILe,
+         K::IEq, K::INe},
+        {K::FAdd, K::FSub, K::FMul, K::FDiv, K::FMin, K::FMax, K::FLt, K::FLe,
+         K::FEq, K::FNe},
+        {K::DAdd, K::DSub, K::DMul, K::DDiv, K::DMin, K::DMax, K::DLt, K::DLe,
+         K::DEq, K::DNe},
+        {K::SAdd, K::SSub, K::SMul, K::SDiv, K::SMin, K::SMax, K::SLt, K::SLe,
+         K::SEq, K::SNe}};
+    const auto& ops = kOps[static_cast<std::size_t>(k)];
+    switch (e.bop) {
+      case BinOp::Add: return emitVal(ops[0], k, ca.reg, cb.reg);
+      case BinOp::Sub: return emitVal(ops[1], k, ca.reg, cb.reg);
+      case BinOp::Mul: return emitVal(ops[2], k, ca.reg, cb.reg);
+      case BinOp::Div: return emitVal(ops[3], k, ca.reg, cb.reg);
+      case BinOp::Mod: return emitVal(K::IMod, k, ca.reg, cb.reg);
+      case BinOp::Min: return emitVal(ops[4], k, ca.reg, cb.reg);
+      case BinOp::Max: return emitVal(ops[5], k, ca.reg, cb.reg);
+      case BinOp::Lt: return emitVal(ops[6], RegKind::Int, ca.reg, cb.reg);
+      case BinOp::Le: return emitVal(ops[7], RegKind::Int, ca.reg, cb.reg);
+      case BinOp::Gt: return emitVal(ops[6], RegKind::Int, cb.reg, ca.reg);
+      case BinOp::Ge: return emitVal(ops[7], RegKind::Int, cb.reg, ca.reg);
+      case BinOp::Eq: return emitVal(ops[8], RegKind::Int, ca.reg, cb.reg);
+      case BinOp::Ne: return emitVal(ops[9], RegKind::Int, ca.reg, cb.reg);
+      case BinOp::And:
+      case BinOp::Or: break;
+    }
+    GRAPHENE_UNREACHABLE("bad binary op");
+  }
+
+  /// evalUnaryScalar, charged on the operand's type like the walk.
+  Val compileUnary(const FlatExpr& e) {
+    const Val a = compileExpr(e.a);
+    charge(costOpFor(e.uop), dtypeOf(a.kind));
+    using K = VmOp::K;
+    switch (e.uop) {
+      case UnOp::Not:
+        return emitVal(K::INot, RegKind::Int, truth(a));
+      case UnOp::Neg: {
+        static constexpr K kNeg[4] = {K::INeg, K::FNeg, K::DNeg, K::SNeg};
+        return emitVal(kNeg[static_cast<std::size_t>(a.kind)], a.kind, a.reg);
+      }
+      case UnOp::Abs: {
+        static constexpr K kAbs[4] = {K::IAbs, K::FAbs, K::DAbs, K::SAbs};
+        return emitVal(kAbs[static_cast<std::size_t>(a.kind)], a.kind, a.reg);
+      }
+      case UnOp::Sqrt:
+        if (a.kind == RegKind::Dw) return emitVal(K::DSqrt, RegKind::Dw, a.reg);
+        if (a.kind == RegKind::F64) {
+          return emitVal(K::SSqrt, RegKind::F64, a.reg);
+        }
+        return emitVal(K::FSqrt, RegKind::Float, toFloat(a).reg);
+    }
+    GRAPHENE_UNREACHABLE("bad unary op");
+  }
+
+  /// Scalar::castTo(e.type), charged only when an extended type is involved.
+  Val compileCast(const FlatExpr& e) {
+    const Val a = compileExpr(e.a);
+    const bool wideFrom = a.kind == RegKind::Dw || a.kind == RegKind::F64;
+    if (e.type == DType::Bool) {
+      if (wideFrom) charge(ipu::Op::Cast, DType::Bool);
+      if (a.kind == RegKind::Int) {
+        return emitVal(VmOp::K::INot, RegKind::Int,
+                       emitVal(VmOp::K::INot, RegKind::Int, a.reg).reg);
+      }
+      return {truth(a), RegKind::Int};
+    }
+    const RegKind k = kindOf(e.type);
+    if (k != a.kind &&
+        (k == RegKind::Dw || k == RegKind::F64 || wideFrom)) {
+      charge(ipu::Op::Cast, e.type);
+    }
+    return toKind(a, k);
+  }
+
+  /// Select evaluates only the chosen side; its branch charge joins the open
+  /// lane block.
+  Val compileSelect(const FlatExpr& e) {
+    const std::int16_t cond = truth(compileExpr(e.a));
+    charge(ipu::Op::Branch, DType::Int32);
+    const std::int32_t sel = emitControl(VmOp::K::SelZ);
+    at(sel).a = cond;
+    const Val t = compileExpr(e.b);
+    const std::int16_t dst = newReg(t.kind);
+    emit(movOf(t.kind), dst, t.reg);
+    const std::int32_t thenEnd = emitControl(VmOp::K::Jmp);
+    at(sel).iimm = thenEnd;
+    const Val f = compileExpr(e.c);
+    if (f.kind != t.kind) bail("Select sides of different types");
+    emit(movOf(f.kind), dst, f.reg);
+    const std::int32_t elseEnd = emitControl(VmOp::K::Jmp);
+    at(thenEnd).iimm = elseEnd;
+    at(elseEnd).iimm = elseEnd;
+    return {dst, t.kind};
+  }
+
+  // ---- statements -----------------------------------------------------------
+
+  void compileStmt(std::int32_t sid) {
+    const FlatStmt& s = flat_.stmts[static_cast<std::size_t>(sid)];
+    switch (s.kind) {
+      case Stmt::Kind::Assign: {
+        const Val v = compileExpr(s.value);
+        const std::int16_t home = assignVar(s.var, v);
+        if (home >= 0) emit(movOf(v.kind), home, v.reg);
+        return;
+      }
+      case Stmt::Kind::StoreArg: {
+        const Val idx = toInt(compileExpr(s.index));
+        const Val v = compileExpr(s.value);
+        requireArg(s.arg, s.type);
+        // The storage converts with Scalar::castTo, uncharged.
+        const std::int16_t stored = s.type == DType::Bool
+                                        ? truth(v)
+                                        : toKind(v, kindOf(s.type)).reg;
+        charge(ipu::Op::Store, s.type);
+        const std::int32_t pc =
+            emit(storeOf(s.type), -1, idx.reg, stored);
+        at(pc).arg = static_cast<std::int16_t>(s.arg);
+        return;
+      }
+      case Stmt::Kind::If: {
+        const std::int16_t cond = truth(compileExpr(s.cond));
+        const std::int32_t jz = emitControl(VmOp::K::JmpZ);
+        at(jz).a = cond;
+        compileScope(s.body);
+        const std::int32_t thenEnd = emitControl(VmOp::K::Jmp);
+        at(jz).iimm = thenEnd;
+        at(thenEnd).iimm = thenEnd;
+        if (s.elseBody >= 0 &&
+            !flat_.lists[static_cast<std::size_t>(s.elseBody)].empty()) {
+          compileScope(s.elseBody);
+          const std::int32_t elseEnd = emitControl(VmOp::K::Jmp);
+          at(elseEnd).iimm = elseEnd;
+          at(thenEnd).iimm = elseEnd;
+        }
+        return;
+      }
+      case Stmt::Kind::While: {
+        const std::int32_t begin = emitControl(VmOp::K::WBegin);
+        at(begin).dst = newReg(RegKind::Int);
+        const std::int16_t cond = truth(compileExpr(s.cond));
+        const std::int32_t test = emitControl(VmOp::K::WTest);
+        at(test).a = cond;
+        compileScope(s.body);
+        const std::int32_t end = emitControl(VmOp::K::WEnd);
+        at(end).dst = at(begin).dst;
+        at(end).iimm = begin;
+        at(test).iimm = end;
+        return;
+      }
+      case Stmt::Kind::For:
+      case Stmt::Kind::ParFor:
+        compileLoop(sid, s);
+        return;
+    }
+    GRAPHENE_UNREACHABLE("bad stmt kind");
+  }
+
+  void compileLoop(std::int32_t sid, const FlatStmt& s) {
+    if (s.var < 0 || s.body < 0) bail("loop without a body");
+    if (homes_.count(s.var) != 0 || loopRegs_.count(s.var) != 0 ||
+        retired_.count(s.var) != 0) {
+      bail("reused loop variable");
+    }
+    const bool par = s.kind == Stmt::Kind::ParFor;
+    const std::int16_t begin = toInt(compileExpr(s.begin)).reg;
+    const std::int16_t end = snapshot(toInt(compileExpr(s.end)));
+    std::int16_t step;
+    if (s.step >= 0) {
+      step = snapshot(toInt(compileExpr(s.step)));
+    } else {
+      step = compileConst(Scalar(std::int32_t{1})).reg;
+    }
+    // Counted loops compile to the IPU's hardware-loop instructions: setup
+    // costs one integer op plus the entry branch. A ParFor's cost is its
+    // worker pool's.
+    if (!par) charge(ipu::Op::IntArith, DType::Int32);
+    const std::int16_t iv = newReg(RegKind::Int);
+    const std::int32_t head =
+        emitControl(par ? VmOp::K::PBegin : VmOp::K::LBegin);
+    at(head).a = begin;
+    at(head).b = end;
+    at(head).c = step;
+    at(head).dst = iv;
+    at(head).arg = -1;
+    loopRegs_.emplace(s.var, iv);
+    if (par) ++parDepth_;
+    compileScope(s.body);
+    if (par) --parDepth_;
+    loopRegs_.erase(s.var);
+    retired_.insert(s.var);
+    const std::int32_t tail =
+        emitControl(par ? VmOp::K::PEnd : VmOp::K::LEnd);
+    at(head).iimm = tail;
+    if (par) {
+      // Native rows skip the row's ops, so nothing they assign may be
+      // readable after the row.
+      if (!assignsLiveVar(s.body)) planCsrRow(sid, head, tail);
+      return;
+    }
+    at(tail).a = iv;
+    at(tail).b = end;
+    at(tail).c = step;
+    at(tail).iimm = head;
+    if (parDepth_ == 0) liftKernel(sid, head, tail);
+  }
+
+  /// Lifts an inline serial loop whose body is straight-line Float32/Int32
+  /// arithmetic into a LoopKernel run by one FastFor op: the body's ops move
+  /// into the kernel with registers renumbered compactly, so the kernel can
+  /// run as a named span kernel or block-vectorized. The FastFor keeps the
+  /// LBegin's run and charges the LEnd's per iteration. Loops inside a
+  /// ParFor row stay inline: their rows are short, and the CSR row plan
+  /// needs them.
+  void liftKernel(std::int32_t sid, std::int32_t head, std::int32_t tail) {
+    using K = VmOp::K;
+    LoopKernel k;
+    k.iter = at(tail).run;
+    // Program register → kernel register, per kind; the induction variable
+    // is kernel int register 0.
+    std::unordered_map<std::int16_t, std::int16_t> fmap, imap;
+    imap.emplace(at(head).dst, 0);
+    k.numIntRegs = 1;
+    std::unordered_set<std::int16_t> fWritten, iWritten, sizeRegs;
+    bool ok = true;
+    auto map = [&](std::unordered_map<std::int16_t, std::int16_t>& m,
+                   int& count, std::int16_t reg) -> std::int16_t {
+      auto it = m.find(reg);
+      if (it != m.end()) return it->second;
+      if (count >= static_cast<int>(LoopKernel::kMaxRegs)) {
+        ok = false;
+        return 0;
+      }
+      const auto kr = static_cast<std::int16_t>(count++);
+      m.emplace(reg, kr);
+      return kr;
+    };
+    // A read before any write in the body seeds the kernel register.
+    auto readF = [&](std::int16_t reg) {
+      const bool seed = fmap.count(reg) == 0;
+      const std::int16_t kr = map(fmap, k.numFloatRegs, reg);
+      if (seed) k.seedFloat.emplace_back(reg, kr);
+      return kr;
+    };
+    auto readI = [&](std::int16_t reg) {
+      const bool seed = imap.count(reg) == 0;
+      const std::int16_t kr = map(imap, k.numIntRegs, reg);
+      if (seed) k.seedInt.emplace_back(reg, kr);
+      return kr;
+    };
+    auto writeF = [&](std::int16_t reg) {
+      fWritten.insert(reg);
+      return map(fmap, k.numFloatRegs, reg);
+    };
+    auto writeI = [&](std::int16_t reg) {
+      if (sizeRegs.count(reg) != 0) ok = false;  // ISize hoisting needs it
+      iWritten.insert(reg);
+      return map(imap, k.numIntRegs, reg);
+    };
+    auto useArg = [&](std::vector<std::int16_t>& list, std::int16_t arg) {
+      if (arg >= static_cast<std::int16_t>(LoopKernel::kMaxArgs)) ok = false;
+      if (std::find(list.begin(), list.end(), arg) == list.end()) {
+        list.push_back(arg);
+      }
+    };
+    for (std::int32_t pc = head + 1; ok && pc < tail; ++pc) {
+      VmOp op = at(pc);
+      switch (op.k) {
+        case K::FConst: op.dst = writeF(op.dst); break;
+        case K::FMov: case K::FNeg: case K::FAbs: case K::FSqrt:
+          op.a = readF(op.a);
+          op.dst = writeF(op.dst);
+          break;
+        case K::FAdd: case K::FSub: case K::FMul: case K::FDiv:
+        case K::FMin: case K::FMax:
+          op.a = readF(op.a);
+          op.b = readF(op.b);
+          op.dst = writeF(op.dst);
+          break;
+        case K::FLoad:
+          useArg(k.floatArgs, op.arg);
+          op.a = readI(op.a);
+          op.dst = writeF(op.dst);
+          break;
+        case K::FStore:
+          useArg(k.floatArgs, op.arg);
+          op.a = readI(op.a);
+          op.b = readF(op.b);
+          break;
+        case K::FFromInt:
+          op.a = readI(op.a);
+          op.dst = writeF(op.dst);
+          break;
+        case K::IConst: op.dst = writeI(op.dst); break;
+        case K::IMov: case K::INeg: case K::IAbs:
+          op.a = readI(op.a);
+          op.dst = writeI(op.dst);
+          break;
+        case K::IAdd: case K::ISub: case K::IMul: case K::IMin: case K::IMax:
+          op.a = readI(op.a);
+          op.b = readI(op.b);
+          op.dst = writeI(op.dst);
+          break;
+        case K::ILoad:
+          useArg(k.intArgs, op.arg);
+          op.a = readI(op.a);
+          op.dst = writeI(op.dst);
+          break;
+        case K::IFromFloat:
+          op.a = readF(op.a);
+          op.dst = writeI(op.dst);
+          break;
+        case K::ISize:
+          // An argument size is loop-invariant: seed it once per entry.
+          if (imap.count(op.dst) != 0) ok = false;
+          k.sizeSeeds.emplace_back(map(imap, k.numIntRegs, op.dst), op.arg);
+          sizeRegs.insert(op.dst);
+          continue;
+        default:
+          return;  // control flow or an op outside the kernel subset
+      }
+      k.ops.push_back(op);
+    }
+    if (!ok) return;
+    // Write back the registers of variables that outlive the loop.
+    for (const auto& [var, h] : homes_) {
+      if (h.reg < 0 || !scopeOpen(h.scope)) continue;
+      if (h.kind == RegKind::Float && fWritten.count(h.reg) != 0) {
+        k.writeFloat.emplace_back(h.reg, fmap.at(h.reg));
+      } else if (h.kind == RegKind::Int && iWritten.count(h.reg) != 0) {
+        k.writeInt.emplace_back(h.reg, imap.at(h.reg));
+      }
+    }
+    NamedLoop nm;
+    if (ShapeMatcher(flat_).matchNamed(sid, nm) && bindNamed(nm)) {
+      k.named = nm;
+    }
+    analyzeBlockable(k);
+    at(head).k = K::FastFor;
+    at(head).iimm = static_cast<std::int32_t>(p_.kernels.size());
+    p_.kernels.push_back(std::move(k));
+    p_.ops.resize(static_cast<std::size_t>(head) + 1);
+  }
+
+  /// Binds a named kernel's scale and accumulator variables to their home
+  /// registers; false when either has none the kernel may use.
+  bool bindNamed(NamedLoop& nm) {
+    auto floatHome = [&](std::int32_t var) -> std::int16_t {
+      auto it = homes_.find(var);
+      if (it == homes_.end() || it->second.kind != RegKind::Float ||
+          it->second.reg < 0 || !scopeOpen(it->second.scope)) {
+        return -1;
+      }
+      return it->second.reg;
+    };
+    if (!nm.sIsConst && nm.sVar >= 0) {
+      nm.sReg = floatHome(nm.sVar);
+      if (nm.sReg < 0) return false;
+    }
+    if (nm.accVar >= 0) {
+      nm.accReg = floatHome(nm.accVar);
+      if (nm.accReg < 0) return false;
+    }
+    return true;
+  }
+
+  /// Attaches a native CSR row plan to the ParFor at `head` when its row
+  /// body has the two-run SpMV shape.
+  void planCsrRow(std::int32_t sid, std::int32_t head, std::int32_t tail) {
+    CsrRow m;
+    if (!ShapeMatcher(flat_).matchCsrRow(sid, m)) return;
+    std::vector<std::int32_t> ctl;
+    for (std::int32_t pc = head + 1; pc < tail; ++pc) {
+      if (at(pc).k >= VmOp::K::Jmp) ctl.push_back(pc);
+    }
+    using K = VmOp::K;
+    if (ctl.size() != 4 || at(ctl[0]).k != K::LBegin ||
+        at(ctl[1]).k != K::LEnd || at(ctl[2]).k != K::LBegin ||
+        at(ctl[3]).k != K::LEnd) {
+      return;
+    }
+    auto owned = homes_.find(m.ownedVar);
+    if (owned == homes_.end() || owned->second.kind != RegKind::Int ||
+        owned->second.reg < 0 || !scopeOpen(owned->second.scope)) {
+      return;
+    }
+    m.ownedReg = owned->second.reg;
+    m.entry[0] = at(ctl[0]).run;
+    m.body[0] = at(ctl[1]).run;
+    m.entry[1] = at(ctl[2]).run;
+    m.body[1] = at(ctl[3]).run;
+    m.tail = at(tail).run;
+    at(head).arg = static_cast<std::int16_t>(p_.csrRows.size());
+    p_.csrRows.push_back(m);
   }
 
   const FlatCodelet& flat_;
   const ipu::CostModel& cost_;
-  LoopKernel k_;
-  ipu::LaneCycles iter_;
-  std::unordered_map<int, Home> homes_;
-  int loopVar_ = -1;
+  Program p_;
+  LaneSums run_;  // charges since the last control op
   const char* why_ = "";
-  // Parallel (ParFor) mode state.
-  bool parMode_ = false;
-  bool inNested_ = false;
-  int nestedVar_ = -1;
-  std::int16_t nestedIvReg_ = -1;
-  ipu::LaneCycles run_;     // charges since the last control op
+  std::unordered_map<std::int32_t, Home> homes_;
+  std::unordered_map<std::int32_t, std::int16_t> loopRegs_;  // active loops
+  std::unordered_set<std::int32_t> retired_;  // loop vars of closed loops
   std::vector<int> scopes_;  // open conditional scopes, innermost last
   int nextScope_ = 0;
-  std::unordered_set<int> retired_;
-  // Vars currently holding a known integer constant (program order).
-  std::unordered_map<int, std::int32_t> constInts_;
-  std::vector<int> nestedVars_;
+  int parDepth_ = 0;  // enclosing ParFor rows
 };
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// CompiledCodelet + flat executor.
+// CompiledCodelet.
 // ---------------------------------------------------------------------------
 
 class CompiledCodelet {
  public:
   FlatCodelet flat;
-  std::vector<LoopKernel> kernels;
-  // Loops left on the generic walk: (stmt id, construct that stopped the
-  // compiler), reported by GRAPHENE_DUMP_COMPILE.
-  std::vector<std::pair<std::int32_t, const char*>> walkLoops;
+  std::optional<Program> program;  // empty: every vertex walks
+  const char* walkReason = nullptr;
   ipu::CostModel cost;
   std::size_t numWorkers = 6;
 };
@@ -1492,16 +1806,27 @@ class CompiledCodelet {
 namespace {
 
 std::atomic<bool> g_fastPaths{!support::envFlag("GRAPHENE_NO_FASTPATH")};
+std::atomic<std::uint64_t> g_walkEntries{0};
 
-/// One execution of a compiled codelet over a vertex. Cycle accounting is
-/// identical to the original tree-walking interpreter: ops accumulate into a
-/// LaneCycles block (fp/mem overlap); control flow flushes the block.
+/// Throws the walk's error for an element index outside [0, size).
+[[noreturn]] void throwIndexError(std::int64_t i, std::size_t size) {
+  GRAPHENE_CHECK(i >= 0, "negative tensor index in codelet");
+  GRAPHENE_CHECK(static_cast<std::size_t>(i) < size,
+                 "tensor index out of range in codelet");
+  GRAPHENE_UNREACHABLE("index in range");
+}
+
+/// The generic statement walk: one execution of a codelet over a vertex with
+/// dynamically typed Scalars. It is the reference semantics the VM is held
+/// to (GRAPHENE_NO_FASTPATH runs it everywhere) and the fallback for a
+/// codelet that did not compile or a vertex whose argument dtypes differ
+/// from trace time. Ops accumulate into a LaneCycles block (fp/mem overlap);
+/// control flow flushes the block.
 class FlatExec {
  public:
   FlatExec(const CompiledCodelet& cc, graph::VertexContext& ctx)
       : cc_(cc), ctx_(ctx),
-        vars_(static_cast<std::size_t>(cc.flat.numVars)),
-        fastPaths_(g_fastPaths.load(std::memory_order_relaxed)) {}
+        vars_(static_cast<std::size_t>(cc.flat.numVars)) {}
 
   double run() {
     runList(cc_.flat.root);
@@ -1526,6 +1851,16 @@ class FlatExec {
     return cc_.flat.exprs[static_cast<std::size_t>(id)];
   }
 
+  /// The slice-relative element index `idx` names in argument `arg`.
+  std::size_t elementIndex(const Scalar& idx, std::int32_t arg) const {
+    const std::int32_t i = idx.castTo(DType::Int32).asInt();
+    GRAPHENE_CHECK(i >= 0, "negative tensor index in codelet");
+    GRAPHENE_CHECK(static_cast<std::size_t>(i) <
+                       ctx_.argSize(static_cast<std::size_t>(arg)),
+                   "tensor index out of range in codelet");
+    return static_cast<std::size_t>(i);
+  }
+
   Scalar eval(std::int32_t id) {
     GRAPHENE_DCHECK(id >= 0, "null expression");
     const FlatExpr& e = expr(id);
@@ -1538,12 +1873,9 @@ class FlatExec {
                         "bad var slot");
         return vars_[static_cast<std::size_t>(e.var)];
       case Expr::Kind::ArgLoad: {
-        Scalar idx = eval(e.a);
-        const std::int32_t i = idx.castTo(DType::Int32).asInt();
-        GRAPHENE_CHECK(i >= 0, "negative tensor index in codelet");
+        const std::size_t i = elementIndex(eval(e.a), e.arg);
         charge(ipu::Op::Load, ctx_.argType(static_cast<std::size_t>(e.arg)));
-        return ctx_.load(static_cast<std::size_t>(e.arg),
-                         static_cast<std::size_t>(i));
+        return ctx_.load(static_cast<std::size_t>(e.arg), i);
       }
       case Expr::Kind::ArgSize:
         charge(ipu::Op::IntArith, DType::Int32);
@@ -1620,11 +1952,9 @@ class FlatExec {
       case Stmt::Kind::StoreArg: {
         Scalar idx = eval(s.index);
         Scalar v = eval(s.value);
-        const std::int32_t i = idx.castTo(DType::Int32).asInt();
-        GRAPHENE_CHECK(i >= 0, "negative tensor index in codelet");
+        const std::size_t i = elementIndex(idx, s.arg);
         charge(ipu::Op::Store, ctx_.argType(static_cast<std::size_t>(s.arg)));
-        ctx_.store(static_cast<std::size_t>(s.arg),
-                   static_cast<std::size_t>(i), v);
+        ctx_.store(static_cast<std::size_t>(s.arg), i, v);
         return;
       }
       case Stmt::Kind::If: {
@@ -1674,11 +2004,6 @@ class FlatExec {
       // no bookkeeping overhead.
       charge(ipu::Op::IntArith, DType::Int32);
       chargeBranch();
-      if (s.fastLoop >= 0 && fastPaths_ &&
-          runFastLoop(cc_.kernels[static_cast<std::size_t>(s.fastLoop)], s,
-                      begin, end, step)) {
-        return;
-      }
       for (std::int32_t i = begin; i < end; i += step) {
         vars_[static_cast<std::size_t>(s.var)] = Scalar(i);
         runList(s.body);
@@ -1691,11 +2016,6 @@ class FlatExec {
     // level are independent by construction); the clock advances by the
     // slowest worker plus spawn/sync overhead.
     flush();
-    if (s.fastLoop >= 0 && fastPaths_) {
-      const LoopKernel& k =
-          cc_.kernels[static_cast<std::size_t>(s.fastLoop)];
-      if (k.isPar && runParLoop(k, s, begin, end, step)) return;
-    }
     ipu::WorkerPool pool(cc_.numWorkers);
     pool.chargeSpawn();
     const std::size_t savedWorker = worker_;
@@ -1714,108 +2034,559 @@ class FlatExec {
     total_ += pool.sync();
   }
 
-  /// A kernel's runtime guards: the trace-time dtypes of its arguments and
-  /// seeded vars must hold at run time, or the generic walk runs the loop.
-  bool guardsHold(const LoopKernel& k) const {
-    for (std::int16_t a : k.floatArgs) {
-      if (ctx_.argType(static_cast<std::size_t>(a)) != DType::Float32)
-        return false;
+  const CompiledCodelet& cc_;
+  graph::VertexContext& ctx_;
+  std::vector<Scalar> vars_;
+  ipu::LaneCycles lanes_;
+  double total_ = 0;
+  std::size_t worker_ = 0;
+};
+
+/// A double-word register: a Float2 without default member initializers,
+/// so a register file on the stack needs no clearing.
+struct DwReg {
+  float hi, lo;
+  DwReg& operator=(const Float2& v) {
+    hi = v.hi;
+    lo = v.lo;
+    return *this;
+  }
+};
+
+/// One execution of a codelet's Program over a vertex. The register files
+/// live on the caller's stack; arguments are the plan-bound spans.
+class VmExec {
+ public:
+  VmExec(const CompiledCodelet& cc, const graph::ArgSpan* args, float* fr,
+         std::int32_t* ir, DwReg* dr, std::uint64_t* sr)
+      : prog_(*cc.program), numWorkers_(cc.numWorkers), args_(args),
+        fr_(fr), ir_(ir), dr_(dr), sr_(sr) {}
+
+  double run() {
+    ir_[0] = 0;  // worker id outside any ParFor
+    for (const std::int16_t r : prog_.zeroFloat) fr_[r] = 0.0f;
+    return exec(0);
+  }
+
+ private:
+  template <typename T>
+  T* data(std::int16_t arg) const {
+    return static_cast<T*>(args_[arg].data);
+  }
+
+  /// Bounds-checks a load/store index with the walk's messages.
+  std::size_t index(std::int16_t arg, std::int16_t reg) const {
+    const std::int32_t i = ir_[reg];
+    if (static_cast<std::uint32_t>(i) >= args_[arg].size) {
+      throwIndexError(i, args_[arg].size);
     }
-    for (std::int16_t a : k.intArgs) {
-      if (ctx_.argType(static_cast<std::size_t>(a)) != DType::Int32)
-        return false;
+    return static_cast<std::size_t>(i);
+  }
+
+  /// Runs from `pc` to the next PEnd or Halt at this nesting level; returns
+  /// the cost: closed lane blocks, branches and pool barriers plus the open
+  /// block.
+  double exec(std::size_t pc) {
+    const VmOp* ops = prog_.ops.data();
+    float* const fr = fr_;
+    std::int32_t* const ir = ir_;
+    DwReg* const dr = dr_;
+    std::uint64_t* const sr = sr_;
+    auto dw = [dr](std::int16_t r) { return Float2(dr[r].hi, dr[r].lo); };
+    auto sd = [sr](std::int16_t r) { return SoftDouble::fromBits(sr[r]); };
+    LaneSums open;
+    double cost = 0;
+    auto close = [&] {
+      cost += open.total() + prog_.branchCost;
+      open = LaneSums{};
+    };
+    using K = VmOp::K;
+    for (;; ++pc) {
+      const VmOp& op = ops[pc];
+      switch (op.k) {
+        case K::FConst: fr[op.dst] = op.fimm; break;
+        case K::FMov: fr[op.dst] = fr[op.a]; break;
+        case K::FLoad:
+          fr[op.dst] = data<float>(op.arg)[index(op.arg, op.a)];
+          break;
+        case K::FStore:
+          data<float>(op.arg)[index(op.arg, op.a)] = fr[op.b];
+          break;
+        case K::FAdd: fr[op.dst] = fr[op.a] + fr[op.b]; break;
+        case K::FSub: fr[op.dst] = fr[op.a] - fr[op.b]; break;
+        case K::FMul: fr[op.dst] = fr[op.a] * fr[op.b]; break;
+        case K::FDiv: fr[op.dst] = fr[op.a] / fr[op.b]; break;
+        case K::FMin: {
+          const float a = fr[op.a], b = fr[op.b];
+          fr[op.dst] = b < a ? b : a;  // matches binNumeric Min
+          break;
+        }
+        case K::FMax: {
+          const float a = fr[op.a], b = fr[op.b];
+          fr[op.dst] = a < b ? b : a;  // matches binNumeric Max
+          break;
+        }
+        case K::FNeg: fr[op.dst] = -fr[op.a]; break;
+        case K::FAbs: fr[op.dst] = std::fabs(fr[op.a]); break;
+        case K::FSqrt: fr[op.dst] = std::sqrt(fr[op.a]); break;
+        case K::FFromInt: fr[op.dst] = static_cast<float>(ir[op.a]); break;
+        case K::IConst: ir[op.dst] = op.iimm; break;
+        case K::IMov: ir[op.dst] = ir[op.a]; break;
+        case K::ILoad:
+          ir[op.dst] = data<std::int32_t>(op.arg)[index(op.arg, op.a)];
+          break;
+        case K::IStore:
+          data<std::int32_t>(op.arg)[index(op.arg, op.a)] = ir[op.b];
+          break;
+        case K::ISize:
+          ir[op.dst] = static_cast<std::int32_t>(args_[op.arg].size);
+          break;
+        case K::BLoad:
+          ir[op.dst] = data<std::uint8_t>(op.arg)[index(op.arg, op.a)] != 0;
+          break;
+        case K::BStore:
+          data<std::uint8_t>(op.arg)[index(op.arg, op.a)] = ir[op.b] != 0;
+          break;
+        case K::IAdd: ir[op.dst] = ir[op.a] + ir[op.b]; break;
+        case K::ISub: ir[op.dst] = ir[op.a] - ir[op.b]; break;
+        case K::IMul: ir[op.dst] = ir[op.a] * ir[op.b]; break;
+        case K::IDiv:
+          GRAPHENE_CHECK(ir[op.b] != 0, "integer division by zero in codelet");
+          ir[op.dst] = ir[op.a] / ir[op.b];
+          break;
+        case K::IMod:
+          GRAPHENE_CHECK(ir[op.b] != 0, "integer modulo by zero in codelet");
+          ir[op.dst] = ir[op.a] % ir[op.b];
+          break;
+        case K::IMin: {
+          const std::int32_t a = ir[op.a], b = ir[op.b];
+          ir[op.dst] = b < a ? b : a;
+          break;
+        }
+        case K::IMax: {
+          const std::int32_t a = ir[op.a], b = ir[op.b];
+          ir[op.dst] = a < b ? b : a;
+          break;
+        }
+        case K::INeg: ir[op.dst] = -ir[op.a]; break;
+        case K::IAbs: {
+          const std::int32_t v = ir[op.a];
+          ir[op.dst] = v < 0 ? -v : v;
+          break;
+        }
+        case K::IFromFloat:
+          ir[op.dst] = static_cast<std::int32_t>(fr[op.a]);
+          break;
+        case K::ILt: ir[op.dst] = ir[op.a] < ir[op.b]; break;
+        case K::ILe: ir[op.dst] = ir[op.a] <= ir[op.b]; break;
+        case K::IEq: ir[op.dst] = ir[op.a] == ir[op.b]; break;
+        case K::INe: ir[op.dst] = !(ir[op.a] == ir[op.b]); break;
+        case K::FLt: ir[op.dst] = fr[op.a] < fr[op.b]; break;
+        case K::FLe: ir[op.dst] = fr[op.a] <= fr[op.b]; break;
+        case K::FEq: ir[op.dst] = fr[op.a] == fr[op.b]; break;
+        case K::FNe: ir[op.dst] = !(fr[op.a] == fr[op.b]); break;
+        case K::FTruth: ir[op.dst] = fr[op.a] != 0.0f; break;
+        case K::INot: ir[op.dst] = ir[op.a] == 0; break;
+        case K::LAnd: ir[op.dst] = ir[op.a] != 0 && ir[op.b] != 0; break;
+        case K::LOr: ir[op.dst] = ir[op.a] != 0 || ir[op.b] != 0; break;
+        case K::DConst: dr[op.dst] = Float2(op.fimm, op.fimm2); break;
+        case K::DMov: dr[op.dst] = dr[op.a]; break;
+        case K::DLoad:
+          dr[op.dst] = data<Float2>(op.arg)[index(op.arg, op.a)];
+          break;
+        case K::DStore:
+          data<Float2>(op.arg)[index(op.arg, op.a)] = dw(op.b);
+          break;
+        case K::DAdd: dr[op.dst] = dw(op.a) + dw(op.b); break;
+        case K::DSub: dr[op.dst] = dw(op.a) - dw(op.b); break;
+        case K::DMul: dr[op.dst] = dw(op.a) * dw(op.b); break;
+        case K::DDiv: dr[op.dst] = dw(op.a) / dw(op.b); break;
+        case K::DMin: {
+          const Float2 a = dw(op.a), b = dw(op.b);
+          dr[op.dst] = b < a ? b : a;  // matches binNumeric Min
+          break;
+        }
+        case K::DMax: {
+          const Float2 a = dw(op.a), b = dw(op.b);
+          dr[op.dst] = a < b ? b : a;  // matches binNumeric Max
+          break;
+        }
+        case K::DNeg: dr[op.dst] = -dw(op.a); break;
+        case K::DAbs: dr[op.dst] = twofloat::abs(dw(op.a)); break;
+        case K::DSqrt: dr[op.dst] = twofloat::sqrt(dw(op.a)); break;
+        case K::DLt: ir[op.dst] = dw(op.a) < dw(op.b); break;
+        case K::DLe: ir[op.dst] = dw(op.a) <= dw(op.b); break;
+        case K::DEq: ir[op.dst] = dw(op.a) == dw(op.b); break;
+        case K::DNe: ir[op.dst] = !(dw(op.a) == dw(op.b)); break;
+        case K::DFromF: dr[op.dst] = Float2(fr[op.a]); break;
+        case K::DFromI:
+          dr[op.dst] = Float2::fromWide(static_cast<double>(ir[op.a]));
+          break;
+        case K::DHi: fr[op.dst] = dr[op.a].hi; break;
+        case K::DToInt:
+          ir[op.dst] = static_cast<std::int32_t>(dw(op.a).toWide());
+          break;
+        case K::DTruth:
+          ir[op.dst] = dr[op.a].hi != 0.0f || dr[op.a].lo != 0.0f;
+          break;
+        case K::SConst:
+          sr[op.dst] = prog_.f64Consts[static_cast<std::size_t>(op.iimm)];
+          break;
+        case K::SMov: sr[op.dst] = sr[op.a]; break;
+        case K::SLoad:
+          sr[op.dst] = data<SoftDouble>(op.arg)[index(op.arg, op.a)].bits();
+          break;
+        case K::SStore:
+          data<SoftDouble>(op.arg)[index(op.arg, op.a)] = sd(op.b);
+          break;
+        case K::SAdd: sr[op.dst] = (sd(op.a) + sd(op.b)).bits(); break;
+        case K::SSub: sr[op.dst] = (sd(op.a) - sd(op.b)).bits(); break;
+        case K::SMul: sr[op.dst] = (sd(op.a) * sd(op.b)).bits(); break;
+        case K::SDiv: sr[op.dst] = (sd(op.a) / sd(op.b)).bits(); break;
+        case K::SMin:
+          sr[op.dst] = sd(op.b) < sd(op.a) ? sr[op.b] : sr[op.a];
+          break;
+        case K::SMax:
+          sr[op.dst] = sd(op.a) < sd(op.b) ? sr[op.b] : sr[op.a];
+          break;
+        case K::SNeg: sr[op.dst] = (-sd(op.a)).bits(); break;
+        case K::SAbs: sr[op.dst] = SoftDouble::abs(sd(op.a)).bits(); break;
+        case K::SSqrt: sr[op.dst] = SoftDouble::sqrt(sd(op.a)).bits(); break;
+        case K::SLt: ir[op.dst] = sd(op.a) < sd(op.b); break;
+        case K::SLe: ir[op.dst] = sd(op.a) <= sd(op.b); break;
+        case K::SEq: ir[op.dst] = sd(op.a) == sd(op.b); break;
+        case K::SNe: ir[op.dst] = !(sd(op.a) == sd(op.b)); break;
+        case K::SFromI:
+          sr[op.dst] =
+              SoftDouble::fromDouble(static_cast<double>(ir[op.a])).bits();
+          break;
+        case K::SFromF:
+          sr[op.dst] = SoftDouble::fromFloat(fr[op.a]).bits();
+          break;
+        case K::SFromD:
+          // hi + lo, both exact widenings, summed in software float64.
+          sr[op.dst] = (SoftDouble::fromFloat(dr[op.a].hi) +
+                        SoftDouble::fromFloat(dr[op.a].lo))
+                           .bits();
+          break;
+        case K::SToInt:
+          ir[op.dst] = static_cast<std::int32_t>(sd(op.a).toDouble());
+          break;
+        case K::SToF: fr[op.dst] = sd(op.a).toFloat(); break;
+        case K::SToD: dr[op.dst] = Float2::fromWide(sd(op.a).toDouble()); break;
+        case K::STruth: ir[op.dst] = !sd(op.a).isZero(); break;
+        case K::Jmp:
+          open.add(op.run);
+          pc = static_cast<std::size_t>(op.iimm);
+          break;
+        case K::JmpZ:
+          open.add(op.run);
+          close();
+          if (ir[op.a] == 0) pc = static_cast<std::size_t>(op.iimm);
+          break;
+        case K::SelZ:
+          open.add(op.run);
+          if (ir[op.a] == 0) pc = static_cast<std::size_t>(op.iimm);
+          break;
+        case K::LBegin: {
+          open.add(op.run);
+          const std::int32_t b = ir[op.a];
+          GRAPHENE_CHECK(ir[op.c] > 0, "For loops require a positive step");
+          close();
+          if (b < ir[op.b]) {
+            ir[op.dst] = b;
+          } else {
+            pc = static_cast<std::size_t>(op.iimm);  // past the LEnd
+          }
+          break;
+        }
+        case K::LEnd: {
+          open.add(op.run);
+          const std::int64_t next =
+              static_cast<std::int64_t>(ir[op.a]) + ir[op.c];
+          if (next < ir[op.b]) {
+            ir[op.a] = static_cast<std::int32_t>(next);
+            pc = static_cast<std::size_t>(op.iimm);  // into the body
+          }
+          break;
+        }
+        case K::WBegin:
+          open.add(op.run);
+          ir[op.dst] = 0;
+          break;
+        case K::WTest:
+          open.add(op.run);
+          close();
+          if (ir[op.a] == 0) pc = static_cast<std::size_t>(op.iimm);
+          break;
+        case K::WEnd:
+          open.add(op.run);
+          GRAPHENE_CHECK(++ir[op.dst] < (1 << 26),
+                         "runaway While loop in codelet");
+          pc = static_cast<std::size_t>(op.iimm);  // back to the test
+          break;
+        case K::PBegin:
+          open.add(op.run);
+          GRAPHENE_CHECK(ir[op.c] > 0, "For loops require a positive step");
+          cost += open.total();
+          open = LaneSums{};
+          cost += runRows(op, pc);
+          pc = static_cast<std::size_t>(op.iimm);  // past the PEnd
+          break;
+        case K::FastFor: {
+          open.add(op.run);
+          GRAPHENE_CHECK(ir[op.c] > 0, "For loops require a positive step");
+          close();
+          runKernel(prog_.kernels[static_cast<std::size_t>(op.iimm)],
+                    ir[op.a], ir[op.b], ir[op.c], open);
+          break;
+        }
+        case K::PEnd:
+        case K::Halt:
+          open.add(op.run);
+          return cost + open.total();
+      }
     }
-    for (const auto& [v, reg] : k.seedFloat) {
-      if (vars_[static_cast<std::size_t>(v)].type() != DType::Float32)
-        return false;
+  }
+
+  /// A ParFor's rows, dealt round-robin to the tile's worker pool exactly
+  /// like the walk; returns the pool's barrier time.
+  double runRows(const VmOp& op, std::size_t pc) {
+    const std::int32_t begin = ir_[op.a], end = ir_[op.b], step = ir_[op.c];
+    ipu::WorkerPool pool(numWorkers_);
+    pool.chargeSpawn();
+    const std::int32_t savedWorker = ir_[0];
+    const CsrRow* csr =
+        op.arg >= 0 && step == 1
+            ? &prog_.csrRows[static_cast<std::size_t>(op.arg)]
+            : nullptr;
+    std::size_t w = 0;
+    for (std::int64_t iv = begin; iv < end; iv += step) {
+      ir_[op.dst] = static_cast<std::int32_t>(iv);
+      ir_[0] = static_cast<std::int32_t>(w);
+      double rowCost = 0;
+      if (csr == nullptr ||
+          !nativeCsrRow(*csr, static_cast<std::int32_t>(iv), rowCost)) {
+        rowCost = exec(pc + 1);
+      }
+      pool.addCycles(w, rowCost);
+      w = (w + 1) % numWorkers_;
     }
-    for (const auto& [v, reg] : k.seedInt) {
-      if (vars_[static_cast<std::size_t>(v)].type() != DType::Int32)
-        return false;
+    ir_[0] = savedWorker;
+    return pool.sync();
+  }
+
+  /// One CSR SpMV row as a native scalar loop: the program's float ops in
+  /// the program's order, priced by the closed form of its block charges.
+  /// Returns false, having written nothing, when an index falls outside a
+  /// bound slice; the program then runs the row and reports the error.
+  bool nativeCsrRow(const CsrRow& m, std::int32_t r, double& rowCost) const {
+    const graph::ArgSpan& y = args_[m.yArg];
+    const graph::ArgSpan& d = args_[m.dArg];
+    const graph::ArgSpan& x = args_[m.xArg];
+    const graph::ArgSpan& a = args_[m.aArg];
+    const graph::ArgSpan& h = args_[m.hArg];
+    const graph::ArgSpan& c = args_[m.cArg];
+    const graph::ArgSpan& rp = args_[m.rpArg];
+    const graph::ArgSpan& sp = args_[m.spArg];
+    const auto row = static_cast<std::size_t>(r);
+    if (r < 0 || row >= y.size || row >= d.size || row >= x.size ||
+        row + 1 >= rp.size || row >= sp.size) {
+      return false;
     }
+    const std::int32_t* cp = static_cast<const std::int32_t*>(c.data);
+    const float* ap = static_cast<const float*>(a.data);
+    const float* xp = static_cast<const float*>(x.data);
+    const float* hp = static_cast<const float*>(h.data);
+    const std::int32_t b1 = static_cast<const std::int32_t*>(rp.data)[row];
+    const std::int32_t e1 = static_cast<const std::int32_t*>(sp.data)[row];
+    const std::int32_t e2 = static_cast<const std::int32_t*>(rp.data)[row + 1];
+    const std::size_t limit = std::min(a.size, c.size);
+    auto runOk = [&](std::int32_t lo, std::int32_t hi) {
+      return lo >= hi || (lo >= 0 && static_cast<std::size_t>(hi) <= limit);
+    };
+    if (!runOk(b1, e1) || !runOk(e1, e2)) return false;
+    const std::int32_t owned = ir_[m.ownedReg];
+    float acc = static_cast<const float*>(d.data)[row] * xp[row];
+    for (std::int32_t k = b1; k < e1; ++k) {
+      const auto col = static_cast<std::uint32_t>(cp[k]);
+      if (col >= x.size) return false;
+      acc = acc + ap[k] * xp[col];
+    }
+    for (std::int32_t k = e1; k < e2; ++k) {
+      const std::int64_t col = static_cast<std::int64_t>(cp[k]) - owned;
+      if (col < 0 || static_cast<std::size_t>(col) >= h.size) return false;
+      acc = acc + ap[k] * hp[col];
+    }
+    static_cast<float*>(y.data)[row] = acc;
+    rowCost = csrRowCost(m, e1 > b1 ? e1 - b1 : 0, e2 > e1 ? e2 - e1 : 0);
     return true;
   }
 
-  /// Runs a compiled loop kernel for [begin, end) step `step`. Returns false
-  /// when a runtime guard fails (the generic walk then runs the loop; both
-  /// paths are exact, the kernel is only faster).
-  bool runFastLoop(const LoopKernel& k, const FlatStmt& s, std::int32_t begin,
-                   std::int32_t end, std::int32_t step) {
-    if (!guardsHold(k)) return false;
-    if (begin >= end) return true;  // zero iterations: setup charges only
+  /// Closed form of the program's charge for a CSR row with trip counts t0,
+  /// t1: three lane blocks — entry, t0 owned-run bodies plus the second
+  /// entry, t1 halo-run bodies plus the tail — and two loop-entry branches.
+  double csrRowCost(const CsrRow& c, std::int32_t t0, std::int32_t t1) const {
+    auto block = [](const LaneSums& head, double n, const LaneSums& per) {
+      return LaneSums{head.fp + n * per.fp, head.mem + n * per.mem,
+                      head.ctrl + n * per.ctrl}
+          .total();
+    };
+    return c.entry[0].total() + block(c.entry[1], t0, c.body[0]) +
+           block(c.tail, t1, c.body[1]) + 2 * prog_.branchCost;
+  }
 
-    // Bulk cycle charge: every priced constant is an integral double, so
-    // n × perIteration is exactly the sum the generic walk accumulates.
+  /// Runs a FastFor's kernel over [begin, end) step `step`, charging its
+  /// per-iteration lanes in bulk into `open`: every priced constant is an
+  /// integral double, so n × perIteration is exactly the walk's sum.
+  void runKernel(const LoopKernel& k, std::int32_t begin, std::int32_t end,
+                 std::int32_t step, LaneSums& open) {
+    if (begin >= end) return;  // zero iterations: setup charges only
     const double n = static_cast<double>(
         (static_cast<std::int64_t>(end) - begin + step - 1) / step);
-    lanes_.add(ipu::Lane::Fp, n * k.iterFp);
-    lanes_.add(ipu::Lane::Mem, n * k.iterMem);
-    lanes_.add(ipu::Lane::Ctrl, n * k.iterCtrl);
+    open.fp += n * k.iter.fp;
+    open.mem += n * k.iter.mem;
+    open.ctrl += n * k.iter.ctrl;
 
     std::array<std::span<float>, LoopKernel::kMaxArgs> fsp;
     std::array<std::span<const std::int32_t>, LoopKernel::kMaxArgs> isp;
-    for (std::int16_t a : k.floatArgs) {
-      fsp[static_cast<std::size_t>(a)] =
-          ctx_.floatSpan(static_cast<std::size_t>(a));
+    for (const std::int16_t a : k.floatArgs) {
+      fsp[static_cast<std::size_t>(a)] = {data<float>(a), args_[a].size};
     }
-    for (std::int16_t a : k.intArgs) {
-      isp[static_cast<std::size_t>(a)] =
-          ctx_.intSpan(static_cast<std::size_t>(a));
+    for (const std::int16_t a : k.intArgs) {
+      isp[static_cast<std::size_t>(a)] = {data<const std::int32_t>(a),
+                                          args_[a].size};
     }
-
     const NamedLoop& nm = k.named;
     if (nm.p != NamedLoop::P::None && step == 1 && begin >= 0 &&
         namedBoundsOk(nm, fsp, end)) {
       runNamed(nm, fsp, begin, end);
-      vars_[static_cast<std::size_t>(s.var)] = Scalar(end - 1);
-      return true;
+      return;
     }
 
-    // Register VM fallback: same ops, same order, per element.
-    std::array<float, LoopKernel::kMaxRegs> fr{};
-    std::array<std::int32_t, LoopKernel::kMaxRegs> ir{};
+    // Register VM: same ops, same order, per element. Only seeded registers
+    // are read before the body writes them.
+    std::array<float, LoopKernel::kMaxRegs> fr;
+    std::array<std::int32_t, LoopKernel::kMaxRegs> ir;
+    for (const auto& [from, reg] : k.seedFloat) {
+      fr[static_cast<std::size_t>(reg)] = fr_[from];
+    }
+    for (const auto& [from, reg] : k.seedInt) {
+      ir[static_cast<std::size_t>(reg)] = ir_[from];
+    }
     for (const auto& [reg, arg] : k.sizeSeeds) {
-      ir[static_cast<std::size_t>(reg)] = static_cast<std::int32_t>(
-          ctx_.argSize(static_cast<std::size_t>(arg)));
-    }
-    if (k.workerReg >= 0) {
-      ir[static_cast<std::size_t>(k.workerReg)] =
-          static_cast<std::int32_t>(worker_);
-    }
-    for (const auto& [v, reg] : k.seedFloat) {
-      fr[static_cast<std::size_t>(reg)] =
-          vars_[static_cast<std::size_t>(v)].asFloat();
-    }
-    for (const auto& [v, reg] : k.seedInt) {
       ir[static_cast<std::size_t>(reg)] =
-          vars_[static_cast<std::size_t>(v)].asInt();
+          static_cast<std::int32_t>(args_[arg].size);
     }
     // Block-vectorized front: blocks of 16, 8, 4 and 2 independent elements
-    // run lane-wise (same scalar ops, same per-element order — bit-identical),
-    // then the scalar VM finishes the tail. At least one element always goes
-    // through the scalar VM so the home-register writebacks below observe
-    // exactly the final element's state.
+    // run lane-wise (same scalar ops, same per-element order, so
+    // bit-identical), then the scalar VM finishes the tail. At least one
+    // element always goes through the scalar VM so the write-backs below
+    // observe exactly the final element's state.
     std::int32_t scalarBegin = begin;
     if (k.blockable && step == 1 && begin >= 0 && end - begin > 2 &&
         blockedRangeOk(k, fsp, isp, end)) {
       scalarBegin = runBlockedFront(k, fsp, isp, fr, ir, begin, end);
     }
-    std::int32_t last = begin;
-    for (std::int32_t iv = scalarBegin; iv < end; iv += step) {
-      ir[0] = iv;
-      last = iv;
-      runRowOps(k, fsp, isp, fr, ir);
+    for (std::int64_t iv = scalarBegin; iv < end; iv += step) {
+      ir[0] = static_cast<std::int32_t>(iv);
+      runKernelOps(k, fsp, isp, fr, ir);
     }
-    vars_[static_cast<std::size_t>(s.var)] = Scalar(last);
-    for (const auto& [v, reg] : k.writeFloat) {
-      vars_[static_cast<std::size_t>(v)] =
-          Scalar(fr[static_cast<std::size_t>(reg)]);
+    for (const auto& [to, reg] : k.writeFloat) {
+      fr_[to] = fr[static_cast<std::size_t>(reg)];
     }
-    for (const auto& [v, reg] : k.writeInt) {
-      vars_[static_cast<std::size_t>(v)] =
-          Scalar(ir[static_cast<std::size_t>(reg)]);
+    for (const auto& [to, reg] : k.writeInt) {
+      ir_[to] = ir[static_cast<std::size_t>(reg)];
     }
-    return true;
+  }
+
+  /// One element of a serial kernel: a straight run over its ops.
+  static void runKernelOps(
+      const LoopKernel& k,
+      const std::array<std::span<float>, LoopKernel::kMaxArgs>& fsp,
+      const std::array<std::span<const std::int32_t>, LoopKernel::kMaxArgs>&
+          isp,
+      std::array<float, LoopKernel::kMaxRegs>& fr,
+      std::array<std::int32_t, LoopKernel::kMaxRegs>& ir) {
+    for (const VmOp& op : k.ops) {
+      switch (op.k) {
+        case VmOp::K::FConst: fr[op.dst] = op.fimm; break;
+        case VmOp::K::FMov: fr[op.dst] = fr[op.a]; break;
+        case VmOp::K::FLoad: {
+          const auto& sp = fsp[static_cast<std::size_t>(op.arg)];
+          const std::int32_t i = ir[op.a];
+          if (static_cast<std::uint32_t>(i) >= sp.size()) {
+            throwIndexError(i, sp.size());
+          }
+          fr[op.dst] = sp[static_cast<std::size_t>(i)];
+          break;
+        }
+        case VmOp::K::FStore: {
+          const auto& sp = fsp[static_cast<std::size_t>(op.arg)];
+          const std::int32_t i = ir[op.a];
+          if (static_cast<std::uint32_t>(i) >= sp.size()) {
+            throwIndexError(i, sp.size());
+          }
+          sp[static_cast<std::size_t>(i)] = fr[op.b];
+          break;
+        }
+        case VmOp::K::FAdd: fr[op.dst] = fr[op.a] + fr[op.b]; break;
+        case VmOp::K::FSub: fr[op.dst] = fr[op.a] - fr[op.b]; break;
+        case VmOp::K::FMul: fr[op.dst] = fr[op.a] * fr[op.b]; break;
+        case VmOp::K::FDiv: fr[op.dst] = fr[op.a] / fr[op.b]; break;
+        case VmOp::K::FMin: {
+          const float a = fr[op.a], b = fr[op.b];
+          fr[op.dst] = b < a ? b : a;  // matches binNumeric Min
+          break;
+        }
+        case VmOp::K::FMax: {
+          const float a = fr[op.a], b = fr[op.b];
+          fr[op.dst] = a < b ? b : a;  // matches binNumeric Max
+          break;
+        }
+        case VmOp::K::FNeg: fr[op.dst] = -fr[op.a]; break;
+        case VmOp::K::FAbs: fr[op.dst] = std::fabs(fr[op.a]); break;
+        case VmOp::K::FSqrt: fr[op.dst] = std::sqrt(fr[op.a]); break;
+        case VmOp::K::FFromInt:
+          fr[op.dst] = static_cast<float>(ir[op.a]);
+          break;
+        case VmOp::K::IConst: ir[op.dst] = op.iimm; break;
+        case VmOp::K::IMov: ir[op.dst] = ir[op.a]; break;
+        case VmOp::K::ILoad: {
+          const auto& sp = isp[static_cast<std::size_t>(op.arg)];
+          const std::int32_t i = ir[op.a];
+          if (static_cast<std::uint32_t>(i) >= sp.size()) {
+            throwIndexError(i, sp.size());
+          }
+          ir[op.dst] = sp[static_cast<std::size_t>(i)];
+          break;
+        }
+        case VmOp::K::IAdd: ir[op.dst] = ir[op.a] + ir[op.b]; break;
+        case VmOp::K::ISub: ir[op.dst] = ir[op.a] - ir[op.b]; break;
+        case VmOp::K::IMul: ir[op.dst] = ir[op.a] * ir[op.b]; break;
+        case VmOp::K::IMin: {
+          const std::int32_t a = ir[op.a], b = ir[op.b];
+          ir[op.dst] = b < a ? b : a;
+          break;
+        }
+        case VmOp::K::IMax: {
+          const std::int32_t a = ir[op.a], b = ir[op.b];
+          ir[op.dst] = a < b ? b : a;
+          break;
+        }
+        case VmOp::K::INeg: ir[op.dst] = -ir[op.a]; break;
+        case VmOp::K::IAbs: {
+          const std::int32_t v = ir[op.a];
+          ir[op.dst] = v < 0 ? -v : v;
+          break;
+        }
+        case VmOp::K::IFromFloat:
+          ir[op.dst] = static_cast<std::int32_t>(fr[op.a]);
+          break;
+        default:
+          GRAPHENE_UNREACHABLE("op outside the serial kernel subset");
+      }
+    }
   }
 
   /// Run-time guard for the blocked VM: every elementwise span must cover
@@ -1918,17 +2689,24 @@ class FlatExec {
       std::int32_t begin, std::int32_t endB) {
     alignas(64) float fb[LoopKernel::kMaxRegs][B];
     alignas(64) std::int32_t ib[LoopKernel::kMaxRegs][B];
-    // Seed registers are loop-invariant (no carried regs): splat once.
-    for (int r = 0; r < k.numFloatRegs; ++r) {
-      for (std::int32_t j = 0; j < B; ++j) fb[r][j] = fr[static_cast<std::size_t>(r)];
-    }
-    for (int r = 0; r < k.numIntRegs; ++r) {
-      for (std::int32_t j = 0; j < B; ++j) ib[r][j] = ir[static_cast<std::size_t>(r)];
-    }
-    using K = LoopOp::K;
+    // Seed registers are loop-invariant (no carried regs): splat once. Every
+    // other register is written before it is read.
+    auto splatF = [&](std::int16_t r) {
+      const float v = fr[static_cast<std::size_t>(r)];
+      for (std::int32_t j = 0; j < B; ++j) fb[r][j] = v;
+    };
+    auto splatI = [&](std::int16_t r) {
+      const std::int32_t v = ir[static_cast<std::size_t>(r)];
+      for (std::int32_t j = 0; j < B; ++j) ib[r][j] = v;
+    };
+    for (const auto& [from, r] : k.seedFloat) splatF(r);
+    for (const auto& [from, r] : k.seedInt) splatI(r);
+    for (const auto& [r, arg] : k.sizeSeeds) splatI(r);
+
+    using K = VmOp::K;
     for (std::int32_t iv = begin; iv < endB; iv += B) {
       for (std::int32_t j = 0; j < B; ++j) ib[0][j] = iv + j;
-      for (const LoopOp& op : k.ops) {
+      for (const VmOp& op : k.ops) {
         switch (op.k) {
           case K::FConst: {
             float* d = fb[op.dst];
@@ -2117,276 +2895,12 @@ class FlatExec {
             }
             break;
           }
-          case K::ILt: case K::ILe: case K::IEq: case K::INe:
-          case K::FLt: case K::FLe: case K::FEq: case K::FNe:
-          case K::LBegin: case K::LEnd: case K::JmpZ: case K::Jmp:
-            break;  // analyzeBlockable never admits these
+          default:
+            break;  // not in serial kernels
         }
       }
     }
   }
-
-  /// Executes one pass over a kernel's ops: a linear walk whose control ops
-  /// (parallel row kernels only) implement nested counted loops and Ifs;
-  /// serial kernels contain none and degenerate to a straight run. Returns
-  /// the pass's cycle cost, charged block by block like the generic walk
-  /// (see LoopKernel::isPar) — meaningful for parallel rows only.
-  static double runRowOps(
-      const LoopKernel& k,
-      const std::array<std::span<float>, LoopKernel::kMaxArgs>& fsp,
-      const std::array<std::span<const std::int32_t>, LoopKernel::kMaxArgs>&
-          isp,
-      std::array<float, LoopKernel::kMaxRegs>& fr,
-      std::array<std::int32_t, LoopKernel::kMaxRegs>& ir) {
-    // Only one loop is ever active (single-level nesting), so one live trip
-    // counter suffices.
-    std::int32_t trip = 0;
-    LaneSums open;     // the walk's current lane block
-    double cost = 0;   // closed blocks and branches
-    auto add = [&open](const LaneSums& r) {
-      open.fp += r.fp;
-      open.mem += r.mem;
-      open.ctrl += r.ctrl;
-    };
-    auto close = [&] {
-      cost += open.total() + k.branchCost;
-      open = LaneSums{};
-    };
-    const std::size_t nops = k.ops.size();
-    for (std::size_t pc = 0; pc < nops; ++pc) {
-      const LoopOp& op = k.ops[pc];
-      switch (op.k) {
-        case LoopOp::K::FConst: fr[op.dst] = op.fimm; break;
-        case LoopOp::K::FMov: fr[op.dst] = fr[op.a]; break;
-        case LoopOp::K::FLoad: {
-          const auto& sp = fsp[static_cast<std::size_t>(op.arg)];
-          const auto ix = static_cast<std::uint32_t>(ir[op.a]);
-          GRAPHENE_CHECK(ix < sp.size(), "tensor index out of range in codelet");
-          fr[op.dst] = sp[ix];
-          break;
-        }
-        case LoopOp::K::FStore: {
-          const auto& sp = fsp[static_cast<std::size_t>(op.arg)];
-          const auto ix = static_cast<std::uint32_t>(ir[op.a]);
-          GRAPHENE_CHECK(ix < sp.size(), "tensor index out of range in codelet");
-          sp[ix] = fr[op.b];
-          break;
-        }
-        case LoopOp::K::FAdd: fr[op.dst] = fr[op.a] + fr[op.b]; break;
-        case LoopOp::K::FSub: fr[op.dst] = fr[op.a] - fr[op.b]; break;
-        case LoopOp::K::FMul: fr[op.dst] = fr[op.a] * fr[op.b]; break;
-        case LoopOp::K::FDiv: fr[op.dst] = fr[op.a] / fr[op.b]; break;
-        case LoopOp::K::FMin: {
-          const float a = fr[op.a], b = fr[op.b];
-          fr[op.dst] = b < a ? b : a;  // matches binNumeric Min
-          break;
-        }
-        case LoopOp::K::FMax: {
-          const float a = fr[op.a], b = fr[op.b];
-          fr[op.dst] = a < b ? b : a;  // matches binNumeric Max
-          break;
-        }
-        case LoopOp::K::FNeg: fr[op.dst] = -fr[op.a]; break;
-        case LoopOp::K::FAbs: fr[op.dst] = std::fabs(fr[op.a]); break;
-        case LoopOp::K::FSqrt: fr[op.dst] = std::sqrt(fr[op.a]); break;
-        case LoopOp::K::FFromInt:
-          fr[op.dst] = static_cast<float>(ir[op.a]);
-          break;
-        case LoopOp::K::IConst: ir[op.dst] = op.iimm; break;
-        case LoopOp::K::IMov: ir[op.dst] = ir[op.a]; break;
-        case LoopOp::K::ILoad: {
-          const auto& sp = isp[static_cast<std::size_t>(op.arg)];
-          const auto ix = static_cast<std::uint32_t>(ir[op.a]);
-          GRAPHENE_CHECK(ix < sp.size(), "tensor index out of range in codelet");
-          ir[op.dst] = sp[ix];
-          break;
-        }
-        case LoopOp::K::IAdd: ir[op.dst] = ir[op.a] + ir[op.b]; break;
-        case LoopOp::K::ISub: ir[op.dst] = ir[op.a] - ir[op.b]; break;
-        case LoopOp::K::IMul: ir[op.dst] = ir[op.a] * ir[op.b]; break;
-        case LoopOp::K::IMin: {
-          const std::int32_t a = ir[op.a], b = ir[op.b];
-          ir[op.dst] = b < a ? b : a;
-          break;
-        }
-        case LoopOp::K::IMax: {
-          const std::int32_t a = ir[op.a], b = ir[op.b];
-          ir[op.dst] = a < b ? b : a;
-          break;
-        }
-        case LoopOp::K::INeg: ir[op.dst] = -ir[op.a]; break;
-        case LoopOp::K::IAbs: {
-          const std::int32_t v = ir[op.a];
-          ir[op.dst] = v < 0 ? -v : v;
-          break;
-        }
-        case LoopOp::K::IFromFloat:
-          ir[op.dst] = static_cast<std::int32_t>(fr[op.a]);
-          break;
-        case LoopOp::K::ILt: ir[op.dst] = ir[op.a] < ir[op.b]; break;
-        case LoopOp::K::ILe: ir[op.dst] = ir[op.a] <= ir[op.b]; break;
-        case LoopOp::K::IEq: ir[op.dst] = ir[op.a] == ir[op.b]; break;
-        case LoopOp::K::INe: ir[op.dst] = !(ir[op.a] == ir[op.b]); break;
-        case LoopOp::K::FLt: ir[op.dst] = fr[op.a] < fr[op.b]; break;
-        case LoopOp::K::FLe: ir[op.dst] = fr[op.a] <= fr[op.b]; break;
-        case LoopOp::K::FEq: ir[op.dst] = fr[op.a] == fr[op.b]; break;
-        case LoopOp::K::FNe: ir[op.dst] = !(fr[op.a] == fr[op.b]); break;
-        case LoopOp::K::LBegin: {
-          add(op.run);
-          close();
-          const std::int32_t b = ir[op.a], e = ir[op.b];
-          if (e <= b) {
-            // Jump to the LEnd; ++pc then steps past it.
-            pc = static_cast<std::size_t>(op.iimm);
-            break;
-          }
-          trip = e - b;
-          ir[op.dst] = b;
-          break;
-        }
-        case LoopOp::K::LEnd:
-          add(op.run);
-          if (--trip > 0) {
-            ++ir[op.a];
-            // Jump to the LBegin; ++pc re-enters the body without re-running
-            // the loop initialisation.
-            pc = static_cast<std::size_t>(op.iimm);
-          }
-          break;
-        case LoopOp::K::JmpZ:
-          add(op.run);
-          close();
-          if (ir[op.a] == 0) pc = static_cast<std::size_t>(op.iimm);
-          break;
-        case LoopOp::K::Jmp:
-          add(op.run);
-          pc = static_cast<std::size_t>(op.iimm);
-          break;
-      }
-    }
-    add(k.tail);
-    return cost + open.total();
-  }
-
-  /// Runs a compiled ParFor kernel: rows are dealt round-robin to a worker
-  /// pool exactly like the generic walk, but each row executes as one
-  /// register program charged per executed lane block (runRowOps) instead of
-  /// per op; native CSR rows use a closed form of the same sums. The caller
-  /// has evaluated the bounds and flushed. Returns
-  /// false when a runtime guard fails (the generic pool walk then runs; both
-  /// are exact).
-  bool runParLoop(const LoopKernel& k, const FlatStmt& s, std::int32_t begin,
-                  std::int32_t end, std::int32_t step) {
-    if (!guardsHold(k)) return false;
-    ipu::WorkerPool pool(cc_.numWorkers);
-    pool.chargeSpawn();
-    if (begin < end) {
-      std::array<std::span<float>, LoopKernel::kMaxArgs> fsp;
-      std::array<std::span<const std::int32_t>, LoopKernel::kMaxArgs> isp;
-      for (std::int16_t a : k.floatArgs) {
-        fsp[static_cast<std::size_t>(a)] =
-            ctx_.floatSpan(static_cast<std::size_t>(a));
-      }
-      for (std::int16_t a : k.intArgs) {
-        isp[static_cast<std::size_t>(a)] =
-            ctx_.intSpan(static_cast<std::size_t>(a));
-      }
-      std::array<float, LoopKernel::kMaxRegs> fr{};
-      std::array<std::int32_t, LoopKernel::kMaxRegs> ir{};
-      for (const auto& [reg, arg] : k.sizeSeeds) {
-        ir[static_cast<std::size_t>(reg)] = static_cast<std::int32_t>(
-            ctx_.argSize(static_cast<std::size_t>(arg)));
-      }
-      for (const auto& [v, reg] : k.seedFloat) {
-        fr[static_cast<std::size_t>(reg)] =
-            vars_[static_cast<std::size_t>(v)].asFloat();
-      }
-      for (const auto& [v, reg] : k.seedInt) {
-        ir[static_cast<std::size_t>(reg)] =
-            vars_[static_cast<std::size_t>(v)].asInt();
-      }
-      // Native CSR rows: all but the last row run as a plain scalar loop
-      // (identical float ops in identical order); the last row goes through
-      // the register VM so every home register write-back stays exact.
-      const CsrRow& csr = k.csr;
-      const bool native = csr.valid && step == 1;
-      const float* dp = nullptr;
-      const float* xp = nullptr;
-      const float* ap = nullptr;
-      const float* hp = nullptr;
-      float* yp = nullptr;
-      const std::int32_t* cp = nullptr;
-      const std::int32_t* rpp = nullptr;
-      const std::int32_t* spp = nullptr;
-      std::int32_t owned = 0;
-      if (native) {
-        dp = fsp[static_cast<std::size_t>(csr.dArg)].data();
-        xp = fsp[static_cast<std::size_t>(csr.xArg)].data();
-        ap = fsp[static_cast<std::size_t>(csr.aArg)].data();
-        hp = fsp[static_cast<std::size_t>(csr.hArg)].data();
-        yp = fsp[static_cast<std::size_t>(csr.yArg)].data();
-        cp = isp[static_cast<std::size_t>(csr.cArg)].data();
-        rpp = isp[static_cast<std::size_t>(csr.rpArg)].data();
-        spp = isp[static_cast<std::size_t>(csr.spArg)].data();
-        owned = vars_[static_cast<std::size_t>(csr.ownedVar)].asInt();
-      }
-      std::size_t w = 0;
-      std::int32_t last = begin;
-      for (std::int32_t iv = begin; iv < end; iv += step) {
-        ir[0] = iv;
-        last = iv;
-        if (k.workerReg >= 0) {
-          ir[static_cast<std::size_t>(k.workerReg)] =
-              static_cast<std::int32_t>(w);
-        }
-        double rowCost;
-        if (native && iv + 1 < end) {
-          const auto r = static_cast<std::size_t>(iv);
-          float acc = dp[r] * xp[r];
-          const std::int32_t b1 = rpp[r], e1 = spp[r], e2 = rpp[r + 1];
-          for (std::int32_t kk = b1; kk < e1; ++kk) {
-            acc = acc + ap[kk] * xp[cp[kk]];
-          }
-          for (std::int32_t kk = e1; kk < e2; ++kk) {
-            acc = acc + ap[kk] * hp[cp[kk] - owned];
-          }
-          yp[r] = acc;
-          rowCost = csrRowCost(k, e1 > b1 ? e1 - b1 : 0, e2 > e1 ? e2 - e1 : 0);
-        } else {
-          rowCost = runRowOps(k, fsp, isp, fr, ir);
-        }
-        pool.addCycles(w, rowCost);
-        w = (w + 1) % cc_.numWorkers;
-      }
-      vars_[static_cast<std::size_t>(s.var)] = Scalar(last);
-      for (const auto& [v, reg] : k.writeFloat) {
-        vars_[static_cast<std::size_t>(v)] =
-            Scalar(fr[static_cast<std::size_t>(reg)]);
-      }
-      for (const auto& [v, reg] : k.writeInt) {
-        vars_[static_cast<std::size_t>(v)] =
-            Scalar(ir[static_cast<std::size_t>(reg)]);
-      }
-    }
-    total_ += pool.sync();
-    return true;
-  }
-
-  /// Closed form of runRowOps' charge for a CSR row with trip counts t0, t1:
-  /// three lane blocks — entry, t0 owned-run bodies plus the second entry,
-  /// t1 halo-run bodies plus the tail — and two loop-entry branches.
-  static double csrRowCost(const LoopKernel& k, std::int32_t t0,
-                           std::int32_t t1) {
-    auto block = [](const LaneSums& head, double n, const LaneSums& per) {
-      return LaneSums{head.fp + n * per.fp, head.mem + n * per.mem,
-                      head.ctrl + n * per.ctrl}
-          .total();
-    };
-    const CsrRow& c = k.csr;
-    return c.entry[0].total() + block(c.entry[1], t0, c.body[0]) +
-           block(k.tail, t1, c.body[1]) + 2 * k.branchCost;
-  }
-
   bool namedBoundsOk(
       const NamedLoop& nm,
       const std::array<std::span<float>, LoopKernel::kMaxArgs>& fsp,
@@ -2411,12 +2925,8 @@ class FlatExec {
     auto span = [&](std::int16_t arg) {
       return fsp[static_cast<std::size_t>(arg)];
     };
-    const float sv =
-        nm.sIsConst
-            ? nm.sConst
-            : (nm.sVar >= 0
-                   ? vars_[static_cast<std::size_t>(nm.sVar)].asFloat()
-                   : 0.0f);
+    const float sv = nm.sIsConst ? nm.sConst
+                                 : (nm.sReg >= 0 ? fr_[nm.sReg] : 0.0f);
     const std::size_t n = static_cast<std::size_t>(end - begin);
     switch (nm.p) {
       case NamedLoop::P::Copy: {
@@ -2470,7 +2980,7 @@ class FlatExec {
       }
       case NamedLoop::P::DotPartial: {
         auto a = span(nm.aArg);
-        float acc = vars_[static_cast<std::size_t>(nm.accVar)].asFloat();
+        float acc = fr_[nm.accReg];
         if (nm.dotSingle) {
           for (std::int32_t i = begin; i < end; ++i) {
             acc = nm.accFirst ? acc + a[i] : a[i] + acc;
@@ -2482,21 +2992,20 @@ class FlatExec {
             acc = nm.accFirst ? acc + m : m + acc;
           }
         }
-        vars_[static_cast<std::size_t>(nm.accVar)] = Scalar(acc);
+        fr_[nm.accReg] = acc;
         return;
       }
       case NamedLoop::P::None:
         return;
     }
   }
-
-  const CompiledCodelet& cc_;
-  graph::VertexContext& ctx_;
-  std::vector<Scalar> vars_;
-  ipu::LaneCycles lanes_;
-  double total_ = 0;
-  std::size_t worker_ = 0;
-  bool fastPaths_ = true;
+  const Program& prog_;
+  std::size_t numWorkers_;
+  const graph::ArgSpan* args_;
+  float* fr_;
+  std::int32_t* ir_;
+  DwReg* dr_;
+  std::uint64_t* sr_;  // Float64 registers: SoftDouble bit patterns
 };
 
 }  // namespace
@@ -2513,6 +3022,10 @@ bool codeletFastPathsEnabled() {
   return g_fastPaths.load(std::memory_order_relaxed);
 }
 
+std::uint64_t codeletWalkEntries() {
+  return g_walkEntries.load(std::memory_order_relaxed);
+}
+
 CompiledCodeletPtr compileCodelet(const CodeletIR& ir,
                                   const ipu::CostModel& cost,
                                   std::size_t numWorkers) {
@@ -2520,27 +3033,26 @@ CompiledCodeletPtr compileCodelet(const CodeletIR& ir,
   cc->flat = flattenCodelet(ir);
   cc->cost = cost;
   cc->numWorkers = numWorkers;
-  // Kernels are always compiled; whether they run is decided per execution
-  // (setCodeletFastPaths), so the generic/fast A-B comparison can use the
-  // same graph.
-  LoopCompiler lc(cc->flat, cc->cost);
-  for (std::size_t sid = 0; sid < cc->flat.stmts.size(); ++sid) {
-    FlatStmt& s = cc->flat.stmts[sid];
-    if (s.kind != Stmt::Kind::For && s.kind != Stmt::Kind::ParFor) continue;
-    const auto id = static_cast<std::int32_t>(sid);
-    auto kernel = s.kind == Stmt::Kind::For ? lc.compile(id) : lc.compilePar(id);
-    if (kernel) {
-      s.fastLoop = static_cast<std::int32_t>(cc->kernels.size());
-      cc->kernels.push_back(std::move(*kernel));
-    } else {
-      cc->walkLoops.emplace_back(id, lc.why());
-    }
-  }
+  // The program is always compiled; whether it runs is decided per vertex
+  // (codeletBinds) and per execution (setCodeletFastPaths), so the walk/VM
+  // A-B comparison can use the same graph.
+  ProgramCompiler pc(cc->flat, cc->cost);
+  cc->program = pc.compile();
+  if (!cc->program) cc->walkReason = pc.why();
   return cc;
 }
 
-std::size_t compiledKernelCount(const CompiledCodelet& codelet) {
-  return codelet.kernels.size();
+const char* codeletWalkReason(const CompiledCodelet& codelet) {
+  return codelet.walkReason;
+}
+
+bool codeletBinds(const CompiledCodelet& codelet,
+                  std::span<const graph::ArgSpan> args) {
+  if (!codelet.program || args.size() != codelet.flat.numArgs) return false;
+  for (const auto& [arg, type] : codelet.program->argTypes) {
+    if (args[static_cast<std::size_t>(arg)].dtype != type) return false;
+  }
+  return true;
 }
 
 graph::VertexCost runCompiled(const CompiledCodelet& codelet,
@@ -2550,8 +3062,20 @@ graph::VertexCost runCompiled(const CompiledCodelet& codelet,
                  ", codelet expects ", codelet.flat.numArgs);
   graph::VertexCost result;
   result.wholeTile = codelet.flat.usesWorkers;
-  FlatExec exec(codelet, ctx);
-  result.workerCycles = exec.run();
+  if (ctx.bound() && g_fastPaths.load(std::memory_order_relaxed)) {
+    // Registers are written before they are read (zeroFloat covers the
+    // variables the walk reads as their initial Float32 zero).
+    std::array<float, Program::kMaxRegs> fr;
+    std::array<std::int32_t, Program::kMaxRegs> ir;
+    std::array<DwReg, Program::kMaxRegs> dr;
+    std::array<std::uint64_t, Program::kMaxRegs> sr;
+    result.workerCycles = VmExec(codelet, ctx.args(), fr.data(), ir.data(),
+                                 dr.data(), sr.data())
+                              .run();
+    return result;
+  }
+  g_walkEntries.fetch_add(1, std::memory_order_relaxed);
+  result.workerCycles = FlatExec(codelet, ctx).run();
   return result;
 }
 
@@ -2559,43 +3083,40 @@ graph::Codelet makeCodelet(std::string name, CodeletIR ir,
                            const ipu::CostModel& cost,
                            std::size_t numWorkers) {
   CompiledCodeletPtr cc = compileCodelet(ir, cost, numWorkers);
-  // Compile-time diagnostics: which loops got a VM kernel, which of those are
-  // block-vectorizable or matched a named bulk kernel, and what kept each
-  // remaining loop on the walk. Costs nothing when the env var is unset;
-  // invaluable when a hot loop silently drops to the walk.
+  // Compile-time diagnostics, one line per codelet: `vm` with the program's
+  // shape (ops, serial loop kernels and the named span kernel each matched,
+  // native CSR row plans), or `walk:` and the construct that stopped the
+  // compiler. Costs nothing when the env var is unset.
   if (support::envFlag("GRAPHENE_DUMP_COMPILE")) {
-    std::size_t loops = 0, fast = 0;
-    for (const FlatStmt& s : cc->flat.stmts) {
-      if (s.kind == Stmt::Kind::For || s.kind == Stmt::Kind::ParFor) {
-        ++loops;
-        if (s.fastLoop >= 0) ++fast;
+    if (cc->program) {
+      // Indexed by NamedLoop::P.
+      static constexpr const char* kNamed[] = {"none", "copy", "addvec",
+                                               "axpy", "dot"};
+      static_assert(std::size(kNamed) ==
+                    static_cast<std::size_t>(NamedLoop::P::DotPartial) + 1);
+      std::string kernels;
+      for (const LoopKernel& k : cc->program->kernels) {
+        kernels += kernels.empty() ? "" : ",";
+        kernels += kNamed[static_cast<std::size_t>(k.named.p)];
+        if (k.blockable) kernels += "+blocked";
       }
-    }
-    std::fprintf(stderr, "[compile] %s: loops=%zu fast=%zu\n", name.c_str(),
-                 loops, fast);
-    // Indexed by NamedLoop::P.
-    static constexpr const char* kNamed[] = {"none", "copy", "addvec", "axpy",
-                                             "dot"};
-    static_assert(std::size(kNamed) ==
-                  static_cast<std::size_t>(NamedLoop::P::DotPartial) + 1);
-    for (const LoopKernel& k : cc->kernels) {
-      std::fprintf(stderr,
-                   "  kernel: par=%d ops=%zu csr=%d blockable=%d named=%s\n",
-                   k.isPar ? 1 : 0, k.ops.size(), k.csr.valid ? 1 : 0,
-                   k.blockable ? 1 : 0,
-                   kNamed[static_cast<std::size_t>(k.named.p)]);
-    }
-    for (const auto& [sid, why] : cc->walkLoops) {
-      const bool par = cc->flat.stmts[static_cast<std::size_t>(sid)].kind ==
-                       Stmt::Kind::ParFor;
-      std::fprintf(stderr, "  walk: %s stmt=%d stopped by: %s\n",
-                   par ? "ParFor" : "For", sid, why);
+      std::fprintf(stderr, "[compile] %s: vm ops=%zu kernels=[%s] csr=%zu\n",
+                   name.c_str(), cc->program->ops.size(), kernels.c_str(),
+                   cc->program->csrRows.size());
+    } else {
+      std::fprintf(stderr, "[compile] %s: walk: %s\n", name.c_str(),
+                   cc->walkReason);
     }
   }
-  return graph::Codelet{std::move(name),
-                        [cc = std::move(cc)](graph::VertexContext& vc) {
-                          return runCompiled(*cc, vc);
-                        }};
+  graph::Codelet codelet{std::move(name),
+                         [cc](graph::VertexContext& vc) {
+                           return runCompiled(*cc, vc);
+                         },
+                         {}};
+  codelet.bind = [cc](std::span<const graph::ArgSpan> args) {
+    return codeletBinds(*cc, args);
+  };
+  return codelet;
 }
 
 }  // namespace graphene::dsl

@@ -5,15 +5,20 @@
 // cycles under the IPU cost model — including the two-pipeline dual issue
 // (max(fp, mem) per statement) and the iputhreading worker model for ParFor.
 //
-// Codelets are compiled once (flatten the shared_ptr statement tree into the
-// FlatCodelet bytecode of codedsl_ir.hpp, and lower eligible counted loops to
-// register-VM kernels, some of which also match a named span kernel or run
-// block-vectorized) and the compiled form is executed on every vertex run.
-// The kernels are exact: same results bit-for-bit, same cycle charges, with
-// the generic statement walk for anything they cannot prove safe.
+// Codelets are compiled once: the shared_ptr statement tree is flattened into
+// the FlatCodelet bytecode of codedsl_ir.hpp, and the whole codelet is
+// lowered to one register-VM program (straight-line statements, control
+// flow, double-word values as register pairs; serial straight-line loops as
+// kernels that may match a named span kernel or run block-vectorized). A
+// vertex runs the program whole, or — when the codelet did not compile or
+// the vertex's argument dtypes differ from trace time — the generic
+// statement walk whole. Both give the same results bit for bit and the same
+// cycle charges; the walk is the reference the VM is tested against.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "dsl/codedsl_ir.hpp"
@@ -22,8 +27,8 @@
 
 namespace graphene::dsl {
 
-/// A codelet lowered for repeated execution: the flat IR plus compiled loop
-/// kernels, bound to the cost model and worker count it was priced under.
+/// A codelet lowered for repeated execution: the flat IR plus its register-VM
+/// program, bound to the cost model and worker count it was priced under.
 /// Immutable after compilation — safe to run from multiple host threads
 /// concurrently (each run keeps its state on its own stack).
 class CompiledCodelet;
@@ -35,28 +40,38 @@ CompiledCodeletPtr compileCodelet(const CodeletIR& ir,
                                   const ipu::CostModel& cost,
                                   std::size_t numWorkers);
 
-/// Number of loops in `codelet` lowered to a register-VM kernel; the rest
-/// run the generic statement walk. Read-only, for tests that pin which loops
-/// compile.
-std::size_t compiledKernelCount(const CompiledCodelet& codelet);
+/// The construct that kept `codelet` off the register VM, or nullptr when
+/// the whole codelet compiled. Read-only, for tests and diagnostics.
+const char* codeletWalkReason(const CompiledCodelet& codelet);
+
+/// True when `codelet` compiled and `args` have the dtypes its program was
+/// traced with: a vertex bound to them runs on the VM. The engine asks once
+/// per vertex, when it builds an execution plan (graph::Codelet::bind).
+bool codeletBinds(const CompiledCodelet& codelet,
+                  std::span<const graph::ArgSpan> args);
 
 /// Executes a compiled codelet against `ctx`; returns the modelled cost.
+/// Runs the program when ctx.bound() and fast paths are on, else the walk.
 graph::VertexCost runCompiled(const CompiledCodelet& codelet,
                               graph::VertexContext& ctx);
 
 /// Convenience: compiles `ir` once and wraps it as a graph::Codelet whose
-/// run function executes the compiled form (the per-vertex fast path every
-/// DSL codelet registration uses).
+/// bind hook is codeletBinds and whose run function is runCompiled (what
+/// every DSL codelet registration uses).
 graph::Codelet makeCodelet(std::string name, CodeletIR ir,
                            const ipu::CostModel& cost, std::size_t numWorkers);
 
-/// Globally enables/disables the compiled loop fast paths (register-VM
-/// kernels). With fast paths off every loop runs the generic statement walk.
-/// Results and cycle charges are identical either way — the switch exists so
-/// tests can assert exactly that, and to debug miscompiles. Also settable via
-/// the environment: GRAPHENE_NO_FASTPATH=1 disables them at startup.
+/// Globally enables/disables the register VM. With it off every vertex runs
+/// the generic statement walk. Results and cycle charges are identical
+/// either way — the switch exists so tests can assert exactly that, and to
+/// debug miscompiles. Also settable via the environment:
+/// GRAPHENE_NO_FASTPATH=1 disables it at startup.
 void setCodeletFastPaths(bool enabled);
 bool codeletFastPathsEnabled();
+
+/// Process-wide count of vertex runs that took the generic walk. Read-only:
+/// tests use it to pin that production codelets never walk.
+std::uint64_t codeletWalkEntries();
 
 /// Evaluates a binary operation on dynamically typed scalars with numeric
 /// promotion. Exposed for unit tests.

@@ -42,20 +42,48 @@ struct VertexCost {
   bool wholeTile = false;
 };
 
-/// Runtime interface handed to a codelet: access to its argument slices.
-/// All indices are relative to the slice, enforcing tile-locality.
+/// One codelet argument bound to its storage: the first element of the
+/// vertex's tile-local slice, the slice length and the element type. The
+/// engine resolves every vertex's arguments once, when it builds the compute
+/// set's execution plan; storage buffers are allocated once per tensor and
+/// never move, so a bound pointer stays valid for the engine's lifetime.
+struct ArgSpan {
+  void* data = nullptr;
+  std::size_t size = 0;
+  ipu::DType dtype = ipu::DType::Float32;
+};
+
+/// Runtime view handed to a codelet: its bound argument slices, plus whether
+/// the codelet's bind hook accepted them when the plan was built. Indices
+/// are slice-relative, which enforces tile-locality.
 class VertexContext {
  public:
-  virtual ~VertexContext() = default;
-  virtual std::size_t numArgs() const = 0;
-  virtual std::size_t argSize(std::size_t arg) const = 0;
-  virtual ipu::DType argType(std::size_t arg) const = 0;
-  virtual Scalar load(std::size_t arg, std::size_t index) const = 0;
-  virtual void store(std::size_t arg, std::size_t index,
-                     const Scalar& value) = 0;
-  /// Fast typed view of an argument slice (dtype must match T).
-  virtual std::span<float> floatSpan(std::size_t arg) = 0;
-  virtual std::span<const std::int32_t> intSpan(std::size_t arg) const = 0;
+  explicit VertexContext(std::span<const ArgSpan> args, bool bound = false)
+      : args_(args), bound_(bound) {}
+
+  std::size_t numArgs() const { return args_.size(); }
+  const ArgSpan* args() const { return args_.data(); }
+  std::size_t argSize(std::size_t arg) const { return at(arg).size; }
+  ipu::DType argType(std::size_t arg) const { return at(arg).dtype; }
+  /// Codelet::bind's verdict for these arguments (false without a hook).
+  bool bound() const { return bound_; }
+
+  /// Dynamically typed element access; `index` must be below argSize(arg).
+  Scalar load(std::size_t arg, std::size_t index) const;
+  /// Stores `value` converted to the argument's dtype.
+  void store(std::size_t arg, std::size_t index, const Scalar& value);
+
+  /// Typed view of a Float32 argument slice.
+  std::span<float> floatSpan(std::size_t arg) const;
+
+ private:
+  const ArgSpan& at(std::size_t arg) const {
+    GRAPHENE_DCHECK(arg < args_.size(), "arg out of range");
+    return args_[arg];
+  }
+
+  std::span<const ArgSpan> args_;
+  bool bound_;
 };
 
 struct Codelet {
@@ -70,6 +98,11 @@ struct Codelet {
   /// invocations never share a VertexContext, and their argument slices
   /// reference disjoint storage regions (slices are tile-local).
   std::function<VertexCost(VertexContext&)> run;
+  /// Optional. Called once per vertex when the engine builds a compute set's
+  /// execution plan; its verdict reaches `run` as VertexContext::bound().
+  /// DSL codelets answer whether their compiled program's argument dtypes
+  /// hold for this vertex. Must be pure, like `run`.
+  std::function<bool(std::span<const ArgSpan>)> bind = {};
 };
 
 /// One codelet instance placed on one tile with bound tensor slices.

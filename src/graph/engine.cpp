@@ -69,60 +69,6 @@ class EngineFaultSurface final : public ipu::FaultSurface {
 
 }  // namespace
 
-/// VertexContext over a plan's precomputed argument windows; indices are
-/// slice-relative, which enforces tile-local access. Holds a raw pointer to
-/// the engine's storage array: during a compute superstep no tensors are
-/// created, so the pointer is stable — including under tile-parallel
-/// execution, where concurrent contexts touch disjoint regions.
-class Engine::PlanVertexContext final : public VertexContext {
- public:
-  PlanVertexContext(TensorStorage* storage, const PlanArg* args,
-                    std::size_t numArgs)
-      : storage_(storage), args_(args), numArgs_(numArgs) {}
-
-  std::size_t numArgs() const override { return numArgs_; }
-
-  std::size_t argSize(std::size_t arg) const override {
-    GRAPHENE_DCHECK(arg < numArgs_, "arg out of range");
-    return args_[arg].count;
-  }
-
-  ipu::DType argType(std::size_t arg) const override {
-    GRAPHENE_DCHECK(arg < numArgs_, "arg out of range");
-    return args_[arg].dtype;
-  }
-
-  Scalar load(std::size_t arg, std::size_t index) const override {
-    GRAPHENE_DCHECK(arg < numArgs_, "arg out of range");
-    GRAPHENE_DCHECK(index < args_[arg].count, "codelet read past its slice");
-    return storage_[args_[arg].tensor].load(args_[arg].base + index);
-  }
-
-  void store(std::size_t arg, std::size_t index,
-             const Scalar& value) override {
-    GRAPHENE_DCHECK(arg < numArgs_, "arg out of range");
-    GRAPHENE_DCHECK(index < args_[arg].count, "codelet write past its slice");
-    storage_[args_[arg].tensor].store(args_[arg].base + index, value);
-  }
-
-  std::span<float> floatSpan(std::size_t arg) override {
-    GRAPHENE_DCHECK(arg < numArgs_, "arg out of range");
-    auto whole = storage_[args_[arg].tensor].as<float>();
-    return whole.subspan(args_[arg].base, args_[arg].count);
-  }
-
-  std::span<const std::int32_t> intSpan(std::size_t arg) const override {
-    GRAPHENE_DCHECK(arg < numArgs_, "arg out of range");
-    auto whole = storage_[args_[arg].tensor].as<std::int32_t>();
-    return whole.subspan(args_[arg].base, args_[arg].count);
-  }
-
- private:
-  TensorStorage* storage_;
-  const PlanArg* args_;
-  std::size_t numArgs_;
-};
-
 Engine::Engine(Graph& graph, std::size_t numHostThreads)
     : graph_(graph), numHostThreads_(resolveHostThreads(numHostThreads)) {
   if (support::envFlag("GRAPHENE_NO_FUSION")) fusionEnabled_ = false;
@@ -352,6 +298,7 @@ const Engine::ExecPlan& Engine::planFor(ComputeSetId csId) {
   }
   plan.vertexOrder.reserve(cs.vertices.size());
   plan.argStart.reserve(cs.vertices.size() + 1);
+  plan.bound.reserve(cs.vertices.size());
   for (const auto& [tile, vertexIds] : byTile) {
     plan.tasks.push_back(TileTask{tile, plan.vertexOrder.size(),
                                   vertexIds.size()});
@@ -360,9 +307,16 @@ const Engine::ExecPlan& Engine::planFor(ComputeSetId csId) {
       plan.vertexOrder.push_back(vi);
       for (const TensorSlice& s : cs.vertices[vi].args) {
         TensorStorage& ts = storageFor(s.tensor);
-        plan.args.push_back(PlanArg{s.tensor, ts.tileOffset(s.tile) + s.begin,
-                                    s.count, ts.dtype()});
+        // Graph::addVertex checked the slice lies inside its tile region.
+        plan.args.push_back(ArgSpan{
+            ts.elementData(ts.tileOffset(s.tile) + s.begin), s.count,
+            ts.dtype()});
       }
+      const Codelet& codelet = graph_.codelet(cs.vertices[vi].codelet);
+      const std::span<const ArgSpan> bound(
+          plan.args.data() + plan.argStart.back(),
+          plan.args.size() - plan.argStart.back());
+      plan.bound.push_back(codelet.bind && codelet.bind(bound) ? 1 : 0);
     }
   }
   plan.argStart.push_back(plan.args.size());
@@ -371,16 +325,16 @@ const Engine::ExecPlan& Engine::planFor(ComputeSetId csId) {
 }
 
 double Engine::runTileTask(const ComputeSet& cs, const ExecPlan& plan,
-                           TensorStorage* storage, std::size_t task,
-                           double* workerBusyOut) {
+                           std::size_t task, double* workerBusyOut) {
   const TileTask& t = plan.tasks[task];
   ipu::WorkerPool pool(graph_.target().workersPerTile);
   std::size_t nextWorker = 0;
   double workerBusy = 0;  // issue slots used, summed over the 6 workers
   for (std::size_t p = t.firstVertex; p < t.firstVertex + t.count; ++p) {
     const Vertex& v = cs.vertices[plan.vertexOrder[p]];
-    PlanVertexContext ctx(storage, plan.args.data() + plan.argStart[p],
-                          plan.argStart[p + 1] - plan.argStart[p]);
+    VertexContext ctx({plan.args.data() + plan.argStart[p],
+                       plan.argStart[p + 1] - plan.argStart[p]},
+                      plan.bound[p] != 0);
     VertexCost cost = graph_.codelet(v.codelet).run(ctx);
     if (cost.wholeTile) {
       // Supervisor codelet driving all workers itself: serialise against
@@ -422,7 +376,6 @@ void Engine::runTiles(const FusedPlan* fused) {
   }
   const ipu::IpuTarget& target = graph_.target();
   const bool hardFaults = faultPlan_ != nullptr && faultPlan_->hasHardFaults();
-  TensorStorage* storage = storage_.data();
   // One tile task. An excluded tile runs nothing and costs nothing. A dead
   // tile runs nothing either: it charges its watchdog-scale cycle count and
   // leaves its storage exactly as the previous superstep left it (the
@@ -442,7 +395,7 @@ void Engine::runTiles(const FusedPlan* fused) {
       }
     }
     run.cycles[ti] =
-        runTileTask(*run.cs, *run.plan, storage, ti, &run.busy[ti]);
+        runTileTask(*run.cs, *run.plan, ti, &run.busy[ti]);
   };
   // Host task i is tile task i of a plain superstep, or tile i's whole
   // worklist of a fused run. Tasks write disjoint storage regions and their

@@ -175,18 +175,6 @@ class Engine {
   }
 
  private:
-  class PlanVertexContext;
-
-  /// One codelet argument, resolved to a flat storage window at plan-build
-  /// time (tile offsets are fixed when a tensor is created, so the resolved
-  /// base never goes stale).
-  struct PlanArg {
-    TensorId tensor = kInvalidTensor;
-    std::size_t base = 0;  // flat offset of the slice within its tensor
-    std::size_t count = 0;
-    ipu::DType dtype = ipu::DType::Float32;
-  };
-
   /// All vertices of one tile within a compute set: a contiguous range of
   /// ExecPlan::vertexOrder. Tasks touch disjoint storage regions (vertex
   /// slices are tile-local by construction), which is what makes them safe
@@ -198,13 +186,16 @@ class Engine {
   };
 
   /// Compiled execution plan for one compute set: vertex order grouped by
-  /// tile, with every argument's flat storage window precomputed. Built on
-  /// first execution, reused until the compute set grows (vertices are only
-  /// ever appended, so a vertex-count check is a complete staleness test).
+  /// tile, every argument bound to its storage slice, and each codelet's
+  /// bind verdict per vertex. Built on first execution, reused until the
+  /// compute set grows (vertices are only ever appended, so a vertex-count
+  /// check is a complete staleness test). Bound pointers stay valid: each
+  /// tensor's buffer is allocated once and moves with its TensorStorage.
   struct ExecPlan {
     std::vector<std::size_t> vertexOrder;
-    std::vector<PlanArg> args;           // pooled, all vertices back to back
+    std::vector<ArgSpan> args;           // pooled, all vertices back to back
     std::vector<std::size_t> argStart;   // per vertexOrder entry, +1 sentinel
+    std::vector<char> bound;             // per vertexOrder entry
     std::vector<TileTask> tasks;
     std::size_t builtVertices = 0;
   };
@@ -256,8 +247,7 @@ class Engine {
   /// When `workerBusyOut` is non-null it receives the issue slots actually
   /// used across the tile's workers (the busy half of the busy/idle split).
   double runTileTask(const ComputeSet& cs, const ExecPlan& plan,
-                     TensorStorage* storage, std::size_t task,
-                     double* workerBusyOut = nullptr);
+                     std::size_t task, double* workerBusyOut = nullptr);
   const ExecPlan& planFor(ComputeSetId cs);
   /// Runs a Copy step — its cached plan, or under a fault plan a walk of its
   /// segments — and commits it as one exchange superstep.

@@ -12,6 +12,7 @@
 #include <bit>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -68,6 +69,16 @@ class TensorStorage {
   template <typename T>
   std::span<const T> as() const {
     return std::span<const T>(std::get<std::vector<T>>(data_));
+  }
+
+  /// Address of element `flatIndex` in the typed buffer. The buffer is
+  /// allocated once, in the constructor, and moves with the storage object,
+  /// so the pointer stays valid for the storage's lifetime (execution plans
+  /// bind it once).
+  void* elementData(std::size_t flatIndex) {
+    GRAPHENE_DCHECK(flatIndex <= totalElements(), "index out of range");
+    return std::visit(
+        [&](auto& vec) -> void* { return vec.data() + flatIndex; }, data_);
   }
 
   /// Dynamically typed element access by flat index.
@@ -187,5 +198,9 @@ class TensorStorage {
                std::vector<twofloat::Float2>>
       data_;
 };
+
+// The engine's storage vector grows as tensors are added; moving (not
+// copying) the storage objects is what keeps plan-bound data pointers valid.
+static_assert(std::is_nothrow_move_constructible_v<TensorStorage>);
 
 }  // namespace graphene::graph

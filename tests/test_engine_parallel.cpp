@@ -160,7 +160,8 @@ TEST(ParallelEngine, FastPathMatchesGenericWalk) {
   auto g = matrix::poisson2d5(16, 16);
   // CG+Jacobi runs straight-line and CSR rows; the ILU(0)/DILU rows run
   // If-guarded nested loops (substitution and DILU factorisation), and MPIR
-  // drives ILU(0)-BiCGStab under double-word refinement across IPU links.
+  // drives ILU(0)-BiCGStab under double-word refinement across IPU links,
+  // or Gauss-Seidel-preconditioned CG under float64 refinement.
   struct Case {
     const char* name;
     const char* json;
@@ -182,6 +183,12 @@ TEST(ParallelEngine, FastPathMatchesGenericWalk) {
            "inner": {"type": "bicgstab", "maxIterations": 6, "tolerance": 0,
                      "preconditioner": {"type": "ilu"}}})",
        ipu::Topology::pod(2, 4)},
+      {"mpir-float64-gs-cg",
+       R"({"type": "mpir", "extendedType": "float64",
+           "maxRefinements": 2, "tolerance": 1e-10,
+           "inner": {"type": "cg", "maxIterations": 5, "tolerance": 0,
+                     "preconditioner": {"type": "gauss-seidel"}}})",
+       ipu::Topology::singleIpu(4)},
   };
   // Force both modes explicitly so the A/B holds even when the whole suite
   // runs under GRAPHENE_NO_FASTPATH=1 (the CI oracle job).

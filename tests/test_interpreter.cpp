@@ -5,6 +5,8 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <optional>
+#include <string>
 #include <span>
 #include <vector>
 
@@ -197,55 +199,134 @@ TEST(CycleAccounting, MixedDwFpOpsPricedBelowFullDw) {
 }
 
 // ---------------------------------------------------------------------------
-// ParFor rows with comparison-guarded Ifs: the register VM must match the
-// generic walk bit for bit — outputs and VertexCost — on every branch pattern
-// (the walk closes a lane block at each If, so taken bodies merge into the
-// block that follows them).
+// Register VM vs generic walk: every codelet compiles whole to the VM, which
+// must match the walk bit for bit (every output column and the VertexCost)
+// on every construct and branch pattern (the walk closes a lane block at each
+// If, While test and loop entry, so taken bodies merge into the block that
+// follows them).
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// VertexContext over host vectors: one typed column per codelet argument.
-class HostContext final : public graph::VertexContext {
+/// Codelet arguments over host vectors: one typed column per argument.
+class HostArgs {
  public:
   void addFloat(std::vector<float> v) {
-    args_.push_back({DType::Float32, std::move(v), {}});
+    cols_.push_back({DType::Float32, std::move(v), {}, {}});
   }
   void addInt(std::vector<std::int32_t> v) {
-    args_.push_back({DType::Int32, {}, std::move(v)});
+    cols_.push_back({DType::Int32, {}, std::move(v), {}});
   }
-  const std::vector<float>& floats(std::size_t a) const { return args_[a].f; }
+  void addDw(std::vector<Float2> v) {
+    cols_.push_back({DType::DoubleWord, {}, {}, std::move(v)});
+  }
+  const std::vector<float>& floats(std::size_t a) const { return cols_[a].f; }
+  const std::vector<Float2>& dws(std::size_t a) const { return cols_[a].d; }
 
-  std::size_t numArgs() const override { return args_.size(); }
-  std::size_t argSize(std::size_t a) const override {
-    return args_[a].type == DType::Float32 ? args_[a].f.size()
-                                           : args_[a].i.size();
-  }
-  DType argType(std::size_t a) const override { return args_[a].type; }
-  Scalar load(std::size_t a, std::size_t k) const override {
-    return args_[a].type == DType::Float32 ? Scalar(args_[a].f.at(k))
-                                           : Scalar(args_[a].i.at(k));
-  }
-  void store(std::size_t a, std::size_t k, const Scalar& v) override {
-    if (args_[a].type == DType::Float32) {
-      args_[a].f.at(k) = v.castTo(DType::Float32).asFloat();
-    } else {
-      args_[a].i.at(k) = v.castTo(DType::Int32).asInt();
+  /// The columns bound as a vertex's arguments (valid while *this lives).
+  std::vector<graph::ArgSpan> spans() {
+    std::vector<graph::ArgSpan> out;
+    for (Col& c : cols_) {
+      switch (c.type) {
+        case DType::Float32:
+          out.push_back({c.f.data(), c.f.size(), c.type});
+          break;
+        case DType::Int32:
+          out.push_back({c.i.data(), c.i.size(), c.type});
+          break;
+        default:
+          out.push_back({c.d.data(), c.d.size(), c.type});
+          break;
+      }
     }
+    return out;
   }
-  std::span<float> floatSpan(std::size_t a) override { return args_[a].f; }
-  std::span<const std::int32_t> intSpan(std::size_t a) const override {
-    return args_[a].i;
+
+  /// Every column's raw bits, for exact comparison.
+  std::vector<std::uint32_t> bits() const {
+    std::vector<std::uint32_t> out;
+    for (const Col& c : cols_) {
+      for (float f : c.f) out.push_back(std::bit_cast<std::uint32_t>(f));
+      for (std::int32_t i : c.i) out.push_back(std::bit_cast<std::uint32_t>(i));
+      for (const Float2& d : c.d) {
+        out.push_back(std::bit_cast<std::uint32_t>(d.hi));
+        out.push_back(std::bit_cast<std::uint32_t>(d.lo));
+      }
+    }
+    return out;
   }
 
  private:
-  struct Arg {
+  struct Col {
     DType type;
     std::vector<float> f;
     std::vector<std::int32_t> i;
+    std::vector<Float2> d;
   };
-  std::vector<Arg> args_;
+  std::vector<Col> cols_;
 };
+
+struct RunResult {
+  HostArgs args;  // the argument columns after the run
+  graph::VertexCost cost;
+  bool walked = false;  // the run took the generic walk
+};
+
+/// Runs `cc` once over a copy of `args`, with the VM allowed or not.
+RunResult runOnce(const CompiledCodelet& cc, HostArgs args, bool vm) {
+  struct Restore {
+    bool env = codeletFastPathsEnabled();
+    ~Restore() { setCodeletFastPaths(env); }
+  } restore;
+  setCodeletFastPaths(vm);
+  const std::vector<graph::ArgSpan> spans = args.spans();
+  graph::VertexContext ctx(spans, codeletBinds(cc, spans));
+  const std::uint64_t before = codeletWalkEntries();
+  RunResult r;
+  r.cost = runCompiled(cc, ctx);
+  r.walked = codeletWalkEntries() != before;
+  r.args = std::move(args);
+  return r;
+}
+
+CompiledCodeletPtr compileForTest(const CodeletIR& ir) {
+  return compileCodelet(ir, ipu::CostModel{}, 6);
+}
+
+/// Runs `ir` on `args` on the VM and on the walk; both must agree on every
+/// output bit and on the VertexCost. `onVm` false expects the vertex to fall
+/// back to the walk whole. Returns the VM-enabled run.
+RunResult expectVmMatchesWalk(const CodeletIR& ir, const HostArgs& args,
+                              bool onVm = true) {
+  CompiledCodeletPtr cc = compileForTest(ir);
+  const char* why = codeletWalkReason(*cc);
+  EXPECT_TRUE(why == nullptr) << "stayed on the walk: " << why;
+  RunResult vm = runOnce(*cc, args, true);
+  RunResult walk = runOnce(*cc, args, false);
+  EXPECT_EQ(vm.walked, !onVm);
+  EXPECT_TRUE(walk.walked);
+  EXPECT_EQ(vm.args.bits(), walk.args.bits());
+  EXPECT_EQ(vm.cost.workerCycles, walk.cost.workerCycles);
+  EXPECT_EQ(vm.cost.wholeTile, walk.cost.wholeTile);
+  EXPECT_GT(vm.cost.workerCycles, 0.0);
+  return vm;
+}
+
+/// Both paths must fail with the same message.
+void expectSameError(const CodeletIR& ir, const HostArgs& args,
+                     const std::string& what) {
+  CompiledCodeletPtr cc = compileForTest(ir);
+  EXPECT_TRUE(codeletWalkReason(*cc) == nullptr);
+  for (const bool vm : {true, false}) {
+    try {
+      runOnce(*cc, args, vm);
+      ADD_FAILURE() << "no error with the VM " << (vm ? "on" : "off");
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << "VM " << (vm ? "on" : "off") << ": " << e.what();
+    }
+  }
+}
 
 /// One CSR row per ParFor iteration, guarded like the ILU substitution:
 ///   acc = x[i]; for k in row i: if (col[k] < i) acc -= val[k] * x[col[k]]
@@ -273,11 +354,11 @@ CodeletIR traceGuardedRows(bool withElse) {
   return builder.finish();
 }
 
-/// Per-row column lists → a HostContext for traceGuardedRows. `intCols`
-/// false binds the column argument as Float32 (a dtype the kernel's runtime
-/// guard must refuse).
-HostContext rowsContext(const std::vector<std::vector<std::int32_t>>& rows,
-                        bool intCols = true) {
+/// Per-row column lists → arguments for traceGuardedRows. `intCols` false
+/// binds the column argument as Float32 (a dtype the program's bind check
+/// must refuse).
+HostArgs rowsArgs(const std::vector<std::vector<std::int32_t>>& rows,
+                  bool intCols = true) {
   std::vector<std::int32_t> rp{0}, col;
   std::vector<float> val, x;
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -288,96 +369,60 @@ HostContext rowsContext(const std::vector<std::vector<std::int32_t>>& rows,
     rp.push_back(static_cast<std::int32_t>(col.size()));
     x.push_back(1.0f + 0.5f * static_cast<float>(i));
   }
-  HostContext ctx;
-  ctx.addFloat(std::vector<float>(rows.size(), 0.0f));
-  ctx.addFloat(val);
+  HostArgs args;
+  args.addFloat(std::vector<float>(rows.size(), 0.0f));
+  args.addFloat(val);
   if (intCols) {
-    ctx.addInt(col);
+    args.addInt(col);
   } else {
-    ctx.addFloat(std::vector<float>(col.begin(), col.end()));
+    args.addFloat(std::vector<float>(col.begin(), col.end()));
   }
-  ctx.addInt(rp);
-  ctx.addFloat(x);
-  return ctx;
-}
-
-struct RowsRun {
-  std::vector<float> out;
-  graph::VertexCost cost;
-};
-
-RowsRun runRows(const CompiledCodelet& cc, HostContext ctx, bool fastPaths) {
-  const bool env = codeletFastPathsEnabled();
-  setCodeletFastPaths(fastPaths);
-  RowsRun r;
-  r.cost = runCompiled(cc, ctx);
-  setCodeletFastPaths(env);
-  r.out = ctx.floats(0);
-  return r;
-}
-
-/// Runs `ir` on `ctx` with the fast paths on and off; both must agree on
-/// every output bit and on the VertexCost. Returns the fast-path run.
-RowsRun expectFastMatchesWalk(const CodeletIR& ir, const HostContext& ctx) {
-  CompiledCodeletPtr cc = compileCodelet(ir, ipu::CostModel{}, 6);
-  // Only the ParFor row compiles: a nested For holding an If stays on the
-  // walk as a serial kernel.
-  EXPECT_EQ(compiledKernelCount(*cc), 1u);
-  RowsRun fast = runRows(*cc, ctx, true);
-  RowsRun walk = runRows(*cc, ctx, false);
-  EXPECT_EQ(fast.out.size(), walk.out.size());
-  for (std::size_t i = 0; i < fast.out.size() && i < walk.out.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<std::uint32_t>(fast.out[i]),
-              std::bit_cast<std::uint32_t>(walk.out[i]))
-        << "row " << i;
-  }
-  EXPECT_EQ(fast.cost.workerCycles, walk.cost.workerCycles);
-  EXPECT_EQ(fast.cost.wholeTile, walk.cost.wholeTile);
-  EXPECT_GT(fast.cost.workerCycles, 0.0);
-  return fast;
+  args.addInt(rp);
+  args.addFloat(x);
+  return args;
 }
 
 }  // namespace
 
 TEST(GuardedRows, ZeroTripNestedLoop) {
   // Every other row is empty; the nested loop's entry branch still charges.
-  expectFastMatchesWalk(traceGuardedRows(false),
-                        rowsContext({{}, {0}, {}, {1, 2}, {}, {}, {4}}));
-  expectFastMatchesWalk(traceGuardedRows(false),
-                        rowsContext({{}, {}, {}, {}}));
+  expectVmMatchesWalk(traceGuardedRows(false),
+                        rowsArgs({{}, {0}, {}, {1, 2}, {}, {}, {4}}));
+  expectVmMatchesWalk(traceGuardedRows(false),
+                        rowsArgs({{}, {}, {}, {}}));
 }
 
 TEST(GuardedRows, NoIterationTaken) {
-  expectFastMatchesWalk(traceGuardedRows(false),
-                        rowsContext({{0, 1}, {1, 2}, {2, 3}, {3}, {4, 5}}));
+  expectVmMatchesWalk(traceGuardedRows(false),
+                        rowsArgs({{0, 1}, {1, 2}, {2, 3}, {3}, {4, 5}}));
 }
 
 TEST(GuardedRows, EveryIterationTaken) {
-  expectFastMatchesWalk(
+  expectVmMatchesWalk(
       traceGuardedRows(false),
-      rowsContext({{}, {0}, {0, 1}, {0, 1, 2}, {1, 3}, {0, 2, 4}, {5}}));
+      rowsArgs({{}, {0}, {0, 1}, {0, 1, 2}, {1, 3}, {0, 2, 4}, {5}}));
 }
 
 TEST(GuardedRows, OnlyLastIterationTakenMergesIntoTrailingStore) {
   // Row i: two untaken entries, then one taken — the taken body's lanes join
   // the row's trailing store block instead of the next iteration's.
-  const RowsRun last = expectFastMatchesWalk(
+  const RunResult last = expectVmMatchesWalk(
       traceGuardedRows(false),
-      rowsContext({{0}, {1, 2, 0}, {2, 3, 1}, {3, 4, 0}, {4, 5, 2},
+      rowsArgs({{0}, {1, 2, 0}, {2, 3, 1}, {3, 4, 0}, {4, 5, 2},
                    {5, 5, 4}}));
   // Same taken count, but the taken entry comes first: its lanes merge into
   // the next iteration's block, which the walk prices differently.
-  const RowsRun first = expectFastMatchesWalk(
+  const RunResult first = expectVmMatchesWalk(
       traceGuardedRows(false),
-      rowsContext({{0}, {0, 1, 2}, {1, 2, 3}, {0, 3, 4}, {2, 4, 5},
+      rowsArgs({{0}, {0, 1, 2}, {1, 2, 3}, {0, 3, 4}, {2, 4, 5},
                    {4, 5, 5}}));
   EXPECT_NE(last.cost.workerCycles, first.cost.workerCycles);
 }
 
 TEST(GuardedRows, IfWithElseBranch) {
-  expectFastMatchesWalk(
+  expectVmMatchesWalk(
       traceGuardedRows(true),
-      rowsContext({{}, {0, 1}, {2, 0, 3}, {3}, {0, 1, 2, 3, 4}, {5, 4}}));
+      rowsArgs({{}, {0, 1}, {2, 0, 3}, {3}, {0, 1, 2, 3, 4}, {5, 4}}));
 }
 
 TEST(GuardedRows, NestedIfsFloatComparisonAndLoopUnderIf) {
@@ -407,17 +452,18 @@ TEST(GuardedRows, NestedIfsFloatComparisonAndLoopUnderIf) {
         [&] { acc = acc * 2.0f; });
     out[i] = acc;
   });
-  expectFastMatchesWalk(
+  expectVmMatchesWalk(
       builder.finish(),
-      rowsContext({{0}, {0, 1}, {0, 1, 2}, {}, {2, 4, 1, 0}, {5, 3, 0, 1}}));
+      rowsArgs({{0}, {0, 1}, {0, 1, 2}, {}, {2, 4, 1, 0}, {5, 3, 0, 1}}));
 }
 
 TEST(GuardedRows, MistypedIntArgumentFallsBackToWalk) {
   // The column argument was traced as Int32 but arrives as Float32: the
-  // kernel's runtime dtype guard must hand the loop to the walk (which
+  // program's bind check must hand the whole vertex to the walk (which
   // promotes the comparison to Float32 and charges it as such).
-  expectFastMatchesWalk(traceGuardedRows(false),
-                        rowsContext({{0}, {0, 1}, {2, 0}, {1, 3}}, false));
+  expectVmMatchesWalk(traceGuardedRows(false),
+                      rowsArgs({{0}, {0, 1}, {2, 0}, {1, 3}}, false),
+                      /*onVm=*/false);
 }
 
 TEST(FlatRows, ElementwiseRowMatchesWalk) {
@@ -435,18 +481,18 @@ TEST(FlatRows, ElementwiseRowMatchesWalk) {
   for (std::size_t i = 0; i < kRows; ++i) {
     xs[i] = 0.1f * static_cast<float>(i) - 1.7f;
   }
-  HostContext ctx;
-  ctx.addFloat(std::vector<float>(kRows, 0.0f));
-  ctx.addFloat(xs);
-  const RowsRun fast = expectFastMatchesWalk(builder.finish(), ctx);
+  HostArgs args;
+  args.addFloat(std::vector<float>(kRows, 0.0f));
+  args.addFloat(xs);
+  const RunResult vm = expectVmMatchesWalk(builder.finish(), args);
   for (std::size_t i = 0; i < kRows; ++i) {
-    EXPECT_EQ(fast.out[i], xs[i] * 2.0f + 1.0f) << "row " << i;
+    EXPECT_EQ(vm.args.floats(0)[i], xs[i] * 2.0f + 1.0f) << "row " << i;
   }
 }
 
 TEST(GuardedRows, IluZeroSubstitutionCompilesToRowKernels) {
-  // The ILU(0) forward/backward substitution of IluSolver::apply: both
-  // level-set ParFor rows must lower to register-VM kernels.
+  // The ILU(0) forward/backward substitution of IluSolver::apply: the level
+  // loops and both level-set ParFor rows compile into one VM program.
   CodeletBuilder builder;
   builder.setNumArgs(11);
   std::vector<Value> args;
@@ -480,6 +526,327 @@ TEST(GuardedRows, IluZeroSubstitutionCompilesToRowKernels) {
       zv[i] = acc / Value(fv[di[i]]);
     });
   });
-  CompiledCodeletPtr cc = compileCodelet(builder.finish(), ipu::CostModel{}, 6);
-  EXPECT_EQ(compiledKernelCount(*cc), 2u);
+  CompiledCodeletPtr cc = compileForTest(builder.finish());
+  EXPECT_TRUE(codeletWalkReason(*cc) == nullptr) << codeletWalkReason(*cc);
+}
+
+// ---------------------------------------------------------------------------
+// Whole-codelet constructs: each must run on the VM and match the walk.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::vector<float> ramp(std::size_t n, float start, float step) {
+  std::vector<float> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = start + step * static_cast<float>(i);
+  }
+  return v;
+}
+
+/// While loops: out[0] = number of passes while (i < lim[0]), accumulating
+/// x[i] into out[1]; a zero limit runs the body zero times.
+CodeletIR traceWhile() {
+  CodeletBuilder builder;
+  builder.setNumArgs(3);
+  Value out = Value::argument(0, DType::Float32);
+  Value lim = Value::argument(1, DType::Int32);
+  Value x = Value::argument(2, DType::Float32);
+  Value i = 0;
+  Value acc = 0.0f;
+  Value n = lim[0];
+  While([&] { return i < n; },
+        [&] {
+          acc = acc + Value(x[i]);
+          i = i + 1;
+        });
+  out[0] = i;
+  out[1] = acc;
+  return builder.finish();
+}
+
+HostArgs whileArgs(std::int32_t limit) {
+  HostArgs args;
+  args.addFloat({0.0f, 0.0f});
+  args.addInt({limit});
+  args.addFloat(ramp(8, 0.5f, 0.25f));
+  return args;
+}
+
+}  // namespace
+
+TEST(WholeCodelet, WhileRunsZeroAndManyPasses) {
+  const RunResult none = expectVmMatchesWalk(traceWhile(), whileArgs(0));
+  EXPECT_EQ(none.args.floats(0)[0], 0.0f);
+  const RunResult five = expectVmMatchesWalk(traceWhile(), whileArgs(5));
+  EXPECT_EQ(five.args.floats(0)[0], 5.0f);
+  EXPECT_GT(five.cost.workerCycles, none.cost.workerCycles);
+}
+
+TEST(WholeCodelet, WhileRunawayGuardFailsOnBothPaths) {
+  // while (true) {}, built directly as IR so each of the guard's 2^26
+  // passes costs only the test and the branch.
+  auto cond = std::make_shared<Expr>();
+  cond->kind = Expr::Kind::Const;
+  cond->type = DType::Bool;
+  cond->constant = Scalar(true);
+  auto loop = std::make_shared<Stmt>();
+  loop->kind = Stmt::Kind::While;
+  loop->cond = cond;
+  CodeletIR ir;
+  ir.statements.push_back(loop);
+  expectSameError(ir, HostArgs{}, "runaway While loop in codelet");
+}
+
+TEST(WholeCodelet, SelectNeverEvaluatesTheUntakenSide) {
+  // Whichever side a row takes, the other indexes far out of range.
+  auto trace = [] {
+    CodeletBuilder builder;
+    builder.setNumArgs(4);
+    Value flags = Value::argument(0, DType::Int32);
+    Value c = Value::argument(1, DType::Float32);
+    Value d = Value::argument(2, DType::Float32);
+    Value out = Value::argument(3, DType::Float32);
+    For(0, out.size(), 1, [&](Value i) {
+      Value f = flags[i];
+      out[i] = Select(f == 0, c[i + f * 1000000],
+                      d[i + (Value(1) - f) * 1000000]);
+    });
+    return builder.finish();
+  };
+  HostArgs args;
+  args.addInt({0, 1, 1, 0, 1, 0, 0, 1, 1, 1});
+  args.addFloat(ramp(10, -1.0f, 0.3f));
+  args.addFloat(ramp(10, 4.0f, -0.7f));
+  args.addFloat(std::vector<float>(10, 0.0f));
+  const RunResult vm = expectVmMatchesWalk(trace(), args);
+  EXPECT_EQ(vm.args.floats(3)[1], args.floats(2)[1]);
+  // A flag of 2 sends the taken side to a negative index: both paths fail
+  // the same way.
+  HostArgs bad;
+  bad.addInt({0, 2});
+  bad.addFloat({1.0f, 2.0f});
+  bad.addFloat({3.0f, 4.0f});
+  bad.addFloat({0.0f, 0.0f});
+  expectSameError(trace(), bad, "negative tensor index in codelet");
+}
+
+TEST(WholeCodelet, LogicOpsEvaluateBothOperands) {
+  CodeletBuilder builder;
+  builder.setNumArgs(3);
+  Value a = Value::argument(0, DType::Int32);
+  Value x = Value::argument(1, DType::Float32);
+  Value out = Value::argument(2, DType::Float32);
+  For(0, out.size(), 1, [&](Value i) {
+    Value ai = a[i];
+    Value xi = x[i];
+    Value both = ai > 0 && xi < 0.5f;
+    Value either = ai == 2 || Value(!(xi != 0.0f));
+    Value mixed = xi && ai;  // float and int truthiness
+    If(both || either, [&] { out[i] = Value(1.0f) + mixed; },
+       [&] { out[i] = Select(mixed, xi, -xi); });
+  });
+  HostArgs args;
+  args.addInt({0, 1, 2, 3, 0, 1, 2, -1});
+  args.addFloat({0.0f, 0.25f, 0.75f, -1.0f, 2.0f, 0.0f, 0.4f, 0.6f});
+  args.addFloat(std::vector<float>(8, 0.0f));
+  expectVmMatchesWalk(builder.finish(), args);
+}
+
+TEST(WholeCodelet, IntegerDivisionAndModulo) {
+  CodeletBuilder builder;
+  builder.setNumArgs(3);
+  Value a = Value::argument(0, DType::Int32);
+  Value b = Value::argument(1, DType::Int32);
+  Value out = Value::argument(2, DType::Int32);
+  For(0, out.size(), 1, [&](Value i) {
+    Value ai = a[i];
+    Value bi = b[i];
+    out[i] = ai / bi * 100 + ai % bi;
+  });
+  HostArgs args;
+  args.addInt({7, -7, 7, -7, 100, 3, 0});
+  args.addInt({2, 2, -2, -2, 7, 5, 9});
+  args.addInt(std::vector<std::int32_t>(7, 0));
+  expectVmMatchesWalk(builder.finish(), args);
+}
+
+TEST(WholeCodelet, IntegerDivisionByZeroFailsOnBothPaths) {
+  for (const bool modulo : {false, true}) {
+    CodeletBuilder builder;
+    builder.setNumArgs(2);
+    Value a = Value::argument(0, DType::Int32);
+    Value out = Value::argument(1, DType::Int32);
+    For(0, out.size(), 1, [&](Value i) {
+      Value ai = a[i];
+      out[i] = modulo ? ai % (ai - 3) : ai / (ai - 3);
+    });
+    HostArgs args;
+    args.addInt({1, 2, 3, 4});
+    args.addInt({0, 0, 0, 0});
+    expectSameError(builder.finish(), args,
+                    modulo ? "integer modulo by zero in codelet"
+                           : "integer division by zero in codelet");
+  }
+}
+
+TEST(WholeCodelet, NestedParForLevelsWithEmptyLevels) {
+  // The ILU level loop: a serial For over levels, each a ParFor over its
+  // rows; levels 0, 2 and 4 are empty.
+  CodeletBuilder builder;
+  builder.setNumArgs(4);
+  Value out = Value::argument(0, DType::Float32);
+  Value x = Value::argument(1, DType::Float32);
+  Value order = Value::argument(2, DType::Int32);
+  Value lvl = Value::argument(3, DType::Int32);
+  For(0, lvl.size() - 1, 1, [&](Value l) {
+    ParallelFor(lvl[l], lvl[l + 1], [&](Value idx) {
+      Value i = order[idx];
+      Value prev = Select(i > 0, out[i - 1], 0.0f);
+      out[i] = prev * 0.5f + Value(x[i]) + WorkerId();
+    });
+  });
+  HostArgs args;
+  args.addFloat(std::vector<float>(7, 0.0f));
+  args.addFloat(ramp(7, 1.0f, 0.5f));
+  args.addInt({0, 1, 2, 3, 4, 5, 6});
+  args.addInt({0, 0, 3, 3, 4, 4, 7});
+  expectVmMatchesWalk(builder.finish(), args);
+}
+
+TEST(WholeCodelet, DoubleWordArithmeticComparesAndCasts) {
+  // out = f(x, y, s) over double-word x, y and float32 s, covering DW∘DW
+  // add/sub/mul/div, neg/abs/sqrt, comparisons, mixed DW∘FP (priced
+  // 84/42/66) and F32↔DW casts.
+  CodeletBuilder builder;
+  builder.setNumArgs(5);
+  Value out = Value::argument(0, DType::DoubleWord);
+  Value x = Value::argument(1, DType::DoubleWord);
+  Value y = Value::argument(2, DType::DoubleWord);
+  Value s = Value::argument(3, DType::Float32);
+  Value lo = Value::argument(4, DType::Float32);
+  For(0, out.size(), 1, [&](Value i) {
+    Value xi = x[i];
+    Value yi = y[i];
+    Value si = s[i];
+    Value t = (xi + yi) * (xi - yi) / Abs(-yi);
+    Value u = Sqrt(Abs(t)) + xi * si - si / (yi + 1.0f) + (si - xi);
+    Value v = Select(t < u, Min(t, u), Max(t, u) / si);
+    If(xi >= yi && u != t, [&] { v = v + si.cast(DType::DoubleWord); });
+    out[i] = v;
+    lo[i] = v.cast(DType::Float32) + Value(xi == yi);
+  });
+  HostArgs args;
+  std::vector<Float2> xs, ys;
+  for (int i = 0; i < 9; ++i) {
+    xs.push_back(Float2::fromWide(0.1 * i - 0.35));
+    ys.push_back(Float2::fromWide(i % 3 == 0 ? 0.1 * i - 0.35 : 1.0 / (i + 2)));
+  }
+  args.addDw(std::vector<Float2>(9));
+  args.addDw(xs);
+  args.addDw(ys);
+  args.addFloat(ramp(9, 0.75f, 0.5f));
+  args.addFloat(std::vector<float>(9, 0.0f));
+  expectVmMatchesWalk(builder.finish(), args);
+}
+
+TEST(WholeCodelet, ArgumentDtypeDifferingFromTraceFallsBackWhole) {
+  // Traced with a float32 input, bound to a double-word one: the vertex
+  // must run whole on the walk, which computes in double-word.
+  CodeletBuilder builder;
+  builder.setNumArgs(2);
+  Value out = Value::argument(0, DType::Float32);
+  Value x = Value::argument(1, DType::Float32);
+  For(0, out.size(), 1, [&](Value i) { out[i] = Value(x[i]) * 3.0f; });
+  HostArgs args;
+  args.addFloat(std::vector<float>(4, 0.0f));
+  args.addDw({Float2::fromWide(0.1), Float2::fromWide(0.2),
+              Float2::fromWide(0.3), Float2::fromWide(0.4)});
+  expectVmMatchesWalk(builder.finish(), args, /*onVm=*/false);
+}
+
+TEST(WholeCodelet, ReadsAndWritesOutsideTheSliceFailOnBothPaths) {
+  // Two tiles of an 8-element tensor: reading c[i + 1] or writing o[i + 1]
+  // at the slice's last element must fail, not touch the neighbour tile's
+  // slice (or, on the last tile, memory past the buffer).
+  for (const bool store : {false, true}) {
+    for (const bool vm : {true, false}) {
+      Context ctx(ipu::IpuTarget::testTarget(2));
+      Tensor c(DType::Float32, 8, "c");
+      Tensor o(DType::Float32, 8, "o");
+      Execute({c, o}, [&](Value cv, Value ov) {
+        For(0, ov.size(), 1, [&](Value i) {
+          if (store) {
+            ov[i + 1] = cv[i];
+          } else {
+            ov[i] = cv[i + 1];
+          }
+        });
+      });
+      const bool env = codeletFastPathsEnabled();
+      setCodeletFastPaths(vm);
+      graph::Engine e(ctx.graph(), 1);
+      std::string what;
+      try {
+        e.run(ctx.program());
+      } catch (const Error& err) {
+        what = err.what();
+      }
+      setCodeletFastPaths(env);
+      EXPECT_NE(what.find("tensor index out of range in codelet"),
+                std::string::npos)
+          << (store ? "store" : "load") << ", VM " << (vm ? "on" : "off")
+          << ": '" << what << "'";
+    }
+  }
+}
+
+TEST(WholeCodelet, SerialLoopKernelWritesBackOuterVariables) {
+  // A straight-line serial loop runs as a loop kernel: variables defined
+  // before it and assigned in it carry the last element's values out; a
+  // loop that runs zero times leaves them untouched.
+  auto trace = [] {
+    CodeletBuilder builder;
+    builder.setNumArgs(2);
+    Value out = Value::argument(0, DType::Float32);
+    Value x = Value::argument(1, DType::Float32);
+    Value acc = 0.5f;
+    Value last = -1.0f;
+    For(0, x.size(), 1, [&](Value i) {
+      Value t = Value(x[i]) * 2.0f;
+      acc = acc + t;
+      last = t;
+    });
+    out[0] = acc;
+    out[1] = last;
+    return builder.finish();
+  };
+  for (const std::size_t n : {0, 1, 37}) {
+    HostArgs args;
+    args.addFloat({0.0f, 0.0f});
+    args.addFloat(ramp(n, 0.25f, 0.125f));
+    const RunResult vm = expectVmMatchesWalk(trace(), args);
+    const float last = n == 0 ? -1.0f : args.floats(1)[n - 1] * 2.0f;
+    EXPECT_EQ(vm.args.floats(0)[1], last);
+  }
+}
+
+TEST(WholeCodelet, LoopLocalVariableReadAfterTheLoopKeepsTheWalk) {
+  // `t` is first assigned inside the loop: after a zero-trip loop the walk
+  // reads its initial Float32 zero, so the codelet stays on the walk.
+  CodeletBuilder builder;
+  builder.setNumArgs(2);
+  Value out = Value::argument(0, DType::Float32);
+  Value x = Value::argument(1, DType::Float32);
+  std::optional<Value> t;
+  For(0, x.size(), 1, [&](Value i) { t.emplace(x[i]); });
+  out[0] = *t;
+  CompiledCodeletPtr cc = compileForTest(builder.finish());
+  ASSERT_TRUE(codeletWalkReason(*cc) != nullptr);
+  EXPECT_EQ(std::string(codeletWalkReason(*cc)),
+            "variable read outside the scope that defines it");
+  HostArgs args;
+  args.addFloat({0.0f});
+  args.addFloat({1.5f, 2.5f});
+  EXPECT_TRUE(runOnce(*cc, args, true).walked);
 }

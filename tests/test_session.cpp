@@ -6,13 +6,18 @@
 // ill-typed config keys are rejected naming the offending key and listing
 // the valid ones (both makeSolver and makeSolverFromString); the
 // preconditioner() chain walk; GRAPHENE_NO_HALO_REORDER=0 leaves the halo
-// reordering on.
+// reordering on; the end-to-end benchmark's solver configs never take the
+// interpreter's generic walk.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <string>
+#include <vector>
 
+#include "dsl/interpreter.hpp"
 #include "graphene.hpp"
 
 using namespace graphene;
@@ -235,4 +240,44 @@ TEST(SolverChain, PreconditionerWalk) {
   auto ilu = makeSolverFromString(R"({"type": "ilu"})");
   EXPECT_EQ(ilu->preconditioner(), nullptr);
   EXPECT_EQ(ilu->chainName(), "ilu");
+}
+
+TEST(SolveSession, BenchmarkConfigsRunWholeOnTheVm) {
+  // Every codelet of the end-to-end benchmark's solver configs compiles to
+  // the register VM, so a solve never enters the generic walk: CG+Jacobi on
+  // a 2-D Poisson mesh, and MPIR double-word refinement over ILU(0)
+  // BiCGStab on a 4×8 pod.
+  struct Case {
+    const char* config;
+    matrix::GeneratedMatrix m;
+    std::optional<ipu::Topology> topology;
+  };
+  const Case cases[] = {
+      {R"({"type": "cg", "tolerance": 1e-6, "maxIterations": 2000,
+           "preconditioner": {"type": "jacobi"}})",
+       matrix::poisson2d5(40, 40), std::nullopt},
+      {R"({"type": "mpir", "extendedType": "doubleword",
+           "maxRefinements": 30, "tolerance": 1e-10,
+           "inner": {"type": "bicgstab", "maxIterations": 8,
+                     "tolerance": 0, "preconditioner": {"type": "ilu"}}})",
+       matrix::poisson3d7(8, 8, 8), ipu::Topology::pod(4, 8)},
+  };
+  const bool env = dsl::codeletFastPathsEnabled();
+  dsl::setCodeletFastPaths(true);  // also under GRAPHENE_NO_FASTPATH=1
+  for (const Case& c : cases) {
+    SessionOptions options;
+    options.hostThreads = 2;
+    options.topology = c.topology;
+    SolveSession session(options);
+    session.load(c.m).configure(c.config);
+    std::vector<double> rhs(c.m.matrix.rows());
+    for (std::size_t i = 0; i < rhs.size(); ++i) {
+      rhs[i] = std::sin(0.37 * static_cast<double>(i));
+    }
+    const std::uint64_t before = dsl::codeletWalkEntries();
+    const SolveSession::Result result = session.solve(rhs);
+    EXPECT_EQ(dsl::codeletWalkEntries() - before, 0u) << c.config;
+    EXPECT_EQ(result.solve.status, SolveStatus::Converged) << c.config;
+  }
+  dsl::setCodeletFastPaths(env);
 }
