@@ -80,6 +80,20 @@ Engine::Engine(Graph& graph, std::size_t numHostThreads)
 
 Engine::~Engine() = default;
 
+void Engine::reset() {
+  for (TensorStorage& s : storage_) s.fill(Scalar::zero(s.dtype()));
+  profile_.clear();
+  faultPlan_ = nullptr;
+  health_ = nullptr;
+  cancel_ = nullptr;
+  trace_ = nullptr;
+  tileProfile_ = nullptr;
+  sramTensorsCaptured_ = 0;
+  simClock_ = 0;
+  tracedFaultEvents_ = 0;
+  tileExcluded_.clear();
+}
+
 void Engine::setTraceSink(support::TraceSink* sink) {
   trace_ = sink;
   // Only fault-log entries appended from now on belong to this trace.

@@ -44,6 +44,16 @@ class Engine {
   explicit Engine(Graph& graph, std::size_t numHostThreads = 0);
   ~Engine();
 
+  /// Returns the engine to the state a freshly constructed one would start
+  /// in: every tensor zeroed; the profile, the simulated clock and the
+  /// fault-log trace watermark cleared; no excluded tiles; and no fault
+  /// plan, health monitor, cancel check, trace sink or tile profile
+  /// attached. It keeps what a fresh engine would only rebuild identically
+  /// from the same graph: the host pool, every ExecPlan, the fused programs
+  /// and plans, and the copy plans. A run after reset() is therefore
+  /// bit-identical to the same run on a new engine, without the set-up.
+  void reset();
+
   Graph& graph() { return graph_; }
   const ipu::IpuTarget& target() const { return graph_.target(); }
 

@@ -26,6 +26,10 @@ std::uint64_t hashSizeT(std::uint64_t h, std::size_t v) {
 
 std::uint64_t structureFingerprint(const matrix::GeneratedMatrix& m,
                                    const SessionOptions& options) {
+  return structureFingerprint(matrixStructureHash(m), options);
+}
+
+std::uint64_t matrixStructureHash(const matrix::GeneratedMatrix& m) {
   const matrix::CsrMatrix& a = m.matrix;
   std::uint64_t h = 14695981039346656037ull;
   h = hashSizeT(h, a.rows());
@@ -37,8 +41,12 @@ std::uint64_t structureFingerprint(const matrix::GeneratedMatrix& m,
   // matrices with different hints produce different layouts and programs.
   h = hashSizeT(h, m.nx);
   h = hashSizeT(h, m.ny);
-  h = hashSizeT(h, m.nz);
-  h = hashSizeT(h, options.tiles);
+  return hashSizeT(h, m.nz);
+}
+
+std::uint64_t structureFingerprint(std::uint64_t matrixHash,
+                                   const SessionOptions& options) {
+  std::uint64_t h = hashSizeT(matrixHash, options.tiles);
   h = hashSizeT(h, options.perCellHalo ? 1 : 0);
   // The machine shape (chips x tiles, link model) changes the partition,
   // the emitted exchange programs and the cycle pricing: a pipeline compiled

@@ -48,8 +48,18 @@ std::uint64_t fnv1aBytes(const void* data, std::size_t len,
 
 /// Hash of everything that shapes the emitted program except coefficient
 /// values: sparsity structure, shape, geometry hints and the session knobs
-/// `tiles` / `perCellHalo`.
+/// `tiles` / `perCellHalo` plus the resolved topology.
 std::uint64_t structureFingerprint(const matrix::GeneratedMatrix& m,
+                                   const SessionOptions& options);
+
+/// The matrix part of structureFingerprint: the FNV-1a state after the
+/// shape, rowPtr/colIdx and the geometry hints. A caller that keys one
+/// matrix under several session shapes hashes the matrix once with this
+/// and finishes each key with the overload below.
+std::uint64_t matrixStructureHash(const matrix::GeneratedMatrix& m);
+
+/// structureFingerprint(m, options), finished from matrixStructureHash(m).
+std::uint64_t structureFingerprint(std::uint64_t matrixHash,
                                    const SessionOptions& options);
 
 /// Hash of the coefficient array alone.

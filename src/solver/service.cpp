@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 
 #include "support/error.hpp"
 
@@ -147,6 +148,21 @@ void degradeConfigInPlace(json::Value& v, const DegradationPolicy& d) {
   }
 }
 
+/// Reads the count `key` of the service config object `where` ("service",
+/// "service.retry", ...), `fallback` when absent. A count is a non-negative
+/// integer an int64 holds: a negative one would wrap to an enormous
+/// std::size_t, which no later range check can tell from a real request.
+std::size_t countOr(const json::Value& object, const char* where,
+                    const char* key, std::size_t fallback) {
+  if (!object.contains(key)) return fallback;
+  const double v = object.at(key).asNumber();
+  if (!(v >= 0 && v < 9223372036854775808.0) || std::nearbyint(v) != v) {
+    throw ParseError(detail::concatMessage(
+        where, ".", key, " must be a non-negative integer (got ", v, ")"));
+  }
+  return static_cast<std::size_t>(v);
+}
+
 // Bucket ladders of the service histograms. Fixed at these values so
 // exposition output and merged profiles are comparable across runs;
 // powers of two keep the bounds exact in binary.
@@ -179,10 +195,8 @@ ServiceOptions serviceOptionsFromJson(const json::Value& config) {
                 {"breaker", KeyKind::Object},
                 {"degradation", KeyKind::Object}});
   ServiceOptions o;
-  o.workers = static_cast<std::size_t>(
-      config.getOr("workers", static_cast<std::int64_t>(o.workers)));
-  o.tiles = static_cast<std::size_t>(
-      config.getOr("tiles", static_cast<std::int64_t>(o.tiles)));
+  o.workers = countOr(config, "service", "workers", o.workers);
+  o.tiles = countOr(config, "service", "tiles", o.tiles);
   if (config.contains("topology")) {
     const json::Value& t = config.at("topology");
     validateKeys(t, "service.topology config",
@@ -195,35 +209,42 @@ ServiceOptions serviceOptionsFromJson(const json::Value& config) {
     ipu::LinkModel link;
     link.bytesPerSecond = t.getOr("linkBytesPerSecond", link.bytesPerSecond);
     link.latencyCycles = t.getOr("linkLatencyCycles", link.latencyCycles);
-    link.linksPerIpu = static_cast<std::size_t>(
-        t.getOr("linksPerIpu", static_cast<std::int64_t>(link.linksPerIpu)));
+    link.linksPerIpu =
+        countOr(t, "service.topology", "linksPerIpu", link.linksPerIpu);
     link.aggregateHalo = t.getOr("aggregateHalo", link.aggregateHalo);
-    const auto ipus = static_cast<std::size_t>(
-        t.getOr("ipus", static_cast<std::int64_t>(1)));
-    const auto perIpu = static_cast<std::size_t>(t.getOr(
-        "tilesPerIpu", static_cast<std::int64_t>(o.tiles / std::max<std::size_t>(ipus, 1))));
+    const std::size_t ipus = countOr(t, "service.topology", "ipus", 1);
+    const std::size_t perIpu =
+        countOr(t, "service.topology", "tilesPerIpu",
+                o.tiles / std::max<std::size_t>(ipus, 1));
     o.topology = ipu::Topology::pod(ipus, perIpu, link);
     o.tiles = o.topology->totalTiles();
   }
-  o.hostThreads = static_cast<std::size_t>(
-      config.getOr("hostThreads", static_cast<std::int64_t>(o.hostThreads)));
-  o.planCacheCapacity = static_cast<std::size_t>(config.getOr(
-      "planCacheCapacity", static_cast<std::int64_t>(o.planCacheCapacity)));
+  o.hostThreads = countOr(config, "service", "hostThreads", o.hostThreads);
+  o.planCacheCapacity =
+      countOr(config, "service", "planCacheCapacity", o.planCacheCapacity);
   o.defaultDeadlineCycles =
       config.getOr("defaultDeadlineCycles", o.defaultDeadlineCycles);
   o.defaultDeadlineSeconds =
       config.getOr("defaultDeadlineSeconds", o.defaultDeadlineSeconds);
-  o.traceCapacity = static_cast<std::size_t>(config.getOr(
-      "traceCapacity", static_cast<std::int64_t>(o.traceCapacity)));
-  o.maxRetainedResults = static_cast<std::size_t>(config.getOr(
-      "maxRetainedResults", static_cast<std::int64_t>(o.maxRetainedResults)));
-  o.metricsPort = static_cast<int>(config.getOr(
-      "metricsPort", static_cast<std::int64_t>(o.metricsPort)));
-  o.flightRecorderJobs = static_cast<std::size_t>(config.getOr(
-      "flightRecorderJobs", static_cast<std::int64_t>(o.flightRecorderJobs)));
-  o.flightEventCapacity = static_cast<std::size_t>(config.getOr(
-      "flightEventCapacity",
-      static_cast<std::int64_t>(o.flightEventCapacity)));
+  o.traceCapacity =
+      countOr(config, "service", "traceCapacity", o.traceCapacity);
+  o.maxRetainedResults =
+      countOr(config, "service", "maxRetainedResults", o.maxRetainedResults);
+  // A port outside int's range would truncate into [-1, 65535] and pass
+  // validateOptions; anything in range is checked there.
+  const std::int64_t port =
+      config.getOr("metricsPort", static_cast<std::int64_t>(o.metricsPort));
+  if (port < std::numeric_limits<int>::min() ||
+      port > std::numeric_limits<int>::max()) {
+    throw ParseError(detail::concatMessage(
+        "service.metricsPort must be -1 (disabled) or a TCP port in "
+        "[0, 65535] (got ", port, ")"));
+  }
+  o.metricsPort = static_cast<int>(port);
+  o.flightRecorderJobs =
+      countOr(config, "service", "flightRecorderJobs", o.flightRecorderJobs);
+  o.flightEventCapacity = countOr(config, "service", "flightEventCapacity",
+                                  o.flightEventCapacity);
   o.flightDir = config.getOr("flightDir", o.flightDir);
   o.logPath = config.getOr("logPath", o.logPath);
   if (config.contains("retry")) {
@@ -234,8 +255,8 @@ ServiceOptions serviceOptionsFromJson(const json::Value& config) {
                   {"backoffFactor", KeyKind::Number},
                   {"backoffMaxMs", KeyKind::Number},
                   {"jitter", KeyKind::Number}});
-    o.retry.maxRetries = static_cast<std::size_t>(config.at("retry").getOr(
-        "maxRetries", static_cast<std::int64_t>(o.retry.maxRetries)));
+    o.retry.maxRetries =
+        countOr(r, "service.retry", "maxRetries", o.retry.maxRetries);
     o.retry.backoffBaseMs = r.getOr("backoffBaseMs", o.retry.backoffBaseMs);
     o.retry.backoffFactor = r.getOr("backoffFactor", o.retry.backoffFactor);
     o.retry.backoffMaxMs = r.getOr("backoffMaxMs", o.retry.backoffMaxMs);
@@ -247,10 +268,12 @@ ServiceOptions serviceOptionsFromJson(const json::Value& config) {
                  {{"maxQueueDepth", KeyKind::Number},
                   {"sramPoolBytes", KeyKind::Number},
                   {"headroom", KeyKind::Number}});
-    o.admission.maxQueueDepth = static_cast<std::size_t>(a.getOr(
-        "maxQueueDepth", static_cast<std::int64_t>(o.admission.maxQueueDepth)));
-    o.admission.sramPoolBytes = static_cast<std::size_t>(a.getOr(
-        "sramPoolBytes", static_cast<std::int64_t>(o.admission.sramPoolBytes)));
+    o.admission.maxQueueDepth = countOr(a, "service.admission",
+                                        "maxQueueDepth",
+                                        o.admission.maxQueueDepth);
+    o.admission.sramPoolBytes = countOr(a, "service.admission",
+                                        "sramPoolBytes",
+                                        o.admission.sramPoolBytes);
     o.admission.headroom = a.getOr("headroom", o.admission.headroom);
   }
   if (config.contains("breaker")) {
@@ -258,10 +281,10 @@ ServiceOptions serviceOptionsFromJson(const json::Value& config) {
     validateKeys(b, "service.breaker config",
                  {{"failuresToOpen", KeyKind::Number},
                   {"openForJobs", KeyKind::Number}});
-    o.breaker.failuresToOpen = static_cast<std::size_t>(b.getOr(
-        "failuresToOpen", static_cast<std::int64_t>(o.breaker.failuresToOpen)));
-    o.breaker.openForJobs = static_cast<std::size_t>(b.getOr(
-        "openForJobs", static_cast<std::int64_t>(o.breaker.openForJobs)));
+    o.breaker.failuresToOpen = countOr(b, "service.breaker", "failuresToOpen",
+                                       o.breaker.failuresToOpen);
+    o.breaker.openForJobs = countOr(b, "service.breaker", "openForJobs",
+                                    o.breaker.openForJobs);
   }
   if (config.contains("degradation")) {
     const json::Value& d = config.at("degradation");
@@ -543,6 +566,7 @@ std::size_t SolverService::submit(const matrix::GeneratedMatrix& m,
   job.solverConfig = solverConfig;
   job.rhs = std::move(rhs);
   job.jobOptions = std::move(jobOptions);
+  job.matrixHash = matrixStructureHash(m);
   job.acceptedAt = std::chrono::steady_clock::now();
 
   auto state = std::make_shared<JobState>();
@@ -556,7 +580,7 @@ std::size_t SolverService::submit(const matrix::GeneratedMatrix& m,
     job.id = id;
     jobs_[id] = state;
     const std::uint64_t structureHash =
-        structureFingerprint(m, sessionOptions_);
+        structureFingerprint(job.matrixHash, sessionOptions_);
     // Identity fields of the flight record — written before the job is
     // visible to any worker (it is not queued yet), read at seal time.
     state->structureFp = structureHash;
@@ -828,7 +852,7 @@ JobResult SolverService::runJob(Job& job,
     std::lock_guard<std::mutex> lock(mu_);
     baseOpts = sessionOptions_;
   }
-  const PlanCache::Key key{structureFingerprint(job.m, baseOpts),
+  const PlanCache::Key key{structureFingerprint(job.matrixHash, baseOpts),
                            configFingerprint(job.solverConfig)};
   const std::uint64_t valuesHash = valuesFingerprint(job.m.matrix);
   const bool bakesValues = configBakesValues(job.solverConfig);
@@ -888,8 +912,8 @@ JobResult SolverService::runJob(Job& job,
       sessOpts = sessionOptions_;
     }
     const std::uint64_t attemptTopologyFp = sessOpts.topology->fingerprint();
-    const PlanCache::Key attemptKey{structureFingerprint(job.m, sessOpts),
-                                    key.config};
+    const PlanCache::Key attemptKey{
+        structureFingerprint(job.matrixHash, sessOpts), key.config};
     if (degradeThis) {
       degradeConfigInPlace(config, options_.degradation);
       if (options_.degradation.perCellHalo) sessOpts.perCellHalo = true;

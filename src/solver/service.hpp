@@ -352,6 +352,9 @@ class SolverService {
     json::Value solverConfig;
     std::vector<double> rhs;
     SolveJobOptions jobOptions;
+    /// matrixStructureHash(m), hashed once in submit(); every structure
+    /// fingerprint of the job is finished from it.
+    std::uint64_t matrixHash = 0;
     std::size_t sramCharge = 0;
     std::chrono::steady_clock::time_point acceptedAt;
   };

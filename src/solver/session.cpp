@@ -197,7 +197,7 @@ SolveSession::Result SolveSession::solve(std::span<const double> rhs) {
   std::vector<double> shifted(rhs.begin(), rhs.end());
   std::size_t remaps = 0;
   // solveCycles_ accumulates the simulated cycles of *earlier* attempts of
-  // this solve — each fresh engine starts its clock at 0, but a deadline
+  // this solve — each attempt's engine starts its clock at 0, but a deadline
   // covers the whole solve. Kept in a member (lastSolveCycles()) so the
   // total survives a throwing exit: the catch blocks below fold the final
   // engine's clock in first.
@@ -211,8 +211,15 @@ SolveSession::Result SolveSession::solve(std::span<const double> rhs) {
     }
 
     solver_->clearHistory();
-    engine_ = std::make_unique<graph::Engine>(ctx_->graph(),
-                                              options_.hostThreads);
+    // One engine per pipeline: the first attempt builds it, later solves
+    // reset it to a fresh engine's state and keep its host pool and plans.
+    // A remap tore it down with the pipeline, so the retry builds anew.
+    if (engine_) {
+      engine_->reset();
+    } else {
+      engine_ = std::make_unique<graph::Engine>(ctx_->graph(),
+                                                options_.hostThreads);
+    }
     engine_->setExcludedTiles(blacklist_);
     health_.reset();
     if (faultPlanJson_) {

@@ -11,10 +11,13 @@
 //   auto result = session.solve(rhs);
 //   // result.x, result.solve.status, session.trace(), session.profile()
 //
-// Every solve runs on a fresh Engine with the session's TraceSink attached,
-// so the merged timeline (compute/exchange/sync spans, solver iterations,
-// fault and recovery events) and the cycle profile are always available
-// afterwards — observability is the default here, not an opt-in.
+// Every solve runs with the session's TraceSink attached, so the merged
+// timeline (compute/exchange/sync spans, solver iterations, fault and
+// recovery events) and the cycle profile are always available afterwards —
+// observability is the default here, not an opt-in. The session keeps one
+// Engine: the first solve builds it, each later solve resets it to a fresh
+// engine's state (Engine::reset) and reuses its host pool and execution
+// plans, and a hard-fault remap replaces it with the rebuilt pipeline.
 //
 // Hard-fault recovery: when a fault plan with permanent faults is attached,
 // every solve runs under a superstep watchdog (ipu::HealthMonitor). A tile
@@ -183,9 +186,10 @@ class SolveSession {
     std::shared_ptr<support::TileProfile> tileProfile;
   };
 
-  /// Runs the configured solver on a fresh Engine. The program is emitted
-  /// once (first call) and re-executed on subsequent calls; the trace sink
-  /// is cleared per solve, so trace() always shows the latest one.
+  /// Runs the configured solver on the session's engine, reset to a fresh
+  /// engine's state first. The program is emitted once (first call) and
+  /// re-executed on subsequent calls; the trace sink is cleared per solve,
+  /// so trace() always shows the latest one.
   Result solve(std::span<const double> rhs);
 
   /// The merged execution timeline of the last solve.
@@ -194,7 +198,8 @@ class SolveSession {
   /// (load into chrome://tracing or Perfetto).
   json::Value traceChromeJson() const { return support::traceToChromeJson(trace_); }
 
-  /// Cycle profile of the last solve.
+  /// Cycle profile of the last solve: the engine's, which each solve
+  /// clears when it resets the engine.
   const ipu::Profile& profile() const;
 
   /// Tile-level report of the last solve (null unless enableTileProfile()
@@ -205,7 +210,9 @@ class SolveSession {
 
   Solver& solver();
   DistMatrix& matrix();
-  /// Engine of the last solve (valid until the next solve()).
+  /// The session's one engine: built by the first solve, reset at the
+  /// start of every later one, and replaced when a hard-fault remap
+  /// rebuilds the pipeline — a reference stays valid until a remap.
   graph::Engine& engine();
 
   /// Simulated cycles accumulated by the most recent solve() call, summed

@@ -24,6 +24,9 @@ std::int64_t Value::asInt() const {
   double d = asNumber();
   GRAPHENE_CHECK(std::nearbyint(d) == d, "JSON number ", d,
                  " is not an integer");
+  // [-2^63, 2^63): converting a double outside it is undefined behaviour.
+  GRAPHENE_CHECK(d >= -9223372036854775808.0 && d < 9223372036854775808.0,
+                 "JSON number ", d, " does not fit a 64-bit integer");
   return static_cast<std::int64_t>(d);
 }
 

@@ -8,12 +8,17 @@
 // convergence callbacks, with and without an attached fault plan) and assert
 // exactly that. The compiled-codelet fast paths get the same treatment:
 // bulk span kernels vs the generic statement walk must agree bit-for-bit in
-// both results and charged cycles.
+// both results and charged cycles, and so must a reset engine against a new
+// one. The host pool's own tests stress back-to-back dispatch, exceptions,
+// more lanes than cores, and shutdown.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "dsl/interpreter.hpp"
@@ -24,6 +29,8 @@
 #include "solver/solvers.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
+#include "support/tile_profile.hpp"
+#include "support/trace.hpp"
 
 using namespace graphene;
 using namespace graphene::solver;
@@ -226,6 +233,68 @@ TEST(ParallelEngine, MixedPrecisionBitIdenticalToSerial) {
   expectProfilesIdentical(serial.profile, parallel.profile);
 }
 
+// Engine::reset() must be invisible too. The first run leaves every kind of
+// state behind — tensor contents, profile, clock, fault log, an attached
+// fault plan, trace sink, tile profile and cancel check, an excluded tile —
+// and stops midway; after reset the engine must run the program exactly as
+// a new engine does, on its own host pool and cached plans.
+TEST(EngineReset, RunsLikeAFreshEngine) {
+  const auto g = matrix::poisson2d5(16, 16);
+  const ipu::Topology topo = ipu::Topology::singleIpu(8);
+  Context ctx(ipu::IpuTarget::testTarget(topo.tilesPerIpu(), topo.numIpus()));
+  DistMatrix A(g.matrix, partition::Partitioner(topo).layout(g));
+  Tensor x = A.makeVector(DType::Float32, "x");
+  Tensor b = A.makeVector(DType::Float32, "b");
+  auto solver = makeSolverFromString(kCgJson);
+  solver->apply(A, x, b);
+  const std::vector<double> bHost = randomVector(g.matrix.rows(), 42);
+  auto solve = [&](graph::Engine& engine) {
+    solver->clearHistory();
+    A.upload(engine);
+    A.writeVector(engine, b, bHost);
+    engine.run(ctx.program());
+  };
+
+  support::TraceSink trace;
+  support::TileProfile tiles;
+  ipu::FaultPlan plan = ipu::FaultPlan::fromJsonText(R"({"seed": 11,
+      "faults": [{"type": "bitflip", "tensor": "cg_resid", "bit": 30,
+                  "count": 2}]})");
+  graph::Engine warm(ctx.graph(), 2);
+  warm.setFaultPlan(&plan);
+  warm.setTraceSink(&trace);
+  warm.setTileProfile(&tiles);
+  warm.setExcludedTiles({3});
+  warm.setCancelCheck([](const graph::Engine& e) -> const char* {
+    return e.simCycles() > 50000 ? "cancelled" : nullptr;
+  });
+  EXPECT_THROW(solve(warm), Error);
+
+  warm.reset();
+  EXPECT_EQ(warm.simCycles(), 0.0);
+  EXPECT_EQ(warm.profile().totalCycles(), 0.0);
+  EXPECT_EQ(warm.profile().computeSupersteps, 0u);
+  EXPECT_TRUE(warm.profile().faultEvents.empty());
+  EXPECT_EQ(warm.faultPlan(), nullptr);
+  EXPECT_EQ(warm.traceSink(), nullptr);
+  EXPECT_EQ(warm.tileProfile(), nullptr);
+  for (std::size_t t = 0; t < ctx.graph().numTensors(); ++t) {
+    const auto id = static_cast<graph::TensorId>(t);
+    const graph::TensorStorage& s = warm.storageFor(id);
+    for (std::size_t i = 0; i < s.totalElements(); ++i) {
+      ASSERT_EQ(s.load(i).toHostDouble(), 0.0)
+          << ctx.graph().tensor(id).name << "[" << i << "]";
+    }
+  }
+
+  solve(warm);
+  graph::Engine fresh(ctx.graph(), 2);
+  solve(fresh);
+  EXPECT_EQ(A.readVector(warm, x), A.readVector(fresh, x));
+  EXPECT_EQ(warm.simCycles(), fresh.simCycles());
+  expectProfilesIdentical(warm.profile(), fresh.profile());
+}
+
 // ---------------------------------------------------------------------------
 // Superstep fusion A/B: fusing adjacent compute supersteps into one host
 // dispatch must be invisible — same solution bits, same Profile totals — on
@@ -331,6 +400,94 @@ TEST(HostThreadPool, SingleThreadRunsInline) {
   std::vector<std::size_t> order;
   pool.parallelFor(5, [&](std::size_t i) { order.push_back(i); });
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+// Solves dispatch hundreds of supersteps back to back, and between two of
+// them the workers poll instead of parking. Every index of every job must
+// run exactly once, and the caller must see each item's writes once
+// parallelFor returns: the slots below are plain ints in a vector that dies
+// with the iteration, so a worker still inside a returned job is a data
+// race (under ThreadSanitizer) or a wrong count.
+TEST(HostThreadPool, BackToBackTinyJobsRunEveryIndexOnce) {
+  for (std::size_t lanes : {2, 4}) {
+    support::ThreadPool pool(lanes);
+    for (std::size_t n : {1, 2, 64}) {
+      for (int job = 0; job < 3000; ++job) {
+        std::vector<int> hits(n, 0);
+        pool.parallelFor(n, [&](std::size_t i) { hits[i] += 1; });
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(hits[i], 1) << lanes << " lanes, n " << n << ", job "
+                                << job << ", index " << i;
+        }
+      }
+    }
+  }
+}
+
+// More lanes than the host has cores: the polling threads must yield, or
+// the one holding the job up never runs. Mixes tiny jobs with jobs whose
+// items outlast the poll, so both the caller and the workers also park and
+// are woken.
+TEST(HostThreadPool, EightLanesOutnumberTheCores) {
+  support::ThreadPool pool(8);
+  EXPECT_EQ(pool.numThreads(), 8u);
+  for (int job = 0; job < 2000; ++job) {
+    const std::size_t n = job % 3 == 0 ? 64 : 9;
+    std::vector<int> hits(n, 0);
+    pool.parallelFor(n, [&](std::size_t i) { hits[i] += 1; });
+    ASSERT_EQ(std::count(hits.begin(), hits.end(), 1),
+              static_cast<std::ptrdiff_t>(n))
+        << "job " << job;
+  }
+  for (int job = 0; job < 4; ++job) {
+    std::vector<int> hits(16, 0);
+    pool.parallelFor(hits.size(), [&](std::size_t i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      hits[i] += 1;
+    });
+    EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), 16);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));  // park
+  }
+}
+
+TEST(HostThreadPool, ThrowingJobsLeaveThePoolUsable) {
+  support::ThreadPool pool(4);
+  for (int round = 0; round < 500; ++round) {
+    std::vector<int> hits(32, 0);
+    EXPECT_THROW(pool.parallelFor(hits.size(),
+                                  [&](std::size_t i) {
+                                    hits[i] += 1;
+                                    if (i % 5 == static_cast<std::size_t>(
+                                                     round % 5)) {
+                                      throw std::runtime_error("item failed");
+                                    }
+                                  }),
+                 std::runtime_error);
+    // An item that throws does not stop the others: every index ran.
+    ASSERT_EQ(std::count(hits.begin(), hits.end(), 1), 32) << round;
+    std::vector<int> after(32, 0);
+    pool.parallelFor(after.size(), [&](std::size_t i) { after[i] += 1; });
+    ASSERT_EQ(std::count(after.begin(), after.end(), 1), 32) << round;
+  }
+}
+
+// Shutdown must reach workers in either waiting state: still polling right
+// after a job, and parked once the poll ran out.
+TEST(HostThreadPool, DestroysWhileWorkersSpinOrPark) {
+  for (int round = 0; round < 200; ++round) {
+    support::ThreadPool pool(4);
+    std::vector<int> hits(8, 0);
+    pool.parallelFor(hits.size(), [&](std::size_t i) { hits[i] += 1; });
+    ASSERT_EQ(std::count(hits.begin(), hits.end(), 1), 8);
+  }
+  for (int round = 0; round < 5; ++round) {
+    support::ThreadPool pool(4);
+    std::vector<int> hits(8, 0);
+    pool.parallelFor(hits.size(), [&](std::size_t i) { hits[i] += 1; });
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_EQ(std::count(hits.begin(), hits.end(), 1), 8);
+  }
+  support::ThreadPool unused(3);  // destroyed before any job
 }
 
 TEST(HostThreadPool, RethrowsFirstItemError) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "support/error.hpp"
 
 namespace gj = graphene::json;
@@ -61,6 +63,12 @@ TEST(Json, TypeMismatchThrows) {
   EXPECT_THROW(v.at("a").asString(), graphene::Error);
   EXPECT_THROW(v.at("missing"), graphene::Error);
   EXPECT_THROW(gj::parse("1.5").asInt(), graphene::Error);
+  // Outside [-2^63, 2^63) the conversion would be undefined behaviour.
+  EXPECT_THROW(gj::parse("1e300").asInt(), graphene::Error);
+  EXPECT_THROW(gj::parse("-1e300").asInt(), graphene::Error);
+  EXPECT_THROW(gj::parse("9223372036854775808").asInt(), graphene::Error);
+  EXPECT_EQ(gj::parse("-9223372036854775808").asInt(), INT64_MIN);
+  EXPECT_EQ(gj::parse("9007199254740992").asInt(), 9007199254740992);
 }
 
 TEST(Json, GetOrDefaults) {

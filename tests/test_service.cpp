@@ -9,8 +9,10 @@
 // reopen-on-failure path; graceful degradation on the final retry; typed
 // verdicts for matrices whose pipeline cannot even be built; bounded
 // retention of terminal results; cancel/deadline cutting the retry backoff
-// short; strict ServiceOptions/JSON validation naming the offending key;
-// and the service.* counters in the Prometheus exposition.
+// short; strict ServiceOptions/JSON validation naming the offending key,
+// negative and out-of-range counts included; flight-record structure
+// fingerprints equal to the one-shot hash; and the service.* counters in
+// the Prometheus exposition.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -542,6 +544,77 @@ TEST(SolverService, JsonOptionsValidationAndRoundTrip) {
   EXPECT_EQ(o.breaker.failuresToOpen, 2u);
   EXPECT_EQ(o.breaker.openForJobs, 4u);
   EXPECT_FALSE(o.degradation.enabled);
+}
+
+// Counts are read as non-negative integers: a negative one would wrap to an
+// enormous std::size_t that passes every lower-bound check (workers -2
+// would ask the service for 2^64 - 2 worker threads), and a huge one would
+// convert out of range. Only the parser runs here — no service, no thread.
+TEST(SolverService, JsonOptionsRejectNegativeAndUnrepresentableCounts) {
+  auto rejection = [](const char* text) {
+    try {
+      serviceOptionsFromJson(json::parse(text));
+    } catch (const ParseError& e) {
+      return std::string(e.what());
+    } catch (const Error& e) {
+      return "untyped: " + std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  auto expectNamed = [&](const char* text, const char* key) {
+    const std::string message = rejection(text);
+    EXPECT_NE(message.find(key), std::string::npos) << text << ": " << message;
+    EXPECT_EQ(message.rfind("untyped", 0), std::string::npos) << message;
+  };
+  expectNamed(R"({"hostThreads": -1})", "service.hostThreads");
+  expectNamed(R"({"workers": -2})", "service.workers");
+  expectNamed(R"({"workers": 1e300})", "service.workers");
+  expectNamed(R"({"workers": 2.5})", "service.workers");
+  expectNamed(R"({"planCacheCapacity": -1})", "service.planCacheCapacity");
+  expectNamed(R"({"retry": {"maxRetries": -1}})", "service.retry.maxRetries");
+  expectNamed(R"({"admission": {"sramPoolBytes": -4096}})",
+              "service.admission.sramPoolBytes");
+  expectNamed(R"({"breaker": {"openForJobs": 1e19}})",
+              "service.breaker.openForJobs");
+  expectNamed(R"({"topology": {"ipus": -4, "tilesPerIpu": 8}})",
+              "service.topology.ipus");
+  // 2^32 + 80 used to truncate to port 80.
+  expectNamed(R"({"metricsPort": 4294967376})", "service.metricsPort");
+  // Zero stays a count (0 host threads = the engine's default).
+  EXPECT_EQ(serviceOptionsFromJson(json::parse(R"({"hostThreads": 0})"))
+                .hostThreads,
+            0u);
+  EXPECT_EQ(serviceOptionsFromJson(json::parse(R"({"hostThreads": 3})"))
+                .hostThreads,
+            3u);
+}
+
+// A job's matrix is hashed once at submit; its plan keys, breaker key and
+// flight-record header are finished from that hash with the session shape,
+// so the recorded fingerprint is the one-shot structureFingerprint.
+TEST(SolverService, FlightRecordStructureFingerprintMatchesOneShotHash) {
+  const auto g = matrix::poisson2d5(8, 8);
+  for (const ipu::Topology& topo :
+       {ipu::Topology::singleIpu(32), ipu::Topology::pod(4, 8)}) {
+    SCOPED_TRACE(topo.numIpus());
+    ServiceOptions serviceOptions;
+    serviceOptions.workers = 1;
+    serviceOptions.tiles = 32;
+    serviceOptions.topology = topo;
+    SolverService service(serviceOptions);
+    const JobResult cold = service.solve(g, cgConfig(), ones(g.matrix.rows()));
+    const JobResult warm = service.solve(g, cgConfig(), ones(g.matrix.rows()));
+    ASSERT_EQ(cold.solve.status, SolveStatus::Converged);
+    ASSERT_TRUE(warm.planCacheHit);
+    const SessionOptions options{.tiles = 32, .topology = topo};
+    for (const JobResult& r : {cold, warm}) {
+      const std::optional<FlightRecord> rec =
+          service.flightRecorder().record(r.jobId);
+      ASSERT_TRUE(rec.has_value());
+      EXPECT_EQ(rec->structureFingerprint, structureFingerprint(g, options));
+    }
+    service.shutdown();
+  }
 }
 
 TEST(SolverService, MetricsAndJobTimelineAreExposed) {

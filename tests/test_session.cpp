@@ -2,7 +2,9 @@
 //
 // Covers: the load → configure → solve flow (result, history, trace and
 // profile all populated); calls out of order fail with messages naming the
-// missing step; repeated solves on one session are independent; unknown or
+// missing step; repeated solves on one session — new values, a cancelled
+// solve, fault plans, a hard-fault remap — each equal the same solve on a
+// fresh session, on the same engine unless remapped; unknown or
 // ill-typed config keys are rejected naming the offending key and listing
 // the valid ones (both makeSolver and makeSolverFromString); the
 // preconditioner() chain walk; GRAPHENE_NO_HALO_REORDER=0 leaves the halo
@@ -10,13 +12,16 @@
 // interpreter's generic walk.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "dsl/context.hpp"
 #include "dsl/interpreter.hpp"
 #include "graphene.hpp"
 
@@ -34,6 +39,64 @@ std::string messageOf(Fn&& fn) {
     return e.what();
   }
   return "";
+}
+
+/// One solve's observable outcome, flattened to comparable values: the
+/// solution's bits, the verdict, the history, and the engine's profile,
+/// trace and tile profile (doubles in hexfloat, so equality is exact).
+struct SolveRecord {
+  std::vector<std::uint64_t> xBits;
+  SolveStatus status = SolveStatus::NotRun;
+  std::size_t iterations = 0;
+  double simCycles = 0;
+  std::string history;
+  std::string profile;
+  std::string trace;
+  std::string tileProfile;
+};
+
+SolveRecord recordOf(const SolveSession& session,
+                     const SolveSession::Result& r) {
+  SolveRecord rec;
+  for (double v : r.x) rec.xBits.push_back(std::bit_cast<std::uint64_t>(v));
+  rec.status = r.solve.status;
+  rec.iterations = r.solve.iterations;
+  rec.simCycles = r.simCycles;
+  std::ostringstream history;
+  history << std::hexfloat;
+  for (const IterationRecord& h : r.history) {
+    history << h.iteration << ':' << h.residual << ' ';
+  }
+  rec.history = history.str();
+  const ipu::Profile& p = session.profile();
+  std::ostringstream os;
+  os << std::hexfloat;
+  for (const auto& [category, cycles] : p.computeCycles) {
+    os << category << '=' << cycles << ' ';
+  }
+  os << p.exchangeCycles << ' ' << p.exchangeIntraCycles << ' '
+     << p.exchangeInterCycles << ' ' << p.syncCycles << ' '
+     << p.computeSupersteps << ' ' << p.exchangeSupersteps << ' '
+     << p.exchangeInstructions << ' ' << p.exchangedBytes << ' '
+     << p.interIpuBytes << ' ' << p.interIpuMessages << ' '
+     << p.verticesExecuted << '\n';
+  for (const auto& [category, s] : p.superstepStats) {
+    os << category << ':' << s.supersteps << ',' << s.maxCycles << ','
+       << s.meanCycles << ',' << s.minCycles << ',' << s.worstCycles << ','
+       << s.worstStragglerTile << ',' << s.worstSuperstep << '\n';
+  }
+  for (const ipu::FaultEvent& fe : p.faultEvents) {
+    os << fe.kind << ',' << fe.superstep << ',' << fe.target << ','
+       << fe.element << ',' << fe.bit << ',' << fe.cycles << ','
+       << fe.detail << '\n';
+  }
+  os << support::metricsToPrometheusText(p.metrics);
+  rec.profile = os.str();
+  rec.trace = session.traceChromeJson().dump();
+  if (r.tileProfile) {
+    rec.tileProfile = support::tileProfileToJson(*r.tileProfile).dump();
+  }
+  return rec;
 }
 
 std::size_t iterationEvents(const support::TraceSink& trace) {
@@ -80,19 +143,95 @@ TEST(SolveSession, OneStopSolveFlow) {
 }
 
 TEST(SolveSession, RepeatedSolvesAreIndependent) {
-  SolveSession session({.tiles = 4});
-  session.load(matrix::poisson2d5(8, 8)).configure(R"({
-    "type": "cg", "tolerance": 1e-6, "maxIterations": 200
-  })");
-  std::vector<double> rhs(session.matrix().rows(), 1.0);
-  auto first = session.solve(rhs);
-  auto second = session.solve(rhs);
+  // One session, many solves: new values, new right-hand sides, a cancelled
+  // solve, two solves under one fault plan and a hard-fault remap. Each must
+  // be exactly the same solve on a new session — the warm engine is reset
+  // to a fresh engine's state — and every solve but the remap must run on
+  // the same engine object.
+  const char* config = R"({"type": "cg", "maxIterations": 200,
+      "tolerance": 1e-6,
+      "robustness": {"maxRestarts": 2, "checkpointEvery": 8}})";
+  const json::Value softFaults = json::parse(R"({"seed": 3, "faults": [
+      {"type": "stall", "tile": 1, "cycles": 5000, "superstep": 7},
+      {"type": "bitflip", "tensor": "cg_resid", "bit": 20, "count": 1,
+       "superstep": 12}]})");
+  const json::Value deadTile = json::parse(R"({"seed": 5, "faults": [
+      {"type": "tile-dead", "tile": 2, "superstep": 30}]})");
+  const matrix::GeneratedMatrix g = matrix::poisson2d5(10, 10);
+  matrix::GeneratedMatrix scaled = g;
+  for (double& v : scaled.matrix.values()) v *= 1.5;
+  const std::size_t n = g.matrix.rows();
+  auto rhsFor = [n](std::uint64_t seed) {
+    std::vector<double> rhs(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      rhs[i] = 1.0 + static_cast<double>((i * 7 + seed * 13) % 11) / 8.0;
+    }
+    return rhs;
+  };
+  const SessionOptions options{.tiles = 8};
 
-  // Same program, fresh engine: bit-identical outcome, history not
-  // accumulated across solves, trace re-armed.
-  EXPECT_EQ(first.x, second.x);
-  EXPECT_EQ(first.history.size(), second.history.size());
-  EXPECT_EQ(iterationEvents(session.trace()), second.history.size());
+  SolveSession session(options);
+  session.enableTileProfile();
+  session.load(g).configure(config);
+  // The warm session's context is thread-local: release it while the fresh
+  // comparison session is alive.
+  auto expectLikeFresh = [&](const SolveSession::Result& warm,
+                             const matrix::GeneratedMatrix& m,
+                             const std::vector<double>& rhs,
+                             const json::Value* plan, const char* what) {
+    SCOPED_TRACE(what);
+    const SolveRecord got = recordOf(session, warm);
+    session.unbind();
+    SolveRecord want;
+    {
+      SolveSession fresh(options);
+      fresh.enableTileProfile();
+      fresh.load(m).configure(config);
+      if (plan != nullptr) fresh.withFaultPlan(*plan);
+      want = recordOf(fresh, fresh.solve(rhs));
+    }
+    session.bind();
+    EXPECT_EQ(got.status, want.status);
+    EXPECT_EQ(got.xBits, want.xBits);
+    EXPECT_EQ(got.simCycles, want.simCycles);
+    EXPECT_EQ(got.iterations, want.iterations);
+    EXPECT_EQ(got.history, want.history);
+    EXPECT_EQ(got.profile, want.profile);
+    EXPECT_EQ(got.trace, want.trace);
+    EXPECT_EQ(got.tileProfile, want.tileProfile);
+  };
+
+  expectLikeFresh(session.solve(rhsFor(1)), g, rhsFor(1), nullptr, "first");
+  const graph::Engine* engine = &session.engine();
+
+  session.updateMatrixValues(scaled.matrix);
+  expectLikeFresh(session.solve(rhsFor(2)), scaled, rhsFor(2), nullptr,
+                  "new values");
+  EXPECT_EQ(&session.engine(), engine);
+
+  session.setCancelCheck([](double cycles) -> const char* {
+    return cycles > 20000 ? "cancelled" : nullptr;
+  });
+  EXPECT_THROW(session.solve(rhsFor(3)), CancelledError);
+  session.setCancelCheck(nullptr);
+  expectLikeFresh(session.solve(rhsFor(4)), scaled, rhsFor(4), nullptr,
+                  "after a cancelled solve");
+  EXPECT_EQ(&session.engine(), engine);
+
+  session.withFaultPlan(softFaults);
+  for (const char* what : {"fault plan, first", "fault plan, second"}) {
+    expectLikeFresh(session.solve(rhsFor(5)), scaled, rhsFor(5),
+                    &softFaults, what);
+    EXPECT_EQ(&session.engine(), engine);
+  }
+
+  // A remap rebuilds the pipeline, and with it the engine: the one that
+  // finished the solve runs the rebuilt graph.
+  session.withFaultPlan(deadTile);
+  expectLikeFresh(session.solve(rhsFor(6)), scaled, rhsFor(6), &deadTile,
+                  "hard-fault remap");
+  EXPECT_EQ(session.blacklistedTiles(), std::vector<std::size_t>{2});
+  EXPECT_EQ(&session.engine().graph(), &dsl::Context::current().graph());
 }
 
 TEST(SolveSession, HaloReorderEnvZeroMeansOff) {
