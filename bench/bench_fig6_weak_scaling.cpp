@@ -89,17 +89,19 @@ int main(int argc, char** argv) {
 
   // Ideal weak scaling: total time roughly flat 1 → 16 IPUs.
   double drift = totals.back() / totals.front();
+  const bool flat = drift < 1.35;
   std::printf("check: total time at 16 IPUs within 1.35x of 1 IPU "
               "(ideal weak scaling): %s (%.2fx)\n",
-              drift < 1.35 ? "PASS" : "FAIL", drift);
+              flat ? "PASS" : "FAIL", drift);
   // The 1→2 IPU step adds the one-time IPU-Link hop; within the multi-IPU
   // regime the exchange time must stay flat even though the total
   // communication volume grows linearly (§VI-B): halo aggregation keeps it
   // at one link transfer per IPU pair per superstep.
   double haloDrift = halos.back() / std::max(halos[1], 1e-12);
+  const bool haloFlat = haloDrift < 1.3;
   std::printf("check: halo exchange time stays flat from 2 to 16 IPUs "
               "(aggregated links): %s (%.2fx)\n",
-              haloDrift < 1.3 ? "PASS" : "FAIL", haloDrift);
+              haloFlat ? "PASS" : "FAIL", haloDrift);
 
   for (int i = 1; i < argc - 1; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) {
@@ -108,5 +110,5 @@ int main(int argc, char** argv) {
       std::printf("wrote %s\n", argv[i + 1]);
     }
   }
-  return 0;
+  return flat && haloFlat ? 0 : 1;
 }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
+#include <bitset>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -220,6 +222,16 @@ FlatCodelet flattenCodelet(const CodeletIR& ir) {
 // an integral double (the compiler refuses a cost model where one is not),
 // so these regrouped sums equal the walk's per-op accumulation bit for bit.
 //
+// A program holds only the work the walk's values need. The DSL traces every
+// Value as a variable, so most of a trace is copies and literals. A copy
+// shares its source's register when neither can change while the copy is
+// readable; a result is produced straight into the home it is assigned to;
+// each distinct constant lives in one register set at entry; an If on an
+// int comparison branches on it; and a pure op whose result nothing reads
+// is deleted. Since charges are priced per DSL op as the compiler reads it
+// and ride on control ops, which no pass deletes, none of this moves a
+// cycle (ProgramCompiler).
+//
 // Serial counted loops whose bodies are straight-line Float32/Int32
 // arithmetic additionally lower to a LoopKernel with its own small register
 // file: it may match a named span kernel, run block-vectorized, or run a
@@ -253,6 +265,23 @@ ipu::Op costOpFor(UnOp op) {
   return ipu::Op::Logic;
 }
 
+/// Register kinds of the program VM, in the walk's promotion order. Bools
+/// are Int registers holding 0 or 1: every operation the walk performs on a
+/// Bool scalar (promotion, truthiness, stores, charges) gives exactly what it
+/// gives on the Int32 0 or 1. None marks an op field that names no register.
+enum class RegKind : std::uint8_t { Int, Float, Dw, F64, None };
+
+std::size_t kindIndex(RegKind k) { return static_cast<std::size_t>(k); }
+
+DType dtypeOf(RegKind k) {
+  switch (k) {
+    case RegKind::Float: return DType::Float32;
+    case RegKind::Dw: return DType::DoubleWord;
+    case RegKind::F64: return DType::Float64;
+    default: return DType::Int32;
+  }
+}
+
 /// Lane sums of a straight-line stretch of ops, priced at compile time.
 struct LaneSums {
   double fp = 0, mem = 0, ctrl = 0;
@@ -270,24 +299,23 @@ struct VmOp {
     // Straight-line ops. Serial loop kernels use the Float32/Int32 subset
     // up to IFromFloat. Comparisons and truth tests set an int register to
     // 1 or 0 (the walk's bool); Gt/Ge are emitted as Lt/Le with swapped
-    // operands.
-    FConst, FMov, FLoad, FStore,
+    // operands. Constants are not ops: Program::entry sets their registers.
+    FMov, FLoad, FStore,
     FAdd, FSub, FMul, FDiv, FMin, FMax,
     FNeg, FAbs, FSqrt, FFromInt,
-    IConst, IMov, ILoad,
+    IMov, ILoad,
     IAdd, ISub, IMul, IMin, IMax,
     INeg, IAbs, IFromFloat,
     IStore, ISize, IDiv, IMod, BLoad, BStore,
     ILt, ILe, IEq, INe, FLt, FLe, FEq, FNe,
     FTruth, INot, LAnd, LOr,
     // Double-word pairs, with the walk's Float2 (Joldes et al.) arithmetic.
-    DConst, DMov, DLoad, DStore,
+    DMov, DLoad, DStore,
     DAdd, DSub, DMul, DDiv, DMin, DMax,
     DNeg, DAbs, DSqrt, DLt, DLe, DEq, DNe,
     DFromF, DFromI, DHi, DToInt, DTruth,
-    // Float64 (SoftDouble bit patterns); SConst's value is
-    // Program::f64Consts[iimm].
-    SConst, SMov, SLoad, SStore,
+    // Float64 (SoftDouble bit patterns).
+    SMov, SLoad, SStore,
     SAdd, SSub, SMul, SDiv, SMin, SMax,
     SNeg, SAbs, SSqrt, SLt, SLe, SEq, SNe,
     SFromI, SFromF, SFromD, SToInt, SToF, SToD, STruth,
@@ -298,6 +326,9 @@ struct VmOp {
     //   itself and only adds its run.
     // JmpZ (If): a = condition. Closes the block plus a branch, then jumps
     //   to iimm (the then-branch's Jmp) when the condition is 0.
+    // IfLt, IfLe, IfEq, IfNe (If on an int comparison fused into its
+    //   branch): as JmpZ, jumping when a < b (a <= b, a == b, a != b) is
+    //   false.
     // SelZ (Select): like JmpZ but leaves the block open; the Select's
     //   branch charge is already in `run`.
     // LBegin (For): a/b/c = begin/end/step regs, dst = induction reg,
@@ -318,8 +349,8 @@ struct VmOp {
     //   Closes the block plus a branch, then charges the kernel's trip count
     //   times its per-iteration lanes into the new block.
     // Halt: ends the program.
-    Jmp, JmpZ, SelZ, LBegin, LEnd, WBegin, WTest, WEnd, PBegin, PEnd,
-    FastFor, Halt,
+    Jmp, JmpZ, IfLt, IfLe, IfEq, IfNe, SelZ, LBegin, LEnd, WBegin, WTest,
+    WEnd, PBegin, PEnd, FastFor, Halt,
   };
   K k{};
   // Load/store index register proven equal to the induction value at this op
@@ -328,12 +359,150 @@ struct VmOp {
   bool ew = false;
   std::int16_t dst = -1, a = -1, b = -1, c = -1;
   std::int16_t arg = -1;
-  float fimm = 0, fimm2 = 0;  // FConst; DConst hi/lo
-  std::int32_t iimm = 0;
+  std::int32_t iimm = 0;  // control ops: a pc, or FastFor's kernel index
   // Control ops: lane charges of the straight-line ops since the previous
   // control op in program order.
   LaneSums run;
 };
+
+bool isControl(VmOp::K k) { return k >= VmOp::K::Jmp; }
+
+/// What an op's fields name: the register kind dst writes and a, b and c
+/// read (None: the field names no register), plus flags. Pure ops do nothing
+/// but write dst, so an op whose dst nothing reads may be deleted; loads are
+/// not pure, nor are IDiv/IMod, because the walk throws on a bad index or a
+/// zero divisor. Kernel ops are the subset serial loop kernels run. A jump's
+/// iimm is a pc. The compiler's passes read operands only through this
+/// table.
+struct OpShape {
+  static constexpr std::uint8_t kPure = 1, kKernel = 2, kJump = 4;
+  RegKind dst, a, b, c;
+  std::uint8_t flags;
+  bool pure() const { return (flags & kPure) != 0; }
+  bool kernel() const { return (flags & kKernel) != 0; }
+  bool jump() const { return (flags & kJump) != 0; }
+};
+
+const OpShape& shapeOf(VmOp::K k) {
+  constexpr RegKind I = RegKind::Int, F = RegKind::Float, D = RegKind::Dw,
+                    S = RegKind::F64, N = RegKind::None;
+  constexpr std::uint8_t P = OpShape::kPure, L = OpShape::kKernel,
+                         J = OpShape::kJump;
+  // In VmOp::K order.
+  static constexpr OpShape kShapes[] = {
+      // FMov FLoad FStore
+      {F, F, N, N, P | L}, {F, I, N, N, L}, {N, I, F, N, L},
+      // FAdd FSub FMul FDiv FMin FMax
+      {F, F, F, N, P | L}, {F, F, F, N, P | L}, {F, F, F, N, P | L},
+      {F, F, F, N, P | L}, {F, F, F, N, P | L}, {F, F, F, N, P | L},
+      // FNeg FAbs FSqrt FFromInt
+      {F, F, N, N, P | L}, {F, F, N, N, P | L}, {F, F, N, N, P | L},
+      {F, I, N, N, P | L},
+      // IMov ILoad
+      {I, I, N, N, P | L}, {I, I, N, N, L},
+      // IAdd ISub IMul IMin IMax
+      {I, I, I, N, P | L}, {I, I, I, N, P | L}, {I, I, I, N, P | L},
+      {I, I, I, N, P | L}, {I, I, I, N, P | L},
+      // INeg IAbs IFromFloat
+      {I, I, N, N, P | L}, {I, I, N, N, P | L}, {I, F, N, N, P | L},
+      // IStore ISize IDiv IMod BLoad BStore
+      {N, I, I, N, 0}, {I, N, N, N, P}, {I, I, I, N, 0}, {I, I, I, N, 0},
+      {I, I, N, N, 0}, {N, I, I, N, 0},
+      // ILt ILe IEq INe FLt FLe FEq FNe
+      {I, I, I, N, P}, {I, I, I, N, P}, {I, I, I, N, P}, {I, I, I, N, P},
+      {I, F, F, N, P}, {I, F, F, N, P}, {I, F, F, N, P}, {I, F, F, N, P},
+      // FTruth INot LAnd LOr
+      {I, F, N, N, P}, {I, I, N, N, P}, {I, I, I, N, P}, {I, I, I, N, P},
+      // DMov DLoad DStore
+      {D, D, N, N, P}, {D, I, N, N, 0}, {N, I, D, N, 0},
+      // DAdd DSub DMul DDiv DMin DMax
+      {D, D, D, N, P}, {D, D, D, N, P}, {D, D, D, N, P}, {D, D, D, N, P},
+      {D, D, D, N, P}, {D, D, D, N, P},
+      // DNeg DAbs DSqrt DLt DLe DEq DNe
+      {D, D, N, N, P}, {D, D, N, N, P}, {D, D, N, N, P},
+      {I, D, D, N, P}, {I, D, D, N, P}, {I, D, D, N, P}, {I, D, D, N, P},
+      // DFromF DFromI DHi DToInt DTruth
+      {D, F, N, N, P}, {D, I, N, N, P}, {F, D, N, N, P}, {I, D, N, N, P},
+      {I, D, N, N, P},
+      // SMov SLoad SStore
+      {S, S, N, N, P}, {S, I, N, N, 0}, {N, I, S, N, 0},
+      // SAdd SSub SMul SDiv SMin SMax
+      {S, S, S, N, P}, {S, S, S, N, P}, {S, S, S, N, P}, {S, S, S, N, P},
+      {S, S, S, N, P}, {S, S, S, N, P},
+      // SNeg SAbs SSqrt SLt SLe SEq SNe
+      {S, S, N, N, P}, {S, S, N, N, P}, {S, S, N, N, P},
+      {I, S, S, N, P}, {I, S, S, N, P}, {I, S, S, N, P}, {I, S, S, N, P},
+      // SFromI SFromF SFromD SToInt SToF SToD STruth
+      {S, I, N, N, P}, {S, F, N, N, P}, {S, D, N, N, P}, {I, S, N, N, P},
+      {F, S, N, N, P}, {D, S, N, N, P}, {I, S, N, N, P},
+      // Jmp JmpZ IfLt IfLe IfEq IfNe SelZ
+      {N, N, N, N, J}, {N, I, N, N, J}, {N, I, I, N, J}, {N, I, I, N, J},
+      {N, I, I, N, J}, {N, I, I, N, J}, {N, I, N, N, J},
+      // LBegin LEnd WBegin WTest WEnd PBegin PEnd FastFor Halt
+      {I, I, I, I, J}, {N, I, I, I, J}, {I, N, N, N, 0}, {N, I, N, N, J},
+      {I, N, N, N, J}, {I, I, I, I, J}, {N, N, N, N, 0}, {N, I, I, I, 0},
+      {N, N, N, N, 0}};
+  static_assert(std::size(kShapes) ==
+                static_cast<std::size_t>(VmOp::K::Halt) + 1);
+  return kShapes[static_cast<std::size_t>(k)];
+}
+
+/// How many times each program register is read, per kind: what dead-op
+/// elimination and branch fusion decide by.
+class ReadCounts {
+ public:
+  ReadCounts(int numInt, int numFloat, int numDw, int numF64)
+      : n_{std::vector<std::uint32_t>(static_cast<std::size_t>(numInt)),
+           std::vector<std::uint32_t>(static_cast<std::size_t>(numFloat)),
+           std::vector<std::uint32_t>(static_cast<std::size_t>(numDw)),
+           std::vector<std::uint32_t>(static_cast<std::size_t>(numF64))} {}
+
+  std::uint32_t& at(RegKind k, std::int16_t reg) {
+    return n_[kindIndex(k)][static_cast<std::size_t>(reg)];
+  }
+  void add(RegKind k, std::int16_t reg) {
+    if (k != RegKind::None) ++at(k, reg);
+  }
+  void drop(RegKind k, std::int16_t reg) {
+    if (k != RegKind::None) --at(k, reg);
+  }
+  /// Counts the registers `op` reads.
+  void addReads(const VmOp& op) {
+    const OpShape& s = shapeOf(op.k);
+    add(s.a, op.a);
+    add(s.b, op.b);
+    add(s.c, op.c);
+  }
+
+ private:
+  std::array<std::vector<std::uint32_t>, 4> n_;
+};
+
+/// Deletes, in one backward pass, every pure op whose destination nothing
+/// reads. A deleted op's operands each lose a reader as it goes, so a chain
+/// that only fed dead ops goes too (loop-carried chains may stay: no
+/// fixpoint). Control ops always stay. Returns each old index's new one.
+std::vector<std::int32_t> deleteDeadOps(std::vector<VmOp>& ops,
+                                        ReadCounts& reads) {
+  std::vector<bool> dead(ops.size());
+  for (std::size_t i = ops.size(); i-- > 0;) {
+    const VmOp& op = ops[i];
+    const OpShape& s = shapeOf(op.k);
+    if (!s.pure() || reads.at(s.dst, op.dst) != 0) continue;
+    dead[i] = true;
+    reads.drop(s.a, op.a);
+    reads.drop(s.b, op.b);
+    reads.drop(s.c, op.c);
+  }
+  std::vector<std::int32_t> newIndex(ops.size());
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    newIndex[i] = static_cast<std::int32_t>(n);
+    if (!dead[i]) ops[n++] = ops[i];
+  }
+  ops.resize(n);
+  return newIndex;
+}
 
 /// Recognised whole-loop span kernels (all Float32, unit step): the shapes
 /// the solvers' elementwise maps and reductions trace.
@@ -418,114 +587,69 @@ struct LoopKernel {
 void analyzeBlockable(LoopKernel& k) {
   k.blockable = false;
   constexpr std::size_t R = LoopKernel::kMaxRegs;
-  std::array<bool, R> fWritten{}, iWritten{};
-  std::array<bool, R> fReadEarly{}, iReadEarly{};
-  auto readF = [&](std::int16_t r) {
-    if (r >= 0 && !fWritten[static_cast<std::size_t>(r)])
-      fReadEarly[static_cast<std::size_t>(r)] = true;
-  };
-  auto readI = [&](std::int16_t r) {
-    if (r > 0 && !iWritten[static_cast<std::size_t>(r)])
-      iReadEarly[static_cast<std::size_t>(r)] = true;
-  };
-  auto writeF = [&](std::int16_t r) {
-    if (r >= 0) fWritten[static_cast<std::size_t>(r)] = true;
-  };
-  bool ivWritten = false;
-  auto writeI = [&](std::int16_t r) {
-    if (r > 0) iWritten[static_cast<std::size_t>(r)] = true;
-    if (r == 0) ivWritten = true;  // induction reg must stay driver-owned
-  };
+  // Per kind (Int, Float): registers written so far, and registers read
+  // before the body writes them.
+  std::array<std::bitset<R>, 2> written, readEarly;
   // Forward dataflow over the straight-line body: which int registers hold
-  // exactly the induction value right now. The DSL traces body-local Value
-  // copies as IMov chains off reg 0, so indices are rarely reg 0 itself.
-  std::array<bool, R> isIv{};
+  // exactly the induction value right now.
+  std::bitset<R> isIv;
   isIv[0] = true;
-  std::unordered_map<std::int16_t, LoopKernel::ArgUse> loads, stores,
+  std::array<LoopKernel::ArgUse, LoopKernel::kMaxArgs> loads, stores,
       intLoads;
-  auto access = [&](std::unordered_map<std::int16_t, LoopKernel::ArgUse>& m,
-                    std::int16_t arg, bool elementwise) {
-    LoopKernel::ArgUse& u = m[arg];
-    u.arg = arg;
-    if (elementwise) {
+  auto access = [&](std::array<LoopKernel::ArgUse, LoopKernel::kMaxArgs>& m,
+                    const VmOp& op) {
+    LoopKernel::ArgUse& u = m[static_cast<std::size_t>(op.arg)];
+    u.arg = op.arg;
+    if (op.ew) {
       u.anyElementwise = true;
     } else {
       u.elementwiseOnly = false;
     }
   };
+  auto read = [&](RegKind kind, std::int16_t r) {
+    if (kind == RegKind::None) return;
+    const auto reg = static_cast<std::size_t>(r);
+    if (!written[kindIndex(kind)][reg]) readEarly[kindIndex(kind)][reg] = true;
+  };
   using K = VmOp::K;
   for (VmOp& op : k.ops) {
-    switch (op.k) {
-      case K::FConst: writeF(op.dst); break;
-      case K::FMov: case K::FNeg: case K::FAbs: case K::FSqrt:
-        readF(op.a); writeF(op.dst); break;
-      case K::FLoad:
-        readI(op.a); writeF(op.dst);
-        op.ew = isIv[static_cast<std::size_t>(op.a)];
-        access(loads, op.arg, op.ew);
-        break;
-      case K::FStore:
-        readI(op.a); readF(op.b);
-        op.ew = isIv[static_cast<std::size_t>(op.a)];
-        access(stores, op.arg, op.ew);
-        break;
-      case K::FAdd: case K::FSub: case K::FMul: case K::FDiv:
-      case K::FMin: case K::FMax:
-        readF(op.a); readF(op.b); writeF(op.dst); break;
-      case K::FFromInt: readI(op.a); writeF(op.dst); break;
-      case K::IConst:
-        writeI(op.dst);
-        if (op.dst > 0) isIv[static_cast<std::size_t>(op.dst)] = false;
-        break;
-      case K::IMov:
-        readI(op.a); writeI(op.dst);
-        if (op.dst > 0) {
-          isIv[static_cast<std::size_t>(op.dst)] =
-              isIv[static_cast<std::size_t>(op.a)];
-        }
-        break;
-      case K::INeg: case K::IAbs:
-        readI(op.a); writeI(op.dst);
-        if (op.dst > 0) isIv[static_cast<std::size_t>(op.dst)] = false;
-        break;
-      case K::ILoad:
-        readI(op.a); writeI(op.dst);
-        op.ew = isIv[static_cast<std::size_t>(op.a)];
-        access(intLoads, op.arg, op.ew);
-        if (op.dst > 0) isIv[static_cast<std::size_t>(op.dst)] = false;
-        break;
-      case K::IAdd: case K::ISub: case K::IMul: case K::IMin: case K::IMax:
-        readI(op.a); readI(op.b); writeI(op.dst);
-        if (op.dst > 0) isIv[static_cast<std::size_t>(op.dst)] = false;
-        break;
-      case K::IFromFloat:
-        readF(op.a); writeI(op.dst);
-        if (op.dst > 0) isIv[static_cast<std::size_t>(op.dst)] = false;
-        break;
-      default:
-        return;  // not in serial kernels
+    const OpShape& s = shapeOf(op.k);
+    read(s.a, op.a);
+    read(s.b, op.b);
+    if (op.k == K::FLoad || op.k == K::FStore || op.k == K::ILoad) {
+      op.ew = isIv[static_cast<std::size_t>(op.a)];
+      access(op.k == K::FLoad ? loads : op.k == K::FStore ? stores : intLoads,
+             op);
     }
+    if (s.dst == RegKind::None) continue;
+    const auto dst = static_cast<std::size_t>(op.dst);
+    if (s.dst == RegKind::Int) {
+      if (dst == 0) return;  // the induction register must stay driver-owned
+      isIv[dst] = op.k == K::IMov && isIv[static_cast<std::size_t>(op.a)];
+    }
+    written[kindIndex(s.dst)][dst] = true;
   }
-  if (ivWritten) return;
-  for (std::size_t r = 0; r < R; ++r) {
-    if ((fReadEarly[r] && fWritten[r]) || (iReadEarly[r] && iWritten[r])) {
-      return;  // loop-carried register
-    }
+  // A loop-carried register (read before its first write while also
+  // written) makes elements depend on each other.
+  if ((readEarly[0] & written[0]).any() || (readEarly[1] & written[1]).any()) {
+    return;
   }
   // Stores must be at the element's own index: lane j of a blocked store
   // then touches exactly the index element iv+j touches in the scalar walk,
   // so write order per address is preserved. A scattered store could let two
   // ops' lanes collide in a different order than the scalar schedule.
-  for (const auto& [arg, su] : stores) {
+  for (std::size_t arg = 0; arg < LoopKernel::kMaxArgs; ++arg) {
+    const LoopKernel::ArgUse& su = stores[arg];
+    if (su.arg < 0) continue;
     if (!su.elementwiseOnly) return;
-    auto lit = loads.find(arg);
-    if (lit == loads.end()) continue;
     // Same span loaded and stored: each lane may only see its own element.
-    if (!lit->second.elementwiseOnly) return;
+    if (loads[arg].arg >= 0 && !loads[arg].elementwiseOnly) return;
   }
-  for (const auto& [arg, u] : loads) k.loadFloat.push_back(u);
-  for (const auto& [arg, u] : stores) k.storeFloat.push_back(u);
-  for (const auto& [arg, u] : intLoads) k.loadInt.push_back(u);
+  for (std::size_t arg = 0; arg < LoopKernel::kMaxArgs; ++arg) {
+    if (loads[arg].arg >= 0) k.loadFloat.push_back(loads[arg]);
+    if (stores[arg].arg >= 0) k.storeFloat.push_back(stores[arg]);
+    if (intLoads[arg].arg >= 0) k.loadInt.push_back(intLoads[arg]);
+  }
   k.blockable = true;
 }
 
@@ -945,21 +1069,16 @@ class ShapeMatcher {
   int loopVar_ = -1;
 };
 
-/// Register kinds of the program VM, in the walk's promotion order. Bools
-/// are Int registers holding 0 or 1: every operation the walk performs on a
-/// Bool scalar (promotion, truthiness, stores, charges) gives exactly what it
-/// gives on the Int32 0 or 1.
-enum class RegKind : std::uint8_t { Int, Float, Dw, F64 };
-
-DType dtypeOf(RegKind k) {
-  switch (k) {
-    case RegKind::Int: return DType::Int32;
-    case RegKind::Float: return DType::Float32;
-    case RegKind::Dw: return DType::DoubleWord;
-    case RegKind::F64: return DType::Float64;
-  }
-  return DType::Int32;
-}
+/// A register the VM sets before a program's first op: a pooled constant, or
+/// the Float32 zero a variable read before its first assignment starts as in
+/// the walk.
+struct EntryLoad {
+  RegKind kind;
+  std::int16_t reg;
+  // The value's bits: an Int's two's complement, a Float's, a double-word's
+  // hi in the low half and lo in the high half, a Float64's SoftDouble bits.
+  std::uint64_t bits;
+};
 
 /// A whole codelet lowered to the register VM.
 struct Program {
@@ -968,13 +1087,10 @@ struct Program {
   std::vector<VmOp> ops;  // ends with Halt
   std::vector<LoopKernel> kernels;
   std::vector<CsrRow> csrRows;
-  // Float homes read before any assignment: the walk's variables start as
-  // Float32 zero.
-  std::vector<std::int16_t> zeroFloat;
+  std::vector<EntryLoad> entry;
   // The trace-time dtype of every argument the program loads or stores; a
   // vertex whose arguments differ runs on the walk (codeletBinds).
   std::vector<std::pair<std::int32_t, DType>> argTypes;
-  std::vector<std::uint64_t> f64Consts;  // SConst bit patterns
   int numFloat = 0, numInt = 1, numDw = 0, numF64 = 0;  // int reg 0: worker
   double branchCost = 0;
 };
@@ -984,6 +1100,15 @@ struct Program {
 /// kind; a variable whose value on some path the VM cannot give the walk's
 /// type or value bails: it changes kind, or it is read outside the scope
 /// (loop body, If branch) whose assignment defines it.
+///
+/// The program holds only the work (DESIGN.md §8). A copy shares its
+/// source's register when neither can change while the copy is readable; a
+/// value is produced straight into the home it is assigned to; each
+/// distinct constant lives in one register set at entry; an If on an int
+/// comparison branches on it; and a pure op whose result nothing reads is
+/// deleted. No cycle moves: every DSL op is priced into the running lane
+/// sums as its expression compiles, those sums ride on control ops, and no
+/// pass deletes a control op.
 class ProgramCompiler {
  public:
   ProgramCompiler(const FlatCodelet& flat, const ipu::CostModel& cost)
@@ -991,9 +1116,12 @@ class ProgramCompiler {
 
   std::optional<Program> compile() {
     try {
+      countUses();
       p_.branchCost = priced(ipu::Op::Branch, DType::Int32);
+      shared_[kindIndex(RegKind::Int)][0] = true;  // the worker id
       compileList(flat_.root);
       emitControl(VmOp::K::Halt);
+      finish();
     } catch (const Bail& b) {
       why_ = b.why;
       return std::nullopt;
@@ -1011,15 +1139,47 @@ class ProgramCompiler {
   struct Val {
     std::int16_t reg;
     RegKind kind;
-    bool home = false;  // a variable's register, not a fresh temporary
+    // A variable's, loop's or constant's register, not a fresh temporary.
+    bool home = false;
+    std::int32_t var = -1;  // the variable read, when it is one
   };
-  struct Home {
-    std::int16_t reg;  // -1: defined only inside a lowered loop kernel
-    RegKind kind;
-    int scope;  // conditional scope whose assignment defined it, -1 = none
+  /// What the compiler knows of one variable.
+  struct Var {
+    enum class Role : std::uint8_t { Plain, Induction, Retired };
+    std::int16_t reg = -1;  // home register; -1: none yet
+    RegKind kind = RegKind::Float;
+    Role role = Role::Plain;  // or an open or closed loop's variable
+    int scope = -1;  // conditional scope whose assignment defined it, -1 = none
+    int loop = -1;   // innermost loop open at that assignment, -1 = none
+    int assigns = 0, reads = 0;  // Assign statements and reads in the codelet
   };
 
   [[noreturn]] static void bail(const char* why) { throw Bail{why}; }
+
+  Var& var(std::int32_t id) { return vars_[static_cast<std::size_t>(id)]; }
+
+  /// Sizes the variable table and counts each variable's Assign statements
+  /// and reads (every FlatExpr is one read site).
+  void countUses() {
+    vars_.resize(static_cast<std::size_t>(flat_.numVars));
+    auto touch = [&](std::int32_t id) -> Var& {
+      if (id < 0) bail("negative variable id");
+      if (static_cast<std::size_t>(id) >= vars_.size()) {
+        vars_.resize(static_cast<std::size_t>(id) + 1);
+      }
+      return var(id);
+    };
+    for (const FlatExpr& e : flat_.exprs) {
+      if (e.kind == Expr::Kind::Var) ++touch(e.var).reads;
+    }
+    for (const FlatStmt& s : flat_.stmts) {
+      if (s.kind == Stmt::Kind::Assign) ++touch(s.var).assigns;
+      if ((s.kind == Stmt::Kind::For || s.kind == Stmt::Kind::ParFor) &&
+          s.var >= 0) {
+        touch(s.var);
+      }
+    }
+  }
 
   // ---- registers, ops and charges ----------------------------------------
 
@@ -1095,6 +1255,27 @@ class ProgramCompiler {
     p_.argTypes.emplace_back(arg, t);
   }
 
+  // ---- register sharing ------------------------------------------------------
+
+  // Per kind and register. A stable register cannot change while any name
+  // reading it is live: a pooled constant, a loop's induction register, or
+  // the home a once-assigned variable's assignment created. A copy may share
+  // one instead of moving it. A shared register is read by more than one
+  // name: a pooled constant, an induction register, the worker id, or an
+  // alias target. No op may be retargeted into one, and no variable may
+  // take one over.
+  bool stable(const Val& v) const {
+    return v.home && stable_[kindIndex(v.kind)][static_cast<std::size_t>(v.reg)];
+  }
+  bool shared(const Val& v) const {
+    return v.home && shared_[kindIndex(v.kind)][static_cast<std::size_t>(v.reg)];
+  }
+  /// Marks a pooled constant's or a loop induction register.
+  void pin(RegKind k, std::int16_t reg) {
+    stable_[kindIndex(k)][static_cast<std::size_t>(reg)] = true;
+    shared_[kindIndex(k)][static_cast<std::size_t>(reg)] = true;
+  }
+
   // ---- conversions ---------------------------------------------------------
 
   /// The register kind holding an element of a (non-Float64) argument.
@@ -1145,9 +1326,7 @@ class ProgramCompiler {
         {K::DFromI, K::DFromF, kNone, K::SToD},
         {K::SFromI, K::SFromF, K::SFromD, kNone}};
     if (v.kind == k) return v;
-    return emitVal(kConv[static_cast<std::size_t>(k)]
-                        [static_cast<std::size_t>(v.kind)],
-                   k, v.reg);
+    return emitVal(kConv[kindIndex(k)][kindIndex(v.kind)], k, v.reg);
   }
   Val toInt(Val v) { return toKind(v, RegKind::Int); }
   Val toFloat(Val v) { return toKind(v, RegKind::Float); }
@@ -1159,25 +1338,48 @@ class ProgramCompiler {
   /// An int register that is nonzero exactly when Scalar::truthy() holds.
   std::int16_t truth(Val v) {
     switch (v.kind) {
-      case RegKind::Int: return v.reg;
       case RegKind::Float: return emitTruth(VmOp::K::FTruth, v);
       case RegKind::Dw: return emitTruth(VmOp::K::DTruth, v);
       case RegKind::F64: return emitTruth(VmOp::K::STruth, v);
+      default: return v.reg;
     }
-    return v.reg;
   }
 
   static VmOp::K movOf(RegKind k) {
     static constexpr VmOp::K kMov[4] = {VmOp::K::IMov, VmOp::K::FMov,
                                         VmOp::K::DMov, VmOp::K::SMov};
-    return kMov[static_cast<std::size_t>(k)];
+    return kMov[kindIndex(k)];
   }
 
   /// A register holding `v` that nothing else writes while it is live: loop
   /// bounds must not follow later assignments to the variables they read.
   std::int16_t snapshot(Val v) {
-    if (!v.home) return v.reg;
+    if (!v.home || stable(v)) return v.reg;
     return emitVal(movOf(v.kind), v.kind, v.reg).reg;
+  }
+
+  /// Retargets the op that just produced `v` (the last op emitted) onto
+  /// `home`, when nothing else can observe v's register: v is a fresh
+  /// temporary, or a variable read nowhere else whose register no other
+  /// name reads. An ISize stays put: liftKernel hoists it and refuses a
+  /// kernel that writes its register.
+  bool retarget(std::int16_t home, const Val& v) {
+    if (v.home && (v.var < 0 || var(v.var).reads != 1 || shared(v))) {
+      return false;
+    }
+    if (p_.ops.empty()) return false;
+    VmOp& last = p_.ops.back();
+    if (isControl(last.k) || last.k == VmOp::K::ISize ||
+        shapeOf(last.k).dst != v.kind || last.dst != v.reg) {
+      return false;
+    }
+    last.dst = home;
+    return true;
+  }
+
+  /// Lands `v` in register `home`: retargeted, else moved.
+  void move(std::int16_t home, const Val& v) {
+    if (!retarget(home, v)) emit(movOf(v.kind), home, v.reg);
   }
 
   // ---- scopes --------------------------------------------------------------
@@ -1204,50 +1406,63 @@ class ProgramCompiler {
     }
   }
 
-  /// The home register a read of `var` sees, creating the walk's Float32
+  /// The home register a read of `id` sees, creating the walk's Float32
   /// zero for a first touch.
-  Val readVar(std::int32_t var) {
-    if (auto it = loopRegs_.find(var); it != loopRegs_.end()) {
-      return {it->second, RegKind::Int, true};
-    }
-    if (retired_.count(var) != 0) bail("loop variable read after its loop");
-    auto it = homes_.find(var);
-    if (it != homes_.end()) {
-      if (!scopeOpen(it->second.scope)) {
+  Val readVar(std::int32_t id) {
+    Var& v = var(id);
+    if (v.role == Var::Role::Retired) bail("loop variable read after its loop");
+    if (v.reg >= 0) {
+      if (!scopeOpen(v.scope)) {
         bail("variable read outside the scope that defines it");
       }
-      return {it->second.reg, it->second.kind, true};
+      return {v.reg, v.kind, true, id};
     }
-    const std::int16_t reg = newReg(RegKind::Float);
-    p_.zeroFloat.push_back(reg);
-    homes_.emplace(var, Home{reg, RegKind::Float, -1});
-    return {reg, RegKind::Float, true};
+    v.reg = newReg(RegKind::Float);
+    v.kind = RegKind::Float;
+    p_.entry.push_back({RegKind::Float, v.reg, 0});
+    return {v.reg, RegKind::Float, true, id};
   }
 
-  /// Marks an assignment of `v` to `var`: returns the home register to
-  /// write, or -1 when `v` (a fresh temporary) becomes the new home. A home
-  /// whose defining scope has closed is dead and may be redefined.
-  std::int16_t assignVar(std::int32_t var, Val v) {
-    if (loopRegs_.count(var) != 0 || retired_.count(var) != 0) {
-      bail("assignment to a loop variable");
-    }
-    auto it = homes_.find(var);
-    if (it != homes_.end() && !scopeOpen(it->second.scope)) {
-      if (it->second.kind == v.kind && it->second.reg >= 0) {
-        it->second.scope = innermostScope();
+  /// Compiles `id = v`. Its first assignment makes v's register the home
+  /// when v is a fresh temporary; when the variable is assigned only here
+  /// and v's register is stable (the copy aliases it); or when v is a
+  /// variable read only here, defined in this same loop body, whose stable
+  /// register no other name reads (the variable takes it over). Any other
+  /// assignment lands in the home. A home whose defining scope has closed is
+  /// dead and may be redefined.
+  void assign(std::int32_t id, const Val& v) {
+    Var& x = var(id);
+    if (x.role != Var::Role::Plain) bail("assignment to a loop variable");
+    if (x.reg >= 0 && !scopeOpen(x.scope)) {
+      if (x.kind == v.kind) {
+        x.scope = innermostScope();
       } else {
-        homes_.erase(it);
-        it = homes_.end();
+        x.reg = -1;
       }
     }
-    if (it == homes_.end()) {
-      const std::int16_t reg = v.home ? newReg(v.kind) : v.reg;
-      homes_.emplace(var, Home{reg, v.kind, innermostScope()});
-      return v.home ? reg : -1;
+    if (x.reg >= 0) {
+      if (x.kind != v.kind) bail("variable changes type");
+      move(x.reg, v);
+      return;
     }
-    const Home& h = it->second;
-    if (h.kind != v.kind) bail("variable changes type");
-    return h.reg;
+    x.kind = v.kind;
+    x.scope = innermostScope();
+    x.loop = loop_;
+    const std::size_t k = kindIndex(v.kind);
+    if (!v.home) {
+      x.reg = v.reg;
+    } else if (x.assigns == 1 && stable(v)) {
+      x.reg = v.reg;
+      shared_[k][static_cast<std::size_t>(v.reg)] = true;
+      return;
+    } else if (v.var >= 0 && var(v.var).reads == 1 && var(v.var).loop == loop_ &&
+               stable(v) && !shared(v)) {
+      x.reg = v.reg;
+    } else {
+      x.reg = newReg(v.kind);
+      emit(movOf(v.kind), x.reg, v.reg);
+    }
+    stable_[k][static_cast<std::size_t>(x.reg)] = x.assigns == 1;
   }
 
   /// True when a statement of `listId`, at any depth, assigns a variable
@@ -1256,8 +1471,8 @@ class ProgramCompiler {
     for (std::int32_t sid : flat_.lists[static_cast<std::size_t>(listId)]) {
       const FlatStmt& s = flat_.stmts[static_cast<std::size_t>(sid)];
       if (s.kind == Stmt::Kind::Assign) {
-        auto it = homes_.find(s.var);
-        if (it != homes_.end() && scopeOpen(it->second.scope)) return true;
+        const Var& v = vars_[static_cast<std::size_t>(s.var)];
+        if (v.reg >= 0 && scopeOpen(v.scope)) return true;
       }
       if ((s.body >= 0 && assignsLiveVar(s.body)) ||
           (s.elseBody >= 0 && assignsLiveVar(s.elseBody))) {
@@ -1304,38 +1519,39 @@ class ProgramCompiler {
     GRAPHENE_UNREACHABLE("bad expr kind");
   }
 
+  /// The pooled register holding constant `c`: one per register kind and
+  /// bit pattern, set at entry.
   Val compileConst(const Scalar& c) {
-    VmOp op;
+    RegKind k = RegKind::Int;
+    std::uint64_t bits = 0;
     switch (c.type()) {
       case DType::Bool:
       case DType::Int32:
-        op.k = VmOp::K::IConst;
-        op.dst = newReg(RegKind::Int);
-        op.iimm = c.castTo(DType::Int32).asInt();
-        p_.ops.push_back(op);
-        return {op.dst, RegKind::Int};
+        bits = static_cast<std::uint32_t>(c.castTo(DType::Int32).asInt());
+        break;
       case DType::Float32:
-        op.k = VmOp::K::FConst;
-        op.dst = newReg(RegKind::Float);
-        op.fimm = c.asFloat();
-        p_.ops.push_back(op);
-        return {op.dst, RegKind::Float};
+        k = RegKind::Float;
+        bits = std::bit_cast<std::uint32_t>(c.asFloat());
+        break;
       case DType::DoubleWord:
-        op.k = VmOp::K::DConst;
-        op.dst = newReg(RegKind::Dw);
-        op.fimm = c.asDoubleWord().hi;
-        op.fimm2 = c.asDoubleWord().lo;
-        p_.ops.push_back(op);
-        return {op.dst, RegKind::Dw};
+        k = RegKind::Dw;
+        bits = std::bit_cast<std::uint32_t>(c.asDoubleWord().hi) |
+               std::uint64_t{std::bit_cast<std::uint32_t>(
+                   c.asDoubleWord().lo)}
+                   << 32;
+        break;
       case DType::Float64:
-        op.k = VmOp::K::SConst;
-        op.dst = newReg(RegKind::F64);
-        op.iimm = static_cast<std::int32_t>(p_.f64Consts.size());
-        p_.f64Consts.push_back(c.asSoftDouble().bits());
-        p_.ops.push_back(op);
-        return {op.dst, RegKind::F64};
+        k = RegKind::F64;
+        bits = c.asSoftDouble().bits();
+        break;
     }
-    GRAPHENE_UNREACHABLE("bad constant type");
+    for (const EntryLoad& e : pool_) {
+      if (e.kind == k && e.bits == bits) return {e.reg, k, true};
+    }
+    const std::int16_t reg = newReg(k);
+    pool_.push_back({k, reg, bits});
+    pin(k, reg);
+    return {reg, k, true};
   }
 
   /// evalBinaryScalar, priced like the walk's Binary case.
@@ -1386,7 +1602,7 @@ class ProgramCompiler {
          K::DEq, K::DNe},
         {K::SAdd, K::SSub, K::SMul, K::SDiv, K::SMin, K::SMax, K::SLt, K::SLe,
          K::SEq, K::SNe}};
-    const auto& ops = kOps[static_cast<std::size_t>(k)];
+    const auto& ops = kOps[kindIndex(k)];
     switch (e.bop) {
       case BinOp::Add: return emitVal(ops[0], k, ca.reg, cb.reg);
       case BinOp::Sub: return emitVal(ops[1], k, ca.reg, cb.reg);
@@ -1417,11 +1633,11 @@ class ProgramCompiler {
         return emitVal(K::INot, RegKind::Int, truth(a));
       case UnOp::Neg: {
         static constexpr K kNeg[4] = {K::INeg, K::FNeg, K::DNeg, K::SNeg};
-        return emitVal(kNeg[static_cast<std::size_t>(a.kind)], a.kind, a.reg);
+        return emitVal(kNeg[kindIndex(a.kind)], a.kind, a.reg);
       }
       case UnOp::Abs: {
         static constexpr K kAbs[4] = {K::IAbs, K::FAbs, K::DAbs, K::SAbs};
-        return emitVal(kAbs[static_cast<std::size_t>(a.kind)], a.kind, a.reg);
+        return emitVal(kAbs[kindIndex(a.kind)], a.kind, a.reg);
       }
       case UnOp::Sqrt:
         if (a.kind == RegKind::Dw) return emitVal(K::DSqrt, RegKind::Dw, a.reg);
@@ -1462,12 +1678,12 @@ class ProgramCompiler {
     at(sel).a = cond;
     const Val t = compileExpr(e.b);
     const std::int16_t dst = newReg(t.kind);
-    emit(movOf(t.kind), dst, t.reg);
+    move(dst, t);
     const std::int32_t thenEnd = emitControl(VmOp::K::Jmp);
     at(sel).iimm = thenEnd;
     const Val f = compileExpr(e.c);
     if (f.kind != t.kind) bail("Select sides of different types");
-    emit(movOf(f.kind), dst, f.reg);
+    move(dst, f);
     const std::int32_t elseEnd = emitControl(VmOp::K::Jmp);
     at(thenEnd).iimm = elseEnd;
     at(elseEnd).iimm = elseEnd;
@@ -1479,12 +1695,9 @@ class ProgramCompiler {
   void compileStmt(std::int32_t sid) {
     const FlatStmt& s = flat_.stmts[static_cast<std::size_t>(sid)];
     switch (s.kind) {
-      case Stmt::Kind::Assign: {
-        const Val v = compileExpr(s.value);
-        const std::int16_t home = assignVar(s.var, v);
-        if (home >= 0) emit(movOf(v.kind), home, v.reg);
+      case Stmt::Kind::Assign:
+        assign(s.var, compileExpr(s.value));
         return;
-      }
       case Stmt::Kind::StoreArg: {
         const Val idx = toInt(compileExpr(s.index));
         const Val v = compileExpr(s.value);
@@ -1519,10 +1732,13 @@ class ProgramCompiler {
       case Stmt::Kind::While: {
         const std::int32_t begin = emitControl(VmOp::K::WBegin);
         at(begin).dst = newReg(RegKind::Int);
+        const int outer = loop_;
+        loop_ = nextLoop_++;
         const std::int16_t cond = truth(compileExpr(s.cond));
         const std::int32_t test = emitControl(VmOp::K::WTest);
         at(test).a = cond;
         compileScope(s.body);
+        loop_ = outer;
         const std::int32_t end = emitControl(VmOp::K::WEnd);
         at(end).dst = at(begin).dst;
         at(end).iimm = begin;
@@ -1539,10 +1755,8 @@ class ProgramCompiler {
 
   void compileLoop(std::int32_t sid, const FlatStmt& s) {
     if (s.var < 0 || s.body < 0) bail("loop without a body");
-    if (homes_.count(s.var) != 0 || loopRegs_.count(s.var) != 0 ||
-        retired_.count(s.var) != 0) {
-      bail("reused loop variable");
-    }
+    Var& v = var(s.var);
+    if (v.reg >= 0 || v.role != Var::Role::Plain) bail("reused loop variable");
     const bool par = s.kind == Stmt::Kind::ParFor;
     const std::int16_t begin = toInt(compileExpr(s.begin)).reg;
     const std::int16_t end = snapshot(toInt(compileExpr(s.end)));
@@ -1557,6 +1771,7 @@ class ProgramCompiler {
     // worker pool's.
     if (!par) charge(ipu::Op::IntArith, DType::Int32);
     const std::int16_t iv = newReg(RegKind::Int);
+    pin(RegKind::Int, iv);
     const std::int32_t head =
         emitControl(par ? VmOp::K::PBegin : VmOp::K::LBegin);
     at(head).a = begin;
@@ -1564,12 +1779,16 @@ class ProgramCompiler {
     at(head).c = step;
     at(head).dst = iv;
     at(head).arg = -1;
-    loopRegs_.emplace(s.var, iv);
+    v.role = Var::Role::Induction;
+    v.reg = iv;
+    v.kind = RegKind::Int;
+    const int outer = loop_;
+    loop_ = nextLoop_++;
     if (par) ++parDepth_;
     compileScope(s.body);
     if (par) --parDepth_;
-    loopRegs_.erase(s.var);
-    retired_.insert(s.var);
+    loop_ = outer;
+    v.role = Var::Role::Retired;
     const std::int32_t tail =
         emitControl(par ? VmOp::K::PEnd : VmOp::K::LEnd);
     at(head).iimm = tail;
@@ -1595,48 +1814,32 @@ class ProgramCompiler {
   /// needs them.
   void liftKernel(std::int32_t sid, std::int32_t head, std::int32_t tail) {
     using K = VmOp::K;
+    constexpr std::size_t R = Program::kMaxRegs;
     LoopKernel k;
     k.iter = at(tail).run;
-    // Program register → kernel register, per kind; the induction variable
-    // is kernel int register 0.
-    std::unordered_map<std::int16_t, std::int16_t> fmap, imap;
-    imap.emplace(at(head).dst, 0);
+    // Program register → kernel register per kind (Int, Float), -1 while
+    // unmapped; the induction variable is kernel int register 0.
+    std::array<std::array<std::int16_t, R>, 2> map;
+    for (auto& m : map) m.fill(-1);
+    std::array<std::bitset<R>, 2> written;
+    std::bitset<R> sizeRegs;
+    map[0][static_cast<std::size_t>(at(head).dst)] = 0;
     k.numIntRegs = 1;
-    std::unordered_set<std::int16_t> fWritten, iWritten, sizeRegs;
     bool ok = true;
-    auto map = [&](std::unordered_map<std::int16_t, std::int16_t>& m,
-                   int& count, std::int16_t reg) -> std::int16_t {
-      auto it = m.find(reg);
-      if (it != m.end()) return it->second;
+    // A read before any write seeds the kernel register.
+    auto mapReg = [&](RegKind kind, std::int16_t reg,
+                      bool read) -> std::int16_t {
+      std::int16_t& kr = map[kindIndex(kind)][static_cast<std::size_t>(reg)];
+      if (kr >= 0) return kr;
+      const bool isInt = kind == RegKind::Int;
+      int& count = isInt ? k.numIntRegs : k.numFloatRegs;
       if (count >= static_cast<int>(LoopKernel::kMaxRegs)) {
         ok = false;
         return 0;
       }
-      const auto kr = static_cast<std::int16_t>(count++);
-      m.emplace(reg, kr);
+      kr = static_cast<std::int16_t>(count++);
+      if (read) (isInt ? k.seedInt : k.seedFloat).emplace_back(reg, kr);
       return kr;
-    };
-    // A read before any write in the body seeds the kernel register.
-    auto readF = [&](std::int16_t reg) {
-      const bool seed = fmap.count(reg) == 0;
-      const std::int16_t kr = map(fmap, k.numFloatRegs, reg);
-      if (seed) k.seedFloat.emplace_back(reg, kr);
-      return kr;
-    };
-    auto readI = [&](std::int16_t reg) {
-      const bool seed = imap.count(reg) == 0;
-      const std::int16_t kr = map(imap, k.numIntRegs, reg);
-      if (seed) k.seedInt.emplace_back(reg, kr);
-      return kr;
-    };
-    auto writeF = [&](std::int16_t reg) {
-      fWritten.insert(reg);
-      return map(fmap, k.numFloatRegs, reg);
-    };
-    auto writeI = [&](std::int16_t reg) {
-      if (sizeRegs.count(reg) != 0) ok = false;  // ISize hoisting needs it
-      iWritten.insert(reg);
-      return map(imap, k.numIntRegs, reg);
     };
     auto useArg = [&](std::vector<std::int16_t>& list, std::int16_t arg) {
       if (arg >= static_cast<std::int16_t>(LoopKernel::kMaxArgs)) ok = false;
@@ -1646,71 +1849,42 @@ class ProgramCompiler {
     };
     for (std::int32_t pc = head + 1; ok && pc < tail; ++pc) {
       VmOp op = at(pc);
-      switch (op.k) {
-        case K::FConst: op.dst = writeF(op.dst); break;
-        case K::FMov: case K::FNeg: case K::FAbs: case K::FSqrt:
-          op.a = readF(op.a);
-          op.dst = writeF(op.dst);
-          break;
-        case K::FAdd: case K::FSub: case K::FMul: case K::FDiv:
-        case K::FMin: case K::FMax:
-          op.a = readF(op.a);
-          op.b = readF(op.b);
-          op.dst = writeF(op.dst);
-          break;
-        case K::FLoad:
-          useArg(k.floatArgs, op.arg);
-          op.a = readI(op.a);
-          op.dst = writeF(op.dst);
-          break;
-        case K::FStore:
-          useArg(k.floatArgs, op.arg);
-          op.a = readI(op.a);
-          op.b = readF(op.b);
-          break;
-        case K::FFromInt:
-          op.a = readI(op.a);
-          op.dst = writeF(op.dst);
-          break;
-        case K::IConst: op.dst = writeI(op.dst); break;
-        case K::IMov: case K::INeg: case K::IAbs:
-          op.a = readI(op.a);
-          op.dst = writeI(op.dst);
-          break;
-        case K::IAdd: case K::ISub: case K::IMul: case K::IMin: case K::IMax:
-          op.a = readI(op.a);
-          op.b = readI(op.b);
-          op.dst = writeI(op.dst);
-          break;
-        case K::ILoad:
-          useArg(k.intArgs, op.arg);
-          op.a = readI(op.a);
-          op.dst = writeI(op.dst);
-          break;
-        case K::IFromFloat:
-          op.a = readF(op.a);
-          op.dst = writeI(op.dst);
-          break;
-        case K::ISize:
-          // An argument size is loop-invariant: seed it once per entry.
-          if (imap.count(op.dst) != 0) ok = false;
-          k.sizeSeeds.emplace_back(map(imap, k.numIntRegs, op.dst), op.arg);
-          sizeRegs.insert(op.dst);
-          continue;
-        default:
-          return;  // control flow or an op outside the kernel subset
+      const auto dst = static_cast<std::size_t>(op.dst);
+      if (op.k == K::ISize) {
+        // An argument size is loop-invariant: seed it once per entry.
+        if (map[0][dst] >= 0) ok = false;
+        k.sizeSeeds.emplace_back(mapReg(RegKind::Int, op.dst, false), op.arg);
+        sizeRegs[dst] = true;
+        continue;
+      }
+      const OpShape& s = shapeOf(op.k);
+      if (!s.kernel()) return;  // control flow or an op outside the subset
+      if (op.k == K::FLoad || op.k == K::FStore) useArg(k.floatArgs, op.arg);
+      if (op.k == K::ILoad) useArg(k.intArgs, op.arg);
+      if (s.a != RegKind::None) op.a = mapReg(s.a, op.a, true);
+      if (s.b != RegKind::None) op.b = mapReg(s.b, op.b, true);
+      if (s.dst != RegKind::None) {
+        // ISize hoisting needs its register unwritten.
+        if (s.dst == RegKind::Int && sizeRegs[dst]) ok = false;
+        written[kindIndex(s.dst)][dst] = true;
+        op.dst = mapReg(s.dst, op.dst, false);
       }
       k.ops.push_back(op);
     }
     if (!ok) return;
-    // Write back the registers of variables that outlive the loop.
-    for (const auto& [var, h] : homes_) {
-      if (h.reg < 0 || !scopeOpen(h.scope)) continue;
-      if (h.kind == RegKind::Float && fWritten.count(h.reg) != 0) {
-        k.writeFloat.emplace_back(h.reg, fmap.at(h.reg));
-      } else if (h.kind == RegKind::Int && iWritten.count(h.reg) != 0) {
-        k.writeInt.emplace_back(h.reg, imap.at(h.reg));
+    // Write back, once each, the registers of variables that outlive the
+    // loop.
+    for (const Var& v : vars_) {
+      if (v.reg < 0 || v.role != Var::Role::Plain || !scopeOpen(v.scope) ||
+          (v.kind != RegKind::Int && v.kind != RegKind::Float)) {
+        continue;
       }
+      const std::size_t kind = kindIndex(v.kind);
+      const auto reg = static_cast<std::size_t>(v.reg);
+      if (!written[kind][reg]) continue;
+      written[kind][reg] = false;
+      (v.kind == RegKind::Float ? k.writeFloat : k.writeInt)
+          .emplace_back(v.reg, map[kind][reg]);
     }
     NamedLoop nm;
     if (ShapeMatcher(flat_).matchNamed(sid, nm) && bindNamed(nm)) {
@@ -1726,13 +1900,13 @@ class ProgramCompiler {
   /// Binds a named kernel's scale and accumulator variables to their home
   /// registers; false when either has none the kernel may use.
   bool bindNamed(NamedLoop& nm) {
-    auto floatHome = [&](std::int32_t var) -> std::int16_t {
-      auto it = homes_.find(var);
-      if (it == homes_.end() || it->second.kind != RegKind::Float ||
-          it->second.reg < 0 || !scopeOpen(it->second.scope)) {
+    auto floatHome = [&](std::int32_t id) -> std::int16_t {
+      const Var& v = var(id);
+      if (v.reg < 0 || v.kind != RegKind::Float ||
+          v.role != Var::Role::Plain || !scopeOpen(v.scope)) {
         return -1;
       }
-      return it->second.reg;
+      return v.reg;
     };
     if (!nm.sIsConst && nm.sVar >= 0) {
       nm.sReg = floatHome(nm.sVar);
@@ -1752,7 +1926,7 @@ class ProgramCompiler {
     if (!ShapeMatcher(flat_).matchCsrRow(sid, m)) return;
     std::vector<std::int32_t> ctl;
     for (std::int32_t pc = head + 1; pc < tail; ++pc) {
-      if (at(pc).k >= VmOp::K::Jmp) ctl.push_back(pc);
+      if (isControl(at(pc).k)) ctl.push_back(pc);
     }
     using K = VmOp::K;
     if (ctl.size() != 4 || at(ctl[0]).k != K::LBegin ||
@@ -1760,12 +1934,12 @@ class ProgramCompiler {
         at(ctl[3]).k != K::LEnd) {
       return;
     }
-    auto owned = homes_.find(m.ownedVar);
-    if (owned == homes_.end() || owned->second.kind != RegKind::Int ||
-        owned->second.reg < 0 || !scopeOpen(owned->second.scope)) {
+    const Var& owned = var(m.ownedVar);
+    if (owned.reg < 0 || owned.kind != RegKind::Int ||
+        !scopeOpen(owned.scope)) {
       return;
     }
-    m.ownedReg = owned->second.reg;
+    m.ownedReg = owned.reg;
     m.entry[0] = at(ctl[0]).run;
     m.body[0] = at(ctl[1]).run;
     m.entry[1] = at(ctl[2]).run;
@@ -1775,16 +1949,75 @@ class ProgramCompiler {
     p_.csrRows.push_back(m);
   }
 
+  // ---- after the last op -----------------------------------------------------
+
+  /// Fuses each If's int comparison into its branch, deletes every pure op
+  /// whose result nothing reads (no op, kernel seed, named-kernel register
+  /// or CSR row plan), remaps the jump targets, and keeps only the entry
+  /// loads something reads.
+  void finish() {
+    ReadCounts reads(p_.numInt, p_.numFloat, p_.numDw, p_.numF64);
+    for (const VmOp& op : p_.ops) reads.addReads(op);
+    for (const LoopKernel& k : p_.kernels) {
+      for (const auto& [reg, kr] : k.seedFloat) reads.add(RegKind::Float, reg);
+      for (const auto& [reg, kr] : k.seedInt) reads.add(RegKind::Int, reg);
+      if (k.named.sReg >= 0) reads.add(RegKind::Float, k.named.sReg);
+      if (k.named.accReg >= 0) reads.add(RegKind::Float, k.named.accReg);
+    }
+    for (const CsrRow& m : p_.csrRows) reads.add(RegKind::Int, m.ownedReg);
+    fuseCompareBranches(reads);
+    const std::vector<std::int32_t> newPc = deleteDeadOps(p_.ops, reads);
+    for (VmOp& op : p_.ops) {
+      if (shapeOf(op.k).jump()) {
+        op.iimm = newPc[static_cast<std::size_t>(op.iimm)];
+      }
+    }
+    p_.entry.insert(p_.entry.end(), pool_.begin(), pool_.end());
+    std::erase_if(p_.entry, [&](const EntryLoad& e) {
+      return reads.at(e.kind, e.reg) == 0;
+    });
+  }
+
+  /// An If whose condition is an int comparison made by the op just before
+  /// its JmpZ branches on the comparison itself: no jump lands between the
+  /// two, since every jump resumes after a control op. The condition must
+  /// have no other reader, the comparison included: one produced straight
+  /// into a home may have overwritten its own operand.
+  void fuseCompareBranches(ReadCounts& reads) {
+    using K = VmOp::K;
+    for (std::size_t pc = 1; pc < p_.ops.size(); ++pc) {
+      VmOp& br = p_.ops[pc];
+      const VmOp& cmp = p_.ops[pc - 1];
+      if (br.k != K::JmpZ || cmp.dst != br.a ||
+          reads.at(RegKind::Int, br.a) != 1) {
+        continue;
+      }
+      switch (cmp.k) {
+        case K::ILt: br.k = K::IfLt; break;
+        case K::ILe: br.k = K::IfLe; break;
+        case K::IEq: br.k = K::IfEq; break;
+        case K::INe: br.k = K::IfNe; break;
+        default: continue;
+      }
+      br.a = cmp.a;
+      br.b = cmp.b;
+      reads.addReads(br);
+      reads.drop(RegKind::Int, cmp.dst);  // dead-op elimination deletes it
+    }
+  }
+
   const FlatCodelet& flat_;
   const ipu::CostModel& cost_;
   Program p_;
   LaneSums run_;  // charges since the last control op
   const char* why_ = "";
-  std::unordered_map<std::int32_t, Home> homes_;
-  std::unordered_map<std::int32_t, std::int16_t> loopRegs_;  // active loops
-  std::unordered_set<std::int32_t> retired_;  // loop vars of closed loops
+  std::vector<Var> vars_;          // indexed by variable id
+  std::vector<EntryLoad> pool_;    // the constants, one per kind and value
+  std::array<std::bitset<Program::kMaxRegs>, 4> stable_, shared_;
   std::vector<int> scopes_;  // open conditional scopes, innermost last
   int nextScope_ = 0;
+  int loop_ = -1;  // innermost open loop (For, ParFor or While), -1 = none
+  int nextLoop_ = 0;
   int parDepth_ = 0;  // enclosing ParFor rows
 };
 
@@ -2064,7 +2297,19 @@ class VmExec {
 
   double run() {
     ir_[0] = 0;  // worker id outside any ParFor
-    for (const std::int16_t r : prog_.zeroFloat) fr_[r] = 0.0f;
+    for (const EntryLoad& e : prog_.entry) {
+      const auto lo = static_cast<std::uint32_t>(e.bits);
+      switch (e.kind) {
+        case RegKind::Int: ir_[e.reg] = std::bit_cast<std::int32_t>(lo); break;
+        case RegKind::Float: fr_[e.reg] = std::bit_cast<float>(lo); break;
+        case RegKind::Dw:
+          dr_[e.reg] = DwReg{std::bit_cast<float>(lo),
+                             std::bit_cast<float>(
+                                 static_cast<std::uint32_t>(e.bits >> 32))};
+          break;
+        default: sr_[e.reg] = e.bits; break;
+      }
+    }
     return exec(0);
   }
 
@@ -2104,7 +2349,6 @@ class VmExec {
     for (;; ++pc) {
       const VmOp& op = ops[pc];
       switch (op.k) {
-        case K::FConst: fr[op.dst] = op.fimm; break;
         case K::FMov: fr[op.dst] = fr[op.a]; break;
         case K::FLoad:
           fr[op.dst] = data<float>(op.arg)[index(op.arg, op.a)];
@@ -2130,7 +2374,6 @@ class VmExec {
         case K::FAbs: fr[op.dst] = std::fabs(fr[op.a]); break;
         case K::FSqrt: fr[op.dst] = std::sqrt(fr[op.a]); break;
         case K::FFromInt: fr[op.dst] = static_cast<float>(ir[op.a]); break;
-        case K::IConst: ir[op.dst] = op.iimm; break;
         case K::IMov: ir[op.dst] = ir[op.a]; break;
         case K::ILoad:
           ir[op.dst] = data<std::int32_t>(op.arg)[index(op.arg, op.a)];
@@ -2189,7 +2432,6 @@ class VmExec {
         case K::INot: ir[op.dst] = ir[op.a] == 0; break;
         case K::LAnd: ir[op.dst] = ir[op.a] != 0 && ir[op.b] != 0; break;
         case K::LOr: ir[op.dst] = ir[op.a] != 0 || ir[op.b] != 0; break;
-        case K::DConst: dr[op.dst] = Float2(op.fimm, op.fimm2); break;
         case K::DMov: dr[op.dst] = dr[op.a]; break;
         case K::DLoad:
           dr[op.dst] = data<Float2>(op.arg)[index(op.arg, op.a)];
@@ -2228,9 +2470,6 @@ class VmExec {
           break;
         case K::DTruth:
           ir[op.dst] = dr[op.a].hi != 0.0f || dr[op.a].lo != 0.0f;
-          break;
-        case K::SConst:
-          sr[op.dst] = prog_.f64Consts[static_cast<std::size_t>(op.iimm)];
           break;
         case K::SMov: sr[op.dst] = sr[op.a]; break;
         case K::SLoad:
@@ -2283,6 +2522,26 @@ class VmExec {
           open.add(op.run);
           close();
           if (ir[op.a] == 0) pc = static_cast<std::size_t>(op.iimm);
+          break;
+        case K::IfLt:
+          open.add(op.run);
+          close();
+          if (!(ir[op.a] < ir[op.b])) pc = static_cast<std::size_t>(op.iimm);
+          break;
+        case K::IfLe:
+          open.add(op.run);
+          close();
+          if (!(ir[op.a] <= ir[op.b])) pc = static_cast<std::size_t>(op.iimm);
+          break;
+        case K::IfEq:
+          open.add(op.run);
+          close();
+          if (ir[op.a] != ir[op.b]) pc = static_cast<std::size_t>(op.iimm);
+          break;
+        case K::IfNe:
+          open.add(op.run);
+          close();
+          if (ir[op.a] == ir[op.b]) pc = static_cast<std::size_t>(op.iimm);
           break;
         case K::SelZ:
           open.add(op.run);
@@ -2510,7 +2769,6 @@ class VmExec {
       std::array<std::int32_t, LoopKernel::kMaxRegs>& ir) {
     for (const VmOp& op : k.ops) {
       switch (op.k) {
-        case VmOp::K::FConst: fr[op.dst] = op.fimm; break;
         case VmOp::K::FMov: fr[op.dst] = fr[op.a]; break;
         case VmOp::K::FLoad: {
           const auto& sp = fsp[static_cast<std::size_t>(op.arg)];
@@ -2550,7 +2808,6 @@ class VmExec {
         case VmOp::K::FFromInt:
           fr[op.dst] = static_cast<float>(ir[op.a]);
           break;
-        case VmOp::K::IConst: ir[op.dst] = op.iimm; break;
         case VmOp::K::IMov: ir[op.dst] = ir[op.a]; break;
         case VmOp::K::ILoad: {
           const auto& sp = isp[static_cast<std::size_t>(op.arg)];
@@ -2708,11 +2965,6 @@ class VmExec {
       for (std::int32_t j = 0; j < B; ++j) ib[0][j] = iv + j;
       for (const VmOp& op : k.ops) {
         switch (op.k) {
-          case K::FConst: {
-            float* d = fb[op.dst];
-            for (std::int32_t j = 0; j < B; ++j) d[j] = op.fimm;
-            break;
-          }
           case K::FMov: {
             float* d = fb[op.dst];
             const float* a = fb[op.a];
@@ -2809,11 +3061,6 @@ class VmExec {
             for (std::int32_t j = 0; j < B; ++j) {
               d[j] = static_cast<float>(a[j]);
             }
-            break;
-          }
-          case K::IConst: {
-            std::int32_t* d = ib[op.dst];
-            for (std::int32_t j = 0; j < B; ++j) d[j] = op.iimm;
             break;
           }
           case K::IMov: {
@@ -3046,6 +3293,13 @@ const char* codeletWalkReason(const CompiledCodelet& codelet) {
   return codelet.walkReason;
 }
 
+std::size_t codeletOpCount(const CompiledCodelet& codelet) {
+  if (!codelet.program) return 0;
+  std::size_t n = codelet.program->ops.size();
+  for (const LoopKernel& k : codelet.program->kernels) n += k.ops.size();
+  return n;
+}
+
 bool codeletBinds(const CompiledCodelet& codelet,
                   std::span<const graph::ArgSpan> args) {
   if (!codelet.program || args.size() != codelet.flat.numArgs) return false;
@@ -3063,8 +3317,9 @@ graph::VertexCost runCompiled(const CompiledCodelet& codelet,
   graph::VertexCost result;
   result.wholeTile = codelet.flat.usesWorkers;
   if (ctx.bound() && g_fastPaths.load(std::memory_order_relaxed)) {
-    // Registers are written before they are read (zeroFloat covers the
-    // variables the walk reads as their initial Float32 zero).
+    // Registers are written before they are read (Program::entry sets the
+    // constants and the variables the walk reads as their initial Float32
+    // zero).
     std::array<float, Program::kMaxRegs> fr;
     std::array<std::int32_t, Program::kMaxRegs> ir;
     std::array<DwReg, Program::kMaxRegs> dr;

@@ -44,6 +44,11 @@ CompiledCodeletPtr compileCodelet(const CodeletIR& ir,
 /// the whole codelet compiled. Read-only, for tests and diagnostics.
 const char* codeletWalkReason(const CompiledCodelet& codelet);
 
+/// The ops `codelet` compiled to: its register-VM program's plus those of
+/// its lifted loop kernels (0 when it did not compile). Read-only, for tests
+/// and diagnostics.
+std::size_t codeletOpCount(const CompiledCodelet& codelet);
+
 /// True when `codelet` compiled and `args` have the dtypes its program was
 /// traced with: a vertex bound to them runs on the VM. The engine asks once
 /// per vertex, when it builds an execution plan (graph::Codelet::bind).

@@ -221,6 +221,9 @@ class HostArgs {
     cols_.push_back({DType::DoubleWord, {}, {}, std::move(v)});
   }
   const std::vector<float>& floats(std::size_t a) const { return cols_[a].f; }
+  const std::vector<std::int32_t>& ints(std::size_t a) const {
+    return cols_[a].i;
+  }
   const std::vector<Float2>& dws(std::size_t a) const { return cols_[a].d; }
 
   /// The columns bound as a vertex's arguments (valid while *this lives).
@@ -490,43 +493,82 @@ TEST(FlatRows, ElementwiseRowMatchesWalk) {
   }
 }
 
-TEST(GuardedRows, IluZeroSubstitutionCompilesToRowKernels) {
-  // The ILU(0) forward/backward substitution of IluSolver::apply: the level
-  // loops and both level-set ParFor rows compile into one VM program.
+namespace {
+
+/// Traces a codelet over arguments of `types` the way ExecuteOnTiles does:
+/// one handle per argument, each a copy of Value::argument.
+CodeletIR traceOnHandles(const std::vector<DType>& types,
+                         const std::function<void(std::vector<Value>&)>& fn) {
   CodeletBuilder builder;
-  builder.setNumArgs(11);
-  std::vector<Value> args;
-  const DType types[] = {DType::Float32, DType::Float32, DType::Float32,
-                         DType::Float32, DType::Int32,   DType::Int32,
-                         DType::Int32,   DType::Int32,   DType::Int32,
-                         DType::Int32,   DType::Int32};
-  for (int k = 0; k < 11; ++k) args.push_back(Value::argument(k, types[k]));
-  Value zv = args[0], rv = args[1], yv = args[2], fv = args[3], fc = args[4],
-        rp = args[5], di = args[6], fo = args[7], fp = args[8], bo = args[9],
-        bp = args[10];
-  For(0, fp.size() - 1, 1, [&](Value l) {
-    ParallelFor(fp[l], fp[l + 1], [&](Value idx) {
-      Value i = fo[idx];
-      Value acc = rv[i];
-      For(rp[i], rp[i + 1], 1, [&](Value k) {
-        Value c = fc[k];
-        If(c < i, [&] { acc = acc - Value(fv[k]) * Value(yv[c]); });
+  builder.setNumArgs(types.size());
+  std::vector<Value> handles;
+  handles.reserve(types.size());  // growing the vector would trace copies
+  for (std::size_t k = 0; k < types.size(); ++k) {
+    handles.push_back(Value::argument(static_cast<int>(k), types[k]));
+  }
+  fn(handles);
+  return builder.finish();
+}
+
+/// The ILU(0) forward/backward substitution of IluSolver::apply.
+CodeletIR traceIluSolve() {
+  const DType F = DType::Float32, I = DType::Int32;
+  return traceOnHandles(
+      {F, F, F, F, I, I, I, I, I, I, I}, [](std::vector<Value>& args) {
+        Value zv = args[0], rv = args[1], yv = args[2], fv = args[3],
+              fc = args[4], rp = args[5], di = args[6], fo = args[7],
+              fp = args[8], bo = args[9], bp = args[10];
+        For(0, fp.size() - 1, 1, [&](Value l) {
+          ParallelFor(fp[l], fp[l + 1], [&](Value idx) {
+            Value i = fo[idx];
+            Value acc = rv[i];
+            For(rp[i], rp[i + 1], 1, [&](Value k) {
+              Value c = fc[k];
+              If(c < i, [&] { acc = acc - Value(fv[k]) * Value(yv[c]); });
+            });
+            yv[i] = acc;
+          });
+        });
+        For(0, bp.size() - 1, 1, [&](Value l) {
+          ParallelFor(bp[l], bp[l + 1], [&](Value idx) {
+            Value i = bo[idx];
+            Value acc = yv[i];
+            For(rp[i], rp[i + 1], 1, [&](Value k) {
+              Value c = fc[k];
+              If(c > i, [&] { acc = acc - Value(fv[k]) * Value(zv[c]); });
+            });
+            zv[i] = acc / Value(fv[di[i]]);
+          });
+        });
       });
-      yv[i] = acc;
+}
+
+/// The two-run CSR SpMV of DistMatrix::spmv.
+CodeletIR traceCsrSpmv() {
+  const DType F = DType::Float32, I = DType::Int32;
+  return traceOnHandles({F, F, F, F, F, I, I, I}, [](std::vector<Value>& args) {
+    Value yv = args[0], xv = args[1], hv = args[2], dv = args[3],
+          av = args[4], cv = args[5], rp = args[6], sp = args[7];
+    Value numOwned = xv.size();
+    ParallelFor(0, yv.size(), [&](Value r) {
+      Value acc = Value(dv[r]) * Value(xv[r]);
+      For(rp[r], sp[r], 1, [&](Value k) {
+        acc = acc + Value(av[k]) * Value(xv[cv[k]]);
+      });
+      For(sp[r], rp[r + 1], 1, [&](Value k) {
+        acc = acc + Value(av[k]) * Value(hv[Value(cv[k]) - numOwned]);
+      });
+      yv[r] = acc;
     });
   });
-  For(0, bp.size() - 1, 1, [&](Value l) {
-    ParallelFor(bp[l], bp[l + 1], [&](Value idx) {
-      Value i = bo[idx];
-      Value acc = yv[i];
-      For(rp[i], rp[i + 1], 1, [&](Value k) {
-        Value c = fc[k];
-        If(c > i, [&] { acc = acc - Value(fv[k]) * Value(zv[c]); });
-      });
-      zv[i] = acc / Value(fv[di[i]]);
-    });
-  });
-  CompiledCodeletPtr cc = compileForTest(builder.finish());
+}
+
+}  // namespace
+
+TEST(GuardedRows, IluZeroSubstitutionCompilesToRowKernels) {
+  // The level loops and both level-set ParFor rows compile into one VM
+  // program.
+  CompiledCodeletPtr cc = compileForTest(traceIluSolve());
   EXPECT_TRUE(codeletWalkReason(*cc) == nullptr) << codeletWalkReason(*cc);
 }
 
@@ -849,4 +891,324 @@ TEST(WholeCodelet, LoopLocalVariableReadAfterTheLoopKeepsTheWalk) {
   args.addFloat({0.0f});
   args.addFloat({1.5f, 2.5f});
   EXPECT_TRUE(runOnce(*cc, args, true).walked);
+}
+
+// ---------------------------------------------------------------------------
+// Compile passes. The compiler shares a copy's register with its source,
+// produces values straight into their homes, pools constants, fuses an If's
+// int comparison into its branch and deletes ops nothing reads. Each codelet
+// below is a case one of those passes' guards exists for.
+// ---------------------------------------------------------------------------
+
+TEST(CompilePasses, TakeOverLeavesAPooledConstantAlone) {
+  // `acc` is first assigned a copy of the constant 1 that nothing else
+  // reads. It must not take over the register 1 lives in: `out[1]` indexes
+  // with it.
+  CodeletBuilder builder;
+  builder.setNumArgs(1);
+  Value out = Value::argument(0, DType::Int32);
+  Value one = 1;
+  Value acc = one;
+  acc = acc + 5;
+  out[0] = acc;
+  out[1] = 1;
+  HostArgs args;
+  args.addInt({0, 0});
+  const RunResult vm = expectVmMatchesWalk(builder.finish(), args);
+  EXPECT_EQ(vm.args.ints(0), (std::vector<std::int32_t>{6, 1}));
+}
+
+TEST(CompilePasses, TakeOverLeavesTheInductionRegisterAlone) {
+  // The body copies its induction variable into a variable it reassigns:
+  // sharing the induction register would step the loop twice per pass.
+  CodeletBuilder builder;
+  builder.setNumArgs(1);
+  Value out = Value::argument(0, DType::Int32);
+  Value acc = 0;
+  For(0, 10, 1, [&](Value i) {
+    Value j = i;
+    j = j + 1;
+    If(j > 0, [&] { acc = acc + j; });
+  });
+  out[0] = acc;
+  HostArgs args;
+  args.addInt({0});
+  const RunResult vm = expectVmMatchesWalk(builder.finish(), args);
+  EXPECT_EQ(vm.args.ints(0)[0], 55);
+}
+
+TEST(CompilePasses, TakeOverOnlyWithinTheSourcesLoop) {
+  // `s` is defined before the loop and read only by `t = s`. `t` may not
+  // take s's register over: the loop reassigns t, and every pass copies s.
+  CodeletBuilder builder;
+  builder.setNumArgs(2);
+  Value out = Value::argument(0, DType::Float32);
+  Value x = Value::argument(1, DType::Float32);
+  Value s = x[0];
+  For(0, out.size(), 1, [&](Value i) {
+    Value t = s;
+    t = t * 2.0f;
+    out[i] = t;
+  });
+  HostArgs args;
+  args.addFloat(std::vector<float>(4, 0.0f));
+  args.addFloat({1.5f});
+  const RunResult vm = expectVmMatchesWalk(builder.finish(), args);
+  EXPECT_EQ(vm.args.floats(0), std::vector<float>(4, 3.0f));
+}
+
+TEST(CompilePasses, CopyOfAVariableReassignedLaterKeepsItsValue) {
+  CodeletBuilder builder;
+  builder.setNumArgs(2);
+  Value out = Value::argument(0, DType::Float32);
+  Value x = Value::argument(1, DType::Float32);
+  Value a = x[0];
+  Value b = a;
+  a = a * 2.0f;
+  out[0] = b;
+  out[1] = a;
+  HostArgs args;
+  args.addFloat({0.0f, 0.0f});
+  args.addFloat({1.5f});
+  const RunResult vm = expectVmMatchesWalk(builder.finish(), args);
+  EXPECT_EQ(vm.args.floats(0), (std::vector<float>{1.5f, 3.0f}));
+}
+
+TEST(CompilePasses, ProducerOfAnAliasedValueIsNotRetargeted) {
+  // `b` shares a's register, and `acc = b` reads b only once; the load must
+  // still write a's register, which `out[1]` reads.
+  CodeletBuilder builder;
+  builder.setNumArgs(2);
+  Value out = Value::argument(0, DType::Float32);
+  Value x = Value::argument(1, DType::Float32);
+  Value acc = 0.0f;
+  Value a = x[0];
+  Value b = a;
+  acc = b;
+  out[0] = acc;
+  out[1] = a;
+  HostArgs args;
+  args.addFloat({0.0f, 0.0f});
+  args.addFloat({1.2345f});
+  const RunResult vm = expectVmMatchesWalk(builder.finish(), args);
+  EXPECT_EQ(vm.args.floats(0), (std::vector<float>{1.2345f, 1.2345f}));
+}
+
+TEST(CompilePasses, LoopEndReassignedInTheBodyKeepsItsSnapshot) {
+  // The walk evaluates a For's end once. The body lowers the variable the
+  // end was read from, so the loop must run on a snapshot of it.
+  CodeletBuilder builder;
+  builder.setNumArgs(2);
+  Value out = Value::argument(0, DType::Int32);
+  Value lim = Value::argument(1, DType::Int32);
+  Value n = lim[0];
+  Value count = 0;
+  For(0, n, 1, [&](Value i) {
+    If(i < n, [&] { count = count + 1; });
+    n = n - 1;
+  });
+  out[0] = count;
+  out[1] = n;
+  HostArgs args;
+  args.addInt({0, 0});
+  args.addInt({6});
+  const RunResult vm = expectVmMatchesWalk(builder.finish(), args);
+  EXPECT_EQ(vm.args.ints(0), (std::vector<std::int32_t>{3, 0}));
+}
+
+TEST(CompilePasses, WorkerIdCopiesFollowTheirRow) {
+  // Register 0 holds the worker id and changes with every ParFor row. A copy
+  // made before the rows keeps worker 0's id; one made in a row follows it.
+  CodeletBuilder builder;
+  builder.setNumArgs(2);
+  Value before = Value::argument(0, DType::Int32);
+  Value inRow = Value::argument(1, DType::Int32);
+  Value w = WorkerId();
+  Value wCopy = w;
+  ParallelFor(0, inRow.size(), [&](Value r) {
+    Value v = WorkerId();
+    Value vCopy = v;
+    before[r] = wCopy * 100 + r;
+    inRow[r] = vCopy * 100 + r;
+  });
+  constexpr std::size_t kRows = 8;
+  HostArgs args;
+  args.addInt(std::vector<std::int32_t>(kRows, -1));
+  args.addInt(std::vector<std::int32_t>(kRows, -1));
+  const RunResult vm = expectVmMatchesWalk(builder.finish(), args);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    const auto row = static_cast<std::int32_t>(r);
+    EXPECT_EQ(vm.args.ints(0)[r], row) << "row " << r;
+    EXPECT_EQ(vm.args.ints(1)[r], static_cast<std::int32_t>(r % 6) * 100 + row)
+        << "row " << r;
+  }
+}
+
+TEST(CompilePasses, VariableReadBeforeItsOnlyAssignmentIsNotAliased) {
+  // IR the DSL cannot trace directly: `c = v` reads v before v's only
+  // assignment, so c holds the walk's Float32 zero while v's register then
+  // takes the load. `d = v` after the assignment copies the loaded value.
+  CodeletBuilder builder;
+  builder.setNumArgs(2);
+  Value out = Value::argument(0, DType::Float32);
+  Value x = Value::argument(1, DType::Float32);
+  Value v = x[0];
+  Value c = v;
+  Value d = v;
+  out[0] = c;
+  out[1] = d;
+  CodeletIR ir = builder.finish();
+  // The trace is `i0 = 0; v = x[i0]; c = v; d = v; ...`: move c = v first.
+  std::swap(ir.statements[1], ir.statements[2]);
+  ASSERT_EQ(ir.statements[1]->value->kind, Expr::Kind::Var);
+  ASSERT_EQ(ir.statements[2]->value->kind, Expr::Kind::ArgLoad);
+  HostArgs args;
+  args.addFloat({-1.0f, -1.0f});
+  args.addFloat({2.5f});
+  const RunResult vm = expectVmMatchesWalk(ir, args);
+  EXPECT_EQ(vm.args.floats(0), (std::vector<float>{0.0f, 2.5f}));
+}
+
+TEST(CompilePasses, DeadLoadStillChecksItsIndex) {
+  // Nothing reads the load, but the walk throws on its index: so must the VM.
+  CodeletBuilder builder;
+  builder.setNumArgs(2);
+  Value out = Value::argument(0, DType::Float32);
+  Value x = Value::argument(1, DType::Float32);
+  Value unused = x[5];
+  out[0] = 1.0f;
+  HostArgs args;
+  args.addFloat({0.0f});
+  args.addFloat({1.0f, 2.0f});
+  expectSameError(builder.finish(), args,
+                  "tensor index out of range in codelet");
+}
+
+TEST(CompilePasses, DeadDivisionStillChecksItsDivisor) {
+  for (const bool modulo : {false, true}) {
+    CodeletBuilder builder;
+    builder.setNumArgs(2);
+    Value out = Value::argument(0, DType::Int32);
+    Value a = Value::argument(1, DType::Int32);
+    Value unused = modulo ? Value(a[0]) % Value(a[1]) : Value(a[0]) / Value(a[1]);
+    out[0] = 1;
+    HostArgs args;
+    args.addInt({0});
+    args.addInt({7, 0});
+    expectSameError(builder.finish(), args,
+                    modulo ? "integer modulo by zero in codelet"
+                           : "integer division by zero in codelet");
+  }
+}
+
+TEST(CompilePasses, IfOnEachIntComparisonMatchesTheWalk) {
+  // Each comparison fuses into its If's branch. Rows cover a < b, a == b and
+  // a > b, so every If is taken and not taken.
+  using Cmp = std::function<Value(const Value&, const Value&)>;
+  using Ref = std::function<bool(std::int32_t, std::int32_t)>;
+  const std::vector<std::tuple<const char*, Cmp, Ref>> cmps = {
+      {"<", [](const Value& a, const Value& b) { return a < b; },
+       [](std::int32_t a, std::int32_t b) { return a < b; }},
+      {"<=", [](const Value& a, const Value& b) { return a <= b; },
+       [](std::int32_t a, std::int32_t b) { return a <= b; }},
+      {">", [](const Value& a, const Value& b) { return a > b; },
+       [](std::int32_t a, std::int32_t b) { return a > b; }},
+      {">=", [](const Value& a, const Value& b) { return a >= b; },
+       [](std::int32_t a, std::int32_t b) { return a >= b; }},
+      {"==", [](const Value& a, const Value& b) { return a == b; },
+       [](std::int32_t a, std::int32_t b) { return a == b; }},
+      {"!=", [](const Value& a, const Value& b) { return a != b; },
+       [](std::int32_t a, std::int32_t b) { return a != b; }}};
+  const std::vector<std::int32_t> as = {1, 2, 3, -4, 5, 0};
+  const std::vector<std::int32_t> bs = {2, 2, 1, -4, -5, 0};
+  for (const auto& [name, cmp, ref] : cmps) {
+    for (const bool withElse : {false, true}) {
+      CodeletBuilder builder;
+      builder.setNumArgs(3);
+      Value a = Value::argument(0, DType::Int32);
+      Value b = Value::argument(1, DType::Int32);
+      Value out = Value::argument(2, DType::Int32);
+      For(0, out.size(), 1, [&](Value i) {
+        Value ai = a[i];
+        Value bi = b[i];
+        std::function<void()> otherwise;
+        if (withElse) otherwise = [&] { out[i] = ai - bi; };
+        If(cmp(ai, bi), [&] { out[i] = ai + bi; }, otherwise);
+      });
+      HostArgs args;
+      args.addInt(as);
+      args.addInt(bs);
+      args.addInt(std::vector<std::int32_t>(as.size(), 100));
+      SCOPED_TRACE(std::string(name) + (withElse ? " with else" : ""));
+      const RunResult vm = expectVmMatchesWalk(builder.finish(), args);
+      for (std::size_t r = 0; r < as.size(); ++r) {
+        const std::int32_t want = ref(as[r], bs[r])
+                                      ? as[r] + bs[r]
+                                      : (withElse ? as[r] - bs[r] : 100);
+        EXPECT_EQ(vm.args.ints(2)[r], want) << "row " << r;
+      }
+    }
+  }
+}
+
+TEST(CompilePasses, ComparisonOverwritingItsOperandIsNotFused) {
+  // `flag = flag < b[i]` produces the comparison straight into flag's home,
+  // one of its own operands. Branching on a fused comparison would compare
+  // the overwritten flag again.
+  CodeletBuilder builder;
+  builder.setNumArgs(3);
+  Value a = Value::argument(0, DType::Int32);
+  Value b = Value::argument(1, DType::Int32);
+  Value out = Value::argument(2, DType::Int32);
+  For(0, out.size(), 1, [&](Value i) {
+    Value flag = a[i];
+    flag = flag < Value(b[i]);
+    If(flag, [&] { out[i] = 1; }, [&] { out[i] = 2; });
+  });
+  HostArgs args;
+  args.addInt({1, 5, 3, 0});
+  args.addInt({2, 2, 3, 9});
+  args.addInt(std::vector<std::int32_t>(4, -1));
+  const RunResult vm = expectVmMatchesWalk(builder.finish(), args);
+  EXPECT_EQ(vm.args.ints(2), (std::vector<std::int32_t>{1, 2, 2, 1}));
+}
+
+TEST(CompilePasses, SelectResultsLandInOnceAndReassignedVariables) {
+  CodeletBuilder builder;
+  builder.setNumArgs(4);
+  Value flags = Value::argument(0, DType::Int32);
+  Value x = Value::argument(1, DType::Float32);
+  Value y = Value::argument(2, DType::Float32);
+  Value out = Value::argument(3, DType::Float32);
+  For(0, out.size(), 1, [&](Value i) {
+    Value f = flags[i];
+    Value once = Select(f > 0, x[i], y[i]);
+    Value again = 0.0f;
+    again = Select(f > 1, y[i], x[i]);
+    out[i] = once * 10.0f + again;
+  });
+  HostArgs args;
+  args.addInt({0, 1, 2, 1, 0});
+  args.addFloat(ramp(5, 1.0f, 1.0f));
+  args.addFloat(ramp(5, -1.0f, -1.0f));
+  args.addFloat(std::vector<float>(5, 0.0f));
+  const RunResult vm = expectVmMatchesWalk(builder.finish(), args);
+  EXPECT_EQ(vm.args.floats(3),
+            (std::vector<float>{-9.0f, 22.0f, 27.0f, 44.0f, -45.0f}));
+}
+
+TEST(CompilePasses, OpCountsOfTheSolversHotCodelets) {
+  // Program plus lifted-kernel ops. Each comment gives the count before the
+  // compile passes.
+  // An elementwise fill, as Tensor assignment traces it (was 9 + 4).
+  const CodeletIR fill =
+      traceOnHandles({DType::Float32}, [](std::vector<Value>& handles) {
+        Value dst = handles[0];
+        For(0, dst.size(), 1, [&](Value i) { dst[i] = Value(0.0f); });
+      });
+  EXPECT_EQ(codeletOpCount(*compileForTest(fill)), 4u);
+  // The two-run CSR SpMV DistMatrix::spmv emits (was 64).
+  EXPECT_EQ(codeletOpCount(*compileForTest(traceCsrSpmv())), 29u);
+  // The ILU(0) substitution IluSolver::apply emits as `ilu_solve` (was 116).
+  EXPECT_EQ(codeletOpCount(*compileForTest(traceIluSolve())), 52u);
 }
