@@ -11,6 +11,7 @@
 #include <functional>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -234,9 +235,12 @@ FlatCodelet flattenCodelet(const CodeletIR& ir) {
 //
 // Serial counted loops whose bodies are straight-line Float32/Int32
 // arithmetic additionally lower to a LoopKernel with its own small register
-// file: it may match a named span kernel, run block-vectorized, or run a
-// tight per-element loop, and charges n × (per-iteration lanes) in bulk.
-// ParFor rows of the two-run CSR SpMV shape run as native scalar loops.
+// file, charged n × (per-iteration lanes) in bulk. Its ops may match a named
+// span kernel; otherwise one lane executor runs them, in blocks of lanes
+// where no register is loop-carried and per element for the rest. Each op
+// of that subset is defined once (kop), for the program VM and every lane
+// width. ParFor rows of the two-run CSR SpMV shape run as native scalar
+// loops.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -505,21 +509,19 @@ std::vector<std::int32_t> deleteDeadOps(std::vector<VmOp>& ops,
 }
 
 /// Recognised whole-loop span kernels (all Float32, unit step): the shapes
-/// the solvers' elementwise maps and reductions trace.
+/// the solvers' elementwise maps and reductions trace, matched on a lifted
+/// kernel's ops (nameKernel).
 struct NamedLoop {
   enum class P : std::uint8_t { None, Copy, AddVec, Axpy, DotPartial };
   P p = P::None;
   std::int16_t dstArg = -1, aArg = -1, bArg = -1;
-  bool sIsConst = false;
-  float sConst = 0;
-  std::int32_t sVar = -1;
   bool sFirst = false;    // axpy: scale factor is the left multiplicand
   bool loadFirst = true;  // axpy: the plain load is the left addend
   bool isSub = false;     // top-level op is Sub
-  std::int32_t accVar = -1;
   bool accFirst = true;   // dot: acc is the left addend
   bool dotSingle = false; // acc += a[i] instead of acc += a[i]*b[i]
-  // Home registers of sVar and accVar in the program (bindNamed).
+  // Program registers of axpy's scale and dot's accumulator: the kernel's
+  // seeds, and dot's one write-back.
   std::int16_t sReg = -1, accReg = -1;
 };
 
@@ -559,7 +561,6 @@ struct LoopKernel {
   // in the body, written back after the last iteration: (program reg,
   // kernel reg).
   std::vector<std::pair<std::int16_t, std::int16_t>> writeFloat, writeInt;
-  std::vector<std::int16_t> floatArgs, intArgs;
   int numFloatRegs = 0, numIntRegs = 0;
   // Per-iteration lane charges: the run of the loop's LEnd.
   LaneSums iter;
@@ -653,134 +654,137 @@ void analyzeBlockable(LoopKernel& k) {
   k.blockable = true;
 }
 
-/// Recognises the loop shapes that have a faster tier than the program's
-/// generic ops, by structure over the flat IR: the named span kernels of a
-/// serial For (matchNamed) and the native CSR row of a ParFor (matchCsrRow).
+/// Matches a lifted kernel's ops against the named span kernels (see
+/// NamedLoop), after analyzeBlockable has marked its elementwise accesses.
+/// A named kernel runs none of the ops, so every op must belong to the
+/// shape (a stray load would skip its bounds check), each float register is
+/// written at most once, and the kernel writes nothing back but dot's
+/// accumulator, seeded from and written back to one program register: no
+/// per-iteration temp outlives the loop. A non-unit step is refused at run
+/// time.
+void nameKernel(LoopKernel& k) {
+  using K = VmOp::K;
+  const std::vector<VmOp>& ops = k.ops;
+  constexpr std::size_t kMaxOps = 5;  // axpy's
+  if (ops.empty() || ops.size() > kMaxOps || !k.writeInt.empty()) return;
+  // The op writing each float register, -1 for none.
+  std::array<std::int32_t, LoopKernel::kMaxRegs> def;
+  def.fill(-1);
+  for (std::size_t pc = 0; pc < ops.size(); ++pc) {
+    const VmOp& op = ops[pc];
+    if (op.k == K::FLoad || op.k == K::FStore) {
+      if (!op.ew) return;
+    } else if (op.k != K::FAdd && op.k != K::FSub && op.k != K::FMul) {
+      return;
+    }
+    if (shapeOf(op.k).dst == RegKind::None) continue;  // the store
+    std::int32_t& d = def[static_cast<std::size_t>(op.dst)];
+    if (d >= 0) return;
+    d = static_cast<std::int32_t>(pc);
+  }
+  std::bitset<kMaxOps> used;  // the ops the shape accounts for
+  // The op that wrote register r before op `at` in the same element.
+  auto producer = [&](std::int16_t r, const VmOp& at) -> const VmOp* {
+    const std::int32_t d = def[static_cast<std::size_t>(r)];
+    if (d < 0 || &ops[static_cast<std::size_t>(d)] >= &at) return nullptr;
+    used[static_cast<std::size_t>(d)] = true;
+    return &ops[static_cast<std::size_t>(d)];
+  };
+  auto loadArg = [](const VmOp* op) -> std::int16_t {
+    return op != nullptr && op->k == K::FLoad ? op->arg : -1;
+  };
+  // The program register seeding r, when the kernel never writes r.
+  auto seed = [&](std::int16_t r) -> std::int16_t {
+    if (def[static_cast<std::size_t>(r)] >= 0) return -1;
+    for (const auto& [from, kr] : k.seedFloat) {
+      if (kr == r) return from;
+    }
+    return -1;
+  };
+  NamedLoop nm;
+  // FMul(s, b[i]) or FMul(b[i], s), s a seed: axpy's scaled operand.
+  auto scaled = [&](const VmOp* m) {
+    if (m == nullptr || m->k != K::FMul) return false;
+    for (const bool sFirst : {true, false}) {
+      const std::int16_t s = seed(sFirst ? m->a : m->b);
+      const std::int16_t b = loadArg(producer(sFirst ? m->b : m->a, *m));
+      if (s >= 0 && b >= 0) {
+        nm.sReg = s;
+        nm.bArg = b;
+        nm.sFirst = sFirst;
+        return true;
+      }
+    }
+    return false;
+  };
+  const VmOp& last = ops.back();
+  used[ops.size() - 1] = true;
+  if (last.k == K::FStore) {
+    if (!k.writeFloat.empty()) return;
+    nm.dstArg = last.arg;
+    const VmOp* v = producer(last.b, last);
+    if (v == nullptr) return;
+    if (v->k == K::FLoad) {
+      nm.p = NamedLoop::P::Copy;
+      nm.aArg = v->arg;
+    } else if (v->k == K::FAdd || v->k == K::FSub) {
+      nm.isSub = v->k == K::FSub;
+      const VmOp* l = producer(v->a, *v);
+      const VmOp* r = producer(v->b, *v);
+      if (loadArg(l) >= 0 && loadArg(r) >= 0) {
+        nm.p = NamedLoop::P::AddVec;
+        nm.aArg = l->arg;
+        nm.bArg = r->arg;
+      } else if (loadArg(l) >= 0 && scaled(r)) {
+        nm.p = NamedLoop::P::Axpy;
+        nm.aArg = l->arg;
+        nm.loadFirst = true;
+      } else if (scaled(l) && loadArg(r) >= 0) {
+        nm.p = NamedLoop::P::Axpy;
+        nm.aArg = r->arg;
+        nm.loadFirst = false;
+      } else {
+        return;
+      }
+    } else {
+      return;
+    }
+  } else if (last.k == K::FAdd) {
+    // Reduction partial: acc = acc + X, acc the one write-back.
+    const std::int16_t acc = last.dst;
+    if (k.writeFloat.size() != 1 || k.writeFloat[0].second != acc ||
+        std::find(k.seedFloat.begin(), k.seedFloat.end(),
+                  k.writeFloat[0]) == k.seedFloat.end()) {
+      return;
+    }
+    nm.accReg = k.writeFloat[0].first;
+    nm.accFirst = last.a == acc;
+    if (!nm.accFirst && last.b != acc) return;
+    const VmOp* v = producer(nm.accFirst ? last.b : last.a, last);
+    if (loadArg(v) >= 0) {
+      nm.dotSingle = true;
+      nm.aArg = v->arg;
+    } else if (v != nullptr && v->k == K::FMul) {
+      nm.aArg = loadArg(producer(v->a, *v));
+      nm.bArg = loadArg(producer(v->b, *v));
+      if (nm.aArg < 0 || nm.bArg < 0) return;
+    } else {
+      return;
+    }
+    nm.p = NamedLoop::P::DotPartial;
+  } else {
+    return;
+  }
+  if (used.count() != ops.size()) return;
+  k.named = nm;
+}
+
+/// Recognises the native CSR row of a ParFor (matchCsrRow), by structure
+/// over the flat IR: the one loop shape whose faster tier needs more than a
+/// lifted kernel's ops.
 class ShapeMatcher {
  public:
   explicit ShapeMatcher(const FlatCodelet& flat) : flat_(flat) {}
-
-  /// Matches a serial For's body against the named span kernels (see
-  /// NamedLoop); fills `nm` with var ids for the program to bind.
-  bool matchNamed(std::int32_t forId, NamedLoop& nm) {
-    const FlatStmt& fs = flat_.stmts[static_cast<std::size_t>(forId)];
-    loopVar_ = fs.var;
-    const auto& body = flat_.lists[static_cast<std::size_t>(fs.body)];
-    if (body.empty()) return false;
-    // Unit step only. DSL literals trace as var reads (Value(int) declares a
-    // var), so the step is usually a Var here — that's fine: the runtime
-    // dispatch re-checks step == 1 before using the named kernel and falls
-    // back to the VM otherwise. Only a *known* non-unit constant can never
-    // pass that gate, so only that case disables matching.
-    if (fs.step >= 0) {
-      const FlatExpr& st = flat_.exprs[static_cast<std::size_t>(fs.step)];
-      if (st.kind == Expr::Kind::Const &&
-          (st.constant.type() != DType::Int32 || st.constant.asInt() != 1)) {
-        return false;
-      }
-    }
-    // All statements but the last must be single-assignment temps.
-    std::unordered_map<int, std::int32_t> env;
-    std::unordered_set<int> assigned;
-    for (std::size_t i = 0; i + 1 < body.size(); ++i) {
-      const FlatStmt& s = flat_.stmts[static_cast<std::size_t>(body[i])];
-      if (s.kind != Stmt::Kind::Assign) return false;
-      if (!env.emplace(s.var, s.value).second) return false;  // shadowed def
-      assigned.insert(s.var);
-    }
-    const FlatStmt& last = flat_.stmts[static_cast<std::size_t>(body.back())];
-
-    nm = NamedLoop{};
-    if (last.kind == Stmt::Kind::StoreArg) {
-      if (last.arg < 0 ||
-          last.arg >= static_cast<std::int32_t>(LoopKernel::kMaxArgs) ||
-          !isLoopIndex(last.index, env)) {
-        return false;
-      }
-      nm.dstArg = static_cast<std::int16_t>(last.arg);
-      const FlatExpr& v = resolve(last.value, env);
-      if (isLoad(v, env, nm.aArg)) {
-        nm.p = NamedLoop::P::Copy;
-      } else if (v.kind == Expr::Kind::Binary &&
-                 (v.bop == BinOp::Add || v.bop == BinOp::Sub)) {
-        nm.isSub = v.bop == BinOp::Sub;
-        const FlatExpr& l = resolve(v.a, env);
-        const FlatExpr& r = resolve(v.b, env);
-        auto asMul = [&](const FlatExpr& e, std::int16_t& arg) {
-          if (e.kind != Expr::Kind::Binary || e.bop != BinOp::Mul) return false;
-          const FlatExpr& ml = resolve(e.a, env);
-          const FlatExpr& mr = resolve(e.b, env);
-          if (isScalar(ml, assigned, nm) && isLoad(mr, env, arg)) {
-            nm.sFirst = true;
-            return true;
-          }
-          if (isLoad(ml, env, arg) && isScalar(mr, assigned, nm)) {
-            nm.sFirst = false;
-            return true;
-          }
-          return false;
-        };
-        if (isLoad(l, env, nm.aArg) && asMul(r, nm.bArg)) {
-          nm.p = NamedLoop::P::Axpy;
-          nm.loadFirst = true;
-        } else if (asMul(l, nm.bArg) && isLoad(r, env, nm.aArg)) {
-          nm.p = NamedLoop::P::Axpy;
-          nm.loadFirst = false;
-        } else if (isLoad(l, env, nm.aArg) && isLoad(r, env, nm.bArg)) {
-          nm.p = NamedLoop::P::AddVec;
-        } else {
-          return false;
-        }
-      } else {
-        return false;
-      }
-    } else if (last.kind == Stmt::Kind::Assign) {
-      // Reduction partial: acc = acc + X, acc assigned nowhere else.
-      if (assigned.count(last.var) != 0) return false;
-      const FlatExpr& v = resolve(last.value, env);
-      if (v.kind != Expr::Kind::Binary || v.bop != BinOp::Add) return false;
-      const FlatExpr& l = resolve(v.a, env);
-      const FlatExpr& r = resolve(v.b, env);
-      auto isAcc = [&](const FlatExpr& e) {
-        return e.kind == Expr::Kind::Var && e.var == last.var &&
-               e.type == DType::Float32;
-      };
-      const FlatExpr* x = nullptr;
-      if (isAcc(l)) {
-        nm.accFirst = true;
-        x = &r;
-      } else if (isAcc(r)) {
-        nm.accFirst = false;
-        x = &l;
-      } else {
-        return false;
-      }
-      nm.accVar = last.var;
-      if (isLoad(*x, env, nm.aArg)) {
-        nm.dotSingle = true;
-      } else if (x->kind == Expr::Kind::Binary && x->bop == BinOp::Mul &&
-                 isLoad(resolve(x->a, env), env, nm.aArg) &&
-                 isLoad(resolve(x->b, env), env, nm.bArg)) {
-        nm.dotSingle = false;
-      } else {
-        return false;
-      }
-      nm.p = NamedLoop::P::DotPartial;
-      assigned.insert(last.var);  // counts as assigned for the outside scan
-    } else {
-      return false;
-    }
-
-    // The named kernels do not materialise the per-iteration temps, so no
-    // statement outside the loop may read them (the accumulator and the
-    // induction variable are restored explicitly and are exempt).
-    std::unordered_set<int> outside = varsReadOutside(forId);
-    for (int v : assigned) {
-      if (v == nm.accVar) continue;
-      if (outside.count(v) != 0) return false;
-    }
-    return true;
-  }
 
   /// Recognises the two-run CSR SpMV row body of a ParFor (see CsrRow) and
   /// fills the argument and owned-count fields of `m`. Matching is
@@ -980,40 +984,7 @@ class ShapeMatcher {
     return *e;
   }
 
-  bool isLoopIndex(std::int32_t id,
-                   const std::unordered_map<int, std::int32_t>& env) {
-    const FlatExpr& e = resolve(id, env);
-    return e.kind == Expr::Kind::Var && e.var == loopVar_;
-  }
-
-  /// Matches a resolved expression as `args[A][loopVar]` with A Float32.
-  bool isLoad(const FlatExpr& e,
-              const std::unordered_map<int, std::int32_t>& env,
-              std::int16_t& outArg) {
-    if (e.kind != Expr::Kind::ArgLoad || e.type != DType::Float32) return false;
-    if (!isLoopIndex(e.a, env)) return false;
-    outArg = static_cast<std::int16_t>(e.arg);
-    return true;
-  }
-
-  /// Matches a loop-invariant Float32 scalar: a literal, or a var the body
-  /// never assigns (e.g. a hoisted broadcast operand).
-  bool isScalar(const FlatExpr& e, const std::unordered_set<int>& assigned,
-                NamedLoop& nm) {
-    if (e.kind == Expr::Kind::Const && e.constant.type() == DType::Float32) {
-      nm.sIsConst = true;
-      nm.sConst = e.constant.asFloat();
-      return true;
-    }
-    if (e.kind == Expr::Kind::Var && e.type == DType::Float32 &&
-        e.var != loopVar_ && assigned.count(e.var) == 0) {
-      nm.sVar = e.var;
-      return true;
-    }
-    return false;
-  }
-  /// Collects every var id read by statements outside this For's body (the
-  /// For's own bound expressions count as outside).
+  /// Collects the ids of every statement of a list, at any depth.
   void collectBodyStmts(std::int32_t listId,
                         std::unordered_set<std::int32_t>& out) {
     if (listId < 0) return;
@@ -1023,33 +994,6 @@ class ShapeMatcher {
       collectBodyStmts(s.body, out);
       collectBodyStmts(s.elseBody, out);
     }
-  }
-
-  std::unordered_set<int> varsReadOutside(std::int32_t forId) {
-    const FlatStmt& fs = flat_.stmts[static_cast<std::size_t>(forId)];
-    std::unordered_set<std::int32_t> bodyStmts;
-    collectBodyStmts(fs.body, bodyStmts);
-    std::unordered_set<int> reads;
-    std::function<void(std::int32_t)> walkExpr = [&](std::int32_t id) {
-      if (id < 0) return;
-      const FlatExpr& e = flat_.exprs[static_cast<std::size_t>(id)];
-      if (e.kind == Expr::Kind::Var) reads.insert(e.var);
-      walkExpr(e.a);
-      walkExpr(e.b);
-      walkExpr(e.c);
-    };
-    for (std::int32_t sid = 0;
-         sid < static_cast<std::int32_t>(flat_.stmts.size()); ++sid) {
-      if (bodyStmts.count(sid) != 0) continue;
-      const FlatStmt& s = flat_.stmts[static_cast<std::size_t>(sid)];
-      walkExpr(s.index);
-      walkExpr(s.value);
-      walkExpr(s.cond);
-      walkExpr(s.begin);
-      walkExpr(s.end);
-      walkExpr(s.step);
-    }
-    return reads;
   }
 
   /// Matches `e` (already resolved) as `args[A][idxVar]` of element type `t`.
@@ -1150,7 +1094,6 @@ class ProgramCompiler {
     RegKind kind = RegKind::Float;
     Role role = Role::Plain;  // or an open or closed loop's variable
     int scope = -1;  // conditional scope whose assignment defined it, -1 = none
-    int loop = -1;   // innermost loop open at that assignment, -1 = none
     int assigns = 0, reads = 0;  // Assign statements and reads in the codelet
   };
 
@@ -1262,8 +1205,7 @@ class ProgramCompiler {
   // the home a once-assigned variable's assignment created. A copy may share
   // one instead of moving it. A shared register is read by more than one
   // name: a pooled constant, an induction register, the worker id, or an
-  // alias target. No op may be retargeted into one, and no variable may
-  // take one over.
+  // alias target. No op may be retargeted into one.
   bool stable(const Val& v) const {
     return v.home && stable_[kindIndex(v.kind)][static_cast<std::size_t>(v.reg)];
   }
@@ -1424,12 +1366,10 @@ class ProgramCompiler {
   }
 
   /// Compiles `id = v`. Its first assignment makes v's register the home
-  /// when v is a fresh temporary; when the variable is assigned only here
-  /// and v's register is stable (the copy aliases it); or when v is a
-  /// variable read only here, defined in this same loop body, whose stable
-  /// register no other name reads (the variable takes it over). Any other
-  /// assignment lands in the home. A home whose defining scope has closed is
-  /// dead and may be redefined.
+  /// when v is a fresh temporary, or when the variable is assigned only here
+  /// and v's register is stable (the copy aliases it). Any other assignment
+  /// lands in the home. A home whose defining scope has closed is dead and
+  /// may be redefined.
   void assign(std::int32_t id, const Val& v) {
     Var& x = var(id);
     if (x.role != Var::Role::Plain) bail("assignment to a loop variable");
@@ -1447,7 +1387,6 @@ class ProgramCompiler {
     }
     x.kind = v.kind;
     x.scope = innermostScope();
-    x.loop = loop_;
     const std::size_t k = kindIndex(v.kind);
     if (!v.home) {
       x.reg = v.reg;
@@ -1455,9 +1394,6 @@ class ProgramCompiler {
       x.reg = v.reg;
       shared_[k][static_cast<std::size_t>(v.reg)] = true;
       return;
-    } else if (v.var >= 0 && var(v.var).reads == 1 && var(v.var).loop == loop_ &&
-               stable(v) && !shared(v)) {
-      x.reg = v.reg;
     } else {
       x.reg = newReg(v.kind);
       emit(movOf(v.kind), x.reg, v.reg);
@@ -1732,13 +1668,10 @@ class ProgramCompiler {
       case Stmt::Kind::While: {
         const std::int32_t begin = emitControl(VmOp::K::WBegin);
         at(begin).dst = newReg(RegKind::Int);
-        const int outer = loop_;
-        loop_ = nextLoop_++;
         const std::int16_t cond = truth(compileExpr(s.cond));
         const std::int32_t test = emitControl(VmOp::K::WTest);
         at(test).a = cond;
         compileScope(s.body);
-        loop_ = outer;
         const std::int32_t end = emitControl(VmOp::K::WEnd);
         at(end).dst = at(begin).dst;
         at(end).iimm = begin;
@@ -1782,12 +1715,9 @@ class ProgramCompiler {
     v.role = Var::Role::Induction;
     v.reg = iv;
     v.kind = RegKind::Int;
-    const int outer = loop_;
-    loop_ = nextLoop_++;
     if (par) ++parDepth_;
     compileScope(s.body);
     if (par) --parDepth_;
-    loop_ = outer;
     v.role = Var::Role::Retired;
     const std::int32_t tail =
         emitControl(par ? VmOp::K::PEnd : VmOp::K::LEnd);
@@ -1802,7 +1732,7 @@ class ProgramCompiler {
     at(tail).b = end;
     at(tail).c = step;
     at(tail).iimm = head;
-    if (parDepth_ == 0) liftKernel(sid, head, tail);
+    if (parDepth_ == 0) liftKernel(head, tail);
   }
 
   /// Lifts an inline serial loop whose body is straight-line Float32/Int32
@@ -1812,7 +1742,7 @@ class ProgramCompiler {
   /// LBegin's run and charges the LEnd's per iteration. Loops inside a
   /// ParFor row stay inline: their rows are short, and the CSR row plan
   /// needs them.
-  void liftKernel(std::int32_t sid, std::int32_t head, std::int32_t tail) {
+  void liftKernel(std::int32_t head, std::int32_t tail) {
     using K = VmOp::K;
     constexpr std::size_t R = Program::kMaxRegs;
     LoopKernel k;
@@ -1841,12 +1771,6 @@ class ProgramCompiler {
       if (read) (isInt ? k.seedInt : k.seedFloat).emplace_back(reg, kr);
       return kr;
     };
-    auto useArg = [&](std::vector<std::int16_t>& list, std::int16_t arg) {
-      if (arg >= static_cast<std::int16_t>(LoopKernel::kMaxArgs)) ok = false;
-      if (std::find(list.begin(), list.end(), arg) == list.end()) {
-        list.push_back(arg);
-      }
-    };
     for (std::int32_t pc = head + 1; ok && pc < tail; ++pc) {
       VmOp op = at(pc);
       const auto dst = static_cast<std::size_t>(op.dst);
@@ -1859,8 +1783,7 @@ class ProgramCompiler {
       }
       const OpShape& s = shapeOf(op.k);
       if (!s.kernel()) return;  // control flow or an op outside the subset
-      if (op.k == K::FLoad || op.k == K::FStore) useArg(k.floatArgs, op.arg);
-      if (op.k == K::ILoad) useArg(k.intArgs, op.arg);
+      if (op.arg >= static_cast<std::int16_t>(LoopKernel::kMaxArgs)) ok = false;
       if (s.a != RegKind::None) op.a = mapReg(s.a, op.a, true);
       if (s.b != RegKind::None) op.b = mapReg(s.b, op.b, true);
       if (s.dst != RegKind::None) {
@@ -1886,37 +1809,12 @@ class ProgramCompiler {
       (v.kind == RegKind::Float ? k.writeFloat : k.writeInt)
           .emplace_back(v.reg, map[kind][reg]);
     }
-    NamedLoop nm;
-    if (ShapeMatcher(flat_).matchNamed(sid, nm) && bindNamed(nm)) {
-      k.named = nm;
-    }
     analyzeBlockable(k);
+    nameKernel(k);
     at(head).k = K::FastFor;
     at(head).iimm = static_cast<std::int32_t>(p_.kernels.size());
     p_.kernels.push_back(std::move(k));
     p_.ops.resize(static_cast<std::size_t>(head) + 1);
-  }
-
-  /// Binds a named kernel's scale and accumulator variables to their home
-  /// registers; false when either has none the kernel may use.
-  bool bindNamed(NamedLoop& nm) {
-    auto floatHome = [&](std::int32_t id) -> std::int16_t {
-      const Var& v = var(id);
-      if (v.reg < 0 || v.kind != RegKind::Float ||
-          v.role != Var::Role::Plain || !scopeOpen(v.scope)) {
-        return -1;
-      }
-      return v.reg;
-    };
-    if (!nm.sIsConst && nm.sVar >= 0) {
-      nm.sReg = floatHome(nm.sVar);
-      if (nm.sReg < 0) return false;
-    }
-    if (nm.accVar >= 0) {
-      nm.accReg = floatHome(nm.accVar);
-      if (nm.accReg < 0) return false;
-    }
-    return true;
   }
 
   /// Attaches a native CSR row plan to the ParFor at `head` when its row
@@ -1952,17 +1850,14 @@ class ProgramCompiler {
   // ---- after the last op -----------------------------------------------------
 
   /// Fuses each If's int comparison into its branch, deletes every pure op
-  /// whose result nothing reads (no op, kernel seed, named-kernel register
-  /// or CSR row plan), remaps the jump targets, and keeps only the entry
-  /// loads something reads.
+  /// whose result nothing reads (no op, kernel seed or CSR row plan), remaps
+  /// the jump targets, and keeps only the entry loads something reads.
   void finish() {
     ReadCounts reads(p_.numInt, p_.numFloat, p_.numDw, p_.numF64);
     for (const VmOp& op : p_.ops) reads.addReads(op);
     for (const LoopKernel& k : p_.kernels) {
       for (const auto& [reg, kr] : k.seedFloat) reads.add(RegKind::Float, reg);
       for (const auto& [reg, kr] : k.seedInt) reads.add(RegKind::Int, reg);
-      if (k.named.sReg >= 0) reads.add(RegKind::Float, k.named.sReg);
-      if (k.named.accReg >= 0) reads.add(RegKind::Float, k.named.accReg);
     }
     for (const CsrRow& m : p_.csrRows) reads.add(RegKind::Int, m.ownedReg);
     fuseCompareBranches(reads);
@@ -2016,8 +1911,6 @@ class ProgramCompiler {
   std::array<std::bitset<Program::kMaxRegs>, 4> stable_, shared_;
   std::vector<int> scopes_;  // open conditional scopes, innermost last
   int nextScope_ = 0;
-  int loop_ = -1;  // innermost open loop (For, ParFor or While), -1 = none
-  int nextLoop_ = 0;
   int parDepth_ = 0;  // enclosing ParFor rows
 };
 
@@ -2275,6 +2168,60 @@ class FlatExec {
   std::size_t worker_ = 0;
 };
 
+/// The scalar semantics of the serial-kernel subset (Mov, Add, Sub, Mul,
+/// Div, Min, Max, Neg, Abs, Sqrt and the int/float casts), one definition
+/// per op: the program VM's ops and the lane executor at every width call
+/// these. Min and Max break ties like the walk's binNumeric, whatever the
+/// register kind.
+namespace kop {
+constexpr auto mov = [](auto a) { return a; };
+constexpr auto add = [](auto a, auto b) { return a + b; };
+constexpr auto sub = [](auto a, auto b) { return a - b; };
+constexpr auto mul = [](auto a, auto b) { return a * b; };
+constexpr auto div = [](auto a, auto b) { return a / b; };
+constexpr auto min = [](auto a, auto b) { return b < a ? b : a; };
+constexpr auto max = [](auto a, auto b) { return a < b ? b : a; };
+constexpr auto neg = [](auto a) { return -a; };
+constexpr auto abs = [](auto a) {
+  if constexpr (std::is_integral_v<decltype(a)>) {
+    return a < 0 ? -a : a;
+  } else {
+    return std::fabs(a);
+  }
+};
+constexpr auto sqrt = [](float a) { return std::sqrt(a); };
+template <typename To>
+constexpr auto cast = [](auto a) { return static_cast<To>(a); };
+}  // namespace kop
+
+/// Applies a kop definition to every lane. The loop holds no branch on the
+/// op, so it vectorizes.
+template <typename F, typename D, typename A, std::size_t B>
+void lanes(F f, std::array<D, B>& d, const std::array<A, B>& a) {
+  for (std::size_t j = 0; j < B; ++j) d[j] = f(a[j]);
+}
+template <typename F, typename T, std::size_t B>
+void lanes(F f, std::array<T, B>& d, const std::array<T, B>& a,
+           const std::array<T, B>& b) {
+  for (std::size_t j = 0; j < B; ++j) d[j] = f(a[j], b[j]);
+}
+
+/// A loop kernel's register files, B lanes per register: lane j holds the
+/// register's value for element iv + j. Not zeroed: a kernel writes every
+/// register before reading it, except the seeds VmExec::seed sets.
+template <std::size_t B>
+struct LaneRegs {
+  alignas(64) std::array<std::array<float, B>, LoopKernel::kMaxRegs> f;
+  alignas(64) std::array<std::array<std::int32_t, B>, LoopKernel::kMaxRegs> i;
+};
+
+/// Element `i` of an argument of `size` elements, checked with the walk's
+/// messages.
+std::size_t checkedIndex(std::int32_t i, std::size_t size) {
+  if (static_cast<std::uint32_t>(i) >= size) throwIndexError(i, size);
+  return static_cast<std::size_t>(i);
+}
+
 /// A double-word register: a Float2 without default member initializers,
 /// so a register file on the stack needs no clearing.
 struct DwReg {
@@ -2321,11 +2268,7 @@ class VmExec {
 
   /// Bounds-checks a load/store index with the walk's messages.
   std::size_t index(std::int16_t arg, std::int16_t reg) const {
-    const std::int32_t i = ir_[reg];
-    if (static_cast<std::uint32_t>(i) >= args_[arg].size) {
-      throwIndexError(i, args_[arg].size);
-    }
-    return static_cast<std::size_t>(i);
+    return checkedIndex(ir_[reg], args_[arg].size);
   }
 
   /// Runs from `pc` to the next PEnd or Halt at this nesting level; returns
@@ -2349,32 +2292,24 @@ class VmExec {
     for (;; ++pc) {
       const VmOp& op = ops[pc];
       switch (op.k) {
-        case K::FMov: fr[op.dst] = fr[op.a]; break;
+        case K::FMov: fr[op.dst] = kop::mov(fr[op.a]); break;
         case K::FLoad:
           fr[op.dst] = data<float>(op.arg)[index(op.arg, op.a)];
           break;
         case K::FStore:
           data<float>(op.arg)[index(op.arg, op.a)] = fr[op.b];
           break;
-        case K::FAdd: fr[op.dst] = fr[op.a] + fr[op.b]; break;
-        case K::FSub: fr[op.dst] = fr[op.a] - fr[op.b]; break;
-        case K::FMul: fr[op.dst] = fr[op.a] * fr[op.b]; break;
-        case K::FDiv: fr[op.dst] = fr[op.a] / fr[op.b]; break;
-        case K::FMin: {
-          const float a = fr[op.a], b = fr[op.b];
-          fr[op.dst] = b < a ? b : a;  // matches binNumeric Min
-          break;
-        }
-        case K::FMax: {
-          const float a = fr[op.a], b = fr[op.b];
-          fr[op.dst] = a < b ? b : a;  // matches binNumeric Max
-          break;
-        }
-        case K::FNeg: fr[op.dst] = -fr[op.a]; break;
-        case K::FAbs: fr[op.dst] = std::fabs(fr[op.a]); break;
-        case K::FSqrt: fr[op.dst] = std::sqrt(fr[op.a]); break;
-        case K::FFromInt: fr[op.dst] = static_cast<float>(ir[op.a]); break;
-        case K::IMov: ir[op.dst] = ir[op.a]; break;
+        case K::FAdd: fr[op.dst] = kop::add(fr[op.a], fr[op.b]); break;
+        case K::FSub: fr[op.dst] = kop::sub(fr[op.a], fr[op.b]); break;
+        case K::FMul: fr[op.dst] = kop::mul(fr[op.a], fr[op.b]); break;
+        case K::FDiv: fr[op.dst] = kop::div(fr[op.a], fr[op.b]); break;
+        case K::FMin: fr[op.dst] = kop::min(fr[op.a], fr[op.b]); break;
+        case K::FMax: fr[op.dst] = kop::max(fr[op.a], fr[op.b]); break;
+        case K::FNeg: fr[op.dst] = kop::neg(fr[op.a]); break;
+        case K::FAbs: fr[op.dst] = kop::abs(fr[op.a]); break;
+        case K::FSqrt: fr[op.dst] = kop::sqrt(fr[op.a]); break;
+        case K::FFromInt: fr[op.dst] = kop::cast<float>(ir[op.a]); break;
+        case K::IMov: ir[op.dst] = kop::mov(ir[op.a]); break;
         case K::ILoad:
           ir[op.dst] = data<std::int32_t>(op.arg)[index(op.arg, op.a)];
           break;
@@ -2390,9 +2325,9 @@ class VmExec {
         case K::BStore:
           data<std::uint8_t>(op.arg)[index(op.arg, op.a)] = ir[op.b] != 0;
           break;
-        case K::IAdd: ir[op.dst] = ir[op.a] + ir[op.b]; break;
-        case K::ISub: ir[op.dst] = ir[op.a] - ir[op.b]; break;
-        case K::IMul: ir[op.dst] = ir[op.a] * ir[op.b]; break;
+        case K::IAdd: ir[op.dst] = kop::add(ir[op.a], ir[op.b]); break;
+        case K::ISub: ir[op.dst] = kop::sub(ir[op.a], ir[op.b]); break;
+        case K::IMul: ir[op.dst] = kop::mul(ir[op.a], ir[op.b]); break;
         case K::IDiv:
           GRAPHENE_CHECK(ir[op.b] != 0, "integer division by zero in codelet");
           ir[op.dst] = ir[op.a] / ir[op.b];
@@ -2401,24 +2336,12 @@ class VmExec {
           GRAPHENE_CHECK(ir[op.b] != 0, "integer modulo by zero in codelet");
           ir[op.dst] = ir[op.a] % ir[op.b];
           break;
-        case K::IMin: {
-          const std::int32_t a = ir[op.a], b = ir[op.b];
-          ir[op.dst] = b < a ? b : a;
-          break;
-        }
-        case K::IMax: {
-          const std::int32_t a = ir[op.a], b = ir[op.b];
-          ir[op.dst] = a < b ? b : a;
-          break;
-        }
-        case K::INeg: ir[op.dst] = -ir[op.a]; break;
-        case K::IAbs: {
-          const std::int32_t v = ir[op.a];
-          ir[op.dst] = v < 0 ? -v : v;
-          break;
-        }
+        case K::IMin: ir[op.dst] = kop::min(ir[op.a], ir[op.b]); break;
+        case K::IMax: ir[op.dst] = kop::max(ir[op.a], ir[op.b]); break;
+        case K::INeg: ir[op.dst] = kop::neg(ir[op.a]); break;
+        case K::IAbs: ir[op.dst] = kop::abs(ir[op.a]); break;
         case K::IFromFloat:
-          ir[op.dst] = static_cast<std::int32_t>(fr[op.a]);
+          ir[op.dst] = kop::cast<std::int32_t>(fr[op.a]);
           break;
         case K::ILt: ir[op.dst] = ir[op.a] < ir[op.b]; break;
         case K::ILe: ir[op.dst] = ir[op.a] <= ir[op.b]; break;
@@ -2443,16 +2366,8 @@ class VmExec {
         case K::DSub: dr[op.dst] = dw(op.a) - dw(op.b); break;
         case K::DMul: dr[op.dst] = dw(op.a) * dw(op.b); break;
         case K::DDiv: dr[op.dst] = dw(op.a) / dw(op.b); break;
-        case K::DMin: {
-          const Float2 a = dw(op.a), b = dw(op.b);
-          dr[op.dst] = b < a ? b : a;  // matches binNumeric Min
-          break;
-        }
-        case K::DMax: {
-          const Float2 a = dw(op.a), b = dw(op.b);
-          dr[op.dst] = a < b ? b : a;  // matches binNumeric Max
-          break;
-        }
+        case K::DMin: dr[op.dst] = kop::min(dw(op.a), dw(op.b)); break;
+        case K::DMax: dr[op.dst] = kop::max(dw(op.a), dw(op.b)); break;
         case K::DNeg: dr[op.dst] = -dw(op.a); break;
         case K::DAbs: dr[op.dst] = twofloat::abs(dw(op.a)); break;
         case K::DSqrt: dr[op.dst] = twofloat::sqrt(dw(op.a)); break;
@@ -2482,12 +2397,8 @@ class VmExec {
         case K::SSub: sr[op.dst] = (sd(op.a) - sd(op.b)).bits(); break;
         case K::SMul: sr[op.dst] = (sd(op.a) * sd(op.b)).bits(); break;
         case K::SDiv: sr[op.dst] = (sd(op.a) / sd(op.b)).bits(); break;
-        case K::SMin:
-          sr[op.dst] = sd(op.b) < sd(op.a) ? sr[op.b] : sr[op.a];
-          break;
-        case K::SMax:
-          sr[op.dst] = sd(op.a) < sd(op.b) ? sr[op.b] : sr[op.a];
-          break;
+        case K::SMin: sr[op.dst] = kop::min(sd(op.a), sd(op.b)).bits(); break;
+        case K::SMax: sr[op.dst] = kop::max(sd(op.a), sd(op.b)).bits(); break;
         case K::SNeg: sr[op.dst] = (-sd(op.a)).bits(); break;
         case K::SAbs: sr[op.dst] = SoftDouble::abs(sd(op.a)).bits(); break;
         case K::SSqrt: sr[op.dst] = SoftDouble::sqrt(sd(op.a)).bits(); break;
@@ -2707,182 +2618,56 @@ class VmExec {
     open.mem += n * k.iter.mem;
     open.ctrl += n * k.iter.ctrl;
 
-    std::array<std::span<float>, LoopKernel::kMaxArgs> fsp;
-    std::array<std::span<const std::int32_t>, LoopKernel::kMaxArgs> isp;
-    for (const std::int16_t a : k.floatArgs) {
-      fsp[static_cast<std::size_t>(a)] = {data<float>(a), args_[a].size};
-    }
-    for (const std::int16_t a : k.intArgs) {
-      isp[static_cast<std::size_t>(a)] = {data<const std::int32_t>(a),
-                                          args_[a].size};
-    }
     const NamedLoop& nm = k.named;
     if (nm.p != NamedLoop::P::None && step == 1 && begin >= 0 &&
-        namedBoundsOk(nm, fsp, end)) {
-      runNamed(nm, fsp, begin, end);
+        namedBoundsOk(nm, end)) {
+      runNamed(nm, begin, end);
       return;
     }
 
-    // Register VM: same ops, same order, per element. Only seeded registers
-    // are read before the body writes them.
-    std::array<float, LoopKernel::kMaxRegs> fr;
-    std::array<std::int32_t, LoopKernel::kMaxRegs> ir;
-    for (const auto& [from, reg] : k.seedFloat) {
-      fr[static_cast<std::size_t>(reg)] = fr_[from];
-    }
-    for (const auto& [from, reg] : k.seedInt) {
-      ir[static_cast<std::size_t>(reg)] = ir_[from];
-    }
-    for (const auto& [reg, arg] : k.sizeSeeds) {
-      ir[static_cast<std::size_t>(reg)] =
-          static_cast<std::int32_t>(args_[arg].size);
-    }
-    // Block-vectorized front: blocks of 16, 8, 4 and 2 independent elements
-    // run lane-wise (same scalar ops, same per-element order, so
-    // bit-identical), then the scalar VM finishes the tail. At least one
-    // element always goes through the scalar VM so the write-backs below
-    // observe exactly the final element's state.
-    std::int32_t scalarBegin = begin;
+    // Block-vectorized front, then the per-element tail. At least one
+    // element always runs per element, so the write-backs below observe
+    // exactly the final element's state.
+    std::int64_t tail = begin;
     if (k.blockable && step == 1 && begin >= 0 && end - begin > 2 &&
-        blockedRangeOk(k, fsp, isp, end)) {
-      scalarBegin = runBlockedFront(k, fsp, isp, fr, ir, begin, end);
+        blockedRangeOk(k, end)) {
+      tail = runBlockedFront(k, begin, end);
     }
-    for (std::int64_t iv = scalarBegin; iv < end; iv += step) {
-      ir[0] = static_cast<std::int32_t>(iv);
-      runKernelOps(k, fsp, isp, fr, ir);
-    }
-    for (const auto& [to, reg] : k.writeFloat) {
-      fr_[to] = fr[static_cast<std::size_t>(reg)];
-    }
-    for (const auto& [to, reg] : k.writeInt) {
-      ir_[to] = ir[static_cast<std::size_t>(reg)];
-    }
-  }
-
-  /// One element of a serial kernel: a straight run over its ops.
-  static void runKernelOps(
-      const LoopKernel& k,
-      const std::array<std::span<float>, LoopKernel::kMaxArgs>& fsp,
-      const std::array<std::span<const std::int32_t>, LoopKernel::kMaxArgs>&
-          isp,
-      std::array<float, LoopKernel::kMaxRegs>& fr,
-      std::array<std::int32_t, LoopKernel::kMaxRegs>& ir) {
-    for (const VmOp& op : k.ops) {
-      switch (op.k) {
-        case VmOp::K::FMov: fr[op.dst] = fr[op.a]; break;
-        case VmOp::K::FLoad: {
-          const auto& sp = fsp[static_cast<std::size_t>(op.arg)];
-          const std::int32_t i = ir[op.a];
-          if (static_cast<std::uint32_t>(i) >= sp.size()) {
-            throwIndexError(i, sp.size());
-          }
-          fr[op.dst] = sp[static_cast<std::size_t>(i)];
-          break;
-        }
-        case VmOp::K::FStore: {
-          const auto& sp = fsp[static_cast<std::size_t>(op.arg)];
-          const std::int32_t i = ir[op.a];
-          if (static_cast<std::uint32_t>(i) >= sp.size()) {
-            throwIndexError(i, sp.size());
-          }
-          sp[static_cast<std::size_t>(i)] = fr[op.b];
-          break;
-        }
-        case VmOp::K::FAdd: fr[op.dst] = fr[op.a] + fr[op.b]; break;
-        case VmOp::K::FSub: fr[op.dst] = fr[op.a] - fr[op.b]; break;
-        case VmOp::K::FMul: fr[op.dst] = fr[op.a] * fr[op.b]; break;
-        case VmOp::K::FDiv: fr[op.dst] = fr[op.a] / fr[op.b]; break;
-        case VmOp::K::FMin: {
-          const float a = fr[op.a], b = fr[op.b];
-          fr[op.dst] = b < a ? b : a;  // matches binNumeric Min
-          break;
-        }
-        case VmOp::K::FMax: {
-          const float a = fr[op.a], b = fr[op.b];
-          fr[op.dst] = a < b ? b : a;  // matches binNumeric Max
-          break;
-        }
-        case VmOp::K::FNeg: fr[op.dst] = -fr[op.a]; break;
-        case VmOp::K::FAbs: fr[op.dst] = std::fabs(fr[op.a]); break;
-        case VmOp::K::FSqrt: fr[op.dst] = std::sqrt(fr[op.a]); break;
-        case VmOp::K::FFromInt:
-          fr[op.dst] = static_cast<float>(ir[op.a]);
-          break;
-        case VmOp::K::IMov: ir[op.dst] = ir[op.a]; break;
-        case VmOp::K::ILoad: {
-          const auto& sp = isp[static_cast<std::size_t>(op.arg)];
-          const std::int32_t i = ir[op.a];
-          if (static_cast<std::uint32_t>(i) >= sp.size()) {
-            throwIndexError(i, sp.size());
-          }
-          ir[op.dst] = sp[static_cast<std::size_t>(i)];
-          break;
-        }
-        case VmOp::K::IAdd: ir[op.dst] = ir[op.a] + ir[op.b]; break;
-        case VmOp::K::ISub: ir[op.dst] = ir[op.a] - ir[op.b]; break;
-        case VmOp::K::IMul: ir[op.dst] = ir[op.a] * ir[op.b]; break;
-        case VmOp::K::IMin: {
-          const std::int32_t a = ir[op.a], b = ir[op.b];
-          ir[op.dst] = b < a ? b : a;
-          break;
-        }
-        case VmOp::K::IMax: {
-          const std::int32_t a = ir[op.a], b = ir[op.b];
-          ir[op.dst] = a < b ? b : a;
-          break;
-        }
-        case VmOp::K::INeg: ir[op.dst] = -ir[op.a]; break;
-        case VmOp::K::IAbs: {
-          const std::int32_t v = ir[op.a];
-          ir[op.dst] = v < 0 ? -v : v;
-          break;
-        }
-        case VmOp::K::IFromFloat:
-          ir[op.dst] = static_cast<std::int32_t>(fr[op.a]);
-          break;
-        default:
-          GRAPHENE_UNREACHABLE("op outside the serial kernel subset");
-      }
-    }
+    LaneRegs<1> r;
+    seed(k, r);
+    runLanes(k, r, tail, end, step);
+    for (const auto& [to, reg] : k.writeFloat) fr_[to] = r.f[reg][0];
+    for (const auto& [to, reg] : k.writeInt) ir_[to] = r.i[reg][0];
   }
 
   /// Run-time guard for the blocked VM: every elementwise span must cover
   /// [0, end), and no stored span may alias a span it doesn't share
   /// elementwise access with. Two args bound to the identical span are safe
   /// when both only touch the element's own index (lane j touches only
-  /// iv+j); anything overlapping otherwise falls back to the scalar VM.
-  static bool blockedRangeOk(
-      const LoopKernel& k,
-      const std::array<std::span<float>, LoopKernel::kMaxArgs>& fsp,
-      const std::array<std::span<const std::int32_t>, LoopKernel::kMaxArgs>&
-          isp,
-      std::int32_t end) {
-    const auto n = static_cast<std::size_t>(end);
+  /// iv+j); anything overlapping otherwise runs per element.
+  bool blockedRangeOk(const LoopKernel& k, std::int32_t end) const {
+    auto covers = [&](const LoopKernel::ArgUse& u) {
+      return args_[u.arg].size >= static_cast<std::size_t>(end);
+    };
     for (const LoopKernel::ArgUse& u : k.loadFloat) {
-      if (u.anyElementwise &&
-          fsp[static_cast<std::size_t>(u.arg)].size() < n) {
-        return false;
-      }
+      if (u.anyElementwise && !covers(u)) return false;
     }
     for (const LoopKernel::ArgUse& u : k.loadInt) {
-      if (u.anyElementwise &&
-          isp[static_cast<std::size_t>(u.arg)].size() < n) {
-        return false;
-      }
+      if (u.anyElementwise && !covers(u)) return false;
     }
     for (const LoopKernel::ArgUse& u : k.storeFloat) {
-      if (fsp[static_cast<std::size_t>(u.arg)].size() < n) return false;
+      if (!covers(u)) return false;
     }
     auto overlapUnsafe = [&](const LoopKernel::ArgUse& a,
                              const LoopKernel::ArgUse& b) {
       if (a.arg == b.arg) return false;  // same span: checked at compile time
-      const auto& sa = fsp[static_cast<std::size_t>(a.arg)];
-      const auto& sb = fsp[static_cast<std::size_t>(b.arg)];
-      if (sa.data() == sb.data() && sa.size() == sb.size()) {
+      const float* pa = data<float>(a.arg);
+      const float* pb = data<float>(b.arg);
+      const std::size_t na = args_[a.arg].size, nb = args_[b.arg].size;
+      if (pa == pb && na == nb) {
         return !(a.elementwiseOnly && b.elementwiseOnly);
       }
-      return sa.data() < sb.data() + sb.size() &&
-             sb.data() < sa.data() + sa.size();
+      return pa < pb + nb && pb < pa + na;
     };
     for (const LoopKernel::ArgUse& su : k.storeFloat) {
       for (const LoopKernel::ArgUse& lu : k.loadFloat) {
@@ -2895,266 +2680,143 @@ class VmExec {
     return true;
   }
 
-  /// Runs as much of [begin, end) as possible through runBlockedRange,
-  /// stepping the lane width down 16 → 8 → 4 → 2 while always leaving at
-  /// least one element for the scalar VM (whose register state feeds the
-  /// home-variable writebacks). Returns where the scalar tail starts.
-  static std::int32_t runBlockedFront(
-      const LoopKernel& k,
-      const std::array<std::span<float>, LoopKernel::kMaxArgs>& fsp,
-      const std::array<std::span<const std::int32_t>, LoopKernel::kMaxArgs>&
-          isp,
-      const std::array<float, LoopKernel::kMaxRegs>& fr,
-      const std::array<std::int32_t, LoopKernel::kMaxRegs>& ir,
-      std::int32_t begin, std::int32_t end) {
-    std::int32_t iv = begin;
+  /// Runs as much of [begin, end) as possible in lanes, stepping the width
+  /// down 16 → 8 → 4 → 2 while always leaving at least one element for the
+  /// per-element tail (whose registers feed the write-backs). Returns where
+  /// the tail starts.
+  std::int64_t runBlockedFront(const LoopKernel& k, std::int64_t begin,
+                               std::int64_t end) const {
+    std::int64_t iv = begin;
     if (end - 1 - iv >= 16) {
-      const std::int32_t n = ((end - 1 - iv) / 16) * 16;
-      runBlockedRange<16>(k, fsp, isp, fr, ir, iv, iv + n);
+      const std::int64_t n = ((end - 1 - iv) / 16) * 16;
+      runBlocked<16>(k, iv, iv + n);
       iv += n;
     }
     if (end - 1 - iv >= 8) {
-      runBlockedRange<8>(k, fsp, isp, fr, ir, iv, iv + 8);
+      runBlocked<8>(k, iv, iv + 8);
       iv += 8;
     }
     if (end - 1 - iv >= 4) {
-      runBlockedRange<4>(k, fsp, isp, fr, ir, iv, iv + 4);
+      runBlocked<4>(k, iv, iv + 4);
       iv += 4;
     }
     if (end - 1 - iv >= 2) {
-      runBlockedRange<2>(k, fsp, isp, fr, ir, iv, iv + 2);
+      runBlocked<2>(k, iv, iv + 2);
       iv += 2;
     }
     return iv;
   }
 
-  /// Runs [begin, endB) of a blockable kernel in lanes of B.
-  /// Each op applies its scalar operation to every lane in increasing lane
-  /// order before the next op runs; with no loop-carried registers and only
-  /// elementwise stores (analyzeBlockable) plus non-aliased spans
-  /// (blockedRangeOk), every element sees exactly the scalar VM's operation
-  /// sequence on exactly the scalar VM's values — bit-identical results.
-  /// Caller guarantees endB - begin is a positive multiple of B.
-  template <std::int32_t B>
-  static void runBlockedRange(
-      const LoopKernel& k,
-      const std::array<std::span<float>, LoopKernel::kMaxArgs>& fsp,
-      const std::array<std::span<const std::int32_t>, LoopKernel::kMaxArgs>&
-          isp,
-      const std::array<float, LoopKernel::kMaxRegs>& fr,
-      const std::array<std::int32_t, LoopKernel::kMaxRegs>& ir,
-      std::int32_t begin, std::int32_t endB) {
-    alignas(64) float fb[LoopKernel::kMaxRegs][B];
-    alignas(64) std::int32_t ib[LoopKernel::kMaxRegs][B];
-    // Seed registers are loop-invariant (no carried regs): splat once. Every
-    // other register is written before it is read.
-    auto splatF = [&](std::int16_t r) {
-      const float v = fr[static_cast<std::size_t>(r)];
-      for (std::int32_t j = 0; j < B; ++j) fb[r][j] = v;
-    };
-    auto splatI = [&](std::int16_t r) {
-      const std::int32_t v = ir[static_cast<std::size_t>(r)];
-      for (std::int32_t j = 0; j < B; ++j) ib[r][j] = v;
-    };
-    for (const auto& [from, r] : k.seedFloat) splatF(r);
-    for (const auto& [from, r] : k.seedInt) splatI(r);
-    for (const auto& [r, arg] : k.sizeSeeds) splatI(r);
+  /// Runs [begin, endB) of a blockable kernel in lanes of B. No register is
+  /// loop-carried, so the seeds hold for every element.
+  template <std::size_t B>
+  void runBlocked(const LoopKernel& k, std::int64_t begin,
+                  std::int64_t endB) const {
+    LaneRegs<B> r;
+    seed(k, r);
+    runLanes(k, r, begin, endB, 1);
+  }
 
+  /// Sets every lane of a kernel's seeded registers: the program registers
+  /// its body reads before writing, and the argument sizes it hoisted. Only
+  /// these are read before the body writes them.
+  template <std::size_t B>
+  void seed(const LoopKernel& k, LaneRegs<B>& r) const {
+    for (const auto& [from, reg] : k.seedFloat) r.f[reg].fill(fr_[from]);
+    for (const auto& [from, reg] : k.seedInt) r.i[reg].fill(ir_[from]);
+    for (const auto& [reg, arg] : k.sizeSeeds) {
+      r.i[reg].fill(static_cast<std::int32_t>(args_[arg].size));
+    }
+  }
+
+  /// The one loop-kernel executor: runs the elements iv = begin, begin +
+  /// B·step, ... below `end`, B at a time. Each op applies its kop
+  /// definition to every lane in increasing lane order before the next op
+  /// runs. B = 1 is the per-element kernel. B > 1 needs a blockable kernel
+  /// at unit step, with end - begin a multiple of B: with no loop-carried
+  /// registers and only elementwise stores (analyzeBlockable) plus
+  /// non-aliased spans (blockedRangeOk), every element sees exactly the
+  /// per-element kernel's operations on exactly its values, so the results
+  /// are bit-identical.
+  template <std::size_t B>
+  void runLanes(const LoopKernel& k, LaneRegs<B>& r, std::int64_t begin,
+                std::int64_t end, std::int32_t step) const {
+    auto& f = r.f;
+    auto& i = r.i;
     using K = VmOp::K;
-    for (std::int32_t iv = begin; iv < endB; iv += B) {
-      for (std::int32_t j = 0; j < B; ++j) ib[0][j] = iv + j;
+    const std::int64_t stride = static_cast<std::int64_t>(step) * B;
+    for (std::int64_t iv = begin; iv < end; iv += stride) {
+      for (std::size_t j = 0; j < B; ++j) {
+        i[0][j] = static_cast<std::int32_t>(iv) + static_cast<std::int32_t>(j);
+      }
       for (const VmOp& op : k.ops) {
         switch (op.k) {
-          case K::FMov: {
-            float* d = fb[op.dst];
-            const float* a = fb[op.a];
-            for (std::int32_t j = 0; j < B; ++j) d[j] = a[j];
+          case K::FMov: lanes(kop::mov, f[op.dst], f[op.a]); break;
+          case K::FLoad: loadLanes(op, iv, f[op.dst], i[op.a]); break;
+          case K::FStore: storeLanes(op, iv, f[op.b], i[op.a]); break;
+          case K::FAdd: lanes(kop::add, f[op.dst], f[op.a], f[op.b]); break;
+          case K::FSub: lanes(kop::sub, f[op.dst], f[op.a], f[op.b]); break;
+          case K::FMul: lanes(kop::mul, f[op.dst], f[op.a], f[op.b]); break;
+          case K::FDiv: lanes(kop::div, f[op.dst], f[op.a], f[op.b]); break;
+          case K::FMin: lanes(kop::min, f[op.dst], f[op.a], f[op.b]); break;
+          case K::FMax: lanes(kop::max, f[op.dst], f[op.a], f[op.b]); break;
+          case K::FNeg: lanes(kop::neg, f[op.dst], f[op.a]); break;
+          case K::FAbs: lanes(kop::abs, f[op.dst], f[op.a]); break;
+          case K::FSqrt: lanes(kop::sqrt, f[op.dst], f[op.a]); break;
+          case K::FFromInt: lanes(kop::cast<float>, f[op.dst], i[op.a]); break;
+          case K::IMov: lanes(kop::mov, i[op.dst], i[op.a]); break;
+          case K::ILoad: loadLanes(op, iv, i[op.dst], i[op.a]); break;
+          case K::IAdd: lanes(kop::add, i[op.dst], i[op.a], i[op.b]); break;
+          case K::ISub: lanes(kop::sub, i[op.dst], i[op.a], i[op.b]); break;
+          case K::IMul: lanes(kop::mul, i[op.dst], i[op.a], i[op.b]); break;
+          case K::IMin: lanes(kop::min, i[op.dst], i[op.a], i[op.b]); break;
+          case K::IMax: lanes(kop::max, i[op.dst], i[op.a], i[op.b]); break;
+          case K::INeg: lanes(kop::neg, i[op.dst], i[op.a]); break;
+          case K::IAbs: lanes(kop::abs, i[op.dst], i[op.a]); break;
+          case K::IFromFloat:
+            lanes(kop::cast<std::int32_t>, i[op.dst], f[op.a]);
             break;
-          }
-          case K::FLoad: {
-            const auto& sp = fsp[static_cast<std::size_t>(op.arg)];
-            float* d = fb[op.dst];
-            if (op.ew) {
-              // Index proven equal to iv: bounds pre-checked, contiguous.
-              const float* GRAPHENE_RESTRICT p = sp.data() + iv;
-              for (std::int32_t j = 0; j < B; ++j) d[j] = p[j];
-            } else {
-              const std::int32_t* x = ib[op.a];
-              for (std::int32_t j = 0; j < B; ++j) {
-                const auto ix = static_cast<std::uint32_t>(x[j]);
-                GRAPHENE_CHECK(ix < sp.size(),
-                               "tensor index out of range in codelet");
-                d[j] = sp[ix];
-              }
-            }
-            break;
-          }
-          case K::FStore: {
-            // analyzeBlockable only admits elementwise stores (op.ew).
-            const auto& sp = fsp[static_cast<std::size_t>(op.arg)];
-            float* GRAPHENE_RESTRICT p = sp.data() + iv;
-            const float* s = fb[op.b];
-            for (std::int32_t j = 0; j < B; ++j) p[j] = s[j];
-            break;
-          }
-          case K::FAdd: {
-            float* d = fb[op.dst];
-            const float *a = fb[op.a], *b = fb[op.b];
-            for (std::int32_t j = 0; j < B; ++j) d[j] = a[j] + b[j];
-            break;
-          }
-          case K::FSub: {
-            float* d = fb[op.dst];
-            const float *a = fb[op.a], *b = fb[op.b];
-            for (std::int32_t j = 0; j < B; ++j) d[j] = a[j] - b[j];
-            break;
-          }
-          case K::FMul: {
-            float* d = fb[op.dst];
-            const float *a = fb[op.a], *b = fb[op.b];
-            for (std::int32_t j = 0; j < B; ++j) d[j] = a[j] * b[j];
-            break;
-          }
-          case K::FDiv: {
-            float* d = fb[op.dst];
-            const float *a = fb[op.a], *b = fb[op.b];
-            for (std::int32_t j = 0; j < B; ++j) d[j] = a[j] / b[j];
-            break;
-          }
-          case K::FMin: {
-            float* d = fb[op.dst];
-            const float *a = fb[op.a], *b = fb[op.b];
-            for (std::int32_t j = 0; j < B; ++j) {
-              d[j] = b[j] < a[j] ? b[j] : a[j];  // matches binNumeric Min
-            }
-            break;
-          }
-          case K::FMax: {
-            float* d = fb[op.dst];
-            const float *a = fb[op.a], *b = fb[op.b];
-            for (std::int32_t j = 0; j < B; ++j) {
-              d[j] = a[j] < b[j] ? b[j] : a[j];  // matches binNumeric Max
-            }
-            break;
-          }
-          case K::FNeg: {
-            float* d = fb[op.dst];
-            const float* a = fb[op.a];
-            for (std::int32_t j = 0; j < B; ++j) d[j] = -a[j];
-            break;
-          }
-          case K::FAbs: {
-            float* d = fb[op.dst];
-            const float* a = fb[op.a];
-            for (std::int32_t j = 0; j < B; ++j) d[j] = std::fabs(a[j]);
-            break;
-          }
-          case K::FSqrt: {
-            float* d = fb[op.dst];
-            const float* a = fb[op.a];
-            for (std::int32_t j = 0; j < B; ++j) d[j] = std::sqrt(a[j]);
-            break;
-          }
-          case K::FFromInt: {
-            float* d = fb[op.dst];
-            const std::int32_t* a = ib[op.a];
-            for (std::int32_t j = 0; j < B; ++j) {
-              d[j] = static_cast<float>(a[j]);
-            }
-            break;
-          }
-          case K::IMov: {
-            std::int32_t* d = ib[op.dst];
-            const std::int32_t* a = ib[op.a];
-            for (std::int32_t j = 0; j < B; ++j) d[j] = a[j];
-            break;
-          }
-          case K::ILoad: {
-            const auto& sp = isp[static_cast<std::size_t>(op.arg)];
-            std::int32_t* d = ib[op.dst];
-            if (op.ew) {
-              const std::int32_t* GRAPHENE_RESTRICT p = sp.data() + iv;
-              for (std::int32_t j = 0; j < B; ++j) d[j] = p[j];
-            } else {
-              const std::int32_t* x = ib[op.a];
-              for (std::int32_t j = 0; j < B; ++j) {
-                const auto ix = static_cast<std::uint32_t>(x[j]);
-                GRAPHENE_CHECK(ix < sp.size(),
-                               "tensor index out of range in codelet");
-                d[j] = sp[ix];
-              }
-            }
-            break;
-          }
-          case K::IAdd: {
-            std::int32_t* d = ib[op.dst];
-            const std::int32_t *a = ib[op.a], *b = ib[op.b];
-            for (std::int32_t j = 0; j < B; ++j) d[j] = a[j] + b[j];
-            break;
-          }
-          case K::ISub: {
-            std::int32_t* d = ib[op.dst];
-            const std::int32_t *a = ib[op.a], *b = ib[op.b];
-            for (std::int32_t j = 0; j < B; ++j) d[j] = a[j] - b[j];
-            break;
-          }
-          case K::IMul: {
-            std::int32_t* d = ib[op.dst];
-            const std::int32_t *a = ib[op.a], *b = ib[op.b];
-            for (std::int32_t j = 0; j < B; ++j) d[j] = a[j] * b[j];
-            break;
-          }
-          case K::IMin: {
-            std::int32_t* d = ib[op.dst];
-            const std::int32_t *a = ib[op.a], *b = ib[op.b];
-            for (std::int32_t j = 0; j < B; ++j) {
-              d[j] = b[j] < a[j] ? b[j] : a[j];
-            }
-            break;
-          }
-          case K::IMax: {
-            std::int32_t* d = ib[op.dst];
-            const std::int32_t *a = ib[op.a], *b = ib[op.b];
-            for (std::int32_t j = 0; j < B; ++j) {
-              d[j] = a[j] < b[j] ? b[j] : a[j];
-            }
-            break;
-          }
-          case K::INeg: {
-            std::int32_t* d = ib[op.dst];
-            const std::int32_t* a = ib[op.a];
-            for (std::int32_t j = 0; j < B; ++j) d[j] = -a[j];
-            break;
-          }
-          case K::IAbs: {
-            std::int32_t* d = ib[op.dst];
-            const std::int32_t* a = ib[op.a];
-            for (std::int32_t j = 0; j < B; ++j) {
-              d[j] = a[j] < 0 ? -a[j] : a[j];
-            }
-            break;
-          }
-          case K::IFromFloat: {
-            std::int32_t* d = ib[op.dst];
-            const float* a = fb[op.a];
-            for (std::int32_t j = 0; j < B; ++j) {
-              d[j] = static_cast<std::int32_t>(a[j]);
-            }
-            break;
-          }
           default:
-            break;  // not in serial kernels
+            GRAPHENE_UNREACHABLE("op outside the serial kernel subset");
         }
       }
     }
   }
-  bool namedBoundsOk(
-      const NamedLoop& nm,
-      const std::array<std::span<float>, LoopKernel::kMaxArgs>& fsp,
-      std::int32_t end) const {
-    const auto e = static_cast<std::size_t>(end);
+
+  /// Loads argument op.arg into every lane of `d`. An elementwise access
+  /// at B > 1 reads the contiguous span blockedRangeOk checked; any other
+  /// access checks each lane's index `x[j]`.
+  template <typename T, std::size_t B>
+  void loadLanes(const VmOp& op, std::int64_t iv, std::array<T, B>& d,
+                 const std::array<std::int32_t, B>& x) const {
+    const T* p = data<const T>(op.arg);
+    if (B > 1 && op.ew) {
+      const T* GRAPHENE_RESTRICT q = p + iv;
+      for (std::size_t j = 0; j < B; ++j) d[j] = q[j];
+    } else {
+      const std::size_t size = args_[op.arg].size;
+      for (std::size_t j = 0; j < B; ++j) d[j] = p[checkedIndex(x[j], size)];
+    }
+  }
+
+  /// Stores every lane of `v` into float argument op.arg, as loadLanes reads.
+  template <std::size_t B>
+  void storeLanes(const VmOp& op, std::int64_t iv,
+                  const std::array<float, B>& v,
+                  const std::array<std::int32_t, B>& x) const {
+    float* p = data<float>(op.arg);
+    if (B > 1 && op.ew) {
+      float* GRAPHENE_RESTRICT q = p + iv;
+      for (std::size_t j = 0; j < B; ++j) q[j] = v[j];
+    } else {
+      const std::size_t size = args_[op.arg].size;
+      for (std::size_t j = 0; j < B; ++j) p[checkedIndex(x[j], size)] = v[j];
+    }
+  }
+
+  bool namedBoundsOk(const NamedLoop& nm, std::int32_t end) const {
     auto ok = [&](std::int16_t arg) {
-      return arg < 0 || e <= fsp[static_cast<std::size_t>(arg)].size();
+      return arg < 0 || static_cast<std::size_t>(end) <= args_[arg].size;
     };
     return ok(nm.dstArg) && ok(nm.aArg) && ok(nm.bArg);
   }
@@ -3166,19 +2828,13 @@ class VmExec {
            std::less_equal<const float*>{}(b + n, a);
   }
 
-  void runNamed(const NamedLoop& nm,
-                const std::array<std::span<float>, LoopKernel::kMaxArgs>& fsp,
-                std::int32_t begin, std::int32_t end) {
-    auto span = [&](std::int16_t arg) {
-      return fsp[static_cast<std::size_t>(arg)];
-    };
-    const float sv = nm.sIsConst ? nm.sConst
-                                 : (nm.sReg >= 0 ? fr_[nm.sReg] : 0.0f);
+  void runNamed(const NamedLoop& nm, std::int32_t begin, std::int32_t end) {
+    auto span = [&](std::int16_t arg) { return data<float>(arg) + begin; };
     const std::size_t n = static_cast<std::size_t>(end - begin);
     switch (nm.p) {
       case NamedLoop::P::Copy: {
-        float* dp = span(nm.dstArg).data() + begin;
-        const float* ap = span(nm.aArg).data() + begin;
+        float* dp = span(nm.dstArg);
+        const float* ap = span(nm.aArg);
         if (dp == ap) return;  // self-copy: the forward walk is the identity
         if (spansDisjoint(dp, ap, n)) {
           std::memcpy(dp, ap, n * sizeof(float));  // raw bits, bit-exact
@@ -3188,9 +2844,9 @@ class VmExec {
         return;
       }
       case NamedLoop::P::AddVec: {
-        float* dp = span(nm.dstArg).data() + begin;
-        const float* ap = span(nm.aArg).data() + begin;
-        const float* bp = span(nm.bArg).data() + begin;
+        float* dp = span(nm.dstArg);
+        const float* ap = span(nm.aArg);
+        const float* bp = span(nm.bArg);
         if (spansDisjoint(dp, ap, n) && spansDisjoint(dp, bp, n)) {
           float* GRAPHENE_RESTRICT dr = dp;
           if (nm.isSub) {
@@ -3206,9 +2862,10 @@ class VmExec {
         return;
       }
       case NamedLoop::P::Axpy: {
-        float* dp = span(nm.dstArg).data() + begin;
-        const float* ap = span(nm.aArg).data() + begin;
-        const float* bp = span(nm.bArg).data() + begin;
+        float* dp = span(nm.dstArg);
+        const float* ap = span(nm.aArg);
+        const float* bp = span(nm.bArg);
+        const float sv = fr_[nm.sReg];
         if (spansDisjoint(dp, ap, n) && spansDisjoint(dp, bp, n)) {
           float* GRAPHENE_RESTRICT dr = dp;
           for (std::size_t i = 0; i < n; ++i) {
@@ -3226,14 +2883,14 @@ class VmExec {
         return;
       }
       case NamedLoop::P::DotPartial: {
-        auto a = span(nm.aArg);
+        const float* a = data<float>(nm.aArg);
         float acc = fr_[nm.accReg];
         if (nm.dotSingle) {
           for (std::int32_t i = begin; i < end; ++i) {
             acc = nm.accFirst ? acc + a[i] : a[i] + acc;
           }
         } else {
-          auto b = span(nm.bArg);
+          const float* b = data<float>(nm.bArg);
           for (std::int32_t i = begin; i < end; ++i) {
             const float m = a[i] * b[i];
             acc = nm.accFirst ? acc + m : m + acc;

@@ -2,12 +2,14 @@
 // accounting behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "dsl/codedsl.hpp"
@@ -275,14 +277,20 @@ struct RunResult {
   bool walked = false;  // the run took the generic walk
 };
 
+/// Rebinds a run's argument spans before it starts, e.g. so that two
+/// arguments share or overlap storage.
+using SpanRewrite = std::function<void(std::vector<graph::ArgSpan>&)>;
+
 /// Runs `cc` once over a copy of `args`, with the VM allowed or not.
-RunResult runOnce(const CompiledCodelet& cc, HostArgs args, bool vm) {
+RunResult runOnce(const CompiledCodelet& cc, HostArgs args, bool vm,
+                  const SpanRewrite& rewrite = {}) {
   struct Restore {
     bool env = codeletFastPathsEnabled();
     ~Restore() { setCodeletFastPaths(env); }
   } restore;
   setCodeletFastPaths(vm);
-  const std::vector<graph::ArgSpan> spans = args.spans();
+  std::vector<graph::ArgSpan> spans = args.spans();
+  if (rewrite) rewrite(spans);
   graph::VertexContext ctx(spans, codeletBinds(cc, spans));
   const std::uint64_t before = codeletWalkEntries();
   RunResult r;
@@ -298,14 +306,16 @@ CompiledCodeletPtr compileForTest(const CodeletIR& ir) {
 
 /// Runs `ir` on `args` on the VM and on the walk; both must agree on every
 /// output bit and on the VertexCost. `onVm` false expects the vertex to fall
-/// back to the walk whole. Returns the VM-enabled run.
+/// back to the walk whole. `rewrite` rebinds both runs' spans. Returns the
+/// VM-enabled run.
 RunResult expectVmMatchesWalk(const CodeletIR& ir, const HostArgs& args,
-                              bool onVm = true) {
+                              bool onVm = true,
+                              const SpanRewrite& rewrite = {}) {
   CompiledCodeletPtr cc = compileForTest(ir);
   const char* why = codeletWalkReason(*cc);
   EXPECT_TRUE(why == nullptr) << "stayed on the walk: " << why;
-  RunResult vm = runOnce(*cc, args, true);
-  RunResult walk = runOnce(*cc, args, false);
+  RunResult vm = runOnce(*cc, args, true, rewrite);
+  RunResult walk = runOnce(*cc, args, false, rewrite);
   EXPECT_EQ(vm.walked, !onVm);
   EXPECT_TRUE(walk.walked);
   EXPECT_EQ(vm.args.bits(), walk.args.bits());
@@ -843,6 +853,40 @@ TEST(WholeCodelet, ReadsAndWritesOutsideTheSliceFailOnBothPaths) {
   }
 }
 
+TEST(WholeCodelet, BadGatherIndicesReportTheWalksError) {
+  // out[i] = x[idx[i]] with one bad index. 20 elements run the blocked
+  // kernel, whose gathers check each lane; 2 elements run the per-element
+  // kernel. Both must fail with the walk's text.
+  auto trace = [] {
+    CodeletBuilder builder;
+    builder.setNumArgs(3);
+    Value out = Value::argument(0, DType::Float32);
+    Value x = Value::argument(1, DType::Float32);
+    Value idx = Value::argument(2, DType::Int32);
+    For(0, out.size(), 1, [&](Value i) { out[i] = x[idx[i]]; });
+    return builder.finish();
+  };
+  const std::pair<std::int32_t, const char*> bad[] = {
+      {-1, "negative tensor index in codelet"},
+      {8, "tensor index out of range in codelet"}};
+  for (const std::size_t n : {2, 20}) {
+    for (const auto& [index, what] : bad) {
+      SCOPED_TRACE(std::to_string(n) + " elements, index " +
+                   std::to_string(index));
+      std::vector<std::int32_t> idx(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        idx[i] = static_cast<std::int32_t>(i % 8);
+      }
+      idx[std::min<std::size_t>(5, n - 1)] = index;
+      HostArgs args;
+      args.addFloat(std::vector<float>(n, 0.0f));
+      args.addFloat(ramp(8, 1.0f, 0.5f));
+      args.addInt(idx);
+      expectSameError(trace(), args, what);
+    }
+  }
+}
+
 TEST(WholeCodelet, SerialLoopKernelWritesBackOuterVariables) {
   // A straight-line serial loop runs as a loop kernel: variables defined
   // before it and assigned in it carry the last element's values out; a
@@ -870,6 +914,64 @@ TEST(WholeCodelet, SerialLoopKernelWritesBackOuterVariables) {
     const RunResult vm = expectVmMatchesWalk(trace(), args);
     const float last = n == 0 ? -1.0f : args.floats(1)[n - 1] * 2.0f;
     EXPECT_EQ(vm.args.floats(0)[1], last);
+  }
+}
+
+TEST(WholeCodelet, KernelsOnSharedAndOverlappingSpansMatchTheWalk) {
+  // Each kernel stores argument 0 and loads argument 1 (and 2). The run
+  // binds the stored span onto the first loaded one, then one element
+  // ahead of it and one behind, so the walk's in-order schedule reads
+  // elements the loop itself wrote. The named kernels' self-copy and
+  // overlapping loops, and the blocked VM's same-span and overlap rules,
+  // must each keep that schedule, and axpy its operand order. 47 elements
+  // run blocks of 16, 8, 4 and 2 and a per-element tail.
+  constexpr std::size_t kN = 47;
+  using Body = std::function<void(Value&, Value&, Value&, Value&)>;
+  const std::pair<const char*, Body> kernels[] = {
+      {"x = x + s*p",
+       [](Value& out, Value& a, Value& b, Value& i) {
+         out[i] = Value(a[i]) + Value(0.75f) * Value(b[i]);
+       }},
+      {"x = p*s - x",
+       [](Value& out, Value& a, Value& b, Value& i) {
+         out[i] = Value(b[i]) * Value(0.75f) - Value(a[i]);
+       }},
+      {"x = x - y",
+       [](Value& out, Value& a, Value& b, Value& i) {
+         out[i] = Value(a[i]) - Value(b[i]);
+       }},
+      {"x = x", [](Value& out, Value& a, Value&, Value& i) { out[i] = a[i]; }},
+      {"x = 3x",
+       [](Value& out, Value& a, Value&, Value& i) {
+         out[i] = Value(a[i]) * 3.0f;
+       }},
+      {"x reversed",
+       [](Value& out, Value& a, Value&, Value& i) {
+         out[i] = a[a.size() - 1 - i];
+       }},
+  };
+  for (const auto& [name, body] : kernels) {
+    CodeletBuilder builder;
+    builder.setNumArgs(3);
+    Value out = Value::argument(0, DType::Float32);
+    Value a = Value::argument(1, DType::Float32);
+    Value b = Value::argument(2, DType::Float32);
+    For(0, out.size(), 1, [&](Value i) { body(out, a, b, i); });
+    const CodeletIR ir = builder.finish();
+    for (const int shift : {0, 1, -1}) {
+      SCOPED_TRACE(std::string(name) + ", stored span shifted by " +
+                   std::to_string(shift));
+      HostArgs args;
+      args.addFloat(std::vector<float>(kN, 0.0f));
+      args.addFloat(ramp(kN + 1, 1.0f, 0.25f));
+      args.addFloat(ramp(kN, -2.0f, 0.5f));
+      const SpanRewrite rewrite = [shift](std::vector<graph::ArgSpan>& s) {
+        float* base = static_cast<float*>(s[1].data);
+        s[0] = {base + (shift > 0 ? 1 : 0), kN, DType::Float32};
+        s[1] = {base + (shift < 0 ? 1 : 0), kN, DType::Float32};
+      };
+      expectVmMatchesWalk(ir, args, /*onVm=*/true, rewrite);
+    }
   }
 }
 
@@ -1071,17 +1173,31 @@ TEST(CompilePasses, VariableReadBeforeItsOnlyAssignmentIsNotAliased) {
 
 TEST(CompilePasses, DeadLoadStillChecksItsIndex) {
   // Nothing reads the load, but the walk throws on its index: so must the VM.
-  CodeletBuilder builder;
-  builder.setNumArgs(2);
-  Value out = Value::argument(0, DType::Float32);
-  Value x = Value::argument(1, DType::Float32);
-  Value unused = x[5];
-  out[0] = 1.0f;
-  HostArgs args;
-  args.addFloat({0.0f});
-  args.addFloat({1.0f, 2.0f});
-  expectSameError(builder.finish(), args,
-                  "tensor index out of range in codelet");
+  // In the loop, the kernel's other two ops form a named copy, which must
+  // not run in the kernel's place.
+  for (const bool inLoop : {false, true}) {
+    CodeletBuilder builder;
+    builder.setNumArgs(3);
+    Value out = Value::argument(0, DType::Float32);
+    Value x = Value::argument(1, DType::Float32);
+    Value y = Value::argument(2, DType::Float32);
+    if (inLoop) {
+      For(0, out.size(), 1, [&](Value i) {
+        Value unused = y[i];
+        out[i] = x[i];
+      });
+    } else {
+      Value unused = x[5];
+      out[0] = 1.0f;
+    }
+    HostArgs args;
+    args.addFloat({0.0f, 0.0f, 0.0f});
+    args.addFloat({1.0f, 2.0f, 3.0f});
+    args.addFloat({4.0f, 5.0f});
+    SCOPED_TRACE(inLoop ? "in a loop kernel" : "in the program");
+    expectSameError(builder.finish(), args,
+                    "tensor index out of range in codelet");
+  }
 }
 
 TEST(CompilePasses, DeadDivisionStillChecksItsDivisor) {

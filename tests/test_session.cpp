@@ -9,13 +9,14 @@
 // the valid ones (both makeSolver and makeSolverFromString); the
 // preconditioner() chain walk; GRAPHENE_NO_HALO_REORDER=0 leaves the halo
 // reordering on; the end-to-end benchmark's solver configs never take the
-// interpreter's generic walk.
+// interpreter's generic walk, and each of their loop kernels keeps its tier.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -381,42 +382,102 @@ TEST(SolverChain, PreconditionerWalk) {
   EXPECT_EQ(ilu->chainName(), "ilu");
 }
 
+namespace {
+
+/// The end-to-end benchmark's solver configs: CG+Jacobi on a 2-D Poisson
+/// mesh, and MPIR double-word refinement over ILU(0) BiCGStab on a 4×8 pod.
+struct BenchmarkCase {
+  const char* config;
+  matrix::GeneratedMatrix m;
+  std::optional<ipu::Topology> topology;
+};
+
+std::vector<BenchmarkCase> benchmarkCases() {
+  std::vector<BenchmarkCase> cases;
+  cases.push_back({R"({"type": "cg", "tolerance": 1e-6, "maxIterations": 2000,
+                       "preconditioner": {"type": "jacobi"}})",
+                   matrix::poisson2d5(40, 40), std::nullopt});
+  cases.push_back({R"({"type": "mpir", "extendedType": "doubleword",
+                       "maxRefinements": 30, "tolerance": 1e-10,
+                       "inner": {"type": "bicgstab", "maxIterations": 8,
+                                 "tolerance": 0,
+                                 "preconditioner": {"type": "ilu"}}})",
+                   matrix::poisson3d7(8, 8, 8), ipu::Topology::pod(4, 8)});
+  return cases;
+}
+
+/// Solves `c` once on a fresh two-thread session.
+SolveSession::Result solveBenchmarkCase(const BenchmarkCase& c) {
+  SessionOptions options;
+  options.hostThreads = 2;
+  options.topology = c.topology;
+  SolveSession session(options);
+  session.load(c.m).configure(c.config);
+  std::vector<double> rhs(c.m.matrix.rows());
+  for (std::size_t i = 0; i < rhs.size(); ++i) {
+    rhs[i] = std::sin(0.37 * static_cast<double>(i));
+  }
+  return session.solve(rhs);
+}
+
+}  // namespace
+
 TEST(SolveSession, BenchmarkConfigsRunWholeOnTheVm) {
   // Every codelet of the end-to-end benchmark's solver configs compiles to
-  // the register VM, so a solve never enters the generic walk: CG+Jacobi on
-  // a 2-D Poisson mesh, and MPIR double-word refinement over ILU(0)
-  // BiCGStab on a 4×8 pod.
-  struct Case {
-    const char* config;
-    matrix::GeneratedMatrix m;
-    std::optional<ipu::Topology> topology;
-  };
-  const Case cases[] = {
-      {R"({"type": "cg", "tolerance": 1e-6, "maxIterations": 2000,
-           "preconditioner": {"type": "jacobi"}})",
-       matrix::poisson2d5(40, 40), std::nullopt},
-      {R"({"type": "mpir", "extendedType": "doubleword",
-           "maxRefinements": 30, "tolerance": 1e-10,
-           "inner": {"type": "bicgstab", "maxIterations": 8,
-                     "tolerance": 0, "preconditioner": {"type": "ilu"}}})",
-       matrix::poisson3d7(8, 8, 8), ipu::Topology::pod(4, 8)},
-  };
+  // the register VM, so a solve never enters the generic walk.
   const bool env = dsl::codeletFastPathsEnabled();
   dsl::setCodeletFastPaths(true);  // also under GRAPHENE_NO_FASTPATH=1
-  for (const Case& c : cases) {
-    SessionOptions options;
-    options.hostThreads = 2;
-    options.topology = c.topology;
-    SolveSession session(options);
-    session.load(c.m).configure(c.config);
-    std::vector<double> rhs(c.m.matrix.rows());
-    for (std::size_t i = 0; i < rhs.size(); ++i) {
-      rhs[i] = std::sin(0.37 * static_cast<double>(i));
-    }
+  for (const BenchmarkCase& c : benchmarkCases()) {
     const std::uint64_t before = dsl::codeletWalkEntries();
-    const SolveSession::Result result = session.solve(rhs);
+    const SolveSession::Result result = solveBenchmarkCase(c);
     EXPECT_EQ(dsl::codeletWalkEntries() - before, 0u) << c.config;
     EXPECT_EQ(result.solve.status, SolveStatus::Converged) << c.config;
   }
   dsl::setCodeletFastPaths(env);
+}
+
+TEST(SolveSession, BenchmarkConfigsKeepTheirKernelTiers) {
+  // Every loop-kernel tier computes the same bits, so no bit-identity test
+  // sees a kernel that silently stops matching its named span kernel or its
+  // blocked form, yet losing one costs `timestep` 10-26% of its latency.
+  // GRAPHENE_DUMP_COMPILE=1 prints each codelet's kernels as it compiles;
+  // this pins their multiset over both configs. The CG case gets an
+  // explicit single chip: under GRAPHENE_TEST_POD its reduction tree traces
+  // other dot partials.
+  std::vector<BenchmarkCase> cases = benchmarkCases();
+  cases[0].topology = ipu::Topology::singleIpu(32);
+  const char* ambientRaw = std::getenv("GRAPHENE_DUMP_COMPILE");
+  const std::string ambient = ambientRaw != nullptr ? ambientRaw : "";
+  ::setenv("GRAPHENE_DUMP_COMPILE", "1", 1);
+  testing::internal::CaptureStderr();
+  for (const BenchmarkCase& c : cases) solveBenchmarkCase(c);
+  const std::string dump = testing::internal::GetCapturedStderr();
+  if (ambientRaw == nullptr) {
+    ::unsetenv("GRAPHENE_DUMP_COMPILE");
+  } else {
+    ::setenv("GRAPHENE_DUMP_COMPILE", ambient.c_str(), 1);
+  }
+
+  // Lines read `[compile] <name>: vm ops=N kernels=[k,k,...] csr=N`.
+  std::map<std::string, int> kernels;
+  std::map<int, int> csrPlans;  // codelets per native CSR row plan count
+  std::istringstream lines(dump);
+  for (std::string line; std::getline(lines, line);) {
+    const std::size_t open = line.find(" kernels=[");
+    const std::size_t close = line.find("] csr=");
+    if (line.rfind("[compile] ", 0) != 0 || open == std::string::npos ||
+        close == std::string::npos) {
+      continue;
+    }
+    std::istringstream list(line.substr(open + 10, close - open - 10));
+    for (std::string k; std::getline(list, k, ',');) ++kernels[k];
+    const int csr = std::stoi(line.substr(close + 6));
+    if (csr > 0) ++csrPlans[csr];
+  }
+  EXPECT_EQ(kernels, (std::map<std::string, int>{{"addvec+blocked", 5},
+                                                 {"axpy+blocked", 5},
+                                                 {"copy+blocked", 12},
+                                                 {"dot", 35},
+                                                 {"none+blocked", 38}}));
+  EXPECT_EQ(csrPlans, (std::map<int, int>{{1, 8}}));
 }
