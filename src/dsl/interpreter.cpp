@@ -15,6 +15,7 @@
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
+#include <variant>
 
 // The named span kernels dispatch on runtime aliasing so the hot disjoint
 // case can promise no-alias to the auto-vectorizer (the build keeps
@@ -239,8 +240,8 @@ FlatCodelet flattenCodelet(const CodeletIR& ir) {
 // span kernel; otherwise one lane executor runs them, in blocks of lanes
 // where no register is loop-carried and per element for the rest. Each op
 // of that subset is defined once (kop), for the program VM and every lane
-// width. ParFor rows of the two-run CSR SpMV shape run as native scalar
-// loops.
+// width. ParFor rows of the two-run CSR SpMV shape and of the ILU(0)
+// level-set substitution run as native scalar loops.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -347,7 +348,7 @@ struct VmOp {
     // PBegin (ParFor): as LBegin, but closes the block without a branch and
     //   runs every row through the worker-pool model, each row executing the
     //   ops up to the matching PEnd (iimm) from a fresh block; arg = native
-    //   CSR row plan or -1.
+    //   row plan (Program::rowPlans) or -1.
     // PEnd: ends a row: its cost is the closed blocks plus the open one.
     // FastFor (For lowered to a LoopKernel): a/b/c as LBegin, iimm = kernel.
     //   Closes the block plus a branch, then charges the kernel's trip count
@@ -543,6 +544,36 @@ struct CsrRow {
   // Runs of the row's two LBegin and two LEnd ops and of its PEnd.
   LaneSums entry[2], body[2], tail;
 };
+
+/// Recognised whole-row parallel kernel: one row of a level-set triangular
+/// substitution, the two rows IluSolver::apply traces for ILU(0):
+///   i = order[idx]; acc = seed[i]
+///   for k in [rp[i], rp[i + s]):
+///     c = col[k]; if (c < i) acc = acc - v[k] * x[c]
+///   y[i] = acc                  (forward)
+///   y[i] = acc / v[di[i]]       (backward, whose guard is i < c)
+/// Matched on the compiled ops (matchTriRow). Rows run as a native scalar
+/// loop, the same float ops in the same order, priced by the closed form of
+/// the program's block charges; a row with a non-unit step or an index
+/// outside its slice runs on the program instead, which reports the walk's
+/// error.
+struct TriRow {
+  std::int16_t orderArg = -1, seedArg = -1, rpArg = -1, colArg = -1;
+  std::int16_t vArg = -1, xArg = -1, yArg = -1;
+  std::int16_t diArg = -1;  // backward only
+  // Registers the row reads but never writes: s, and the inner loop's step.
+  std::int16_t sReg = -1, stepReg = -1;
+  bool colFirst = true;  // the guard is c < i, else i < c
+  // Closed-form charges (nativeTriRow): the head block plus a branch; the
+  // first iteration's If block plus a branch; each later iteration's block
+  // plus a branch, after a taken or an untaken iteration; and the tail
+  // block after a taken, an untaken or no iteration.
+  double head = 0, firstIf = 0, afterTaken = 0, afterUntaken = 0;
+  double tailTaken = 0, tailUntaken = 0, tailEmpty = 0;
+};
+
+/// A ParFor's native row plan, kept on its PBegin (VmOp::arg).
+using RowPlan = std::variant<CsrRow, TriRow>;
 
 /// A serial For lowered to its own small register program: the loop body's
 /// ops with registers renumbered compactly (int register 0 is the induction
@@ -1030,7 +1061,7 @@ struct Program {
 
   std::vector<VmOp> ops;  // ends with Halt
   std::vector<LoopKernel> kernels;
-  std::vector<CsrRow> csrRows;
+  std::vector<RowPlan> rowPlans;
   std::vector<EntryLoad> entry;
   // The trace-time dtype of every argument the program loads or stores; a
   // vertex whose arguments differ runs on the walk (codeletBinds).
@@ -1038,6 +1069,154 @@ struct Program {
   int numFloat = 0, numInt = 1, numDw = 0, numF64 = 0;  // int reg 0: worker
   double branchCost = 0;
 };
+
+/// Matches the ParFor row of the PBegin at ops[head] against TriRow's shape,
+/// on the ops the program runs, and prices it. Every op of the row must
+/// belong to the shape, in any order that reads each register only after
+/// the row wrote it. Each register the row writes is written once per row
+/// (the accumulator's update excepted), and the two it reads from outside,
+/// s and the step, not at all. So the native loop computes what the ops do.
+bool matchTriRow(const std::vector<VmOp>& ops, std::size_t head,
+                 double branchCost, TriRow& m) {
+  using K = VmOp::K;
+  const auto tail = static_cast<std::size_t>(ops[head].iimm);
+  std::vector<std::size_t> ctl;
+  for (std::size_t pc = head + 1; pc < tail; ++pc) {
+    if (isControl(ops[pc].k)) ctl.push_back(pc);
+  }
+  if (ctl.size() != 4) return false;
+  const VmOp& loop = ops[ctl[0]];
+  const VmOp& guard = ops[ctl[1]];
+  const VmOp& thenEnd = ops[ctl[2]];
+  const VmOp& loopEnd = ops[ctl[3]];
+  auto jumpsTo = [](const VmOp& op, std::size_t pc) {
+    return static_cast<std::size_t>(op.iimm) == pc;
+  };
+  if (loop.k != K::LBegin || guard.k != K::IfLt || thenEnd.k != K::Jmp ||
+      loopEnd.k != K::LEnd || !jumpsTo(loop, ctl[3]) ||
+      !jumpsTo(guard, ctl[2]) || !jumpsTo(thenEnd, ctl[2]) ||
+      !jumpsTo(loopEnd, ctl[0]) || ctl[2] + 1 != ctl[3] ||
+      loopEnd.a != loop.dst || loopEnd.b != loop.b || loopEnd.c != loop.c) {
+    return false;
+  }
+  // What each Int and Float register holds in the row: Outside until the
+  // row writes it. InPlace marks the op that updates its a register.
+  enum class R : std::uint8_t {
+    None, Outside, InPlace, Idx, I, Acc, Begin, EndAt, End, K, C, V, G, M,
+    D, Q, Quot
+  };
+  std::array<std::array<R, Program::kMaxRegs>, 2> role;
+  for (auto& r : role) r.fill(R::Outside);
+  auto slot = [&](RegKind kind, std::int16_t reg) -> R* {
+    if (kind != RegKind::Int && kind != RegKind::Float) return nullptr;
+    return &role[kindIndex(kind)][static_cast<std::size_t>(reg)];
+  };
+  auto read = [&](RegKind kind, std::int16_t reg) {
+    const R* r = slot(kind, reg);
+    return r != nullptr ? *r : R::None;
+  };
+  struct Step {
+    K k;
+    R a, b;  // what the op's a and b registers hold
+    R dst;   // what its dst holds after it
+    std::int16_t* arg = nullptr;  // receives the op's argument
+  };
+  // Matches ops [from, to) one for one against `steps`.
+  auto match = [&](std::size_t from, std::size_t to,
+                   std::initializer_list<Step> steps) {
+    if (to - from != steps.size()) return false;
+    std::bitset<5> used;
+    for (std::size_t pc = from; pc < to; ++pc) {
+      const VmOp& op = ops[pc];
+      const OpShape& s = shapeOf(op.k);
+      std::size_t j = 0;
+      for (const Step& st : steps) {
+        if (!used[j] && st.k == op.k && read(s.a, op.a) == st.a &&
+            read(s.b, op.b) == st.b) {
+          break;
+        }
+        ++j;
+      }
+      if (j == steps.size()) return false;
+      used[j] = true;
+      const Step& st = steps.begin()[j];
+      if (st.arg != nullptr) *st.arg = op.arg;
+      if (st.dst == R::InPlace) {
+        if (op.dst != op.a) return false;
+      } else if (st.dst != R::None) {
+        R* d = slot(s.dst, op.dst);
+        if (*d != R::Outside) return false;
+        *d = st.dst;
+      }
+    }
+    return true;
+  };
+  const R N = R::None;
+  *slot(RegKind::Int, ops[head].dst) = R::Idx;
+  std::int16_t rpAgain = -1, vAgain = -1;
+  if (!match(head + 1, ctl[0],
+             {{K::ILoad, R::Idx, N, R::I, &m.orderArg},
+              {K::FLoad, R::I, N, R::Acc, &m.seedArg},
+              {K::ILoad, R::I, N, R::Begin, &m.rpArg},
+              {K::IAdd, R::I, R::Outside, R::EndAt},
+              {K::ILoad, R::EndAt, N, R::End, &rpAgain}}) ||
+      rpAgain != m.rpArg) {
+    return false;
+  }
+  for (std::size_t pc = head + 1; pc < ctl[0]; ++pc) {
+    if (ops[pc].k == K::IAdd) m.sReg = ops[pc].b;
+  }
+  R* k = slot(RegKind::Int, loop.dst);
+  if (read(RegKind::Int, loop.a) != R::Begin ||
+      read(RegKind::Int, loop.b) != R::End ||
+      read(RegKind::Int, loop.c) != R::Outside || *k != R::Outside) {
+    return false;
+  }
+  *k = R::K;
+  m.stepReg = loop.c;
+  if (!match(ctl[0] + 1, ctl[1], {{K::ILoad, R::K, N, R::C, &m.colArg}})) {
+    return false;
+  }
+  const R ga = read(RegKind::Int, guard.a), gb = read(RegKind::Int, guard.b);
+  m.colFirst = ga == R::C;
+  if (!(ga == R::C && gb == R::I) && !(ga == R::I && gb == R::C)) return false;
+  if (!match(ctl[1] + 1, ctl[2],
+             {{K::FLoad, R::K, N, R::V, &m.vArg},
+              {K::FLoad, R::C, N, R::G, &m.xArg},
+              {K::FMul, R::V, R::G, R::M},
+              {K::FSub, R::Acc, R::M, R::InPlace}})) {
+    return false;
+  }
+  const bool forward =
+      match(ctl[3] + 1, tail, {{K::FStore, R::I, R::Acc, N, &m.yArg}});
+  if (!forward &&
+      (!match(ctl[3] + 1, tail,
+              {{K::ILoad, R::I, N, R::D, &m.diArg},
+               {K::FLoad, R::D, N, R::Q, &vAgain},
+               {K::FDiv, R::Acc, R::Q, R::Quot},
+               {K::FStore, R::I, R::Quot, N, &m.yArg}}) ||
+       vAgain != m.vArg)) {
+    return false;
+  }
+  if (read(RegKind::Int, m.sReg) != R::Outside ||
+      read(RegKind::Int, m.stepReg) != R::Outside) {
+    return false;
+  }
+  auto block = [](std::initializer_list<const LaneSums*> runs) {
+    LaneSums sum;
+    for (const LaneSums* r : runs) sum.add(*r);
+    return sum.total();
+  };
+  const LaneSums& rowEnd = ops[tail].run;
+  m.head = loop.run.total() + branchCost;
+  m.firstIf = guard.run.total() + branchCost;
+  m.afterTaken = block({&thenEnd.run, &loopEnd.run, &guard.run}) + branchCost;
+  m.afterUntaken = block({&loopEnd.run, &guard.run}) + branchCost;
+  m.tailTaken = block({&thenEnd.run, &loopEnd.run, &rowEnd});
+  m.tailUntaken = block({&loopEnd.run, &rowEnd});
+  m.tailEmpty = rowEnd.total();
+  return true;
+}
 
 /// Lowers a whole flattened codelet to one Program, or reports the construct
 /// that keeps it on the walk. Variables live in home registers of a fixed
@@ -1724,8 +1903,11 @@ class ProgramCompiler {
     at(head).iimm = tail;
     if (par) {
       // Native rows skip the row's ops, so nothing they assign may be
-      // readable after the row.
-      if (!assignsLiveVar(s.body)) planCsrRow(sid, head, tail);
+      // readable after the row. The triangular row is matched on the ops
+      // finish() leaves.
+      if (!assignsLiveVar(s.body) && !planCsrRow(sid, head, tail)) {
+        rowHeads_.push_back(head);
+      }
       return;
     }
     at(tail).a = iv;
@@ -1818,10 +2000,10 @@ class ProgramCompiler {
   }
 
   /// Attaches a native CSR row plan to the ParFor at `head` when its row
-  /// body has the two-run SpMV shape.
-  void planCsrRow(std::int32_t sid, std::int32_t head, std::int32_t tail) {
+  /// body has the two-run SpMV shape. Returns whether it did.
+  bool planCsrRow(std::int32_t sid, std::int32_t head, std::int32_t tail) {
     CsrRow m;
-    if (!ShapeMatcher(flat_).matchCsrRow(sid, m)) return;
+    if (!ShapeMatcher(flat_).matchCsrRow(sid, m)) return false;
     std::vector<std::int32_t> ctl;
     for (std::int32_t pc = head + 1; pc < tail; ++pc) {
       if (isControl(at(pc).k)) ctl.push_back(pc);
@@ -1830,12 +2012,12 @@ class ProgramCompiler {
     if (ctl.size() != 4 || at(ctl[0]).k != K::LBegin ||
         at(ctl[1]).k != K::LEnd || at(ctl[2]).k != K::LBegin ||
         at(ctl[3]).k != K::LEnd) {
-      return;
+      return false;
     }
     const Var& owned = var(m.ownedVar);
     if (owned.reg < 0 || owned.kind != RegKind::Int ||
         !scopeOpen(owned.scope)) {
-      return;
+      return false;
     }
     m.ownedReg = owned.reg;
     m.entry[0] = at(ctl[0]).run;
@@ -1843,15 +2025,17 @@ class ProgramCompiler {
     m.entry[1] = at(ctl[2]).run;
     m.body[1] = at(ctl[3]).run;
     m.tail = at(tail).run;
-    at(head).arg = static_cast<std::int16_t>(p_.csrRows.size());
-    p_.csrRows.push_back(m);
+    at(head).arg = static_cast<std::int16_t>(p_.rowPlans.size());
+    p_.rowPlans.emplace_back(m);
+    return true;
   }
 
   // ---- after the last op -----------------------------------------------------
 
   /// Fuses each If's int comparison into its branch, deletes every pure op
   /// whose result nothing reads (no op, kernel seed or CSR row plan), remaps
-  /// the jump targets, and keeps only the entry loads something reads.
+  /// the jump targets, keeps only the entry loads something reads, and
+  /// plans the triangular rows on the ops that remain.
   void finish() {
     ReadCounts reads(p_.numInt, p_.numFloat, p_.numDw, p_.numF64);
     for (const VmOp& op : p_.ops) reads.addReads(op);
@@ -1859,7 +2043,10 @@ class ProgramCompiler {
       for (const auto& [reg, kr] : k.seedFloat) reads.add(RegKind::Float, reg);
       for (const auto& [reg, kr] : k.seedInt) reads.add(RegKind::Int, reg);
     }
-    for (const CsrRow& m : p_.csrRows) reads.add(RegKind::Int, m.ownedReg);
+    // Only CSR plans exist yet: the triangular rows are planned below.
+    for (const RowPlan& plan : p_.rowPlans) {
+      reads.add(RegKind::Int, std::get<CsrRow>(plan).ownedReg);
+    }
     fuseCompareBranches(reads);
     const std::vector<std::int32_t> newPc = deleteDeadOps(p_.ops, reads);
     for (VmOp& op : p_.ops) {
@@ -1871,6 +2058,14 @@ class ProgramCompiler {
     std::erase_if(p_.entry, [&](const EntryLoad& e) {
       return reads.at(e.kind, e.reg) == 0;
     });
+    for (const std::int32_t head : rowHeads_) {
+      const auto pc =
+          static_cast<std::size_t>(newPc[static_cast<std::size_t>(head)]);
+      TriRow m;
+      if (!matchTriRow(p_.ops, pc, p_.branchCost, m)) continue;
+      p_.ops[pc].arg = static_cast<std::int16_t>(p_.rowPlans.size());
+      p_.rowPlans.emplace_back(m);
+    }
   }
 
   /// An If whose condition is an int comparison made by the op just before
@@ -1912,6 +2107,9 @@ class ProgramCompiler {
   std::vector<int> scopes_;  // open conditional scopes, innermost last
   int nextScope_ = 0;
   int parDepth_ = 0;  // enclosing ParFor rows
+  // PBegin pcs, before dead-op elimination, of the rows finish() tries as
+  // triangular rows: no CSR plan, and nothing they assign outlives them.
+  std::vector<std::int32_t> rowHeads_;
 };
 
 }  // namespace
@@ -2195,15 +2393,20 @@ constexpr auto cast = [](auto a) { return static_cast<To>(a); };
 }  // namespace kop
 
 /// Applies a kop definition to every lane. The loop holds no branch on the
-/// op, so it vectorizes.
+/// op, and computes into a local before assigning it: d may alias a or b,
+/// which would otherwise keep GCC from vectorizing the loop.
 template <typename F, typename D, typename A, std::size_t B>
 void lanes(F f, std::array<D, B>& d, const std::array<A, B>& a) {
-  for (std::size_t j = 0; j < B; ++j) d[j] = f(a[j]);
+  std::array<D, B> r;
+  for (std::size_t j = 0; j < B; ++j) r[j] = f(a[j]);
+  d = r;
 }
 template <typename F, typename T, std::size_t B>
 void lanes(F f, std::array<T, B>& d, const std::array<T, B>& a,
            const std::array<T, B>& b) {
-  for (std::size_t j = 0; j < B; ++j) d[j] = f(a[j], b[j]);
+  std::array<T, B> r;
+  for (std::size_t j = 0; j < B; ++j) r[j] = f(a[j], b[j]);
+  d = r;
 }
 
 /// A loop kernel's register files, B lanes per register: lane j holds the
@@ -2526,24 +2729,76 @@ class VmExec {
     ipu::WorkerPool pool(numWorkers_);
     pool.chargeSpawn();
     const std::int32_t savedWorker = ir_[0];
-    const CsrRow* csr =
+    const RowPlan* plan =
         op.arg >= 0 && step == 1
-            ? &prog_.csrRows[static_cast<std::size_t>(op.arg)]
+            ? &prog_.rowPlans[static_cast<std::size_t>(op.arg)]
             : nullptr;
+    const CsrRow* csr = std::get_if<CsrRow>(plan);
+    const TriRow* tri = std::get_if<TriRow>(plan);
     std::size_t w = 0;
     for (std::int64_t iv = begin; iv < end; iv += step) {
-      ir_[op.dst] = static_cast<std::int32_t>(iv);
+      const auto row = static_cast<std::int32_t>(iv);
+      ir_[op.dst] = row;
       ir_[0] = static_cast<std::int32_t>(w);
       double rowCost = 0;
-      if (csr == nullptr ||
-          !nativeCsrRow(*csr, static_cast<std::int32_t>(iv), rowCost)) {
-        rowCost = exec(pc + 1);
-      }
+      const bool native = csr != nullptr   ? nativeCsrRow(*csr, row, rowCost)
+                          : tri != nullptr ? nativeTriRow(*tri, row, rowCost)
+                                           : false;
+      if (!native) rowCost = exec(pc + 1);
       pool.addCycles(w, rowCost);
-      w = (w + 1) % numWorkers_;
+      if (++w == numWorkers_) w = 0;
     }
     ir_[0] = savedWorker;
     return pool.sync();
+  }
+
+  /// One triangular-substitution row as a native scalar loop: the program's
+  /// float ops in the program's order, priced by the closed form of its
+  /// block charges (TriRow). Returns false, having written nothing, on a
+  /// non-unit step or an index outside a bound slice; the program then runs
+  /// the row and reports the walk's error.
+  bool nativeTriRow(const TriRow& m, std::int32_t idx, double& rowCost) const {
+    auto in = [this](std::int64_t i, std::int16_t arg) {
+      return i >= 0 && static_cast<std::uint64_t>(i) < args_[arg].size;
+    };
+    if (ir_[m.stepReg] != 1 || !in(idx, m.orderArg)) return false;
+    const std::int32_t i = data<const std::int32_t>(m.orderArg)[idx];
+    const std::int64_t iEnd = std::int64_t{i} + ir_[m.sReg];
+    if (!in(i, m.seedArg) || !in(i, m.rpArg) || !in(iEnd, m.rpArg) ||
+        !in(i, m.yArg)) {
+      return false;
+    }
+    const std::int32_t* rp = data<const std::int32_t>(m.rpArg);
+    const std::int32_t* col = data<const std::int32_t>(m.colArg);
+    const float* v = data<const float>(m.vArg);
+    const float* x = data<const float>(m.xArg);
+    const std::int32_t b = rp[i], e = rp[iEnd];
+    float acc = data<const float>(m.seedArg)[i];
+    std::int32_t nAfterTaken = 0;  // iterations that follow a taken one
+    bool taken = false;
+    for (std::int32_t k = b; k < e; ++k) {
+      if (!in(k, m.colArg)) return false;
+      const std::int32_t c = col[k];
+      nAfterTaken += taken ? 1 : 0;
+      taken = m.colFirst ? c < i : i < c;
+      if (taken) {
+        if (!in(k, m.vArg) || !in(c, m.xArg)) return false;
+        acc = acc - v[k] * x[c];
+      }
+    }
+    if (m.diArg >= 0) {
+      if (!in(i, m.diArg)) return false;
+      const std::int32_t d = data<const std::int32_t>(m.diArg)[i];
+      if (!in(d, m.vArg)) return false;
+      acc = acc / v[d];
+    }
+    data<float>(m.yArg)[i] = acc;
+    const std::int32_t n = e > b ? e - b : 0;
+    rowCost = n == 0 ? m.head + m.tailEmpty
+                     : m.head + m.firstIf + nAfterTaken * m.afterTaken +
+                           (n - 1 - nAfterTaken) * m.afterUntaken +
+                           (taken ? m.tailTaken : m.tailUntaken);
+    return true;
   }
 
   /// One CSR SpMV row as a native scalar loop: the program's float ops in
@@ -2991,34 +3246,37 @@ graph::VertexCost runCompiled(const CompiledCodelet& codelet,
   return result;
 }
 
+std::string codeletShape(const CompiledCodelet& codelet) {
+  if (!codelet.program) return std::string("walk: ") + codelet.walkReason;
+  const Program& p = *codelet.program;
+  // Indexed by NamedLoop::P.
+  static constexpr const char* kNamed[] = {"none", "copy", "addvec", "axpy",
+                                           "dot"};
+  static_assert(std::size(kNamed) ==
+                static_cast<std::size_t>(NamedLoop::P::DotPartial) + 1);
+  std::string kernels;
+  for (const LoopKernel& k : p.kernels) {
+    kernels += kernels.empty() ? "" : ",";
+    kernels += kNamed[static_cast<std::size_t>(k.named.p)];
+    if (k.blockable) kernels += "+blocked";
+  }
+  const auto csr = std::count_if(
+      p.rowPlans.begin(), p.rowPlans.end(),
+      [](const RowPlan& plan) { return std::holds_alternative<CsrRow>(plan); });
+  return "vm ops=" + std::to_string(p.ops.size()) + " kernels=[" + kernels +
+         "] csr=" + std::to_string(csr) +
+         " tri=" + std::to_string(std::ssize(p.rowPlans) - csr);
+}
+
 graph::Codelet makeCodelet(std::string name, CodeletIR ir,
                            const ipu::CostModel& cost,
                            std::size_t numWorkers) {
   CompiledCodeletPtr cc = compileCodelet(ir, cost, numWorkers);
-  // Compile-time diagnostics, one line per codelet: `vm` with the program's
-  // shape (ops, serial loop kernels and the named span kernel each matched,
-  // native CSR row plans), or `walk:` and the construct that stopped the
-  // compiler. Costs nothing when the env var is unset.
+  // Compile-time diagnostics, one line per codelet (codeletShape). Costs
+  // nothing when the env var is unset.
   if (support::envFlag("GRAPHENE_DUMP_COMPILE")) {
-    if (cc->program) {
-      // Indexed by NamedLoop::P.
-      static constexpr const char* kNamed[] = {"none", "copy", "addvec",
-                                               "axpy", "dot"};
-      static_assert(std::size(kNamed) ==
-                    static_cast<std::size_t>(NamedLoop::P::DotPartial) + 1);
-      std::string kernels;
-      for (const LoopKernel& k : cc->program->kernels) {
-        kernels += kernels.empty() ? "" : ",";
-        kernels += kNamed[static_cast<std::size_t>(k.named.p)];
-        if (k.blockable) kernels += "+blocked";
-      }
-      std::fprintf(stderr, "[compile] %s: vm ops=%zu kernels=[%s] csr=%zu\n",
-                   name.c_str(), cc->program->ops.size(), kernels.c_str(),
-                   cc->program->csrRows.size());
-    } else {
-      std::fprintf(stderr, "[compile] %s: walk: %s\n", name.c_str(),
-                   cc->walkReason);
-    }
+    std::fprintf(stderr, "[compile] %s: %s\n", name.c_str(),
+                 codeletShape(*cc).c_str());
   }
   graph::Codelet codelet{std::move(name),
                          [cc](graph::VertexContext& vc) {

@@ -49,6 +49,14 @@ const char* codeletWalkReason(const CompiledCodelet& codelet);
 /// and diagnostics.
 std::size_t codeletOpCount(const CompiledCodelet& codelet);
 
+/// One line on how `codelet` runs: `vm ops=N kernels=[...] csr=N tri=N`
+/// when it compiled to the register VM (each serial loop kernel's named span
+/// kernel, `+blocked` when it runs block-vectorized; the native CSR SpMV and
+/// triangular-substitution row plans), else `walk: <construct>`.
+/// GRAPHENE_DUMP_COMPILE=1 prints it as each codelet compiles. Read-only,
+/// for tests and diagnostics.
+std::string codeletShape(const CompiledCodelet& codelet);
+
 /// True when `codelet` compiled and `args` have the dtypes its program was
 /// traced with: a vertex bound to them runs on the VM. The engine asks once
 /// per vertex, when it builds an execution plan (graph::Codelet::bind).

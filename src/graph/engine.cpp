@@ -360,7 +360,7 @@ double Engine::runTileTask(const ComputeSet& cs, const ExecPlan& plan,
       workerBusy += cost.workerCycles * static_cast<double>(pool.numWorkers());
     } else {
       pool.addCycles(nextWorker, cost.workerCycles);
-      nextWorker = (nextWorker + 1) % pool.numWorkers();
+      if (++nextWorker == pool.numWorkers()) nextWorker = 0;
       workerBusy += cost.workerCycles;
     }
   }

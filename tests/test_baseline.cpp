@@ -1,6 +1,7 @@
 // Tests for the host reference solver stack and the platform models.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "baseline/cpu_solver.hpp"
@@ -55,10 +56,19 @@ TEST(HostBiCgStab, ResidualHistoryDecreases) {
 }
 
 TEST(HostSpmv, MeasurementIsPositiveAndScales) {
+  // Each size's time is the fastest of several measurements: a preemption
+  // while other processes load the cores can only slow one measurement.
+  auto fastest = [](const matrix::CsrMatrix& m) {
+    double best = measureHostSpmvSeconds(m, 5, 50);
+    for (int repeat = 1; repeat < 7; ++repeat) {
+      best = std::min(best, measureHostSpmvSeconds(m, 5, 50));
+    }
+    return best;
+  };
   auto small = matrix::poisson2d5(20, 20);
   auto large = matrix::poisson2d5(80, 80);
-  double tSmall = measureHostSpmvSeconds(small.matrix, 5, 50);
-  double tLarge = measureHostSpmvSeconds(large.matrix, 5, 50);
+  double tSmall = fastest(small.matrix);
+  double tLarge = fastest(large.matrix);
   EXPECT_GT(tSmall, 0.0);
   EXPECT_GT(tLarge, tSmall);  // 16x the work
 }

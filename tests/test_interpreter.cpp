@@ -325,14 +325,16 @@ RunResult expectVmMatchesWalk(const CodeletIR& ir, const HostArgs& args,
   return vm;
 }
 
-/// Both paths must fail with the same message.
+/// Both paths must fail with the same message. `rewrite` rebinds both
+/// runs' spans.
 void expectSameError(const CodeletIR& ir, const HostArgs& args,
-                     const std::string& what) {
+                     const std::string& what,
+                     const SpanRewrite& rewrite = {}) {
   CompiledCodeletPtr cc = compileForTest(ir);
   EXPECT_TRUE(codeletWalkReason(*cc) == nullptr);
   for (const bool vm : {true, false}) {
     try {
-      runOnce(*cc, args, vm);
+      runOnce(*cc, args, vm, rewrite);
       ADD_FAILURE() << "no error with the VM " << (vm ? "on" : "off");
     } catch (const Error& e) {
       EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
@@ -577,9 +579,13 @@ CodeletIR traceCsrSpmv() {
 
 TEST(GuardedRows, IluZeroSubstitutionCompilesToRowKernels) {
   // The level loops and both level-set ParFor rows compile into one VM
-  // program.
+  // program, and each row runs as a native triangular row.
   CompiledCodeletPtr cc = compileForTest(traceIluSolve());
   EXPECT_TRUE(codeletWalkReason(*cc) == nullptr) << codeletWalkReason(*cc);
+  EXPECT_NE(codeletShape(*cc).find(" csr=0 tri=2"), std::string::npos)
+      << codeletShape(*cc);
+  EXPECT_NE(codeletShape(*compileForTest(traceCsrSpmv())).find(" csr=1 tri=0"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -993,6 +999,315 @@ TEST(WholeCodelet, LoopLocalVariableReadAfterTheLoopKeepsTheWalk) {
   args.addFloat({0.0f});
   args.addFloat({1.5f, 2.5f});
   EXPECT_TRUE(runOnce(*cc, args, true).walked);
+}
+
+// ---------------------------------------------------------------------------
+// Native triangular rows: a level-set substitution row runs as a native
+// scalar loop priced in closed form, and must match the walk bit for bit on
+// every taken pattern, and fail like it on every out-of-slice index.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Variants of traceTriRows. Only Plain, GatherFromOut and StepFromArg have
+/// the native row's shape.
+enum class TriVariant {
+  Plain,
+  GatherFromOut,  // x is the stored span, as in ILU's rows
+  StepFromArg,    // the inner loop's step is steps[0]
+  AccReadAfter,   // acc outlives the row: out[0] = acc after the ParFor
+  ExtraLoad,      // the row also loads x[i], which nothing reads
+};
+
+/// One triangular-substitution row per ParFor iteration, the shape
+/// IluSolver::apply traces:
+///   i = order[idx]; acc = seed[i]
+///   for k in [rp[i], rp[i + 1]):
+///     c = col[k]; if (c < i) acc = acc - val[k] * x[c]
+///   out[i] = acc
+/// The backward row's guard is c > i, and it stores acc / val[di[i]].
+/// Args: 0 out, 1 seed, 2 x, 3 val, 4 col, 5 rp, 6 di, 7 order, 8 steps.
+CodeletIR traceTriRows(bool backward, TriVariant variant = TriVariant::Plain) {
+  CodeletBuilder builder;
+  builder.setNumArgs(9);
+  Value out = Value::argument(0, DType::Float32);
+  Value seed = Value::argument(1, DType::Float32);
+  Value x = variant == TriVariant::GatherFromOut
+                ? out
+                : Value::argument(2, DType::Float32);
+  Value val = Value::argument(3, DType::Float32);
+  Value col = Value::argument(4, DType::Int32);
+  Value rp = Value::argument(5, DType::Int32);
+  Value di = Value::argument(6, DType::Int32);
+  Value order = Value::argument(7, DType::Int32);
+  Value steps = Value::argument(8, DType::Int32);
+  Value step = variant == TriVariant::StepFromArg ? Value(steps[0]) : Value(1);
+  std::optional<Value> outer;
+  if (variant == TriVariant::AccReadAfter) outer.emplace(0.0f);
+  ParallelFor(0, out.size(), [&](Value idx) {
+    Value i = order[idx];
+    if (variant == TriVariant::ExtraLoad) Value unused = x[i];
+    std::optional<Value> local;
+    if (outer) {
+      *outer = seed[i];
+    } else {
+      local.emplace(seed[i]);
+    }
+    Value& acc = outer ? *outer : *local;
+    For(rp[i], rp[i + 1], step, [&](Value k) {
+      Value c = col[k];
+      If(backward ? c > i : c < i,
+         [&] { acc = acc - Value(val[k]) * Value(x[c]); });
+    });
+    if (backward) {
+      out[i] = acc / Value(val[di[i]]);
+    } else {
+      out[i] = acc;
+    }
+  });
+  if (outer) out[0] = *outer;
+  return builder.finish();
+}
+
+/// traceTriRows' argument columns for a matrix whose row i holds the
+/// columns rows[i]; ParFor iteration idx visits row order[idx]. val has one
+/// spare entry past the last column, and di points every row at a nonzero.
+struct TriCols {
+  std::vector<float> out, seed, x, val;
+  std::vector<std::int32_t> col, rp{0}, di, order, steps{1};
+
+  TriCols(const std::vector<std::vector<std::int32_t>>& rows,
+          std::vector<std::int32_t> visit)
+      : order(std::move(visit)) {
+    const std::size_t n = rows.size();
+    for (const std::vector<std::int32_t>& r : rows) {
+      col.insert(col.end(), r.begin(), r.end());
+      rp.push_back(static_cast<std::int32_t>(col.size()));
+    }
+    val = ramp(col.size() + 1, 0.5f, 0.125f);
+    for (std::size_t i = 0; i < n; ++i) {
+      di.push_back(static_cast<std::int32_t>((i * 5) % val.size()));
+    }
+    out.assign(n, -1.0f);
+    seed = ramp(n, 1.0f, 0.5f);
+    x = ramp(n, -0.75f, 0.375f);
+  }
+
+  HostArgs args() const {
+    HostArgs a;
+    a.addFloat(out);
+    a.addFloat(seed);
+    a.addFloat(x);
+    a.addFloat(val);
+    a.addInt(col);
+    a.addInt(rp);
+    a.addInt(di);
+    a.addInt(order);
+    a.addInt(steps);
+    return a;
+  }
+};
+
+/// Columns for row i of n whose guard is taken at each 'T' of `pattern` and
+/// not at each 'N': below i for the forward row, above it for the backward
+/// one. An untaken column may be the diagonal.
+std::vector<std::int32_t> guardPattern(std::int32_t i, std::int32_t n,
+                                       bool backward,
+                                       const std::string& pattern) {
+  std::vector<std::int32_t> cols;
+  for (std::size_t j = 0; j < pattern.size(); ++j) {
+    const auto s = static_cast<std::int32_t>(j);
+    const bool taken = pattern[j] == 'T';
+    if (backward) {
+      cols.push_back(taken ? i + 1 + s % (n - 1 - i) : s % (i + 1));
+    } else {
+      cols.push_back(taken ? s % i : i + s % (n - i));
+    }
+  }
+  return cols;
+}
+
+/// Rows 1 .. n-2 of an n-row matrix follow `pattern`; rows 0 and n-1 are
+/// empty. The rows are visited out of order.
+TriCols patternRows(bool backward, const std::string& pattern) {
+  constexpr std::int32_t kN = 9;
+  std::vector<std::vector<std::int32_t>> rows(kN);
+  for (std::int32_t i = 1; i + 1 < kN; ++i) {
+    rows[static_cast<std::size_t>(i)] = guardPattern(i, kN, backward, pattern);
+  }
+  return TriCols(rows, {4, 0, 7, 2, 8, 5, 1, 6, 3});
+}
+
+bool hasTriRows(const CodeletIR& ir, int n) {
+  const std::string shape = codeletShape(*compileForTest(ir));
+  return shape.find(" tri=" + std::to_string(n)) != std::string::npos;
+}
+
+}  // namespace
+
+TEST(TriangularRows, EveryTakenPatternMatchesTheWalk) {
+  // None, all, only the first and only the last iteration taken, a mix, and
+  // zero-trip rows (the first and last row, and every row of the last
+  // case), gathering from x or, as ILU does, from the span the rows store.
+  for (const bool backward : {false, true}) {
+    for (const TriVariant variant :
+         {TriVariant::Plain, TriVariant::GatherFromOut}) {
+      const CodeletIR ir = traceTriRows(backward, variant);
+      ASSERT_TRUE(hasTriRows(ir, 1));
+      double cost[2] = {0, 0};
+      for (const std::string pattern :
+           {"NNN", "TTTT", "TNN", "NNT", "NTTNT", ""}) {
+        SCOPED_TRACE(std::string(backward ? "backward" : "forward") +
+                     (variant == TriVariant::Plain ? "" : ", gathering out") +
+                     ", '" + pattern + "'");
+        const RunResult vm =
+            expectVmMatchesWalk(ir, patternRows(backward, pattern).args());
+        if (pattern == "TNN") cost[0] = vm.cost.workerCycles;
+        if (pattern == "NNT") cost[1] = vm.cost.workerCycles;
+      }
+      // The last taken body's lanes join the trailing store's block.
+      EXPECT_NE(cost[0], cost[1]);
+    }
+  }
+}
+
+TEST(TriangularRows, IluSubstitutionMatchesTheWalk) {
+  // Both rows of IluSolver::apply over a 5-point Laplacian pattern on a 4x4
+  // grid, each level set a single level in its sweep order.
+  constexpr std::int32_t kSide = 4, kN = kSide * kSide;
+  std::vector<std::int32_t> col, rp{0}, di, fwd, bwd;
+  for (std::int32_t i = 0; i < kN; ++i) {
+    for (const std::int32_t c : {i - kSide, i - 1, i, i + 1, i + kSide}) {
+      const bool wraps = (c == i - 1 || c == i + 1) && c / kSide != i / kSide;
+      if (c < 0 || c >= kN || wraps) continue;
+      if (c == i) di.push_back(static_cast<std::int32_t>(col.size()));
+      col.push_back(c);
+    }
+    rp.push_back(static_cast<std::int32_t>(col.size()));
+    fwd.push_back(i);
+    bwd.push_back(kN - 1 - i);
+  }
+  HostArgs args;
+  args.addFloat(std::vector<float>(kN, 0.0f));                 // z
+  args.addFloat(ramp(kN, 1.0f, 0.25f));                        // r
+  args.addFloat(std::vector<float>(kN, 0.0f));                 // y
+  args.addFloat(ramp(col.size(), 4.0f, -0.0625f));             // L\U values
+  args.addInt(col);
+  args.addInt(rp);
+  args.addInt(di);
+  args.addInt(fwd);
+  args.addInt({0, kN});
+  args.addInt(bwd);
+  args.addInt({0, kN});
+  expectVmMatchesWalk(traceIluSolve(), args);
+}
+
+TEST(TriangularRows, OutOfSliceIndicesReportTheWalksError) {
+  // Every index the row reads or writes through, checked on the native row
+  // and reported by the program it hands the row back to. A slice is cut
+  // short by rebinding its span, so the memory past it stays readable, as a
+  // neighbouring tile's region would be: a skipped check would go unseen.
+  const std::string range = "tensor index out of range in codelet";
+  const std::string negative = "negative tensor index in codelet";
+  enum Arg { kOut, kSeed, kX, kVal, kCol, kRp, kDi, kOrder };
+  auto shorten = [](Arg arg, std::size_t size) -> SpanRewrite {
+    return [=](std::vector<graph::ArgSpan>& s) { s[arg].size = size; };
+  };
+  for (const bool backward : {false, true}) {
+    SCOPED_TRACE(backward ? "backward" : "forward");
+    const CodeletIR ir = traceTriRows(backward);
+    const TriCols base = patternRows(backward, "NTTNT");
+    // idx past order's; rp[i + 1] past rp's; k past col's; i past out's
+    // (row 8 is visited fifth).
+    expectSameError(ir, base.args(), range, shorten(kOrder, 8));
+    expectSameError(ir, base.args(), range, shorten(kRp, 9));
+    expectSameError(ir, base.args(), range,
+                    shorten(kCol, base.col.size() - 1));
+    expectSameError(ir, base.args(), range, shorten(kOut, 8));
+    for (const auto& [i, what] :
+         {std::pair{9, range}, std::pair{-1, negative}}) {
+      TriCols t = base;  // order names a row outside every slice
+      t.order[3] = i;
+      expectSameError(ir, t.args(), what);
+    }
+    // A gathered x[c] or a val[k] outside its slice fails on a taken
+    // iteration and is never loaded on an untaken one. Row 6 holds its
+    // diagonal, then at k = 1 column 4 or 7, whichever is taken (or not)
+    // in this direction; x and val are cut to 3 and 1 elements.
+    for (const bool taken : {true, false}) {
+      SCOPED_TRACE(taken ? "taken" : "untaken");
+      std::vector<std::vector<std::int32_t>> rows(9);
+      rows[6] = {6, taken == backward ? 7 : 4};
+      TriCols t(rows, base.order);
+      t.di.assign(9, 0);
+      for (const SpanRewrite& cut : {shorten(kX, 3), shorten(kVal, 1)}) {
+        if (taken) {
+          expectSameError(ir, t.args(), range, cut);
+        } else {
+          expectVmMatchesWalk(ir, t.args(), /*onVm=*/true, cut);
+        }
+      }
+    }
+    // Columns outside the whole tensor: 99 lies above every row, -1 below.
+    const auto k = static_cast<std::size_t>(base.rp[3]) + 1;  // taken
+    for (const std::int32_t c : {99, -1}) {
+      SCOPED_TRACE("column " + std::to_string(c));
+      TriCols t = base;
+      t.col[k] = c;
+      if (backward ? c > 3 : c < 3) {
+        expectSameError(ir, t.args(), c < 0 ? negative : range);
+      } else {
+        expectVmMatchesWalk(ir, t.args());
+      }
+    }
+    if (!backward) continue;
+    // i past di's slice; di[i] outside val's slice, and outside val.
+    expectSameError(ir, base.args(), range, shorten(kDi, 3));
+    TriCols cut = base;
+    for (std::int32_t& d : cut.di) d = 0;
+    cut.di[5] = 1;
+    expectSameError(ir, cut.args(), range, shorten(kVal, 1));
+    for (const auto& [d, what] :
+         {std::pair{1000, range}, std::pair{-1, negative}}) {
+      TriCols t = base;
+      t.di[5] = d;
+      expectSameError(ir, t.args(), what);
+    }
+  }
+}
+
+TEST(TriangularRows, NonUnitStepRunsOnTheProgram) {
+  for (const bool backward : {false, true}) {
+    SCOPED_TRACE(backward ? "backward" : "forward");
+    const CodeletIR ir = traceTriRows(backward, TriVariant::StepFromArg);
+    ASSERT_TRUE(hasTriRows(ir, 1));
+    for (const std::int32_t step : {1, 2, 3}) {
+      TriCols t = patternRows(backward, "NTTNT");
+      t.steps = {step};
+      expectVmMatchesWalk(ir, t.args());
+    }
+    TriCols t = patternRows(backward, "NTTNT");
+    t.steps = {0};
+    expectSameError(ir, t.args(), "For loops require a positive step");
+  }
+}
+
+TEST(TriangularRows, RowsOffTheShapeStayOnTheProgram) {
+  for (const bool backward : {false, true}) {
+    SCOPED_TRACE(backward ? "backward" : "forward");
+    // acc outlives the row: the native row would leave it unset.
+    const CodeletIR readAfter =
+        traceTriRows(backward, TriVariant::AccReadAfter);
+    EXPECT_TRUE(hasTriRows(readAfter, 0));
+    expectVmMatchesWalk(readAfter, patternRows(backward, "NTTNT").args());
+    // One op more than the shape: the native row would skip its check.
+    const CodeletIR extra = traceTriRows(backward, TriVariant::ExtraLoad);
+    EXPECT_TRUE(hasTriRows(extra, 0));
+    TriCols t = patternRows(backward, "NTTNT");
+    expectVmMatchesWalk(extra, t.args());
+    t.x.resize(6);
+    expectSameError(extra, t.args(), "tensor index out of range in codelet");
+  }
 }
 
 // ---------------------------------------------------------------------------

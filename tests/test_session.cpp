@@ -437,13 +437,14 @@ TEST(SolveSession, BenchmarkConfigsRunWholeOnTheVm) {
 }
 
 TEST(SolveSession, BenchmarkConfigsKeepTheirKernelTiers) {
-  // Every loop-kernel tier computes the same bits, so no bit-identity test
-  // sees a kernel that silently stops matching its named span kernel or its
-  // blocked form, yet losing one costs `timestep` 10-26% of its latency.
+  // Every loop-kernel tier and native row computes the same bits, so no
+  // bit-identity test sees a kernel that silently stops matching its named
+  // span kernel or its blocked form, or a row that loses its plan, yet
+  // losing one costs `timestep` 10-26% of its latency.
   // GRAPHENE_DUMP_COMPILE=1 prints each codelet's kernels as it compiles;
-  // this pins their multiset over both configs. The CG case gets an
-  // explicit single chip: under GRAPHENE_TEST_POD its reduction tree traces
-  // other dot partials.
+  // this pins their multiset, and the native row plans, over both configs.
+  // The CG case gets an explicit single chip: under GRAPHENE_TEST_POD its
+  // reduction tree traces other dot partials.
   std::vector<BenchmarkCase> cases = benchmarkCases();
   cases[0].topology = ipu::Topology::singleIpu(32);
   const char* ambientRaw = std::getenv("GRAPHENE_DUMP_COMPILE");
@@ -458,21 +459,25 @@ TEST(SolveSession, BenchmarkConfigsKeepTheirKernelTiers) {
     ::setenv("GRAPHENE_DUMP_COMPILE", ambient.c_str(), 1);
   }
 
-  // Lines read `[compile] <name>: vm ops=N kernels=[k,k,...] csr=N`.
+  // Lines read `[compile] <name>: vm ops=N kernels=[k,k,...] csr=N tri=N`.
   std::map<std::string, int> kernels;
   std::map<int, int> csrPlans;  // codelets per native CSR row plan count
+  std::map<int, int> triPlans;  // codelets per native triangular row plan count
   std::istringstream lines(dump);
   for (std::string line; std::getline(lines, line);) {
     const std::size_t open = line.find(" kernels=[");
     const std::size_t close = line.find("] csr=");
+    const std::size_t tri = line.find(" tri=");
     if (line.rfind("[compile] ", 0) != 0 || open == std::string::npos ||
-        close == std::string::npos) {
+        close == std::string::npos || tri == std::string::npos) {
       continue;
     }
     std::istringstream list(line.substr(open + 10, close - open - 10));
     for (std::string k; std::getline(list, k, ',');) ++kernels[k];
     const int csr = std::stoi(line.substr(close + 6));
     if (csr > 0) ++csrPlans[csr];
+    const int triangular = std::stoi(line.substr(tri + 5));
+    if (triangular > 0) ++triPlans[triangular];
   }
   EXPECT_EQ(kernels, (std::map<std::string, int>{{"addvec+blocked", 5},
                                                  {"axpy+blocked", 5},
@@ -480,4 +485,7 @@ TEST(SolveSession, BenchmarkConfigsKeepTheirKernelTiers) {
                                                  {"dot", 35},
                                                  {"none+blocked", 38}}));
   EXPECT_EQ(csrPlans, (std::map<int, int>{{1, 8}}));
+  // Both MPIR-ILU `ilu_solve` codelets (BiCGStab applies ILU(0) twice per
+  // iteration), each with its forward and its backward row.
+  EXPECT_EQ(triPlans, (std::map<int, int>{{2, 2}}));
 }
