@@ -12,8 +12,6 @@
 #include <optional>
 #include <span>
 #include <type_traits>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <variant>
 
@@ -532,15 +530,15 @@ struct NamedLoop {
 ///   for k in [rp[r], sp[r]):    acc = acc + a[k] * x[c[k]]
 ///   for k in [sp[r], rp[r+1]):  acc = acc + a[k] * h[c[k] - owned]
 ///   y[r] = acc
-/// Rows run as a native scalar loop (same float ops in the same order, so
-/// bit-identical) priced by the closed form of the program's block charges;
-/// a row whose indices fall outside the bound slices runs on the program
-/// instead, which reports the walk's error.
+/// Matched on the compiled ops (matchCsrRow). Rows run as a native scalar
+/// loop (same float ops in the same order, so bit-identical) priced by the
+/// closed form of the program's block charges; a row whose indices fall
+/// outside the bound slices runs on the program instead, which reports the
+/// walk's error.
 struct CsrRow {
   std::int16_t yArg = -1, dArg = -1, xArg = -1, aArg = -1, hArg = -1;
   std::int16_t cArg = -1, rpArg = -1, spArg = -1;
-  std::int32_t ownedVar = -1;  // outer var holding the owned-row count
-  std::int16_t ownedReg = -1;  // its home register
+  std::int16_t ownedReg = -1;  // holds the owned-row count; the row reads it
   // Runs of the row's two LBegin and two LEnd ops and of its PEnd.
   LaneSums entry[2], body[2], tail;
 };
@@ -810,240 +808,6 @@ void nameKernel(LoopKernel& k) {
   k.named = nm;
 }
 
-/// Recognises the native CSR row of a ParFor (matchCsrRow), by structure
-/// over the flat IR: the one loop shape whose faster tier needs more than a
-/// lifted kernel's ops.
-class ShapeMatcher {
- public:
-  explicit ShapeMatcher(const FlatCodelet& flat) : flat_(flat) {}
-
-  /// Recognises the two-run CSR SpMV row body of a ParFor (see CsrRow) and
-  /// fills the argument and owned-count fields of `m`. Matching is
-  /// structural over the flat IR with temps resolved through their defining
-  /// assignments, so the literal-int vars the DSL traces are looked through.
-  /// Dead temps the match does not pin are unobservable: the program
-  /// compiler only plans native rows whose body writes nothing that
-  /// outlives the row.
-  bool matchCsrRow(std::int32_t parForId, CsrRow& m) {
-    const FlatStmt& fs = flat_.stmts[static_cast<std::size_t>(parForId)];
-    if (fs.var < 0 || fs.body < 0) return false;
-    loopVar_ = fs.var;
-    const auto& body = flat_.lists[static_cast<std::size_t>(fs.body)];
-    if (body.size() < 4) return false;
-
-    // Shape scan: top level is single-assignment temps, two Fors, and a
-    // trailing StoreArg.
-    std::unordered_map<int, std::int32_t> env;
-    const FlatStmt* fors[2] = {nullptr, nullptr};
-    std::size_t forPos[2] = {0, 0};
-    const FlatStmt* store = nullptr;
-    std::unordered_map<int, std::size_t> assignPos;
-    for (std::size_t i = 0; i < body.size(); ++i) {
-      const FlatStmt& s = flat_.stmts[static_cast<std::size_t>(body[i])];
-      if (s.kind == Stmt::Kind::Assign) {
-        if (i + 1 == body.size()) return false;
-        if (!env.emplace(s.var, s.value).second) return false;
-        assignPos.emplace(s.var, i);
-      } else if (s.kind == Stmt::Kind::For) {
-        if (fors[1] != nullptr) return false;
-        const std::size_t slot = fors[0] == nullptr ? 0 : 1;
-        fors[slot] = &s;
-        forPos[slot] = i;
-      } else if (s.kind == Stmt::Kind::StoreArg && i + 1 == body.size()) {
-        store = &s;
-      } else {
-        return false;
-      }
-    }
-    if (fors[1] == nullptr || store == nullptr) return false;
-
-    // Every var assigned anywhere in the row body (loop bodies included):
-    // the owned-count operand must not be one, since the native rows read it
-    // once from the interpreter's var slot.
-    std::unordered_set<std::int32_t> bodyStmts;
-    collectBodyStmts(fs.body, bodyStmts);
-    std::unordered_set<int> assignedAnywhere;
-    for (std::int32_t sid : bodyStmts) {
-      const FlatStmt& s = flat_.stmts[static_cast<std::size_t>(sid)];
-      if (s.kind == Stmt::Kind::Assign) assignedAnywhere.insert(s.var);
-    }
-
-    // y[r] = acc — the store value must be a direct read of the accumulator.
-    const FlatExpr& sv = flat_.exprs[static_cast<std::size_t>(store->value)];
-    if (sv.kind != Expr::Kind::Var || sv.type != DType::Float32) return false;
-    const int accVar = sv.var;
-    {
-      const FlatExpr& ix = resolve(store->index, env);
-      if (ix.kind != Expr::Kind::Var || ix.var != loopVar_) return false;
-    }
-    if (store->arg < 0 ||
-        store->arg >= static_cast<std::int32_t>(LoopKernel::kMaxArgs)) {
-      return false;
-    }
-    m.yArg = static_cast<std::int16_t>(store->arg);
-
-    // acc = d[r] * x[r], initialised before the first loop (otherwise the
-    // loop bodies would fold onto a seeded value, not this product).
-    auto accIt = env.find(accVar);
-    auto accPosIt = assignPos.find(accVar);
-    if (accIt == env.end() || accPosIt == assignPos.end()) return false;
-    if (accPosIt->second > forPos[0]) return false;
-    const std::int32_t accInit = accIt->second;
-    // Resolution must not look through the accumulator itself.
-    env.erase(accVar);
-    {
-      const FlatExpr& init = flat_.exprs[static_cast<std::size_t>(accInit)];
-      if (init.kind != Expr::Kind::Binary || init.bop != BinOp::Mul) {
-        return false;
-      }
-      if (!isIdxLoad(resolve(init.a, env), loopVar_, DType::Float32, env,
-                     m.dArg) ||
-          !isIdxLoad(resolve(init.b, env), loopVar_, DType::Float32, env,
-                     m.xArg)) {
-        return false;
-      }
-    }
-
-    // Loop bounds: [rp[r], sp[r]) then [sp[r], rp[r+1]), both unit step.
-    auto unitStep = [&](const FlatStmt& f) {
-      if (f.step < 0) return true;
-      const FlatExpr& st = resolve(f.step, env);
-      return st.kind == Expr::Kind::Const &&
-             st.constant.type() == DType::Int32 && st.constant.asInt() == 1;
-    };
-    std::int16_t spAgain = -1;
-    if (!unitStep(*fors[0]) || !unitStep(*fors[1])) return false;
-    if (!isIdxLoad(resolve(fors[0]->begin, env), loopVar_, DType::Int32, env,
-                   m.rpArg) ||
-        !isIdxLoad(resolve(fors[0]->end, env), loopVar_, DType::Int32, env,
-                   m.spArg) ||
-        !isIdxLoad(resolve(fors[1]->begin, env), loopVar_, DType::Int32, env,
-                   spAgain) ||
-        spAgain != m.spArg) {
-      return false;
-    }
-    {
-      // rp[r + 1]
-      const FlatExpr& e = resolve(fors[1]->end, env);
-      if (e.kind != Expr::Kind::ArgLoad || e.type != DType::Int32) return false;
-      if (e.arg != m.rpArg) return false;
-      const FlatExpr& ix = resolve(e.a, env);
-      if (ix.kind != Expr::Kind::Binary || ix.bop != BinOp::Add) return false;
-      const FlatExpr& l = resolve(ix.a, env);
-      const FlatExpr& r = resolve(ix.b, env);
-      if (l.kind != Expr::Kind::Var || l.var != loopVar_) return false;
-      if (r.kind != Expr::Kind::Const || r.constant.type() != DType::Int32 ||
-          r.constant.asInt() != 1) {
-        return false;
-      }
-    }
-
-    // Loop bodies: temps + `acc = acc + a[k] * <gather>`.
-    auto matchBody = [&](const FlatStmt& f, bool halo) {
-      if (f.body < 0) return false;
-      const auto& list = flat_.lists[static_cast<std::size_t>(f.body)];
-      if (list.empty()) return false;
-      std::unordered_map<int, std::int32_t> envB = env;
-      for (std::size_t i = 0; i + 1 < list.size(); ++i) {
-        const FlatStmt& s = flat_.stmts[static_cast<std::size_t>(list[i])];
-        if (s.kind != Stmt::Kind::Assign || s.var == accVar) return false;
-        if (!envB.emplace(s.var, s.value).second) return false;
-      }
-      const FlatStmt& upd =
-          flat_.stmts[static_cast<std::size_t>(list.back())];
-      if (upd.kind != Stmt::Kind::Assign || upd.var != accVar) return false;
-      const FlatExpr& v = resolve(upd.value, envB);
-      if (v.kind != Expr::Kind::Binary || v.bop != BinOp::Add) return false;
-      const FlatExpr& l = resolve(v.a, envB);
-      if (l.kind != Expr::Kind::Var || l.var != accVar) return false;
-      const FlatExpr& mul = resolve(v.b, envB);
-      if (mul.kind != Expr::Kind::Binary || mul.bop != BinOp::Mul)
-        return false;
-      std::int16_t aArg = -1, cArg = -1;
-      if (!isIdxLoad(resolve(mul.a, envB), f.var, DType::Float32, envB, aArg))
-        return false;
-      const FlatExpr& gather = resolve(mul.b, envB);
-      if (gather.kind != Expr::Kind::ArgLoad ||
-          gather.type != DType::Float32) {
-        return false;
-      }
-      const FlatExpr& gix = resolve(gather.a, envB);
-      if (!halo) {
-        // x[c[k]]
-        if (gather.arg != m.xArg) return false;
-        if (!isIdxLoad(gix, f.var, DType::Int32, envB, cArg)) return false;
-        m.aArg = aArg;
-        m.cArg = cArg;
-      } else {
-        // h[c[k] - owned]
-        if (gather.arg < 0 ||
-            gather.arg >= static_cast<std::int32_t>(LoopKernel::kMaxArgs)) {
-          return false;
-        }
-        m.hArg = static_cast<std::int16_t>(gather.arg);
-        if (gix.kind != Expr::Kind::Binary || gix.bop != BinOp::Sub)
-          return false;
-        if (!isIdxLoad(resolve(gix.a, envB), f.var, DType::Int32, envB, cArg))
-          return false;
-        if (cArg != m.cArg || aArg != m.aArg) return false;
-        const FlatExpr& owned = resolve(gix.b, envB);
-        if (owned.kind != Expr::Kind::Var || owned.type != DType::Int32 ||
-            owned.var == loopVar_ || owned.var == f.var ||
-            assignedAnywhere.count(owned.var) != 0) {
-          return false;
-        }
-        m.ownedVar = owned.var;
-      }
-      return true;
-    };
-    if (!matchBody(*fors[0], /*halo=*/false) ||
-        !matchBody(*fors[1], /*halo=*/true)) {
-      return false;
-    }
-    return true;
-  }
-
- private:
-  const FlatExpr& resolve(std::int32_t id,
-                          const std::unordered_map<int, std::int32_t>& env) {
-    const FlatExpr* e = &flat_.exprs[static_cast<std::size_t>(id)];
-    while (e->kind == Expr::Kind::Var) {
-      auto it = env.find(e->var);
-      if (it == env.end()) break;
-      e = &flat_.exprs[static_cast<std::size_t>(it->second)];
-    }
-    return *e;
-  }
-
-  /// Collects the ids of every statement of a list, at any depth.
-  void collectBodyStmts(std::int32_t listId,
-                        std::unordered_set<std::int32_t>& out) {
-    if (listId < 0) return;
-    for (std::int32_t sid : flat_.lists[static_cast<std::size_t>(listId)]) {
-      out.insert(sid);
-      const FlatStmt& s = flat_.stmts[static_cast<std::size_t>(sid)];
-      collectBodyStmts(s.body, out);
-      collectBodyStmts(s.elseBody, out);
-    }
-  }
-
-  /// Matches `e` (already resolved) as `args[A][idxVar]` of element type `t`.
-  bool isIdxLoad(const FlatExpr& e, int idxVar, DType t,
-                 const std::unordered_map<int, std::int32_t>& env,
-                 std::int16_t& outArg) {
-    if (e.kind != Expr::Kind::ArgLoad || e.type != t) return false;
-    if (e.arg < 0 || e.arg >= static_cast<std::int32_t>(LoopKernel::kMaxArgs))
-      return false;
-    const FlatExpr& ix = resolve(e.a, env);
-    if (ix.kind != Expr::Kind::Var || ix.var != idxVar) return false;
-    outArg = static_cast<std::int16_t>(e.arg);
-    return true;
-  }
-
-  const FlatCodelet& flat_;
-  int loopVar_ = -1;
-};
-
 /// A register the VM sets before a program's first op: a pooled constant, or
 /// the Float32 zero a variable read before its first assignment starts as in
 /// the walk.
@@ -1070,64 +834,83 @@ struct Program {
   double branchCost = 0;
 };
 
-/// Matches the ParFor row of the PBegin at ops[head] against TriRow's shape,
-/// on the ops the program runs, and prices it. Every op of the row must
-/// belong to the shape, in any order that reads each register only after
-/// the row wrote it. Each register the row writes is written once per row
-/// (the accumulator's update excepted), and the two it reads from outside,
-/// s and the step, not at all. So the native loop computes what the ops do.
-bool matchTriRow(const std::vector<VmOp>& ops, std::size_t head,
-                 double branchCost, TriRow& m) {
-  using K = VmOp::K;
-  const auto tail = static_cast<std::size_t>(ops[head].iimm);
-  std::vector<std::size_t> ctl;
-  for (std::size_t pc = head + 1; pc < tail; ++pc) {
-    if (isControl(ops[pc].k)) ctl.push_back(pc);
-  }
-  if (ctl.size() != 4) return false;
-  const VmOp& loop = ops[ctl[0]];
-  const VmOp& guard = ops[ctl[1]];
-  const VmOp& thenEnd = ops[ctl[2]];
-  const VmOp& loopEnd = ops[ctl[3]];
-  auto jumpsTo = [](const VmOp& op, std::size_t pc) {
-    return static_cast<std::size_t>(op.iimm) == pc;
-  };
-  if (loop.k != K::LBegin || guard.k != K::IfLt || thenEnd.k != K::Jmp ||
-      loopEnd.k != K::LEnd || !jumpsTo(loop, ctl[3]) ||
-      !jumpsTo(guard, ctl[2]) || !jumpsTo(thenEnd, ctl[2]) ||
-      !jumpsTo(loopEnd, ctl[0]) || ctl[2] + 1 != ctl[3] ||
-      loopEnd.a != loop.dst || loopEnd.b != loop.b || loopEnd.c != loop.c) {
-    return false;
-  }
-  // What each Int and Float register holds in the row: Outside until the
-  // row writes it. InPlace marks the op that updates its a register.
+/// Matches one ParFor row, from its PBegin at ops[head] to its PEnd, on the
+/// ops the program runs (matchCsrRow, matchTriRow). A native row runs none
+/// of them, so every op of the row must belong to the shape (a stray load
+/// would skip its bounds check), in any order that reads each register only
+/// after the row wrote it. Each Int and Float register holds a role: Outside
+/// until the row writes it, then what the one op that wrote it computed.
+class RowMatch {
+ public:
   enum class R : std::uint8_t {
-    None, Outside, InPlace, Idx, I, Acc, Begin, EndAt, End, K, C, V, G, M,
-    D, Q, Quot
-  };
-  std::array<std::array<R, Program::kMaxRegs>, 2> role;
-  for (auto& r : role) r.fill(R::Outside);
-  auto slot = [&](RegKind kind, std::int16_t reg) -> R* {
-    if (kind != RegKind::Int && kind != RegKind::Float) return nullptr;
-    return &role[kindIndex(kind)][static_cast<std::size_t>(reg)];
-  };
-  auto read = [&](RegKind kind, std::int16_t reg) {
-    const R* r = slot(kind, reg);
-    return r != nullptr ? *r : R::None;
+    None, Outside,
+    InPlace,  // marks the op that updates its a register
+    One,      // the pooled Int constant 1
+    Idx, I, Acc, Begin, EndAt, End, K, C, V, G, M, D, Q, Quot,
+    // The CSR row's: its head's loads at the row index, and its halo run's.
+    RowF, RowI, Split, K2, C2, V2, H, G2, M2
   };
   struct Step {
-    K k;
+    VmOp::K k;
     R a, b;  // what the op's a and b registers hold
     R dst;   // what its dst holds after it
     std::int16_t* arg = nullptr;  // receives the op's argument
+    const VmOp** op = nullptr;    // receives the op
   };
-  // Matches ops [from, to) one for one against `steps`.
-  auto match = [&](std::size_t from, std::size_t to,
-                   std::initializer_list<Step> steps) {
-    if (to - from != steps.size()) return false;
-    std::bitset<5> used;
+
+  RowMatch(const std::vector<VmOp>& ops, std::size_t head)
+      : ops_(ops), tail_(static_cast<std::size_t>(ops[head].iimm)) {
+    for (auto& r : role_) r.fill(R::Outside);
+    set(RegKind::Int, ops[head].dst, R::Idx);
+    for (std::size_t pc = head + 1; pc < tail_; ++pc) {
+      if (isControl(ops[pc].k)) ctl_.push_back(pc);
+    }
+  }
+
+  /// The pcs of the row's control ops between its PBegin and its PEnd.
+  const std::vector<std::size_t>& ctl() const { return ctl_; }
+  /// The pc of its PEnd.
+  std::size_t tail() const { return tail_; }
+
+  R read(RegKind kind, std::int16_t reg) const {
+    return kind == RegKind::Int || kind == RegKind::Float
+               ? role_[kindIndex(kind)][static_cast<std::size_t>(reg)]
+               : R::None;
+  }
+
+  /// The argument of the load that gave `reg` its role.
+  std::int16_t argOf(RegKind kind, std::int16_t reg) const {
+    return arg_[kindIndex(kind)][static_cast<std::size_t>(reg)];
+  }
+
+  /// Gives `reg`, Outside so far, role r: what an op, a loop's induction
+  /// register or a pooled constant holds. False when the row already gave it
+  /// one.
+  bool set(RegKind kind, std::int16_t reg, R r) {
+    if (read(kind, reg) != R::Outside) return false;
+    role_[kindIndex(kind)][static_cast<std::size_t>(reg)] = r;
+    return true;
+  }
+
+  /// True when the ops at pcs `begin` and `end` are one serial loop's
+  /// LBegin and LEnd.
+  bool loop(std::size_t begin, std::size_t end) const {
+    const VmOp& b = ops_[begin];
+    const VmOp& e = ops_[end];
+    return b.k == VmOp::K::LBegin && e.k == VmOp::K::LEnd &&
+           static_cast<std::size_t>(b.iimm) == end &&
+           static_cast<std::size_t>(e.iimm) == begin && e.a == b.dst &&
+           e.b == b.b && e.c == b.c;
+  }
+
+  /// Matches ops [from, to) one for one against `steps`.
+  bool match(std::size_t from, std::size_t to,
+             std::initializer_list<Step> steps) {
+    constexpr std::size_t kMaxSteps = 6;
+    if (to - from != steps.size() || steps.size() > kMaxSteps) return false;
+    std::bitset<kMaxSteps> used;
     for (std::size_t pc = from; pc < to; ++pc) {
-      const VmOp& op = ops[pc];
+      const VmOp& op = ops_[pc];
       const OpShape& s = shapeOf(op.k);
       std::size_t j = 0;
       for (const Step& st : steps) {
@@ -1141,65 +924,171 @@ bool matchTriRow(const std::vector<VmOp>& ops, std::size_t head,
       used[j] = true;
       const Step& st = steps.begin()[j];
       if (st.arg != nullptr) *st.arg = op.arg;
+      if (st.op != nullptr) *st.op = &op;
       if (st.dst == R::InPlace) {
         if (op.dst != op.a) return false;
       } else if (st.dst != R::None) {
-        R* d = slot(s.dst, op.dst);
-        if (*d != R::Outside) return false;
-        *d = st.dst;
+        if (!set(s.dst, op.dst, st.dst)) return false;
+        arg_[kindIndex(s.dst)][static_cast<std::size_t>(op.dst)] = op.arg;
       }
     }
     return true;
-  };
+  }
+
+ private:
+  const std::vector<VmOp>& ops_;
+  std::size_t tail_;
+  std::vector<std::size_t> ctl_;
+  std::array<std::array<R, Program::kMaxRegs>, 2> role_;
+  std::array<std::array<std::int16_t, Program::kMaxRegs>, 2> arg_{};
+};
+
+/// Matches the ParFor row of the PBegin at ops[head] against CsrRow's shape
+/// (RowMatch) and takes its charges. `one` is the register of the pooled
+/// Int constant 1, or -1: the `+ 1` of rp[r + 1] and both inner steps must
+/// read it, since the native row runs unit steps. The register the halo
+/// run's owned count comes from is read when a row runs, so the row must not
+/// write it. The head loads d[r], x[r], rp[r] and sp[r], all at the row
+/// index: their consumers tell them apart, the product's operand order and
+/// the first loop's begin and end, each reading a different load.
+bool matchCsrRow(const std::vector<VmOp>& ops, std::size_t head,
+                 std::int16_t one, CsrRow& m) {
+  using K = VmOp::K;
+  using R = RowMatch::R;
+  constexpr RegKind I = RegKind::Int, F = RegKind::Float;
   const R N = R::None;
-  *slot(RegKind::Int, ops[head].dst) = R::Idx;
+  RowMatch rm(ops, head);
+  const std::vector<std::size_t>& ctl = rm.ctl();
+  if (one < 0 || ctl.size() != 4 || !rm.loop(ctl[0], ctl[1]) ||
+      !rm.loop(ctl[2], ctl[3]) || !rm.set(I, one, R::One)) {
+    return false;
+  }
+  const VmOp& owned = ops[ctl[0]];
+  const VmOp& halo = ops[ctl[2]];
+  const VmOp* mul = nullptr;
+  if (!rm.match(head + 1, ctl[0],
+                {{K::FLoad, R::Idx, N, R::RowF},
+                 {K::FLoad, R::Idx, N, R::RowF},
+                 {K::FMul, R::RowF, R::RowF, R::Acc, nullptr, &mul},
+                 {K::ILoad, R::Idx, N, R::RowI},
+                 {K::ILoad, R::Idx, N, R::RowI}}) ||
+      mul->a == mul->b || owned.a == owned.b ||
+      rm.read(I, owned.a) != R::RowI || rm.read(I, owned.b) != R::RowI ||
+      rm.read(I, owned.c) != R::One || !rm.set(I, owned.dst, R::K)) {
+    return false;
+  }
+  m.dArg = rm.argOf(F, mul->a);
+  m.xArg = rm.argOf(F, mul->b);
+  m.rpArg = rm.argOf(I, owned.a);
+  m.spArg = rm.argOf(I, owned.b);
+  std::int16_t xAgain = -1, spAgain = -1, rpAgain = -1, aAgain = -1,
+               cAgain = -1;
+  const VmOp* sub = nullptr;
+  if (!rm.match(ctl[0] + 1, ctl[1],
+                {{K::ILoad, R::K, N, R::C, &m.cArg},
+                 {K::FLoad, R::K, N, R::V, &m.aArg},
+                 {K::FLoad, R::C, N, R::G, &xAgain},
+                 {K::FMul, R::V, R::G, R::M},
+                 {K::FAdd, R::Acc, R::M, R::InPlace}}) ||
+      !rm.match(ctl[1] + 1, ctl[2],
+                {{K::ILoad, R::Idx, N, R::Split, &spAgain},
+                 {K::IAdd, R::Idx, R::One, R::EndAt},
+                 {K::ILoad, R::EndAt, N, R::End, &rpAgain}}) ||
+      rm.read(I, halo.a) != R::Split || rm.read(I, halo.b) != R::End ||
+      rm.read(I, halo.c) != R::One || !rm.set(I, halo.dst, R::K2) ||
+      !rm.match(ctl[2] + 1, ctl[3],
+                {{K::FLoad, R::K2, N, R::V2, &aAgain},
+                 {K::ILoad, R::K2, N, R::C2, &cAgain},
+                 {K::ISub, R::C2, R::Outside, R::H, nullptr, &sub},
+                 {K::FLoad, R::H, N, R::G2, &m.hArg},
+                 {K::FMul, R::V2, R::G2, R::M2},
+                 {K::FAdd, R::Acc, R::M2, R::InPlace}}) ||
+      !rm.match(ctl[3] + 1, rm.tail(),
+                {{K::FStore, R::Idx, R::Acc, N, &m.yArg}}) ||
+      xAgain != m.xArg || spAgain != m.spArg || rpAgain != m.rpArg ||
+      aAgain != m.aArg || cAgain != m.cArg ||
+      rm.read(I, sub->b) != R::Outside) {
+    return false;
+  }
+  m.ownedReg = sub->b;
+  m.entry[0] = owned.run;
+  m.body[0] = ops[ctl[1]].run;
+  m.entry[1] = halo.run;
+  m.body[1] = ops[ctl[3]].run;
+  m.tail = ops[rm.tail()].run;
+  return true;
+}
+
+/// Matches the ParFor row of the PBegin at ops[head] against TriRow's shape
+/// (RowMatch) and prices it. Each register the row writes is written once
+/// per row (the accumulator's update excepted), and the two it reads from
+/// outside, s and the step, not at all. So the native loop computes what
+/// the ops do.
+bool matchTriRow(const std::vector<VmOp>& ops, std::size_t head,
+                 double branchCost, TriRow& m) {
+  using K = VmOp::K;
+  using R = RowMatch::R;
+  RowMatch rm(ops, head);
+  const std::vector<std::size_t>& ctl = rm.ctl();
+  if (ctl.size() != 4 || !rm.loop(ctl[0], ctl[3])) return false;
+  const VmOp& loop = ops[ctl[0]];
+  const VmOp& guard = ops[ctl[1]];
+  const VmOp& thenEnd = ops[ctl[2]];
+  const VmOp& loopEnd = ops[ctl[3]];
+  auto jumpsTo = [](const VmOp& op, std::size_t pc) {
+    return static_cast<std::size_t>(op.iimm) == pc;
+  };
+  if (guard.k != K::IfLt || thenEnd.k != K::Jmp || !jumpsTo(guard, ctl[2]) ||
+      !jumpsTo(thenEnd, ctl[2]) || ctl[2] + 1 != ctl[3]) {
+    return false;
+  }
+  const R N = R::None;
   std::int16_t rpAgain = -1, vAgain = -1;
-  if (!match(head + 1, ctl[0],
-             {{K::ILoad, R::Idx, N, R::I, &m.orderArg},
-              {K::FLoad, R::I, N, R::Acc, &m.seedArg},
-              {K::ILoad, R::I, N, R::Begin, &m.rpArg},
-              {K::IAdd, R::I, R::Outside, R::EndAt},
-              {K::ILoad, R::EndAt, N, R::End, &rpAgain}}) ||
+  const VmOp* add = nullptr;
+  if (!rm.match(head + 1, ctl[0],
+                {{K::ILoad, R::Idx, N, R::I, &m.orderArg},
+                 {K::FLoad, R::I, N, R::Acc, &m.seedArg},
+                 {K::ILoad, R::I, N, R::Begin, &m.rpArg},
+                 {K::IAdd, R::I, R::Outside, R::EndAt, nullptr, &add},
+                 {K::ILoad, R::EndAt, N, R::End, &rpAgain}}) ||
       rpAgain != m.rpArg) {
     return false;
   }
-  for (std::size_t pc = head + 1; pc < ctl[0]; ++pc) {
-    if (ops[pc].k == K::IAdd) m.sReg = ops[pc].b;
-  }
-  R* k = slot(RegKind::Int, loop.dst);
-  if (read(RegKind::Int, loop.a) != R::Begin ||
-      read(RegKind::Int, loop.b) != R::End ||
-      read(RegKind::Int, loop.c) != R::Outside || *k != R::Outside) {
+  m.sReg = add->b;
+  if (rm.read(RegKind::Int, loop.a) != R::Begin ||
+      rm.read(RegKind::Int, loop.b) != R::End ||
+      rm.read(RegKind::Int, loop.c) != R::Outside ||
+      !rm.set(RegKind::Int, loop.dst, R::K)) {
     return false;
   }
-  *k = R::K;
   m.stepReg = loop.c;
-  if (!match(ctl[0] + 1, ctl[1], {{K::ILoad, R::K, N, R::C, &m.colArg}})) {
+  if (!rm.match(ctl[0] + 1, ctl[1], {{K::ILoad, R::K, N, R::C, &m.colArg}})) {
     return false;
   }
-  const R ga = read(RegKind::Int, guard.a), gb = read(RegKind::Int, guard.b);
+  const R ga = rm.read(RegKind::Int, guard.a);
+  const R gb = rm.read(RegKind::Int, guard.b);
   m.colFirst = ga == R::C;
   if (!(ga == R::C && gb == R::I) && !(ga == R::I && gb == R::C)) return false;
-  if (!match(ctl[1] + 1, ctl[2],
-             {{K::FLoad, R::K, N, R::V, &m.vArg},
-              {K::FLoad, R::C, N, R::G, &m.xArg},
-              {K::FMul, R::V, R::G, R::M},
-              {K::FSub, R::Acc, R::M, R::InPlace}})) {
+  if (!rm.match(ctl[1] + 1, ctl[2],
+                {{K::FLoad, R::K, N, R::V, &m.vArg},
+                 {K::FLoad, R::C, N, R::G, &m.xArg},
+                 {K::FMul, R::V, R::G, R::M},
+                 {K::FSub, R::Acc, R::M, R::InPlace}})) {
     return false;
   }
-  const bool forward =
-      match(ctl[3] + 1, tail, {{K::FStore, R::I, R::Acc, N, &m.yArg}});
+  const bool forward = rm.match(ctl[3] + 1, rm.tail(),
+                                {{K::FStore, R::I, R::Acc, N, &m.yArg}});
   if (!forward &&
-      (!match(ctl[3] + 1, tail,
-              {{K::ILoad, R::I, N, R::D, &m.diArg},
-               {K::FLoad, R::D, N, R::Q, &vAgain},
-               {K::FDiv, R::Acc, R::Q, R::Quot},
-               {K::FStore, R::I, R::Quot, N, &m.yArg}}) ||
+      (!rm.match(ctl[3] + 1, rm.tail(),
+                 {{K::ILoad, R::I, N, R::D, &m.diArg},
+                  {K::FLoad, R::D, N, R::Q, &vAgain},
+                  {K::FDiv, R::Acc, R::Q, R::Quot},
+                  {K::FStore, R::I, R::Quot, N, &m.yArg}}) ||
        vAgain != m.vArg)) {
     return false;
   }
-  if (read(RegKind::Int, m.sReg) != R::Outside ||
-      read(RegKind::Int, m.stepReg) != R::Outside) {
+  if (rm.read(RegKind::Int, m.sReg) != R::Outside ||
+      rm.read(RegKind::Int, m.stepReg) != R::Outside) {
     return false;
   }
   auto block = [](std::initializer_list<const LaneSums*> runs) {
@@ -1207,7 +1096,7 @@ bool matchTriRow(const std::vector<VmOp>& ops, std::size_t head,
     for (const LaneSums* r : runs) sum.add(*r);
     return sum.total();
   };
-  const LaneSums& rowEnd = ops[tail].run;
+  const LaneSums& rowEnd = ops[rm.tail()].run;
   m.head = loop.run.total() + branchCost;
   m.firstIf = guard.run.total() + branchCost;
   m.afterTaken = block({&thenEnd.run, &loopEnd.run, &guard.run}) + branchCost;
@@ -1859,13 +1748,13 @@ class ProgramCompiler {
       }
       case Stmt::Kind::For:
       case Stmt::Kind::ParFor:
-        compileLoop(sid, s);
+        compileLoop(s);
         return;
     }
     GRAPHENE_UNREACHABLE("bad stmt kind");
   }
 
-  void compileLoop(std::int32_t sid, const FlatStmt& s) {
+  void compileLoop(const FlatStmt& s) {
     if (s.var < 0 || s.body < 0) bail("loop without a body");
     Var& v = var(s.var);
     if (v.reg >= 0 || v.role != Var::Role::Plain) bail("reused loop variable");
@@ -1903,11 +1792,9 @@ class ProgramCompiler {
     at(head).iimm = tail;
     if (par) {
       // Native rows skip the row's ops, so nothing they assign may be
-      // readable after the row. The triangular row is matched on the ops
-      // finish() leaves.
-      if (!assignsLiveVar(s.body) && !planCsrRow(sid, head, tail)) {
-        rowHeads_.push_back(head);
-      }
+      // readable after the row. finish() matches the rows on the ops it
+      // leaves.
+      if (!assignsLiveVar(s.body)) rowHeads_.push_back(head);
       return;
     }
     at(tail).a = iv;
@@ -1922,8 +1809,8 @@ class ProgramCompiler {
   /// into the kernel with registers renumbered compactly, so the kernel can
   /// run as a named span kernel or block-vectorized. The FastFor keeps the
   /// LBegin's run and charges the LEnd's per iteration. Loops inside a
-  /// ParFor row stay inline: their rows are short, and the CSR row plan
-  /// needs them.
+  /// ParFor row stay inline: their rows are short, and the native row plans
+  /// need them.
   void liftKernel(std::int32_t head, std::int32_t tail) {
     using K = VmOp::K;
     constexpr std::size_t R = Program::kMaxRegs;
@@ -1999,53 +1886,18 @@ class ProgramCompiler {
     p_.ops.resize(static_cast<std::size_t>(head) + 1);
   }
 
-  /// Attaches a native CSR row plan to the ParFor at `head` when its row
-  /// body has the two-run SpMV shape. Returns whether it did.
-  bool planCsrRow(std::int32_t sid, std::int32_t head, std::int32_t tail) {
-    CsrRow m;
-    if (!ShapeMatcher(flat_).matchCsrRow(sid, m)) return false;
-    std::vector<std::int32_t> ctl;
-    for (std::int32_t pc = head + 1; pc < tail; ++pc) {
-      if (isControl(at(pc).k)) ctl.push_back(pc);
-    }
-    using K = VmOp::K;
-    if (ctl.size() != 4 || at(ctl[0]).k != K::LBegin ||
-        at(ctl[1]).k != K::LEnd || at(ctl[2]).k != K::LBegin ||
-        at(ctl[3]).k != K::LEnd) {
-      return false;
-    }
-    const Var& owned = var(m.ownedVar);
-    if (owned.reg < 0 || owned.kind != RegKind::Int ||
-        !scopeOpen(owned.scope)) {
-      return false;
-    }
-    m.ownedReg = owned.reg;
-    m.entry[0] = at(ctl[0]).run;
-    m.body[0] = at(ctl[1]).run;
-    m.entry[1] = at(ctl[2]).run;
-    m.body[1] = at(ctl[3]).run;
-    m.tail = at(tail).run;
-    at(head).arg = static_cast<std::int16_t>(p_.rowPlans.size());
-    p_.rowPlans.emplace_back(m);
-    return true;
-  }
-
   // ---- after the last op -----------------------------------------------------
 
   /// Fuses each If's int comparison into its branch, deletes every pure op
-  /// whose result nothing reads (no op, kernel seed or CSR row plan), remaps
-  /// the jump targets, keeps only the entry loads something reads, and
-  /// plans the triangular rows on the ops that remain.
+  /// whose result nothing reads (no op or kernel seed), remaps the jump
+  /// targets, keeps only the entry loads something reads, and plans the
+  /// native rows on the ops that remain.
   void finish() {
     ReadCounts reads(p_.numInt, p_.numFloat, p_.numDw, p_.numF64);
     for (const VmOp& op : p_.ops) reads.addReads(op);
     for (const LoopKernel& k : p_.kernels) {
       for (const auto& [reg, kr] : k.seedFloat) reads.add(RegKind::Float, reg);
       for (const auto& [reg, kr] : k.seedInt) reads.add(RegKind::Int, reg);
-    }
-    // Only CSR plans exist yet: the triangular rows are planned below.
-    for (const RowPlan& plan : p_.rowPlans) {
-      reads.add(RegKind::Int, std::get<CsrRow>(plan).ownedReg);
     }
     fuseCompareBranches(reads);
     const std::vector<std::int32_t> newPc = deleteDeadOps(p_.ops, reads);
@@ -2058,13 +1910,19 @@ class ProgramCompiler {
     std::erase_if(p_.entry, [&](const EntryLoad& e) {
       return reads.at(e.kind, e.reg) == 0;
     });
+    std::int16_t one = -1;  // the pooled Int constant 1
+    for (const EntryLoad& e : pool_) {
+      if (e.kind == RegKind::Int && e.bits == 1) one = e.reg;
+    }
     for (const std::int32_t head : rowHeads_) {
       const auto pc =
           static_cast<std::size_t>(newPc[static_cast<std::size_t>(head)]);
-      TriRow m;
-      if (!matchTriRow(p_.ops, pc, p_.branchCost, m)) continue;
+      CsrRow csr;
+      TriRow tri;
+      const bool isCsr = matchCsrRow(p_.ops, pc, one, csr);
+      if (!isCsr && !matchTriRow(p_.ops, pc, p_.branchCost, tri)) continue;
       p_.ops[pc].arg = static_cast<std::int16_t>(p_.rowPlans.size());
-      p_.rowPlans.emplace_back(m);
+      p_.rowPlans.push_back(isCsr ? RowPlan(csr) : RowPlan(tri));
     }
   }
 
@@ -2108,7 +1966,7 @@ class ProgramCompiler {
   int nextScope_ = 0;
   int parDepth_ = 0;  // enclosing ParFor rows
   // PBegin pcs, before dead-op elimination, of the rows finish() tries as
-  // triangular rows: no CSR plan, and nothing they assign outlives them.
+  // native rows: nothing they assign outlives them.
   std::vector<std::int32_t> rowHeads_;
 };
 

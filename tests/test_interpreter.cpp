@@ -1311,6 +1311,337 @@ TEST(TriangularRows, RowsOffTheShapeStayOnTheProgram) {
 }
 
 // ---------------------------------------------------------------------------
+// Native CSR rows: a two-run SpMV row runs as a native scalar loop priced in
+// closed form, and must match the walk bit for bit on every run pattern, fail
+// like it on every out-of-slice index, and leave every row off its shape to
+// the program.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Variants of traceCsrRows. Only Plain, HeadDFirst and HeadXFirst have the
+/// native row's shape.
+enum class CsrVariant {
+  Plain,            // the head loads d[r] and x[r] in the compiler's order
+  HeadDFirst,       // the head loads d[r], then x[r]
+  HeadXFirst,       // the head loads x[r], then d[r]; the product is d * x
+  ProductSwapped,   // the owned run multiplies x[c[k]] * a[k]
+  HeadSquared,      // the head multiplies x[r] * x[r]; d[r] is loaded, unread
+  OwnedFromRp,      // the runs are [rp[r], rp[r]) and [rp[r], rp[r + 1]);
+                    // c[r] is loaded, unread
+  GatherFromD,      // the owned run gathers d[c[k]]
+  HaloValuesFromX,  // the halo run multiplies x[k]
+  HaloColumnsFromRp,  // the halo run gathers h[rp[k] - owned]
+  AccReadAfter,     // acc outlives the row: y[0] = acc after the ParFor
+  OwnedReassigned,  // the halo run sets the owned count to c[k] - owned
+  OwnedStepTwo,     // the owned run's step is 2
+  HaloStepTwo,      // the halo run's step is 2
+  RpPlusTwo,        // the halo run ends at rp[r + 2]
+  DeadLoadTop,      // the row also loads x[r + 1000], which nothing reads,
+  DeadLoadOwned,    // in the owned run's body
+  DeadLoadHalo,     // or in the halo run's body
+};
+
+/// The two-run CSR SpMV row of traceCsrSpmv():
+///   acc = d[r] * x[r]
+///   for k in [rp[r], sp[r]):    acc = acc + a[k] * x[c[k]]
+///   for k in [sp[r], rp[r+1]):  acc = acc + a[k] * h[c[k] - owned]
+///   y[r] = acc
+/// The row count is an argument of its own, so that every slice the row
+/// indexes by r can be cut short. Args: 0 y, 1 x, 2 h, 3 d, 4 a, 5 c, 6 rp,
+/// 7 sp, 8 n (n[0] rows).
+CodeletIR traceCsrRows(CsrVariant variant = CsrVariant::Plain) {
+  using V = CsrVariant;
+  const DType F = DType::Float32, I = DType::Int32;
+  return traceOnHandles(
+      {F, F, F, F, F, I, I, I, I}, [&](std::vector<Value>& args) {
+        Value yv = args[0], xv = args[1], hv = args[2], dv = args[3],
+              av = args[4], cv = args[5], rp = args[6], sp = args[7],
+              n = args[8];
+        Value numOwned = xv.size();
+        auto deadLoad = [&](V at, const Value& r) {
+          if (variant == at) Value unused = xv[r + 1000];
+        };
+        auto step = [&](V at) { return Value(variant == at ? 2 : 1); };
+        auto row = [&](const Value& r, Value& acc) {
+          auto ownedRun = [&](const Value& begin, const Value& end) {
+            For(begin, end, step(V::OwnedStepTwo), [&](Value k) {
+              deadLoad(V::DeadLoadOwned, r);
+              const Value& gathered = variant == V::GatherFromD ? dv : xv;
+              if (variant == V::ProductSwapped) {
+                acc = acc + Value(gathered[cv[k]]) * Value(av[k]);
+              } else {
+                acc = acc + Value(av[k]) * Value(gathered[cv[k]]);
+              }
+            });
+          };
+          if (variant == V::OwnedFromRp) {
+            Value begin = rp[r];
+            Value unused = cv[r];
+            ownedRun(begin, begin);
+          } else {
+            ownedRun(rp[r], sp[r]);
+          }
+          For(variant == V::OwnedFromRp ? rp[r] : sp[r],
+              rp[r + (variant == V::RpPlusTwo ? 2 : 1)], step(V::HaloStepTwo),
+              [&](Value k) {
+                deadLoad(V::DeadLoadHalo, r);
+                if (variant == V::OwnedReassigned) {
+                  numOwned = Value(cv[k]) - numOwned;
+                  acc = acc + Value(av[k]) * Value(hv[numOwned]);
+                  return;
+                }
+                const Value& values = variant == V::HaloValuesFromX ? xv : av;
+                const Value& cols = variant == V::HaloColumnsFromRp ? rp : cv;
+                acc = acc +
+                      Value(values[k]) * Value(hv[Value(cols[k]) - numOwned]);
+              });
+          yv[r] = acc;
+        };
+        // d[r] * x[r], assigned straight to the accumulator.
+        auto head = [&](const Value& r) -> Value {
+          if (variant == V::HeadDFirst || variant == V::HeadSquared) {
+            Value dr = dv[r];
+            Value xr = xv[r];
+            return variant == V::HeadSquared ? xr * xr : dr * xr;
+          }
+          if (variant == V::HeadXFirst) {
+            Value xr = xv[r];
+            Value dr = dv[r];
+            return dr * xr;
+          }
+          return Value(dv[r]) * Value(xv[r]);
+        };
+        if (variant == V::AccReadAfter) {
+          Value acc = 0.0f;
+          ParallelFor(0, Value(n[0]), [&](Value r) {
+            acc = head(r);
+            row(r, acc);
+          });
+          yv[0] = acc;
+          return;
+        }
+        ParallelFor(0, Value(n[0]), [&](Value r) {
+          deadLoad(V::DeadLoadTop, r);
+          Value acc = head(r);
+          row(r, acc);
+        });
+      });
+}
+
+/// The owned-column run and the halo run of one CSR row.
+struct CsrRuns {
+  std::vector<std::int32_t> owned;  // columns below the owned count
+  std::vector<std::int32_t> halo;   // halo slots
+};
+
+/// traceCsrRows' argument columns for a tile owning xSize columns: row r
+/// holds the columns rows[r].owned, then the halo slots rows[r].halo (column
+/// xSize + slot) of a halo of kHalo values.
+struct CsrCols {
+  static constexpr std::int32_t kHalo = 5;
+  std::vector<float> y, x, h, d, a;
+  std::vector<std::int32_t> c, rp{0}, sp, n;
+
+  explicit CsrCols(const std::vector<CsrRuns>& rows, std::size_t xSize = 6) {
+    for (const CsrRuns& r : rows) {
+      c.insert(c.end(), r.owned.begin(), r.owned.end());
+      sp.push_back(static_cast<std::int32_t>(c.size()));
+      for (const std::int32_t s : r.halo) {
+        c.push_back(static_cast<std::int32_t>(xSize) + s);
+      }
+      rp.push_back(static_cast<std::int32_t>(c.size()));
+    }
+    y.assign(rows.size(), -1.0f);
+    x = ramp(xSize, -0.75f, 0.3f);
+    h = ramp(kHalo, 1.1f, -0.45f);
+    d = ramp(rows.size(), 2.2f, 0.15f);
+    a = ramp(c.size(), 0.35f, 0.1f);
+    n = {static_cast<std::int32_t>(rows.size())};
+  }
+
+  HostArgs args() const {
+    HostArgs out;
+    for (const std::vector<float>* f : {&y, &x, &h, &d, &a}) out.addFloat(*f);
+    for (const std::vector<std::int32_t>* i : {&c, &rp, &sp, &n}) {
+      out.addInt(*i);
+    }
+    return out;
+  }
+};
+
+/// Six rows: both runs non-empty, both empty, an empty halo run, an empty
+/// owned run, and several entries in each.
+const std::vector<CsrRuns> kCsrPatterns = {
+    {{0, 2}, {1}},  {{}, {}},  {{1, 3, 5}, {}}, {{}, {0, 4}},
+    {{4, 1, 0}, {2, 3, 1}},    {{5}, {4}}};
+
+bool hasCsrRows(const CodeletIR& ir, int n) {
+  const std::string shape = codeletShape(*compileForTest(ir));
+  return shape.find(" csr=" + std::to_string(n) + " ") != std::string::npos;
+}
+
+}  // namespace
+
+TEST(CsrRows, EveryRunPatternMatchesTheWalk) {
+  // Each pattern alone, so that the VertexCost is that row's cost, then all
+  // six rows in one tile; the head's loads in either order.
+  using V = CsrVariant;
+  for (const auto& [variant, name] :
+       {std::pair{V::Plain, "plain"}, std::pair{V::HeadDFirst, "d first"},
+        std::pair{V::HeadXFirst, "x first"}}) {
+    SCOPED_TRACE(name);
+    const CodeletIR ir = traceCsrRows(variant);
+    ASSERT_TRUE(hasCsrRows(ir, 1));
+    for (const CsrRuns& runs : kCsrPatterns) {
+      SCOPED_TRACE(testing::Message() << runs.owned.size() << " owned, "
+                                      << runs.halo.size() << " halo");
+      expectVmMatchesWalk(ir, CsrCols({runs}).args());
+    }
+    expectVmMatchesWalk(ir, CsrCols(kCsrPatterns).args());
+    // A halo entry costs its extra subtraction: three owned entries and
+    // three halo entries are priced apart.
+    const RunResult owned = expectVmMatchesWalk(ir, CsrCols({{{0, 1, 2}, {}}}).args());
+    const RunResult halo = expectVmMatchesWalk(ir, CsrCols({{{}, {0, 1, 2}}}).args());
+    EXPECT_NE(owned.cost.workerCycles, halo.cost.workerCycles);
+  }
+}
+
+TEST(CsrRows, OutOfSliceIndicesReportTheWalksError) {
+  // Every index the row reads or writes through, checked on the native row
+  // and reported by the program it hands the row back to. A slice is cut
+  // short by rebinding its span, so the memory past it stays readable, as a
+  // neighbouring tile's region would be: a skipped check would go unseen.
+  const std::string range = "tensor index out of range in codelet";
+  const std::string negative = "negative tensor index in codelet";
+  enum Arg { kY, kX, kH, kD, kA, kC, kRp, kSp };
+  auto shorten = [](Arg arg, std::size_t size) -> SpanRewrite {
+    return [=](std::vector<graph::ArgSpan>& s) { s[arg].size = size; };
+  };
+  const CodeletIR ir = traceCsrRows();
+  const CsrCols base(kCsrPatterns);
+  // The last row's y, d, x and sp; rp at row 0, and rp[r + 1] at the last
+  // row.
+  for (const Arg arg : {kY, kD, kX, kSp}) {
+    SCOPED_TRACE(testing::Message() << "arg " << arg);
+    expectSameError(ir, base.args(), range, shorten(arg, 5));
+  }
+  expectSameError(ir, base.args(), range, shorten(kRp, 0));
+  expectSameError(ir, base.args(), range, shorten(kRp, 6));
+  // c and a at row 2's second owned entry and at row 4's second halo entry.
+  const auto owned = static_cast<std::size_t>(base.rp[2]) + 1;
+  const auto halo = static_cast<std::size_t>(base.sp[4]) + 1;
+  for (const std::size_t k : {owned, halo}) {
+    for (const Arg arg : {kC, kA}) {
+      SCOPED_TRACE(testing::Message() << "arg " << arg << " cut at " << k);
+      expectSameError(ir, base.args(), range, shorten(arg, k));
+    }
+  }
+  // An owned column past x's slice, and a negative one.
+  CsrCols past = base;
+  past.x.push_back(0.5f);
+  past.c[owned] = 6;
+  expectSameError(ir, past.args(), range, shorten(kX, 6));
+  CsrCols below = base;
+  below.c[owned] = -1;
+  expectSameError(ir, below.args(), negative);
+  // A halo column past h's slice, and one below the owned count.
+  past = base;
+  past.h.push_back(0.5f);
+  past.c[halo] = 6 + CsrCols::kHalo;
+  expectSameError(ir, past.args(), range, shorten(kH, CsrCols::kHalo));
+  below = base;
+  below.c[halo] = 5;
+  expectSameError(ir, below.args(), negative);
+  // A split below the row's start: the halo run then reads row 0's owned
+  // column 3, and nothing past the split.
+  CsrCols split({{{3}, {1}}, {{}, {}}});
+  split.rp[0] = 1;
+  split.sp[0] = 0;
+  expectSameError(ir, split.args(), negative);
+}
+
+TEST(CsrRows, RowsOffTheShapeStayOnTheProgram) {
+  using V = CsrVariant;
+  const std::string range = "tensor index out of range in codelet";
+  // Off the shape, each for its own reason: the native row would compute
+  // another product order, gather from x, leave acc unset, run unit steps,
+  // or read the owned count once.
+  for (const auto& [variant, name] :
+       {std::pair{V::ProductSwapped, "product swapped"},
+        std::pair{V::GatherFromD, "gathering d"},
+        std::pair{V::AccReadAfter, "acc read after"},
+        std::pair{V::OwnedStepTwo, "owned step 2"},
+        std::pair{V::HaloStepTwo, "halo step 2"}}) {
+    SCOPED_TRACE(name);
+    const CodeletIR ir = traceCsrRows(variant);
+    EXPECT_TRUE(hasCsrRows(ir, 0));
+    expectVmMatchesWalk(ir, CsrCols(kCsrPatterns).args());
+  }
+  // The owned count follows the halo entries (6, then 10 - 6, 8 - 4,
+  // 6 - 4 and 6 - 2), each inside the halo.
+  const CodeletIR reassigned = traceCsrRows(V::OwnedReassigned);
+  EXPECT_TRUE(hasCsrRows(reassigned, 0));
+  expectVmMatchesWalk(
+      reassigned,
+      CsrCols({{{0, 2}, {4}}, {{}, {}}, {{3}, {2, 0}}, {{1}, {0}}}).args());
+  // The native row would multiply by a[k], not by x[k]: five entries, so
+  // that x[k] stays inside x.
+  const CodeletIR fromX = traceCsrRows(V::HaloValuesFromX);
+  EXPECT_TRUE(hasCsrRows(fromX, 0));
+  expectVmMatchesWalk(fromX, CsrCols({{{0}, {1}}, {{}, {2}}, {{1}, {}},
+                                      {{}, {0}}, {{}, {}}, {{}, {}}})
+                                 .args());
+  // The native row would gather h[c[k] - owned]. One row over a one-column
+  // x, behind a spare leading entry, so that rp[1] - 1 is a halo slot.
+  const CodeletIR fromRp = traceCsrRows(V::HaloColumnsFromRp);
+  EXPECT_TRUE(hasCsrRows(fromRp, 0));
+  CsrCols spare({{{}, {3}}}, 1);
+  spare.c.insert(spare.c.begin(), 0);
+  spare.a.insert(spare.a.begin(), 0.75f);
+  for (std::int32_t* p : {&spare.rp[0], &spare.rp[1], &spare.sp[0]}) ++*p;
+  expectVmMatchesWalk(fromRp, spare.args());
+  // rp[r + 2] reaches into the next row: rows of halo entries only, and a
+  // spare row pointer.
+  const CodeletIR rpPlusTwo = traceCsrRows(V::RpPlusTwo);
+  EXPECT_TRUE(hasCsrRows(rpPlusTwo, 0));
+  CsrCols haloOnly({{{}, {1}}, {{}, {0, 4}}, {{}, {}}, {{}, {3, 2}}});
+  haloOnly.rp.push_back(haloOnly.rp.back());
+  expectVmMatchesWalk(rpPlusTwo, haloOnly.args());
+  // One load more than the shape, at the row's top or in either run's
+  // body: the native row would skip its bounds check.
+  for (const auto& [variant, name] :
+       {std::pair{V::DeadLoadTop, "dead load at the top"},
+        std::pair{V::DeadLoadOwned, "dead load in the owned run"},
+        std::pair{V::DeadLoadHalo, "dead load in the halo run"}}) {
+    SCOPED_TRACE(name);
+    const CodeletIR ir = traceCsrRows(variant);
+    EXPECT_TRUE(hasCsrRows(ir, 0));
+    expectVmMatchesWalk(ir, CsrCols(kCsrPatterns, 6 + 1000).args());
+    expectSameError(ir, CsrCols(kCsrPatterns).args(), range);
+  }
+  // The same for a load whose register the row reads, but whose consumer
+  // takes another load's twice: x[r] * x[r] leaves d[r] unread (d is cut
+  // short), and the owned run [rp[r], rp[r]) leaves c[r] unread (c holds
+  // five entries for six rows).
+  const CodeletIR squared = traceCsrRows(V::HeadSquared);
+  EXPECT_TRUE(hasCsrRows(squared, 0));
+  expectVmMatchesWalk(squared, CsrCols(kCsrPatterns).args());
+  expectSameError(squared, CsrCols(kCsrPatterns).args(), range,
+                  [](std::vector<graph::ArgSpan>& s) { s[3].size = 5; });
+  const CodeletIR fromRpOnly = traceCsrRows(V::OwnedFromRp);
+  EXPECT_TRUE(hasCsrRows(fromRpOnly, 0));
+  expectVmMatchesWalk(fromRpOnly, CsrCols({{{}, {1}}, {{}, {0, 3}}, {{}, {4}},
+                                           {{}, {2}}, {{}, {}}, {{}, {1}}})
+                                      .args());
+  expectSameError(fromRpOnly,
+                  CsrCols({{{}, {1}}, {{}, {0, 3}}, {{}, {4}}, {{}, {2}},
+                           {{}, {}}, {{}, {}}})
+                      .args(),
+                  range);
+}
+
+// ---------------------------------------------------------------------------
 // Compile passes. The compiler shares a copy's register with its source,
 // produces values straight into their homes, pools constants, fuses an If's
 // int comparison into its branch and deletes ops nothing reads. Each codelet
