@@ -530,17 +530,30 @@ struct NamedLoop {
 ///   for k in [rp[r], sp[r]):    acc = acc + a[k] * x[c[k]]
 ///   for k in [sp[r], rp[r+1]):  acc = acc + a[k] * h[c[k] - owned]
 ///   y[r] = acc
-/// Matched on the compiled ops (matchCsrRow). Rows run as a native scalar
-/// loop (same float ops in the same order, so bit-identical) priced by the
-/// closed form of the program's block charges; a row whose indices fall
-/// outside the bound slices runs on the program instead, which reports the
-/// walk's error.
+/// Matched on the compiled ops (matchCsrRow). A ParFor's rows run as one
+/// native scalar loop (same float ops in the same order, so bit-identical),
+/// each priced by the closed form of the program's block charges; from the
+/// first row whose indices fall outside the bound slices, the program runs
+/// the rest and reports the walk's error.
 struct CsrRow {
   std::int16_t yArg = -1, dArg = -1, xArg = -1, aArg = -1, hArg = -1;
   std::int16_t cArg = -1, rpArg = -1, spArg = -1;
   std::int16_t ownedReg = -1;  // holds the owned-row count; the row reads it
-  // Runs of the row's two LBegin and two LEnd ops and of its PEnd.
-  LaneSums entry[2], body[2], tail;
+  // Closed-form charges: three lane blocks (the entry; the owned run's t0
+  // bodies plus the second entry; the halo run's t1 bodies plus the tail)
+  // and two loop-entry branches. Each run's block is its lead lanes plus t
+  // bodies, so `fixed` holds the first block, both branches and the leads'
+  // ctrl lanes, and a row's price needs only t0 and t1.
+  double fixed = 0;
+  LaneSums lead[2], body[2];  // the leads' ctrl lanes are 0
+
+  double price(std::int32_t t0, std::int32_t t1) const {
+    auto run = [](const LaneSums& lead, const LaneSums& per, double n) {
+      const double fp = lead.fp + n * per.fp, mem = lead.mem + n * per.mem;
+      return (fp > mem ? fp : mem) + n * per.ctrl;
+    };
+    return fixed + run(lead[0], body[0], t0) + run(lead[1], body[1], t1);
+  }
 };
 
 /// Recognised whole-row parallel kernel: one row of a level-set triangular
@@ -550,11 +563,11 @@ struct CsrRow {
 ///     c = col[k]; if (c < i) acc = acc - v[k] * x[c]
 ///   y[i] = acc                  (forward)
 ///   y[i] = acc / v[di[i]]       (backward, whose guard is i < c)
-/// Matched on the compiled ops (matchTriRow). Rows run as a native scalar
-/// loop, the same float ops in the same order, priced by the closed form of
-/// the program's block charges; a row with a non-unit step or an index
-/// outside its slice runs on the program instead, which reports the walk's
-/// error.
+/// Matched on the compiled ops (matchTriRow). A ParFor's rows run as one
+/// native scalar loop, the same float ops in the same order, each priced by
+/// the closed form of the program's block charges; from the first row with
+/// an index outside its slice, the program runs the rest and reports the
+/// walk's error, and with a non-unit step it runs them all.
 struct TriRow {
   std::int16_t orderArg = -1, seedArg = -1, rpArg = -1, colArg = -1;
   std::int16_t vArg = -1, xArg = -1, yArg = -1;
@@ -562,7 +575,7 @@ struct TriRow {
   // Registers the row reads but never writes: s, and the inner loop's step.
   std::int16_t sReg = -1, stepReg = -1;
   bool colFirst = true;  // the guard is c < i, else i < c
-  // Closed-form charges (nativeTriRow): the head block plus a branch; the
+  // Closed-form charges (nativeTriRows): the head block plus a branch; the
   // first iteration's If block plus a branch; each later iteration's block
   // plus a branch, after a taken or an untaken iteration; and the tail
   // block after a taken, an untaken or no iteration.
@@ -861,6 +874,9 @@ class RowMatch {
   RowMatch(const std::vector<VmOp>& ops, std::size_t head)
       : ops_(ops), tail_(static_cast<std::size_t>(ops[head].iimm)) {
     for (auto& r : role_) r.fill(R::Outside);
+    // The worker id varies by row but a native loop never writes it, so no
+    // plan may read it: no step matches None in a register operand.
+    set(RegKind::Int, 0, R::None);
     set(RegKind::Int, ops[head].dst, R::Idx);
     for (std::size_t pc = head + 1; pc < tail_; ++pc) {
       if (isControl(ops[pc].k)) ctl_.push_back(pc);
@@ -944,7 +960,7 @@ class RowMatch {
 };
 
 /// Matches the ParFor row of the PBegin at ops[head] against CsrRow's shape
-/// (RowMatch) and takes its charges. `one` is the register of the pooled
+/// (RowMatch) and prices it. `one` is the register of the pooled
 /// Int constant 1, or -1: the `+ 1` of rp[r + 1] and both inner steps must
 /// read it, since the native row runs unit steps. The register the halo
 /// run's owned count comes from is read when a row runs, so the row must not
@@ -952,7 +968,7 @@ class RowMatch {
 /// index: their consumers tell them apart, the product's operand order and
 /// the first loop's begin and end, each reading a different load.
 bool matchCsrRow(const std::vector<VmOp>& ops, std::size_t head,
-                 std::int16_t one, CsrRow& m) {
+                 std::int16_t one, double branchCost, CsrRow& m) {
   using K = VmOp::K;
   using R = RowMatch::R;
   constexpr RegKind I = RegKind::Int, F = RegKind::Float;
@@ -1011,11 +1027,12 @@ bool matchCsrRow(const std::vector<VmOp>& ops, std::size_t head,
     return false;
   }
   m.ownedReg = sub->b;
-  m.entry[0] = owned.run;
+  const LaneSums& tail = ops[rm.tail()].run;
+  m.fixed = owned.run.total() + halo.run.ctrl + tail.ctrl + 2 * branchCost;
+  m.lead[0] = {halo.run.fp, halo.run.mem, 0};
+  m.lead[1] = {tail.fp, tail.mem, 0};
   m.body[0] = ops[ctl[1]].run;
-  m.entry[1] = halo.run;
   m.body[1] = ops[ctl[3]].run;
-  m.tail = ops[rm.tail()].run;
   return true;
 }
 
@@ -1919,7 +1936,7 @@ class ProgramCompiler {
           static_cast<std::size_t>(newPc[static_cast<std::size_t>(head)]);
       CsrRow csr;
       TriRow tri;
-      const bool isCsr = matchCsrRow(p_.ops, pc, one, csr);
+      const bool isCsr = matchCsrRow(p_.ops, pc, one, p_.branchCost, csr);
       if (!isCsr && !matchTriRow(p_.ops, pc, p_.branchCost, tri)) continue;
       p_.ops[pc].arg = static_cast<std::int16_t>(p_.rowPlans.size());
       p_.rowPlans.push_back(isCsr ? RowPlan(csr) : RowPlan(tri));
@@ -2581,142 +2598,152 @@ class VmExec {
   }
 
   /// A ParFor's rows, dealt round-robin to the tile's worker pool exactly
-  /// like the walk; returns the pool's barrier time.
+  /// like the walk; returns the pool's barrier time. A planned ParFor hands
+  /// its whole range to its plan's native loop; the rows from the first one
+  /// that loop could not run go to the program.
   double runRows(const VmOp& op, std::size_t pc) {
     const std::int32_t begin = ir_[op.a], end = ir_[op.b], step = ir_[op.c];
     ipu::WorkerPool pool(numWorkers_);
     pool.chargeSpawn();
-    const std::int32_t savedWorker = ir_[0];
-    const RowPlan* plan =
-        op.arg >= 0 && step == 1
-            ? &prog_.rowPlans[static_cast<std::size_t>(op.arg)]
-            : nullptr;
-    const CsrRow* csr = std::get_if<CsrRow>(plan);
-    const TriRow* tri = std::get_if<TriRow>(plan);
     std::size_t w = 0;
-    for (std::int64_t iv = begin; iv < end; iv += step) {
-      const auto row = static_cast<std::int32_t>(iv);
-      ir_[op.dst] = row;
+    std::int64_t iv = begin;
+    if (op.arg >= 0 && step == 1) {
+      const RowPlan& plan = prog_.rowPlans[static_cast<std::size_t>(op.arg)];
+      const CsrRow* csr = std::get_if<CsrRow>(&plan);
+      iv = csr != nullptr
+               ? nativeCsrRows(*csr, begin, end, pool, w)
+               : nativeTriRows(std::get<TriRow>(plan), begin, end, pool, w);
+    }
+    const std::int32_t savedWorker = ir_[0];
+    for (; iv < end; iv += step) {
+      ir_[op.dst] = static_cast<std::int32_t>(iv);
       ir_[0] = static_cast<std::int32_t>(w);
-      double rowCost = 0;
-      const bool native = csr != nullptr   ? nativeCsrRow(*csr, row, rowCost)
-                          : tri != nullptr ? nativeTriRow(*tri, row, rowCost)
-                                           : false;
-      if (!native) rowCost = exec(pc + 1);
-      pool.addCycles(w, rowCost);
+      pool.addCycles(w, exec(pc + 1));
       if (++w == numWorkers_) w = 0;
     }
     ir_[0] = savedWorker;
     return pool.sync();
   }
 
-  /// One triangular-substitution row as a native scalar loop: the program's
-  /// float ops in the program's order, priced by the closed form of its
-  /// block charges (TriRow). Returns false, having written nothing, on a
-  /// non-unit step or an index outside a bound slice; the program then runs
-  /// the row and reports the walk's error.
-  bool nativeTriRow(const TriRow& m, std::int32_t idx, double& rowCost) const {
+  /// The triangular-substitution rows [begin, end) as one native scalar
+  /// loop: each row the program's float ops in the program's order, priced
+  /// by the closed form of its block charges (TriRow) and charged to worker
+  /// `w`, which then moves on round-robin. Returns the first row it did not
+  /// run, having written nothing for it: every row on a non-unit step, or a
+  /// row with an index outside a bound slice. The program then runs that row
+  /// and the rest, and reports the walk's error. Only the step check is
+  /// hoisted: these ranges average under three rows, and hoisting the span
+  /// loads as well measured slower.
+  std::int64_t nativeTriRows(const TriRow& m, std::int32_t begin,
+                             std::int32_t end, ipu::WorkerPool& pool,
+                             std::size_t& w) const {
+    if (ir_[m.stepReg] != 1) return begin;
     auto in = [this](std::int64_t i, std::int16_t arg) {
       return i >= 0 && static_cast<std::uint64_t>(i) < args_[arg].size;
     };
-    if (ir_[m.stepReg] != 1 || !in(idx, m.orderArg)) return false;
-    const std::int32_t i = data<const std::int32_t>(m.orderArg)[idx];
-    const std::int64_t iEnd = std::int64_t{i} + ir_[m.sReg];
-    if (!in(i, m.seedArg) || !in(i, m.rpArg) || !in(iEnd, m.rpArg) ||
-        !in(i, m.yArg)) {
-      return false;
-    }
-    const std::int32_t* rp = data<const std::int32_t>(m.rpArg);
-    const std::int32_t* col = data<const std::int32_t>(m.colArg);
-    const float* v = data<const float>(m.vArg);
-    const float* x = data<const float>(m.xArg);
-    const std::int32_t b = rp[i], e = rp[iEnd];
-    float acc = data<const float>(m.seedArg)[i];
-    std::int32_t nAfterTaken = 0;  // iterations that follow a taken one
-    bool taken = false;
-    for (std::int32_t k = b; k < e; ++k) {
-      if (!in(k, m.colArg)) return false;
-      const std::int32_t c = col[k];
-      nAfterTaken += taken ? 1 : 0;
-      taken = m.colFirst ? c < i : i < c;
-      if (taken) {
-        if (!in(k, m.vArg) || !in(c, m.xArg)) return false;
-        acc = acc - v[k] * x[c];
+    auto row = [&](std::int32_t idx) {
+      if (!in(idx, m.orderArg)) return false;
+      const std::int32_t i = data<const std::int32_t>(m.orderArg)[idx];
+      const std::int64_t iEnd = std::int64_t{i} + ir_[m.sReg];
+      if (!in(i, m.seedArg) || !in(i, m.rpArg) || !in(iEnd, m.rpArg) ||
+          !in(i, m.yArg)) {
+        return false;
       }
-    }
-    if (m.diArg >= 0) {
-      if (!in(i, m.diArg)) return false;
-      const std::int32_t d = data<const std::int32_t>(m.diArg)[i];
-      if (!in(d, m.vArg)) return false;
-      acc = acc / v[d];
-    }
-    data<float>(m.yArg)[i] = acc;
-    const std::int32_t n = e > b ? e - b : 0;
-    rowCost = n == 0 ? m.head + m.tailEmpty
-                     : m.head + m.firstIf + nAfterTaken * m.afterTaken +
-                           (n - 1 - nAfterTaken) * m.afterUntaken +
-                           (taken ? m.tailTaken : m.tailUntaken);
-    return true;
+      const std::int32_t* rp = data<const std::int32_t>(m.rpArg);
+      const std::int32_t* col = data<const std::int32_t>(m.colArg);
+      const float* v = data<const float>(m.vArg);
+      const float* x = data<const float>(m.xArg);
+      const std::int32_t b = rp[i], e = rp[iEnd];
+      float acc = data<const float>(m.seedArg)[i];
+      std::int32_t nAfterTaken = 0;  // iterations that follow a taken one
+      bool taken = false;
+      for (std::int32_t k = b; k < e; ++k) {
+        if (!in(k, m.colArg)) return false;
+        const std::int32_t c = col[k];
+        nAfterTaken += taken ? 1 : 0;
+        taken = m.colFirst ? c < i : i < c;
+        if (taken) {
+          if (!in(k, m.vArg) || !in(c, m.xArg)) return false;
+          acc = acc - v[k] * x[c];
+        }
+      }
+      if (m.diArg >= 0) {
+        if (!in(i, m.diArg)) return false;
+        const std::int32_t d = data<const std::int32_t>(m.diArg)[i];
+        if (!in(d, m.vArg)) return false;
+        acc = acc / v[d];
+      }
+      data<float>(m.yArg)[i] = acc;
+      const std::int32_t n = e > b ? e - b : 0;
+      pool.addCycles(w, n == 0 ? m.head + m.tailEmpty
+                               : m.head + m.firstIf +
+                                     nAfterTaken * m.afterTaken +
+                                     (n - 1 - nAfterTaken) * m.afterUntaken +
+                                     (taken ? m.tailTaken : m.tailUntaken));
+      if (++w == numWorkers_) w = 0;
+      return true;
+    };
+    std::int32_t idx = begin;
+    while (idx < end && row(idx)) ++idx;
+    return idx;
   }
 
-  /// One CSR SpMV row as a native scalar loop: the program's float ops in
-  /// the program's order, priced by the closed form of its block charges.
-  /// Returns false, having written nothing, when an index falls outside a
-  /// bound slice; the program then runs the row and reports the error.
-  bool nativeCsrRow(const CsrRow& m, std::int32_t r, double& rowCost) const {
-    const graph::ArgSpan& y = args_[m.yArg];
-    const graph::ArgSpan& d = args_[m.dArg];
-    const graph::ArgSpan& x = args_[m.xArg];
-    const graph::ArgSpan& a = args_[m.aArg];
-    const graph::ArgSpan& h = args_[m.hArg];
-    const graph::ArgSpan& c = args_[m.cArg];
-    const graph::ArgSpan& rp = args_[m.rpArg];
-    const graph::ArgSpan& sp = args_[m.spArg];
-    const auto row = static_cast<std::size_t>(r);
-    if (r < 0 || row >= y.size || row >= d.size || row >= x.size ||
-        row + 1 >= rp.size || row >= sp.size) {
-      return false;
-    }
-    const std::int32_t* cp = static_cast<const std::int32_t*>(c.data);
-    const float* ap = static_cast<const float*>(a.data);
-    const float* xp = static_cast<const float*>(x.data);
-    const float* hp = static_cast<const float*>(h.data);
-    const std::int32_t b1 = static_cast<const std::int32_t*>(rp.data)[row];
-    const std::int32_t e1 = static_cast<const std::int32_t*>(sp.data)[row];
-    const std::int32_t e2 = static_cast<const std::int32_t*>(rp.data)[row + 1];
-    const std::size_t limit = std::min(a.size, c.size);
-    auto runOk = [&](std::int32_t lo, std::int32_t hi) {
+  /// The CSR SpMV rows [begin, end) as one native scalar loop: each row the
+  /// program's float ops in the program's order, priced from its two trip
+  /// counts (CsrRow::price) and charged to worker `w`, which then moves on
+  /// round-robin. What no row varies, the spans and the owned count, is
+  /// read once, and the slices indexed by the row (y, d, x, sp, and rp at
+  /// r + 1) clamp the range instead of being checked per row. Returns the
+  /// first row it did not run, having written nothing for it: the first row
+  /// past the clamp (or a negative begin), or a row whose runs fall outside
+  /// c and a or whose columns fall outside x or h. The program then runs
+  /// that row and the rest, and reports the walk's error.
+  std::int64_t nativeCsrRows(const CsrRow& m, std::int32_t begin,
+                             std::int32_t end, ipu::WorkerPool& pool,
+                             std::size_t& w) const {
+    if (begin < 0) return begin;
+    const std::size_t rpSize = args_[m.rpArg].size;
+    const std::size_t rows =
+        std::min({args_[m.yArg].size, args_[m.dArg].size, args_[m.xArg].size,
+                  args_[m.spArg].size, rpSize > 0 ? rpSize - 1 : 0});
+    const auto stop = static_cast<std::int32_t>(
+        std::min<std::int64_t>(end, static_cast<std::int64_t>(rows)));
+    float* y = data<float>(m.yArg);
+    const float* d = data<const float>(m.dArg);
+    const float* x = data<const float>(m.xArg);
+    const float* h = data<const float>(m.hArg);
+    const float* a = data<const float>(m.aArg);
+    const std::int32_t* c = data<const std::int32_t>(m.cArg);
+    const std::int32_t* rp = data<const std::int32_t>(m.rpArg);
+    const std::int32_t* sp = data<const std::int32_t>(m.spArg);
+    const std::size_t xSize = args_[m.xArg].size, hSize = args_[m.hArg].size;
+    const std::size_t limit = std::min(args_[m.aArg].size, args_[m.cArg].size);
+    const std::int32_t owned = ir_[m.ownedReg];
+    auto runOk = [limit](std::int32_t lo, std::int32_t hi) {
       return lo >= hi || (lo >= 0 && static_cast<std::size_t>(hi) <= limit);
     };
-    if (!runOk(b1, e1) || !runOk(e1, e2)) return false;
-    const std::int32_t owned = ir_[m.ownedReg];
-    float acc = static_cast<const float*>(d.data)[row] * xp[row];
-    for (std::int32_t k = b1; k < e1; ++k) {
-      const auto col = static_cast<std::uint32_t>(cp[k]);
-      if (col >= x.size) return false;
-      acc = acc + ap[k] * xp[col];
-    }
-    for (std::int32_t k = e1; k < e2; ++k) {
-      const std::int64_t col = static_cast<std::int64_t>(cp[k]) - owned;
-      if (col < 0 || static_cast<std::size_t>(col) >= h.size) return false;
-      acc = acc + ap[k] * hp[col];
-    }
-    static_cast<float*>(y.data)[row] = acc;
-    rowCost = csrRowCost(m, e1 > b1 ? e1 - b1 : 0, e2 > e1 ? e2 - e1 : 0);
-    return true;
-  }
-
-  /// Closed form of the program's charge for a CSR row with trip counts t0,
-  /// t1: three lane blocks — entry, t0 owned-run bodies plus the second
-  /// entry, t1 halo-run bodies plus the tail — and two loop-entry branches.
-  double csrRowCost(const CsrRow& c, std::int32_t t0, std::int32_t t1) const {
-    auto block = [](const LaneSums& head, double n, const LaneSums& per) {
-      return LaneSums{head.fp + n * per.fp, head.mem + n * per.mem,
-                      head.ctrl + n * per.ctrl}
-          .total();
+    auto row = [&](std::int32_t r) {
+      const std::int32_t b1 = rp[r], e1 = sp[r], e2 = rp[r + 1];
+      if (!runOk(b1, e1) || !runOk(e1, e2)) return false;
+      float acc = d[r] * x[r];
+      for (std::int32_t k = b1; k < e1; ++k) {
+        const auto col = static_cast<std::uint32_t>(c[k]);
+        if (col >= xSize) return false;
+        acc = acc + a[k] * x[col];
+      }
+      for (std::int32_t k = e1; k < e2; ++k) {
+        const std::int64_t col = static_cast<std::int64_t>(c[k]) - owned;
+        if (col < 0 || static_cast<std::size_t>(col) >= hSize) return false;
+        acc = acc + a[k] * h[col];
+      }
+      y[r] = acc;
+      pool.addCycles(w, m.price(e1 > b1 ? e1 - b1 : 0, e2 > e1 ? e2 - e1 : 0));
+      if (++w == numWorkers_) w = 0;
+      return true;
     };
-    return c.entry[0].total() + block(c.entry[1], t0, c.body[0]) +
-           block(c.tail, t1, c.body[1]) + 2 * prog_.branchCost;
+    std::int32_t r = begin;
+    while (r < stop && row(r)) ++r;
+    return r;
   }
 
   /// Runs a FastFor's kernel over [begin, end) step `step`, charging its

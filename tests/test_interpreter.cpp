@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
+#include <set>
 #include <string>
 #include <span>
 #include <utility>
@@ -281,22 +285,29 @@ struct RunResult {
 /// arguments share or overlap storage.
 using SpanRewrite = std::function<void(std::vector<graph::ArgSpan>&)>;
 
-/// Runs `cc` once over a copy of `args`, with the VM allowed or not.
-RunResult runOnce(const CompiledCodelet& cc, HostArgs args, bool vm,
-                  const SpanRewrite& rewrite = {}) {
+/// Runs `cc` once over `r.args`, in place, with the VM allowed or not, and
+/// records its cost and path in `r` (unless it throws).
+void runOnce(const CompiledCodelet& cc, RunResult& r, bool vm,
+             const SpanRewrite& rewrite = {}) {
   struct Restore {
     bool env = codeletFastPathsEnabled();
     ~Restore() { setCodeletFastPaths(env); }
   } restore;
   setCodeletFastPaths(vm);
-  std::vector<graph::ArgSpan> spans = args.spans();
+  std::vector<graph::ArgSpan> spans = r.args.spans();
   if (rewrite) rewrite(spans);
   graph::VertexContext ctx(spans, codeletBinds(cc, spans));
   const std::uint64_t before = codeletWalkEntries();
-  RunResult r;
   r.cost = runCompiled(cc, ctx);
   r.walked = codeletWalkEntries() != before;
-  r.args = std::move(args);
+}
+
+/// Runs `cc` once over a copy of `args`, with the VM allowed or not.
+RunResult runOnce(const CompiledCodelet& cc, const HostArgs& args, bool vm,
+                  const SpanRewrite& rewrite = {}) {
+  RunResult r;
+  r.args = args;
+  runOnce(cc, r, vm, rewrite);
   return r;
 }
 
@@ -304,18 +315,17 @@ CompiledCodeletPtr compileForTest(const CodeletIR& ir) {
   return compileCodelet(ir, ipu::CostModel{}, 6);
 }
 
-/// Runs `ir` on `args` on the VM and on the walk; both must agree on every
+/// Runs `cc` on `args` on the VM and on the walk; both must agree on every
 /// output bit and on the VertexCost. `onVm` false expects the vertex to fall
 /// back to the walk whole. `rewrite` rebinds both runs' spans. Returns the
 /// VM-enabled run.
-RunResult expectVmMatchesWalk(const CodeletIR& ir, const HostArgs& args,
+RunResult expectVmMatchesWalk(const CompiledCodelet& cc, const HostArgs& args,
                               bool onVm = true,
                               const SpanRewrite& rewrite = {}) {
-  CompiledCodeletPtr cc = compileForTest(ir);
-  const char* why = codeletWalkReason(*cc);
+  const char* why = codeletWalkReason(cc);
   EXPECT_TRUE(why == nullptr) << "stayed on the walk: " << why;
-  RunResult vm = runOnce(*cc, args, true, rewrite);
-  RunResult walk = runOnce(*cc, args, false, rewrite);
+  RunResult vm = runOnce(cc, args, true, rewrite);
+  RunResult walk = runOnce(cc, args, false, rewrite);
   EXPECT_EQ(vm.walked, !onVm);
   EXPECT_TRUE(walk.walked);
   EXPECT_EQ(vm.args.bits(), walk.args.bits());
@@ -325,22 +335,36 @@ RunResult expectVmMatchesWalk(const CodeletIR& ir, const HostArgs& args,
   return vm;
 }
 
+/// expectVmMatchesWalk for `ir` compiled for the default six workers.
+RunResult expectVmMatchesWalk(const CodeletIR& ir, const HostArgs& args,
+                              bool onVm = true,
+                              const SpanRewrite& rewrite = {}) {
+  return expectVmMatchesWalk(*compileForTest(ir), args, onVm, rewrite);
+}
+
 /// Both paths must fail with the same message. `rewrite` rebinds both
-/// runs' spans.
-void expectSameError(const CodeletIR& ir, const HostArgs& args,
-                     const std::string& what,
-                     const SpanRewrite& rewrite = {}) {
+/// runs' spans. Returns the argument columns each run left behind, the
+/// VM's first.
+std::array<HostArgs, 2> expectSameError(const CodeletIR& ir,
+                                        const HostArgs& args,
+                                        const std::string& what,
+                                        const SpanRewrite& rewrite = {}) {
   CompiledCodeletPtr cc = compileForTest(ir);
   EXPECT_TRUE(codeletWalkReason(*cc) == nullptr);
+  std::array<HostArgs, 2> left;
   for (const bool vm : {true, false}) {
+    RunResult r;
+    r.args = args;
     try {
-      runOnce(*cc, args, vm, rewrite);
+      runOnce(*cc, r, vm, rewrite);
       ADD_FAILURE() << "no error with the VM " << (vm ? "on" : "off");
     } catch (const Error& e) {
       EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
           << "VM " << (vm ? "on" : "off") << ": " << e.what();
     }
+    left[vm ? 0 : 1] = std::move(r.args);
   }
+  return left;
 }
 
 /// One CSR row per ParFor iteration, guarded like the ILU substitution:
@@ -893,6 +917,37 @@ TEST(WholeCodelet, BadGatherIndicesReportTheWalksError) {
   }
 }
 
+TEST(WholeCodelet, BlockedSqrtMatchesTheWalk) {
+  // out[i] = sqrt(x[i]) over 37 elements runs as a blocked kernel: two
+  // 16-lane blocks, a 4-lane block and a one-element tail. -1, -0, +0, NaN,
+  // +-inf and a subnormal sit in the 16-lane blocks, and again at the end,
+  // across the 4-lane block and the tail: each must give the walk's bits.
+  CodeletBuilder builder;
+  builder.setNumArgs(2);
+  Value out = Value::argument(0, DType::Float32);
+  Value x = Value::argument(1, DType::Float32);
+  For(0, out.size(), 1, [&](Value i) { out[i] = Sqrt(x[i]); });
+  const CodeletIR ir = builder.finish();
+  const std::string shape = codeletShape(*compileForTest(ir));
+  EXPECT_NE(shape.find("kernels=[none+blocked]"), std::string::npos) << shape;
+  constexpr std::size_t kN = 37;
+  using Limits = std::numeric_limits<float>;
+  std::vector<float> xs = ramp(kN, 0.125f, 0.75f);
+  const float special[] = {-1.0f,          -0.0f,           0.0f,
+                           Limits::quiet_NaN(), Limits::infinity(),
+                           -Limits::infinity(), Limits::denorm_min()};
+  for (std::size_t j = 0; j < std::size(special); ++j) {
+    xs[j * 5] = special[j];       // 0, 5, ..., 30
+    xs[kN - 1 - j] = special[j];  // 36, 35, ..., 30
+  }
+  HostArgs args;
+  args.addFloat(std::vector<float>(kN, 0.0f));
+  args.addFloat(xs);
+  const RunResult vm = expectVmMatchesWalk(ir, args);
+  EXPECT_TRUE(std::isnan(vm.args.floats(0)[0]));  // sqrt(-1)
+  EXPECT_TRUE(std::signbit(vm.args.floats(0)[5]));  // sqrt(-0) is -0
+}
+
 TEST(WholeCodelet, SerialLoopKernelWritesBackOuterVariables) {
   // A straight-line serial loop runs as a loop kernel: variables defined
   // before it and assigned in it carry the last element's values out; a
@@ -1017,6 +1072,7 @@ enum class TriVariant {
   StepFromArg,    // the inner loop's step is steps[0]
   AccReadAfter,   // acc outlives the row: out[0] = acc after the ParFor
   ExtraLoad,      // the row also loads x[i], which nothing reads
+  EndAtWorkerId,  // the inner loop ends at rp[i + WorkerId()]
 };
 
 /// One triangular-substitution row per ParFor iteration, the shape
@@ -1054,7 +1110,8 @@ CodeletIR traceTriRows(bool backward, TriVariant variant = TriVariant::Plain) {
       local.emplace(seed[i]);
     }
     Value& acc = outer ? *outer : *local;
-    For(rp[i], rp[i + 1], step, [&](Value k) {
+    Value s = variant == TriVariant::EndAtWorkerId ? WorkerId() : Value(1);
+    For(rp[i], rp[i + s], step, [&](Value k) {
       Value c = col[k];
       If(backward ? c > i : c < i,
          [&] { acc = acc - Value(val[k]) * Value(x[c]); });
@@ -1136,6 +1193,71 @@ TriCols patternRows(bool backward, const std::string& pattern) {
     rows[static_cast<std::size_t>(i)] = guardPattern(i, kN, backward, pattern);
   }
   return TriCols(rows, {4, 0, 7, 2, 8, 5, 1, 6, 3});
+}
+
+/// `n` rows of mixed lengths and taken patterns, visited out of order: row
+/// i of 1 .. n-2 follows one of six patterns in turn; rows 0 and n-1 are
+/// empty.
+TriCols mixedTriRows(bool backward, std::int32_t n) {
+  const std::string patterns[] = {"T", "NT", "TTN", "", "NNTT", "TNTNT"};
+  std::vector<std::vector<std::int32_t>> rows(static_cast<std::size_t>(n));
+  std::vector<std::int32_t> visit;
+  for (std::int32_t i = 0; i < n; ++i) {
+    if (i > 0 && i + 1 < n) {
+      rows[static_cast<std::size_t>(i)] =
+          guardPattern(i, n, backward, patterns[i % 6]);
+    }
+    visit.push_back(i * 7 % n);
+  }
+  return TriCols(rows, visit);
+}
+
+/// `ir` with each read of a variable assigned WorkerId() replaced by the
+/// worker id itself. The DSL traces WorkerId() into a variable, which the VM
+/// copies out of the worker-id register; IR built by hand reads the register
+/// straight, and a row plan must not take it for a value fixed across rows.
+CodeletIR readWorkerIdStraight(CodeletIR ir) {
+  std::set<int> ids;
+  std::function<void(const StmtList&)> find = [&](const StmtList& list) {
+    for (const StmtPtr& s : list) {
+      if (s->kind == Stmt::Kind::Assign &&
+          s->value->kind == Expr::Kind::WorkerId) {
+        ids.insert(s->var);
+      }
+      find(s->body);
+      find(s->elseBody);
+    }
+  };
+  find(ir.statements);
+  std::function<ExprPtr(const ExprPtr&)> expr =
+      [&](const ExprPtr& e) -> ExprPtr {
+    if (e == nullptr) return e;
+    auto copy = std::make_shared<Expr>(*e);
+    if (e->kind == Expr::Kind::Var && ids.contains(e->var)) {
+      copy->kind = Expr::Kind::WorkerId;
+      copy->var = -1;
+    }
+    copy->a = expr(e->a);
+    copy->b = expr(e->b);
+    copy->c = expr(e->c);
+    return copy;
+  };
+  std::function<StmtList(const StmtList&)> stmts = [&](const StmtList& list) {
+    StmtList out;
+    for (const StmtPtr& s : list) {
+      auto copy = std::make_shared<Stmt>(*s);
+      for (ExprPtr* e : {&copy->index, &copy->value, &copy->cond, &copy->begin,
+                         &copy->end, &copy->step}) {
+        *e = expr(*e);
+      }
+      copy->body = stmts(s->body);
+      copy->elseBody = stmts(s->elseBody);
+      out.push_back(copy);
+    }
+    return out;
+  };
+  ir.statements = stmts(ir.statements);
+  return ir;
 }
 
 bool hasTriRows(const CodeletIR& ir, int n) {
@@ -1277,18 +1399,41 @@ TEST(TriangularRows, OutOfSliceIndicesReportTheWalksError) {
 }
 
 TEST(TriangularRows, NonUnitStepRunsOnTheProgram) {
+  // No row of a non-unit step has the native loop's unit step, so the whole
+  // range runs on the program. Under step 2 every non-empty row skips a
+  // taken entry, so a row run natively would differ from the walk's.
   for (const bool backward : {false, true}) {
     SCOPED_TRACE(backward ? "backward" : "forward");
     const CodeletIR ir = traceTriRows(backward, TriVariant::StepFromArg);
     ASSERT_TRUE(hasTriRows(ir, 1));
+    std::vector<float> out[4];
     for (const std::int32_t step : {1, 2, 3}) {
       TriCols t = patternRows(backward, "NTTNT");
       t.steps = {step};
-      expectVmMatchesWalk(ir, t.args());
+      out[step] = expectVmMatchesWalk(ir, t.args()).args.floats(0);
+    }
+    for (std::size_t i = 1; i + 1 < out[1].size(); ++i) {
+      EXPECT_NE(out[1][i], out[2][i]) << "row " << i;
     }
     TriCols t = patternRows(backward, "NTTNT");
     t.steps = {0};
     expectSameError(ir, t.args(), "For loops require a positive step");
+  }
+}
+
+TEST(TriangularRows, RowsDealtToOneFiveOrSevenWorkersMatchTheWalk) {
+  // 15 rows of mixed lengths on pools of 1, 5 and 7 workers, whose spawn
+  // shares 18/5 and 18/7 are inexact in binary: each worker's clock must
+  // add the same row prices in the walk's order.
+  for (const bool backward : {false, true}) {
+    SCOPED_TRACE(backward ? "backward" : "forward");
+    const CodeletIR ir = traceTriRows(backward);
+    const TriCols t = mixedTriRows(backward, 15);
+    for (const std::size_t workers : {1, 5, 7}) {
+      SCOPED_TRACE(testing::Message() << workers << " workers");
+      expectVmMatchesWalk(*compileCodelet(ir, ipu::CostModel{}, workers),
+                          t.args());
+    }
   }
 }
 
@@ -1307,6 +1452,15 @@ TEST(TriangularRows, RowsOffTheShapeStayOnTheProgram) {
     expectVmMatchesWalk(extra, t.args());
     t.x.resize(6);
     expectSameError(extra, t.args(), "tensor index out of range in codelet");
+    // s is the worker id, which varies by row and which the native row never
+    // writes: on 5 workers each row ends its run at rp[i + w] for its own w.
+    const CodeletIR worker = readWorkerIdStraight(
+        traceTriRows(backward, TriVariant::EndAtWorkerId));
+    EXPECT_TRUE(hasTriRows(worker, 0));
+    TriCols mixed = mixedTriRows(backward, 15);
+    mixed.rp.insert(mixed.rp.end(), 4, mixed.rp.back());  // rp[i + w], w < 5
+    expectVmMatchesWalk(*compileCodelet(worker, ipu::CostModel{}, 5),
+                        mixed.args());
   }
 }
 
@@ -1340,6 +1494,7 @@ enum class CsrVariant {
   DeadLoadTop,      // the row also loads x[r + 1000], which nothing reads,
   DeadLoadOwned,    // in the owned run's body
   DeadLoadHalo,     // or in the halo run's body
+  OwnedIsWorkerId,  // the halo run gathers h[c[k] - WorkerId()]
 };
 
 /// The two-run CSR SpMV row of traceCsrSpmv():
@@ -1347,9 +1502,9 @@ enum class CsrVariant {
 ///   for k in [rp[r], sp[r]):    acc = acc + a[k] * x[c[k]]
 ///   for k in [sp[r], rp[r+1]):  acc = acc + a[k] * h[c[k] - owned]
 ///   y[r] = acc
-/// The row count is an argument of its own, so that every slice the row
-/// indexes by r can be cut short. Args: 0 y, 1 x, 2 h, 3 d, 4 a, 5 c, 6 rp,
-/// 7 sp, 8 n (n[0] rows).
+/// The row range is an argument of its own, so that every slice the row
+/// indexes by r can be cut short and the range can start anywhere. Args:
+/// 0 y, 1 x, 2 h, 3 d, 4 a, 5 c, 6 rp, 7 sp, 8 n (rows n[1] .. n[0]).
 CodeletIR traceCsrRows(CsrVariant variant = CsrVariant::Plain) {
   using V = CsrVariant;
   const DType F = DType::Float32, I = DType::Int32;
@@ -1391,6 +1546,11 @@ CodeletIR traceCsrRows(CsrVariant variant = CsrVariant::Plain) {
                   acc = acc + Value(av[k]) * Value(hv[numOwned]);
                   return;
                 }
+                if (variant == V::OwnedIsWorkerId) {
+                  acc = acc +
+                        Value(av[k]) * Value(hv[Value(cv[k]) - WorkerId()]);
+                  return;
+                }
                 const Value& values = variant == V::HaloValuesFromX ? xv : av;
                 const Value& cols = variant == V::HaloColumnsFromRp ? rp : cv;
                 acc = acc +
@@ -1414,14 +1574,14 @@ CodeletIR traceCsrRows(CsrVariant variant = CsrVariant::Plain) {
         };
         if (variant == V::AccReadAfter) {
           Value acc = 0.0f;
-          ParallelFor(0, Value(n[0]), [&](Value r) {
+          ParallelFor(Value(n[1]), Value(n[0]), [&](Value r) {
             acc = head(r);
             row(r, acc);
           });
           yv[0] = acc;
           return;
         }
-        ParallelFor(0, Value(n[0]), [&](Value r) {
+        ParallelFor(Value(n[1]), Value(n[0]), [&](Value r) {
           deadLoad(V::DeadLoadTop, r);
           Value acc = head(r);
           row(r, acc);
@@ -1457,7 +1617,7 @@ struct CsrCols {
     h = ramp(kHalo, 1.1f, -0.45f);
     d = ramp(rows.size(), 2.2f, 0.15f);
     a = ramp(c.size(), 0.35f, 0.1f);
-    n = {static_cast<std::int32_t>(rows.size())};
+    n = {static_cast<std::int32_t>(rows.size()), 0};
   }
 
   HostArgs args() const {
@@ -1479,6 +1639,21 @@ const std::vector<CsrRuns> kCsrPatterns = {
 bool hasCsrRows(const CodeletIR& ir, int n) {
   const std::string shape = codeletShape(*compileForTest(ir));
   return shape.find(" csr=" + std::to_string(n) + " ") != std::string::npos;
+}
+
+/// `n` rows of mixed run lengths over `n` owned columns: row r holds r % 4
+/// owned entries and (r + 1) % 3 halo entries.
+CsrCols mixedCsrRows(std::size_t n) {
+  std::vector<CsrRuns> rows(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t j = 0; j < r % 4; ++j) {
+      rows[r].owned.push_back(static_cast<std::int32_t>((r + 5 * j) % n));
+    }
+    for (std::size_t j = 0; j < (r + 1) % 3; ++j) {
+      rows[r].halo.push_back(static_cast<std::int32_t>((r + j) % 5));
+    }
+  }
+  return CsrCols(rows, n);
 }
 
 }  // namespace
@@ -1561,6 +1736,65 @@ TEST(CsrRows, OutOfSliceIndicesReportTheWalksError) {
   expectSameError(ir, split.args(), negative);
 }
 
+TEST(CsrRows, RangeStopsAtTheFirstRowItCannotRun) {
+  // A planned ParFor's rows run natively in one pass up to the first row
+  // that cannot run; the program runs that row and reports the walk's error.
+  // The rows before it hold the walk's bits, and the rows from it on stay
+  // unwritten. Slices are cut short by rebinding their spans, so a range
+  // that ran past its clamp would read on, unseen.
+  const std::string range = "tensor index out of range in codelet";
+  const std::string negative = "negative tensor index in codelet";
+  enum Arg { kY, kX, kH, kD, kA, kC, kRp, kSp };
+  const CodeletIR ir = traceCsrRows();
+  constexpr std::size_t kRows = 13, kMiddle = 6;
+  const CsrCols base = mixedCsrRows(kRows);
+  auto expectStopsAt = [&](const CsrCols& cols, std::size_t stop,
+                           const std::string& what,
+                           const SpanRewrite& rewrite = {}) {
+    const std::array<HostArgs, 2> left =
+        expectSameError(ir, cols.args(), what, rewrite);
+    EXPECT_EQ(left[0].bits(), left[1].bits());
+    for (std::size_t r = 0; r < kRows; ++r) {
+      EXPECT_EQ(left[0].floats(kY)[r] != -1.0f, r < stop) << "row " << r;
+    }
+  };
+  // d, sp or rp ends two rows before y.
+  for (const auto& [arg, size] :
+       {std::pair{kD, kRows - 2}, std::pair{kSp, kRows - 2},
+        std::pair{kRp, kRows - 1}}) {
+    SCOPED_TRACE(testing::Message() << "arg " << arg << " cut to " << size);
+    expectStopsAt(base, kRows - 2, range,
+                  [=](std::vector<graph::ArgSpan>& s) { s[arg].size = size; });
+  }
+  // The range starts at row -1.
+  CsrCols early = base;
+  early.n[1] = -1;
+  expectStopsAt(early, 0, negative);
+  // The middle row gathers an owned column past x, or a halo column below
+  // the owned count (row 6 holds two owned entries, then one halo entry).
+  ASSERT_EQ(base.sp[kMiddle] - base.rp[kMiddle], 2);
+  ASSERT_EQ(base.rp[kMiddle + 1] - base.sp[kMiddle], 1);
+  CsrCols bad = base;
+  bad.c[static_cast<std::size_t>(base.rp[kMiddle]) + 1] = kRows;
+  expectStopsAt(bad, kMiddle, range);
+  bad = base;
+  bad.c[static_cast<std::size_t>(base.sp[kMiddle])] = kRows - 1;
+  expectStopsAt(bad, kMiddle, negative);
+}
+
+TEST(CsrRows, RowsDealtToOneFiveOrSevenWorkersMatchTheWalk) {
+  // 15 rows of mixed run lengths on pools of 1, 5 and 7 workers. The
+  // spawn shares 18/5 and 18/7 are inexact in binary, so each worker's
+  // clock must add the same row prices in the walk's order.
+  const CodeletIR ir = traceCsrRows();
+  const CsrCols cols = mixedCsrRows(15);
+  for (const std::size_t workers : {1, 5, 7}) {
+    SCOPED_TRACE(testing::Message() << workers << " workers");
+    expectVmMatchesWalk(*compileCodelet(ir, ipu::CostModel{}, workers),
+                        cols.args());
+  }
+}
+
 TEST(CsrRows, RowsOffTheShapeStayOnTheProgram) {
   using V = CsrVariant;
   const std::string range = "tensor index out of range in codelet";
@@ -1601,6 +1835,16 @@ TEST(CsrRows, RowsOffTheShapeStayOnTheProgram) {
   spare.a.insert(spare.a.begin(), 0.75f);
   for (std::int32_t* p : {&spare.rp[0], &spare.rp[1], &spare.sp[0]}) ++*p;
   expectVmMatchesWalk(fromRp, spare.args());
+  // The halo run subtracts the worker id, which varies by row and which the
+  // native row never writes: on 5 workers each row gathers h[c[k] - w] for
+  // its own w. h holds every slot c[k] - w reaches.
+  const CodeletIR worker =
+      readWorkerIdStraight(traceCsrRows(V::OwnedIsWorkerId));
+  EXPECT_TRUE(hasCsrRows(worker, 0));
+  CsrCols mixed = mixedCsrRows(13);
+  mixed.h = ramp(mixed.x.size() + CsrCols::kHalo, 1.1f, -0.45f);
+  expectVmMatchesWalk(*compileCodelet(worker, ipu::CostModel{}, 5),
+                      mixed.args());
   // rp[r + 2] reaches into the next row: rows of halo entries only, and a
   // spare row pointer.
   const CodeletIR rpPlusTwo = traceCsrRows(V::RpPlusTwo);
