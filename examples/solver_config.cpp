@@ -4,7 +4,8 @@
 //
 // Usage: ./example_solver_config [config.json]
 //
-// Example config file (examples/configs/mpir_ilu.json is an MPIR one):
+// Example config file (examples/configs/ holds an MPIR one, mpir_ilu.json,
+// and the end-to-end benchmark's CG + Jacobi, cg_jacobi.json):
 //   {
 //     "type": "bicgstab", "maxIterations": 300, "tolerance": 1e-8,
 //     "preconditioner": {"type": "gauss-seidel", "sweeps": 2}

@@ -11,13 +11,19 @@ void IdentitySolver::apply(DistMatrix& a, Tensor& z, Tensor& r) {
 }
 
 void JacobiSolver::apply(DistMatrix& a, Tensor& z, Tensor& r) {
-  z = Expression(0.0f);
+  if (iterations_ == 0) {
+    z = Expression(0.0f);
+    return;
+  }
+  // A sweep from z = 0 sees A·0 = 0, so the first one is z = ω·r/D.
+  z = Expression(omega_) * Expression(r) / Expression(a.diagonal());
+  if (iterations_ == 1) return;
   Tensor res = a.makeVector(DType::Float32, "jacobi_res");
-  dsl::Repeat(iterations_, [&] {
+  dsl::Repeat(iterations_ - 1, [&] {
     a.spmv(res, z);
-    res = Expression(r) - Expression(res);
-    z = Expression(z) +
-        Expression(omega_) * Expression(res) / Expression(a.diagonal());
+    z = Expression(z) + Expression(omega_) *
+                            (Expression(r) - Expression(res)) /
+                            Expression(a.diagonal());
   });
 }
 

@@ -16,22 +16,32 @@ using dsl::Expression;
 using dsl::Tensor;
 
 void RichardsonSolver::apply(DistMatrix& a, Tensor& z, Tensor& r) {
-  z = Expression(0.0f);
-  Tensor res = a.makeVector(DType::Float32, "rich_res");
-  // Iteration counter shared by every execution of the emitted loop body —
+  if (iterations_ == 0) {
+    z = Expression(0.0f);
+    return;
+  }
+  // Iteration counter shared by every execution of the emitted sweeps —
   // Richardson computes no residual norm (that would change its cycle
   // cost), so its trace samples carry the iteration index only.
   auto count = std::make_shared<std::size_t>(0);
-  dsl::Repeat(iterations_, [&] {
-    a.spmv(res, z);
-    z = Expression(z) +
-        Expression(omega_) * (Expression(r) - Expression(res));
+  auto recordSweep = [&] {
     dsl::HostCall([count](graph::Engine& e) {
       ++*count;
       support::recordIteration(e.traceSink(), "richardson", *count, -1.0,
                                e.simCycles(),
                                e.profile().computeSupersteps);
     });
+  };
+  // A sweep from z = 0 sees A·0 = 0, so the first one is z = ω·r.
+  z = Expression(omega_) * Expression(r);
+  recordSweep();
+  if (iterations_ == 1) return;
+  Tensor res = a.makeVector(DType::Float32, "rich_res");
+  dsl::Repeat(iterations_ - 1, [&] {
+    a.spmv(res, z);
+    z = Expression(z) +
+        Expression(omega_) * (Expression(r) - Expression(res));
+    recordSweep();
   });
 }
 

@@ -15,6 +15,10 @@ using json::validateKeys;
 
 namespace {
 
+/// Largest iteration, sweep or period count a solver config accepts: the
+/// device keeps such counters as Int32, where a larger one turns negative.
+constexpr std::size_t kMaxSolverCount = 2147483647;
+
 DType parseExtendedType(const std::string& s) {
   if (s == "doubleword" || s == "dw") return DType::DoubleWord;
   if (s == "float64" || s == "double" || s == "dp") return DType::Float64;
@@ -39,15 +43,15 @@ RobustnessOptions parseRobustness(const json::Value& config) {
                 {"residualGrowthFactor", KeyKind::Number},
                 {"abft", KeyKind::Bool},
                 {"abftTolerance", KeyKind::Number}});
-  opts.maxRestarts = static_cast<std::size_t>(
-      r.getOr("maxRestarts", static_cast<std::int64_t>(opts.maxRestarts)));
+  auto count = [&](const char* key, std::size_t fallback) {
+    return json::countOr(r, "robustness", key, fallback, kMaxSolverCount);
+  };
+  opts.maxRestarts = count("maxRestarts", opts.maxRestarts);
   opts.divergenceFactor = r.getOr("divergenceFactor", opts.divergenceFactor);
   opts.breakdownTolerance =
       r.getOr("breakdownTolerance", opts.breakdownTolerance);
-  opts.checkpointEvery = static_cast<std::size_t>(r.getOr(
-      "checkpointEvery", static_cast<std::int64_t>(opts.checkpointEvery)));
-  opts.maxRollbacks = static_cast<std::size_t>(
-      r.getOr("maxRollbacks", static_cast<std::int64_t>(opts.maxRollbacks)));
+  opts.checkpointEvery = count("checkpointEvery", opts.checkpointEvery);
+  opts.maxRollbacks = count("maxRollbacks", opts.maxRollbacks);
   opts.residualGrowthFactor =
       r.getOr("residualGrowthFactor", opts.residualGrowthFactor);
   opts.abft = r.getOr("abft", opts.abft);
@@ -72,6 +76,9 @@ std::unique_ptr<Solver> makeSolver(const json::Value& config) {
                  "key 'type' in solver config must be a string");
   const std::string type = config.at("type").asString();
   const std::string where = "'" + type + "' solver config";
+  auto count = [&](const char* key, std::size_t fallback) {
+    return json::countOr(config, type, key, fallback, kMaxSolverCount);
+  };
 
   if (type == "identity" || type == "none") {
     validateKeys(config, where, {{"type", KeyKind::String}});
@@ -83,8 +90,7 @@ std::unique_ptr<Solver> makeSolver(const json::Value& config) {
                   {"iterations", KeyKind::Number},
                   {"omega", KeyKind::Number}});
     return std::make_unique<JacobiSolver>(
-        static_cast<std::size_t>(config.getOr("iterations", 3)),
-        static_cast<float>(config.getOr("omega", 1.0)));
+        count("iterations", 3), static_cast<float>(config.getOr("omega", 1.0)));
   }
   if (type == "gauss-seidel" || type == "gaussseidel" || type == "gs") {
     validateKeys(config, where,
@@ -93,9 +99,8 @@ std::unique_ptr<Solver> makeSolver(const json::Value& config) {
                   {"tolerance", KeyKind::Number},
                   {"maxIterations", KeyKind::Number}});
     return std::make_unique<GaussSeidelSolver>(
-        static_cast<std::size_t>(config.getOr("sweeps", 1)),
-        config.getOr("tolerance", 0.0),
-        static_cast<std::size_t>(config.getOr("maxIterations", 1000)));
+        count("sweeps", 1), config.getOr("tolerance", 0.0),
+        count("maxIterations", 1000));
   }
   if (type == "ilu") {
     validateKeys(config, where, {{"type", KeyKind::String}});
@@ -111,7 +116,7 @@ std::unique_ptr<Solver> makeSolver(const json::Value& config) {
                   {"iterations", KeyKind::Number},
                   {"omega", KeyKind::Number}});
     return std::make_unique<RichardsonSolver>(
-        static_cast<std::size_t>(config.getOr("iterations", 10)),
+        count("iterations", 10),
         static_cast<float>(config.getOr("omega", 0.5)));
   }
   if (type == "bicgstab" || type == "cg") {
@@ -139,8 +144,7 @@ std::unique_ptr<Solver> makeSolver(const json::Value& config) {
     } else {
       precond = std::make_unique<IdentitySolver>();
     }
-    const auto maxIterations =
-        static_cast<std::size_t>(config.getOr("maxIterations", 1000));
+    const std::size_t maxIterations = count("maxIterations", 1000);
     const double tolerance = config.getOr("tolerance", 1e-9);
     if (type == "cg") {
       // "reduction" picks how the dot products reduce on pods: "auto"
@@ -157,8 +161,7 @@ std::unique_ptr<Solver> makeSolver(const json::Value& config) {
                        " must be auto, flat or two-level (got '", red, "')");
       }
       if (config.getOr("pipelined", false)) {
-        const auto replaceEvery = static_cast<std::size_t>(
-            config.getOr("residualReplaceEvery", 16));
+        const std::size_t replaceEvery = count("residualReplaceEvery", 16);
         return std::make_unique<PipelinedCgSolver>(
             maxIterations, tolerance, std::move(precond),
             parseRobustness(config), mode, replaceEvery);
@@ -187,7 +190,7 @@ std::unique_ptr<Solver> makeSolver(const json::Value& config) {
     return std::make_unique<MpirSolver>(
         parseExtendedType(config.getOr("extendedType",
                                        std::string("doubleword"))),
-        static_cast<std::size_t>(config.getOr("maxRefinements", 20)),
+        count("maxRefinements", 20),
         config.getOr("tolerance", 1e-13), makeSolver(config.at("inner")),
         parseRobustness(config));
   }

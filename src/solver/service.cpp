@@ -5,13 +5,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <limits>
 
 #include "support/error.hpp"
 
 namespace graphene::solver {
 
+using json::countOr;
 using json::KeyKind;
 using json::validateKeys;
 
@@ -146,21 +146,6 @@ void degradeConfigInPlace(json::Value& v, const DegradationPolicy& d) {
     auto it = o.find(nested);
     if (it != o.end()) degradeConfigInPlace(it->second, d);
   }
-}
-
-/// Reads the count `key` of the service config object `where` ("service",
-/// "service.retry", ...), `fallback` when absent. A count is a non-negative
-/// integer an int64 holds: a negative one would wrap to an enormous
-/// std::size_t, which no later range check can tell from a real request.
-std::size_t countOr(const json::Value& object, const char* where,
-                    const char* key, std::size_t fallback) {
-  if (!object.contains(key)) return fallback;
-  const double v = object.at(key).asNumber();
-  if (!(v >= 0 && v < 9223372036854775808.0) || std::nearbyint(v) != v) {
-    throw ParseError(detail::concatMessage(
-        where, ".", key, " must be a non-negative integer (got ", v, ")"));
-  }
-  return static_cast<std::size_t>(v);
 }
 
 // Bucket ladders of the service histograms. Fixed at these values so

@@ -429,4 +429,20 @@ void validateKeys(const Value& object, const std::string& where,
   }
 }
 
+std::size_t countOr(const Value& object, std::string_view where,
+                    const char* key, std::size_t fallback, std::size_t max) {
+  if (!object.contains(key)) return fallback;
+  const Value& value = object.at(key);
+  const double v = value.asNumber();
+  // Every integer up to max passes; past 2^53, where doubles thin out, the
+  // bound errs low, so a count that passes always fits std::size_t.
+  if (!(v >= 0 && v < static_cast<double>(max) + 1.0) ||
+      std::nearbyint(v) != v) {
+    throw ParseError(detail::concatMessage(where, ".", key,
+                                           " must be an integer from 0 to ",
+                                           max, " (got ", value.dump(), ")"));
+  }
+  return static_cast<std::size_t>(v);
+}
+
 }  // namespace graphene::json

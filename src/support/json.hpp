@@ -9,9 +9,11 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -94,5 +96,16 @@ struct KeySpec {
 /// A typo therefore fails loudly instead of silently keeping a default.
 void validateKeys(const Value& object, const std::string& where,
                   std::initializer_list<KeySpec> allowed);
+
+/// Reads the count `key` of the config object `where` ("service.retry",
+/// "jacobi", ...), `fallback` when absent. A count is an integer from 0 to
+/// `max`: a negative one would wrap to an enormous std::size_t, which no
+/// later range check can tell from a real request, and one above `max`
+/// would not survive the narrower integer its consumer keeps it in.
+/// Anything else throws graphene::ParseError naming `where`.`key`.
+std::size_t countOr(
+    const Value& object, std::string_view where, const char* key,
+    std::size_t fallback,
+    std::size_t max = std::numeric_limits<std::int64_t>::max());
 
 }  // namespace graphene::json

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 
 #include "graph/engine.hpp"
 #include "matrix/generators.hpp"
 #include "partition/partitioner.hpp"
 #include "solver/solvers.hpp"
 #include "support/rng.hpp"
+#include "support/trace.hpp"
 
 using namespace graphene;
 using namespace graphene::solver;
@@ -291,6 +293,165 @@ TEST(Mpir, TrueResidualHistoryIsRecorded) {
   ASSERT_GE(res.trueHistory.size(), 2u);
   EXPECT_LT(res.trueHistory.back().residual,
             res.trueHistory.front().residual);
+}
+
+// ---------------------------------------------------------------------------
+// Stationary sweeps against their zero-start formulation
+// ---------------------------------------------------------------------------
+
+namespace {
+
+using EmitSweeps = std::function<void(DistMatrix&, Tensor&, Tensor&)>;
+
+/// What one application of emitted sweeps leaves behind.
+struct SweepRun {
+  std::vector<double> z;
+  double spmvs = 0;   // SpMV compute sets run (`spmv.count`)
+  double cycles = 0;  // simulated cycles of the whole run
+  std::vector<std::size_t> samples;  // iteration indices of trace samples
+};
+
+/// Emits `emit(A, z, r)` once on `topology`, runs it with r a seeded random
+/// vector and reads z back.
+SweepRun runSweeps(const matrix::GeneratedMatrix& g,
+                   const ipu::Topology& topology, const EmitSweeps& emit) {
+  Context ctx(topology.target());
+  DistMatrix A(g.matrix, partition::Partitioner(topology).layout(g));
+  Tensor z = A.makeVector(DType::Float32, "z");
+  Tensor r = A.makeVector(DType::Float32, "r");
+  emit(A, z, r);
+
+  graph::Engine engine(ctx.graph());
+  support::TraceSink sink;
+  engine.setTraceSink(&sink);
+  A.upload(engine);
+  A.writeVector(engine, r, randomVector(g.matrix.rows(), 11));
+  engine.run(ctx.program());
+
+  SweepRun run{A.readVector(engine, z),
+               engine.profile().metrics.counter("spmv.count"),
+               engine.simCycles(),
+               {}};
+  for (const support::TraceEvent& ev : sink.events()) {
+    if (ev.kind == support::TraceKind::Iteration) {
+      run.samples.push_back(ev.iteration);
+    }
+  }
+  return run;
+}
+
+/// Damped Jacobi in its zero-start formulation: z = 0, then k full sweeps,
+/// the first of which multiplies A by zero.
+EmitSweeps zeroStartJacobi(std::size_t k, float omega) {
+  return [=](DistMatrix& a, Tensor& z, Tensor& r) {
+    z = Expression(0.0f);
+    Tensor res = a.makeVector(DType::Float32, "ref_res");
+    dsl::Repeat(k, [&] {
+      a.spmv(res, z);
+      res = Expression(r) - Expression(res);
+      z = Expression(z) +
+          Expression(omega) * Expression(res) / Expression(a.diagonal());
+    });
+  };
+}
+
+/// Richardson in its zero-start formulation: z = 0, then k full sweeps.
+EmitSweeps zeroStartRichardson(std::size_t k, float omega) {
+  return [=](DistMatrix& a, Tensor& z, Tensor& r) {
+    z = Expression(0.0f);
+    Tensor res = a.makeVector(DType::Float32, "ref_res");
+    dsl::Repeat(k, [&] {
+      a.spmv(res, z);
+      z = Expression(z) + Expression(omega) * (Expression(r) - Expression(res));
+    });
+  };
+}
+
+EmitSweeps applying(std::shared_ptr<Solver> solver) {
+  return [solver](DistMatrix& a, Tensor& z, Tensor& r) {
+    solver->apply(a, z, r);
+  };
+}
+
+/// poisson2d5 with a seeded reaction term added to its diagonal, like the
+/// matrices of the `timestep` benchmark: on the plain stencil every
+/// division by the diagonal (4) is exact, which would hide an update that
+/// divides before it scales.
+matrix::GeneratedMatrix reactionPoisson2d() {
+  matrix::GeneratedMatrix g = matrix::poisson2d5(13, 11);
+  Rng rng(5);
+  const auto rowPtr = g.matrix.rowPtr();
+  const auto col = g.matrix.colIdx();
+  const auto val = g.matrix.values();
+  for (std::size_t r = 0; r < g.matrix.rows(); ++r) {
+    for (std::size_t k = rowPtr[r]; k < rowPtr[r + 1]; ++k) {
+      if (static_cast<std::size_t>(col[k]) == r) val[k] += rng.uniform(0, 1);
+    }
+  }
+  g.name += "+reaction";
+  return g;
+}
+
+/// The solver's z equals the zero-start formulation's, element for element
+/// (`==`, so only the sign of an exact zero may differ), after one SpMV
+/// fewer and in fewer simulated cycles.
+void expectSameSweeps(const char* name, const EmitSweeps& reference,
+                      const EmitSweeps& solver, std::size_t k) {
+  for (const matrix::GeneratedMatrix& g :
+       {matrix::poisson2d5(13, 11), reactionPoisson2d()}) {
+    for (const ipu::Topology& topology :
+         {ipu::Topology::singleIpu(6), ipu::Topology::pod(4, 4)}) {
+      SCOPED_TRACE(testing::Message() << name << " k=" << k << " on "
+                                      << g.name << ", "
+                                      << topology.numIpus() << " chip(s)");
+      const SweepRun ref = runSweeps(g, topology, reference);
+      const SweepRun got = runSweeps(g, topology, solver);
+      ASSERT_EQ(got.z.size(), ref.z.size());
+      for (std::size_t i = 0; i < ref.z.size(); ++i) {
+        ASSERT_EQ(got.z[i], ref.z[i]) << "row " << i;
+      }
+      EXPECT_EQ(ref.spmvs, static_cast<double>(k));
+      EXPECT_EQ(got.spmvs, static_cast<double>(k > 0 ? k - 1 : 0));
+      if (k > 0) {
+        EXPECT_LT(got.cycles, ref.cycles);
+      }
+    }
+  }
+}
+
+}  // namespace
+
+TEST(StationarySweeps, JacobiMatchesItsZeroStartFormulation) {
+  for (float omega : {1.0f, 0.7f}) {
+    for (std::size_t k = 0; k <= 3; ++k) {
+      expectSameSweeps("jacobi", zeroStartJacobi(k, omega),
+                       applying(std::make_shared<JacobiSolver>(k, omega)), k);
+    }
+  }
+}
+
+TEST(StationarySweeps, RichardsonMatchesItsZeroStartFormulation) {
+  for (float omega : {1.0f, 0.7f}) {
+    for (std::size_t k = 0; k <= 3; ++k) {
+      expectSameSweeps("richardson", zeroStartRichardson(k, omega),
+                       applying(std::make_shared<RichardsonSolver>(k, omega)),
+                       k);
+    }
+  }
+}
+
+TEST(StationarySweeps, RichardsonSamplesEverySweepFromTheFirst) {
+  // The closed-form first sweep records its sample like the others, so a
+  // trace still counts the sweeps 1..n.
+  const matrix::GeneratedMatrix g = matrix::poisson2d5(13, 11);
+  for (std::size_t k : {1, 4}) {
+    const SweepRun run =
+        runSweeps(g, ipu::Topology::singleIpu(6),
+                  applying(std::make_shared<RichardsonSolver>(k, 0.5f)));
+    std::vector<std::size_t> expected(k);
+    for (std::size_t i = 0; i < k; ++i) expected[i] = i + 1;
+    EXPECT_EQ(run.samples, expected);
+  }
 }
 
 // ---------------------------------------------------------------------------
