@@ -1,9 +1,10 @@
 // Host micro-benchmarks (google-benchmark) of the substrate primitives:
 // TwoFloat double-word arithmetic, SoftDouble emulation, JSON parsing,
 // level-set construction, the layout builder, and the register VM running
-// the solvers' two row codelets (CSR SpMV and ILU(0) substitution) on one
-// tile. These measure *host* performance of the framework itself
-// (simulation speed), not simulated IPU time.
+// the solvers' two row codelets (CSR SpMV and ILU(0) substitution), an
+// elementwise update and a dot partial on one tile. These measure *host*
+// performance of the framework itself (simulation speed), not simulated IPU
+// time.
 #include <benchmark/benchmark.h>
 
 #include <functional>
@@ -277,5 +278,60 @@ static void BM_IluSolveCodelet(benchmark::State& state) {
               2 * n);
 }
 BENCHMARK(BM_IluSolveCodelet);
+
+// CG's x = x + alpha * p on one tile, traced as Expression::materializeInto
+// traces it: the stored span is also the first loaded one, and the scalar
+// alpha is hoisted out of the loop. 16 and 50 elements are the per-tile
+// sizes of the mpir-ilu-pod and timestep workloads.
+static void BM_AxpyCodelet(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<float> x(n), alpha{0.75f}, p(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] = 1.0f + 0.25f * static_cast<float>(i);
+    p[i] = -2.0f + 0.5f * static_cast<float>(i);
+  }
+  const DType F = DType::Float32;
+  const dsl::CodeletIR ir =
+      traceOnHandles({F, F, F, F}, [](std::vector<dsl::Value>& args) {
+        using dsl::Value;
+        Value dst = args[0], xv = args[1], pv = args[3];
+        Value s(args[2][Value(0)]);
+        dsl::For(0, dst.size(), 1, [&](Value i) {
+          dst[i] = Value(xv[i]) + s * Value(pv[i]);
+        });
+      });
+  timeCodelet(state, ir, {span(x, F), span(x, F), span(alpha, F), span(p, F)},
+              n);
+}
+BENCHMARK(BM_AxpyCodelet)->Arg(16)->Arg(50);
+
+// The per-tile partial of the reduction r . z, traced as the reduction's
+// reduce_partial codelet traces it: the sum starts from element 0 and adds
+// each later product in order.
+static void BM_DotCodelet(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<float> out(1), r(n), z(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    r[i] = 1.0f + 0.25f * static_cast<float>(i);
+    z[i] = -2.0f + 0.5f * static_cast<float>(i);
+  }
+  const DType F = DType::Float32;
+  const dsl::CodeletIR ir =
+      traceOnHandles({F, F, F}, [](std::vector<dsl::Value>& args) {
+        using dsl::Value;
+        Value outv = args[0], rv = args[1], zv = args[2];
+        Value acc(graphene::graph::Scalar::zero(DType::Float32));
+        dsl::If(rv.size() > 0, [&] {
+          Value first = Value(rv[Value(0)]) * Value(zv[Value(0)]);
+          acc = first;
+        });
+        dsl::For(1, rv.size(), 1, [&](Value i) {
+          acc = acc + Value(rv[i]) * Value(zv[i]);
+        });
+        outv[Value(0)] = acc;
+      });
+  timeCodelet(state, ir, {span(out, F), span(r, F), span(z, F)}, n);
+}
+BENCHMARK(BM_DotCodelet)->Arg(16)->Arg(50);
 
 BENCHMARK_MAIN();

@@ -7,18 +7,17 @@
 #include <bitset>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <functional>
 #include <optional>
 #include <span>
 #include <type_traits>
 #include <utility>
 #include <variant>
 
-// The named span kernels dispatch on runtime aliasing so the hot disjoint
-// case can promise no-alias to the auto-vectorizer (the build keeps
-// -ffp-contract=off, so vectorized lanes stay bit-identical to the scalar
-// walk: elementwise float ops, no FMA contraction, no reassociation).
+// A blocked loop kernel checks its spans for aliasing at run time
+// (blockedRangeOk), so its elementwise loads and stores can promise no-alias
+// to the auto-vectorizer (the build keeps -ffp-contract=off, so vectorized
+// lanes stay bit-identical to the scalar walk: elementwise float ops, no FMA
+// contraction, no reassociation).
 #if defined(__GNUC__) || defined(__clang__)
 #define GRAPHENE_RESTRICT __restrict__
 #else
@@ -234,12 +233,13 @@ FlatCodelet flattenCodelet(const CodeletIR& ir) {
 //
 // Serial counted loops whose bodies are straight-line Float32/Int32
 // arithmetic additionally lower to a LoopKernel with its own small register
-// file, charged n × (per-iteration lanes) in bulk. Its ops may match a named
-// span kernel; otherwise one lane executor runs them, in blocks of lanes
-// where no register is loop-carried and per element for the rest. Each op
-// of that subset is defined once (kop), for the program VM and every lane
-// width. ParFor rows of the two-run CSR SpMV shape and of the ILU(0)
-// level-set substitution run as native scalar loops.
+// file, charged n × (per-iteration lanes) in bulk. A Float32 dot partial
+// runs as one named span loop; every other kernel runs on one lane
+// executor, in blocks of lanes where no register is loop-carried and per
+// element for the rest. Each op of that subset is defined once (kop), for
+// the program VM and every lane width. ParFor rows of the two-run CSR SpMV
+// shape and of the ILU(0) level-set substitution run as native scalar
+// loops.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -507,21 +507,17 @@ std::vector<std::int32_t> deleteDeadOps(std::vector<VmOp>& ops,
   return newIndex;
 }
 
-/// Recognised whole-loop span kernels (all Float32, unit step): the shapes
-/// the solvers' elementwise maps and reductions trace, matched on a lifted
-/// kernel's ops (nameKernel).
-struct NamedLoop {
-  enum class P : std::uint8_t { None, Copy, AddVec, Axpy, DotPartial };
-  P p = P::None;
-  std::int16_t dstArg = -1, aArg = -1, bArg = -1;
-  bool sFirst = false;    // axpy: scale factor is the left multiplicand
-  bool loadFirst = true;  // axpy: the plain load is the left addend
-  bool isSub = false;     // top-level op is Sub
-  bool accFirst = true;   // dot: acc is the left addend
-  bool dotSingle = false; // acc += a[i] instead of acc += a[i]*b[i]
-  // Program registers of axpy's scale and dot's accumulator: the kernel's
-  // seeds, and dot's one write-back.
-  std::int16_t sReg = -1, accReg = -1;
+/// The one named loop kernel, a Float32 reduction partial at unit step:
+/// acc = acc + a[i] * b[i], or acc = acc + a[i], matched on a lifted
+/// kernel's ops (matchDot). Its sum is loop-carried, so lanes cannot run it
+/// without changing the summation order; a native span loop runs it in the
+/// walk's order instead.
+struct DotKernel {
+  std::int16_t aArg = -1, bArg = -1;  // bArg -1: acc += a[i]
+  bool accFirst = true;               // acc is the left addend
+  // The program register of the accumulator: the kernel's one seed it
+  // writes, and its one write-back.
+  std::int16_t accReg = -1;
 };
 
 /// Recognised whole-row parallel kernel: the two-run CSR SpMV row shape
@@ -606,7 +602,7 @@ struct LoopKernel {
   int numFloatRegs = 0, numIntRegs = 0;
   // Per-iteration lane charges: the run of the loop's LEnd.
   LaneSums iter;
-  NamedLoop named;
+  std::optional<DotKernel> dot;
   // Block-vectorizable serial loops: no register is loop-carried (read
   // before its first write while also written), so elements are independent
   // and can run in lanes with each op applied lane-wise — the same scalar
@@ -696,30 +692,29 @@ void analyzeBlockable(LoopKernel& k) {
   k.blockable = true;
 }
 
-/// Matches a lifted kernel's ops against the named span kernels (see
-/// NamedLoop), after analyzeBlockable has marked its elementwise accesses.
-/// A named kernel runs none of the ops, so every op must belong to the
-/// shape (a stray load would skip its bounds check), each float register is
-/// written at most once, and the kernel writes nothing back but dot's
-/// accumulator, seeded from and written back to one program register: no
-/// per-iteration temp outlives the loop. A non-unit step is refused at run
-/// time.
-void nameKernel(LoopKernel& k) {
+/// Matches a lifted kernel's ops against the dot partial (DotKernel), after
+/// analyzeBlockable has marked its elementwise accesses. The span loop runs
+/// none of the ops, so every op must belong to the shape (a stray load
+/// would skip its bounds check), each float register is written at most
+/// once, and the kernel writes nothing back but the accumulator, seeded
+/// from and written back to one program register: no per-iteration temp
+/// outlives the loop. A non-unit step is refused at run time.
+void matchDot(LoopKernel& k) {
   using K = VmOp::K;
   const std::vector<VmOp>& ops = k.ops;
-  constexpr std::size_t kMaxOps = 5;  // axpy's
-  if (ops.empty() || ops.size() > kMaxOps || !k.writeInt.empty()) return;
+  constexpr std::size_t kMaxOps = 4;  // two loads, their product, the sum
+  if (ops.empty() || ops.size() > kMaxOps || !k.writeInt.empty() ||
+      k.writeFloat.size() != 1) {
+    return;
+  }
   // The op writing each float register, -1 for none.
   std::array<std::int32_t, LoopKernel::kMaxRegs> def;
   def.fill(-1);
   for (std::size_t pc = 0; pc < ops.size(); ++pc) {
     const VmOp& op = ops[pc];
-    if (op.k == K::FLoad || op.k == K::FStore) {
-      if (!op.ew) return;
-    } else if (op.k != K::FAdd && op.k != K::FSub && op.k != K::FMul) {
+    if (op.k == K::FLoad ? !op.ew : op.k != K::FAdd && op.k != K::FMul) {
       return;
     }
-    if (shapeOf(op.k).dst == RegKind::None) continue;  // the store
     std::int32_t& d = def[static_cast<std::size_t>(op.dst)];
     if (d >= 0) return;
     d = static_cast<std::int32_t>(pc);
@@ -735,90 +730,31 @@ void nameKernel(LoopKernel& k) {
   auto loadArg = [](const VmOp* op) -> std::int16_t {
     return op != nullptr && op->k == K::FLoad ? op->arg : -1;
   };
-  // The program register seeding r, when the kernel never writes r.
-  auto seed = [&](std::int16_t r) -> std::int16_t {
-    if (def[static_cast<std::size_t>(r)] >= 0) return -1;
-    for (const auto& [from, kr] : k.seedFloat) {
-      if (kr == r) return from;
-    }
-    return -1;
-  };
-  NamedLoop nm;
-  // FMul(s, b[i]) or FMul(b[i], s), s a seed: axpy's scaled operand.
-  auto scaled = [&](const VmOp* m) {
-    if (m == nullptr || m->k != K::FMul) return false;
-    for (const bool sFirst : {true, false}) {
-      const std::int16_t s = seed(sFirst ? m->a : m->b);
-      const std::int16_t b = loadArg(producer(sFirst ? m->b : m->a, *m));
-      if (s >= 0 && b >= 0) {
-        nm.sReg = s;
-        nm.bArg = b;
-        nm.sFirst = sFirst;
-        return true;
-      }
-    }
-    return false;
-  };
+  // acc = acc + X, acc the one write-back.
   const VmOp& last = ops.back();
   used[ops.size() - 1] = true;
-  if (last.k == K::FStore) {
-    if (!k.writeFloat.empty()) return;
-    nm.dstArg = last.arg;
-    const VmOp* v = producer(last.b, last);
-    if (v == nullptr) return;
-    if (v->k == K::FLoad) {
-      nm.p = NamedLoop::P::Copy;
-      nm.aArg = v->arg;
-    } else if (v->k == K::FAdd || v->k == K::FSub) {
-      nm.isSub = v->k == K::FSub;
-      const VmOp* l = producer(v->a, *v);
-      const VmOp* r = producer(v->b, *v);
-      if (loadArg(l) >= 0 && loadArg(r) >= 0) {
-        nm.p = NamedLoop::P::AddVec;
-        nm.aArg = l->arg;
-        nm.bArg = r->arg;
-      } else if (loadArg(l) >= 0 && scaled(r)) {
-        nm.p = NamedLoop::P::Axpy;
-        nm.aArg = l->arg;
-        nm.loadFirst = true;
-      } else if (scaled(l) && loadArg(r) >= 0) {
-        nm.p = NamedLoop::P::Axpy;
-        nm.aArg = r->arg;
-        nm.loadFirst = false;
-      } else {
-        return;
-      }
-    } else {
-      return;
-    }
-  } else if (last.k == K::FAdd) {
-    // Reduction partial: acc = acc + X, acc the one write-back.
-    const std::int16_t acc = last.dst;
-    if (k.writeFloat.size() != 1 || k.writeFloat[0].second != acc ||
-        std::find(k.seedFloat.begin(), k.seedFloat.end(),
-                  k.writeFloat[0]) == k.seedFloat.end()) {
-      return;
-    }
-    nm.accReg = k.writeFloat[0].first;
-    nm.accFirst = last.a == acc;
-    if (!nm.accFirst && last.b != acc) return;
-    const VmOp* v = producer(nm.accFirst ? last.b : last.a, last);
-    if (loadArg(v) >= 0) {
-      nm.dotSingle = true;
-      nm.aArg = v->arg;
-    } else if (v != nullptr && v->k == K::FMul) {
-      nm.aArg = loadArg(producer(v->a, *v));
-      nm.bArg = loadArg(producer(v->b, *v));
-      if (nm.aArg < 0 || nm.bArg < 0) return;
-    } else {
-      return;
-    }
-    nm.p = NamedLoop::P::DotPartial;
+  const std::int16_t acc = last.dst;
+  if (last.k != K::FAdd || k.writeFloat[0].second != acc ||
+      std::find(k.seedFloat.begin(), k.seedFloat.end(), k.writeFloat[0]) ==
+          k.seedFloat.end()) {
+    return;
+  }
+  DotKernel dot;
+  dot.accReg = k.writeFloat[0].first;
+  dot.accFirst = last.a == acc;
+  if (!dot.accFirst && last.b != acc) return;
+  const VmOp* v = producer(dot.accFirst ? last.b : last.a, last);
+  if (loadArg(v) >= 0) {
+    dot.aArg = v->arg;
+  } else if (v != nullptr && v->k == K::FMul) {
+    dot.aArg = loadArg(producer(v->a, *v));
+    dot.bArg = loadArg(producer(v->b, *v));
+    if (dot.aArg < 0 || dot.bArg < 0) return;
   } else {
     return;
   }
   if (used.count() != ops.size()) return;
-  k.named = nm;
+  k.dot = dot;
 }
 
 /// A register the VM sets before a program's first op: a pooled constant, or
@@ -1824,7 +1760,7 @@ class ProgramCompiler {
   /// Lifts an inline serial loop whose body is straight-line Float32/Int32
   /// arithmetic into a LoopKernel run by one FastFor op: the body's ops move
   /// into the kernel with registers renumbered compactly, so the kernel can
-  /// run as a named span kernel or block-vectorized. The FastFor keeps the
+  /// run as the named dot partial or block-vectorized. The FastFor keeps the
   /// LBegin's run and charges the LEnd's per iteration. Loops inside a
   /// ParFor row stay inline: their rows are short, and the native row plans
   /// need them.
@@ -1896,7 +1832,7 @@ class ProgramCompiler {
           .emplace_back(v.reg, map[kind][reg]);
     }
     analyzeBlockable(k);
-    nameKernel(k);
+    matchDot(k);
     at(head).k = K::FastFor;
     at(head).iimm = static_cast<std::int32_t>(p_.kernels.size());
     p_.kernels.push_back(std::move(k));
@@ -2758,20 +2694,21 @@ class VmExec {
     open.mem += n * k.iter.mem;
     open.ctrl += n * k.iter.ctrl;
 
-    const NamedLoop& nm = k.named;
-    if (nm.p != NamedLoop::P::None && step == 1 && begin >= 0 &&
-        namedBoundsOk(nm, end)) {
-      runNamed(nm, begin, end);
+    if (k.dot && step == 1 && begin >= 0 && dotBoundsOk(*k.dot, end)) {
+      runDot(*k.dot, begin, end);
       return;
     }
 
-    // Block-vectorized front, then the per-element tail. At least one
-    // element always runs per element, so the write-backs below observe
-    // exactly the final element's state.
+    // Lane blocks, then the per-element run. A kernel that writes nothing
+    // back runs its whole range in blocks but for an odd last element. One
+    // that does leaves at least its last element to the per-element run,
+    // so the write-backs below observe exactly the final element's state.
+    const std::int64_t stop =
+        end - (k.writeFloat.empty() && k.writeInt.empty() ? 0 : 1);
     std::int64_t tail = begin;
-    if (k.blockable && step == 1 && begin >= 0 && end - begin > 2 &&
+    if (k.blockable && step == 1 && begin >= 0 && stop - begin >= 2 &&
         blockedRangeOk(k, end)) {
-      tail = runBlockedFront(k, begin, end);
+      tail = runBlockedFront(k, begin, stop);
     }
     LaneRegs<1> r;
     seed(k, r);
@@ -2820,27 +2757,25 @@ class VmExec {
     return true;
   }
 
-  /// Runs as much of [begin, end) as possible in lanes, stepping the width
-  /// down 16 → 8 → 4 → 2 while always leaving at least one element for the
-  /// per-element tail (whose registers feed the write-backs). Returns where
-  /// the tail starts.
+  /// Runs as much of [begin, stop) as whole lane blocks cover, stepping the
+  /// width down 16 → 8 → 4 → 2. Returns where the per-element run starts.
   std::int64_t runBlockedFront(const LoopKernel& k, std::int64_t begin,
-                               std::int64_t end) const {
+                               std::int64_t stop) const {
     std::int64_t iv = begin;
-    if (end - 1 - iv >= 16) {
-      const std::int64_t n = ((end - 1 - iv) / 16) * 16;
+    if (stop - iv >= 16) {
+      const std::int64_t n = ((stop - iv) / 16) * 16;
       runBlocked<16>(k, iv, iv + n);
       iv += n;
     }
-    if (end - 1 - iv >= 8) {
+    if (stop - iv >= 8) {
       runBlocked<8>(k, iv, iv + 8);
       iv += 8;
     }
-    if (end - 1 - iv >= 4) {
+    if (stop - iv >= 4) {
       runBlocked<4>(k, iv, iv + 4);
       iv += 4;
     }
-    if (end - 1 - iv >= 2) {
+    if (stop - iv >= 2) {
       runBlocked<2>(k, iv, iv + 2);
       iv += 2;
     }
@@ -2954,95 +2889,32 @@ class VmExec {
     }
   }
 
-  bool namedBoundsOk(const NamedLoop& nm, std::int32_t end) const {
+  bool dotBoundsOk(const DotKernel& dot, std::int32_t end) const {
     auto ok = [&](std::int16_t arg) {
       return arg < 0 || static_cast<std::size_t>(end) <= args_[arg].size;
     };
-    return ok(nm.dstArg) && ok(nm.aArg) && ok(nm.bArg);
+    return ok(dot.aArg) && ok(dot.bArg);
   }
 
-  /// True when [a, a+n) and [b, b+n) cannot overlap (std::less_equal gives a
-  /// total order even for pointers into unrelated allocations).
-  static bool spansDisjoint(const float* a, const float* b, std::size_t n) {
-    return std::less_equal<const float*>{}(a + n, b) ||
-           std::less_equal<const float*>{}(b + n, a);
-  }
-
-  void runNamed(const NamedLoop& nm, std::int32_t begin, std::int32_t end) {
-    auto span = [&](std::int16_t arg) { return data<float>(arg) + begin; };
-    const std::size_t n = static_cast<std::size_t>(end - begin);
-    switch (nm.p) {
-      case NamedLoop::P::Copy: {
-        float* dp = span(nm.dstArg);
-        const float* ap = span(nm.aArg);
-        if (dp == ap) return;  // self-copy: the forward walk is the identity
-        if (spansDisjoint(dp, ap, n)) {
-          std::memcpy(dp, ap, n * sizeof(float));  // raw bits, bit-exact
-        } else {
-          for (std::size_t i = 0; i < n; ++i) dp[i] = ap[i];
-        }
-        return;
+  /// Runs a dot partial over [begin, end): the walk's float ops in the
+  /// walk's order, one element after another.
+  void runDot(const DotKernel& dot, std::int32_t begin, std::int32_t end) {
+    const float* a = data<float>(dot.aArg);
+    float acc = fr_[dot.accReg];
+    if (dot.bArg < 0) {
+      for (std::int32_t i = begin; i < end; ++i) {
+        acc = dot.accFirst ? acc + a[i] : a[i] + acc;
       }
-      case NamedLoop::P::AddVec: {
-        float* dp = span(nm.dstArg);
-        const float* ap = span(nm.aArg);
-        const float* bp = span(nm.bArg);
-        if (spansDisjoint(dp, ap, n) && spansDisjoint(dp, bp, n)) {
-          float* GRAPHENE_RESTRICT dr = dp;
-          if (nm.isSub) {
-            for (std::size_t i = 0; i < n; ++i) dr[i] = ap[i] - bp[i];
-          } else {
-            for (std::size_t i = 0; i < n; ++i) dr[i] = ap[i] + bp[i];
-          }
-        } else if (nm.isSub) {
-          for (std::size_t i = 0; i < n; ++i) dp[i] = ap[i] - bp[i];
-        } else {
-          for (std::size_t i = 0; i < n; ++i) dp[i] = ap[i] + bp[i];
-        }
-        return;
+    } else {
+      const float* b = data<float>(dot.bArg);
+      for (std::int32_t i = begin; i < end; ++i) {
+        const float m = a[i] * b[i];
+        acc = dot.accFirst ? acc + m : m + acc;
       }
-      case NamedLoop::P::Axpy: {
-        float* dp = span(nm.dstArg);
-        const float* ap = span(nm.aArg);
-        const float* bp = span(nm.bArg);
-        const float sv = fr_[nm.sReg];
-        if (spansDisjoint(dp, ap, n) && spansDisjoint(dp, bp, n)) {
-          float* GRAPHENE_RESTRICT dr = dp;
-          for (std::size_t i = 0; i < n; ++i) {
-            const float m = nm.sFirst ? sv * bp[i] : bp[i] * sv;
-            dr[i] = nm.loadFirst ? (nm.isSub ? ap[i] - m : ap[i] + m)
-                                 : (nm.isSub ? m - ap[i] : m + ap[i]);
-          }
-        } else {
-          for (std::size_t i = 0; i < n; ++i) {
-            const float m = nm.sFirst ? sv * bp[i] : bp[i] * sv;
-            dp[i] = nm.loadFirst ? (nm.isSub ? ap[i] - m : ap[i] + m)
-                                 : (nm.isSub ? m - ap[i] : m + ap[i]);
-          }
-        }
-        return;
-      }
-      case NamedLoop::P::DotPartial: {
-        const float* a = data<float>(nm.aArg);
-        float acc = fr_[nm.accReg];
-        if (nm.dotSingle) {
-          for (std::int32_t i = begin; i < end; ++i) {
-            acc = nm.accFirst ? acc + a[i] : a[i] + acc;
-          }
-        } else {
-          const float* b = data<float>(nm.bArg);
-          for (std::int32_t i = begin; i < end; ++i) {
-            const float m = a[i] * b[i];
-            acc = nm.accFirst ? acc + m : m + acc;
-          }
-        }
-        fr_[nm.accReg] = acc;
-        return;
-      }
-      case NamedLoop::P::None:
-        return;
     }
+    fr_[dot.accReg] = acc;
   }
+
   const Program& prog_;
   std::size_t numWorkers_;
   const graph::ArgSpan* args_;
@@ -3134,15 +3006,10 @@ graph::VertexCost runCompiled(const CompiledCodelet& codelet,
 std::string codeletShape(const CompiledCodelet& codelet) {
   if (!codelet.program) return std::string("walk: ") + codelet.walkReason;
   const Program& p = *codelet.program;
-  // Indexed by NamedLoop::P.
-  static constexpr const char* kNamed[] = {"none", "copy", "addvec", "axpy",
-                                           "dot"};
-  static_assert(std::size(kNamed) ==
-                static_cast<std::size_t>(NamedLoop::P::DotPartial) + 1);
   std::string kernels;
   for (const LoopKernel& k : p.kernels) {
     kernels += kernels.empty() ? "" : ",";
-    kernels += kNamed[static_cast<std::size_t>(k.named.p)];
+    kernels += k.dot ? "dot" : "none";
     if (k.blockable) kernels += "+blocked";
   }
   const auto csr = std::count_if(

@@ -9,7 +9,7 @@
 // the FlatCodelet bytecode of codedsl_ir.hpp, and the whole codelet is
 // lowered to one register-VM program (straight-line statements, control
 // flow, double-word values as register pairs; serial straight-line loops as
-// kernels that may match a named span kernel or run block-vectorized). A
+// kernels that run block-vectorized, or as the named dot partial). A
 // vertex runs the program whole, or — when the codelet did not compile or
 // the vertex's argument dtypes differ from trace time — the generic
 // statement walk whole. Both give the same results bit for bit and the same
@@ -50,9 +50,10 @@ const char* codeletWalkReason(const CompiledCodelet& codelet);
 std::size_t codeletOpCount(const CompiledCodelet& codelet);
 
 /// One line on how `codelet` runs: `vm ops=N kernels=[...] csr=N tri=N`
-/// when it compiled to the register VM (each serial loop kernel's named span
-/// kernel, `+blocked` when it runs block-vectorized; the native CSR SpMV and
-/// triangular-substitution row plans), else `walk: <construct>`.
+/// when it compiled to the register VM (each serial loop kernel as `dot`, the
+/// named dot partial, or `none`, plus `+blocked` when it runs
+/// block-vectorized; the native CSR SpMV and triangular-substitution row
+/// plans), else `walk: <construct>`.
 /// GRAPHENE_DUMP_COMPILE=1 prints it as each codelet compiles. Read-only,
 /// for tests and diagnostics.
 std::string codeletShape(const CompiledCodelet& codelet);

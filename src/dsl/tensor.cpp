@@ -510,12 +510,12 @@ Value lowerReduceExpr(const ExpNodePtr& n, const Value& i,
   GRAPHENE_UNREACHABLE("bad node kind");
 }
 
-/// Emits a combine codelet reducing `groups` strided k-vectors (argument 0)
-/// into k scalar outputs (arguments firstOutArg .. firstOutArg+k-1):
-/// out_j = combine over g of data[g*k + j], with `groups` the constant trip
-/// count.
-void emitStridedCombine(ReduceKind kind, std::size_t k, const Value& data,
-                        std::size_t groups, int firstOutArg, DType accType) {
+/// Emits a combine codelet's body reducing `groups` strided k-vectors in
+/// `data`: acc_j = combine over g of data[g*k + j], with `groups` the
+/// constant trip count, then store(j, acc_j).
+void emitStridedCombine(
+    ReduceKind kind, std::size_t k, const Value& data, std::size_t groups,
+    const std::function<void(std::size_t, const Value&)>& store) {
   for (std::size_t j = 0; j < k; ++j) {
     Value acc(data[Value(static_cast<int>(j))]);
     For(1, Value(static_cast<int>(groups)), 1, [&](Value i) {
@@ -524,8 +524,7 @@ void emitStridedCombine(ReduceKind kind, std::size_t k, const Value& data,
                                  Value(static_cast<int>(j)));
       acc = combineReduce(kind, acc, Value(data[idx]));
     });
-    Value out = Value::argument(firstOutArg + static_cast<int>(j), accType);
-    out[Value(0)] = acc;
+    store(j, acc);
   }
 }
 
@@ -658,6 +657,11 @@ std::vector<Tensor> reduceManyImpl(const std::vector<Expression>& exprs,
       outs.emplace_back(Tensor::scalar(accType, ctx.freshName("reduced")));
     }
   };
+  // The final combine stores result j into its own scalar argument, 1 + j.
+  auto storeOut = [&](std::size_t j, const Value& acc) {
+    Value out = Value::argument(1 + static_cast<int>(j), accType);
+    out[Value(0)] = acc;
+  };
 
   if (!twoLevel) {
     // Step 2 (flat): gather every tile's partial k-vector on the control
@@ -690,16 +694,17 @@ std::vector<Tensor> reduceManyImpl(const std::vector<Expression>& exprs,
       builder.setNumArgs(1 + k);
       Value gHandle = Value::argument(0, accType);
       if (k == 1) {
-        // Transcription of the historical single-reduction combine: the
-        // emitted IR (and hence the simulated cycle count) must not change
-        // under refactoring.
+        // The loop's bound is the gathered slice's size, which the walk
+        // prices as one IntArith per run; the strided combine's constant
+        // bound costs nothing. Folding this case into it would move every
+        // flat reduction's simulated cycles.
         Value oHandle = Value::argument(1, accType);
         Value acc(gHandle[Value(0)]);
         For(1, gHandle.size(), 1,
             [&](Value i) { acc = combineReduce(kind, acc, Value(gHandle[i])); });
         oHandle[Value(0)] = acc;
       } else {
-        emitStridedCombine(kind, k, gHandle, nTiles, 1, accType);
+        emitStridedCombine(kind, k, gHandle, nTiles, storeOut);
       }
       CodeletIR ir = builder.finish();
       const ipu::CostModel cost = g.costModel();
@@ -777,17 +782,11 @@ std::vector<Tensor> reduceManyImpl(const std::vector<Expression>& exprs,
       Value gHandle = Value::argument(0, accType);
       Value pHandle = Value::argument(1, accType);
       // The leader's k outputs live in one slice (unlike the final combine's
-      // k separate scalars), so combine with per-j output offsets here.
-      for (std::size_t j = 0; j < k; ++j) {
-        Value acc(gHandle[Value(static_cast<int>(j))]);
-        For(1, Value(static_cast<int>(P)), 1, [&](Value i) {
-          Value idx = k == 1 ? i
-                             : Value(i * Value(static_cast<int>(k)) +
-                                     Value(static_cast<int>(j)));
-          acc = combineReduce(kind, acc, Value(gHandle[idx]));
-        });
-        pHandle[Value(static_cast<int>(j))] = acc;
-      }
+      // k separate scalars), at per-j offsets.
+      emitStridedCombine(kind, k, gHandle, P,
+                         [&](std::size_t j, const Value& acc) {
+                           pHandle[Value(static_cast<int>(j))] = acc;
+                         });
       CodeletIR ir = builder.finish();
       const ipu::CostModel cost = g.costModel();
       const std::size_t workers = g.target().workersPerTile;
@@ -833,7 +832,7 @@ std::vector<Tensor> reduceManyImpl(const std::vector<Expression>& exprs,
       CodeletBuilder builder;
       builder.setNumArgs(1 + k);
       Value gHandle = Value::argument(0, accType);
-      emitStridedCombine(kind, k, gHandle, I, 1, accType);
+      emitStridedCombine(kind, k, gHandle, I, storeOut);
       CodeletIR ir = builder.finish();
       const ipu::CostModel cost = g.costModel();
       const std::size_t workers = g.target().workersPerTile;

@@ -13,6 +13,9 @@ using json::validateKeys;
 
 namespace {
 
+/// The bound of a rule's tile, chip and skip counts.
+constexpr std::size_t kMaxRuleCount = 2147483647;
+
 /// The one list of valid fault kinds, shared by every validation message
 /// that names the set — adding a kind here updates them all.
 constexpr const char* kValidFaultKinds =
@@ -158,16 +161,24 @@ FaultPlan FaultPlan::fromJson(const json::Value& config) {
     Rule r;
     r.kind = parseKind(f.at("type").asString());
     validateRule(f, r.kind);
+    // Tiles, chips, skips and bits are read as counts, so that a negative,
+    // fractional or oversized value is rejected by name instead of wrapping.
+    auto countOf = [&](const char* key, std::size_t max = kMaxRuleCount) {
+      return json::countOr(f, kindName(r.kind), key, 0, max);
+    };
     r.tensor = f.getOr("tensor", std::string());
     r.superstep = f.getOr("superstep", std::int64_t(-1));
     r.probability = f.getOr("probability", 1.0);
     GRAPHENE_CHECK(r.probability >= 0.0 && r.probability <= 1.0,
                    "fault probability must be in [0, 1], got ", r.probability);
     r.element = f.getOr("element", std::int64_t(-1));
-    r.bit = static_cast<int>(f.getOr("bit", std::int64_t(-1)));
-    r.tile = static_cast<std::size_t>(f.getOr("tile", std::int64_t(0)));
+    // Bits past 63 would wrap in flipBit; an absent bit is seeded-random.
+    if (f.contains("bit")) {
+      r.bit = static_cast<int>(countOf("bit", 63));
+    }
+    r.tile = countOf("tile");
     r.stallCycles = f.getOr("cycles", 0.0);
-    r.skip = static_cast<std::size_t>(f.getOr("skip", std::int64_t(0)));
+    r.skip = countOf("skip");
     const std::int64_t count =
         f.getOr("count", std::int64_t(-1));
     r.count = count < 0 ? SIZE_MAX : static_cast<std::size_t>(count);
@@ -195,7 +206,7 @@ FaultPlan FaultPlan::fromJson(const json::Value& config) {
     if (r.kind == Rule::Kind::IpuDead) {
       GRAPHENE_CHECK(f.contains("ipu"),
                      "ipu-dead fault needs an 'ipu' key (the chip to kill)");
-      r.ipu = static_cast<std::size_t>(f.getOr("ipu", std::int64_t(0)));
+      r.ipu = countOf("ipu");
       // Same watchdog-scale hang per superstep as tile-dead, for every tile
       // of the chip.
       if (r.stallCycles <= 0) r.stallCycles = 1e9;
@@ -206,8 +217,8 @@ FaultPlan FaultPlan::fromJson(const json::Value& config) {
       GRAPHENE_CHECK(f.contains("from") && f.contains("to"), where,
                      " fault needs 'from' and 'to' keys (the ordered chip "
                      "pair whose link it hits)");
-      r.fromIpu = static_cast<std::size_t>(f.getOr("from", std::int64_t(0)));
-      r.toIpu = static_cast<std::size_t>(f.getOr("to", std::int64_t(0)));
+      r.fromIpu = countOf("from");
+      r.toIpu = countOf("to");
       GRAPHENE_CHECK(r.fromIpu != r.toIpu, where,
                      " fault needs 'from' != 'to' — a chip has no link to "
                      "itself");

@@ -22,7 +22,7 @@
 //        "tensor": "cg_x",           // substring match on tensor names
 //        "superstep": 120,           // compute superstep; -1/absent = any
 //        "element": -1,              // flat index; -1 = seeded-random
-//        "bit": 30,                  // -1 = seeded-random
+//        "bit": 30,                  // 0-63; absent = seeded-random
 //        "probability": 1.0,         // per matching opportunity
 //        "skip": 0,                  // skip the first N opportunities
 //        "count": 1},                // at most N injections
@@ -74,6 +74,10 @@
 // via a surviving chip, or raises a typed LinkPartitionedError when none
 // exists. "ipu-link-degraded" multiplies the ordered pair's link cost by
 // "factor" (default 4.0) instead of severing it.
+//
+// "tile", "skip", "ipu", "from" and "to" are integers from 0 to 2^31 - 1,
+// and "bit" from 0 to 63; any other value, such as -1 or 2.5, is a
+// ParseError naming the rule's type and the key.
 #pragma once
 
 #include <cstdint>

@@ -7,10 +7,10 @@
 // numHostThreads 1 and 8 (through full CG RepeatWhile loops with host
 // convergence callbacks, with and without an attached fault plan) and assert
 // exactly that. The compiled-codelet fast paths get the same treatment:
-// bulk span kernels vs the generic statement walk must agree bit-for-bit in
-// both results and charged cycles, and so must a reset engine against a new
-// one. The host pool's own tests stress back-to-back dispatch, exceptions,
-// more lanes than cores, and shutdown.
+// the register VM's loop kernels vs the generic statement walk must agree
+// bit-for-bit in both results and charged cycles, and so must a reset
+// engine against a new one. The host pool's own tests stress back-to-back
+// dispatch, exceptions, more lanes than cores, and shutdown.
 #include <gtest/gtest.h>
 
 #include <algorithm>

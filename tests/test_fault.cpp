@@ -285,6 +285,53 @@ TEST(FaultPlanJson, RejectsMalformedPodRules) {
       Error);
 }
 
+// Tile, chip, skip and bit values are counts: a negative, fractional or
+// oversized one is rejected by name instead of wrapping, so that a
+// "tile-dead" rule on tile -1 cannot be accepted and then kill nothing.
+TEST(FaultPlanJson, CountsRejectNegativeFractionalAndOversizedValues) {
+  struct Case {
+    const char* rule;  // the rule's other keys
+    const char* key;
+  };
+  const Case cases[] = {
+      {R"("type": "tile-dead", "superstep": 5)", "tile"},
+      {R"("type": "bitflip")", "skip"},
+      {R"("type": "bitflip")", "bit"},
+      {R"("type": "ipu-dead")", "ipu"},
+      {R"("type": "ipu-link-dead", "to": 1)", "from"},
+      {R"("type": "ipu-link-dead", "from": 1)", "to"},
+  };
+  for (const Case& c : cases) {
+    for (const char* bad : {"-1", "2.5", "4294967299"}) {  // 2^32 + 3
+      const std::string text = std::string(R"({"faults": [{)") + c.rule +
+                               R"(, ")" + c.key + R"(": )" + bad + "}]}";
+      SCOPED_TRACE(text);
+      try {
+        ipu::FaultPlan::fromJsonText(text);
+        ADD_FAILURE() << "accepted";
+      } catch (const ParseError& e) {
+        EXPECT_NE(std::string(e.what()).find(std::string(".") + c.key +
+                                             " must be an integer"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  // The bounds themselves still parse.
+  ipu::FaultPlan plan = ipu::FaultPlan::fromJsonText(R"({
+    "faults": [
+      {"type": "tile-dead", "tile": 2147483647, "superstep": 5},
+      {"type": "bitflip", "tensor": "cg_resid", "bit": 63, "skip": 0},
+      {"type": "exchange-corrupt", "tensor": "halo", "bit": 0},
+      {"type": "ipu-dead", "ipu": 0},
+      {"type": "ipu-link-dead", "from": 2147483647, "to": 0}
+    ]
+  })");
+  EXPECT_TRUE(plan.tileDead(2147483647, 5));
+  EXPECT_FALSE(plan.tileDead(0, 5));
+  EXPECT_TRUE(plan.ipuDead(0, 0));
+}
+
 // An engine without a plan and one with an *empty* plan attached must be
 // bit-identical: same cycles, same supersteps, same history, same solution.
 TEST(FaultInjection, DetachedAndEmptyPlanAreBitIdentical) {

@@ -982,11 +982,11 @@ TEST(WholeCodelet, KernelsOnSharedAndOverlappingSpansMatchTheWalk) {
   // Each kernel stores argument 0 and loads argument 1 (and 2). The run
   // binds the stored span onto the first loaded one, then one element
   // ahead of it and one behind, so the walk's in-order schedule reads
-  // elements the loop itself wrote. The named kernels' self-copy and
-  // overlapping loops, and the blocked VM's same-span and overlap rules,
-  // must each keep that schedule, and axpy its operand order. 47 elements
-  // run blocks of 16, 8, 4 and 2 and a per-element tail.
-  constexpr std::size_t kN = 47;
+  // elements the loop itself wrote. The blocked VM's same-span and overlap
+  // rules must keep that schedule, and each kernel its operand order. No
+  // kernel writes anything back, so on one shared span 16 elements run as
+  // one 16-lane block and 30 as blocks of 16, 8, 4 and 2, with no
+  // per-element run; 47 runs blocks of 16, 8, 4 and 2 and one element.
   using Body = std::function<void(Value&, Value&, Value&, Value&)>;
   const std::pair<const char*, Body> kernels[] = {
       {"x = x + s*p",
@@ -1019,20 +1019,57 @@ TEST(WholeCodelet, KernelsOnSharedAndOverlappingSpansMatchTheWalk) {
     Value b = Value::argument(2, DType::Float32);
     For(0, out.size(), 1, [&](Value i) { body(out, a, b, i); });
     const CodeletIR ir = builder.finish();
-    for (const int shift : {0, 1, -1}) {
-      SCOPED_TRACE(std::string(name) + ", stored span shifted by " +
-                   std::to_string(shift));
-      HostArgs args;
-      args.addFloat(std::vector<float>(kN, 0.0f));
-      args.addFloat(ramp(kN + 1, 1.0f, 0.25f));
-      args.addFloat(ramp(kN, -2.0f, 0.5f));
-      const SpanRewrite rewrite = [shift](std::vector<graph::ArgSpan>& s) {
-        float* base = static_cast<float*>(s[1].data);
-        s[0] = {base + (shift > 0 ? 1 : 0), kN, DType::Float32};
-        s[1] = {base + (shift < 0 ? 1 : 0), kN, DType::Float32};
-      };
-      expectVmMatchesWalk(ir, args, /*onVm=*/true, rewrite);
+    for (const std::size_t n : {16, 30, 47}) {
+      for (const int shift : {0, 1, -1}) {
+        SCOPED_TRACE(std::string(name) + ", " + std::to_string(n) +
+                     " elements, stored span shifted by " +
+                     std::to_string(shift));
+        HostArgs args;
+        args.addFloat(std::vector<float>(n, 0.0f));
+        args.addFloat(ramp(n + 1, 1.0f, 0.25f));
+        args.addFloat(ramp(n, -2.0f, 0.5f));
+        const SpanRewrite rewrite = [n, shift](std::vector<graph::ArgSpan>& s) {
+          float* base = static_cast<float*>(s[1].data);
+          s[0] = {base + (shift > 0 ? 1 : 0), n, DType::Float32};
+          s[1] = {base + (shift < 0 ? 1 : 0), n, DType::Float32};
+        };
+        expectVmMatchesWalk(ir, args, /*onVm=*/true, rewrite);
+      }
     }
+  }
+}
+
+TEST(WholeCodelet, BlockedKernelWritesBackTheLastElement) {
+  // t = x[i] * 2; out[i] = t; last = t carries no register from one element
+  // to the next, so it runs in lane blocks, but it writes `last` back: its
+  // last element must still run per element, so that `last` reads the
+  // final element's value. 2 elements run per element only; 3, 16, 17 and
+  // 30 run blocks of 2; 8, 4 and 2; 16; and 16, 8 and 4 first, then one or
+  // two elements per element. Without the write-back, 2, 16 and 30 would
+  // run whole in blocks.
+  CodeletBuilder builder;
+  builder.setNumArgs(3);
+  Value out = Value::argument(0, DType::Float32);
+  Value x = Value::argument(1, DType::Float32);
+  Value result = Value::argument(2, DType::Float32);
+  Value last = -1.0f;
+  For(0, x.size(), 1, [&](Value i) {
+    Value t = Value(x[i]) * 2.0f;
+    out[i] = t;
+    last = t;
+  });
+  result[0] = last;
+  const CodeletIR ir = builder.finish();
+  const std::string shape = codeletShape(*compileForTest(ir));
+  EXPECT_NE(shape.find("kernels=[none+blocked]"), std::string::npos) << shape;
+  for (const std::size_t n : {2, 3, 16, 17, 30}) {
+    SCOPED_TRACE(std::to_string(n) + " elements");
+    HostArgs args;
+    args.addFloat(std::vector<float>(n, 0.0f));
+    args.addFloat(ramp(n, 0.25f, 0.125f));
+    args.addFloat({0.0f});
+    const RunResult vm = expectVmMatchesWalk(ir, args);
+    EXPECT_EQ(vm.args.floats(2)[0], args.floats(1)[n - 1] * 2.0f);
   }
 }
 
@@ -2063,8 +2100,8 @@ TEST(CompilePasses, VariableReadBeforeItsOnlyAssignmentIsNotAliased) {
 
 TEST(CompilePasses, DeadLoadStillChecksItsIndex) {
   // Nothing reads the load, but the walk throws on its index: so must the VM.
-  // In the loop, the kernel's other two ops form a named copy, which must
-  // not run in the kernel's place.
+  // In the loop, the kernel is a copy plus that load, and the blocked VM
+  // must check the load's span before it runs the copy in lanes.
   for (const bool inLoop : {false, true}) {
     CodeletBuilder builder;
     builder.setNumArgs(3);
