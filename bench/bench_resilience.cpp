@@ -13,7 +13,10 @@
 //      link (traffic re-routed via a surviving chip, detour priced)?
 //
 // Emits a JSON summary to stdout (saved as BENCH_RESILIENCE.json at the
-// repo root) so the recovery-cost trajectory is recorded across PRs.
+// repo root) so the recovery-cost trajectory is recorded across PRs. A solve
+// that throws a typed error (say, a hard fault with the remap budget spent)
+// becomes its row's status — "hard-fault", "link-partitioned" or "error" —
+// so the exact gate names the row that moved instead of the bench aborting.
 // Run metadata (git rev, date) comes in via `--git-rev` / `--date` argv
 // flags — see bench_json.hpp; the bench itself makes no wall-clock calls.
 #include <cstdio>
@@ -22,6 +25,8 @@
 
 #include "bench_common.hpp"
 #include "bench_json.hpp"
+#include "ipu/exchange.hpp"
+#include "ipu/health.hpp"
 #include "ipu/topology.hpp"
 #include "solver/session.hpp"
 
@@ -76,14 +81,22 @@ Row run(const std::string& solverName, const std::string& scenario,
   session.load(g).configure(solverJson(solverName, abft));
   if (planJson != nullptr) session.withFaultPlan(json::parse(planJson));
   std::vector<double> rhs = bench::randomRhs(g.matrix.rows(), 7);
-  auto result = session.solve(rhs);
 
   Row r;
   r.solver = solverName;
   r.scenario = scenario;
-  r.status = solver::toString(result.solve.status);
+  try {
+    auto result = session.solve(rhs);
+    r.status = solver::toString(result.solve.status);
+    r.iterations = result.solve.iterations;
+  } catch (const ipu::HardFaultError&) {
+    r.status = "hard-fault";
+  } catch (const ipu::LinkPartitionedError&) {
+    r.status = "link-partitioned";
+  } catch (const Error&) {
+    r.status = "error";
+  }
   r.cycles = session.profile().totalCycles();
-  r.iterations = result.solve.iterations;
   r.faultEvents = session.profile().faultEvents.size();
   r.remaps = session.profile().metrics.counter("resilience.remaps");
   r.abftMismatches =

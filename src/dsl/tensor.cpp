@@ -511,19 +511,19 @@ Value lowerReduceExpr(const ExpNodePtr& n, const Value& i,
 }
 
 /// Emits a combine codelet's body reducing `groups` strided k-vectors in
-/// `data`: acc_j = combine over g of data[g*k + j], with `groups` the
-/// constant trip count, then store(j, acc_j).
+/// `data`: acc_j = combine over g of data[g*k + j], in ascending g, then
+/// store(j, acc_j). The loop strides over data[i] from i = k + j, so a
+/// joint combine costs per element what a single one does; at k = 1 it is
+/// the single combine's loop.
 void emitStridedCombine(
     ReduceKind kind, std::size_t k, const Value& data, std::size_t groups,
     const std::function<void(std::size_t, const Value&)>& store) {
+  const int stride = static_cast<int>(k);
   for (std::size_t j = 0; j < k; ++j) {
-    Value acc(data[Value(static_cast<int>(j))]);
-    For(1, Value(static_cast<int>(groups)), 1, [&](Value i) {
-      Value idx = k == 1 ? Value(i)
-                         : Value(i * Value(static_cast<int>(k)) +
-                                 Value(static_cast<int>(j)));
-      acc = combineReduce(kind, acc, Value(data[idx]));
-    });
+    const int first = static_cast<int>(j);
+    Value acc(data[Value(first)]);
+    For(stride + first, Value(static_cast<int>(groups) * stride), stride,
+        [&](Value i) { acc = combineReduce(kind, acc, Value(data[i])); });
     store(j, acc);
   }
 }

@@ -164,6 +164,12 @@ Expression Select(const Expression& cond, const Expression& ifTrue,
 /// two-level reductions enabled (Graph::ReduceMode) the gather runs
 /// hierarchically: tiles reduce to a per-IPU leader on-chip, and one
 /// k-vector per IPU crosses the links. Returns k replicated scalars.
+///
+/// Each result is bit-identical to `exprs[j].reduce(kind)`: every tile forms
+/// expression j's partial in its own loop from element 0, and each combine
+/// visits the partials in ascending tile order (then ascending chip order,
+/// two-level), as a single reduction does. Solvers may therefore merge dots
+/// without moving a residual.
 std::vector<Tensor> ReduceMany(const std::vector<Expression>& exprs,
                                ReduceKind kind = ReduceKind::Sum,
                                const std::function<void()>& overlap = {});

@@ -465,12 +465,14 @@ void Engine::commitCompute(const SuperstepRun& run) {
 
   // Watchdog: report every tile's cycle count from this serial pass, so
   // trips and dead-tile confirmations are bit-identical at any host thread
-  // count. The abort (if armed) fires after the superstep is committed.
+  // count; chip verdicts are decided once the whole superstep is seen. The
+  // abort (if armed) fires after the superstep is committed.
   if (health_ != nullptr) {
     for (std::size_t ti = 0; ti < nTasks; ++ti) {
       health_->observeCompute(profile_.computeSupersteps, tasks[ti].tile,
                               tileCycles[ti], profile_);
     }
+    health_->endSuperstep(profile_.computeSupersteps, profile_);
   }
 
   // Fault injection: SRAM upsets land between supersteps; a stalled tile

@@ -55,39 +55,57 @@ void HealthMonitor::observeCompute(std::size_t superstep, std::size_t tile,
                 " consecutive watchdog trips";
   profile.faultEvents.push_back(std::move(dead));
   if (options_.abortOnConfirmedDead) abortPending_ = true;
+}
 
-  // Chip-level escalation: enough of this tile's chip confirmed dead means
-  // the chip itself is gone — one shrink verdict instead of a drawn-out
-  // tile-by-tile blacklist march.
-  if (options_.tilesPerIpu == 0) return;
-  const std::size_t ipu = tile / options_.tilesPerIpu;
-  if (std::find(deadIpus_.begin(), deadIpus_.end(), ipu) != deadIpus_.end()) {
-    return;
-  }
-  std::size_t deadOnChip = 0;
-  for (std::size_t t : deadTiles_) {
-    if (t / options_.tilesPerIpu == ipu) ++deadOnChip;
-  }
+void HealthMonitor::endSuperstep(std::size_t superstep, Profile& profile) {
+  // Chip-level escalation: enough of a chip failing means the chip itself
+  // is gone — one shrink verdict instead of a drawn-out tile-by-tile
+  // blacklist march.
+  if (options_.tilesPerIpu == 0 || deadTiles_.empty()) return;
+  const std::size_t perIpu = options_.tilesPerIpu;
   const double fraction =
       std::min(1.0, std::max(options_.ipuDeadFraction, 0.0));
   // Floor of 2: a single dead tile is a tile fault however small the chip
   // — escalation needs a *pattern*. (A 1-tile chip still recovers via the
   // ordinary tile blacklist, which empties it just the same.)
   const auto needed = std::max<std::size_t>(
-      2, static_cast<std::size_t>(std::ceil(
-             fraction * static_cast<double>(options_.tilesPerIpu))));
-  if (deadOnChip < needed) return;
-  deadIpus_.push_back(ipu);
-  std::sort(deadIpus_.begin(), deadIpus_.end());
-  profile.metrics.addCounter("resilience.ipu.dead", 1);
-  FaultEvent chip;
-  chip.kind = "health:ipu-dead";
-  chip.superstep = superstep;
-  chip.target = "ipu " + std::to_string(ipu);
-  chip.detail = std::to_string(deadOnChip) + "/" +
-                std::to_string(options_.tilesPerIpu) +
-                " tiles confirmed dead — chip declared dead";
-  profile.faultEvents.push_back(std::move(chip));
+      2, static_cast<std::size_t>(
+             std::ceil(fraction * static_cast<double>(perIpu))));
+  // Only chips holding a confirmed-dead tile are candidates (deadTiles_ is
+  // ascending, so each chip comes up as one run).
+  std::size_t lastIpu = SIZE_MAX;
+  for (std::size_t deadTile : deadTiles_) {
+    const std::size_t ipu = deadTile / perIpu;
+    if (ipu == lastIpu) continue;
+    lastIpu = ipu;
+    if (std::find(deadIpus_.begin(), deadIpus_.end(), ipu) !=
+        deadIpus_.end()) {
+      continue;
+    }
+    std::size_t confirmed = 0;
+    std::size_t tripping = 0;
+    for (auto it = tiles_.lower_bound(ipu * perIpu);
+         it != tiles_.end() && it->first < (ipu + 1) * perIpu; ++it) {
+      if (it->second.dead) {
+        ++confirmed;
+      } else if (it->second.trips > 0) {
+        ++tripping;
+      }
+    }
+    if (confirmed + tripping < needed) continue;
+    deadIpus_.push_back(ipu);
+    std::sort(deadIpus_.begin(), deadIpus_.end());
+    profile.metrics.addCounter("resilience.ipu.dead", 1);
+    FaultEvent chip;
+    chip.kind = "health:ipu-dead";
+    chip.superstep = superstep;
+    chip.target = "ipu " + std::to_string(ipu);
+    chip.detail = std::to_string(confirmed) + "/" + std::to_string(perIpu) +
+                  " tiles confirmed dead, " + std::to_string(tripping) +
+                  " more tripping — chip declared dead";
+    profile.faultEvents.push_back(std::move(chip));
+    if (options_.abortOnConfirmedDead) abortPending_ = true;
+  }
 }
 
 json::Value HealthMonitor::reportJson() const {

@@ -17,6 +17,13 @@
 // engine finishes committing the superstep (profile, trace, simulated
 // clock), then throws HardFaultError so the solver layer can blacklist the
 // tile, repartition, and resume from checkpointed state.
+//
+// Chip verdicts are decided once per superstep, after every tile of it was
+// observed (endSuperstep). A superstep may run only a few tiles of a dying
+// chip — a reduction leader, say — so a tile can be confirmed while its
+// chip-mates have tripped but not yet reached confirmation. The tally
+// therefore counts a chip's tiles that are confirmed dead or still on an
+// unbroken chain of trips.
 #pragma once
 
 #include <cstddef>
@@ -65,13 +72,14 @@ class HealthMonitor {
     /// and the caller reads the health report instead.
     bool abortOnConfirmedDead = true;
     /// Chip-level escalation: when > 0, tiles aggregate into chips of this
-    /// many tiles, and a chip whose confirmed-dead tile count reaches
+    /// many tiles, and a chip with a confirmed-dead tile whose failing tiles
+    /// (confirmed dead, or tripping on an unbroken chain) number at least
     /// ceil(ipuDeadFraction * tilesPerIpu) is declared ipu-dead (a
     /// "health:ipu-dead" event + the deadIpus() verdict the recovery layer
     /// turns into a topology shrink). 0 = per-tile verdicts only.
     std::size_t tilesPerIpu = 0;
-    /// Fraction of a chip's tiles that must be confirmed dead before the
-    /// chip itself is declared dead. In (0, 1].
+    /// Fraction of a chip's tiles that must be failing before the chip
+    /// itself is declared dead. In (0, 1].
     double ipuDeadFraction = 0.5;
   };
 
@@ -85,6 +93,10 @@ class HealthMonitor {
   /// `profile` and updates the resilience.* counters.
   void observeCompute(std::size_t superstep, std::size_t tile, double cycles,
                       Profile& profile);
+
+  /// Called once after the superstep's last observeCompute: decides the
+  /// chip verdicts (Options::tilesPerIpu), logging health:ipu-dead.
+  void endSuperstep(std::size_t superstep, Profile& profile);
 
   /// Tiles confirmed dead so far, ascending.
   const std::vector<std::size_t>& deadTiles() const { return deadTiles_; }

@@ -1,5 +1,12 @@
 // Preconditioned BiCGStab (§V-C), following the paper's Fig. 4 DSL listing.
 //
+// An iteration runs three global reductions instead of the listing's five:
+// (t, t) and (t, s) are reduced jointly, and so are the next iteration's
+// rho = (r̂, r) and (r, r) at the bottom of the loop (dsl::ReduceMany forms
+// each sum in the order a single reduction does, so the iterates are
+// bit-identical to five separate dots). On a pod each reduction saved is a
+// chip-spanning gather and broadcast.
+//
 // The loop runs inside the Krylov recovery guard (solver/krylov_guard.hpp),
 // which also checks the rho recurrence scalar every iteration: a collapsed
 // rho (|rho| ≤ breakdownTolerance·‖b‖²) triggers a restart from the last
@@ -38,7 +45,10 @@ void BiCgStabSolver::apply(DistMatrix& a, Tensor& x, Tensor& b) {
 
   Tensor bNormSq = Dot(b, b);
   Tensor rA0rAold = Tensor(Expression(bNormSq));
+  // rho = (r̂, r), reduced at the bottom of the previous iteration. At loop
+  // entry r̂ = r = b, so it starts as ‖b‖², the same sum bit for bit.
   Tensor rA0rA = Tensor::scalar(DType::Float32, "bicg_rho");
+  rA0rA = Expression(bNormSq);
   Tensor alpha = Tensor::scalar(DType::Float32, "bicg_alpha");
   alpha = Expression(1.0f);
   Tensor omega = Tensor::scalar(DType::Float32, "bicg_omega");
@@ -51,7 +61,7 @@ void BiCgStabSolver::apply(DistMatrix& a, Tensor& x, Tensor& b) {
   KrylovGuard guard(a, {x, b, bNormSq, resNormSq, iter},
                     {"bicgstab", "bicg", "bicgstab.restarts"}, robust_,
                     tolerance_, history_, result_,
-                    {.breakdownRho = rA0rA.id()});
+                    {.breakdownRho = rA0rAold.id()});
   stateId_ = guard.stateTensor();
 
   // Breakdown guards (the paper's implementation has "early exits due to
@@ -61,7 +71,6 @@ void BiCgStabSolver::apply(DistMatrix& a, Tensor& x, Tensor& b) {
   // producing NaNs. The host guard additionally *reports* a collapsed rho
   // as SolveStatus::Breakdown (after exhausting the restart budget).
   Tensor denom = Tensor::scalar(DType::Float32, "bicg_denom");
-  Tensor tt = Tensor::scalar(DType::Float32, "bicg_tt");
 
   dsl::While(guard.arm(maxIterations_), [&] {
     // Re-seed the Krylov recurrence from the checkpointed iterate: the
@@ -77,8 +86,8 @@ void BiCgStabSolver::apply(DistMatrix& a, Tensor& x, Tensor& b) {
       omega = Expression(1.0f);
       rA0rAold = Dot(rA, rA);
       resNormSq = Expression(rA0rAold);
+      rA0rA = Expression(rA0rAold);  // r̂ = r: rho is the fresh (r, r)
     });
-    rA0rA = Dot(rA0, rA);
     beta = dsl::Select(
         Abs(Expression(rA0rAold)) * Abs(Expression(omega)) > Expression(0.0f),
         (Expression(rA0rA) / Expression(rA0rAold)) *
@@ -95,15 +104,22 @@ void BiCgStabSolver::apply(DistMatrix& a, Tensor& x, Tensor& b) {
     sA = Expression(rA) - Expression(alpha) * Expression(AyA);
     precond_->apply(a, zA, sA);
     a.spmv(tA, zA);
-    tt = Dot(tA, tA);
-    omega = dsl::Select(Expression(tt) > Expression(0.0f),
-                        Dot(tA, sA) / Expression(tt), Expression(0.0f));
+    auto tts = dsl::ReduceMany(
+        {Expression(tA) * Expression(tA), Expression(tA) * Expression(sA)});
+    omega = dsl::Select(Expression(tts[0]) > Expression(0.0f),
+                        Expression(tts[1]) / Expression(tts[0]),
+                        Expression(0.0f));
     x = Expression(x) + Expression(alpha) * Expression(yA) +
         Expression(omega) * Expression(zA);
     rA = Expression(sA) - Expression(omega) * Expression(tA);
+    // This iteration's rho moves to rA0rAold, where the guard's breakdown
+    // check reads it; the next one is reduced with (r, r).
     rA0rAold = Expression(rA0rA);
     iter = Expression(iter) + 1;
-    resNormSq = Dot(rA, rA);
+    auto rhoRr = dsl::ReduceMany(
+        {Expression(rA0) * Expression(rA), Expression(rA) * Expression(rA)});
+    rA0rA = Expression(rhoRr[0]);
+    resNormSq = Expression(rhoRr[1]);
     guard.duplicateResidual(rA);
     guard.endIteration();
     if (monitorEvery_ > 0) emitTrueResidualMonitor(a, x, b);

@@ -4,7 +4,10 @@
 // CG runs inside the Krylov recovery guard (solver/krylov_guard.hpp):
 // host residual checks every iteration, checkpoint restarts, ABFT and
 // post-loop verification, with the outcome reported through
-// Solver::result().
+// Solver::result(). An iteration runs two global reductions: (p, Ap), and
+// (r, z) jointly with (r, r) right after the preconditioner. dsl::ReduceMany
+// forms each sum in the order a single Dot does, so the iterates are
+// bit-identical to three separate dots.
 #include "solver/krylov_guard.hpp"
 #include "solver/solvers.hpp"
 #include "support/trace.hpp"
@@ -45,6 +48,16 @@ void RichardsonSolver::apply(DistMatrix& a, Tensor& z, Tensor& r) {
   });
 }
 
+namespace {
+
+/// (r, z) and (r, r) as one joint reduction.
+std::vector<Tensor> rzAndRr(const Tensor& r, const Tensor& z) {
+  return dsl::ReduceMany({Expression(r) * Expression(z),
+                          Expression(r) * Expression(r)});
+}
+
+}  // namespace
+
 void CgSolver::apply(DistMatrix& a, Tensor& x, Tensor& b) {
   precond_->ensureSetup(a);
   if (robust_.abft) a.enableAbft(robust_.abftTolerance);
@@ -63,7 +76,6 @@ void CgSolver::apply(DistMatrix& a, Tensor& x, Tensor& b) {
 
   Tensor bNormSq = Dot(b, b);
   Tensor rz = Tensor(Dot(r, z));
-  Tensor rzNew = Tensor::scalar(DType::Float32, "cg_rznew");
   Tensor alpha = Tensor::scalar(DType::Float32, "cg_alpha");
   Tensor beta = Tensor::scalar(DType::Float32, "cg_beta");
   Tensor denom = Tensor::scalar(DType::Float32, "cg_denom");
@@ -82,8 +94,9 @@ void CgSolver::apply(DistMatrix& a, Tensor& x, Tensor& b) {
       r = Expression(b) - Expression(Ap);
       precond_->apply(a, z, r);
       p = Expression(z);
-      rz = Dot(r, z);
-      resNormSq = Dot(r, r);
+      auto rzRr = rzAndRr(r, z);
+      rz = Expression(rzRr[0]);
+      resNormSq = Expression(rzRr[1]);
     });
     a.spmv(Ap, p);
     denom = Dot(p, Ap);
@@ -92,13 +105,14 @@ void CgSolver::apply(DistMatrix& a, Tensor& x, Tensor& b) {
     x = Expression(x) + Expression(alpha) * Expression(p);
     r = Expression(r) - Expression(alpha) * Expression(Ap);
     precond_->apply(a, z, r);
-    rzNew = Dot(r, z);
+    auto rzRr = rzAndRr(r, z);
     beta = dsl::Select(Abs(Expression(rz)) > Expression(0.0f),
-                       Expression(rzNew) / Expression(rz), Expression(0.0f));
+                       Expression(rzRr[0]) / Expression(rz),
+                       Expression(0.0f));
     p = Expression(z) + Expression(beta) * Expression(p);
-    rz = Expression(rzNew);
+    rz = Expression(rzRr[0]);
     iter = Expression(iter) + 1;
-    resNormSq = Dot(r, r);
+    resNormSq = Expression(rzRr[1]);
     guard.duplicateResidual(r);
     guard.endIteration();
   });

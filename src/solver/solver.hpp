@@ -118,13 +118,16 @@ class Solver {
 
   virtual std::string name() const = 0;
 
-  /// Emits one-time preparation (e.g. the (D)ILU factorisation). Idempotent:
+  /// Emits one-time preparation (e.g. the (D)ILU factorisation) of this
+  /// solver and, recursively, of its preconditioner chain. Idempotent:
   /// composite solvers call this before building loop bodies so setup steps
-  /// are scheduled exactly once, outside any loop.
+  /// are scheduled exactly once, outside any loop (MPIR's inner BiCGStab
+  /// then factorises its ILU(0) once per solve, not once per refinement).
   void ensureSetup(DistMatrix& a) {
     if (!setupDone_) {
       setupDone_ = true;
       setup(a);
+      if (Solver* nested = preconditioner()) nested->ensureSetup(a);
     }
   }
 

@@ -105,7 +105,9 @@ class RichardsonSolver final : public Solver {
 /// Preconditioned Conjugate Gradient for SPD systems — the paper's Table II
 /// matrices are all symmetric positive definite, making PCG the natural
 /// companion to PBiCGStab in the solver suite (it does one SpMV and one
-/// preconditioner apply per iteration instead of two each).
+/// preconditioner apply per iteration instead of two each). Two global
+/// reductions per iteration: (p, Ap), and (r, z) jointly with (r, r)
+/// (dsl::ReduceMany, bit-identical to separate dots).
 class CgSolver final : public Solver {
  public:
   CgSolver(std::size_t maxIterations, double tolerance,
@@ -175,7 +177,10 @@ class PipelinedCgSolver final : public Solver {
 
 /// Preconditioned BiCGStab (§V-C, van der Vorst), following the paper's
 /// Fig. 4 listing. tolerance == 0 runs exactly maxIterations iterations
-/// (the inner-solver mode of the MPIR experiments).
+/// (the inner-solver mode of the MPIR experiments). Three global reductions
+/// per iteration instead of the listing's five: (r̂, Ay); (t, t) jointly
+/// with (t, s); and the next iteration's rho = (r̂, r) jointly with (r, r)
+/// (dsl::ReduceMany, bit-identical to separate dots).
 class BiCgStabSolver final : public Solver {
  public:
   BiCgStabSolver(std::size_t maxIterations, double tolerance,

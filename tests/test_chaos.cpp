@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "chaos_common.hpp"
+#include "ipu/health.hpp"
 
 using namespace graphene;
 using namespace chaos;
@@ -352,57 +353,132 @@ TEST(Chaos, ServiceSoakIsHostThreadCountInvariant) {
 // The pod flagship: a chip dies mid-solve, the watchdog escalates its tile
 // deaths to an ipu-dead verdict, the session shrinks the topology onto the
 // three survivors, migrates the iterate and converges. Every rung of the
-// ladder is observable.
+// ladder is observable. The chip dies at each superstep of the first
+// iterations in turn: some supersteps run only a reduction leader of the
+// dying chip, and the verdict must not depend on which tiles the superstep
+// that confirms the first death happens to run.
 TEST(PodChaos, IpuDeadSurvivesViaTopologyShrink) {
   const matrix::GeneratedMatrix g = matrix::poisson2d5(10, 10);
   const ipu::Topology pod = ipu::Topology::pod(4, 8);
-  solver::SolveSession session({.topology = pod, .maxRemaps = 2});
-  session.load(g)
-      .configure(R"({"type": "cg", "maxIterations": 200, "tolerance": 1e-6,
-                     "robustness": {"maxRestarts": 2, "checkpointEvery": 8}})")
-      .withFaultPlan(json::parse(R"({
-        "seed": 9,
-        "faults": [{"type": "ipu-dead", "ipu": 1, "superstep": 30}]
-      })"));
-  std::vector<double> rhs(session.matrix().rows(), 1.0);
-  auto result = session.solve(rhs);
+  std::vector<double> rhs(g.matrix.rows(), 1.0);
+  for (int trigger = 0; trigger < 60; ++trigger) {
+    SCOPED_TRACE("ipu-dead at superstep " + std::to_string(trigger));
+    solver::SolveSession session({.topology = pod, .maxRemaps = 2});
+    session.load(g)
+        .configure(R"({"type": "cg", "maxIterations": 200, "tolerance": 1e-6,
+                       "robustness": {"maxRestarts": 2, "checkpointEvery": 8}})")
+        .withFaultPlan(json::parse(
+            R"({"seed": 9, "faults": [{"type": "ipu-dead", "ipu": 1,
+                "superstep": )" +
+            std::to_string(trigger) + "}]}"));
+    solver::SolveSession::Result result;
+    ASSERT_NO_THROW(result = session.solve(rhs));
 
-  EXPECT_EQ(result.solve.status, solver::SolveStatus::Converged)
-      << solver::toString(result.solve.status);
-  // The chip went as one verdict, not a tile-by-tile blacklist march.
-  ASSERT_EQ(session.deadIpus(), (std::vector<std::size_t>{1}));
-  EXPECT_TRUE(session.blacklistedTiles().empty());
-  ASSERT_TRUE(session.options().topology.has_value());
-  EXPECT_EQ(session.options().topology->numAliveIpus(), 3u);
-  EXPECT_NE(session.options().topology->fingerprint(), pod.fingerprint());
+    EXPECT_EQ(result.solve.status, solver::SolveStatus::Converged)
+        << solver::toString(result.solve.status);
+    // The chip went as one verdict, not a tile-by-tile blacklist march.
+    ASSERT_EQ(session.deadIpus(), (std::vector<std::size_t>{1}));
+    EXPECT_TRUE(session.blacklistedTiles().empty());
+    ASSERT_TRUE(session.options().topology.has_value());
+    EXPECT_EQ(session.options().topology->numAliveIpus(), 3u);
+    EXPECT_NE(session.options().topology->fingerprint(), pod.fingerprint());
 
-  // The full escalation ladder is in the fault log...
-  const auto& log = session.profile().faultEvents;
-  EXPECT_TRUE(logContains(log, "ipu-dead"));                // injected fault
-  EXPECT_TRUE(logContains(log, "watchdog-trip"));           // detection
-  EXPECT_TRUE(logContains(log, "health:tile-dead"));        // per-tile
-  EXPECT_TRUE(logContains(log, "health:ipu-dead"));         // escalation
-  EXPECT_TRUE(logContains(log, "recovery:ipu-blacklist"));  // shrink
-  EXPECT_TRUE(logContains(log, "recovery:remap"));
-  // ...in the trace timeline and the metrics.
-  EXPECT_GE(recoveryEvents(session.trace()), 2u);
-  EXPECT_EQ(session.profile().metrics.counter("resilience.remaps"), 1.0);
-  // ...and the health report carries the chip verdict.
-  const json::Value health = session.healthReport();
-  ASSERT_TRUE(health.asObject().count("deadIpus") > 0);
-  EXPECT_EQ(health.at("deadIpus").asArray().size(), 1u);
+    // The full escalation ladder is in the fault log...
+    const auto& log = session.profile().faultEvents;
+    EXPECT_TRUE(logContains(log, "ipu-dead"));                // injected
+    EXPECT_TRUE(logContains(log, "watchdog-trip"));           // detection
+    EXPECT_TRUE(logContains(log, "health:tile-dead"));        // per-tile
+    EXPECT_TRUE(logContains(log, "health:ipu-dead"));         // escalation
+    EXPECT_TRUE(logContains(log, "recovery:ipu-blacklist"));  // shrink
+    EXPECT_TRUE(logContains(log, "recovery:remap"));
+    // ...in the trace timeline and the metrics.
+    EXPECT_GE(recoveryEvents(session.trace()), 2u);
+    EXPECT_EQ(session.profile().metrics.counter("resilience.remaps"), 1.0);
+    // ...and the health report carries the chip verdict.
+    const json::Value health = session.healthReport();
+    ASSERT_TRUE(health.asObject().count("deadIpus") > 0);
+    EXPECT_EQ(health.at("deadIpus").asArray().size(), 1u);
 
-  // No row of the shrunken layout lives on the dead chip (tiles 8..15).
-  for (std::size_t t : session.matrix().layout().rowToTile) {
-    EXPECT_TRUE(t < 8 || t >= 16) << "row mapped to dead chip tile " << t;
+    // No row of the shrunken layout lives on the dead chip (tiles 8..15).
+    for (std::size_t t : session.matrix().layout().rowToTile) {
+      EXPECT_TRUE(t < 8 || t >= 16) << "row mapped to dead chip tile " << t;
+    }
+
+    // And x actually solves the system.
+    std::vector<double> ax(rhs.size(), 0.0);
+    g.matrix.spmv(result.x, ax);
+    for (std::size_t i = 0; i < ax.size(); ++i) {
+      EXPECT_NEAR(ax[i], rhs[i], 1e-3);
+    }
   }
+}
 
-  // And x actually solves the system.
-  std::vector<double> ax(rhs.size(), 0.0);
-  g.matrix.spmv(result.x, ax);
-  for (std::size_t i = 0; i < ax.size(); ++i) {
-    EXPECT_NEAR(ax[i], rhs[i], 1e-3);
+// Chip verdicts are decided once per superstep, after every tile of it was
+// observed, over the chip's confirmed-dead and still-tripping tiles. Both
+// orders in which a dying chip's tiles can reach the watchdog yield one
+// chip verdict at the superstep that confirms the first death.
+TEST(HealthMonitorChip, AllTilesThenLeaderEscalates) {
+  ipu::HealthMonitor monitor({.computeCycleBudget = 100,
+                              .tripsToConfirm = 2,
+                              .tilesPerIpu = 8});
+  ipu::Profile profile;
+  // Superstep 0: every tile of chip 1 (tiles 8..15) overruns once.
+  for (std::size_t t = 8; t < 16; ++t) {
+    monitor.observeCompute(0, t, 1e9, profile);
   }
+  monitor.endSuperstep(0, profile);
+  EXPECT_TRUE(monitor.deadTiles().empty());
+  EXPECT_TRUE(monitor.deadIpus().empty());
+  EXPECT_FALSE(monitor.abortPending());
+  // Superstep 1: only the chip's reduction leader runs, and is confirmed.
+  monitor.observeCompute(1, 8, 1e9, profile);
+  monitor.endSuperstep(1, profile);
+  EXPECT_EQ(monitor.deadTiles(), (std::vector<std::size_t>{8}));
+  EXPECT_EQ(monitor.deadIpus(), (std::vector<std::size_t>{1}));
+  EXPECT_TRUE(monitor.abortPending());
+  EXPECT_EQ(profile.metrics.counter("resilience.ipu.dead"), 1.0);
+}
+
+TEST(HealthMonitorChip, LeaderThenAllTilesEscalates) {
+  ipu::HealthMonitor monitor({.computeCycleBudget = 100,
+                              .tripsToConfirm = 2,
+                              .tilesPerIpu = 8});
+  ipu::Profile profile;
+  // Superstep 0: only the leader of chip 1 runs, and overruns.
+  monitor.observeCompute(0, 8, 1e9, profile);
+  monitor.endSuperstep(0, profile);
+  EXPECT_TRUE(monitor.deadIpus().empty());
+  // Superstep 1: every tile runs; the leader is confirmed first, its
+  // chip-mates trip for the first time after it.
+  for (std::size_t t = 0; t < 32; ++t) {
+    monitor.observeCompute(1, t, t / 8 == 1 ? 1e9 : 10.0, profile);
+  }
+  monitor.endSuperstep(1, profile);
+  EXPECT_EQ(monitor.deadTiles(), (std::vector<std::size_t>{8}));
+  EXPECT_EQ(monitor.deadIpus(), (std::vector<std::size_t>{1}));
+  EXPECT_TRUE(monitor.abortPending());
+}
+
+// A lone dead tile whose chip-mates stay healthy (or recovered from a
+// straggling superstep) is a tile fault, not a chip fault.
+TEST(HealthMonitorChip, HealthyChipMatesKeepATileVerdict) {
+  ipu::HealthMonitor monitor({.computeCycleBudget = 100,
+                              .tripsToConfirm = 2,
+                              .tilesPerIpu = 8});
+  ipu::Profile profile;
+  for (std::size_t t = 8; t < 16; ++t) {
+    monitor.observeCompute(0, t, 1e9, profile);
+  }
+  monitor.endSuperstep(0, profile);
+  // Superstep 1: tile 8 overruns again; its chip-mates are back on time,
+  // which breaks their chains.
+  for (std::size_t t = 8; t < 16; ++t) {
+    monitor.observeCompute(1, t, t == 8 ? 1e9 : 10.0, profile);
+  }
+  monitor.endSuperstep(1, profile);
+  EXPECT_EQ(monitor.deadTiles(), (std::vector<std::size_t>{8}));
+  EXPECT_TRUE(monitor.deadIpus().empty());
+  EXPECT_TRUE(monitor.abortPending());
 }
 
 // The shrink decision comes out of the engine's serial reduction pass, so

@@ -1,10 +1,12 @@
 // End-to-end tests of CodeDSL + TensorDSL on the simulated IPU.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "dsl/tensor.hpp"
 #include "graph/engine.hpp"
+#include "support/rng.hpp"
 
 using namespace graphene;
 using namespace graphene::dsl;
@@ -352,6 +354,68 @@ TEST(TensorDsl, ReduceKinds) {
   EXPECT_FLOAT_EQ(engine.readScalar(mx.id()).asFloat(), expectMax);
   EXPECT_FLOAT_EQ(engine.readScalar(mn.id()).asFloat(), expectMin);
   EXPECT_FLOAT_EQ(engine.readScalar(inf.id()).asFloat(), expectInf);
+}
+
+// ReduceMany forms each of its k results in the order a single reduction
+// does: every tile's partial is its own loop from element 0, and each
+// combine visits tiles (then chips) in ascending order. So its results are
+// bit-identical to k separate reductions, in both pod reduction modes, for
+// every kind, over ragged tiles — including an empty tile and an excluded
+// tile, whose partial stays zero and which cannot lead its chip.
+TEST(TensorDsl, ReduceManyIsBitIdenticalToSeparateReductions) {
+  const std::vector<std::size_t> sizes = {5, 3, 0, 7, 0, 6, 1, 9};
+  const std::size_t total = 31;
+  const std::size_t excluded = 4;  // first tile of chip 1: no leader
+  for (graph::Graph::ReduceMode mode :
+       {graph::Graph::ReduceMode::Flat, graph::Graph::ReduceMode::TwoLevel}) {
+    for (ReduceKind kind : {ReduceKind::Sum, ReduceKind::Max, ReduceKind::Min,
+                            ReduceKind::AbsMax}) {
+      for (std::size_t k = 1; k <= 3; ++k) {
+        SCOPED_TRACE(testing::Message()
+                     << "two-level " << (mode == graph::Graph::ReduceMode::
+                                                     TwoLevel)
+                     << ", kind " << static_cast<int>(kind) << ", k " << k);
+        Context ctx(ipu::IpuTarget::testTarget(/*tiles=*/4, /*ipus=*/2));
+        ctx.graph().setReduceMode(mode);
+        ctx.graph().setExcludedTiles({excluded});
+        const graph::TileMapping mapping = graph::TileMapping::ragged(sizes);
+        ASSERT_EQ(mapping.totalElements(), total);
+        Tensor a(DType::Float32, mapping, "a");
+        Tensor b(DType::Float32, mapping, "b");
+        Tensor c(DType::Float32, mapping, "c");
+        const std::vector<Expression> exprs = {
+            Expression(a) * Expression(b), Expression(a) - Expression(c),
+            Expression(b) * Expression(c) + Expression(a)};
+        std::vector<Expression> joint(exprs.begin(), exprs.begin() + k);
+        std::vector<Tensor> many = ReduceMany(joint, kind);
+        ASSERT_EQ(many.size(), k);
+        std::vector<Tensor> single;
+        for (const Expression& e : joint) single.emplace_back(e.reduce(kind));
+
+        graph::Engine engine(ctx.graph());
+        engine.setExcludedTiles({excluded});
+        Rng rng(17 + k);
+        for (const Tensor* t : {&a, &b, &c}) {
+          // Magnitudes spread over six decades, so a sum taken in any other
+          // order rounds differently.
+          std::vector<float> v(total);
+          for (float& x : v) {
+            x = static_cast<float>(rng.uniform(-1.0, 1.0) *
+                                   std::pow(10.0, rng.uniform(-3.0, 3.0)));
+          }
+          engine.writeTensor<float>(t->id(), v);
+        }
+        engine.run(ctx.program());
+        for (std::size_t j = 0; j < k; ++j) {
+          const float got = engine.readScalar(many[j].id()).asFloat();
+          const float want = engine.readScalar(single[j].id()).asFloat();
+          EXPECT_EQ(std::bit_cast<std::uint32_t>(got),
+                    std::bit_cast<std::uint32_t>(want))
+              << "result " << j << ": " << got << " vs " << want;
+        }
+      }
+    }
+  }
 }
 
 TEST(TensorDsl, MaxReduceWithAllNegativeValues) {

@@ -471,6 +471,10 @@ TEST(FaultInjection, DroppedTransferIsStillPriced) {
 // default budget it restarts from the checkpoint and the solve still
 // converges, with both the fault and the recovery in the log; with no
 // restart budget the solve ends in a typed verdict and a clean history.
+// BiCGStab rewrites r from s and t every iteration, so a single flip can
+// land in a window where nothing reads r before it is overwritten; the
+// spent-budget case therefore flips on 15 consecutive matching supersteps
+// (about one iteration), so that some flip is live whatever the schedule.
 struct KrylovCase {
   const char* name;
   const char* config;          // solver JSON, closing brace omitted
@@ -481,12 +485,13 @@ struct KrylovCase {
 
 class KrylovRecovery : public ::testing::TestWithParam<KrylovCase> {
  protected:
-  FaultedSolve solve(const std::string& robustness) {
+  FaultedSolve solve(const std::string& robustness, int flips = 1) {
     const KrylovCase& c = GetParam();
     ipu::FaultPlan plan = ipu::FaultPlan::fromJsonText(
         std::string(R"({"seed": 5, "faults": [{"type": "bitflip",
             "tensor": ")") +
-        c.residual + R"(", "bit": 30, "skip": 100, "count": 1}]})");
+        c.residual + R"(", "bit": 30, "skip": 100, "count": )" +
+        std::to_string(flips) + "}]}");
     return runFaultedSolve(matrix::poisson2d5(8, 8), 4,
                            std::string(c.config) + robustness + "}", &plan);
   }
@@ -514,7 +519,8 @@ TEST_P(KrylovRecovery, RestartsAfterResidualBitFlip) {
 }
 
 TEST_P(KrylovRecovery, SpentBudgetEndsTyped) {
-  FaultedSolve faulted = solve(R"(, "robustness": {"maxRestarts": 0})");
+  FaultedSolve faulted =
+      solve(R"(, "robustness": {"maxRestarts": 0})", /*flips=*/15);
 
   EXPECT_TRUE(logContains(faulted.profile, "bitflip"));
   EXPECT_FALSE(logContains(faulted.profile, "recovery:restart"));

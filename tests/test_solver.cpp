@@ -8,6 +8,7 @@
 #include "graph/engine.hpp"
 #include "matrix/generators.hpp"
 #include "partition/partitioner.hpp"
+#include "solver/krylov_guard.hpp"
 #include "solver/solvers.hpp"
 #include "support/rng.hpp"
 #include "support/trace.hpp"
@@ -41,6 +42,7 @@ struct SolveResult {
   std::vector<IterationRecord> history;
   std::vector<IterationRecord> trueHistory;  // MPIR only
   double extRelResidual = -1.0;              // MPIR only (extended x)
+  std::size_t iluFactorizeSupersteps = 0;
 };
 
 SolveResult runSolve(const matrix::GeneratedMatrix& g, std::size_t tiles,
@@ -79,6 +81,10 @@ SolveResult runSolve(const matrix::GeneratedMatrix& g, std::size_t tiles,
   }
   result.trueRelResidual = std::sqrt(num / den);
   result.history = solver->history();
+  const auto& stats = engine.profile().superstepStats;
+  if (auto it = stats.find("ilu_factorize"); it != stats.end()) {
+    result.iluFactorizeSupersteps = it->second.supersteps;
+  }
   return result;
 }
 
@@ -295,6 +301,26 @@ TEST(Mpir, TrueResidualHistoryIsRecorded) {
             res.trueHistory.front().residual);
 }
 
+// MPIR emits its inner solver's setup once, outside the refinement loop, so
+// the ILU(0) factorisation runs once per solve however many refinements
+// follow: as often as in one plain ILU-BiCGStab solve.
+TEST(Mpir, FactorisesTheInnerIluOncePerSolve) {
+  auto g = matrix::poisson2d5(10, 10);
+  auto mpir = runSolve(
+      g, 4,
+      R"({"type":"mpir","extendedType":"doubleword","maxRefinements":8,
+          "tolerance":1e-12,
+          "inner":{"type":"bicgstab","maxIterations":20,"tolerance":0,
+                   "preconditioner":{"type":"ilu"}}})");
+  auto single = runSolve(
+      g, 4,
+      R"({"type":"bicgstab","maxIterations":20,"tolerance":0,
+          "preconditioner":{"type":"ilu"}})");
+  ASSERT_GE(mpir.trueHistory.size(), 2u);
+  EXPECT_GT(single.iluFactorizeSupersteps, 0u);
+  EXPECT_EQ(mpir.iluFactorizeSupersteps, single.iluFactorizeSupersteps);
+}
+
 // ---------------------------------------------------------------------------
 // Stationary sweeps against their zero-start formulation
 // ---------------------------------------------------------------------------
@@ -452,6 +478,299 @@ TEST(StationarySweeps, RichardsonSamplesEverySweepFromTheFirst) {
     for (std::size_t i = 0; i < k; ++i) expected[i] = i + 1;
     EXPECT_EQ(run.samples, expected);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Krylov solvers against their separate-dot formulation
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Classic PCG with its three dot products as separate reductions per
+/// iteration: (p, Ap), (r, z), then (r, r).
+class SeparateDotCg final : public Solver {
+ public:
+  SeparateDotCg(std::size_t maxIterations, double tolerance,
+                RobustnessOptions robust)
+      : maxIterations_(maxIterations), tolerance_(tolerance),
+        precond_(makeSolverFromString(R"({"type": "jacobi"})")),
+        robust_(robust) {}
+  std::string name() const override { return "cg"; }
+  Solver* preconditioner() override { return precond_.get(); }
+
+  void apply(DistMatrix& a, Tensor& x, Tensor& b) override {
+    using dsl::Dot;
+    precond_->ensureSetup(a);
+    if (robust_.abft) a.enableAbft(robust_.abftTolerance);
+    x = Expression(0.0f);
+    Tensor r = a.makeVector(DType::Float32, "cg_resid");
+    r = Expression(b);
+    Tensor z = a.makeVector(DType::Float32, "cg_z");
+    precond_->apply(a, z, r);
+    Tensor p = a.makeVector(DType::Float32, "cg_p");
+    p = Expression(z);
+    Tensor Ap = a.makeVector(DType::Float32, "cg_Ap");
+    Tensor bNormSq = Dot(b, b);
+    Tensor rz = Tensor(Dot(r, z));
+    Tensor rzNew = Tensor::scalar(DType::Float32, "cg_rznew");
+    Tensor alpha = Tensor::scalar(DType::Float32, "cg_alpha");
+    Tensor beta = Tensor::scalar(DType::Float32, "cg_beta");
+    Tensor denom = Tensor::scalar(DType::Float32, "cg_denom");
+    Tensor resNormSq = Tensor(Expression(bNormSq));
+    Tensor iter = Tensor::scalar(DType::Int32, "cg_iter");
+    iter = Expression(0);
+    KrylovGuard guard(a, {x, b, bNormSq, resNormSq, iter},
+                      {"cg", "cg", "cg.restarts"}, robust_, tolerance_,
+                      history_, result_);
+    dsl::While(guard.arm(maxIterations_), [&] {
+      guard.restartIf([&] {
+        a.spmv(Ap, x);
+        r = Expression(b) - Expression(Ap);
+        precond_->apply(a, z, r);
+        p = Expression(z);
+        rz = Dot(r, z);
+        resNormSq = Dot(r, r);
+      });
+      a.spmv(Ap, p);
+      denom = Dot(p, Ap);
+      alpha = dsl::Select(Abs(Expression(denom)) > Expression(0.0f),
+                          Expression(rz) / Expression(denom),
+                          Expression(0.0f));
+      x = Expression(x) + Expression(alpha) * Expression(p);
+      r = Expression(r) - Expression(alpha) * Expression(Ap);
+      precond_->apply(a, z, r);
+      rzNew = Dot(r, z);
+      beta = dsl::Select(Abs(Expression(rz)) > Expression(0.0f),
+                         Expression(rzNew) / Expression(rz),
+                         Expression(0.0f));
+      p = Expression(z) + Expression(beta) * Expression(p);
+      rz = Expression(rzNew);
+      iter = Expression(iter) + 1;
+      resNormSq = Dot(r, r);
+      guard.duplicateResidual(r);
+      guard.endIteration();
+    });
+    guard.finish(Ap);
+  }
+
+ private:
+  std::size_t maxIterations_;
+  double tolerance_;
+  std::unique_ptr<Solver> precond_;
+  RobustnessOptions robust_;
+};
+
+/// Preconditioned BiCGStab with its five dot products as separate
+/// reductions per iteration: rho = (r̂, r) at the top, (r̂, Ay), (t, t),
+/// (t, s), then (r, r).
+class SeparateDotBiCgStab final : public Solver {
+ public:
+  SeparateDotBiCgStab(std::size_t maxIterations, double tolerance,
+                      RobustnessOptions robust)
+      : maxIterations_(maxIterations), tolerance_(tolerance),
+        precond_(makeSolverFromString(R"({"type": "ilu"})")),
+        robust_(robust) {}
+  std::string name() const override { return "bicgstab"; }
+  Solver* preconditioner() override { return precond_.get(); }
+
+  void apply(DistMatrix& a, Tensor& x, Tensor& b) override {
+    using dsl::Dot;
+    precond_->ensureSetup(a);
+    if (robust_.abft) a.enableAbft(robust_.abftTolerance);
+    x = Expression(0.0f);
+    Tensor rA0 = a.makeVector(DType::Float32, "bicg_shadow");
+    rA0 = Expression(b);
+    Tensor rA = a.makeVector(DType::Float32, "bicg_resid");
+    rA = Expression(b);
+    Tensor pA = a.makeVector(DType::Float32, "bicg_p");
+    pA = Expression(0.0f);
+    Tensor yA = a.makeVector(DType::Float32, "bicg_y");
+    Tensor zA = a.makeVector(DType::Float32, "bicg_z");
+    Tensor AyA = a.makeVector(DType::Float32, "bicg_Ay");
+    AyA = Expression(0.0f);
+    Tensor sA = a.makeVector(DType::Float32, "bicg_s");
+    Tensor tA = a.makeVector(DType::Float32, "bicg_t");
+    Tensor bNormSq = Dot(b, b);
+    Tensor rA0rAold = Tensor(Expression(bNormSq));
+    Tensor rA0rA = Tensor::scalar(DType::Float32, "bicg_rho");
+    Tensor alpha = Tensor::scalar(DType::Float32, "bicg_alpha");
+    alpha = Expression(1.0f);
+    Tensor omega = Tensor::scalar(DType::Float32, "bicg_omega");
+    omega = Expression(1.0f);
+    Tensor beta = Tensor::scalar(DType::Float32, "bicg_beta");
+    Tensor resNormSq = Tensor(Expression(bNormSq));
+    Tensor iter = Tensor::scalar(DType::Int32, "bicg_iter");
+    iter = Expression(0);
+    KrylovGuard guard(a, {x, b, bNormSq, resNormSq, iter},
+                      {"bicgstab", "bicg", "bicgstab.restarts"}, robust_,
+                      tolerance_, history_, result_,
+                      {.breakdownRho = rA0rA.id()});
+    Tensor denom = Tensor::scalar(DType::Float32, "bicg_denom");
+    Tensor tt = Tensor::scalar(DType::Float32, "bicg_tt");
+    dsl::While(guard.arm(maxIterations_), [&] {
+      guard.restartIf([&] {
+        a.spmv(sA, x);
+        rA = Expression(b) - Expression(sA);
+        rA0 = Expression(rA);
+        pA = Expression(0.0f);
+        AyA = Expression(0.0f);
+        alpha = Expression(1.0f);
+        omega = Expression(1.0f);
+        rA0rAold = Dot(rA, rA);
+        resNormSq = Expression(rA0rAold);
+      });
+      rA0rA = Dot(rA0, rA);
+      beta = dsl::Select(Abs(Expression(rA0rAold)) * Abs(Expression(omega)) >
+                             Expression(0.0f),
+                         (Expression(rA0rA) / Expression(rA0rAold)) *
+                             (Expression(alpha) / Expression(omega)),
+                         Expression(0.0f));
+      pA = Expression(rA) + Expression(beta) * (Expression(pA) -
+                                                Expression(omega) *
+                                                    Expression(AyA));
+      precond_->apply(a, yA, pA);
+      a.spmv(AyA, yA);
+      denom = Dot(rA0, AyA);
+      alpha = dsl::Select(Abs(Expression(denom)) > Expression(0.0f),
+                          Expression(rA0rA) / Expression(denom),
+                          Expression(0.0f));
+      sA = Expression(rA) - Expression(alpha) * Expression(AyA);
+      precond_->apply(a, zA, sA);
+      a.spmv(tA, zA);
+      tt = Dot(tA, tA);
+      omega = dsl::Select(Expression(tt) > Expression(0.0f),
+                          Dot(tA, sA) / Expression(tt), Expression(0.0f));
+      x = Expression(x) + Expression(alpha) * Expression(yA) +
+          Expression(omega) * Expression(zA);
+      rA = Expression(sA) - Expression(omega) * Expression(tA);
+      rA0rAold = Expression(rA0rA);
+      iter = Expression(iter) + 1;
+      resNormSq = Dot(rA, rA);
+      guard.duplicateResidual(rA);
+      guard.endIteration();
+    });
+    guard.finish(tA);
+  }
+
+ private:
+  std::size_t maxIterations_;
+  double tolerance_;
+  std::unique_ptr<Solver> precond_;
+  RobustnessOptions robust_;
+};
+
+using MakeKrylov = std::function<std::unique_ptr<Solver>(
+    std::size_t maxIterations, double tolerance, RobustnessOptions robust)>;
+
+/// What one solve leaves behind.
+struct KrylovRun {
+  std::vector<double> x;
+  std::vector<IterationRecord> history;
+  /// Global reductions run, each counted once (its partial, leader and
+  /// final combine compute sets together), the ABFT SpMV checksum folds
+  /// left out.
+  double reductions = 0;
+};
+
+KrylovRun runKrylov(const matrix::GeneratedMatrix& g,
+                    const ipu::Topology& topology, Solver& solver) {
+  Context ctx(topology.target());
+  DistMatrix A(g.matrix, partition::Partitioner(topology).layout(g));
+  Tensor x = A.makeVector(DType::Float32, "x");
+  Tensor b = A.makeVector(DType::Float32, "b");
+  solver.apply(A, x, b);
+  const double stepsPerReduction = ctx.graph().twoLevelReduce() ? 3 : 2;
+
+  graph::Engine engine(ctx.graph());
+  A.upload(engine);
+  A.writeVector(engine, b, randomVector(g.matrix.rows(), 3));
+  engine.run(ctx.program());
+  const ipu::Profile& prof = engine.profile();
+  const auto reduce = prof.superstepStats.find("reduce");
+  const double reduceSteps =
+      reduce == prof.superstepStats.end()
+          ? 0.0
+          : static_cast<double>(reduce->second.supersteps);
+  return {A.readVector(engine, x), solver.history(),
+          reduceSteps / stepsPerReduction -
+              prof.metrics.counter("resilience.abft.checks")};
+}
+
+/// Global reductions per iteration: the difference of two fixed-length
+/// runs, so the reductions before and after the loop cancel.
+double reductionsPerIteration(const matrix::GeneratedMatrix& g,
+                              const ipu::Topology& topology,
+                              const MakeKrylov& make,
+                              const RobustnessOptions& robust) {
+  auto shortRun = make(3, 0.0, robust);
+  auto longRun = make(7, 0.0, robust);
+  return (runKrylov(g, topology, *longRun).reductions -
+          runKrylov(g, topology, *shortRun).reductions) /
+         4.0;
+}
+
+/// The solver's x and residual history equal the separate-dot
+/// formulation's bit for bit, on one chip and on a pod, with and without
+/// ABFT, in `dots` global reductions per iteration (plus ABFT's duplicate
+/// of (r, r)) against the reference's `referenceDots`.
+void expectSameKrylov(const MakeKrylov& reference, const MakeKrylov& solver,
+                      double referenceDots, double dots) {
+  const matrix::GeneratedMatrix g = reactionPoisson2d();
+  for (const ipu::Topology& topology :
+       {ipu::Topology::singleIpu(6), ipu::Topology::pod(4, 4)}) {
+    for (bool abft : {false, true}) {
+      SCOPED_TRACE(testing::Message() << topology.numIpus() << " chip(s)"
+                                      << (abft ? ", ABFT" : ""));
+      RobustnessOptions robust;
+      robust.abft = abft;
+      auto ref = reference(300, 1e-6, robust);
+      auto got = solver(300, 1e-6, robust);
+      const KrylovRun refRun = runKrylov(g, topology, *ref);
+      const KrylovRun gotRun = runKrylov(g, topology, *got);
+      EXPECT_EQ(got->result().status, SolveStatus::Converged);
+      ASSERT_EQ(gotRun.history.size(), refRun.history.size());
+      for (std::size_t i = 0; i < refRun.history.size(); ++i) {
+        EXPECT_EQ(gotRun.history[i].iteration, refRun.history[i].iteration);
+        EXPECT_EQ(gotRun.history[i].residual, refRun.history[i].residual)
+            << "iteration " << i + 1;
+      }
+      ASSERT_EQ(gotRun.x.size(), refRun.x.size());
+      for (std::size_t i = 0; i < refRun.x.size(); ++i) {
+        ASSERT_EQ(gotRun.x[i], refRun.x[i]) << "row " << i;
+      }
+      const double dup = abft ? 1.0 : 0.0;
+      EXPECT_EQ(reductionsPerIteration(g, topology, reference, robust),
+                referenceDots + dup);
+      EXPECT_EQ(reductionsPerIteration(g, topology, solver, robust),
+                dots + dup);
+    }
+  }
+}
+
+}  // namespace
+
+TEST(KrylovDots, CgMatchesItsSeparateDotFormulation) {
+  expectSameKrylov(
+      [](std::size_t n, double tol, RobustnessOptions robust) {
+        return std::make_unique<SeparateDotCg>(n, tol, robust);
+      },
+      [](std::size_t n, double tol, RobustnessOptions robust) {
+        return std::make_unique<CgSolver>(
+            n, tol, makeSolverFromString(R"({"type": "jacobi"})"), robust);
+      },
+      3, 2);
+}
+
+TEST(KrylovDots, BiCgStabMatchesItsSeparateDotFormulation) {
+  expectSameKrylov(
+      [](std::size_t n, double tol, RobustnessOptions robust) {
+        return std::make_unique<SeparateDotBiCgStab>(n, tol, robust);
+      },
+      [](std::size_t n, double tol, RobustnessOptions robust) {
+        return std::make_unique<BiCgStabSolver>(
+            n, tol, makeSolverFromString(R"({"type": "ilu"})"), robust);
+      },
+      5, 3);
 }
 
 // ---------------------------------------------------------------------------
