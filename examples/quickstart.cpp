@@ -6,7 +6,7 @@
 // solution, the convergence history and a full execution trace.
 //
 // Build & run:  ./example_quickstart [--trace out.json] [--profile out.json]
-//                                    [--metrics-text]
+//                                    [--metrics-text] [--per-cell-halo]
 //   --trace writes the merged execution timeline (compute/exchange/sync
 //   spans, solver iterations) as Chrome trace_event JSON — load it into
 //   chrome://tracing or https://ui.perfetto.dev.
@@ -15,6 +15,9 @@
 //   page when the path ends in .html. Inspect with tools/graphene-prof.
 //   --metrics-text prints the run's metric counters/gauges in Prometheus
 //   text exposition format.
+//   --per-cell-halo emits one halo transfer per separator cell instead of
+//   the blockwise region broadcasts — the pre-reordering baseline of §IV,
+//   for A/B profiling against a default run.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -28,6 +31,7 @@ int main(int argc, char** argv) {
   std::string tracePath;
   std::string profilePath;
   bool metricsText = false;
+  bool perCellHalo = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       tracePath = argv[++i];
@@ -35,12 +39,14 @@ int main(int argc, char** argv) {
       profilePath = argv[++i];
     } else if (std::strcmp(argv[i], "--metrics-text") == 0) {
       metricsText = true;
+    } else if (std::strcmp(argv[i], "--per-cell-halo") == 0) {
+      perCellHalo = true;
     }
   }
 
   // A 2-D Poisson problem distributed over 16 simulated tiles, solved with
   // ILU(0)-preconditioned CG.
-  solver::SolveSession session({.tiles = 16});
+  solver::SolveSession session({.tiles = 16, .perCellHalo = perCellHalo});
   session.load(matrix::poisson2d5(48, 48))
       .configure(R"({
         "type": "cg",

@@ -138,8 +138,15 @@ Value::Value(graph::Scalar v) {
 }
 
 Value::Value(const Value& other) {
-  // Copying creates a new variable so later mutation of either side is
-  // independent — value semantics, like the generated C code.
+  // A tensor-argument handle names the argument, not a variable: its copy
+  // is the same handle and traces nothing.
+  if (other.argIndex_ >= 0) {
+    expr_ = other.expr_;
+    argIndex_ = other.argIndex_;
+    return;
+  }
+  // Any other copy creates a new variable so later mutation of either side
+  // is independent — value semantics, like the generated C code.
   auto [var, read] = declareVar(other.expr());
   varId_ = var;
   expr_ = read;

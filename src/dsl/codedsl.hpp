@@ -79,7 +79,9 @@ class Value {
   Value(bool v);                // NOLINT(google-explicit-constructor)
   Value(graph::Scalar v);       // NOLINT: any element type
 
-  /// Copying creates a new codelet variable initialised from the source.
+  /// Copying creates a new codelet variable initialised from the source —
+  /// except for a tensor-argument handle, whose copy is the same handle and
+  /// traces nothing.
   Value(const Value& other);
   Value& operator=(const Value& other);
   Value(const ElementRef& ref);  // NOLINT(google-explicit-constructor)

@@ -282,68 +282,88 @@ bool exprIsScalarShaped(const ExpNodePtr& node) {
   return true;
 }
 
-}  // namespace
-
-void Expression::materializeInto(Tensor& dst,
-                                 const std::string& category) const {
+/// The one codelet emitter: traces `fn` over one argument handle per tensor
+/// in `tensors`, registers the codelet as `<prefix>_<n>`, and emits one
+/// compute set with a vertex on each of `tiles` over every tensor's whole
+/// slice there.
+graph::ComputeSetId emitCodelet(
+    const std::string& prefix, const std::vector<graph::TensorId>& tensors,
+    const std::function<void(std::vector<Value>&)>& fn,
+    const std::string& category, const std::vector<std::size_t>& tiles) {
   Context& ctx = Context::current();
   graph::Graph& g = ctx.graph();
-  const graph::TensorInfo& dstInfo = g.tensor(dst.id());
-
-  std::vector<graph::TensorId> refs;
-  detail::collectRefs(node_, refs);
-
-  // Broadcast check: every referenced tensor matches dst's mapping exactly
-  // or is scalar-shaped (one element per tile — NumPy rule for size 1).
-  std::vector<bool> scalarArg(refs.size(), false);
-  for (std::size_t k = 0; k < refs.size(); ++k) {
-    const graph::TensorInfo& info = g.tensor(refs[k]);
-    if (refs[k] == dst.id()) {
-      scalarArg[k] = detail::tensorIsScalarShaped(info);
-      continue;  // in-place update, same mapping by construction
-    }
-    if (detail::tensorIsScalarShaped(info)) {
-      scalarArg[k] = true;
-    } else {
-      GRAPHENE_CHECK(info.mapping == dstInfo.mapping,
-                     "elementwise operands must share the destination's tile "
-                     "mapping or be scalars ('",
-                     info.name, "' vs '", dstInfo.name, "')");
-    }
-  }
-
-  // Trace the fused elementwise codelet (§III-C: the whole expression tree
-  // becomes one codelet).
   CodeletBuilder builder;
-  builder.setNumArgs(1 + refs.size());
-  std::vector<Value> handles;
-  handles.push_back(Value::argument(0, dstInfo.dtype));
-  for (std::size_t k = 0; k < refs.size(); ++k) {
-    handles.push_back(
-        Value::argument(static_cast<int>(k + 1), g.tensor(refs[k]).dtype));
+  builder.setNumArgs(tensors.size());
+  std::vector<Value> args;
+  args.reserve(tensors.size());
+  for (std::size_t k = 0; k < tensors.size(); ++k) {
+    args.push_back(
+        Value::argument(static_cast<int>(k), g.tensor(tensors[k]).dtype));
   }
+  fn(args);
+  const graph::CodeletId codelet =
+      g.addCodelet(makeCodelet(ctx.freshName(prefix), builder.finish(),
+                               g.costModel(), g.target().workersPerTile));
 
-  // Hoist scalar operands out of the loop.
-  std::vector<Value> hoisted;
-  hoisted.reserve(refs.size());
-  for (std::size_t k = 0; k < refs.size(); ++k) {
-    if (scalarArg[k]) {
-      hoisted.push_back(Value(handles[k + 1][Value(0)]));
-    } else {
-      hoisted.push_back(Value(0));  // unused slot
+  const graph::ComputeSetId cs = g.addComputeSet(category);
+  for (std::size_t tile : tiles) {
+    graph::Vertex v;
+    v.codelet = codelet;
+    v.tile = tile;
+    for (graph::TensorId id : tensors) {
+      v.args.push_back(graph::TensorSlice{
+          id, tile, 0, g.tensor(id).mapping.sizePerTile[tile]});
+    }
+    g.addVertex(cs, std::move(v));
+  }
+  ctx.emit(graph::Program::execute(cs));
+  return cs;
+}
+
+/// The operands of an expression codelet: the distinct tensors its
+/// expressions reference (first-seen order), bound to arguments 1.. of the
+/// codelet, whose argument 0 is its output. A scalar-shaped operand
+/// broadcasts: bind() loads its one element before any loop, and every
+/// read of it uses that load.
+class Operands {
+ public:
+  explicit Operands(const std::vector<ExpNodePtr>& nodes) {
+    for (const ExpNodePtr& n : nodes) detail::collectRefs(n, refs_);
+    const graph::Graph& g = Context::current().graph();
+    for (graph::TensorId id : refs_) {
+      scalar_.push_back(detail::tensorIsScalarShaped(g.tensor(id)));
     }
   }
 
-  std::function<Value(const ExpNodePtr&, const Value&)> lower =
-      [&](const ExpNodePtr& n, const Value& i) -> Value {
+  const std::vector<graph::TensorId>& refs() const { return refs_; }
+  bool scalar(std::size_t k) const { return scalar_[k]; }
+
+  /// The codelet's tensors: `out`, then the operands.
+  std::vector<graph::TensorId> tensors(graph::TensorId out) const {
+    std::vector<graph::TensorId> all{out};
+    all.insert(all.end(), refs_.begin(), refs_.end());
+    return all;
+  }
+
+  /// Binds the traced argument handles and hoists the scalar loads.
+  void bind(const std::vector<Value>& args) {
+    args_ = &args;
+    hoisted_.reserve(refs_.size());
+    for (std::size_t k = 0; k < refs_.size(); ++k) {
+      hoisted_.push_back(scalar_[k] ? Value(args[k + 1][Value(0)])
+                                    : Value(0));  // unused slot
+    }
+  }
+
+  /// Lowers the expression tree `n` to codelet IR at loop index `i`.
+  Value lower(const ExpNodePtr& n, const Value& i) const {
     switch (n->kind) {
       case ExpNode::Kind::Ref: {
         std::size_t k = 0;
-        while (k < refs.size() && refs[k] != n->tensor) ++k;
-        return scalarArg[k] ? hoisted[k] : Value(handles[k + 1][i]);
+        while (k < refs_.size() && refs_[k] != n->tensor) ++k;
+        return scalar_[k] ? hoisted_[k] : Value((*args_)[k + 1][i]);
       }
-      case ExpNode::Kind::Const:
-        return Value(n->constant);
+      case ExpNode::Kind::Const: return Value(n->constant);
       case ExpNode::Kind::Binary: {
         Value a = lower(n->a, i);
         Value b = lower(n->b, i);
@@ -376,44 +396,54 @@ void Expression::materializeInto(Tensor& dst,
         }
         GRAPHENE_UNREACHABLE("bad unop");
       }
-      case ExpNode::Kind::Cast:
-        return lower(n->a, i).cast(n->type);
+      case ExpNode::Kind::Cast: return lower(n->a, i).cast(n->type);
       case ExpNode::Kind::Select:
         return Select(lower(n->a, i), lower(n->b, i), lower(n->c, i));
     }
     GRAPHENE_UNREACHABLE("bad node kind");
-  };
-
-  {
-    Value dstHandle = handles[0];
-    For(0, dstHandle.size(), 1, [&](Value i) {
-      dstHandle[i] = lower(node_, i);
-    });
   }
-  CodeletIR ir = builder.finish();
 
-  // Register codelet + one vertex per tile with data.
-  const ipu::CostModel cost = g.costModel();
-  const std::size_t workers = g.target().workersPerTile;
-  graph::CodeletId codeletId = g.addCodelet(
-      makeCodelet(ctx.freshName("ew"), std::move(ir), cost, workers));
+ private:
+  std::vector<graph::TensorId> refs_;
+  std::vector<bool> scalar_;
+  const std::vector<Value>* args_ = nullptr;
+  std::vector<Value> hoisted_;
+};
 
-  graph::ComputeSetId cs = g.addComputeSet(category);
+}  // namespace
+
+void Expression::materializeInto(Tensor& dst,
+                                 const std::string& category) const {
+  graph::Graph& g = Context::current().graph();
+  const graph::TensorInfo& dstInfo = g.tensor(dst.id());
+  Operands ops({node_});
+
+  // Broadcast check: every referenced tensor matches dst's mapping exactly
+  // or is scalar-shaped (one element per tile — NumPy rule for size 1). An
+  // in-place update shares dst's mapping by construction.
+  for (std::size_t k = 0; k < ops.refs().size(); ++k) {
+    if (ops.scalar(k) || ops.refs()[k] == dst.id()) continue;
+    const graph::TensorInfo& info = g.tensor(ops.refs()[k]);
+    GRAPHENE_CHECK(info.mapping == dstInfo.mapping,
+                   "elementwise operands must share the destination's tile "
+                   "mapping or be scalars ('",
+                   info.name, "' vs '", dstInfo.name, "')");
+  }
+  std::vector<std::size_t> tiles;
   for (std::size_t tile = 0; tile < g.target().totalTiles(); ++tile) {
-    if (dstInfo.mapping.sizePerTile[tile] == 0) continue;
-    graph::Vertex v;
-    v.codelet = codeletId;
-    v.tile = tile;
-    v.args.push_back(graph::TensorSlice{
-        dst.id(), tile, 0, dstInfo.mapping.sizePerTile[tile]});
-    for (graph::TensorId rid : refs) {
-      const auto& rinfo = g.tensor(rid);
-      v.args.push_back(graph::TensorSlice{
-          rid, tile, 0, rinfo.mapping.sizePerTile[tile]});
-    }
-    g.addVertex(cs, std::move(v));
+    if (dstInfo.mapping.sizePerTile[tile] > 0) tiles.push_back(tile);
   }
-  ctx.emit(graph::Program::execute(cs));
+
+  // One fused elementwise codelet (§III-C: the whole expression tree
+  // becomes one codelet), on every tile holding part of dst.
+  emitCodelet(
+      "ew", ops.tensors(dst.id()),
+      [&](std::vector<Value>& args) {
+        ops.bind(args);
+        Value out = args[0];
+        For(0, out.size(), 1, [&](Value i) { out[i] = ops.lower(node_, i); });
+      },
+      category, tiles);
 }
 
 Tensor Expression::materialize(const std::string& category) const {
@@ -454,62 +484,6 @@ Value combineReduce(ReduceKind kind, const Value& acc, const Value& v) {
   GRAPHENE_UNREACHABLE("bad reduce kind");
 }
 
-/// Lowers an expression tree to codelet IR at loop index `i`, resolving Ref
-/// nodes against `refs` (handle k+1 of `handles`; scalar-shaped operands
-/// were hoisted).
-Value lowerReduceExpr(const ExpNodePtr& n, const Value& i,
-                      const std::vector<graph::TensorId>& refs,
-                      const std::vector<Value>& handles,
-                      const std::vector<Value>& hoisted,
-                      const std::vector<bool>& scalarArg) {
-  auto lower = [&](const ExpNodePtr& node, const Value& idx) {
-    return lowerReduceExpr(node, idx, refs, handles, hoisted, scalarArg);
-  };
-  switch (n->kind) {
-    case ExpNode::Kind::Ref: {
-      std::size_t k = 0;
-      while (k < refs.size() && refs[k] != n->tensor) ++k;
-      return scalarArg[k] ? hoisted[k] : Value(handles[k + 1][i]);
-    }
-    case ExpNode::Kind::Const: return Value(n->constant);
-    case ExpNode::Kind::Binary: {
-      Value a = lower(n->a, i), b = lower(n->b, i);
-      switch (n->bop) {
-        case BinOp::Add: return a + b;
-        case BinOp::Sub: return a - b;
-        case BinOp::Mul: return a * b;
-        case BinOp::Div: return a / b;
-        case BinOp::Mod: return a % b;
-        case BinOp::Lt: return a < b;
-        case BinOp::Le: return a <= b;
-        case BinOp::Gt: return a > b;
-        case BinOp::Ge: return a >= b;
-        case BinOp::Eq: return a == b;
-        case BinOp::Ne: return a != b;
-        case BinOp::And: return a && b;
-        case BinOp::Or: return a || b;
-        case BinOp::Min: return Min(a, b);
-        case BinOp::Max: return Max(a, b);
-      }
-      GRAPHENE_UNREACHABLE("bad binop");
-    }
-    case ExpNode::Kind::Unary: {
-      Value a = lower(n->a, i);
-      switch (n->uop) {
-        case UnOp::Neg: return -a;
-        case UnOp::Abs: return Abs(a);
-        case UnOp::Sqrt: return Sqrt(a);
-        case UnOp::Not: return !a;
-      }
-      GRAPHENE_UNREACHABLE("bad unop");
-    }
-    case ExpNode::Kind::Cast: return lower(n->a, i).cast(n->type);
-    case ExpNode::Kind::Select:
-      return Select(lower(n->a, i), lower(n->b, i), lower(n->c, i));
-  }
-  GRAPHENE_UNREACHABLE("bad node kind");
-}
-
 /// Emits a combine codelet's body reducing `groups` strided k-vectors in
 /// `data`: acc_j = combine over g of data[g*k + j], in ascending g, then
 /// store(j, acc_j). The loop strides over data[i] from i = k + j, so a
@@ -530,12 +504,13 @@ void emitStridedCombine(
 
 /// Shared implementation of Expression::reduce (k == 1) and ReduceMany:
 /// one fused per-tile partial compute set for all k expressions, one
-/// gather, one final combine, one broadcast. On a pod with two-level
-/// reductions the gather runs in two hops — tiles to a per-IPU leader over
-/// the on-chip fabric, then one k-vector per IPU over the links — so link
-/// traffic per reduction is O(numIpus), not O(tiles). The optional
-/// `overlap` callback is emitted between the (first) gather and the final
-/// combine: work placed there hides the reduction's communication latency.
+/// gather, one final combine, one broadcast. On a pod (more than one chip,
+/// more than one tile per chip) the gather runs in two hops — tiles to a
+/// per-IPU leader over the on-chip fabric, then one k-vector per IPU over
+/// the links — so link traffic per reduction is O(numIpus), not O(tiles).
+/// The optional `overlap` callback is emitted between the (first) gather
+/// and the final combine: work placed there hides the reduction's
+/// communication latency.
 std::vector<Tensor> reduceManyImpl(const std::vector<Expression>& exprs,
                                    ReduceKind kind,
                                    const std::function<void()>& overlap) {
@@ -545,26 +520,21 @@ std::vector<Tensor> reduceManyImpl(const std::vector<Expression>& exprs,
   GRAPHENE_CHECK(k > 0, "ReduceMany needs at least one expression");
   const std::size_t nTiles = g.target().totalTiles();
   const DType accType = exprs[0].node()->type;
+  std::vector<ExpNodePtr> nodes;
   for (const Expression& e : exprs) {
     GRAPHENE_CHECK(e.node()->type == accType,
                    "joint reductions must share one dtype");
+    nodes.push_back(e.node());
   }
+  // The union of referenced tensors across all expressions.
+  Operands ops(nodes);
 
-  // Union of referenced tensors across all expressions (first-seen order;
-  // collectRefs deduplicates).
-  std::vector<graph::TensorId> refs;
-  for (const Expression& e : exprs) detail::collectRefs(e.node(), refs);
-
-  std::vector<bool> scalarArg(refs.size());
-  for (std::size_t a = 0; a < refs.size(); ++a) {
-    scalarArg[a] = detail::tensorIsScalarShaped(g.tensor(refs[a]));
-  }
   // Within each expression all non-scalar refs must share one mapping; find
   // each expression's loop handle for its per-tile bounds.
   std::vector<std::size_t> loopArg(k);
   for (std::size_t j = 0; j < k; ++j) {
     std::vector<graph::TensorId> own;
-    detail::collectRefs(exprs[j].node(), own);
+    detail::collectRefs(nodes[j], own);
     int arg = -1;
     const graph::TileMapping* mapping = nullptr;
     for (graph::TensorId id : own) {
@@ -572,8 +542,8 @@ std::vector<Tensor> reduceManyImpl(const std::vector<Expression>& exprs,
       if (detail::tensorIsScalarShaped(info)) continue;
       if (mapping == nullptr) {
         mapping = &info.mapping;
-        for (std::size_t a = 0; a < refs.size(); ++a) {
-          if (refs[a] == id) arg = static_cast<int>(a);
+        for (std::size_t a = 0; a < ops.refs().size(); ++a) {
+          if (ops.refs()[a] == id) arg = static_cast<int>(a);
         }
       } else {
         GRAPHENE_CHECK(info.mapping == *mapping,
@@ -584,149 +554,71 @@ std::vector<Tensor> reduceManyImpl(const std::vector<Expression>& exprs,
     loopArg[j] = static_cast<std::size_t>(arg);
   }
 
-  // Step 1: fused per-tile partial reduction — k accumulators, one pass.
+  // Step 1: fused per-tile partial reduction — k accumulators, one pass, on
+  // every tile (an empty or excluded tile keeps its zero partial).
   Tensor partial(accType,
                  k == 1 ? graph::TileMapping::replicated(nTiles)
                         : graph::TileMapping::ragged(
                               std::vector<std::size_t>(nTiles, k)),
                  ctx.freshName("partial"));
-  {
-    CodeletBuilder builder;
-    builder.setNumArgs(1 + refs.size());
-    std::vector<Value> handles;
-    handles.push_back(Value::argument(0, accType));
-    for (std::size_t a = 0; a < refs.size(); ++a) {
-      handles.push_back(
-          Value::argument(static_cast<int>(a + 1), g.tensor(refs[a]).dtype));
-    }
-    std::vector<Value> hoisted;
-    for (std::size_t a = 0; a < refs.size(); ++a) {
-      hoisted.push_back(scalarArg[a] ? Value(handles[a + 1][Value(0)])
-                                     : Value(0));
-    }
-    // Initialise each accumulator from element 0 (identity-free: works for
-    // Max/Min too; an empty tile region keeps the zero initialiser).
-    for (std::size_t j = 0; j < k; ++j) {
-      const ExpNodePtr& node = exprs[j].node();
-      Value acc(Scalar::zero(accType));
-      Value loopHandle = handles[loopArg[j] + 1];
-      If(loopHandle.size() > 0, [&] {
-        Value first = lowerReduceExpr(node, Value(0), refs, handles,
-                                      hoisted, scalarArg);
-        acc = kind == ReduceKind::AbsMax ? Abs(first) : first;
-      });
-      For(1, loopHandle.size(), 1, [&](Value i) {
-        acc = combineReduce(kind, acc,
-                            lowerReduceExpr(node, i, refs, handles,
-                                            hoisted, scalarArg));
-      });
-      Value out = handles[0];
-      out[Value(static_cast<int>(j))] = acc;
-    }
-
-    CodeletIR ir = builder.finish();
-    const ipu::CostModel cost = g.costModel();
-    const std::size_t workers = g.target().workersPerTile;
-    graph::CodeletId codeletId = g.addCodelet(makeCodelet(
-        ctx.freshName("reduce_partial"), std::move(ir), cost, workers));
-    graph::ComputeSetId cs = g.addComputeSet("reduce");
-    for (std::size_t tile = 0; tile < nTiles; ++tile) {
-      graph::Vertex v;
-      v.codelet = codeletId;
-      v.tile = tile;
-      v.args.push_back(graph::TensorSlice{partial.id(), tile, 0, k});
-      for (graph::TensorId rid : refs) {
-        const auto& rinfo = g.tensor(rid);
-        v.args.push_back(graph::TensorSlice{
-            rid, tile, 0, rinfo.mapping.sizePerTile[tile]});
-      }
-      g.addVertex(cs, std::move(v));
-    }
-    ctx.emit(graph::Program::execute(cs));
-  }
+  std::vector<std::size_t> allTiles(nTiles);
+  for (std::size_t tile = 0; tile < nTiles; ++tile) allTiles[tile] = tile;
+  emitCodelet(
+      "reduce_partial", ops.tensors(partial.id()),
+      [&](std::vector<Value>& args) {
+        ops.bind(args);
+        // Initialise each accumulator from element 0 (identity-free: works
+        // for Max/Min too; an empty tile region keeps the zero initialiser).
+        for (std::size_t j = 0; j < k; ++j) {
+          Value acc(Scalar::zero(accType));
+          Value loop = args[loopArg[j] + 1];
+          If(loop.size() > 0, [&] {
+            Value first = ops.lower(nodes[j], Value(0));
+            acc = kind == ReduceKind::AbsMax ? Abs(first) : first;
+          });
+          For(1, loop.size(), 1, [&](Value i) {
+            acc = combineReduce(kind, acc, ops.lower(nodes[j], i));
+          });
+          args[0][Value(static_cast<int>(j))] = acc;
+        }
+      },
+      "reduce", allTiles);
 
   const std::size_t ctrl = g.controlTile();
   const ipu::IpuTarget& target = g.target();
-  const bool twoLevel = g.twoLevelReduce() && target.numIpus > 1;
+  const bool twoLevel = target.numIpus > 1 && target.tilesPerIpu > 1;
 
-  // Created after the gather below so tensor naming and ids match the
-  // historical single-reduction emission.
-  std::vector<Tensor> outs;
-  auto makeOuts = [&] {
-    for (std::size_t j = 0; j < k; ++j) {
-      outs.emplace_back(Tensor::scalar(accType, ctx.freshName("reduced")));
-    }
-  };
-  // The final combine stores result j into its own scalar argument, 1 + j.
-  auto storeOut = [&](std::size_t j, const Value& acc) {
-    Value out = Value::argument(1 + static_cast<int>(j), accType);
-    out[Value(0)] = acc;
-  };
-
+  // The final combine reduces `groups` k-vectors gathered on the control
+  // tile (tile 0 unless a resilience layer moved control off a blacklisted
+  // tile): one per tile (flat) or one per IPU (two-level).
+  graph::TensorId gathered = graph::kInvalidTensor;
+  std::size_t groups = nTiles;
   if (!twoLevel) {
-    // Step 2 (flat): gather every tile's partial k-vector on the control
-    // tile (tile 0 unless a resilience layer moved control off a
-    // blacklisted tile).
-    Tensor gathered(accType,
-                    graph::TileMapping::onTile(nTiles * k, ctrl, nTiles),
-                    ctx.freshName("gather"));
-    {
-      std::vector<graph::CopySegment> segs;
-      segs.reserve(nTiles);
-      for (std::size_t tile = 0; tile < nTiles; ++tile) {
-        graph::CopySegment s;
-        s.src = partial.id();
-        s.srcTile = tile;
-        s.srcBegin = 0;
-        s.dst = gathered.id();
-        s.dsts.push_back({ctrl, tile * k});
-        s.count = k;
-        segs.push_back(std::move(s));
-      }
-      ctx.emit(graph::Program::copy(std::move(segs)));
+    // Step 2 (flat): gather every tile's partial k-vector on control.
+    gathered = Tensor(accType,
+                      graph::TileMapping::onTile(nTiles * k, ctrl, nTiles),
+                      ctx.freshName("gather"))
+                   .id();
+    std::vector<graph::CopySegment> segs;
+    segs.reserve(nTiles);
+    for (std::size_t tile = 0; tile < nTiles; ++tile) {
+      graph::CopySegment s;
+      s.src = partial.id();
+      s.srcTile = tile;
+      s.srcBegin = 0;
+      s.dst = gathered;
+      s.dsts.push_back({ctrl, tile * k});
+      s.count = k;
+      segs.push_back(std::move(s));
     }
+    ctx.emit(graph::Program::copy(std::move(segs)));
     if (overlap) overlap();
-    makeOuts();
-
-    // Step 3 (flat): final combine on the control tile.
-    {
-      CodeletBuilder builder;
-      builder.setNumArgs(1 + k);
-      Value gHandle = Value::argument(0, accType);
-      if (k == 1) {
-        // The loop's bound is the gathered slice's size, which the walk
-        // prices as one IntArith per run; the strided combine's constant
-        // bound costs nothing. Folding this case into it would move every
-        // flat reduction's simulated cycles.
-        Value oHandle = Value::argument(1, accType);
-        Value acc(gHandle[Value(0)]);
-        For(1, gHandle.size(), 1,
-            [&](Value i) { acc = combineReduce(kind, acc, Value(gHandle[i])); });
-        oHandle[Value(0)] = acc;
-      } else {
-        emitStridedCombine(kind, k, gHandle, nTiles, storeOut);
-      }
-      CodeletIR ir = builder.finish();
-      const ipu::CostModel cost = g.costModel();
-      const std::size_t workers = g.target().workersPerTile;
-      graph::CodeletId codeletId = g.addCodelet(makeCodelet(
-          ctx.freshName("reduce_final"), std::move(ir), cost, workers));
-      graph::ComputeSetId cs = g.addComputeSet("reduce");
-      graph::Vertex v;
-      v.codelet = codeletId;
-      v.tile = ctrl;
-      v.args.push_back(graph::TensorSlice{gathered.id(), ctrl, 0, nTiles * k});
-      for (std::size_t j = 0; j < k; ++j) {
-        v.args.push_back(graph::TensorSlice{outs[j].id(), ctrl, 0, 1});
-      }
-      g.addVertex(cs, std::move(v));
-      ctx.emit(graph::Program::execute(cs));
-    }
   } else {
     // Two-level: tiles → per-IPU leader over the on-chip fabric, leaders →
     // control tile over the links (one k-vector per IPU), then combine.
     const std::size_t P = target.tilesPerIpu;
     const std::size_t I = target.numIpus;
+    groups = I;
     std::vector<std::size_t> leader(I, SIZE_MAX);
     for (std::size_t ipu = 0; ipu < I; ++ipu) {
       for (std::size_t t = ipu * P; t < (ipu + 1) * P; ++t) {
@@ -741,18 +633,20 @@ std::vector<Tensor> reduceManyImpl(const std::vector<Expression>& exprs,
     if (leader[ctrl / P] != SIZE_MAX && !g.tileExcluded(ctrl)) {
       leader[ctrl / P] = ctrl;
     }
+    std::vector<std::size_t> leaders;
+    for (std::size_t t : leader) {
+      if (t != SIZE_MAX) leaders.push_back(t);  // a whole chip dead: none
+    }
 
     // Step 2a: intra-IPU gather (leader collects its chip's partials).
     std::vector<std::size_t> lgSizes(nTiles, 0);
-    for (std::size_t ipu = 0; ipu < I; ++ipu) {
-      if (leader[ipu] != SIZE_MAX) lgSizes[leader[ipu]] = P * k;
-    }
+    for (std::size_t t : leaders) lgSizes[t] = P * k;
     Tensor lgather(accType, graph::TileMapping::ragged(lgSizes),
                    ctx.freshName("gather"));
     {
       std::vector<graph::CopySegment> segs;
       for (std::size_t ipu = 0; ipu < I; ++ipu) {
-        if (leader[ipu] == SIZE_MAX) continue;  // whole chip dead
+        if (leader[ipu] == SIZE_MAX) continue;
         for (std::size_t t = ipu * P; t < (ipu + 1) * P; ++t) {
           graph::CopySegment s;
           s.src = partial.id();
@@ -768,88 +662,71 @@ std::vector<Tensor> reduceManyImpl(const std::vector<Expression>& exprs,
     }
     if (overlap) overlap();
 
-    // Step 2b: leader combine — one k-vector per surviving IPU. Dead tiles
-    // contributed their zero-initialised partials, same as the flat gather.
+    // Step 2b: leader combine — one k-vector per surviving IPU, in one
+    // slice at per-j offsets. Dead tiles contributed their zero-initialised
+    // partials, same as the flat gather.
     std::vector<std::size_t> lpSizes(nTiles, 0);
-    for (std::size_t ipu = 0; ipu < I; ++ipu) {
-      if (leader[ipu] != SIZE_MAX) lpSizes[leader[ipu]] = k;
-    }
+    for (std::size_t t : leaders) lpSizes[t] = k;
     Tensor lpartial(accType, graph::TileMapping::ragged(lpSizes),
                     ctx.freshName("ipu_partial"));
-    {
-      CodeletBuilder builder;
-      builder.setNumArgs(2);
-      Value gHandle = Value::argument(0, accType);
-      Value pHandle = Value::argument(1, accType);
-      // The leader's k outputs live in one slice (unlike the final combine's
-      // k separate scalars), at per-j offsets.
-      emitStridedCombine(kind, k, gHandle, P,
-                         [&](std::size_t j, const Value& acc) {
-                           pHandle[Value(static_cast<int>(j))] = acc;
-                         });
-      CodeletIR ir = builder.finish();
-      const ipu::CostModel cost = g.costModel();
-      const std::size_t workers = g.target().workersPerTile;
-      graph::CodeletId codeletId = g.addCodelet(makeCodelet(
-          ctx.freshName("reduce_leader"), std::move(ir), cost, workers));
-      graph::ComputeSetId cs = g.addComputeSet("reduce");
-      for (std::size_t ipu = 0; ipu < I; ++ipu) {
-        if (leader[ipu] == SIZE_MAX) continue;
-        graph::Vertex v;
-        v.codelet = codeletId;
-        v.tile = leader[ipu];
-        v.args.push_back(
-            graph::TensorSlice{lgather.id(), leader[ipu], 0, P * k});
-        v.args.push_back(
-            graph::TensorSlice{lpartial.id(), leader[ipu], 0, k});
-        g.addVertex(cs, std::move(v));
-      }
-      ctx.emit(graph::Program::execute(cs));
-    }
+    emitCodelet(
+        "reduce_leader", {lgather.id(), lpartial.id()},
+        [&](std::vector<Value>& args) {
+          emitStridedCombine(kind, k, args[0], P,
+                             [&](std::size_t j, const Value& acc) {
+                               args[1][Value(static_cast<int>(j))] = acc;
+                             });
+        },
+        "reduce", leaders);
 
     // Step 2c: link gather — one k-vector per IPU crosses to control.
-    Tensor gathered(accType, graph::TileMapping::onTile(I * k, ctrl, nTiles),
-                    ctx.freshName("gather"));
-    {
-      std::vector<graph::CopySegment> segs;
-      for (std::size_t ipu = 0; ipu < I; ++ipu) {
-        if (leader[ipu] == SIZE_MAX) continue;  // zeros remain for dead chips
-        graph::CopySegment s;
-        s.src = lpartial.id();
-        s.srcTile = leader[ipu];
-        s.srcBegin = 0;
-        s.dst = gathered.id();
-        s.dsts.push_back({ctrl, ipu * k});
-        s.count = k;
-        segs.push_back(std::move(s));
-      }
-      ctx.emit(graph::Program::copy(std::move(segs)));
+    gathered = Tensor(accType, graph::TileMapping::onTile(I * k, ctrl, nTiles),
+                      ctx.freshName("gather"))
+                   .id();
+    std::vector<graph::CopySegment> segs;
+    for (std::size_t ipu = 0; ipu < I; ++ipu) {
+      if (leader[ipu] == SIZE_MAX) continue;  // zeros remain for dead chips
+      graph::CopySegment s;
+      s.src = lpartial.id();
+      s.srcTile = leader[ipu];
+      s.srcBegin = 0;
+      s.dst = gathered;
+      s.dsts.push_back({ctrl, ipu * k});
+      s.count = k;
+      segs.push_back(std::move(s));
     }
-
-    // Step 3 (two-level): combine the per-IPU scalars on the control tile.
-    makeOuts();
-    {
-      CodeletBuilder builder;
-      builder.setNumArgs(1 + k);
-      Value gHandle = Value::argument(0, accType);
-      emitStridedCombine(kind, k, gHandle, I, storeOut);
-      CodeletIR ir = builder.finish();
-      const ipu::CostModel cost = g.costModel();
-      const std::size_t workers = g.target().workersPerTile;
-      graph::CodeletId codeletId = g.addCodelet(makeCodelet(
-          ctx.freshName("reduce_final"), std::move(ir), cost, workers));
-      graph::ComputeSetId cs = g.addComputeSet("reduce");
-      graph::Vertex v;
-      v.codelet = codeletId;
-      v.tile = ctrl;
-      v.args.push_back(graph::TensorSlice{gathered.id(), ctrl, 0, I * k});
-      for (std::size_t j = 0; j < k; ++j) {
-        v.args.push_back(graph::TensorSlice{outs[j].id(), ctrl, 0, 1});
-      }
-      g.addVertex(cs, std::move(v));
-      ctx.emit(graph::Program::execute(cs));
-    }
+    ctx.emit(graph::Program::copy(std::move(segs)));
   }
+
+  // Step 3: the final combine on the control tile stores result j into its
+  // own scalar, argument 1 + j.
+  std::vector<Tensor> outs;
+  std::vector<graph::TensorId> finalTensors{gathered};
+  for (std::size_t j = 0; j < k; ++j) {
+    outs.emplace_back(Tensor::scalar(accType, ctx.freshName("reduced")));
+    finalTensors.push_back(outs[j].id());
+  }
+  emitCodelet(
+      "reduce_final", finalTensors,
+      [&](std::vector<Value>& args) {
+        if (!twoLevel && k == 1) {
+          // The loop's bound is the gathered slice's size, which the walk
+          // prices as one IntArith per run; the strided combine's constant
+          // bound costs nothing. Folding this case into it would move
+          // every flat reduction's simulated cycles.
+          Value acc(args[0][Value(0)]);
+          For(1, args[0].size(), 1, [&](Value i) {
+            acc = combineReduce(kind, acc, Value(args[0][i]));
+          });
+          args[1][Value(0)] = acc;
+        } else {
+          emitStridedCombine(kind, k, args[0], groups,
+                             [&](std::size_t j, const Value& acc) {
+                               args[1 + j][Value(0)] = acc;
+                             });
+        }
+      },
+      "reduce", {ctrl});
 
   // Step 4: broadcast every result to every tile's replica (one exchange
   // superstep; over links the payload crosses once per destination IPU).
@@ -981,51 +858,21 @@ graph::ComputeSetId ExecuteOnTiles(
     const std::vector<TensorRef>& tensors,
     const std::function<void(std::vector<Value>&)>& fn,
     const std::string& category, const std::vector<std::size_t>& tiles) {
-  Context& ctx = Context::current();
-  graph::Graph& g = ctx.graph();
-
-  CodeletBuilder builder;
-  builder.setNumArgs(tensors.size());
-  std::vector<Value> handles;
-  handles.reserve(tensors.size());
-  for (std::size_t k = 0; k < tensors.size(); ++k) {
-    handles.push_back(Value::argument(static_cast<int>(k),
-                                      g.tensor(tensors[k].id()).dtype));
-  }
-  fn(handles);
-  CodeletIR ir = builder.finish();
-
-  const ipu::CostModel cost = g.costModel();
-  const std::size_t workers = g.target().workersPerTile;
-  graph::CodeletId codeletId = g.addCodelet(
-      makeCodelet(ctx.freshName("codelet"), std::move(ir), cost, workers));
-
+  const graph::Graph& g = Context::current().graph();
+  std::vector<graph::TensorId> ids;
+  for (const TensorRef& t : tensors) ids.push_back(t.id());
   std::vector<std::size_t> vertexTiles = tiles;
   if (vertexTiles.empty()) {
     for (std::size_t tile = 0; tile < g.target().totalTiles(); ++tile) {
-      for (const TensorRef& t : tensors) {
-        if (g.tensor(t.id()).mapping.sizePerTile[tile] > 0) {
+      for (graph::TensorId id : ids) {
+        if (g.tensor(id).mapping.sizePerTile[tile] > 0) {
           vertexTiles.push_back(tile);
           break;
         }
       }
     }
   }
-
-  graph::ComputeSetId cs = g.addComputeSet(category);
-  for (std::size_t tile : vertexTiles) {
-    graph::Vertex v;
-    v.codelet = codeletId;
-    v.tile = tile;
-    for (const TensorRef& t : tensors) {
-      const auto& info = g.tensor(t.id());
-      v.args.push_back(graph::TensorSlice{
-          t.id(), tile, 0, info.mapping.sizePerTile[tile]});
-    }
-    g.addVertex(cs, std::move(v));
-  }
-  ctx.emit(graph::Program::execute(cs));
-  return cs;
+  return emitCodelet("codelet", ids, fn, category, vertexTiles);
 }
 
 void Execute(const std::vector<TensorRef>& tensors,

@@ -160,8 +160,8 @@ Expression Select(const Expression& cond, const Expression& ifTrue,
 /// (Ghysels & Vanroose). All expressions must share a dtype and each needs a
 /// non-scalar operand. The optional `overlap` callback is emitted between
 /// the gather and the final combine: programs emitted there execute while
-/// the reduction's exchange is in flight, hiding its latency. On pods with
-/// two-level reductions enabled (Graph::ReduceMode) the gather runs
+/// the reduction's exchange is in flight, hiding its latency. On a pod
+/// (more than one chip, more than one tile per chip) the gather runs
 /// hierarchically: tiles reduce to a per-IPU leader on-chip, and one
 /// k-vector per IPU crosses the links. Returns k replicated scalars.
 ///

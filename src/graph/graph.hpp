@@ -36,21 +36,6 @@ class Graph {
     controlTile_ = tile;
   }
 
-  /// How scalar reductions are scheduled on this machine. Flat gathers every
-  /// tile's partial straight to the control tile; TwoLevel reduces within
-  /// each IPU first (per-IPU leader), ships one scalar per IPU over the
-  /// links, and broadcasts the result back — O(numIpus) link messages per
-  /// reduction instead of O(tiles). Auto picks TwoLevel on pods.
-  enum class ReduceMode { Auto, Flat, TwoLevel };
-  ReduceMode reduceMode() const { return reduceMode_; }
-  void setReduceMode(ReduceMode mode) { reduceMode_ = mode; }
-  /// The mode Auto resolves to on this target.
-  bool twoLevelReduce() const {
-    if (reduceMode_ == ReduceMode::Flat) return false;
-    if (reduceMode_ == ReduceMode::TwoLevel) return true;
-    return target_.numIpus > 1 && target_.tilesPerIpu > 1;
-  }
-
   /// Tiles that must not host reduction leaders or other per-IPU control
   /// state (dead tiles under a hard-fault blacklist). Like the control tile,
   /// this must be set *before* programs are emitted.
@@ -98,7 +83,6 @@ class Graph {
  private:
   ipu::IpuTarget target_;
   std::size_t controlTile_ = 0;
-  ReduceMode reduceMode_ = ReduceMode::Auto;
   std::vector<std::size_t> excludedTiles_;
   ipu::CostModel costModel_;
   ipu::TileMemoryLedger ledger_;

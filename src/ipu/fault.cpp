@@ -238,6 +238,34 @@ FaultPlan FaultPlan::fromJsonText(const std::string& text) {
   return fromJson(json::parse(text));
 }
 
+void FaultPlan::checkTargets(std::size_t tiles, std::size_t chips) const {
+  auto check = [](const Rule& r, const char* key, std::size_t value,
+                  std::size_t bound, const char* unit) {
+    GRAPHENE_CHECK(value < bound, kindName(r.kind), ".", key,
+                   " must be an integer from 0 to ", bound - 1, " on ",
+                   bound, " ", unit, " (got ", value, ")");
+  };
+  for (const Rule& r : rules_) {
+    switch (r.kind) {
+      case Rule::Kind::Stall:
+      case Rule::Kind::TileDead:
+      case Rule::Kind::LinkDegraded:
+        check(r, "tile", r.tile, tiles, "tiles");
+        break;
+      case Rule::Kind::IpuDead:
+        check(r, "ipu", r.ipu, chips, "chips");
+        break;
+      case Rule::Kind::IpuLinkDead:
+      case Rule::Kind::IpuLinkDegraded:
+        check(r, "from", r.fromIpu, chips, "chips");
+        check(r, "to", r.toIpu, chips, "chips");
+        break;
+      default:
+        break;
+    }
+  }
+}
+
 void FaultPlan::reset() {
   rng_ = Rng(seed_);
   states_.clear();

@@ -156,6 +156,12 @@ class FaultPlan {
 
   void addRule(Rule rule) { rules_.push_back(rule); }
 
+  /// Checks the plan against the machine it is attached to: a rule whose
+  /// "tile" is not below `tiles`, or whose "ipu", "from" or "to" is not
+  /// below `chips`, would match nothing, so it is an Error naming the
+  /// rule's kind, the key and the valid range.
+  void checkTargets(std::size_t tiles, std::size_t chips) const;
+
   bool enabled() const { return !rules_.empty(); }
   std::uint64_t seed() const { return seed_; }
   std::size_t injectedCount() const { return injected_; }

@@ -61,9 +61,6 @@ std::vector<Tensor> rzAndRr(const Tensor& r, const Tensor& z) {
 void CgSolver::apply(DistMatrix& a, Tensor& x, Tensor& b) {
   precond_->ensureSetup(a);
   if (robust_.abft) a.enableAbft(robust_.abftTolerance);
-  // How this solver's dot products reduce on pods (flat vs per-IPU
-  // two-level); a Graph-wide knob, set before any reduction is emitted.
-  dsl::Context::current().graph().setReduceMode(reduction_);
 
   x = Expression(0.0f);
   Tensor r = a.makeVector(DType::Float32, "cg_resid");

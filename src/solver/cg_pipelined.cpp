@@ -45,7 +45,6 @@ using dsl::Tensor;
 void PipelinedCgSolver::apply(DistMatrix& a, Tensor& x, Tensor& b) {
   precond_->ensureSetup(a);
   if (robust_.abft) a.enableAbft(robust_.abftTolerance);
-  dsl::Context::current().graph().setReduceMode(reduction_);
 
   // Initial iterates: r0 = b (x0 = 0), u0 = M^-1 r0, w0 = A u0.
   x = Expression(0.0f);

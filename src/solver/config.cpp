@@ -128,7 +128,6 @@ std::unique_ptr<Solver> makeSolver(const json::Value& config) {
                     {"preconditioner", KeyKind::Object},
                     {"robustness", KeyKind::Object},
                     {"pipelined", KeyKind::Bool},
-                    {"reduction", KeyKind::String},
                     {"residualReplaceEvery", KeyKind::Number}});
     } else {
       validateKeys(config, where,
@@ -147,31 +146,18 @@ std::unique_ptr<Solver> makeSolver(const json::Value& config) {
     const std::size_t maxIterations = count("maxIterations", 1000);
     const double tolerance = config.getOr("tolerance", 1e-9);
     if (type == "cg") {
-      // "reduction" picks how the dot products reduce on pods: "auto"
-      // (two-level on multi-IPU targets), "flat", or "two-level".
-      const std::string red = config.getOr("reduction", std::string("auto"));
-      graph::Graph::ReduceMode mode = graph::Graph::ReduceMode::Auto;
-      if (red == "flat") {
-        mode = graph::Graph::ReduceMode::Flat;
-      } else if (red == "two-level" || red == "twolevel" ||
-                 red == "hierarchical") {
-        mode = graph::Graph::ReduceMode::TwoLevel;
-      } else {
-        GRAPHENE_CHECK(red == "auto", "key 'reduction' in ", where,
-                       " must be auto, flat or two-level (got '", red, "')");
-      }
       if (config.getOr("pipelined", false)) {
         const std::size_t replaceEvery = count("residualReplaceEvery", 16);
         return std::make_unique<PipelinedCgSolver>(
             maxIterations, tolerance, std::move(precond),
-            parseRobustness(config), mode, replaceEvery);
+            parseRobustness(config), replaceEvery);
       }
       GRAPHENE_CHECK(!config.contains("residualReplaceEvery"),
                      "key 'residualReplaceEvery' in ", where,
                      " requires \"pipelined\": true");
       return std::make_unique<CgSolver>(maxIterations, tolerance,
                                         std::move(precond),
-                                        parseRobustness(config), mode);
+                                        parseRobustness(config));
     }
     return std::make_unique<BiCgStabSolver>(maxIterations, tolerance,
                                             std::move(precond),

@@ -2,7 +2,6 @@
 
 #include <unordered_map>
 
-#include "support/env.hpp"
 #include "support/error.hpp"
 
 namespace graphene::solver {
@@ -18,9 +17,6 @@ using dsl::Value;
 DistMatrix::DistMatrix(const matrix::CsrMatrix& a,
                        partition::DistributedLayout layout)
     : layout_(std::move(layout)) {
-  // A/B escape hatch mirroring GRAPHENE_NO_FASTPATH: profile a run without
-  // the §IV halo reordering without touching call sites.
-  if (support::envFlag("GRAPHENE_NO_HALO_REORDER")) perCellHalo_ = true;
   Context& ctx = Context::current();
   const std::size_t nTiles = ctx.target().totalTiles();
   GRAPHENE_CHECK(layout_.numTiles == nTiles,

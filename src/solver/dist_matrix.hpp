@@ -50,9 +50,8 @@ class DistMatrix {
   /// Switches halo exchanges to the per-cell baseline plan (one transfer
   /// per separator cell — what a compiler without the §IV reordering would
   /// emit). Same payloads and numerics, far more exchange instructions;
-  /// exists for A/B profiling of the reordering. Must be set before the
-  /// solver program is emitted. The GRAPHENE_NO_HALO_REORDER environment
-  /// variable forces it on at construction.
+  /// exists for A/B profiling of the reordering (SessionOptions.perCellHalo).
+  /// Must be set before the solver program is emitted.
   void setPerCellHalo(bool on) { perCellHalo_ = on; }
   bool perCellHalo() const { return perCellHalo_; }
 

@@ -128,7 +128,7 @@ void degradeConfigInPlace(json::Value& v, const DegradationPolicy& d) {
       type->second.asString() == "cg") {
     o["type"] = "bicgstab";
     // Keep only the keys a BiCGStab config accepts: CG's own ("pipelined",
-    // "reduction", "residualReplaceEvery") would fail the degraded build.
+    // "residualReplaceEvery") would fail the degraded build.
     std::erase_if(o, [](const auto& entry) {
       for (const char* key : {"type", "maxIterations", "tolerance",
                               "preconditioner", "robustness"}) {

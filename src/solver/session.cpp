@@ -169,7 +169,9 @@ std::size_t SolveSession::sramPeakBytes() const {
 SolveSession& SolveSession::withFaultPlan(const json::Value& planConfig) {
   // Validate eagerly (errors surface at attach time), but rebuild from JSON
   // for every solve attempt — FaultPlan rules are stateful.
-  faultPlan_ = ipu::FaultPlan::fromJson(planConfig);
+  ipu::FaultPlan plan = ipu::FaultPlan::fromJson(planConfig);
+  plan.checkTargets(options_.tiles, options_.topology->numIpus());
+  faultPlan_ = std::move(plan);
   faultPlanJson_ = planConfig;
   return *this;
 }

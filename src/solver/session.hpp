@@ -90,8 +90,7 @@ struct SessionOptions {
   std::size_t maxRemaps = 1;
   /// Emits halo exchanges per cell instead of as blockwise region
   /// broadcasts — the pre-reordering baseline of §IV. A/B profiling only
-  /// (same numerics, more exchange instructions); also forced by the
-  /// GRAPHENE_NO_HALO_REORDER environment variable.
+  /// (same numerics, more exchange instructions).
   bool perCellHalo = false;
 };
 
@@ -133,7 +132,9 @@ class SolveSession {
   /// Attaches a fault-injection plan applied to every subsequent solve. The
   /// plan is rebuilt from this JSON for every solve attempt (FaultPlan rules
   /// are stateful — one-shot activations, RNG), which keeps remap recovery
-  /// deterministic: identical plan + seed gives identical fault logs.
+  /// deterministic: identical plan + seed gives identical fault logs. A rule
+  /// aimed at a tile or chip the session's machine does not have is an
+  /// Error here (FaultPlan::checkTargets).
   SolveSession& withFaultPlan(const json::Value& planConfig);
 
   /// Replaces the matrix coefficients, keeping the emitted program: the new

@@ -112,11 +112,9 @@ class CgSolver final : public Solver {
  public:
   CgSolver(std::size_t maxIterations, double tolerance,
            std::unique_ptr<Solver> preconditioner,
-           RobustnessOptions robustness = {},
-           graph::Graph::ReduceMode reduction = graph::Graph::ReduceMode::Auto)
+           RobustnessOptions robustness = {})
       : maxIterations_(maxIterations), tolerance_(tolerance),
-        precond_(std::move(preconditioner)), robust_(robustness),
-        reduction_(reduction) {}
+        precond_(std::move(preconditioner)), robust_(robustness) {}
   std::string name() const override { return "cg"; }
   void apply(DistMatrix& a, Tensor& z, Tensor& r) override;
   Solver* preconditioner() override { return precond_.get(); }
@@ -127,7 +125,6 @@ class CgSolver final : public Solver {
   double tolerance_;
   std::unique_ptr<Solver> precond_;
   RobustnessOptions robust_;
-  graph::Graph::ReduceMode reduction_;
   graph::TensorId stateId_ = graph::kInvalidTensor;
 };
 
@@ -149,11 +146,10 @@ class PipelinedCgSolver final : public Solver {
       std::size_t maxIterations, double tolerance,
       std::unique_ptr<Solver> preconditioner,
       RobustnessOptions robustness = {},
-      graph::Graph::ReduceMode reduction = graph::Graph::ReduceMode::Auto,
       std::size_t residualReplaceEvery = 16)
       : maxIterations_(maxIterations), tolerance_(tolerance),
         precond_(std::move(preconditioner)), robust_(robustness),
-        reduction_(reduction), replaceEvery_(residualReplaceEvery) {}
+        replaceEvery_(residualReplaceEvery) {}
   std::string name() const override { return "pipelined-cg"; }
   void apply(DistMatrix& a, Tensor& z, Tensor& r) override;
   Solver* preconditioner() override { return precond_.get(); }
@@ -164,7 +160,6 @@ class PipelinedCgSolver final : public Solver {
   double tolerance_;
   std::unique_ptr<Solver> precond_;
   RobustnessOptions robust_;
-  graph::Graph::ReduceMode reduction_;
   /// Period of the residual-replacement step (Cools et al., SIMAX 2018):
   /// every N iterations the drifting recurrence iterates r, u, w, s, q, z
   /// are recomputed from their definitions (true residual, A p, ...) while

@@ -359,24 +359,22 @@ TEST(TensorDsl, ReduceKinds) {
 // ReduceMany forms each of its k results in the order a single reduction
 // does: every tile's partial is its own loop from element 0, and each
 // combine visits tiles (then chips) in ascending order. So its results are
-// bit-identical to k separate reductions, in both pod reduction modes, for
-// every kind, over ragged tiles — including an empty tile and an excluded
-// tile, whose partial stays zero and which cannot lead its chip.
+// bit-identical to k separate reductions, flat on one chip of 8 tiles and
+// two-level on two chips of 4, for every kind, over ragged tiles —
+// including an empty tile and an excluded tile, whose partial stays zero
+// and which cannot lead its chip.
 TEST(TensorDsl, ReduceManyIsBitIdenticalToSeparateReductions) {
   const std::vector<std::size_t> sizes = {5, 3, 0, 7, 0, 6, 1, 9};
   const std::size_t total = 31;
   const std::size_t excluded = 4;  // first tile of chip 1: no leader
-  for (graph::Graph::ReduceMode mode :
-       {graph::Graph::ReduceMode::Flat, graph::Graph::ReduceMode::TwoLevel}) {
+  for (std::size_t ipus : {1, 2}) {
     for (ReduceKind kind : {ReduceKind::Sum, ReduceKind::Max, ReduceKind::Min,
                             ReduceKind::AbsMax}) {
       for (std::size_t k = 1; k <= 3; ++k) {
-        SCOPED_TRACE(testing::Message()
-                     << "two-level " << (mode == graph::Graph::ReduceMode::
-                                                     TwoLevel)
-                     << ", kind " << static_cast<int>(kind) << ", k " << k);
-        Context ctx(ipu::IpuTarget::testTarget(/*tiles=*/4, /*ipus=*/2));
-        ctx.graph().setReduceMode(mode);
+        SCOPED_TRACE(testing::Message() << "chips " << ipus << ", kind "
+                                        << static_cast<int>(kind) << ", k "
+                                        << k);
+        Context ctx(ipu::IpuTarget::testTarget(/*tiles=*/8 / ipus, ipus));
         ctx.graph().setExcludedTiles({excluded});
         const graph::TileMapping mapping = graph::TileMapping::ragged(sizes);
         ASSERT_EQ(mapping.totalElements(), total);
@@ -415,6 +413,103 @@ TEST(TensorDsl, ReduceManyIsBitIdenticalToSeparateReductions) {
         }
       }
     }
+  }
+}
+
+namespace {
+
+/// One compute set the DSL emitted: its codelet's name and the tiles of
+/// its vertices, in order.
+struct Emitted {
+  std::string codelet;
+  std::vector<std::size_t> tiles;
+};
+
+/// The compute sets emitted from index `from` on.
+std::vector<Emitted> emittedSince(const graph::Graph& g, std::size_t from) {
+  std::vector<Emitted> out;
+  for (std::size_t cs = from; cs < g.numComputeSets(); ++cs) {
+    Emitted e;
+    for (const graph::Vertex& v :
+         g.computeSet(static_cast<graph::ComputeSetId>(cs)).vertices) {
+      e.codelet = g.codelet(v.codelet).name;
+      e.tiles.push_back(v.tile);
+    }
+    out.push_back(std::move(e));
+  }
+  return out;
+}
+
+bool named(const std::string& codelet, const std::string& prefix) {
+  return codelet.rfind(prefix + "_", 0) == 0 &&
+         codelet.size() > prefix.size() + 1 &&
+         codelet.find_first_not_of("0123456789", prefix.size() + 1) ==
+             std::string::npos;
+}
+
+}  // namespace
+
+// Every TensorDSL codelet goes through one emitter. Pin where each step
+// puts its vertices and what it names its codelet: an elementwise codelet
+// skips tiles where the destination is empty, even with a replicated
+// scalar operand; the partial reduction runs on every tile, empty and
+// excluded ones included; each chip with a surviving leader gets one
+// leader combine; the final combine runs once, on the control tile; and a
+// CodeDSL Execute runs wherever an argument has data.
+TEST(TensorDsl, EmitterPlacesAndNamesEveryStep) {
+  const std::vector<std::size_t> sizes = {5, 3, 0, 7, 0, 6, 1, 9};
+  const std::vector<std::size_t> withData = {0, 1, 3, 5, 6, 7};
+  const std::vector<std::size_t> allTiles = {0, 1, 2, 3, 4, 5, 6, 7};
+  for (std::size_t ipus : {1, 2}) {
+    SCOPED_TRACE(testing::Message() << "chips " << ipus);
+    Context ctx(ipu::IpuTarget::testTarget(/*tiles=*/8 / ipus, ipus));
+    graph::Graph& g = ctx.graph();
+    g.setControlTile(1);
+    g.setExcludedTiles({4});  // first tile of chip 1 on the pod
+    Tensor a(DType::Float32, graph::TileMapping::ragged(sizes), "a");
+    Tensor alpha = Tensor::scalar(DType::Float32, "alpha");
+
+    std::size_t from = g.numComputeSets();
+    Tensor b = Expression(a) * Expression(alpha);
+    std::vector<Emitted> ew = emittedSince(g, from);
+    ASSERT_EQ(ew.size(), 1u);
+    EXPECT_TRUE(named(ew[0].codelet, "ew")) << ew[0].codelet;
+    EXPECT_EQ(ew[0].tiles, withData);
+    for (const graph::Vertex& v : g.computeSet(
+             static_cast<graph::ComputeSetId>(from)).vertices) {
+      ASSERT_EQ(v.args.size(), 3u);  // b, a, alpha: whole slices
+      EXPECT_EQ(v.args[0].count, sizes[v.tile]);
+      EXPECT_EQ(v.args[1].count, sizes[v.tile]);
+      EXPECT_EQ(v.args[2].count, 1u);
+    }
+
+    from = g.numComputeSets();
+    std::vector<Tensor> dots = ReduceMany(
+        {Expression(a) * Expression(b), Expression(a) * Expression(alpha)});
+    std::vector<Emitted> reduce = emittedSince(g, from);
+    ASSERT_EQ(reduce.size(), ipus == 1 ? 2u : 3u);
+    EXPECT_TRUE(named(reduce.front().codelet, "reduce_partial"))
+        << reduce.front().codelet;
+    EXPECT_EQ(reduce.front().tiles, allTiles);
+    if (ipus == 2) {
+      EXPECT_TRUE(named(reduce[1].codelet, "reduce_leader"))
+          << reduce[1].codelet;
+      // Chip 0 leads from the control tile, chip 1 from its first
+      // surviving tile.
+      EXPECT_EQ(reduce[1].tiles, (std::vector<std::size_t>{1, 5}));
+    }
+    EXPECT_TRUE(named(reduce.back().codelet, "reduce_final"))
+        << reduce.back().codelet;
+    EXPECT_EQ(reduce.back().tiles, std::vector<std::size_t>{1});
+
+    from = g.numComputeSets();
+    Execute({a, b}, [](Value x, Value y) {
+      For(0, x.size(), 1, [&](Value i) { y[i] = x[i]; });
+    });
+    std::vector<Emitted> execute = emittedSince(g, from);
+    ASSERT_EQ(execute.size(), 1u);
+    EXPECT_TRUE(named(execute[0].codelet, "codelet")) << execute[0].codelet;
+    EXPECT_EQ(execute[0].tiles, withData);
   }
 }
 

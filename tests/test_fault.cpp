@@ -1,6 +1,7 @@
 // Deterministic fault injection and solver self-healing.
 //
-// Covers: seeded fault plans are byte-for-byte reproducible; an engine with
+// Covers: seeded fault plans are byte-for-byte reproducible; a session
+// rejects a rule aimed at a tile or chip it does not have; an engine with
 // no (or an empty) plan is bit-identical to one without the framework;
 // bit-level rules skip Int32 index arrays; SRAM bit flips trigger the
 // restart path of CG, pipelined CG and BiCGStab, and a spent restart budget
@@ -330,6 +331,52 @@ TEST(FaultPlanJson, CountsRejectNegativeFractionalAndOversizedValues) {
   EXPECT_TRUE(plan.tileDead(2147483647, 5));
   EXPECT_FALSE(plan.tileDead(0, 5));
   EXPECT_TRUE(plan.ipuDead(0, 0));
+}
+
+// A plan meets its machine in SolveSession::withFaultPlan: a rule aimed at
+// a tile or chip the session does not have would match nothing, so it is
+// rejected by kind, key and valid range, while the last tile and the last
+// chip are accepted.
+TEST(FaultPlanTargets, SessionRejectsRulesPastItsMachine) {
+  SolveSession session({.topology = ipu::Topology::pod(2, 4)});  // 8 tiles
+  auto attach = [&](const std::string& rule) {
+    session.withFaultPlan(json::parse(R"({"faults": [{)" + rule + "}]}"));
+  };
+  EXPECT_NO_THROW(attach(R"("type": "tile-dead", "tile": 7)"));
+  EXPECT_NO_THROW(attach(R"("type": "stall", "tile": 7, "cycles": 10)"));
+  EXPECT_NO_THROW(attach(R"("type": "ipu-dead", "ipu": 1)"));
+  EXPECT_NO_THROW(attach(R"("type": "ipu-link-dead", "from": 1, "to": 0)"));
+  struct Case {
+    const char* rule;
+    const char* message;
+  };
+  const Case cases[] = {
+      {R"("type": "tile-dead", "tile": 8)",
+       "tile-dead.tile must be an integer from 0 to 7 on 8 tiles (got 8)"},
+      {R"("type": "stall", "tile": 8, "cycles": 10)",
+       "stall.tile must be an integer from 0 to 7 on 8 tiles (got 8)"},
+      {R"("type": "link-degraded", "tile": 64)",
+       "link-degraded.tile must be an integer from 0 to 7 on 8 tiles "
+       "(got 64)"},
+      {R"("type": "ipu-dead", "ipu": 2)",
+       "ipu-dead.ipu must be an integer from 0 to 1 on 2 chips (got 2)"},
+      {R"("type": "ipu-link-dead", "from": 2, "to": 0)",
+       "ipu-link-dead.from must be an integer from 0 to 1 on 2 chips "
+       "(got 2)"},
+      {R"("type": "ipu-link-degraded", "from": 0, "to": 2)",
+       "ipu-link-degraded.to must be an integer from 0 to 1 on 2 chips "
+       "(got 2)"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.rule);
+    try {
+      attach(c.rule);
+      ADD_FAILURE() << "accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // An engine without a plan and one with an *empty* plan attached must be

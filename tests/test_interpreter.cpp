@@ -657,6 +657,48 @@ HostArgs whileArgs(std::int32_t limit) {
 
 }  // namespace
 
+// A copied tensor-argument handle is the same handle: pushing it into a
+// container (where regrowth copies it again) or initialising another Value
+// from it traces no statement, so it costs no cycle on the VM or the walk.
+TEST(WholeCodelet, CopiedArgumentHandlesTraceAndCostNothing) {
+  const auto trace = [](bool copy) {
+    CodeletBuilder builder;
+    builder.setNumArgs(2);
+    Value x = Value::argument(0, DType::Float32);
+    Value y = Value::argument(1, DType::Float32);
+    const auto scale = [](const Value& out, const Value& in) {
+      For(0, out.size(), 1, [&](Value i) { out[i] = in[i] * 2.0f; });
+    };
+    if (copy) {
+      std::vector<Value> handles;
+      handles.push_back(x);
+      handles.push_back(y);
+      Value out = handles[0];
+      Value in(handles[1]);
+      scale(out, in);
+    } else {
+      scale(x, y);
+    }
+    return builder.finish();
+  };
+  const CodeletIR direct = trace(false);
+  const CodeletIR copied = trace(true);
+  EXPECT_EQ(copied.statements.size(), direct.statements.size());
+  EXPECT_EQ(copied.numVars, direct.numVars);
+
+  HostArgs args;
+  args.addFloat(std::vector<float>(7, 0.0f));
+  args.addFloat(ramp(7, 0.5f, 0.25f));
+  const RunResult a = expectVmMatchesWalk(direct, args);
+  const RunResult b = expectVmMatchesWalk(copied, args);
+  EXPECT_EQ(b.args.bits(), a.args.bits());
+  EXPECT_EQ(b.cost.workerCycles, a.cost.workerCycles);
+  EXPECT_EQ(b.cost.wholeTile, a.cost.wholeTile);
+  const RunResult walkA = runOnce(*compileForTest(direct), args, false);
+  const RunResult walkB = runOnce(*compileForTest(copied), args, false);
+  EXPECT_EQ(walkB.cost.workerCycles, walkA.cost.workerCycles);
+}
+
 TEST(WholeCodelet, WhileRunsZeroAndManyPasses) {
   const RunResult none = expectVmMatchesWalk(traceWhile(), whileArgs(0));
   EXPECT_EQ(none.args.floats(0)[0], 0.0f);

@@ -151,18 +151,10 @@ TEST(PipelinedCg, BitIdenticalAcrossHostThreadCounts) {
 }
 
 TEST(PipelinedCg, TwoLevelReductionConverges) {
+  // The 4x8 pod reduces in two levels; one 32-tile chip reduces flat.
   const matrix::GeneratedMatrix g = matrix::poisson3d7(8, 8, 8);
-  const ipu::Topology pod = ipu::Topology::pod(4, 8);
-  PodRun flat = runOnPod(
-      g,
-      R"({"type": "cg", "pipelined": true, "reduction": "flat",
-          "tolerance": 1e-5, "maxIterations": 400})",
-      pod);
-  PodRun twoLevel = runOnPod(
-      g,
-      R"({"type": "cg", "pipelined": true, "reduction": "two-level",
-          "tolerance": 1e-5, "maxIterations": 400})",
-      pod);
+  PodRun flat = runOnPod(g, kPipelinedCg, ipu::Topology::singleIpu(32));
+  PodRun twoLevel = runOnPod(g, kPipelinedCg, ipu::Topology::pod(4, 8));
   ASSERT_EQ(flat.result.solve.status, SolveStatus::Converged);
   ASSERT_EQ(twoLevel.result.solve.status, SolveStatus::Converged);
   // Different summation trees: convergence-equivalent, not bit-equal.

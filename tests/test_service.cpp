@@ -266,12 +266,13 @@ TEST(SolverService, DegradedRetryOfCgOnlyConfigStillBuilds) {
                          .tiles = 4,
                          .retry = {.maxRetries = 2, .backoffBaseMs = 0.0,
                                    .backoffMaxMs = 0.0, .jitter = 0.0}});
-  // "reduction" is a CG-only key: the degraded swap to BiCGStab must drop
-  // it, so the final attempt runs and ends in a solver verdict instead of
-  // failing its build.
+  // "pipelined" is a CG-only key (false keeps classic CG, whose residual
+  // the plan poisons): the degraded swap to BiCGStab must drop it, so the
+  // final attempt runs and ends in a solver verdict instead of failing its
+  // build.
   JobResult r = service.solve(g,
                               json::parse(R"({"type": "cg",
-                                  "reduction": "flat", "tolerance": 1e-6,
+                                  "pipelined": false, "tolerance": 1e-6,
                                   "maxIterations": 200})"),
                               ones(n), {.faultPlan = poisonPlan()});
   EXPECT_EQ(r.attempts, 3u);
@@ -316,6 +317,30 @@ TEST(SolverService, BuildFailureEndsTypedAndServiceStaysLive) {
   const auto g = matrix::poisson2d5(8, 8);
   EXPECT_EQ(service.solve(g, cgConfig(), ones(g.matrix.rows())).solve.status,
             SolveStatus::Converged);
+}
+
+TEST(SolverService, FaultPlanPastTheMachineEndsTypedWithoutRetries) {
+  // A rule aimed at a tile the session does not have is a property of the
+  // submitted plan: the build rejects it and the job is not retried.
+  const auto g = matrix::poisson2d5(8, 8);
+  ServiceOptions options;
+  options.workers = 1;
+  options.tiles = 4;
+  options.retry.maxRetries = 2;
+  options.retry.backoffBaseMs = 0.0;
+  options.retry.backoffMaxMs = 0.0;
+  SolverService service(options);
+  SolveJobOptions job;
+  job.faultPlan =
+      json::parse(R"({"faults": [{"type": "tile-dead", "tile": 4}]})");
+  JobResult r =
+      service.solve(g, cgConfig(), ones(g.matrix.rows()), std::move(job));
+  EXPECT_TRUE(r.typedError);
+  EXPECT_EQ(r.attempts, 1u);
+  EXPECT_NE(r.message.find("tile-dead.tile must be an integer from 0 to 3"),
+            std::string::npos)
+      << r.message;
+  EXPECT_EQ(service.metrics().counter("service.jobs.retried"), 0.0);
 }
 
 TEST(SolverService, ResultRetentionIsBounded) {

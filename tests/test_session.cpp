@@ -7,8 +7,8 @@
 // fresh session, on the same engine unless remapped; unknown or
 // ill-typed config keys are rejected naming the offending key and listing
 // the valid ones (both makeSolver and makeSolverFromString); the
-// preconditioner() chain walk; GRAPHENE_NO_HALO_REORDER=0 leaves the halo
-// reordering on; the end-to-end benchmark's solver configs never take the
+// preconditioner() chain walk; support::envFlag reads unset, "" and "0" as
+// off; the end-to-end benchmark's solver configs never take the
 // interpreter's generic walk, and each of their loop kernels keeps its tier.
 #include <gtest/gtest.h>
 
@@ -26,6 +26,7 @@
 #include "dsl/context.hpp"
 #include "dsl/interpreter.hpp"
 #include "graphene.hpp"
+#include "support/env.hpp"
 
 using namespace graphene;
 using namespace graphene::solver;
@@ -236,36 +237,18 @@ TEST(SolveSession, RepeatedSolvesAreIndependent) {
   EXPECT_EQ(&session.engine().graph(), &dsl::Context::current().graph());
 }
 
-TEST(SolveSession, HaloReorderEnvZeroMeansOff) {
-  // Boolean GRAPHENE_* switches treat "0" like unset: the §IV blockwise halo
-  // exchange stays, so the solve emits exactly the exchange instructions of
-  // a solve with the variable unset. The per-cell baseline shows the count
-  // tells the two exchange plans apart.
-  const char* ambientRaw = std::getenv("GRAPHENE_NO_HALO_REORDER");
-  const bool hadAmbient = ambientRaw != nullptr;
-  const std::string ambient = hadAmbient ? ambientRaw : "";
-  auto exchangeInstructions = [](SessionOptions options) {
-    SolveSession session(options);
-    session.load(matrix::poisson2d5(12, 12)).configure(R"({
-      "type": "cg", "tolerance": 1e-6, "maxIterations": 200
-    })");
-    std::vector<double> rhs(session.matrix().rows(), 1.0);
-    session.solve(rhs);
-    return session.profile().exchangeInstructions;
-  };
-  ::unsetenv("GRAPHENE_NO_HALO_REORDER");
-  const std::size_t unset = exchangeInstructions({.tiles = 8});
-  const std::size_t perCell =
-      exchangeInstructions({.tiles = 8, .perCellHalo = true});
-  ::setenv("GRAPHENE_NO_HALO_REORDER", "0", 1);
-  const std::size_t zero = exchangeInstructions({.tiles = 8});
-  if (hadAmbient) {
-    ::setenv("GRAPHENE_NO_HALO_REORDER", ambient.c_str(), 1);
-  } else {
-    ::unsetenv("GRAPHENE_NO_HALO_REORDER");
+TEST(SupportEnv, FlagTreatsUnsetEmptyAndZeroAsOff) {
+  // Every boolean GRAPHENE_* switch reads through support::envFlag.
+  const char* name = "GRAPHENE_ENV_FLAG_TEST_PROBE";
+  ::unsetenv(name);
+  EXPECT_FALSE(support::envFlag(name));
+  for (const char* off : {"", "0"}) {
+    ::setenv(name, off, 1);
+    EXPECT_FALSE(support::envFlag(name)) << "'" << off << "'";
   }
-  EXPECT_LT(unset, perCell);
-  EXPECT_EQ(zero, unset);
+  ::setenv(name, "1", 1);
+  EXPECT_TRUE(support::envFlag(name));
+  ::unsetenv(name);
 }
 
 TEST(SolveSession, OrderingErrorsNameTheMissingStep) {

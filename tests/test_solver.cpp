@@ -679,7 +679,8 @@ KrylovRun runKrylov(const matrix::GeneratedMatrix& g,
   Tensor x = A.makeVector(DType::Float32, "x");
   Tensor b = A.makeVector(DType::Float32, "b");
   solver.apply(A, x, b);
-  const double stepsPerReduction = ctx.graph().twoLevelReduce() ? 3 : 2;
+  const double stepsPerReduction =
+      topology.numIpus() > 1 && topology.tilesPerIpu() > 1 ? 3 : 2;
 
   graph::Engine engine(ctx.graph());
   A.upload(engine);
